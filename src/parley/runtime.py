@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import heapq
 import json
+import re
 from dataclasses import dataclass, replace
 from fnmatch import fnmatch
+from os.path import normcase
 from random import Random
 from typing import Protocol as TypingProtocol
 
@@ -76,9 +78,15 @@ STRUCTURE_FIELDS = ("performative", "language", "ontology", "shape")
 class FaultSpec:
     """One-shot mutation of the n-th conversation message in flight.
 
-    Only messages of the interaction itself are counted: reserved
-    (selection and control) performatives and self-addressed wakes
-    pass through untouched and uncounted.
+    ``conversation`` is an ``fnmatch`` glob over conversation ids.
+    ``ordinal`` counts the counted messages of every conversation the
+    pattern matches, together: ``t1/*`` with ordinal 3 hits the third
+    counted message across all of ``t1``'s conversations.  Only
+    messages of the interaction itself are counted: reserved (selection
+    and control) performatives and self-addressed wakes pass through
+    untouched and uncounted.  Specs that hit the same message apply in
+    the order they were injected (file order for a scenario).  The bus
+    resolves the patterns once per conversation, when it first sees it.
     """
 
     conversation: str  # fnmatch pattern over conversation ids
@@ -127,7 +135,15 @@ def corrupt_content(msg: Message, path: tuple) -> Message:
 class _FaultState:
     spec: FaultSpec
     seen: int = 0
-    used: bool = False
+
+
+#: the characters that end a glob's literal prefix
+_GLOB_SPECIAL = re.compile(r"[*?[]")
+
+
+def _literal_prefix(pattern: str) -> str:
+    """What every id a glob matches starts with (normcased, as fnmatch does)."""
+    return _GLOB_SPECIAL.split(normcase(pattern), 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +187,10 @@ class SimRuntime:
         self._heap: list[tuple[int, int, Message]] = []
         self._seq = 0
         self._faults: list[_FaultState] = []
+        #: literal prefix -> indices into _faults of the specs with that prefix
+        self._fault_buckets: dict[str, list[int]] = {}
+        #: conversation id -> matching states in injection order, on first sight
+        self._conversation_faults: dict[str, list[_FaultState]] = {}
         self._started = False
 
     # -- wiring ------------------------------------------------------------
@@ -181,7 +201,11 @@ class SimRuntime:
         self.agents[agent.name] = agent
 
     def inject_fault(self, spec: FaultSpec) -> None:
+        bucket = self._fault_buckets.setdefault(_literal_prefix(spec.conversation), [])
+        bucket.append(len(self._faults))
         self._faults.append(_FaultState(spec))
+        # conversations already resolved may match the new spec too
+        self._conversation_faults.clear()
 
     # -- event log ---------------------------------------------------------
 
@@ -234,29 +258,52 @@ class SimRuntime:
             and msg.performative != WAKE
         )
 
+    def _faults_for(self, conversation: str) -> list[_FaultState]:
+        """The fault states whose pattern matches, in injection order.
+
+        Only specs whose literal prefix starts the id are candidates, so
+        resolving a conversation calls ``fnmatch`` on those alone.
+        """
+        states = self._conversation_faults.get(conversation)
+        if states is None:
+            name = normcase(conversation)
+            candidates = sorted(
+                i
+                for end in range(len(name) + 1)
+                for i in self._fault_buckets.get(name[:end], ())
+            )
+            states = [
+                self._faults[i] for i in candidates
+                if fnmatch(conversation, self._faults[i].spec.conversation)
+            ]
+            self._conversation_faults[conversation] = states
+        return states
+
+    def _fire(self, seq: int, msg: Message, spec: FaultSpec) -> Message:
+        """Apply one spec to the message in flight and note it."""
+        if spec.op == "corrupt_structure":
+            msg = corrupt_structure(msg, spec.structure_field)
+        else:
+            msg = corrupt_content(msg, spec.path)
+        self.note(
+            "fault",
+            {
+                "seq": seq,
+                "op": spec.op,
+                "conversation": msg.conversation_id,
+                "ordinal": spec.ordinal,
+            },
+        )
+        return msg
+
     def _apply_faults(self, seq: int, msg: Message) -> Message:
         if not self._counted_for_faults(msg):
             return msg
-        for state in self._faults:
-            if state.used or not fnmatch(msg.conversation_id, state.spec.conversation):
-                continue
+        for state in self._faults_for(msg.conversation_id):
+            # seen only grows, so each spec fires once
             state.seen += 1
-            if state.seen != state.spec.ordinal:
-                continue
-            state.used = True
-            if state.spec.op == "corrupt_structure":
-                msg = corrupt_structure(msg, state.spec.structure_field)
-            else:
-                msg = corrupt_content(msg, state.spec.path)
-            self.note(
-                "fault",
-                {
-                    "seq": seq,
-                    "op": state.spec.op,
-                    "conversation": msg.conversation_id,
-                    "ordinal": state.spec.ordinal,
-                },
-            )
+            if state.seen == state.spec.ordinal:
+                msg = self._fire(seq, msg, state.spec)
         return msg
 
     def _deliver(self, seq: int, msg: Message) -> None:

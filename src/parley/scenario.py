@@ -10,6 +10,7 @@ fails loudly instead of producing a silently empty run.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -444,21 +445,17 @@ def _describe_outcome(agent) -> tuple[str, dict, bool]:
 
 
 def summarize(scenario: Scenario, runtime: SimRuntime, trace: list[TraceEvent]) -> RunSummary:
+    # one pass over the trace: per conversation, recoveries and non-self sends
+    recoveries: Counter[str] = Counter()
+    messages: Counter[str] = Counter()
+    for e in trace:
+        if e.kind == "recovery":
+            recoveries[e.payload.get("conversation")] += 1
+        elif e.kind == "send" and e.payload.get("from") != e.payload.get("to"):
+            messages[e.payload.get("conversation")] += 1
     tasks = []
     for task in scenario.tasks:
         conversations = set(_task_conversations(scenario, task))
-        recoveries = sum(
-            1
-            for e in trace
-            if e.kind == "recovery" and e.payload.get("conversation") in conversations
-        )
-        messages = sum(
-            1
-            for e in trace
-            if e.kind == "send"
-            and e.payload.get("conversation") in conversations
-            and e.payload.get("from") != e.payload.get("to")
-        )
         agent = runtime.agents[task.initiator]
         outcome, detail, terminated = _describe_outcome(agent)
         tasks.append(
@@ -466,8 +463,8 @@ def summarize(scenario: Scenario, runtime: SimRuntime, trace: list[TraceEvent]) 
                 task_id=task.task_id,
                 outcome=outcome,
                 detail=detail,
-                recoveries=recoveries,
-                messages=messages,
+                recoveries=sum(recoveries[c] for c in conversations),
+                messages=sum(messages[c] for c in conversations),
                 terminated=terminated,
             )
         )

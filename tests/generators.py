@@ -84,3 +84,56 @@ def journal_graph_instances(
         sequence = walk
     records = [(m, draw(st.booleans())) for m in sequence]
     return records, initial, follow
+
+
+#: conversation ids of the fault streams; "t1/c1" and "t12/c1" share a
+#: literal prefix, "ab"/"ax" differ in their last character
+STREAM_CONVERSATIONS = ("t1/c1", "t1/c2", "t2/c1", "t12/c1", "ab", "ax", "b")
+#: literal ids, every glob form, empty literal prefixes, and patterns
+#: that span several of the conversations above
+FAULT_PATTERNS = STREAM_CONVERSATIONS + (
+    "*", "*/c1", "?1*", "t1/*", "t1*", "t?/c1", "t[12]/c1", "t[!1]/c1",
+    "a[ab]", "a[!b]", "a?", "[ab]*", "zz/*",
+)
+#: (op, structure field, content path)
+FAULT_OPS = (
+    ("corrupt_structure", "performative", ()),
+    ("corrupt_structure", "shape", ()),
+    ("corrupt_content", "performative", ("x",)),
+    ("corrupt_content", "performative", ("n",)),
+)
+#: counted traffic, a self-addressed wake, a control performative
+STREAM_KINDS = ("inform", "inform", "inform", "wake", "error-notify")
+
+
+def _fault_specs():
+    return st.tuples(
+        st.sampled_from(FAULT_PATTERNS),
+        st.integers(min_value=1, max_value=4),
+        st.sampled_from(FAULT_OPS),
+    )
+
+
+def _deliveries():
+    return st.lists(
+        st.tuples(
+            st.sampled_from(STREAM_CONVERSATIONS),
+            st.sampled_from(STREAM_KINDS),
+            st.integers(min_value=0, max_value=2),
+        ),
+        max_size=12,
+    )
+
+
+@st.composite
+def fault_streams(draw):
+    """(specs, late spec or None, first stream, second stream).
+
+    spec: (conversation glob, ordinal, (op, structure field, path)).
+    stream entry: (conversation id, kind, delay).  The first stream is
+    delivered, then the late spec is injected, then the second stream
+    is delivered.
+    """
+    specs = draw(st.lists(_fault_specs(), max_size=6))
+    late = draw(st.none() | _fault_specs())
+    return specs, late, draw(_deliveries()), draw(_deliveries())

@@ -2,10 +2,13 @@
 
 Protocols built here are intentionally minimal but pass
 validate_protocol, so tests exercising selection logic do not drag in
-hand-written JSON documents.
+hand-written JSON documents.  The scenario builders at the end make
+seeded multi-task scenario documents over the bundled protocols.
 """
 
 from __future__ import annotations
+
+from random import Random
 
 from parley.model import (
     MANY,
@@ -174,3 +177,82 @@ def one_n_protocol(
         schemas={"kick": kick},
         roles=roles,
     )
+
+
+# ---------------------------------------------------------------------------
+# Multi-task scenario documents
+# ---------------------------------------------------------------------------
+
+_ATTR_PROTOCOLS = ("attr_digest", "attr_lookup", "attr_probe", "attr_query")
+_ATTRIBUTES = ("modified", "created", "author", "title")
+_CONTENT_PATHS = (("value",), ("attribute",), ("document",))
+_STRUCTURE_FIELDS = ("performative", "language", "shape")
+
+
+def individual_scenario(rng: Random, mode: str, n_tasks: int, max_faults: int = 1) -> dict:
+    """Attribute-query tasks, each with its own initiator ``q<i>``,
+    participant ``c<i>`` and 1..max_faults faults on ``t<i>/*``."""
+    agents, tasks, faults = [], [], []
+    for i in range(n_tasks):
+        servers = rng.sample(_ATTR_PROTOCOLS[:3], rng.randint(0, 3)) + ["attr_query"]
+        agents.append({"id": f"q{i}", "enacts": {"attr_query": ["querier"]}})
+        agents.append({"id": f"c{i}", "enacts": {p: ["server"] for p in sorted(servers)}})
+        tasks.append({
+            "id": f"t{i}",
+            "initiator": f"q{i}",
+            "capabilities": ["attribute-retrieval"],
+            "participants": {"attr_query": [f"c{i}"]},
+            "constraints": {"contents": {"ask": {
+                "attribute": rng.choice(_ATTRIBUTES), "document": f"d{i}",
+            }}},
+        })
+        for _ in range(rng.randint(1, max_faults)):
+            fault = {"conversation": f"t{i}/*", "ordinal": rng.randint(1, 4)}
+            if rng.random() < 0.5:
+                fault.update(op="corrupt_structure", field=rng.choice(_STRUCTURE_FIELDS))
+            else:
+                fault.update(op="corrupt_content", path=list(rng.choice(_CONTENT_PATHS)))
+            faults.append(fault)
+    return {
+        "scenario_id": f"{mode}_{n_tasks}",
+        "seed": rng.randrange(1000),
+        "selection_mode": mode,
+        "protocols": list(_ATTR_PROTOCOLS),
+        "agents": agents,
+        "tasks": tasks,
+        "faults": faults,
+    }
+
+
+def joint_scenario(rng: Random, n_tasks: int, n_agents: int) -> dict:
+    """Document-query tasks over a shared pool of repliers, some silent
+    (so initiators wait out their deadline wakes) and some unwilling."""
+    pool = []
+    for j in range(n_agents):
+        entry = {"id": f"d{j}", "enacts": {"ips": ["replier"], "request": ["replier"]}}
+        draw = rng.random()
+        if draw < 0.2:
+            entry["behavior"] = "silent"
+        elif draw < 0.4:
+            entry["willing"] = False
+        pool.append(entry)
+    agents, tasks = list(pool), []
+    for k in range(n_tasks):
+        agents.append({"id": f"i{k}", "enacts": {"ips": ["asker"], "request": ["asker"]}})
+        tasks.append({
+            "id": f"t{k}",
+            "initiator": f"i{k}",
+            "capabilities": ["document-query"],
+            "participants": {
+                protocol: sorted(a["id"] for a in rng.sample(pool, rng.randint(1, 4)))
+                for protocol in ("ips", "request")
+            },
+        })
+    return {
+        "scenario_id": f"joint_{n_tasks}",
+        "seed": rng.randrange(1000),
+        "selection_mode": "joint",
+        "protocols": ["ips", "request"],
+        "agents": agents,
+        "tasks": tasks,
+    }

@@ -9,6 +9,7 @@ obvious: brute force where possible.
 from __future__ import annotations
 
 from collections import Counter
+from fnmatch import fnmatch
 from itertools import permutations
 
 
@@ -141,3 +142,69 @@ def oracle_recovery_points(
     j = max(k, 1)
     i = 1 + sum(1 for method, is_msg in records[1:k] if is_msg)
     return i, j
+
+
+# ---------------------------------------------------------------------------
+# Fault firing
+# ---------------------------------------------------------------------------
+
+def oracle_apply_faults(
+    faults: list[tuple[str, int, int]], stream: list[tuple[str, bool]]
+) -> list[list[int]]:
+    """Which fault specs fire on each delivery, by scanning every spec.
+
+    faults: (conversation glob, ordinal, first delivery it sees) per
+    spec, in injection order; a spec injected before the run sees
+    delivery 0.
+    stream: (conversation id, counted) per delivery, in delivery order.
+    Returns, per delivery, the indices of the specs that fire on it, in
+    the order they apply.
+
+    A spec counts every counted delivery, from its first one, of any
+    conversation its glob matches; it fires once, on the delivery that
+    brings the count to its ordinal.
+    """
+    seen = [0] * len(faults)
+    used = [False] * len(faults)
+    fired: list[list[int]] = []
+    for k, (conversation, counted) in enumerate(stream):
+        hits = []
+        for i, (pattern, ordinal, first) in enumerate(faults):
+            if not counted or k < first or used[i] or not fnmatch(conversation, pattern):
+                continue
+            seen[i] += 1
+            if seen[i] == ordinal:
+                used[i] = True
+                hits.append(i)
+        fired.append(hits)
+    return fired
+
+
+# ---------------------------------------------------------------------------
+# Run summary counts
+# ---------------------------------------------------------------------------
+
+def oracle_summary_counts(
+    events: list[tuple[str, dict]], conversations: dict[str, set[str]]
+) -> dict[str, tuple[int, int]]:
+    """task id -> (messages, recoveries), rescanning the trace per task.
+
+    events: (kind, payload) per trace event, in trace order.
+    conversations: task id -> the conversation ids of the task.
+    Messages are the task's sends between two different agents, so
+    self-addressed wakes do not count; recoveries are its recovery
+    events.
+    """
+    counts = {}
+    for task, convs in conversations.items():
+        messages = sum(
+            1 for kind, p in events
+            if kind == "send" and p.get("conversation") in convs
+            and p.get("from") != p.get("to")
+        )
+        recoveries = sum(
+            1 for kind, p in events
+            if kind == "recovery" and p.get("conversation") in convs
+        )
+        counts[task] = (messages, recoveries)
+    return counts

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
 
 from parley.errors import BudgetExceededError, UnknownReceiverError
 from parley.model import Message
@@ -18,6 +19,9 @@ from parley.runtime import (
     render_trace,
     write_trace,
 )
+
+from .generators import fault_streams
+from .oracles import oracle_apply_faults
 
 
 def msg(sender, receiver, performative="inform", content=None, conv="c", tag=None):
@@ -301,6 +305,84 @@ class TestFaultMechanics:
         send = next(e for e in rt.trace if e.kind == "send")
         assert send.payload["content"] == {"x": "hello"}
         assert sink.got[0].content == {"x": 99}
+
+
+class ScanRuntime(SimRuntime):
+    """The bus with fault matching done by the oracle's scan of every spec."""
+
+    def __init__(self):
+        super().__init__(seed=0)
+        self.specs: list[tuple[FaultSpec, int]] = []
+        self.stream: list[tuple[str, bool]] = []
+
+    def inject_fault(self, spec):
+        self.specs.append((spec, len(self.stream)))
+
+    def _apply_faults(self, seq, m):
+        self.stream.append((m.conversation_id, self._counted_for_faults(m)))
+        faults = [(spec.conversation, spec.ordinal, first) for spec, first in self.specs]
+        for i in oracle_apply_faults(faults, self.stream)[-1]:
+            m = self._fire(seq, m, self.specs[i][0])
+        return m
+
+
+def _fault_spec(pattern, ordinal, op):
+    name, structure_field, path = op
+    return FaultSpec(
+        conversation=pattern, ordinal=ordinal, op=name,
+        structure_field=structure_field, path=path,
+    )
+
+
+def _play(rt, specs, late, first, second):
+    """Deliver two streams, injecting the late spec between them."""
+    sink = Recorder("sink")
+    rt.register(sink)
+    rt.register(AgentBase("src"))
+    for spec in specs:
+        rt.inject_fault(_fault_spec(*spec))
+    for n, stream in enumerate((first, second)):
+        if n and late is not None:
+            rt.inject_fault(_fault_spec(*late))
+        for i, (conv, kind, delay) in enumerate(stream):
+            content = {"x": "hello", "n": i}
+            if kind == "wake":
+                rt.wake_self("sink", conv, content, delay)
+            else:
+                rt.schedule_send(msg("src", "sink", kind, content, conv), delay)
+        rt.run_until_quiescent()
+    return sink.got, render_trace(rt.trace)
+
+
+_STRUCTURE = ("corrupt_structure", "performative", ())
+_CONTENT = ("corrupt_content", "performative", ("x",))
+
+
+class TestFaultMatchingAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(fault_streams())
+    @example((
+        [
+            ("t1/c1", 1, _STRUCTURE),  # literal id
+            ("t1/c1", 1, _CONTENT),  # stacks on the same message
+            ("*", 2, _CONTENT),  # empty literal prefix
+            ("*/c1", 3, _STRUCTURE),
+            ("t1/*", 3, _CONTENT),  # one count across t1/c1 and t1/c2
+            ("t?/c1", 2, _CONTENT),
+            ("t[12]/c1", 1, _CONTENT),
+            ("t[!1]/c1", 1, _STRUCTURE),
+            ("a[ab]", 1, _STRUCTURE),
+        ],
+        ("t1/*", 1, _CONTENT),  # injected after the first delivery
+        [
+            ("t1/c1", "inform", 0), ("t1/c2", "wake", 0), ("t1/c2", "inform", 0),
+            ("t2/c1", "inform", 1), ("ab", "error-notify", 0), ("t1/c2", "inform", 0),
+            ("t12/c1", "inform", 0), ("ab", "inform", 2),
+        ],
+        [("t1/c1", "inform", 0), ("t1/c2", "inform", 1), ("t2/c1", "inform", 0)],
+    ))
+    def test_delivers_what_a_scan_of_every_spec_delivers(self, case):
+        assert _play(SimRuntime(seed=0), *case) == _play(ScanRuntime(), *case)
 
 
 class Gambler(AgentBase):

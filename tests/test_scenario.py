@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+from fnmatch import fnmatch
 from pathlib import Path
+from random import Random
 
 import pytest
 
+import parley.runtime
 from parley.cli import main as cli_main
 from parley.errors import ParseError, UnresolvedReferenceError
 from parley.fixtures import scenario_path
@@ -15,12 +18,17 @@ from parley.scenario import (
     JOINT,
     MIXED,
     SEQUENTIAL,
+    build_runtime,
     parse_scenario,
     run_scenario,
     scenario_from_dict,
     scenario_to_dict,
     serialize_scenario,
+    summarize,
 )
+
+from .helpers import individual_scenario, joint_scenario
+from .oracles import oracle_summary_counts
 
 DATA = Path(__file__).parent / "data"
 
@@ -177,20 +185,24 @@ class TestSerialization:
         assert "willing" not in raw["agents"][0]
 
 
-def recount_from_trace(trace, conversations):
-    messages = sum(
-        1
-        for e in trace
-        if e.kind == "send"
-        and e.payload.get("conversation") in conversations
-        and e.payload.get("from") != e.payload.get("to")
+def task_conversations(scenario):
+    """task id -> its conversation ids, as the initiators name them."""
+    out = {}
+    for task in scenario.tasks:
+        if scenario.selection_mode == JOINT:
+            out[task.task_id] = {f"{task.task_id}!select"}
+        else:
+            participant = next(a for agents in task.participants.values() for a in agents)
+            out[task.task_id] = {f"{task.task_id}/{participant}"}
+    return out
+
+
+def assert_counts_match_oracle(scenario, trace, summary):
+    expected = oracle_summary_counts(
+        [(e.kind, e.payload) for e in trace], task_conversations(scenario)
     )
-    recoveries = sum(
-        1
-        for e in trace
-        if e.kind == "recovery" and e.payload.get("conversation") in conversations
-    )
-    return messages, recoveries
+    got = {t.task_id: (t.messages, t.recoveries) for t in summary.tasks}
+    assert got == expected
 
 
 class TestGoldenRuns:
@@ -212,17 +224,7 @@ class TestGoldenRuns:
     def test_summary_counts_match_trace(self, name):
         scenario = parse_scenario(scenario_path(name))
         trace, summary = run_scenario(scenario)
-        for task_summary, task in zip(summary.tasks, scenario.tasks):
-            if scenario.selection_mode == JOINT:
-                convs = {f"{task.task_id}!select"}
-            else:
-                participant = next(
-                    a for agents in task.participants.values() for a in agents
-                )
-                convs = {f"{task.task_id}/{participant}"}
-            messages, recoveries = recount_from_trace(trace, convs)
-            assert task_summary.messages == messages
-            assert task_summary.recoveries == recoveries
+        assert_counts_match_oracle(scenario, trace, summary)
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_frozen_summary(self, name):
@@ -245,6 +247,68 @@ class TestGoldenRuns:
         for e in trace:
             if e.kind == "deliver":
                 assert e.payload["seq"] in sent
+
+
+def random_scenario(mode, seed):
+    rng = Random(seed)
+    if mode == JOINT:
+        return scenario_from_dict(joint_scenario(rng, n_tasks=6, n_agents=12))
+    return scenario_from_dict(individual_scenario(rng, mode, n_tasks=8, max_faults=3))
+
+
+class TestSummaryAgainstOracle:
+    @pytest.mark.parametrize("mode", [JOINT, SEQUENTIAL, MIXED])
+    def test_seeded_random_scenarios(self, mode):
+        wakes = most_recoveries = 0
+        for seed in range(6):
+            scenario = random_scenario(mode, seed)
+            trace, summary = run_scenario(scenario)
+            assert_counts_match_oracle(scenario, trace, summary)
+            wakes += sum(
+                1 for e in trace
+                if e.kind == "send" and e.payload["from"] == e.payload["to"]
+            )
+            most_recoveries = max(most_recoveries, *(t.recoveries for t in summary.tasks))
+        # the cases the counts must get right: uncounted wakes, repeated recoveries
+        if mode == JOINT:
+            assert wakes > 0
+        else:
+            assert most_recoveries >= 2
+
+
+class IterationCountingList(list):
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+class TestScaling:
+    """Per-task work stays flat as tasks are added: counted, not timed."""
+
+    def _run(self, mode, n_tasks, monkeypatch):
+        scenario = scenario_from_dict(individual_scenario(Random(n_tasks), mode, n_tasks))
+        calls = 0
+
+        def counting_fnmatch(name, pattern):
+            nonlocal calls
+            calls += 1
+            return fnmatch(name, pattern)
+
+        monkeypatch.setattr(parley.runtime, "fnmatch", counting_fnmatch)
+        runtime = build_runtime(scenario)
+        trace = IterationCountingList(runtime.run_until_quiescent())
+        summary = summarize(scenario, runtime, trace)
+        assert len(summary.tasks) == n_tasks
+        return calls / n_tasks, trace.iterations
+
+    @pytest.mark.parametrize("mode", [SEQUENTIAL, MIXED])
+    def test_fault_matching_and_summary_stay_linear(self, mode, monkeypatch):
+        small = self._run(mode, 10, monkeypatch)
+        large = self._run(mode, 200, monkeypatch)
+        assert small[0] == large[0]  # fnmatch calls per task
+        assert small[1] == large[1] == 1  # summarize reads the trace once
 
 
 class TestCli:
