@@ -8,10 +8,19 @@ keeping; if an edit to the engine breaks a predicate the script fails
 instead of silently freezing a different story.
 
 Run from the repository root:  python3 scripts/regen_goldens.py
+
+    python3 scripts/regen_goldens.py --check
+
+reruns every scenario and its narrative check but writes nothing: it
+compares the fresh trace and summary with the frozen files byte for
+byte, prints the first line that differs, and exits 1 on any
+difference.  It needs only the standard library, so any Python the
+package supports can run it.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from pathlib import Path
@@ -120,33 +129,81 @@ GOLDENS = {
 }
 
 
-def main() -> int:
-    DATA.mkdir(parents=True, exist_ok=True)
+def render_summary(trace, summary) -> str:
+    counts = {
+        "tasks": [
+            {
+                "task_id": t.task_id,
+                "outcome": t.outcome,
+                "messages": t.messages,
+                "recoveries": t.recoveries,
+                "terminated": t.terminated,
+            }
+            for t in summary.tasks
+        ],
+        "events": len(trace),
+        "ticks": summary.ticks,
+    }
+    return json.dumps(counts, indent=2, sort_keys=True) + "\n"
+
+
+def first_difference(path: Path, fresh: str) -> str | None:
+    """None when the file holds exactly ``fresh``; otherwise where and how
+    the two first differ."""
+    if not path.is_file():
+        return f"{path.relative_to(ROOT)}: missing"
+    frozen = path.read_text(encoding="utf-8")
+    if frozen == fresh:
+        return None
+    old_lines = frozen.splitlines(keepends=True)
+    new_lines = fresh.splitlines(keepends=True)
+    for number, (old, new) in enumerate(zip(old_lines, new_lines), start=1):
+        if old != new:
+            return (
+                f"{path.relative_to(ROOT)}:{number}: differs\n"
+                f"  frozen: {old!r}\n  fresh:  {new!r}"
+            )
+    number = min(len(old_lines), len(new_lines)) + 1
+    return (
+        f"{path.relative_to(ROOT)}:{number}: frozen has {len(old_lines)} lines, "
+        f"fresh has {len(new_lines)}"
+    )
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="compare with the frozen files instead of writing them; exit 1 on a difference",
+    )
+    args = parser.parse_args(argv)
+    if not args.check:
+        DATA.mkdir(parents=True, exist_ok=True)
+    failed = False
     for name, check in GOLDENS.items():
         scenario = parse_scenario(scenario_path(name))
         trace, summary = run_scenario(scenario)
         check(trace, summary)
-        out = DATA / f"{name}.trace.jsonl"
-        out.write_text(render_trace(trace), encoding="utf-8")
-        counts = {
-            "tasks": [
-                {
-                    "task_id": t.task_id,
-                    "outcome": t.outcome,
-                    "messages": t.messages,
-                    "recoveries": t.recoveries,
-                    "terminated": t.terminated,
-                }
-                for t in summary.tasks
-            ],
-            "events": len(trace),
-            "ticks": summary.ticks,
+        outputs = {
+            DATA / f"{name}.trace.jsonl": render_trace(trace),
+            DATA / f"{name}.summary.json": render_summary(trace, summary),
         }
-        (DATA / f"{name}.summary.json").write_text(
-            json.dumps(counts, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        print(f"{name}: {len(trace)} events -> {out.relative_to(ROOT)}")
-    return 0
+        if args.check:
+            problems = [
+                problem
+                for path, fresh in outputs.items()
+                if (problem := first_difference(path, fresh)) is not None
+            ]
+            for problem in problems:
+                print(problem)
+            failed = failed or bool(problems)
+            print(f"{name}: {len(trace)} events, {'differs' if problems else 'identical'}")
+            continue
+        for path, fresh in outputs.items():
+            path.write_text(fresh, encoding="utf-8")
+        print(f"{name}: {len(trace)} events -> {(DATA / f'{name}.trace.jsonl').relative_to(ROOT)}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

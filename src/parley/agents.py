@@ -19,18 +19,17 @@ from .errors import NoViableRoleError
 from .individual import (
     INITIATOR_DETECTED,
     PARTICIPANT_DETECTED,
-    WRONG_CONTENT,
     WRONG_STRUCTURE,
     InteractionError,
     RoleCollection,
     build_collection,
-    check_incoming,
     clamped_recovery_points,
     locate_emission,
     method_graph,
     purge_collection,
     receiving_roles,
     refire_input,
+    rejection_kind,
     select_replacement_role,
     truncate_counterpart,
     truncate_own,
@@ -48,6 +47,7 @@ from .joint import (
     assign_roles_1_n,
     build_candidate_matrix,
     next_vector,
+    offered_roles,
     participant_meta_step,
     select_largest_set,
 )
@@ -59,7 +59,7 @@ from .mixed import (
     handle_refire,
     instantiate_all,
     reactivate,
-    reconcile_after_step,
+    select_outgoing,
     sequence_tagger,
     stop_active,
 )
@@ -82,6 +82,7 @@ from .model import (
     RoleKind,
     RoleRef,
     TaskDescription,
+    Transition,
     Willingness,
     classify_protocol,
     match_task_to_protocols,
@@ -93,6 +94,16 @@ from .runtime import WAKE, AgentBase, SimRuntime
 FATAL_WARNINGS = frozenset({"exhausted", "no-viable-role"})
 
 _CASCADE_LIMIT = 8
+
+
+def _opening_rejection_kind(registry: ProtocolRegistry, refs, msg: Message) -> str:
+    """Nobody took the opening: content or structure complaint?"""
+    placed = []
+    for ref in refs:
+        protocol = registry[ref.protocol]
+        machine = protocol.roles[ref.role]
+        placed.append((machine, protocol, machine.initial_state))
+    return rejection_kind(placed, msg)
 
 
 def _message(
@@ -128,8 +139,9 @@ class MachineDriver:
     Receptions come in through :meth:`receive`, internal steps are
     pumped until the machine has to wait, and every fired transition
     appends one journal record.  The driver never judges an incoming
-    message - callers run :func:`check_incoming` first, so nothing
-    invalid is ever journaled.
+    message - callers match it first (:meth:`accepting`) and hand the
+    transitions that take it to :meth:`receive`, so nothing invalid is
+    ever journaled and nothing is matched twice.
     """
 
     def __init__(
@@ -211,9 +223,17 @@ class MachineDriver:
                 sent.append(outgoing)
         return sent
 
-    def receive(self, msg: Message, rng: Random) -> list[Message]:
-        """Journal a validated reception and everything it sets off."""
-        enabled = enabled_for_message(self.machine, self.protocol, self.state, msg)
+    def accepting(self, msg: Message) -> list[Transition]:
+        """The receive transitions of the current state that take ``msg``."""
+        return enabled_for_message(self.machine, self.protocol, self.state, msg)
+
+    def rejection_kind(self, msg: Message) -> str:
+        """The error kind of a message :meth:`accepting` found no transition for."""
+        return rejection_kind([(self.machine, self.protocol, self.state)], msg)
+
+    def receive(self, msg: Message, enabled: list[Transition], rng: Random) -> list[Message]:
+        """Journal a reception and everything it sets off; ``enabled``
+        holds the transitions found to take it in the current state."""
         if not enabled:
             raise ValueError(f"{self.ref} cannot take {msg.performative} in {self.state}")
         self.last_received_tag = msg.reply_with
@@ -226,7 +246,7 @@ class MachineDriver:
     def resume(self, event, rng: Random) -> list[Message]:
         """Re-fire a recovered input event (reception or data change)."""
         if isinstance(event, MessageReception):
-            return self.receive(event.message, rng)
+            return self.receive(event.message, self.accepting(event.message), rng)
         self.variables[event.variable] = event.value
         return self.pump(rng)
 
@@ -580,6 +600,17 @@ class SelectionParticipant(AgentBase):
         self.willing = willing
         self.preferences = preferences
         self.meta: dict[str, ParticipantMetaState] = {}
+        #: protocol id -> the roles offered for it; every input of the
+        #: offer is fixed once the agent is wired
+        self.offers: dict[str, tuple[RoleRef, ...]] = {}
+
+    def _offer(self, protocol_id: str) -> tuple[RoleRef, ...]:
+        offer = self.offers.get(protocol_id)
+        if offer is None:
+            offer = self.offers[protocol_id] = offered_roles(
+                protocol_id, self.model, self.table, self.registry, self.preferences
+            )
+        return offer
 
     def on_message(self, rt: SimRuntime, msg: Message) -> None:
         if msg.performative not in SELECTION_PERFORMATIVES:
@@ -588,11 +619,9 @@ class SelectionParticipant(AgentBase):
         new_state, replies = participant_meta_step(
             state,
             msg,
-            self.model,
-            self.table,
             self.registry,
             self.willing,
-            self.preferences,
+            self._offer,
         )
         self.meta[msg.conversation_id] = new_state
         for performative, content in replies:
@@ -725,10 +754,9 @@ class IndividualInitiator(AgentBase):
             return
         if performative == WAKE:
             return
-        verdict = check_incoming(
-            self.driver.machine, self.driver.protocol, self.driver.state, msg
-        )
-        if verdict is not None:
+        enabled = self.driver.accepting(msg)
+        if not enabled:
+            verdict = self.driver.rejection_kind(msg)
             self.errors_reported += 1
             rt.schedule_send(
                 _message(
@@ -744,7 +772,7 @@ class IndividualInitiator(AgentBase):
                 )
             )
             return
-        for outgoing in self.driver.receive(msg, rt.rng):
+        for outgoing in self.driver.receive(msg, enabled, rt.rng):
             rt.schedule_send(outgoing)
         if self.driver.terminated and not self.awaiting_notice:
             self.awaiting_notice = True
@@ -824,17 +852,6 @@ class SequentialResponder(AgentBase):
         )
         return driver
 
-    def _opening_rejection_kind(self, refs, msg: Message) -> str:
-        """Nobody took the opening: content or structure complaint?"""
-        for ref in refs:
-            protocol = self.registry[ref.protocol]
-            machine = protocol.roles[ref.role]
-            if enabled_for_message(
-                machine, protocol, machine.initial_state, msg, structural_only=True
-            ):
-                return WRONG_CONTENT
-        return WRONG_STRUCTURE
-
     # -- the two recovery paths ----------------------------------------------
 
     def _recover(
@@ -848,6 +865,7 @@ class SequentialResponder(AgentBase):
         records = list(thread.journal.records)
         prefix = records[: error.location - 1]
         thread.collection.remove(thread.driver.ref)
+        replayed: dict[RoleRef, frozenset[str]] = {}  # each prefix replayed once
         purged = purge_collection(
             thread.collection,
             self.registry,
@@ -855,10 +873,11 @@ class SequentialResponder(AgentBase):
             error,
             culprit_method=culprit_method,
             error_input=error_input,
+            replayed=replayed,
         )
         try:
             replacement = select_replacement_role(
-                thread.collection, self.registry, prefix, error, rt.rng
+                thread.collection, self.registry, prefix, error, rt.rng, replayed=replayed
             )
         except NoViableRoleError:
             self._fail(rt, thread, "exhausted")
@@ -955,7 +974,7 @@ class SequentialResponder(AgentBase):
             takers = receiving_roles(base, self.registry, msg)
             thread.collection = RoleCollection.of(takers)
             if not takers:
-                kind = self._opening_rejection_kind(base.available(), msg)
+                kind = _opening_rejection_kind(self.registry, base.available(), msg)
                 self._reply(
                     rt,
                     thread,
@@ -964,7 +983,8 @@ class SequentialResponder(AgentBase):
                 )
                 self._fail(rt, thread, "no-viable-role")
                 return
-            chosen = takers[0] if len(takers) == 1 else rt.rng.choice(takers)
+            refs = list(takers)
+            chosen = refs[0] if len(refs) == 1 else rt.rng.choice(refs)
             thread.collection.activate(chosen)
             thread.driver = self._new_driver(thread, chosen)
             rt.note(
@@ -977,16 +997,15 @@ class SequentialResponder(AgentBase):
                     "collection": [str(r) for r in thread.collection.available()],
                 },
             )
-            for outgoing in thread.driver.receive(msg, rt.rng):
+            for outgoing in thread.driver.receive(msg, takers[chosen], rt.rng):
                 rt.schedule_send(outgoing)
             return
-        verdict = check_incoming(
-            thread.driver.machine, thread.driver.protocol, thread.driver.state, msg
-        )
-        if verdict is None:
-            for outgoing in thread.driver.receive(msg, rt.rng):
+        enabled = thread.driver.accepting(msg)
+        if enabled:
+            for outgoing in thread.driver.receive(msg, enabled, rt.rng):
                 rt.schedule_send(outgoing)
             return
+        verdict = thread.driver.rejection_kind(msg)
         location = len(thread.journal.records) + 1
         self._reply(
             rt,
@@ -1052,7 +1071,7 @@ class MixedResponder(AgentBase):
         thread.closed = True
 
     def _send_selected(self, rt: SimRuntime, thread: _MixedThread) -> None:
-        outgoing = reconcile_after_step(thread.zone, self.registry, rt.rng)
+        outgoing = select_outgoing(thread.zone, self.registry, rt.rng)
         rt.schedule_send(outgoing)
 
     def _wake_parked(
@@ -1151,17 +1170,7 @@ class MixedResponder(AgentBase):
             base = build_collection(self.model, self.registry, RoleKind.PARTICIPANT)
             takers = receiving_roles(base, self.registry, msg)
             if not takers:
-                structural = any(
-                    enabled_for_message(
-                        self.registry[ref.protocol].roles[ref.role],
-                        self.registry[ref.protocol],
-                        self.registry[ref.protocol].roles[ref.role].initial_state,
-                        msg,
-                        structural_only=True,
-                    )
-                    for ref in base.available()
-                )
-                kind = WRONG_CONTENT if structural else WRONG_STRUCTURE
+                kind = _opening_rejection_kind(self.registry, base.available(), msg)
                 self._reply(
                     rt,
                     thread,
@@ -1177,6 +1186,7 @@ class MixedResponder(AgentBase):
                 msg,
                 sequence_tagger(self.name),
                 rt.rng,
+                receptions=takers,
             )
             rt.note(
                 "selection",

@@ -28,7 +28,7 @@ from .machine import (
     replay_states,
     weak_schema_ids,
 )
-from .model import Message, Protocol, ProtocolRegistry, RoleRef
+from .model import Message, Protocol, ProtocolRegistry, RoleRef, Transition
 
 WRONG_STRUCTURE = "wrong-structure"
 WRONG_CONTENT = "wrong-content"
@@ -47,14 +47,16 @@ class InteractionError:
     detected_by: str  # INITIATOR_DETECTED | PARTICIPANT_DETECTED
 
 
-def check_incoming(machine, protocol: Protocol, state: str, msg: Message) -> str | None:
-    """None when some transition accepts the message; otherwise the
-    error kind.  Structure is judged before content: only a message
-    that fits an expected shape can be blamed on its values."""
-    if enabled_for_message(machine, protocol, state, msg):
-        return None
-    if enabled_for_message(machine, protocol, state, msg, structural_only=True):
-        return WRONG_CONTENT
+def rejection_kind(placed, msg: Message) -> str:
+    """The error kind of a message that no candidate takes in full.
+
+    ``placed`` yields a (machine, protocol, state) triple per candidate
+    role.  Structure is judged before content: only a message that fits
+    an expected shape somewhere can be blamed on its values.
+    """
+    for machine, protocol, state in placed:
+        if enabled_for_message(machine, protocol, state, msg, structural_only=True):
+            return WRONG_CONTENT
     return WRONG_STRUCTURE
 
 
@@ -128,14 +130,16 @@ def build_collection(model, registry: ProtocolRegistry, kind) -> RoleCollection:
 
 def receiving_roles(
     collection: RoleCollection, registry: ProtocolRegistry, msg: Message
-) -> list[RoleRef]:
-    """Available roles whose machine accepts ``msg`` in its initial state."""
-    hits = []
+) -> dict[RoleRef, list[Transition]]:
+    """Available roles whose machine accepts ``msg`` in its initial
+    state, in collection order, each with the transitions that take it."""
+    hits = {}
     for ref in collection.available():
         protocol = registry[ref.protocol]
         machine = protocol.roles[ref.role]
-        if enabled_for_message(machine, protocol, machine.initial_state, msg):
-            hits.append(ref)
+        enabled = enabled_for_message(machine, protocol, machine.initial_state, msg)
+        if enabled:
+            hits[ref] = enabled
     return hits
 
 
@@ -144,12 +148,23 @@ def receiving_roles(
 # ---------------------------------------------------------------------------
 
 
+def _replayed_states(
+    ref: RoleRef, machine, protocol: Protocol, prefix, replayed: dict
+) -> frozenset[str]:
+    """The states the role can be in after the prefix, replayed once:
+    ``replayed`` keeps the answer per role for the rest of the recovery."""
+    states = replayed.get(ref)
+    if states is None:
+        states = replayed[ref] = replay_states(machine, protocol, prefix)
+    return states
+
+
 def _generates_same_structure(
-    machine, protocol: Protocol, prefix, input_event, offending: Message
+    machine, protocol: Protocol, states, input_event, offending: Message
 ) -> bool:
-    """Could this role, after living the same prefix, emit a message of
-    the offending message's structure when fed the same input?"""
-    states = replay_states(machine, protocol, prefix) if prefix else {machine.initial_state}
+    """Could this role, standing in ``states`` after the prefix, emit a
+    message of the offending message's structure when fed the same
+    input?"""
     for state in states:
         for t in machine.transitions_from(state):
             if not trigger_matches(protocol, t, input_event):
@@ -162,9 +177,8 @@ def _generates_same_structure(
 
 
 def _receives_at_point(
-    machine, protocol: Protocol, prefix, offending: Message, structural_only: bool
+    machine, protocol: Protocol, states, offending: Message, structural_only: bool
 ) -> bool:
-    states = replay_states(machine, protocol, prefix) if prefix else {machine.initial_state}
     return any(
         enabled_for_message(machine, protocol, state, offending, structural_only)
         for state in states
@@ -178,6 +192,8 @@ def purge_collection(
     error: InteractionError,
     culprit_method: str | None = None,
     error_input=None,
+    *,
+    replayed: dict[RoleRef, frozenset[str]],
 ) -> list[RoleRef]:
     """Drop every candidate role that would repeat the failure.
 
@@ -185,7 +201,9 @@ def purge_collection(
     For an error the counterpart detected (an own emission gone wrong),
     ``error_input`` is the event that fired the failing record and
     ``culprit_method`` the method that ran it; both are read off the
-    still-untruncated journal by the caller.
+    still-untruncated journal by the caller.  Each candidate replays
+    the prefix once; pass the same ``replayed`` dict to
+    :func:`select_replacement_role` to reuse those replays there.
 
     All candidates must be able to replay the prefix.  On top of that:
 
@@ -202,12 +220,13 @@ def purge_collection(
     for ref in list(collection.available()):
         protocol = registry[ref.protocol]
         machine = protocol.roles[ref.role]
+        states = _replayed_states(ref, machine, protocol, prefix, replayed)
         drop = False
-        if prefix and not replay_states(machine, protocol, prefix):
+        if not states:
             drop = True
         elif error.detected_by == INITIATOR_DETECTED:
             same = _generates_same_structure(
-                machine, protocol, prefix, error_input, error.offending
+                machine, protocol, states, error_input, error.offending
             )
             if error.kind == WRONG_STRUCTURE:
                 drop = same
@@ -218,7 +237,7 @@ def purge_collection(
         else:
             structural_only = error.kind == WRONG_STRUCTURE
             drop = not _receives_at_point(
-                machine, protocol, prefix, error.offending, structural_only
+                machine, protocol, states, error.offending, structural_only
             )
         if drop:
             collection.remove(ref)
@@ -231,9 +250,8 @@ def purge_collection(
 # ---------------------------------------------------------------------------
 
 
-def _schemas_at_point(machine, protocol: Protocol, prefix) -> frozenset[str]:
-    """Schemas the role could still send or receive after the prefix."""
-    starts = replay_states(machine, protocol, prefix) if prefix else {machine.initial_state}
+def _schemas_at_point(machine, starts) -> frozenset[str]:
+    """Schemas the role could still send or receive from ``starts``."""
     reachable = set(starts)
     frontier = list(starts)
     while frontier:
@@ -258,6 +276,7 @@ def select_replacement_role(
     prefix,
     error: InteractionError,
     rng: Random,
+    replayed: dict[RoleRef, frozenset[str]],
 ) -> RoleRef:
     """Choose the next role to enact after a purge.
 
@@ -267,6 +286,8 @@ def select_replacement_role(
     aside.  A role rich in ways out is the conservative pick: if it is
     wrong too, it fails cheaply.  Ties (and structure errors, where the
     journal says nothing about content habits) fall to a seeded draw.
+    ``replayed`` holds the prefix replays :func:`purge_collection`
+    already made, per role.
     """
     candidates = collection.available()
     if not candidates:
@@ -276,7 +297,9 @@ def select_replacement_role(
         for ref in candidates:
             protocol = registry[ref.protocol]
             machine = protocol.roles[ref.role]
-            pending = _schemas_at_point(machine, protocol, prefix)
+            pending = _schemas_at_point(
+                machine, _replayed_states(ref, machine, protocol, prefix, replayed)
+            )
             pending = frozenset(
                 s
                 for s in pending
@@ -312,6 +335,11 @@ class MethodGraph:
 
 
 def method_graph(machine) -> MethodGraph:
+    """The method graph of a role, computed once per machine."""
+    return machine.derived(_method_graph)
+
+
+def _method_graph(machine) -> MethodGraph:
     firsts = {t.method for t in machine.transitions_from(machine.initial_state)}
     if len(firsts) != 1:
         raise ValueError(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, Protocol as TypingProtocol
+from typing import Callable, Iterable, Protocol as TypingProtocol
 
 from .errors import (
     CyclicFatherRelationError,
@@ -212,18 +212,17 @@ def offered_roles(
 def participant_meta_step(
     state: ParticipantMetaState,
     incoming: Message,
-    model: InteractionModel,
-    table: CompatibilityTable,
     registry: ProtocolRegistry,
     willing: Willingness,
-    preferences: tuple[RoleRef, ...] = (),
+    offer: Callable[[str], tuple[RoleRef, ...]],
 ) -> tuple[ParticipantMetaState, list[tuple[str, dict]]]:
     """Advance one participant-side selection thread.
 
     Returns the new state and the replies to send as (performative,
     content) pairs.  A malformed call and an unwilling agent both
     answer unable-to-select; an assignment that was never offered is a
-    protocol violation.
+    protocol violation.  ``offer`` maps a protocol id to the roles to
+    offer, as :func:`offered_roles` computes them for the agent.
     """
     performative = incoming.performative
     if performative == CALL_FOR_COLLABORATION:
@@ -234,7 +233,7 @@ def participant_meta_step(
             return state, [(UNABLE_TO_SELECT, {"reason": "malformed-call"})]
         if not willing(protocol_id, task_id):
             return state, [(UNABLE_TO_SELECT, {"reason": "unwilling"})]
-        roles = offered_roles(protocol_id, model, table, registry, preferences)
+        roles = offer(protocol_id)
         if not roles:
             return state, [(UNABLE_TO_SELECT, {"reason": "no-role"})]
         new = ParticipantMetaState(phase="offered", offered=roles)

@@ -126,8 +126,12 @@ def weak_schema_ids(machine: RoleStateMachine) -> frozenset[str]:
     A message is weak for a role when every transition it labels
     (either as the received trigger or as the sent action) leads into a
     terminal state.  Sending or accepting such a message leaves the
-    role nothing further to do.
+    role nothing further to do.  Computed once per machine.
     """
+    return machine.derived(_weak_schema_ids)
+
+
+def _weak_schema_ids(machine: RoleStateMachine) -> frozenset[str]:
     labelled: dict[str, list[Transition]] = {}
     for t in machine.transitions:
         if t.trigger.kind == "receive":

@@ -25,12 +25,12 @@ from typing import Callable
 
 from .errors import NoViableRoleError
 from .individual import (
-    WRONG_CONTENT,
     WRONG_STRUCTURE,
     RoleCollection,
     clamped_recovery_points,
     method_graph,
     refire_input,
+    rejection_kind,
     truncate_own,
 )
 from .journal import (
@@ -45,7 +45,7 @@ from .machine import (
     replay_state,
     weak_schema_ids,
 )
-from .model import Message, Protocol, ProtocolRegistry, RoleRef
+from .model import Message, Protocol, ProtocolRegistry, RoleRef, Transition
 from .patterns import fill_pattern
 
 ACTIVE = "active"
@@ -127,8 +127,17 @@ def sequence_tagger(prefix: str) -> Callable[[], str]:
 
 
 def same_signature(a: Message, b: Message) -> bool:
-    """Structure and content both equal - the activation criterion."""
-    return a.structure_key() == b.structure_key() and a.content == b.content
+    """Structure and content both equal - the activation criterion.
+
+    Equal content has an equal shape, so the content comparison covers
+    the structure of the payload.
+    """
+    return (
+        a.performative == b.performative
+        and a.language == b.language
+        and a.ontology == b.ontology
+        and a.content == b.content
+    )
 
 
 def zone_coherent(cz: ControlZone) -> bool:
@@ -210,11 +219,12 @@ def _generate(
     instance: RoleInstance,
     protocol: Protocol,
     msg: Message,
+    receptions: list[Transition],
     tag_value: str,
     rng: Random,
 ) -> OutboxEntry | None:
-    machine = protocol.roles[instance.ref.role]
-    receptions = enabled_for_message(machine, protocol, instance.state, msg)
+    """Take ``msg`` through one of ``receptions``, the instance's
+    transitions found to accept it."""
     if not receptions:
         return None
     t = receptions[0] if len(receptions) == 1 else rng.choice(receptions)
@@ -234,13 +244,15 @@ def instantiate_all(
     m0: Message,
     tag: Callable[[], str],
     rng: Random,
+    receptions: dict[RoleRef, list[Transition]],
 ) -> ControlZone:
     """Spin up every available role on the opening message.
 
     Each instance handles m0 and deposits its reply in the outbox; a
     role with no answer to m0 is stopped on the spot.  All survivors
     are then parked as one batch, waiting for the reply selection to
-    wake the winners.
+    wake the winners.  ``receptions`` holds the transitions of each
+    role that take m0, as :func:`receiving_roles` matched them.
     """
     cz = ControlZone(
         owner=m0.receiver,
@@ -252,9 +264,11 @@ def instantiate_all(
     tag_value = cz.tag()
     for ref in collection.available():
         protocol = registry[ref.protocol]
-        instance = RoleInstance(ref=ref, state=protocol.roles[ref.role].initial_state)
+        machine = protocol.roles[ref.role]
+        instance = RoleInstance(ref=ref, state=machine.initial_state)
         cz.instances[ref] = instance
-        entry = _generate(cz, instance, protocol, m0, tag_value, rng)
+        takes = receptions.get(ref, [])
+        entry = _generate(cz, instance, protocol, m0, takes, tag_value, rng)
         if entry is None:
             instance.activation = STOPPED
             continue
@@ -280,26 +294,29 @@ def handle_incoming(
     nobody takes it, returns the error kind and touches nothing.
     """
     actives = cz.active()
-    fully = []
-    structurally = False
+    placed = []
+    takers: dict[RoleRef, list[Transition]] = {}
     for instance in actives:
         protocol = registry[instance.ref.protocol]
         machine = protocol.roles[instance.ref.role]
-        if enabled_for_message(machine, protocol, instance.state, msg):
-            fully.append(instance)
-        elif enabled_for_message(machine, protocol, instance.state, msg, structural_only=True):
-            structurally = True
-    if not fully:
-        return WRONG_CONTENT if structurally else WRONG_STRUCTURE
+        placed.append((machine, protocol, instance.state))
+        enabled = enabled_for_message(machine, protocol, instance.state, msg)
+        if enabled:
+            takers[instance.ref] = enabled
+    if not takers:
+        return rejection_kind(placed, msg)
     cz.outbox.clear()
     cz.last_received_tag = msg.reply_with
     tag_value = cz.tag()
     for instance in actives:
-        if instance not in fully:
+        receptions = takers.get(instance.ref)
+        if receptions is None:
             instance.activation = STOPPED
             instance.last_message = None
             continue
-        entry = _generate(cz, instance, registry[instance.ref.protocol], msg, tag_value, rng)
+        entry = _generate(
+            cz, instance, registry[instance.ref.protocol], msg, receptions, tag_value, rng
+        )
         instance.last_message = entry.message if entry else None
         if entry is not None:
             cz.outbox.append(entry)
@@ -378,11 +395,6 @@ def select_outgoing(cz: ControlZone, registry: ProtocolRegistry, rng: Random) ->
         cz.journal.append(record.method, record.input_event, record.output_events)
     cz.sent_history.append(chosen)
     return chosen.message
-
-
-def reconcile_after_step(cz: ControlZone, registry: ProtocolRegistry, rng: Random) -> Message:
-    """Selection at a quiescent step; same rule, named for the flow."""
-    return select_outgoing(cz, registry, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple, TypeVar
 
 from .errors import CompositeProtocolError, ParseError, UnknownRoleError
 from .patterns import content_matches, shape_matches, validate_pattern
@@ -133,16 +134,21 @@ class MessageSchema:
     language: str = "kv"
     ontology: str = "core"
 
-    def structure_matches(self, msg: "Message") -> bool:
+    def _envelope_matches(self, msg: "Message") -> bool:
         return (
             msg.performative == self.performative
             and msg.language == self.language
             and msg.ontology == self.ontology
-            and shape_matches(self.content_pattern, msg.content)
+        )
+
+    def structure_matches(self, msg: "Message") -> bool:
+        return self._envelope_matches(msg) and shape_matches(
+            self.content_pattern, msg.content
         )
 
     def content_matches(self, msg: "Message") -> bool:
-        return self.structure_matches(msg) and content_matches(
+        # a content match implies a shape match: one walk of the tree
+        return self._envelope_matches(msg) and content_matches(
             self.content_pattern, msg.content
         )
 
@@ -219,8 +225,20 @@ class Transition:
     method: str
 
 
+_Derived = TypeVar("_Derived")
+
+
 @dataclass(frozen=True)
 class RoleStateMachine:
+    """One role of a protocol as a transition system.
+
+    A machine is immutable once loaded.  The per-state index behind
+    :meth:`transitions_from` and the data :meth:`derived` computes are
+    built on first use and kept on the machine, which is sound only
+    because nothing changes it; they live and die with the machine.
+    Equality and hashing read the declared fields alone.
+    """
+
     role_id: str
     kind: RoleKind
     multiplicity: int | str
@@ -233,8 +251,20 @@ class RoleStateMachine:
     #: (or is the initiator itself).
     father: str | None = None
 
+    @cached_property
+    def _by_state(self) -> dict[str, tuple[Transition, ...]]:
+        index: dict[str, list[Transition]] = {}
+        for t in self.transitions:
+            index.setdefault(t.from_state, []).append(t)
+        return {state: tuple(ts) for state, ts in index.items()}
+
+    @cached_property
+    def _derived(self) -> dict[Callable, Any]:
+        return {}
+
     def transitions_from(self, state: str) -> tuple[Transition, ...]:
-        return tuple(t for t in self.transitions if t.from_state == state)
+        """The transitions leaving ``state``, in declaration order."""
+        return self._by_state.get(state, ())
 
     def receive_schema_ids(self, state: str) -> tuple[str, ...]:
         seen: list[str] = []
@@ -245,6 +275,14 @@ class RoleStateMachine:
 
     def method_ids(self) -> frozenset[str]:
         return frozenset(t.method for t in self.transitions)
+
+    def derived(self, build: Callable[["RoleStateMachine"], _Derived]) -> _Derived:
+        """``build(self)``, computed once and kept on this machine."""
+        try:
+            return self._derived[build]
+        except KeyError:
+            value = self._derived[build] = build(self)
+            return value
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +298,12 @@ class ProtocolCategory(str, Enum):
 
 @dataclass(frozen=True)
 class Protocol:
+    """Message schemas plus one state machine per role.
+
+    A protocol is immutable once loaded, its schemas and roles
+    included: the per-machine index and derived data rely on it.
+    """
+
     protocol_id: str
     capability_tags: frozenset[str]
     schemas: dict[str, MessageSchema]

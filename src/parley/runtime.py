@@ -22,6 +22,7 @@ import json
 import re
 from dataclasses import dataclass, replace
 from fnmatch import fnmatch
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from os.path import normcase
 from random import Random
 from typing import Protocol as TypingProtocol
@@ -58,8 +59,25 @@ class TraceEvent:
 
 
 def render_trace(trace: list[TraceEvent]) -> str:
-    """One JSON object per line, fields in insertion order."""
-    return "".join(json.dumps(event.as_dict()) + "\n" for event in trace)
+    """One JSON object per line, fields in insertion order.
+
+    Each line is what ``json.dumps`` writes with its defaults; the C
+    encoder behind it is built once per call instead of once per event.
+    """
+    if c_make_encoder is None:
+        return "".join(json.dumps(event.as_dict()) + "\n" for event in trace)
+    # the arguments json.dumps passes: circular check, default hook,
+    # ASCII escaping, no indent, its separators, no key sort, no key skip,
+    # NaN allowed
+    encode = c_make_encoder(
+        {}, JSONEncoder().default, encode_basestring_ascii, None,
+        ": ", ", ", False, False, True,
+    )
+    parts: list[str] = []
+    for event in trace:
+        parts.extend(encode(event.as_dict(), 0))
+        parts.append("\n")
+    return "".join(parts)
 
 
 def write_trace(trace: list[TraceEvent], path) -> None:

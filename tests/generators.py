@@ -6,6 +6,8 @@ to package types on one side and feed it to the oracles on the other.
 
 from __future__ import annotations
 
+from copy import deepcopy
+
 from hypothesis import strategies as st
 
 AGENT_POOL = tuple(f"a{i}" for i in range(1, 7))
@@ -137,3 +139,86 @@ def fault_streams(draw):
     specs = draw(st.lists(_fault_specs(), max_size=6))
     late = draw(st.none() | _fault_specs())
     return specs, late, draw(_deliveries()), draw(_deliveries())
+
+
+#: dict keys of content trees: few, so random trees often share a shape
+CONTENT_KEYS = ("a", "b", "kind")
+WILDCARD_LEAVES = ("?string", "?number", "?any")
+#: leaves a message may carry, including the bool and None that no
+#: pattern accepts
+CONTENT_LEAVES = (
+    st.text(max_size=3)
+    | st.integers(min_value=-2, max_value=2)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.booleans()
+    | st.none()
+)
+
+
+def content_trees(leaves=CONTENT_LEAVES):
+    """Dicts and lists nested a few levels over the given leaves."""
+    return st.recursive(
+        leaves,
+        lambda kids: st.lists(kids, max_size=3)
+        | st.dictionaries(st.sampled_from(CONTENT_KEYS), kids, max_size=3),
+        max_leaves=8,
+    )
+
+
+#: leaves each wildcard accepts
+_WILDCARD_FILLS = {
+    "?string": st.text(max_size=3),
+    "?number": st.integers(min_value=-2, max_value=2) | st.floats(allow_nan=False),
+    "?any": st.text(max_size=3) | st.integers(min_value=-2, max_value=2),
+}
+
+
+def _instance_of(draw, pattern):
+    """A tree of the pattern's shape whose leaves mostly fit the
+    pattern's leaves; about one leaf in four is any leaf at all."""
+    if isinstance(pattern, dict):
+        return {k: _instance_of(draw, v) for k, v in pattern.items()}
+    if isinstance(pattern, list):
+        return [_instance_of(draw, v) for v in pattern]
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        return draw(CONTENT_LEAVES)
+    return draw(_WILDCARD_FILLS.get(pattern, st.just(pattern)))
+
+
+@st.composite
+def patterns_and_contents(draw):
+    """(pattern, content): about half the contents share the pattern's
+    shape, so both the shape walk and the leaf walk get exercised."""
+    pattern = draw(content_trees(st.sampled_from(WILDCARD_LEAVES) | CONTENT_LEAVES))
+    if draw(st.booleans()):
+        return pattern, _instance_of(draw, pattern)
+    return pattern, draw(content_trees())
+
+
+_PERFORMATIVES = ("tell", "ask-one")
+_LANGUAGES = ("kv", "prolog")
+
+
+@st.composite
+def message_fields(draw):
+    """performative, language, ontology and content of one message."""
+    return {
+        "performative": draw(st.sampled_from(_PERFORMATIVES)),
+        "language": draw(st.sampled_from(_LANGUAGES)),
+        "ontology": draw(st.sampled_from(("core", "docs"))),
+        "content": draw(content_trees()),
+    }
+
+
+@st.composite
+def message_pairs(draw):
+    """Two messages' fields; the second is often a copy of the first
+    with at most one field redrawn."""
+    a = draw(message_fields())
+    if draw(st.booleans()):
+        return a, draw(message_fields())
+    b = dict(a, content=deepcopy(a["content"]))
+    field = draw(st.sampled_from(("none", "performative", "language", "ontology", "content")))
+    if field != "none":
+        b[field] = draw(message_fields())[field]
+    return a, b

@@ -8,6 +8,7 @@ obvious: brute force where possible.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from fnmatch import fnmatch
 from itertools import permutations
@@ -208,3 +209,103 @@ def oracle_summary_counts(
         )
         counts[task] = (messages, recoveries)
     return counts
+
+
+# ---------------------------------------------------------------------------
+# Role machines, message matching and trace lines, done the long way
+# ---------------------------------------------------------------------------
+
+def oracle_transitions_from(
+    transitions: list[tuple[str, str, str]], state: str
+) -> list[tuple[str, str, str]]:
+    """The transitions leaving ``state``, by scanning every transition.
+
+    transitions: (from state, to state, method) per transition, in
+    declaration order; the answer keeps that order.
+    """
+    return [t for t in transitions if t[0] == state]
+
+
+WILDCARD_TYPES = {"?string": (str,), "?number": (int, float), "?any": (str, int, float)}
+
+
+def _leaf(value) -> bool:
+    return isinstance(value, (str, int, float)) and not isinstance(value, bool)
+
+
+def oracle_shape_matches(pattern, value) -> bool:
+    """First walk: the same dict keys, the same list lengths, and a
+    scalar wherever the pattern has a leaf."""
+    if isinstance(pattern, dict):
+        return (
+            isinstance(value, dict)
+            and sorted(pattern) == sorted(value)
+            and all(oracle_shape_matches(pattern[k], value[k]) for k in pattern)
+        )
+    if isinstance(pattern, list):
+        return (
+            isinstance(value, list)
+            and len(pattern) == len(value)
+            and all(oracle_shape_matches(p, v) for p, v in zip(pattern, value))
+        )
+    return _leaf(value)
+
+
+def oracle_leaves_match(pattern, value) -> bool:
+    """Second walk, over trees that already agree in shape: a wildcard
+    checks the leaf's type, a concrete leaf needs the same type and value."""
+    if isinstance(pattern, dict):
+        return all(oracle_leaves_match(pattern[k], value[k]) for k in pattern)
+    if isinstance(pattern, list):
+        return all(oracle_leaves_match(p, v) for p, v in zip(pattern, value))
+    if isinstance(pattern, str) and pattern in WILDCARD_TYPES:
+        return isinstance(value, WILDCARD_TYPES[pattern])
+    return type(pattern) is type(value) and pattern == value
+
+
+def oracle_schema_accepts(schema: dict, msg: dict) -> bool:
+    """A message fits a schema: the same performative, language and
+    ontology, then the shape walk, then the leaf walk.
+
+    schema: performative, language, ontology and pattern.
+    msg: performative, language, ontology and content.
+    """
+    return (
+        all(schema[f] == msg[f] for f in ("performative", "language", "ontology"))
+        and oracle_shape_matches(schema["pattern"], msg["content"])
+        and oracle_leaves_match(schema["pattern"], msg["content"])
+    )
+
+
+def oracle_shape_key(value):
+    """A fingerprint of a content tree's structure, leaves left out."""
+    if isinstance(value, dict):
+        return ("map", tuple(sorted((k, oracle_shape_key(v)) for k, v in value.items())))
+    if isinstance(value, list):
+        return ("seq", tuple(oracle_shape_key(v) for v in value))
+    return "leaf"
+
+
+def oracle_same_signature(a: dict, b: dict) -> bool:
+    """Two messages share a signature: equal structure fingerprints
+    (performative, language, ontology, content shape) and equal content.
+
+    a, b: performative, language, ontology and content.
+    """
+    def key(m: dict) -> tuple:
+        return (m["performative"], m["language"], m["ontology"], oracle_shape_key(m["content"]))
+
+    return key(a) == key(b) and a["content"] == b["content"]
+
+
+def oracle_render(events: list[tuple[object, str, dict]]) -> str:
+    """The JSON Lines trace, one ``json.dumps`` per event.
+
+    events: (tick, kind, payload) per event.  A line holds the tick, the
+    kind, then the payload's fields; a payload field named ``tick`` or
+    ``kind`` overwrites that value in place.
+    """
+    return "".join(
+        json.dumps({"tick": tick, "kind": kind, **payload}) + "\n"
+        for tick, kind, payload in events
+    )

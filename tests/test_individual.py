@@ -28,7 +28,6 @@ from parley.individual import (
     RoleCollection,
     RoleStatus,
     build_collection,
-    check_incoming,
     clamped_recovery_points,
     compute_recovery_points,
     locate_emission,
@@ -36,6 +35,7 @@ from parley.individual import (
     purge_collection,
     receiving_roles,
     refire_input,
+    rejection_kind,
     select_replacement_role,
     truncate_counterpart,
     truncate_own,
@@ -47,6 +47,7 @@ from parley.journal import (
     MessageEmission,
     MessageReception,
 )
+from parley.machine import enabled_for_message
 from parley.model import (
     Action,
     InteractionModel,
@@ -118,38 +119,44 @@ def registry():
 
 
 class TestCheckIncoming:
-    def test_expected_message_raises_nothing(self, registry):
+    """A handler takes a message some transition accepts; otherwise
+    rejection_kind names the error."""
+
+    @staticmethod
+    def verdict(registry, state, message):
         protocol = registry["attr_query"]
         machine = protocol.roles["querier"]
-        assert check_incoming(machine, protocol, "i1", GOOD_TELL) is None
+        if enabled_for_message(machine, protocol, state, message):
+            return None
+        return rejection_kind([(machine, protocol, state)], message)
+
+    def test_expected_message_raises_nothing(self, registry):
+        assert self.verdict(registry, "i1", GOOD_TELL) is None
 
     def test_alternative_branch_also_accepted(self, registry):
-        protocol = registry["attr_query"]
-        machine = protocol.roles["querier"]
         trouble = msg("error", {"info": "no such document"})
-        assert check_incoming(machine, protocol, "i1", trouble) is None
+        assert self.verdict(registry, "i1", trouble) is None
 
     def test_type_swapped_value_is_a_content_error(self, registry):
-        protocol = registry["attr_query"]
-        machine = protocol.roles["querier"]
-        assert check_incoming(machine, protocol, "i1", BAD_TELL) == WRONG_CONTENT
+        assert self.verdict(registry, "i1", BAD_TELL) == WRONG_CONTENT
 
     def test_unknown_performative_is_a_structure_error(self, registry):
-        protocol = registry["attr_query"]
-        machine = protocol.roles["querier"]
         scream = msg("scream", {"value": "text"})
-        assert check_incoming(machine, protocol, "i1", scream) == WRONG_STRUCTURE
+        assert self.verdict(registry, "i1", scream) == WRONG_STRUCTURE
 
     def test_wrong_keys_break_structure_despite_performative(self, registry):
-        protocol = registry["attr_query"]
-        machine = protocol.roles["querier"]
         off_key = msg("tell", {"val": "text"})
-        assert check_incoming(machine, protocol, "i1", off_key) == WRONG_STRUCTURE
+        assert self.verdict(registry, "i1", off_key) == WRONG_STRUCTURE
 
     def test_state_without_receptions_blames_structure(self, registry):
+        assert self.verdict(registry, "i0", GOOD_TELL) == WRONG_STRUCTURE
+
+    def test_any_candidate_fitting_the_structure_makes_it_a_content_error(self, registry):
         protocol = registry["attr_query"]
         machine = protocol.roles["querier"]
-        assert check_incoming(machine, protocol, "i0", GOOD_TELL) == WRONG_STRUCTURE
+        placed = [(machine, protocol, "i0"), (machine, protocol, "i1")]
+        assert rejection_kind(placed, BAD_TELL) == WRONG_CONTENT
+        assert rejection_kind(placed[:1], BAD_TELL) == WRONG_STRUCTURE
 
 
 class TestLocateEmission:
@@ -242,18 +249,24 @@ class TestBuildCollection:
 class TestReceivingRoles:
     def test_every_server_takes_a_clean_opening_ask(self, registry):
         hits = receiving_roles(server_collection(), registry, ASK)
-        assert hits == [server(pid) for pid in SERVER_PROTOCOLS]
+        assert list(hits) == [server(pid) for pid in SERVER_PROTOCOLS]
+        for ref, enabled in hits.items():
+            machine = registry[ref.protocol].roles[ref.role]
+            assert enabled == [
+                t for t in machine.transitions_from(machine.initial_state)
+                if t.trigger.kind == "receive"
+            ]
 
     def test_corrupted_opening_ask_finds_no_takers(self, registry):
         broken = msg("ask-one", {"attribute": 9, "document": "d4"}, sender="q2")
-        assert receiving_roles(server_collection(), registry, broken) == []
+        assert receiving_roles(server_collection(), registry, broken) == {}
 
     def test_only_surviving_roles_answer(self, registry):
         collection = server_collection()
         collection.remove(server("attr_digest"))
         collection.remove(server("attr_lookup"))
         hits = receiving_roles(collection, registry, ASK)
-        assert hits == [server("attr_probe"), server("attr_query")]
+        assert list(hits) == [server("attr_probe"), server("attr_query")]
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +296,7 @@ class TestInitiatorDetectedPurge:
             content_error_from_initiator(),
             culprit_method="aq-answer",
             error_input=DataChange("q", ASK.content),
+            replayed={},
         )
         # attr_lookup only answers with inserts and sorries, so it could
         # never have produced the rejected tell: useless here.  The
@@ -302,6 +316,7 @@ class TestInitiatorDetectedPurge:
             content_error_from_initiator(),
             culprit_method="aq-answer",
             error_input=DataChange("q", ASK.content),
+            replayed={},
         )
         assert removed == [server("attr_lookup")]
         assert collection.available() == [server("attr_digest"), server("attr_probe")]
@@ -323,6 +338,7 @@ class TestInitiatorDetectedPurge:
             server_journal().records[:1],
             error,
             error_input=DataChange("q", ASK.content),
+            replayed={},
         )
         assert removed == [server("attr_digest"), server("attr_lookup")]
         assert collection.available() == [server("attr_probe"), server("attr_query")]
@@ -342,7 +358,8 @@ class TestParticipantDetectedPurge:
             offending=msg("ask-one", {"attribute": 7, "document": "d4"}, sender="q2"),
             detected_by=PARTICIPANT_DETECTED,
         )
-        removed = purge_collection(collection, registry, prefix, error)
+        replayed: dict = {}
+        removed = purge_collection(collection, registry, prefix, error, replayed=replayed)
         # attr_lookup and attr_digest cannot replay the recorded tell at
         # all; attr_probe replays but chokes on the same broken ask.
         assert removed == [
@@ -352,7 +369,7 @@ class TestParticipantDetectedPurge:
         ]
         assert collection.exhausted()
         with pytest.raises(NoViableRoleError):
-            select_replacement_role(collection, registry, prefix, error, Random(1))
+            select_replacement_role(collection, registry, prefix, error, Random(1), replayed)
 
 
 def _optional_nudge_protocol(protocol_id: str, hears_nudges: bool) -> Protocol:
@@ -424,7 +441,7 @@ class TestParticipantPurgeDiscriminates:
         error = InteractionError(
             kind=kind, location=1, offending=offending, detected_by=PARTICIPANT_DETECTED
         )
-        removed = purge_collection(collection, self.registry, [], error)
+        removed = purge_collection(collection, self.registry, [], error, replayed={})
         return collection, removed
 
     def test_structure_error_keeps_structural_receivers(self):
@@ -466,7 +483,7 @@ class TestReplacementChoice:
         error = content_error_from_initiator()
         for seed in range(25):
             picked = select_replacement_role(
-                self.survivors(), registry, prefix, error, Random(seed)
+                self.survivors(), registry, prefix, error, Random(seed), {}
             )
             assert picked == server("attr_probe")
 
@@ -477,7 +494,7 @@ class TestReplacementChoice:
         prefix = server_journal().records[:1]
         error = content_error_from_initiator()
         picks = {
-            select_replacement_role(collection, registry, prefix, error, Random(seed))
+            select_replacement_role(collection, registry, prefix, error, Random(seed), {})
             for seed in range(30)
         }
         assert picks == {server("attr_lookup"), server("attr_probe")}
@@ -491,7 +508,9 @@ class TestReplacementChoice:
         )
         prefix = server_journal().records[:1]
         picks = {
-            select_replacement_role(self.survivors(), registry, prefix, error, Random(seed))
+            select_replacement_role(
+                self.survivors(), registry, prefix, error, Random(seed), {}
+            )
             for seed in range(30)
         }
         assert picks == {server("attr_digest"), server("attr_probe")}
@@ -500,7 +519,7 @@ class TestReplacementChoice:
         collection = RoleCollection.of([])
         with pytest.raises(NoViableRoleError):
             select_replacement_role(
-                collection, registry, [], content_error_from_initiator(), Random(0)
+                collection, registry, [], content_error_from_initiator(), Random(0), {}
             )
 
 

@@ -365,16 +365,20 @@ def _participant_world():
     return registry, model, table
 
 
+def _offers(registry, model, table, preferences=()):
+    """The agent's offer per protocol id, as a participant computes it."""
+    return lambda pid: offered_roles(pid, model, table, registry, preferences)
+
+
 class TestParticipantMeta:
     def test_call_answered_with_offer(self):
         registry, model, table = _participant_world()
         state, replies = participant_meta_step(
             ParticipantMetaState(),
             _msg(CALL_FOR_COLLABORATION, {"protocol": "ips", "task": "t1"}),
-            model,
-            table,
             registry,
             willing=lambda p, t: True,
+            offer=_offers(registry, model, table),
         )
         assert state.phase == "offered"
         assert replies == [(READY_TO_SELECT, {"roles": ["ips:replier", "request:replier"]})]
@@ -386,10 +390,9 @@ class TestParticipantMeta:
         _, replies = participant_meta_step(
             ParticipantMetaState(),
             _msg(CALL_FOR_COLLABORATION, {"protocol": "request", "task": "t1"}),
-            model,
-            table,
             registry,
             willing=lambda p, t: True,
+            offer=_offers(registry, model, table),
         )
         assert replies == [(READY_TO_SELECT, {"roles": ["request:replier"]})]
 
@@ -398,11 +401,9 @@ class TestParticipantMeta:
         _, replies = participant_meta_step(
             ParticipantMetaState(),
             _msg(CALL_FOR_COLLABORATION, {"protocol": "ips", "task": "t1"}),
-            model,
-            table,
             registry,
             willing=lambda p, t: True,
-            preferences=(RoleRef("request", "replier"),),
+            offer=_offers(registry, model, table, (RoleRef("request", "replier"),)),
         )
         assert replies == [(READY_TO_SELECT, {"roles": ["request:replier", "ips:replier"]})]
 
@@ -411,10 +412,9 @@ class TestParticipantMeta:
         state, replies = participant_meta_step(
             ParticipantMetaState(),
             _msg(CALL_FOR_COLLABORATION, {"protocol": "ips", "task": "t1"}),
-            model,
-            table,
             registry,
             willing=lambda p, t: False,
+            offer=_offers(registry, model, table),
         )
         assert state.phase == "idle"
         assert replies == [(UNABLE_TO_SELECT, {"reason": "unwilling"})]
@@ -424,10 +424,9 @@ class TestParticipantMeta:
         _, replies = participant_meta_step(
             ParticipantMetaState(),
             _msg(CALL_FOR_COLLABORATION, {"task": "t1"}),
-            model,
-            table,
             registry,
             willing=lambda p, t: True,
+            offer=_offers(registry, model, table),
         )
         assert replies == [(UNABLE_TO_SELECT, {"reason": "malformed-call"})]
 
@@ -436,18 +435,16 @@ class TestParticipantMeta:
         state, _ = participant_meta_step(
             ParticipantMetaState(),
             _msg(CALL_FOR_COLLABORATION, {"protocol": "ips", "task": "t1"}),
-            model,
-            table,
             registry,
             willing=lambda p, t: True,
+            offer=_offers(registry, model, table),
         )
         state, replies = participant_meta_step(
             state,
             _msg(NOTIFY_ASSIGNMENT, {"role": "ips:replier"}),
-            model,
-            table,
             registry,
             willing=lambda p, t: True,
+            offer=_offers(registry, model, table),
         )
         assert replies == []
         assert state.phase == "assigned"
@@ -458,19 +455,17 @@ class TestParticipantMeta:
         state, _ = participant_meta_step(
             ParticipantMetaState(),
             _msg(CALL_FOR_COLLABORATION, {"protocol": "request", "task": "t1"}),
-            model,
-            table,
             registry,
             willing=lambda p, t: True,
+            offer=_offers(registry, model, table),
         )
         with pytest.raises(ProtocolViolationError):
             participant_meta_step(
                 state,
                 _msg(NOTIFY_ASSIGNMENT, {"role": "ips:replier"}),
-                model,
-                table,
                 registry,
                 willing=lambda p, t: True,
+                offer=_offers(registry, model, table),
             )
 
     def test_stop_resets_the_thread(self):
@@ -478,13 +473,16 @@ class TestParticipantMeta:
         state, _ = participant_meta_step(
             ParticipantMetaState(),
             _msg(CALL_FOR_COLLABORATION, {"protocol": "ips", "task": "t1"}),
-            model,
-            table,
             registry,
             willing=lambda p, t: True,
+            offer=_offers(registry, model, table),
         )
         state, replies = participant_meta_step(
-            state, _msg(STOP_SELECTION, {}), model, table, registry, lambda p, t: True
+            state,
+            _msg(STOP_SELECTION, {}),
+            registry,
+            lambda p, t: True,
+            _offers(registry, model, table),
         )
         assert state.phase == "stopped"
         assert replies == []

@@ -13,6 +13,7 @@ from __future__ import annotations
 from random import Random
 
 import pytest
+from hypothesis import given, settings
 
 from parley.errors import NoViableRoleError
 from parley.fixtures import bundled_registry
@@ -20,6 +21,7 @@ from parley.individual import (
     RoleCollection,
     WRONG_CONTENT,
     WRONG_STRUCTURE,
+    receiving_roles,
 )
 from parley.journal import DataChange, Journal, MessageEmission, MessageReception
 from parley.mixed import (
@@ -34,7 +36,6 @@ from parley.mixed import (
     handle_refire,
     instantiate_all,
     reactivate,
-    reconcile_after_step,
     same_signature,
     select_outgoing,
     sequence_tagger,
@@ -52,6 +53,9 @@ from parley.model import (
     Transition,
     Trigger,
 )
+
+from .generators import message_pairs
+from .oracles import oracle_same_signature
 
 GOLDEN_SEED = 51
 SERVER_PROTOCOLS = ("attr_digest", "attr_lookup", "attr_probe", "attr_query")
@@ -86,9 +90,15 @@ def registry():
     return bundled_registry(*SERVER_PROTOCOLS)
 
 
+def instantiate(collection, registry, rng):
+    """Open a zone on ASK, matched once as the responder matches it."""
+    takers = receiving_roles(collection, registry, ASK)
+    return instantiate_all(collection, registry, ASK, sequence_tagger("c1"), rng, takers)
+
+
 def fresh_zone(registry, seed: int):
     rng = Random(seed)
-    cz = instantiate_all(server_collection(), registry, ASK, sequence_tagger("c1"), rng)
+    cz = instantiate(server_collection(), registry, rng)
     return cz, rng
 
 
@@ -131,7 +141,7 @@ class TestInstantiateAll:
         reg = dict(registry)
         reg["mute"] = mute
         collection = RoleCollection.of([server("attr_query"), server("mute")])
-        cz = instantiate_all(collection, reg, ASK, sequence_tagger("c1"), Random(0))
+        cz = instantiate(collection, reg, Random(0))
         assert statuses(cz)["mute"] == STOPPED
         assert statuses(cz)["attr_query"] == DEACTIVATED
         assert [e.ref.protocol for e in cz.outbox] == ["attr_query"]
@@ -175,7 +185,7 @@ class TestSelectOutgoing:
         collection = RoleCollection.of([server("attr_query")])
         for seed in range(8):
             rng = Random(seed)
-            cz = instantiate_all(collection, registry, ASK, sequence_tagger("c1"), rng)
+            cz = instantiate(collection, registry, rng)
             only = cz.outbox[0].message
             assert select_outgoing(cz, registry, rng) == only
 
@@ -311,7 +321,7 @@ class TestReconcile:
         }
         rng = Random(3)
         collection = RoleCollection.of([server("twin_a"), server("twin_b")])
-        cz = instantiate_all(collection, registry, ASK, sequence_tagger("c1"), rng)
+        cz = instantiate(collection, registry, rng)
         return cz, registry, rng
 
     def test_unanimous_steps_keep_everyone_active(self):
@@ -321,7 +331,7 @@ class TestReconcile:
         assert cz.stamp_counter == 1
         follow_up = msg("ask-one", {"attribute": "size", "document": "d1"}, reply_with="q2.2")
         assert handle_incoming(cz, registry, follow_up, rng) is None
-        reconcile_after_step(cz, registry, rng)
+        select_outgoing(cz, registry, rng)
         assert [i.ref for i in cz.active()] == [server("twin_a"), server("twin_b")]
         assert cz.stamp_counter == 1  # nothing diverged, nothing parked
         assert zone_coherent(cz)
@@ -337,7 +347,7 @@ class TestReconcile:
             )
             assert handle_incoming(cz, registry, follow_up, rng) is None
             before = [i.ref for i in cz.active()]
-            reconcile_after_step(cz, registry, rng)
+            select_outgoing(cz, registry, rng)
             assert zone_coherent(cz)
             parked = [i for i in cz.deactivated() if i.stamp == 2]
             if parked:
@@ -364,7 +374,7 @@ class TestHandleIncoming:
         }
         rng = Random(3)
         collection = RoleCollection.of([server("twin_a"), server("twin_b")])
-        cz = instantiate_all(collection, registry, ASK, sequence_tagger("c1"), rng)
+        cz = instantiate(collection, registry, rng)
         select_outgoing(cz, registry, rng)
         assert len(cz.active()) == 2
         poke = msg("request", {"note": "more"}, reply_with="q2.2")
@@ -561,3 +571,13 @@ class TestSnapshots:
         c = msg("tell", {"value": 7})
         assert same_signature(a, b)
         assert not same_signature(a, c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(message_pairs())
+def test_signature_agrees_with_the_structure_key_oracle(pair):
+    a, b = (
+        Message(m["performative"], m["content"], m["language"], m["ontology"], "c1", "q2", "c")
+        for m in pair
+    )
+    assert same_signature(a, b) == oracle_same_signature(*pair)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parley.errors import CompositeProtocolError, ParseError, UnknownRoleError
 from parley.model import (
@@ -34,7 +36,12 @@ from parley.model import (
     validate_protocol,
 )
 
+from parley.fixtures import ROOT as FIXTURES, bundled_registry
+from parley.machine import weak_schema_ids
+
+from .generators import patterns_and_contents
 from .helpers import one_n_protocol, one_one_n_protocol, one_one_protocol
+from .oracles import oracle_schema_accepts, oracle_transitions_from
 
 
 def test_role_ref_renders_and_parses():
@@ -285,3 +292,108 @@ class TestSerde:
         path = tmp_path / "disk.json"
         path.write_text(json.dumps(protocol_to_dict(protocol)))
         assert load_protocol(path) == protocol
+
+
+# ---------------------------------------------------------------------------
+# Per-machine index and derived data
+# ---------------------------------------------------------------------------
+
+BUNDLED_PROTOCOLS = sorted(p.stem for p in (FIXTURES / "protocols").glob("*.json"))
+
+
+def fixture_machines() -> list[RoleStateMachine]:
+    protocols = list(bundled_registry(*BUNDLED_PROTOCOLS).values()) + [
+        one_one_protocol("p1"),
+        one_one_n_protocol("p2"),
+        one_n_protocol("p3", {"x": None, "y": "x"}),
+    ]
+    return [m for protocol in protocols for m in protocol.roles.values()]
+
+
+def plain(transitions) -> list[tuple[str, str, str]]:
+    return [(t.from_state, t.to_state, t.method) for t in transitions]
+
+
+def test_indexed_transitions_match_the_linear_scan_on_every_fixture_state():
+    machines = fixture_machines()
+    assert len(machines) >= 20
+    for machine in machines:
+        everything = plain(machine.transitions)
+        for state in sorted(machine.states) + ["no-such-state"]:
+            got = machine.transitions_from(state)
+            assert isinstance(got, tuple)
+            assert plain(got) == oracle_transitions_from(everything, state)
+
+
+_STATES = ("s0", "s1", "s2", "s3")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_STATES), st.sampled_from(_STATES)), max_size=12))
+def test_indexed_transitions_match_the_linear_scan_on_random_machines(edges):
+    transitions = tuple(
+        Transition(a, Trigger(kind="internal", variable="v"), Action(kind="none"), b, f"m{i}")
+        for i, (a, b) in enumerate(edges)
+    )
+    machine = RoleStateMachine(
+        role_id="r",
+        kind=RoleKind.PARTICIPANT,
+        multiplicity=1,
+        states=frozenset(_STATES),
+        initial_state="s0",
+        terminal_states=frozenset(),
+        transitions=transitions,
+    )
+    for state in _STATES:
+        assert plain(machine.transitions_from(state)) == oracle_transitions_from(
+            plain(transitions), state
+        )
+
+
+def test_index_and_derived_data_leave_equality_and_hash_alone():
+    fresh = one_one_protocol("p").roles["replier"]
+    used = one_one_protocol("p").roles["replier"]
+    used.transitions_from("p0")
+    weak_schema_ids(used)
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+
+
+def test_derived_data_is_built_once_per_machine():
+    builds = []
+
+    def build(machine):
+        builds.append(machine.role_id)
+        return len(machine.transitions)
+
+    first = one_one_protocol("p").roles["replier"]
+    second = one_one_protocol("p").roles["replier"]
+    assert first.derived(build) == first.derived(build) == 1
+    assert second.derived(build) == 1
+    assert builds == ["replier", "replier"]  # once per machine, not per call
+
+
+# ---------------------------------------------------------------------------
+# Schema matching: one walk of the content tree
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    patterns_and_contents(),
+    st.sampled_from(("tell", "ask-one")),
+    st.sampled_from(("kv", "prolog")),
+)
+def test_schema_content_match_agrees_with_the_two_walk_oracle(pair, performative, language):
+    pattern, content = pair
+    schema = MessageSchema("s", "tell", pattern)
+    message = Message(performative, content, language, "core", "a", "b", "c")
+    expected = oracle_schema_accepts(
+        {"performative": "tell", "language": "kv", "ontology": "core", "pattern": pattern},
+        {"performative": performative, "language": language, "ontology": "core",
+         "content": content},
+    )
+    assert schema.content_matches(message) == expected
+    if expected:
+        assert schema.structure_matches(message)

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import parley.runtime
 
 from parley.errors import BudgetExceededError, UnknownReceiverError
 from parley.model import Message
@@ -14,14 +19,15 @@ from parley.runtime import (
     FaultSpec,
     SimClock,
     SimRuntime,
+    TraceEvent,
     corrupt_content,
     corrupt_structure,
     render_trace,
     write_trace,
 )
 
-from .generators import fault_streams
-from .oracles import oracle_apply_faults
+from .generators import CONTENT_KEYS, content_trees, fault_streams
+from .oracles import oracle_apply_faults, oracle_render
 
 
 def msg(sender, receiver, performative="inform", content=None, conv="c", tag=None):
@@ -446,3 +452,88 @@ class TestTraceShape:
     def test_per_tick_limit_is_generous(self):
         # the cap exists to catch livelock, not to throttle real cascades
         assert PER_TICK_LIMIT >= 1_000
+
+
+# ---------------------------------------------------------------------------
+# Rendering: one encoder per trace, the bytes of json.dumps per event
+# ---------------------------------------------------------------------------
+
+#: payload values: non-ASCII text, floats (NaN and infinities too), None,
+#: nested lists and dicts
+_RENDER_LEAVES = (
+    st.text(alphabet="az\u00e9\u4e2d\U0001f600\"\\\n", max_size=4)
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats()
+    | st.booleans()
+    | st.none()
+)
+_PAYLOAD_KEYS = st.sampled_from(CONTENT_KEYS + ("seq", "tick", "content", "\u00e9t\u00e9"))
+
+
+def _events():
+    payload = st.dictionaries(_PAYLOAD_KEYS, content_trees(_RENDER_LEAVES), max_size=5)
+    kinds = st.sampled_from(("send", "recovery"))
+    return st.lists(
+        st.tuples(st.integers(min_value=0, max_value=300), kinds, payload), max_size=8
+    )
+
+
+def _render_both(events):
+    trace = [TraceEvent(tick, kind, payload) for tick, kind, payload in events]
+    return render_trace(trace), oracle_render(events)
+
+
+class TestRender:
+    @settings(max_examples=100, deadline=None)
+    @given(_events())
+    def test_lines_are_what_json_dumps_writes(self, events):
+        got, expected = _render_both(events)
+        assert got == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(_events())
+    def test_without_the_c_encoder_the_lines_are_the_same(self, events):
+        original = parley.runtime.c_make_encoder
+        parley.runtime.c_make_encoder = None
+        try:
+            got, expected = _render_both(events)
+        finally:
+            parley.runtime.c_make_encoder = original
+        assert got == expected
+
+    def test_a_payload_kind_field_overwrites_the_event_kind_in_place(self):
+        events = [(3, "recovery", {"action": "replacement", "kind": "content"})]
+        got, expected = _render_both(events)
+        assert got == expected
+        assert got == '{"tick": 3, "kind": "content", "action": "replacement"}\n'
+
+    def test_each_line_covers_the_awkward_values(self):
+        payload = {
+            "text": "\u00e9\u4e2d\U0001f600",
+            "f": [0.1, -0.0, 1e300, float("nan")],
+            "none": None,
+            "nest": [[1, [2, {"a": [3]}]], []],
+        }
+        events = [(0, "send", payload), (1, "deliver", {})]
+        got, expected = _render_both(events)
+        assert got == expected
+        assert "\\u00e9\\u4e2d\\ud83d\\ude00" in got  # ASCII escaping, as json.dumps does
+
+    @pytest.mark.parametrize("bad", [{1, 2}, object(), b"bytes"])
+    def test_an_unserialisable_value_raises_the_same_type_error(self, bad):
+        events = [(0, "send", {"ok": 1}), (1, "send", {"content": {"deep": [bad]}})]
+        with pytest.raises(TypeError) as expected:
+            oracle_render(events)
+        with pytest.raises(TypeError) as got:
+            render_trace([TraceEvent(t, k, p) for t, k, p in events])
+        assert str(got.value) == str(expected.value)
+        notes = getattr(expected.value, "__notes__", None)
+        assert getattr(got.value, "__notes__", None) == notes
+
+    def test_a_circular_payload_is_refused_as_json_dumps_refuses_it(self):
+        loop: list = []
+        loop.append(loop)
+        with pytest.raises(ValueError, match="Circular reference"):
+            json.dumps(loop)
+        with pytest.raises(ValueError, match="Circular reference"):
+            render_trace([TraceEvent(0, "send", {"loop": loop})])
