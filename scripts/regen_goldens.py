@@ -14,8 +14,11 @@ Run from the repository root:  python3 scripts/regen_goldens.py
 reruns every scenario and its narrative check but writes nothing: it
 compares the fresh trace and summary with the frozen files byte for
 byte, prints the first line that differs, and exits 1 on any
-difference.  It needs only the standard library, so any Python the
-package supports can run it.
+difference.  It also renders every path of ``render_trace`` (the
+templated send and deliver lines, the spliced payloads, the as_dict
+fallbacks and the errors) and each fresh trace against one
+``json.dumps`` per event.  It needs only the standard library, so any
+Python the package supports can run it.
 """
 
 from __future__ import annotations
@@ -29,7 +32,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from parley.fixtures import scenario_path  # noqa: E402
-from parley.runtime import render_trace  # noqa: E402
+from parley.runtime import (  # noqa: E402
+    _DELIVER_FIELDS,
+    _SEND_FIELDS,
+    TraceEvent,
+    render_trace,
+)
 from parley.scenario import parse_scenario, run_scenario  # noqa: E402
 
 DATA = ROOT / "tests" / "data"
@@ -170,6 +178,54 @@ def first_difference(path: Path, fresh: str) -> str | None:
     )
 
 
+def dumps_per_event(events) -> str:
+    return "".join(json.dumps({"tick": t, "kind": k, **p}) + "\n" for t, k, p in events)
+
+
+def render_problems() -> list[str]:
+    """Each path of render_trace against one json.dumps per event: the
+    same bytes, or the same exception type and message."""
+    loop: list = []
+    loop.append({"again": loop})
+    send = dict(zip(_SEND_FIELDS, (4, "src", "sink", "c", "inform", "m.1", {"x": [1, 0.5]})))
+    deliver = dict(zip(_DELIVER_FIELDS, (4, "src", "sink", "c", "inform")))
+    cases = {
+        "send": [(3, "send", send)],
+        "send without tag": [(3, "send", {**send, "tag": None})],
+        "send with non-ASCII ids": [(3, "send", {**send, "to": "\u4e2d", "tag": "\u00e9\U0001f600"})],
+        "send with NaN and infinities": [
+            (3, "send", {**send, "content": [float("nan"), float("inf"), -float("inf")]})
+        ],
+        "send with bool seq": [(3, "send", {**send, "seq": True})],
+        "send with int sender": [(3, "send", {**send, "from": 7})],
+        "send with int tag": [(3, "send", {**send, "tag": 7})],
+        "send with bool tick": [(True, "send", send)],
+        "deliver": [(3, "deliver", deliver)],
+        "deliver with None receiver": [(3, "deliver", {**deliver, "to": None})],
+        "spliced payload": [(5, "recovery", {"conversation": "c", "points": [1, None]})],
+        "empty payload": [(5, "selection", {})],
+        "payload with its own kind": [(5, "recovery", {"action": "replacement", "kind": "content"})],
+        "unserialisable content": [
+            (1, "deliver", deliver), (3, "send", {**send, "content": {"deep": [{1, 2}]}})
+        ],
+        "circular content": [(3, "send", {**send, "content": loop})],
+        "unserialisable payload": [(5, "recovery", {"x": b"bytes"})],
+    }
+    problems = []
+    for name, events in cases.items():
+        outcomes = []
+        for render in (dumps_per_event, lambda evs: render_trace([TraceEvent(*e) for e in evs])):
+            try:
+                outcomes.append(render(events))
+            except (TypeError, ValueError) as exc:
+                outcomes.append(f"{type(exc).__name__}: {exc}")
+        if outcomes[0] != outcomes[1]:
+            problems.append(
+                f"render {name}: json.dumps {outcomes[0]!r}, render_trace {outcomes[1]!r}"
+            )
+    return problems
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -181,6 +237,12 @@ def main(argv: list[str] | None = None) -> int:
     if not args.check:
         DATA.mkdir(parents=True, exist_ok=True)
     failed = False
+    if args.check:
+        problems = render_problems()
+        for problem in problems:
+            print(problem)
+        failed = bool(problems)
+        print(f"render_trace: {'differs from' if problems else 'identical to'} json.dumps")
     for name, check in GOLDENS.items():
         scenario = parse_scenario(scenario_path(name))
         trace, summary = run_scenario(scenario)
@@ -195,6 +257,8 @@ def main(argv: list[str] | None = None) -> int:
                 for path, fresh in outputs.items()
                 if (problem := first_difference(path, fresh)) is not None
             ]
+            if render_trace(trace) != dumps_per_event(trace):
+                problems.append(f"{name}: render_trace differs from json.dumps per event")
             for problem in problems:
                 print(problem)
             failed = failed or bool(problems)

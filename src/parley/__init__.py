@@ -13,7 +13,6 @@ from .errors import (
     BudgetExceededError,
     CompositeProtocolError,
     CyclicFatherRelationError,
-    NoDeactivatedRoleError,
     NoViableRoleError,
     ParleyError,
     ParseError,
@@ -87,7 +86,6 @@ __all__ = [
     "InteractionModel",
     "JointOutcome",
     "Message",
-    "NoDeactivatedRoleError",
     "NoViableRoleError",
     "OneNSolution",
     "OneOneNSolution",

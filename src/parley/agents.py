@@ -591,24 +591,24 @@ class SelectionParticipant(AgentBase):
         registry: ProtocolRegistry,
         table: CompatibilityTable,
         willing: Willingness,
-        preferences: tuple[RoleRef, ...] = (),
+        offers: dict[str, tuple[RoleRef, ...]],
     ) -> None:
         super().__init__(name)
         self.model = model
         self.registry = registry
         self.table = table
         self.willing = willing
-        self.preferences = preferences
         self.meta: dict[str, ParticipantMetaState] = {}
-        #: protocol id -> the roles offered for it; every input of the
-        #: offer is fixed once the agent is wired
-        self.offers: dict[str, tuple[RoleRef, ...]] = {}
+        #: protocol id -> the roles offered for it.  Every input of an
+        #: offer but the model is fixed per runtime, so the participants
+        #: of one runtime with equal models share this dict.
+        self.offers = offers
 
     def _offer(self, protocol_id: str) -> tuple[RoleRef, ...]:
         offer = self.offers.get(protocol_id)
         if offer is None:
             offer = self.offers[protocol_id] = offered_roles(
-                protocol_id, self.model, self.table, self.registry, self.preferences
+                protocol_id, self.model, self.table, self.registry
             )
         return offer
 

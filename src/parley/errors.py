@@ -35,10 +35,6 @@ class NoViableRoleError(ParleyError):
     """Every role of a collection has been removed."""
 
 
-class NoDeactivatedRoleError(ParleyError):
-    """Reactivation was requested but no deactivated instance remains."""
-
-
 class UnknownReceiverError(ParleyError):
     """A message was scheduled for an agent id nobody registered."""
 

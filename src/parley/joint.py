@@ -368,10 +368,11 @@ def father_order(protocol: Protocol) -> list[str]:
     return order
 
 
-def _injective_completion_exists(
+def _injective_matching(
     roles: list[RoleRef], candidates: dict[RoleRef, set[str]], used: set[str]
-) -> bool:
-    """Can the remaining roles be matched to distinct unused agents?"""
+) -> dict[str, RoleRef] | None:
+    """Distinct unused agents for the remaining roles, as agent -> role,
+    or None when no such matching exists (augmenting paths)."""
     match: dict[str, RoleRef] = {}
 
     def try_assign(role: RoleRef, seen: set[str]) -> bool:
@@ -384,7 +385,37 @@ def _injective_completion_exists(
                 return True
         return False
 
-    return all(try_assign(role, set()) for role in roles)
+    if all(try_assign(role, set()) for role in roles):
+        return match
+    return None
+
+
+def _viable(
+    pool: list[str],
+    pending: list[RoleRef],
+    candidates: dict[RoleRef, set[str]],
+    used: set[str],
+) -> list[str]:
+    """The unused agents of ``pool`` whose draw keeps an injective
+    completion of ``pending`` reachable.
+
+    One witness matching of the pending roles decides most of them:
+    without one nobody is viable, and an agent outside it leaves it
+    intact.  Only the agents inside it (at most one per pending role)
+    need a matching of their own.
+    """
+    witness = _injective_matching(pending, candidates, used)
+    if witness is None:
+        return []
+    return [
+        agent
+        for agent in pool
+        if agent not in used
+        and (
+            agent not in witness
+            or _injective_matching(pending, candidates, used | {agent}) is not None
+        )
+    ]
 
 
 def _strip_singletons(
@@ -446,12 +477,7 @@ def assign_roles_1_n(
         for ref in order:
             pending.remove(ref)
             pool = sorted(candidates[ref])
-            viable = [
-                agent
-                for agent in pool
-                if agent not in used
-                and _injective_completion_exists(pending, candidates, used | {agent})
-            ]
+            viable = _viable(pool, pending, candidates, used)
             agent = rng.choice(viable if viable else pool)
             assignment[ref] = agent
             used.add(agent)

@@ -60,28 +60,6 @@ CONTROL_PERFORMATIVES = frozenset(
     {ERROR_NOTIFY, RECOVER_AT, TERMINATION_NOTICE, TERMINATION_WARNING}
 )
 
-#: Well-known domain performatives used by the bundled protocols.  The
-#: set is open: any token outside the reserved sets above is a valid
-#: domain performative.
-DOMAIN_PERFORMATIVES = frozenset(
-    {
-        "ask-one",
-        "tell",
-        "insert",
-        "sorry",
-        "error",
-        "request",
-        "agree",
-        "refuse",
-        "inform",
-        "failure",
-        "cfp",
-        "propose",
-        "accept",
-        "reject",
-    }
-)
-
 RESERVED_PERFORMATIVES = SELECTION_PERFORMATIVES | CONTROL_PERFORMATIVES
 
 
@@ -266,13 +244,6 @@ class RoleStateMachine:
         """The transitions leaving ``state``, in declaration order."""
         return self._by_state.get(state, ())
 
-    def receive_schema_ids(self, state: str) -> tuple[str, ...]:
-        seen: list[str] = []
-        for t in self.transitions_from(state):
-            if t.trigger.kind == "receive" and t.trigger.schema_id not in seen:
-                seen.append(t.trigger.schema_id)  # type: ignore[arg-type]
-        return tuple(seen)
-
     def method_ids(self) -> frozenset[str]:
         return frozenset(t.method for t in self.transitions)
 
@@ -313,9 +284,6 @@ class Protocol:
 
     def schema(self, schema_id: str) -> MessageSchema:
         return self.schemas[schema_id]
-
-    def role(self, role_id: str) -> RoleStateMachine:
-        return self.roles[role_id]
 
     def initiator_role(self) -> RoleStateMachine:
         for machine in self.roles.values():

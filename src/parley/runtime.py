@@ -25,7 +25,7 @@ from fnmatch import fnmatch
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from os.path import normcase
 from random import Random
-from typing import Protocol as TypingProtocol
+from typing import NamedTuple, Protocol as TypingProtocol
 
 from .errors import BudgetExceededError, UnknownReceiverError
 from .model import RESERVED_PERFORMATIVES, Message
@@ -48,10 +48,16 @@ class SimClock:
         self.tick = tick
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
+    """One trace event: a ``(tick, kind, payload)`` tuple.
+
+    ``kind`` is send, deliver, fault, recovery, selection or
+    termination.  The payload is stored as the bus or the agent passed
+    it, not copied, so it must not change once noted.
+    """
+
     tick: int
-    kind: str  # send | deliver | fault | recovery | selection | termination
+    kind: str
     payload: dict
 
     def as_dict(self) -> dict:
@@ -61,8 +67,18 @@ class TraceEvent:
 def render_trace(trace: list[TraceEvent]) -> str:
     """One JSON object per line, fields in insertion order.
 
-    Each line is what ``json.dumps`` writes with its defaults; the C
-    encoder behind it is built once per call instead of once per event.
+    Each line is what ``json.dumps`` writes for ``event.as_dict()`` with
+    its defaults.  The bus's own ``send`` and ``deliver`` payloads
+    (fields ``_SEND_FIELDS`` and ``_DELIVER_FIELDS``) are written from a
+    template when their fields have the plain types the bus gives them:
+    ``int`` seq and tick, ``str`` ids, a ``str`` or ``None`` tag.  Ints
+    are written as ``int.__repr__`` and strings through the same
+    ``encode_basestring_ascii`` that ``json.dumps`` uses, so the bytes
+    stay its bytes; only a send's ``content`` goes through the C encoder.
+    Other payloads are encoded whole and spliced after the tick and kind,
+    unless they are empty or carry a ``tick`` or ``kind`` field of their
+    own (that field overwrites the event's in place).  One C encoder,
+    with the ``json.dumps`` defaults, serves the whole call.
     """
     if c_make_encoder is None:
         return "".join(json.dumps(event.as_dict()) + "\n" for event in trace)
@@ -73,11 +89,63 @@ def render_trace(trace: list[TraceEvent]) -> str:
         {}, JSONEncoder().default, encode_basestring_ascii, None,
         ": ", ", ", False, False, True,
     )
-    parts: list[str] = []
+    quote = encode_basestring_ascii
+    lines: list[str] = []
     for event in trace:
-        parts.extend(encode(event.as_dict(), 0))
-        parts.append("\n")
-    return "".join(parts)
+        tick, kind, payload = event
+        fields = tuple(payload) if type(payload) is dict else None
+        plain = type(tick) is int and type(kind) is str
+        try:
+            if plain and fields == _SEND_FIELDS:
+                seq, sender, receiver, conversation, performative, tag, content = (
+                    payload.values()
+                )
+                if (
+                    type(seq) is int
+                    and type(sender) is str
+                    and type(receiver) is str
+                    and type(conversation) is str
+                    and type(performative) is str
+                    and (tag is None or type(tag) is str)
+                ):
+                    lines.append(
+                        f'{{"tick": {tick}, "kind": {quote(kind)}, "seq": {seq}, '
+                        f'"from": {quote(sender)}, "to": {quote(receiver)}, '
+                        f'"conversation": {quote(conversation)}, '
+                        f'"performative": {quote(performative)}, '
+                        f'"tag": {"null" if tag is None else quote(tag)}, '
+                        f'"content": {"".join(encode(content, 0))}}}\n'
+                    )
+                    continue
+            elif plain and fields == _DELIVER_FIELDS:
+                seq, sender, receiver, conversation, performative = payload.values()
+                if (
+                    type(seq) is int
+                    and type(sender) is str
+                    and type(receiver) is str
+                    and type(conversation) is str
+                    and type(performative) is str
+                ):
+                    lines.append(
+                        f'{{"tick": {tick}, "kind": {quote(kind)}, "seq": {seq}, '
+                        f'"from": {quote(sender)}, "to": {quote(receiver)}, '
+                        f'"conversation": {quote(conversation)}, '
+                        f'"performative": {quote(performative)}}}\n'
+                    )
+                    continue
+            if plain and fields and "tick" not in payload and "kind" not in payload:
+                body = "".join(encode(payload, 0))
+                lines.append(f'{{"tick": {tick}, "kind": {quote(kind)}, {body[1:]}\n')
+            else:
+                lines.append("".join(encode(event.as_dict(), 0)) + "\n")
+        except (TypeError, ValueError):
+            # raise what json.dumps raises for the whole event, from a fresh
+            # encoder: the shared one may have failed on a part of the event
+            # only, and is never retried, because a failed encode leaves its
+            # ids in the shared circular-check markers
+            json.dumps(event.as_dict())
+            raise
+    return "".join(lines)
 
 
 def write_trace(trace: list[TraceEvent], path) -> None:
@@ -194,6 +262,13 @@ class AgentBase:
         pass
 
 
+#: the payload fields of the bus's send and deliver events, in the order
+#: ``schedule_send`` and ``_deliver`` write them; ``render_trace`` writes
+#: these payloads from a template
+_SEND_FIELDS = ("seq", "from", "to", "conversation", "performative", "tag", "content")
+_DELIVER_FIELDS = ("seq", "from", "to", "conversation", "performative")
+
+
 class SimRuntime:
     def __init__(self, seed: int = 0, max_ticks: int = 200) -> None:
         self.clock = SimClock()
@@ -228,7 +303,7 @@ class SimRuntime:
     # -- event log ---------------------------------------------------------
 
     def note(self, kind: str, payload: dict) -> None:
-        self.trace.append(TraceEvent(tick=self.clock.tick, kind=kind, payload=payload))
+        self.trace.append(TraceEvent(self.clock.tick, kind, payload))
 
     # -- sending -----------------------------------------------------------
 

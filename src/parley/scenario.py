@@ -76,12 +76,6 @@ class Scenario:
     reply_deadline: int = 10
     max_ticks: int = 200
 
-    def agent(self, agent_id: str) -> AgentSpec:
-        for spec in self.agents:
-            if spec.agent_id == agent_id:
-                return spec
-        raise UnresolvedReferenceError(f"no agent {agent_id!r}")
-
 
 # ---------------------------------------------------------------------------
 # Parsing and serialisation
@@ -313,13 +307,10 @@ def _resolve(scenario: Scenario, base_dir: Path | None = None) -> None:
 
 
 def _interaction_model(spec: AgentSpec) -> InteractionModel:
-    model = InteractionModel()
-    for protocol_id, roles in spec.enacts.items():
-        model.extend(protocol_id, roles)
-    return model
+    return InteractionModel({p: frozenset(roles) for p, roles in spec.enacts.items()})
 
 
-def _compatibility_table(scenario: Scenario, registry: ProtocolRegistry) -> CompatibilityTable:
+def _compatibility_table(scenario: Scenario) -> CompatibilityTable:
     pairs = frozenset(
         (RoleRef.parse(a), RoleRef.parse(b)) for a, b in scenario.compatibility
     )
@@ -329,16 +320,18 @@ def _compatibility_table(scenario: Scenario, registry: ProtocolRegistry) -> Comp
 def build_runtime(scenario: Scenario, base_dir: Path | None = None) -> SimRuntime:
     """Instantiate the bus and all agents for one run of the scenario."""
     registry = load_registry(scenario, base_dir)
-    table = _compatibility_table(scenario, registry)
+    table = _compatibility_table(scenario)
     runtime = SimRuntime(seed=scenario.seed, max_ticks=scenario.max_ticks)
     for fault in scenario.faults:
         runtime.inject_fault(fault)
     initiators = {task.initiator: task for task in scenario.tasks}
+    # participants with equal interaction models offer the same roles
+    offers: dict[frozenset, dict[str, tuple[RoleRef, ...]]] = {}
     for spec in scenario.agents:
-        model = _interaction_model(spec)
         if spec.behavior == SILENT:
             runtime.register(SilentAgent(spec.agent_id))
             continue
+        model = _interaction_model(spec)
         task_spec = initiators.get(spec.agent_id)
         if task_spec is not None:
             task = TaskDescription(
@@ -370,10 +363,9 @@ def build_runtime(scenario: Scenario, base_dir: Path | None = None) -> SimRuntim
             continue
         if scenario.selection_mode == JOINT:
             willing = (lambda p, t: True) if spec.willing else (lambda p, t: False)
+            shared = offers.setdefault(frozenset(model.entries.items()), {})
             runtime.register(
-                SelectionParticipant(
-                    spec.agent_id, model, registry, table, willing
-                )
+                SelectionParticipant(spec.agent_id, model, registry, table, willing, shared)
             )
         elif scenario.selection_mode == SEQUENTIAL:
             runtime.register(SequentialResponder(spec.agent_id, model, registry))

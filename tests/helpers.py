@@ -256,3 +256,52 @@ def joint_scenario(rng: Random, n_tasks: int, n_agents: int) -> dict:
         "agents": agents,
         "tasks": tasks,
     }
+
+
+#: the three joint cases: capability, participant roles, initiator roles
+JOINT_CASES = (
+    ("contracting", {"cnp": ["contractor"], "icnp": ["contractor"]},
+     {"cnp": ["manager"], "icnp": ["manager"]}),
+    ("document-query", {"ips": ["replier"], "request": ["replier"]},
+     {"ips": ["asker"], "request": ["asker"]}),
+    ("brokering", {"auction": ["buyer", "manager", "seller"]}, {"auction": ["opener"]}),
+)
+
+
+def joint_fanout_scenario(rng: Random, n_tasks: int, n_agents: int, fanout: int) -> dict:
+    """Joint tasks rotating through contracting, document query and an
+    auction, each broadcast to ``fanout`` agents of a shared pool.  Pool
+    members draw their models from twelve variants (icnp or not, one or
+    two auction roles), so many of them share a model."""
+    pool = []
+    for j in range(n_agents):
+        enacts = {"cnp": ["contractor"], "ips": ["replier"], "request": ["replier"]}
+        if rng.random() < 0.5:
+            enacts["icnp"] = ["contractor"]
+        enacts["auction"] = sorted(rng.sample(["buyer", "manager", "seller"], rng.randint(1, 2)))
+        entry = {"id": f"p{j}", "enacts": enacts}
+        if rng.random() < 0.1:
+            entry["willing"] = False
+        pool.append(entry)
+    agents, tasks = list(pool), []
+    for k in range(n_tasks):
+        capability, roles, initiator_roles = JOINT_CASES[k % len(JOINT_CASES)]
+        agents.append({"id": f"i{k}", "enacts": initiator_roles})
+        chosen = rng.sample(pool, fanout)
+        tasks.append({
+            "id": f"t{k}",
+            "initiator": f"i{k}",
+            "capabilities": [capability],
+            "participants": {
+                protocol: [a["id"] for a in chosen if protocol in a["enacts"]]
+                for protocol in roles
+            },
+        })
+    return {
+        "scenario_id": f"joint_fanout_{n_tasks}",
+        "seed": rng.randrange(1000),
+        "selection_mode": "joint",
+        "protocols": ["auction", "cnp", "icnp", "ips", "request"],
+        "agents": agents,
+        "tasks": tasks,
+    }

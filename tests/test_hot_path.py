@@ -2,7 +2,10 @@
 
 Counted, not timed: the matcher is wrapped and every call recorded, so
 a handler that matches the same delivery against the same role twice
-shows up as a repeated call.  The lifetime checks drop a finished run
+shows up as a repeated call.  The same holds for the joint side: a
+participant's offer is computed once per interaction model and
+protocol, and a role allocation runs a bounded number of matchings
+whatever the size of the pool.  The lifetime checks drop a finished run
 and require its machines and agents to be collected, which rules out
 any cache that holds on to them from module level.
 """
@@ -11,18 +14,22 @@ from __future__ import annotations
 
 import gc
 import weakref
+from collections import Counter
 from random import Random
 
 import pytest
 
 import parley.agents
 import parley.individual
+import parley.joint
 import parley.machine
 import parley.mixed
 import parley.runtime
+from parley.fixtures import bundled_protocol
 from parley.individual import method_graph
+from parley.joint import ReadyToSelectPayload, assign_roles_1_n, father_order
 from parley.machine import weak_schema_ids
-from parley.model import RESERVED_PERFORMATIVES
+from parley.model import RESERVED_PERFORMATIVES, RoleRef
 from parley.runtime import WAKE, render_trace
 from parley.scenario import (
     MIXED,
@@ -32,7 +39,12 @@ from parley.scenario import (
     summarize,
 )
 
-from .helpers import individual_scenario, joint_scenario
+from .helpers import (
+    individual_scenario,
+    joint_fanout_scenario,
+    joint_scenario,
+    one_n_protocol,
+)
 
 
 def fault_free(mode: str, servers: tuple[str, ...] | None = None):
@@ -124,6 +136,58 @@ def test_an_opening_is_matched_once_per_candidate_role(mode, monkeypatch):
     for machines in per_opening.values():
         assert sorted(machines) == sorted(set(machines))
         assert len(machines) == len(servers)
+
+
+def test_an_offer_is_computed_once_per_model_and_protocol(monkeypatch):
+    original = parley.agents.offered_roles
+    calls: Counter = Counter()
+
+    def counted(protocol_id, model, table, registry, preferences=()):
+        calls[frozenset(model.entries.items()), protocol_id] += 1
+        return original(protocol_id, model, table, registry, preferences)
+
+    monkeypatch.setattr(parley.agents, "offered_roles", counted)
+    scenario = scenario_from_dict(joint_fanout_scenario(Random(7), 9, 60, 30))
+    runtime = build_runtime(scenario)
+    trace = runtime.run_until_quiescent()
+    summary = summarize(scenario, runtime, trace)
+    assert {t.outcome for t in summary.tasks} == {"selected"}
+    calls_for_collaboration = sum(
+        1 for e in trace
+        if e.kind == "deliver" and e.payload["performative"] == "call-for-collaboration"
+    )
+    assert calls_for_collaboration > 5 * len(calls)
+    assert max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("pool", [20, 200])
+def test_an_allocation_runs_a_bounded_number_of_matchings(pool, monkeypatch):
+    """At most one witness and one matching per witness agent for each
+    role: roles x (roles + 1) per protocol, however many agents reply."""
+    original = parley.joint._injective_matching
+    calls: list = []
+
+    def counted(roles, candidates, used):
+        calls.append(len(roles))
+        return original(roles, candidates, used)
+
+    monkeypatch.setattr(parley.joint, "_injective_matching", counted)
+    protocols = [
+        bundled_protocol("auction"),
+        one_n_protocol("cer", {"x": None, "y": "x", "z": None, "w": "y"}),
+    ]
+    labels = [str(p.ref(r)) for p in protocols for r in father_order(p)]
+    rng = Random(pool)
+    replies = {
+        f"a{i}": ReadyToSelectPayload(
+            tuple(RoleRef.parse(lbl) for lbl in labels if i < 2 or rng.random() < 0.7)
+        )
+        for i in range(pool)
+    }
+    got = assign_roles_1_n(replies, protocols, Random(1))
+    assert got is not None
+    bound = sum(len(father_order(p)) * (len(father_order(p)) + 1) for p in protocols)
+    assert 0 < len(calls) <= bound
 
 
 def _run_and_drop(doc: dict, agent_id: str, protocol_id: str, role_id: str):

@@ -13,6 +13,7 @@ from parley.errors import (
     ProtocolViolationError,
     TransportDownError,
 )
+from parley.fixtures import bundled_protocol
 from parley.joint import (
     AGENT_ORIENTED,
     PROTOCOL_ORIENTED,
@@ -43,9 +44,10 @@ from parley.model import (
     TaskDescription,
 )
 
-from .generators import forest_instances, largest_set_instances
+from .generators import AGENT_POOL, forest_instances, largest_set_instances
 from .helpers import one_n_protocol, one_one_protocol
 from .oracles import (
+    oracle_assign_roles,
     oracle_assignment_valid,
     oracle_injective_exists,
     oracle_largest_set,
@@ -347,6 +349,58 @@ class TestAssignRoles:
         first = assign_roles_1_n(replies, [protocol], Random(42))
         second = assign_roles_1_n(replies, [protocol], Random(42))
         assert first == second
+
+
+AUCTION = bundled_protocol("auction")
+#: the auction's participant roles, plus a label of a protocol not asked about
+AUCTION_LABELS = ("auction:buyer", "auction:manager", "auction:seller", "cnp:contractor")
+
+
+@st.composite
+def auction_replies(draw) -> dict[str, list[str]]:
+    """Random candidate sets over the auction fixture, from up to 8 agents
+    (the first six share names with the forest instances)."""
+    agents = AGENT_POOL + ("a7", "a8")
+    replies = {}
+    for agent in agents[: draw(st.integers(min_value=1, max_value=len(agents)))]:
+        listed = draw(st.lists(st.sampled_from(AUCTION_LABELS), unique=True))
+        if listed:
+            replies[agent] = listed
+    return replies
+
+
+class TestAssignRolesAgainstOracle:
+    """The full result and the draws taken, against the agent-by-agent
+    scan of :func:`oracle_assign_roles`, under the same seed."""
+
+    def check(self, protocols, plain_replies, seed):
+        replies = {agent: payload(*labels) for agent, labels in plain_replies.items()}
+        got_rng, want_rng = Random(seed), Random(seed)
+        got = assign_roles_1_n(replies, protocols, got_rng)
+        want = oracle_assign_roles(
+            {p.protocol_id: father_order(p) for p in protocols}, plain_replies, want_rng
+        )
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None
+            assert (got.protocol, {str(r): a for r, a in got.assignment.items()}) == want
+        assert got_rng.getstate() == want_rng.getstate()
+
+    @settings(max_examples=200, deadline=None)
+    @given(auction_replies(), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_auction_candidate_sets(self, replies, seed):
+        self.check([AUCTION], replies, seed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(forest_instances(), auction_replies(), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_random_forests_beside_the_auction(self, instance, auction, seed):
+        fathers, forest = instance
+        replies = {
+            agent: [f"cer:{r}" for r in forest.get(agent, [])] + auction.get(agent, [])
+            for agent in sorted(set(forest) | set(auction))
+        }
+        self.check([one_n_protocol("cer", fathers), AUCTION], replies, seed)
 
 
 # ---------------------------------------------------------------------------

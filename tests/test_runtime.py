@@ -15,6 +15,8 @@ from parley.model import Message
 from parley.runtime import (
     PER_TICK_LIMIT,
     WAKE,
+    _DELIVER_FIELDS,
+    _SEND_FIELDS,
     AgentBase,
     FaultSpec,
     SimClock,
@@ -439,6 +441,26 @@ class TestTraceShape:
             '"conversation": "c", "performative": "inform"}'
         )
 
+    def test_bus_events_carry_the_fields_render_trace_templates(self):
+        rt = SimRuntime(seed=0)
+        rt.register(Recorder("sink"))
+        rt.register(AgentBase("src"))
+        rt.schedule_send(msg("src", "sink"))
+        rt.run_until_quiescent()
+        assert [(e.kind, tuple(e.payload)) for e in rt.trace] == [
+            ("send", _SEND_FIELDS),
+            ("deliver", _DELIVER_FIELDS),
+        ]
+
+    def test_an_event_is_a_tuple_holding_the_payload_it_was_given(self):
+        rt = SimRuntime(seed=0)
+        payload = {"conversation": "c"}
+        rt.note("selection", payload)
+        tick, kind, held = rt.trace[0]
+        assert (tick, kind) == (0, "selection")
+        assert held is payload
+        assert rt.trace[0].as_dict() == {"tick": 0, "kind": "selection", "conversation": "c"}
+
     def test_write_trace_round_trips_bytes(self, tmp_path):
         rt = SimRuntime(seed=0)
         rt.register(Recorder("sink"))
@@ -468,14 +490,51 @@ _RENDER_LEAVES = (
     | st.none()
 )
 _PAYLOAD_KEYS = st.sampled_from(CONTENT_KEYS + ("seq", "tick", "content", "\u00e9t\u00e9"))
+_TEXT = st.text(alphabet="az\u00e9\u4e2d\U0001f600\"\\\n", max_size=4)
+
+
+def _circular() -> list:
+    loop: list = []
+    loop.append({"again": loop})
+    return loop
+
+
+#: a send's content: plain trees, or one that json.dumps refuses deep inside
+_CONTENT = content_trees(_RENDER_LEAVES) | st.builds(
+    lambda bad: {"deep": [bad]},
+    st.sampled_from([{1, 2}, object(), b"bytes"]) | st.builds(_circular),
+)
+_SEQ = st.integers(min_value=-(2**70), max_value=2**70)
+_PLAIN_SEND = st.tuples(_SEQ, _TEXT, _TEXT, _TEXT, _TEXT, _TEXT | st.none(), _CONTENT)
+_PLAIN_DELIVER = st.tuples(_SEQ, _TEXT, _TEXT, _TEXT, _TEXT)
+#: values the templates must not take in place of an int seq or a str id
+#: (None stays a valid tag)
+_ODD = st.booleans() | st.integers(min_value=-5, max_value=5) | st.none()
+
+
+def _spoil(values: tuple, at: int, value) -> tuple:
+    return values[:at] + (value,) + values[at + 1:]
+
+
+def _bus_payloads():
+    """Payloads whose fields are exactly those of the bus's send or
+    deliver events: as the bus writes them, or with one field of a type
+    the templates must leave to the as_dict path."""
+    send = _PLAIN_SEND | st.builds(_spoil, _PLAIN_SEND, st.integers(0, 5), _ODD)
+    deliver = _PLAIN_DELIVER | st.builds(_spoil, _PLAIN_DELIVER, st.integers(0, 4), _ODD)
+    return send.map(lambda v: dict(zip(_SEND_FIELDS, v))) | deliver.map(
+        lambda v: dict(zip(_DELIVER_FIELDS, v))
+    )
 
 
 def _events():
-    payload = st.dictionaries(_PAYLOAD_KEYS, content_trees(_RENDER_LEAVES), max_size=5)
-    kinds = st.sampled_from(("send", "recovery"))
-    return st.lists(
-        st.tuples(st.integers(min_value=0, max_value=300), kinds, payload), max_size=8
+    payload = (
+        st.dictionaries(_PAYLOAD_KEYS, content_trees(_RENDER_LEAVES), max_size=5)
+        | _bus_payloads()
     )
+    kinds = st.sampled_from(("send", "deliver", "recovery", "\u00e9v\u00e9nement"))
+    ticks = st.integers(min_value=0, max_value=300) | st.just(True)
+    return st.lists(st.tuples(ticks, kinds, payload), max_size=8)
 
 
 def _render_both(events):
@@ -483,12 +542,23 @@ def _render_both(events):
     return render_trace(trace), oracle_render(events)
 
 
+def _assert_renders_as_json_dumps(events):
+    """Equal bytes, or the same exception type and message."""
+    try:
+        expected = oracle_render(events)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)) as got:
+            render_trace([TraceEvent(t, k, p) for t, k, p in events])
+        assert str(got.value) == str(exc)
+        return
+    assert render_trace([TraceEvent(t, k, p) for t, k, p in events]) == expected
+
+
 class TestRender:
     @settings(max_examples=100, deadline=None)
     @given(_events())
     def test_lines_are_what_json_dumps_writes(self, events):
-        got, expected = _render_both(events)
-        assert got == expected
+        _assert_renders_as_json_dumps(events)
 
     @settings(max_examples=25, deadline=None)
     @given(_events())
@@ -496,10 +566,33 @@ class TestRender:
         original = parley.runtime.c_make_encoder
         parley.runtime.c_make_encoder = None
         try:
-            got, expected = _render_both(events)
+            _assert_renders_as_json_dumps(events)
         finally:
             parley.runtime.c_make_encoder = original
-        assert got == expected
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {},
+            {"seq": True},
+            {"from": 7},
+            {"to": None},
+            {"tag": "\u00e9\u4e2d\U0001f600"},
+            {"tag": None},
+            {"tag": 3},
+            {"content": {"x": [float("nan"), float("inf"), -float("inf")]}},
+            {"content": {"deep": [{1, 2}]}},
+            {"content": _circular()},
+        ],
+        ids=["plain", "bool-seq", "int-from", "none-to", "non-ascii-tag", "none-tag",
+             "int-tag", "nan-inf-content", "unserialisable", "circular"],
+    )
+    def test_bus_payloads_render_as_json_dumps_writes_them(self, change):
+        send = dict(zip(_SEND_FIELDS, (4, "src", "sink", "c", "inform", "m.1", {"x": 1})))
+        deliver = dict(zip(_DELIVER_FIELDS, (4, "src", "sink", "c", "inform")))
+        deliver.update((k, v) for k, v in change.items() if k in deliver)
+        events = [(2, "deliver", deliver), (3, "send", {**send, **change})]
+        _assert_renders_as_json_dumps(events)
 
     def test_a_payload_kind_field_overwrites_the_event_kind_in_place(self):
         events = [(3, "recovery", {"action": "replacement", "kind": "content"})]
