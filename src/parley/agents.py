@@ -615,7 +615,9 @@ class SelectionParticipant(AgentBase):
     def on_message(self, rt: SimRuntime, msg: Message) -> None:
         if msg.performative not in SELECTION_PERFORMATIVES:
             return
-        state = self.meta.get(msg.conversation_id, ParticipantMetaState())
+        state = self.meta.get(msg.conversation_id)
+        if state is None:
+            state = ParticipantMetaState()
         new_state, replies = participant_meta_step(
             state,
             msg,

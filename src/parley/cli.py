@@ -23,6 +23,8 @@ from .scenario import (
     SEQUENTIAL,
     Scenario,
     parse_scenario,
+    require_one_participant,
+    require_own_initiators,
     run_scenario,
 )
 
@@ -64,15 +66,7 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     if not changes:
         return scenario
     scenario = dataclasses.replace(scenario, **changes)
-    if scenario.selection_mode != JOINT:
-        for task in scenario.tasks:
-            named = {a for agents in task.participants.values() for a in agents}
-            if len(named) != 1:
-                raise UnresolvedReferenceError(
-                    f"task {task.task_id}: cannot switch to "
-                    f"{scenario.selection_mode} with {len(named)} named "
-                    f"participants (need exactly one)"
-                )
+    require_one_participant(scenario)
     return scenario
 
 
@@ -94,6 +88,7 @@ def cmd_run(args) -> int:
 def cmd_validate(args) -> int:
     path = _find_scenario(args.scenario)
     scenario = parse_scenario(path)
+    require_own_initiators(scenario)
     print(f"{scenario.scenario_id}: ok "
           f"({len(scenario.agents)} agents, {len(scenario.tasks)} tasks, "
           f"{len(scenario.protocols)} protocols)")

@@ -186,12 +186,11 @@ def offered_roles(
     model: InteractionModel,
     table: CompatibilityTable,
     registry: ProtocolRegistry,
-    preferences: tuple[RoleRef, ...] = (),
 ) -> tuple[RoleRef, ...]:
     """Participant roles the agent can commit to for a call naming
     ``protocol_id``: its roles of that protocol plus every enacted role
-    compatible with the caller's initiator role.  Ordered by the
-    agent's declared preference, then own-protocol first."""
+    compatible with the caller's initiator role.  Roles of the called
+    protocol come first, then the rest, each in role order."""
     protocol = registry.get(protocol_id)
     if protocol is None:
         return ()
@@ -203,10 +202,8 @@ def offered_roles(
             continue
         if ref.protocol == protocol_id or compatible(initiator_ref, ref, table):
             usable.append(ref)
-    ranked = [r for r in preferences if r in usable]
-    rest = [r for r in usable if r not in ranked]
-    rest.sort(key=lambda r: (r.protocol != protocol_id, r))
-    return tuple(ranked + rest)
+    usable.sort(key=lambda r: (r.protocol != protocol_id, r))
+    return tuple(usable)
 
 
 def participant_meta_step(
@@ -374,20 +371,28 @@ def _injective_matching(
     """Distinct unused agents for the remaining roles, as agent -> role,
     or None when no such matching exists (augmenting paths)."""
     match: dict[str, RoleRef] = {}
-
-    def try_assign(role: RoleRef, seen: set[str]) -> bool:
-        for agent in sorted(candidates[role]):
-            if agent in used or agent in seen:
-                continue
-            seen.add(agent)
-            if agent not in match or try_assign(match[agent], seen):
-                match[agent] = role
-                return True
-        return False
-
-    if all(try_assign(role, set()) for role in roles):
+    if all(_augment(role, set(), candidates, used, match) for role in roles):
         return match
     return None
+
+
+def _augment(
+    role: RoleRef,
+    seen: set[str],
+    candidates: dict[RoleRef, set[str]],
+    used: set[str],
+    match: dict[str, RoleRef],
+) -> bool:
+    """Give ``role`` an agent in ``match``, moving earlier roles along
+    an augmenting path if need be; False when there is no such path."""
+    for agent in sorted(candidates[role]):
+        if agent in used or agent in seen:
+            continue
+        seen.add(agent)
+        if agent not in match or _augment(match[agent], seen, candidates, used, match):
+            match[agent] = role
+            return True
+    return False
 
 
 def _viable(

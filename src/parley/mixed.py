@@ -18,7 +18,7 @@ pick it up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import count
 from random import Random
 from typing import Callable
@@ -405,7 +405,7 @@ def select_outgoing(cz: ControlZone, registry: ProtocolRegistry, rng: Random) ->
 def _retag(cz: ControlZone, entry: OutboxEntry) -> OutboxEntry:
     """A replacement goes out as a fresh send: new reply tag, and the
     pending records updated to emit the retagged message."""
-    message = replace(entry.message, reply_with=cz.tag())
+    message = entry.message._replace(reply_with=cz.tag())
     records = tuple(
         PendingRecord(
             rec.method,

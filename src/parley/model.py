@@ -131,9 +131,13 @@ class MessageSchema:
         )
 
 
-@dataclass(frozen=True)
-class Message:
-    """One concrete message on the wire."""
+class Message(NamedTuple):
+    """One concrete message on the wire.
+
+    An immutable tuple: ``msg._replace(field=value)`` makes a changed
+    copy, and two messages are equal when their fields are (tuple
+    equality, so a plain tuple of the same values is equal too).
+    """
 
     performative: str
     content: Any

@@ -148,19 +148,19 @@ def content_shape(value: Any) -> Any:
 def leaf_paths(value: Any) -> list[tuple[Any, ...]]:
     """All leaf positions of a content tree, in a stable sorted order."""
     found: list[tuple[Any, ...]] = []
-
-    def walk(node: Any, path: tuple[Any, ...]) -> None:
-        if isinstance(node, dict):
-            for key in sorted(node):
-                walk(node[key], path + (key,))
-        elif isinstance(node, list):
-            for idx, sub in enumerate(node):
-                walk(sub, path + (idx,))
-        else:
-            found.append(path)
-
-    walk(value, ())
+    _collect_leaf_paths(value, (), found)
     return found
+
+
+def _collect_leaf_paths(node: Any, path: tuple[Any, ...], found: list) -> None:
+    if isinstance(node, dict):
+        for key in sorted(node):
+            _collect_leaf_paths(node[key], path + (key,), found)
+    elif isinstance(node, list):
+        for idx, sub in enumerate(node):
+            _collect_leaf_paths(sub, path + (idx,), found)
+    else:
+        found.append(path)
 
 
 def get_leaf(value: Any, path: tuple[Any, ...]) -> Any:

@@ -13,14 +13,21 @@ Timers are plain self-addressed messages: an agent that wants to hear
 back in N ticks schedules a wake to itself with delay N.  Self-sends
 never count as conversation traffic, which keeps fault ordinals and
 message tallies about the actual exchange.
+
+A run makes no reference cycles: messages, events and states are
+freed by reference counting as soon as they are dropped.  Automatic
+cyclic garbage collection would only rescan the live agents, so
+``run_until_quiescent`` pauses it for the run and then restores the
+caller's setting.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fnmatch import fnmatch
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from os.path import normcase
@@ -196,14 +203,14 @@ class FaultSpec:
 def corrupt_structure(msg: Message, structure_field: str) -> Message:
     """Break one structural facet while leaving the payload alone."""
     if structure_field == "performative":
-        return replace(msg, performative=f"garbled-{msg.performative}")
+        return msg._replace(performative=f"garbled-{msg.performative}")
     if structure_field == "language":
-        return replace(msg, language="garbled")
+        return msg._replace(language="garbled")
     if structure_field == "ontology":
-        return replace(msg, ontology="garbled")
+        return msg._replace(ontology="garbled")
     if isinstance(msg.content, dict):
-        return replace(msg, content={**msg.content, "garbled": True})
-    return replace(msg, content={"garbled": msg.content})
+        return msg._replace(content={**msg.content, "garbled": True})
+    return msg._replace(content={"garbled": msg.content})
 
 
 def corrupt_content(msg: Message, path: tuple) -> Message:
@@ -214,7 +221,7 @@ def corrupt_content(msg: Message, path: tuple) -> Message:
     target = tuple(path) if tuple(path) in paths else paths[0]
     old = get_leaf(msg.content, target)
     new = 99 if isinstance(old, str) else "garbled"
-    return replace(msg, content=set_leaf(msg.content, target, new))
+    return msg._replace(content=set_leaf(msg.content, target, new))
 
 
 @dataclass
@@ -414,28 +421,39 @@ class SimRuntime:
         self.agents[msg.receiver].on_message(self, msg)
 
     def run_until_quiescent(self, max_ticks: int | None = None) -> list[TraceEvent]:
+        """Deliver until nothing is pending; return the trace.
+
+        Automatic garbage collection is paused for the run (see the
+        module docstring) and left as the caller had it on every exit.
+        """
         budget = self.max_ticks if max_ticks is None else max_ticks
         if budget <= 0:
             raise ValueError("max_ticks must be positive")
-        if not self._started:
-            self._started = True
-            for agent in list(self.agents.values()):
-                agent.on_start(self)
-        while self._heap:
-            next_tick = self._heap[0][0]
-            if next_tick > budget:
-                raise BudgetExceededError(
-                    f"{len(self._heap)} message(s) still pending at tick budget {budget}"
-                )
-            self.clock.advance_to(next_tick)
-            delivered = 0
-            while self._heap and self._heap[0][0] == self.clock.tick:
-                _, seq, msg = heapq.heappop(self._heap)
-                delivered += 1
-                if delivered > PER_TICK_LIMIT:
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            if not self._started:
+                self._started = True
+                for agent in list(self.agents.values()):
+                    agent.on_start(self)
+            while self._heap:
+                next_tick = self._heap[0][0]
+                if next_tick > budget:
                     raise BudgetExceededError(
-                        f"over {PER_TICK_LIMIT} deliveries in tick {self.clock.tick}; "
-                        f"zero-delay livelock"
+                        f"{len(self._heap)} message(s) still pending at tick budget {budget}"
                     )
-                self._deliver(seq, msg)
+                self.clock.advance_to(next_tick)
+                delivered = 0
+                while self._heap and self._heap[0][0] == self.clock.tick:
+                    _, seq, msg = heapq.heappop(self._heap)
+                    delivered += 1
+                    if delivered > PER_TICK_LIMIT:
+                        raise BudgetExceededError(
+                            f"over {PER_TICK_LIMIT} deliveries in tick {self.clock.tick}; "
+                            f"zero-delay livelock"
+                        )
+                    self._deliver(seq, msg)
+        finally:
+            if collecting:
+                gc.enable()
         return self.trace

@@ -287,18 +287,47 @@ def _resolve(scenario: Scenario, base_dir: Path | None = None) -> None:
                     raise UnresolvedReferenceError(
                         f"task {task.task_id}: unknown participant {agent!r}"
                     )
-        if scenario.selection_mode != JOINT:
-            named = {a for agents in task.participants.values() for a in agents}
-            if len(named) != 1:
-                raise UnresolvedReferenceError(
-                    f"task {task.task_id}: individual selection needs exactly one "
-                    f"identified participant, got {sorted(named)}"
-                )
+    require_one_participant(scenario)
     for left, right in scenario.compatibility:
         for text in (left, right):
             ref = RoleRef.parse(text)
             if ref.protocol not in registry or ref.role not in registry[ref.protocol].roles:
                 raise UnresolvedReferenceError(f"compatibility: no role {text!r}")
+
+
+def require_own_initiators(scenario: Scenario) -> None:
+    """Each task needs its own id and its own initiator: the runtime
+    hosts one initiator behaviour per agent, so a second task on the
+    same initiator would never run.  ``run_scenario`` and the CLI check
+    this; ``parse_scenario`` does not yet."""
+    by_id: dict[str, int] = {}
+    by_initiator: dict[str, str] = {}
+    for index, task in enumerate(scenario.tasks):
+        if task.task_id in by_id:
+            raise ParseError(
+                f"{scenario.scenario_id}: tasks[{by_id[task.task_id]}] and "
+                f"tasks[{index}] share the id {task.task_id!r}"
+            )
+        if task.initiator in by_initiator:
+            raise ParseError(
+                f"{scenario.scenario_id}: tasks {by_initiator[task.initiator]!r} and "
+                f"{task.task_id!r} share the initiator {task.initiator!r}"
+            )
+        by_id[task.task_id] = index
+        by_initiator[task.initiator] = task.task_id
+
+
+def require_one_participant(scenario: Scenario) -> None:
+    """Individual selection talks to one identified participant per task."""
+    if scenario.selection_mode == JOINT:
+        return
+    for task in scenario.tasks:
+        named = {a for agents in task.participants.values() for a in agents}
+        if len(named) != 1:
+            raise UnresolvedReferenceError(
+                f"task {task.task_id}: {scenario.selection_mode} selection with "
+                f"{len(named)} named participants {sorted(named)} (need exactly one)"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +501,7 @@ def summarize(scenario: Scenario, runtime: SimRuntime, trace: list[TraceEvent]) 
 def run_scenario(
     scenario: Scenario, base_dir: Path | None = None
 ) -> tuple[list[TraceEvent], RunSummary]:
+    require_own_initiators(scenario)
     runtime = build_runtime(scenario, base_dir)
     trace = runtime.run_until_quiescent()
     return trace, summarize(scenario, runtime, trace)

@@ -7,7 +7,8 @@ participant's offer is computed once per interaction model and
 protocol, and a role allocation runs a bounded number of matchings
 whatever the size of the pool.  The lifetime checks drop a finished run
 and require its machines and agents to be collected, which rules out
-any cache that holds on to them from module level.
+any cache that holds on to them from module level, and require that
+the run left no reference cycle behind for the collector to find.
 """
 
 from __future__ import annotations
@@ -142,9 +143,9 @@ def test_an_offer_is_computed_once_per_model_and_protocol(monkeypatch):
     original = parley.agents.offered_roles
     calls: Counter = Counter()
 
-    def counted(protocol_id, model, table, registry, preferences=()):
+    def counted(protocol_id, model, table, registry):
         calls[frozenset(model.entries.items()), protocol_id] += 1
-        return original(protocol_id, model, table, registry, preferences)
+        return original(protocol_id, model, table, registry)
 
     monkeypatch.setattr(parley.agents, "offered_roles", counted)
     scenario = scenario_from_dict(joint_fanout_scenario(Random(7), 9, 60, 30))
@@ -220,3 +221,40 @@ def test_a_dropped_run_leaves_no_machine_or_agent_alive(doc, agent_id, protocol_
     gc.collect()
     assert machine() is None
     assert agent() is None
+
+
+def _with_content_faults(doc: dict) -> dict:
+    for fault in doc["faults"]:
+        fault.pop("field", None)
+        fault.update(op="corrupt_content", path=["value"])
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _with_content_faults(individual_scenario(Random(4), SEQUENTIAL, 8)),
+        _with_content_faults(individual_scenario(Random(4), MIXED, 8)),
+        joint_fanout_scenario(Random(7), 6, 40, 20),
+    ],
+    ids=["sequential", "mixed", "joint_fanout"],
+)
+def test_a_run_leaves_no_cyclic_garbage(doc):
+    """Everything a run allocates is freed by reference counting, so the
+    collector it pauses has nothing to find afterwards."""
+    enabled = gc.isenabled()
+    gc.disable()  # no automatic collection may take the run's cycles first
+    try:
+        gc.collect()  # the caller's leftovers are not the run's
+        scenario = scenario_from_dict(doc)
+        runtime = build_runtime(scenario)
+        trace = runtime.run_until_quiescent()
+        summarize(scenario, runtime, trace)
+        render_trace(trace)
+        if doc.get("faults"):
+            assert any(e.kind == "fault" for e in trace)
+        del scenario, runtime, trace
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

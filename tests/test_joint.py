@@ -419,9 +419,9 @@ def _participant_world():
     return registry, model, table
 
 
-def _offers(registry, model, table, preferences=()):
+def _offers(registry, model, table):
     """The agent's offer per protocol id, as a participant computes it."""
-    return lambda pid: offered_roles(pid, model, table, registry, preferences)
+    return lambda pid: offered_roles(pid, model, table, registry)
 
 
 class TestParticipantMeta:
@@ -449,17 +449,6 @@ class TestParticipantMeta:
             offer=_offers(registry, model, table),
         )
         assert replies == [(READY_TO_SELECT, {"roles": ["request:replier"]})]
-
-    def test_preferences_rank_the_offer(self):
-        registry, model, table = _participant_world()
-        _, replies = participant_meta_step(
-            ParticipantMetaState(),
-            _msg(CALL_FOR_COLLABORATION, {"protocol": "ips", "task": "t1"}),
-            registry,
-            willing=lambda p, t: True,
-            offer=_offers(registry, model, table, (RoleRef("request", "replier"),)),
-        )
-        assert replies == [(READY_TO_SELECT, {"roles": ["request:replier", "ips:replier"]})]
 
     def test_unwilling_agent_declines(self):
         registry, model, table = _participant_world()

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import json
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,8 +29,10 @@ from parley.runtime import (
     render_trace,
     write_trace,
 )
+from parley.scenario import build_runtime, scenario_from_dict
 
 from .generators import CONTENT_KEYS, content_trees, fault_streams
+from .helpers import joint_scenario
 from .oracles import oracle_apply_faults, oracle_render
 
 
@@ -54,6 +58,18 @@ class Recorder(AgentBase):
 
     def on_message(self, rt, m):
         self.got.append(m)
+
+
+class Bouncer(AgentBase):
+    """Sends every delivery straight back: a zero-delay livelock."""
+
+    def on_message(self, rt, m):
+        rt.schedule_send(msg(self.name, m.sender))
+
+
+class Crasher(AgentBase):
+    def on_message(self, rt, m):
+        raise RuntimeError("handler failed")
 
 
 class TestClock:
@@ -116,6 +132,59 @@ class TestCorruptionOps:
     def test_content_without_leaves_is_untouched(self):
         out = corrupt_content(msg("a", "b", content={}), ())
         assert out.content == {}
+
+
+class TestMessageImmutability:
+    def test_fields_cannot_be_assigned(self):
+        m = msg("a", "b")
+        for name in ("performative", "content", "language", "ontology", "sender",
+                     "receiver", "conversation_id", "reply_with", "in_reply_to"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, "changed")
+        assert m == msg("a", "b")
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda m: corrupt_structure(m, "performative"),
+            lambda m: corrupt_structure(m, "language"),
+            lambda m: corrupt_structure(m, "ontology"),
+            lambda m: corrupt_structure(m, "shape"),
+            lambda m: corrupt_content(m, ("x",)),
+            lambda m: corrupt_content(m, ("nope",)),
+        ],
+        ids=["performative", "language", "ontology", "shape", "content", "first-leaf"],
+    )
+    def test_corruption_returns_a_new_message(self, corrupt):
+        original = msg("a", "b", content={"x": "hello", "n": [1, {"y": "z"}]}, tag="r1")
+        out = corrupt(original)
+        assert out is not original
+        assert out != original
+        assert original == msg("a", "b", content={"x": "hello", "n": [1, {"y": "z"}]}, tag="r1")
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FaultSpec("c", 1, "corrupt_structure", structure_field="shape"),
+            FaultSpec("c", 1, "corrupt_content", path=("n", 1, "y")),
+        ],
+        ids=["structure", "content"],
+    )
+    def test_a_fault_leaves_the_noted_send_alone(self, spec):
+        content = {"x": "hello", "n": [1, {"y": "z"}]}
+        rt = SimRuntime(seed=0)
+        sink = Recorder("sink")
+        rt.register(sink)
+        rt.register(AgentBase("src"))
+        rt.inject_fault(spec)
+        sent = msg("src", "sink", content=content)
+        rt.schedule_send(sent)
+        rt.run_until_quiescent()
+        assert [e.kind for e in rt.trace] == ["send", "fault", "deliver"]
+        assert sink.got[0].content != content
+        assert sent.content is content
+        assert content == {"x": "hello", "n": [1, {"y": "z"}]}
+        assert rt.trace[0].payload["content"] == {"x": "hello", "n": [1, {"y": "z"}]}
 
 
 class TestSendAndDeliver:
@@ -219,10 +288,6 @@ class TestBudget:
             rt.run_until_quiescent()
 
     def test_zero_delay_livelock_is_cut_off(self):
-        class Bouncer(AgentBase):
-            def on_message(self, rt, m):
-                rt.schedule_send(msg(self.name, m.sender))
-
         rt = SimRuntime(seed=0)
         rt.register(Bouncer("left"))
         rt.register(Bouncer("right"))
@@ -234,6 +299,97 @@ class TestBudget:
         rt = SimRuntime(seed=0)
         with pytest.raises(ValueError):
             rt.run_until_quiescent(max_ticks=0)
+
+
+def _ends_normally():
+    rt = SimRuntime(seed=0)
+    rt.register(Recorder("sink"))
+    rt.register(AgentBase("src"))
+    rt.schedule_send(msg("src", "sink"), delay=3)
+    return rt, None
+
+
+def _ends_at_the_tick_budget():
+    rt = SimRuntime(seed=0, max_ticks=5)
+    rt.register(Recorder("sink"))
+    rt.register(AgentBase("src"))
+    rt.schedule_send(msg("src", "sink"), delay=9)
+    return rt, BudgetExceededError
+
+
+def _ends_at_the_per_tick_limit():
+    rt = SimRuntime(seed=0)
+    rt.register(Bouncer("left"))
+    rt.register(Bouncer("right"))
+    rt.schedule_send(msg("left", "right"))
+    return rt, BudgetExceededError
+
+
+def _ends_in_a_handler_error():
+    rt = SimRuntime(seed=0)
+    rt.register(Crasher("sink"))
+    rt.register(AgentBase("src"))
+    rt.schedule_send(msg("src", "sink"))
+    return rt, RuntimeError
+
+
+@pytest.fixture
+def restore_gc():
+    enabled, threshold = gc.isenabled(), gc.get_threshold()
+    yield
+    gc.set_threshold(*threshold)
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestCollectorPause:
+    """A run pauses automatic garbage collection and restores it."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "system",
+        [_ends_normally, _ends_at_the_tick_budget, _ends_at_the_per_tick_limit,
+         _ends_in_a_handler_error],
+        ids=["normal", "tick-budget", "per-tick-limit", "handler-error"],
+    )
+    def test_the_callers_setting_survives_the_run(self, system, enabled, restore_gc):
+        rt, error = system()
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        if error is None:
+            rt.run_until_quiescent()
+        else:
+            with pytest.raises(error):
+                rt.run_until_quiescent()
+        assert gc.isenabled() is enabled
+
+    def test_no_collection_starts_inside_a_run(self, restore_gc):
+        runtime = build_runtime(scenario_from_dict(joint_scenario(Random(3), 4, 8)))
+        started: list[bool] = []
+        inside = [False]
+
+        def note(phase, info):
+            if phase == "start":
+                started.append(inside[0])
+
+        gc.enable()
+        gc.collect()
+        gc.callbacks.append(note)
+        gc.set_threshold(1)  # any tracked allocation would start a collection
+        try:
+            inside[0] = True
+            runtime.run_until_quiescent()
+            inside[0] = False
+            gc.collect()  # the callback is live
+        finally:
+            gc.callbacks.remove(note)
+        assert len(runtime.trace) > 50
+        assert started and not any(started)
+        assert gc.isenabled()
 
 
 class TestFaultMechanics:

@@ -20,6 +20,7 @@ from parley.scenario import (
     SEQUENTIAL,
     build_runtime,
     parse_scenario,
+    require_own_initiators,
     run_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -166,6 +167,53 @@ class TestResolution:
         raw = minimal_raw(compatibility=[["ips:asker", "ips:phantom"]])
         with pytest.raises(UnresolvedReferenceError):
             parse_scenario(self._write(tmp_path, raw))
+
+
+def t1_joint_with_a_copy(**changes) -> dict:
+    """t1_joint with its task duplicated as t1b (``changes`` apply to the copy)."""
+    raw = json.loads(scenario_path("t1_joint").read_text(encoding="utf-8"))
+    raw["tasks"].append({**raw["tasks"][0], "id": "t1b", **changes})
+    return raw
+
+
+class TestTaskIdentity:
+    """A task needs its own id and its own initiator; otherwise one of
+    two tasks would never run and be reported with the other's outcome."""
+
+    def test_a_shared_initiator_is_rejected_naming_both_tasks(self):
+        scenario = scenario_from_dict(t1_joint_with_a_copy())
+        with pytest.raises(ParseError, match="tasks 't1' and 't1b' share the initiator 'q1'"):
+            require_own_initiators(scenario)
+        with pytest.raises(ParseError, match="share the initiator"):
+            run_scenario(scenario)
+
+    def test_a_shared_id_is_rejected_naming_both_tasks(self):
+        raw = t1_joint_with_a_copy(id="t1")
+        raw["agents"].append({**raw["agents"][0], "id": "q2"})
+        raw["tasks"][1]["initiator"] = "q2"
+        with pytest.raises(ParseError, match=r"tasks\[0\] and tasks\[1\] share the id 't1'"):
+            run_scenario(scenario_from_dict(raw))
+
+    def test_own_ids_and_initiators_pass(self):
+        raw = t1_joint_with_a_copy(initiator="q2")
+        raw["agents"].append({**raw["agents"][0], "id": "q2"})
+        _, summary = run_scenario(scenario_from_dict(raw))
+        assert [(t.task_id, t.outcome) for t in summary.tasks] == [
+            ("t1", "selected"), ("t1b", "selected"),
+        ]
+        assert all(t.messages > 0 for t in summary.tasks)
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_cli_exits_two(self, command, tmp_path, capsys):
+        path = tmp_path / "shared.json"
+        path.write_text(json.dumps(t1_joint_with_a_copy()), encoding="utf-8")
+        assert cli_main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "'t1' and 't1b'" in err
+
+    def test_bundled_scenarios_have_their_own_initiators(self):
+        for name in BUNDLED:
+            require_own_initiators(parse_scenario(scenario_path(name)))
 
 
 class TestSerialization:
