@@ -2,12 +2,19 @@
 
 Three families live here.  The joint-selection pair negotiates which
 protocol and roles to use before anything domain-level happens.  The
-individual-selection pair skips the negotiation: the opening domain
-message itself makes the counterpart pick roles, either one at a time
+individual-selection agents skip the negotiation: the opening domain
+message itself makes the responder pick roles, either one at a time
 (sequential, with purge-and-replace recovery) or all at once behind a
 control zone (mixed).  A small machine driver shared by the initiator
 and the sequential responder turns state machines into journaled
 message exchanges.
+
+The two responders share one base class.  It keeps a thread per
+conversation, drops what is not for a responder, runs the termination
+handshake and rejects an opening that no role takes; each responder
+adds only how it opens a thread, takes a later domain message and
+recovers from an error notice.  Every agent traces the end of its part
+of a conversation through one ``termination`` note.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from .joint import (
     participant_meta_step,
     select_largest_set,
 )
-from .machine import enabled_for_message, replay_state
+from .machine import _CASCADE_LIMIT, enabled_for_message, pick, replay_state
 from .mixed import (
     ControlZone,
     handle_error_mixed,
@@ -93,18 +100,6 @@ from .runtime import WAKE, AgentBase, SimRuntime
 #: termination-warning reasons that end the interaction for good
 FATAL_WARNINGS = frozenset({"exhausted", "no-viable-role"})
 
-_CASCADE_LIMIT = 8
-
-
-def _opening_rejection_kind(registry: ProtocolRegistry, refs, msg: Message) -> str:
-    """Nobody took the opening: content or structure complaint?"""
-    placed = []
-    for ref in refs:
-        protocol = registry[ref.protocol]
-        machine = protocol.roles[ref.role]
-        placed.append((machine, protocol, machine.initial_state))
-    return rejection_kind(placed, msg)
-
 
 def _message(
     performative: str,
@@ -126,6 +121,19 @@ def _message(
         reply_with=reply_with,
         in_reply_to=in_reply_to,
     )
+
+
+def _note_termination(rt: SimRuntime, conversation: str, agent: str, status: str, **extra) -> None:
+    """Trace that ``agent`` is done with ``conversation``."""
+    rt.note(
+        "termination",
+        {"conversation": conversation, "agent": agent, "status": status, **extra},
+    )
+
+
+def _error_notice(kind: str, msg: Message, detected_by: str) -> dict:
+    """The content of an error notice flagging ``msg``."""
+    return {"kind": kind, "tag": msg.reply_with or "", "detected-by": detected_by}
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +195,7 @@ class MachineDriver:
             in_reply_to=self.last_received_tag,
         )
 
-    def _fire(self, transition, input_event, rng: Random) -> Message | None:
+    def _fire(self, transition, input_event) -> Message | None:
         outputs: tuple = ()
         outgoing = None
         if transition.action.kind == "send":
@@ -216,9 +224,9 @@ class MachineDriver:
             ]
             if not ready:
                 break
-            t = ready[0] if len(ready) == 1 else rng.choice(ready)
+            t = pick(ready, rng)
             value = self.variables[t.trigger.variable]
-            outgoing = self._fire(t, DataChange(t.trigger.variable, value), rng)
+            outgoing = self._fire(t, DataChange(t.trigger.variable, value))
             if outgoing is not None:
                 sent.append(outgoing)
         return sent
@@ -237,8 +245,8 @@ class MachineDriver:
         if not enabled:
             raise ValueError(f"{self.ref} cannot take {msg.performative} in {self.state}")
         self.last_received_tag = msg.reply_with
-        t = enabled[0] if len(enabled) == 1 else rng.choice(enabled)
-        outgoing = self._fire(t, MessageReception(msg), rng)
+        t = pick(enabled, rng)
+        outgoing = self._fire(t, MessageReception(msg))
         sent = [outgoing] if outgoing is not None else []
         sent.extend(self.pump(rng))
         return sent
@@ -409,14 +417,7 @@ class JointInitiator(AgentBase):
                 "role": str(ref),
             },
         )
-        rt.note(
-            "termination",
-            {
-                "conversation": self.conversation,
-                "agent": self.name,
-                "status": "concluded",
-            },
-        )
+        _note_termination(rt, self.conversation, self.name, "concluded")
         self.inflight = None
         return True
 
@@ -500,14 +501,7 @@ class JointInitiator(AgentBase):
                     },
                 },
             )
-        rt.note(
-            "termination",
-            {
-                "conversation": self.conversation,
-                "agent": self.name,
-                "status": "concluded",
-            },
-        )
+        _note_termination(rt, self.conversation, self.name, "concluded")
 
     def _stop_agents(self, rt: SimRuntime, agents) -> None:
         for agent in sorted(agents):
@@ -519,14 +513,7 @@ class JointInitiator(AgentBase):
             "selection",
             {"task": self.task.task_id, "step": "failed", "reason": reason},
         )
-        rt.note(
-            "termination",
-            {
-                "conversation": self.conversation,
-                "agent": self.name,
-                "status": "failed",
-            },
-        )
+        _note_termination(rt, self.conversation, self.name, "failed")
 
     # -- message handling ----------------------------------------------------
 
@@ -633,14 +620,12 @@ class SelectionParticipant(AgentBase):
                 )
             )
         if new_state.phase == "assigned" and state.phase != "assigned":
-            rt.note(
-                "termination",
-                {
-                    "conversation": msg.conversation_id,
-                    "agent": self.name,
-                    "status": "selected",
-                    "role": str(new_state.assignment),
-                },
+            _note_termination(
+                rt,
+                msg.conversation_id,
+                self.name,
+                "selected",
+                role=str(new_state.assignment),
             )
 
 
@@ -681,7 +666,6 @@ class IndividualInitiator(AgentBase):
         self.driver: MachineDriver | None = None
         self.status: str | None = None  # None while running
         self.final_state: str | None = None
-        self.errors_reported = 0
         self.awaiting_notice = False
 
     @property
@@ -692,15 +676,7 @@ class IndividualInitiator(AgentBase):
         matched = match_task_to_protocols(self.task, self.model, self.registry)
         if not matched:
             self.status = "failed"
-            rt.note(
-                "termination",
-                {
-                    "conversation": self.conversation,
-                    "agent": self.name,
-                    "status": "failed",
-                    "reason": "no-protocol",
-                },
-            )
+            _note_termination(rt, self.conversation, self.name, "failed", reason="no-protocol")
             return
         protocol, role_id = matched[0]
         overrides = self.task.constraints.get("contents", {})
@@ -718,18 +694,15 @@ class IndividualInitiator(AgentBase):
         for outgoing in self.driver.pump(rt.rng):
             rt.schedule_send(outgoing)
 
+    def _send(self, rt: SimRuntime, performative: str, content: dict) -> None:
+        rt.schedule_send(
+            _message(performative, content, self.name, self.participant, self.conversation)
+        )
+
     def _conclude(self, rt: SimRuntime, status: str, **extra) -> None:
         self.status = status
         self.final_state = self.driver.state if self.driver else None
-        rt.note(
-            "termination",
-            {
-                "conversation": self.conversation,
-                "agent": self.name,
-                "status": status,
-                **extra,
-            },
-        )
+        _note_termination(rt, self.conversation, self.name, status, **extra)
 
     def on_message(self, rt: SimRuntime, msg: Message) -> None:
         if self.terminated or self.driver is None:
@@ -759,34 +732,107 @@ class IndividualInitiator(AgentBase):
         enabled = self.driver.accepting(msg)
         if not enabled:
             verdict = self.driver.rejection_kind(msg)
-            self.errors_reported += 1
-            rt.schedule_send(
-                _message(
-                    ERROR_NOTIFY,
-                    {
-                        "kind": verdict,
-                        "tag": msg.reply_with or "",
-                        "detected-by": "initiator",
-                    },
-                    self.name,
-                    self.participant,
-                    self.conversation,
-                )
-            )
+            self._send(rt, ERROR_NOTIFY, _error_notice(verdict, msg, INITIATOR_DETECTED))
             return
         for outgoing in self.driver.receive(msg, enabled, rt.rng):
             rt.schedule_send(outgoing)
         if self.driver.terminated and not self.awaiting_notice:
             self.awaiting_notice = True
-            rt.schedule_send(
-                _message(
-                    TERMINATION_NOTICE,
-                    {"state": self.driver.state},
-                    self.name,
-                    self.participant,
-                    self.conversation,
-                )
-            )
+            self._send(rt, TERMINATION_NOTICE, {"state": self.driver.state})
+
+
+# ---------------------------------------------------------------------------
+# Individual selection: what both responders share
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _Thread:
+    """One conversation a responder serves."""
+
+    peer: str
+    conversation: str
+    #: the roles that took the opening; None until one did
+    collection: RoleCollection | None = None
+    closed: bool = False
+
+
+class _Responder(AgentBase):
+    """The scaffolding of a responder that picks its roles individually.
+
+    It keeps one thread per conversation.  Wakes, selection
+    performatives, termination warnings and recover-at points are not
+    for it and are dropped; a termination notice is acknowledged and
+    closes the thread, and a closed thread ignores everything.  An
+    opening that no enacted participant role takes is flagged with an
+    error notice and fails the thread.  A subclass fills in three hooks:
+    ``_open(rt, thread, msg, takers)`` gets an opening and maps each
+    role that takes it to the transitions that do,
+    ``_on_domain(rt, thread, msg)`` every later domain message, and
+    ``_on_error_notice(rt, thread, msg)`` the initiator's error notices
+    once the thread is open.
+    """
+
+    thread_type = _Thread
+
+    def __init__(self, name: str, model: InteractionModel, registry: ProtocolRegistry) -> None:
+        super().__init__(name)
+        self.model = model
+        self.registry = registry
+        self.threads: dict[str, _Thread] = {}
+
+    def _reply(self, rt, thread, performative, content) -> None:
+        rt.schedule_send(
+            _message(performative, content, self.name, thread.peer, thread.conversation)
+        )
+
+    def _fail(self, rt: SimRuntime, thread: _Thread, reason: str) -> None:
+        self._reply(rt, thread, TERMINATION_WARNING, {"reason": reason})
+        _note_termination(rt, thread.conversation, self.name, "failed", reason=reason)
+        thread.closed = True
+
+    def _reject(self, rt: SimRuntime, thread: _Thread, msg: Message, kind: str) -> None:
+        """Flag a reception this side cannot take."""
+        self._reply(rt, thread, ERROR_NOTIFY, _error_notice(kind, msg, PARTICIPANT_DETECTED))
+
+    def on_message(self, rt: SimRuntime, msg: Message) -> None:
+        conversation = msg.conversation_id
+        thread = self.threads.get(conversation)
+        if thread is not None and thread.closed:
+            return
+        performative = msg.performative
+        if performative == WAKE or performative in SELECTION_PERFORMATIVES:
+            return
+        if thread is None:
+            thread = self.threads[conversation] = self.thread_type(msg.sender, conversation)
+        if performative == ERROR_NOTIFY:
+            if thread.collection is not None:
+                self._on_error_notice(rt, thread, msg)
+            return
+        if performative == TERMINATION_NOTICE:
+            self._reply(rt, thread, TERMINATION_NOTICE, {"state": "acknowledged"})
+            _note_termination(rt, conversation, self.name, "concluded")
+            thread.closed = True
+            return
+        if performative in (TERMINATION_WARNING, RECOVER_AT):
+            return
+        if thread.collection is not None:
+            self._on_domain(rt, thread, msg)
+            return
+        base = build_collection(self.model, self.registry, RoleKind.PARTICIPANT)
+        takers = receiving_roles(base, self.registry, msg)
+        if not takers:
+            # content or structure complaint, judged at every initial state
+            placed = []
+            for ref in base.available():
+                protocol = self.registry[ref.protocol]
+                machine = protocol.roles[ref.role]
+                placed.append((machine, protocol, machine.initial_state))
+            self._reject(rt, thread, msg, rejection_kind(placed, msg))
+            self._fail(rt, thread, "no-viable-role")
+            return
+        thread.collection = RoleCollection.of(takers)
+        self._open(rt, thread, msg, takers)
 
 
 # ---------------------------------------------------------------------------
@@ -795,17 +841,11 @@ class IndividualInitiator(AgentBase):
 
 
 @dataclass
-class _SequentialThread:
-    peer: str
-    conversation: str
-    collection: RoleCollection
-    journal: Journal
-    tagger: object
+class _SequentialThread(_Thread):
     driver: MachineDriver | None = None
-    closed: bool = False
 
 
-class SequentialResponder(AgentBase):
+class SequentialResponder(_Responder):
     """Picks one candidate role per conversation and swaps it on error.
 
     The opening message fixes the collection (every enacted participant
@@ -816,45 +856,21 @@ class SequentialResponder(AgentBase):
     from this side.
     """
 
-    def __init__(self, name: str, model: InteractionModel, registry: ProtocolRegistry) -> None:
-        super().__init__(name)
-        self.model = model
-        self.registry = registry
-        self.threads: dict[str, _SequentialThread] = {}
+    thread_type = _SequentialThread
+    on_message = _Responder.on_message
 
-    # -- helpers -------------------------------------------------------------
-
-    def _reply(self, rt, thread, performative, content) -> None:
-        rt.schedule_send(
-            _message(performative, content, self.name, thread.peer, thread.conversation)
-        )
-
-    def _fail(self, rt: SimRuntime, thread: _SequentialThread, reason: str) -> None:
-        self._reply(rt, thread, TERMINATION_WARNING, {"reason": reason})
-        rt.note(
-            "termination",
-            {
-                "conversation": thread.conversation,
-                "agent": self.name,
-                "status": "failed",
-                "reason": reason,
-            },
-        )
-        thread.closed = True
-
-    def _new_driver(self, thread: _SequentialThread, ref: RoleRef) -> MachineDriver:
-        driver = MachineDriver(
+    def _new_driver(
+        self, thread: _SequentialThread, ref: RoleRef, journal: Journal, tagger
+    ) -> MachineDriver:
+        return MachineDriver(
             ref,
             self.registry,
-            thread.journal,
-            thread.tagger,
+            journal,
+            tagger,
             me=self.name,
             peer=thread.peer,
             conversation=thread.conversation,
         )
-        return driver
-
-    # -- the two recovery paths ----------------------------------------------
 
     def _recover(
         self,
@@ -864,9 +880,10 @@ class SequentialResponder(AgentBase):
         culprit_method: str | None,
         error_input,
     ) -> None:
-        records = list(thread.journal.records)
+        driver = thread.driver
+        records = list(driver.journal.records)
         prefix = records[: error.location - 1]
-        thread.collection.remove(thread.driver.ref)
+        thread.collection.remove(driver.ref)
         replayed: dict[RoleRef, frozenset[str]] = {}  # each prefix replayed once
         purged = purge_collection(
             thread.collection,
@@ -893,9 +910,9 @@ class SequentialResponder(AgentBase):
             own_point,
             error.offending if error.detected_by == PARTICIPANT_DETECTED else None,
         )
-        truncate_own(thread.journal, own_point)
+        truncate_own(driver.journal, own_point)
         thread.collection.activate(replacement)
-        thread.driver = self._new_driver(thread, replacement)
+        thread.driver = self._new_driver(thread, replacement, driver.journal, driver.tagger)
         thread.driver.replay()
         rt.note(
             "recovery",
@@ -913,108 +930,33 @@ class SequentialResponder(AgentBase):
         for outgoing in thread.driver.resume(refire, rt.rng):
             rt.schedule_send(outgoing)
 
-    # -- message handling ------------------------------------------------------
+    def _open(self, rt, thread: _SequentialThread, msg: Message, takers) -> None:
+        chosen = pick(list(takers), rt.rng)
+        thread.collection.activate(chosen)
+        journal = Journal(owner=self.name, conversation_id=thread.conversation)
+        thread.driver = self._new_driver(thread, chosen, journal, sequence_tagger(self.name))
+        rt.note(
+            "selection",
+            {
+                "conversation": thread.conversation,
+                "agent": self.name,
+                "step": "role-instantiated",
+                "role": str(chosen),
+                "collection": [str(r) for r in thread.collection.available()],
+            },
+        )
+        for outgoing in thread.driver.receive(msg, takers[chosen], rt.rng):
+            rt.schedule_send(outgoing)
 
-    def on_message(self, rt: SimRuntime, msg: Message) -> None:
-        conversation = msg.conversation_id
-        thread = self.threads.get(conversation)
-        if thread is not None and thread.closed:
-            return
-        performative = msg.performative
-        if performative == WAKE or performative in SELECTION_PERFORMATIVES:
-            return
-        if thread is None:
-            thread = _SequentialThread(
-                peer=msg.sender,
-                conversation=conversation,
-                collection=RoleCollection.of(()),
-                journal=Journal(owner=self.name, conversation_id=conversation),
-                tagger=sequence_tagger(self.name),
-            )
-            self.threads[conversation] = thread
-        if performative == ERROR_NOTIFY:
-            if thread.driver is None:
-                return
-            kind = msg.content.get("kind", WRONG_STRUCTURE)
-            tag = msg.content.get("tag", "")
-            location = locate_emission(thread.journal.records, tag)
-            if location == 0:
-                return  # notice about a message this journal never sent
-            record = thread.journal.records[location - 1]
-            offending = record.emissions()[0]
-            error = InteractionError(
-                kind=kind,
-                location=location,
-                offending=offending,
-                detected_by=INITIATOR_DETECTED,
-            )
-            self._recover(
-                rt,
-                thread,
-                error,
-                culprit_method=record.method,
-                error_input=record.input_event,
-            )
-            return
-        if performative == TERMINATION_NOTICE:
-            self._reply(rt, thread, TERMINATION_NOTICE, {"state": "acknowledged"})
-            rt.note(
-                "termination",
-                {
-                    "conversation": conversation,
-                    "agent": self.name,
-                    "status": "concluded",
-                },
-            )
-            thread.closed = True
-            return
-        if performative in (TERMINATION_WARNING, RECOVER_AT):
-            return
-        # -- a domain message --------------------------------------------------
-        if thread.driver is None:
-            base = build_collection(self.model, self.registry, RoleKind.PARTICIPANT)
-            takers = receiving_roles(base, self.registry, msg)
-            thread.collection = RoleCollection.of(takers)
-            if not takers:
-                kind = _opening_rejection_kind(self.registry, base.available(), msg)
-                self._reply(
-                    rt,
-                    thread,
-                    ERROR_NOTIFY,
-                    {"kind": kind, "tag": msg.reply_with or "", "detected-by": "participant"},
-                )
-                self._fail(rt, thread, "no-viable-role")
-                return
-            refs = list(takers)
-            chosen = refs[0] if len(refs) == 1 else rt.rng.choice(refs)
-            thread.collection.activate(chosen)
-            thread.driver = self._new_driver(thread, chosen)
-            rt.note(
-                "selection",
-                {
-                    "conversation": conversation,
-                    "agent": self.name,
-                    "step": "role-instantiated",
-                    "role": str(chosen),
-                    "collection": [str(r) for r in thread.collection.available()],
-                },
-            )
-            for outgoing in thread.driver.receive(msg, takers[chosen], rt.rng):
-                rt.schedule_send(outgoing)
-            return
+    def _on_domain(self, rt, thread: _SequentialThread, msg: Message) -> None:
         enabled = thread.driver.accepting(msg)
         if enabled:
             for outgoing in thread.driver.receive(msg, enabled, rt.rng):
                 rt.schedule_send(outgoing)
             return
         verdict = thread.driver.rejection_kind(msg)
-        location = len(thread.journal.records) + 1
-        self._reply(
-            rt,
-            thread,
-            ERROR_NOTIFY,
-            {"kind": verdict, "tag": msg.reply_with or "", "detected-by": "participant"},
-        )
+        location = len(thread.driver.journal) + 1
+        self._reject(rt, thread, msg, verdict)
         error = InteractionError(
             kind=verdict,
             location=location,
@@ -1023,6 +965,28 @@ class SequentialResponder(AgentBase):
         )
         self._recover(rt, thread, error, culprit_method=None, error_input=None)
 
+    def _on_error_notice(self, rt, thread: _SequentialThread, msg: Message) -> None:
+        kind = msg.content.get("kind", WRONG_STRUCTURE)
+        tag = msg.content.get("tag", "")
+        records = thread.driver.journal.records
+        location = locate_emission(records, tag)
+        if location == 0:
+            return  # notice about a message this journal never sent
+        record = records[location - 1]
+        error = InteractionError(
+            kind=kind,
+            location=location,
+            offending=record.emissions()[0],
+            detected_by=INITIATOR_DETECTED,
+        )
+        self._recover(
+            rt,
+            thread,
+            error,
+            culprit_method=record.method,
+            error_input=record.input_event,
+        )
+
 
 # ---------------------------------------------------------------------------
 # Individual selection: mixed responder
@@ -1030,15 +994,12 @@ class SequentialResponder(AgentBase):
 
 
 @dataclass
-class _MixedThread:
-    peer: str
-    conversation: str
+class _MixedThread(_Thread):
     zone: ControlZone | None = None
     opening: Message | None = None
-    closed: bool = False
 
 
-class MixedResponder(AgentBase):
+class MixedResponder(_Responder):
     """Runs every candidate role at once behind a control zone.
 
     The opening message instantiates the whole collection; one
@@ -1048,29 +1009,8 @@ class MixedResponder(AgentBase):
     rewind the shared journal to a point every woken role can retrace.
     """
 
-    def __init__(self, name: str, model: InteractionModel, registry: ProtocolRegistry) -> None:
-        super().__init__(name)
-        self.model = model
-        self.registry = registry
-        self.threads: dict[str, _MixedThread] = {}
-
-    def _reply(self, rt, thread, performative, content) -> None:
-        rt.schedule_send(
-            _message(performative, content, self.name, thread.peer, thread.conversation)
-        )
-
-    def _fail(self, rt: SimRuntime, thread: _MixedThread, reason: str) -> None:
-        self._reply(rt, thread, TERMINATION_WARNING, {"reason": reason})
-        rt.note(
-            "termination",
-            {
-                "conversation": thread.conversation,
-                "agent": self.name,
-                "status": "failed",
-                "reason": reason,
-            },
-        )
-        thread.closed = True
+    thread_type = _MixedThread
+    on_message = _Responder.on_message
 
     def _send_selected(self, rt: SimRuntime, thread: _MixedThread) -> None:
         outgoing = select_outgoing(thread.zone, self.registry, rt.rng)
@@ -1118,105 +1058,61 @@ class MixedResponder(AgentBase):
             offending = None
         self._fail(rt, thread, "exhausted")
 
-    def on_message(self, rt: SimRuntime, msg: Message) -> None:
-        conversation = msg.conversation_id
-        thread = self.threads.get(conversation)
-        if thread is not None and thread.closed:
+    def _open(self, rt, thread: _MixedThread, msg: Message, takers) -> None:
+        thread.opening = msg
+        thread.zone = instantiate_all(
+            thread.collection,
+            self.registry,
+            msg,
+            sequence_tagger(self.name),
+            rt.rng,
+            receptions=takers,
+        )
+        rt.note(
+            "selection",
+            {
+                "conversation": thread.conversation,
+                "agent": self.name,
+                "step": "all-instantiated",
+                "collection": [str(r) for r in sorted(thread.zone.instances)],
+                "candidates": len(thread.zone.outbox),
+            },
+        )
+        if not thread.zone.outbox:
+            self._fail(rt, thread, "no-viable-role")
             return
-        performative = msg.performative
-        if performative == WAKE or performative in SELECTION_PERFORMATIVES:
-            return
-        if thread is None:
-            thread = _MixedThread(peer=msg.sender, conversation=conversation)
-            self.threads[conversation] = thread
-        if performative == ERROR_NOTIFY:
-            if thread.zone is None or not thread.zone.sent_history:
-                return
-            kind = msg.content.get("kind", WRONG_STRUCTURE)
-            failed = thread.zone.sent_history[-1]
-            substitute = handle_error_mixed(thread.zone, self.registry, kind, rt.rng)
-            if substitute is not None:
-                rt.note(
-                    "recovery",
-                    {
-                        "conversation": conversation,
-                        "agent": self.name,
-                        "action": "replacement",
-                        "kind": kind,
-                        "tag": substitute.reply_with,
-                    },
-                )
-                rt.schedule_send(substitute)
-                return
-            location = 1
-            if failed is not None:
-                location = max(1, len(thread.zone.journal) - len(failed.records) + 1)
-            self._wake_parked(rt, thread, location, offending=None)
-            return
-        if performative == TERMINATION_NOTICE:
-            self._reply(rt, thread, TERMINATION_NOTICE, {"state": "acknowledged"})
-            rt.note(
-                "termination",
-                {
-                    "conversation": conversation,
-                    "agent": self.name,
-                    "status": "concluded",
-                },
-            )
-            thread.closed = True
-            return
-        if performative in (TERMINATION_WARNING, RECOVER_AT):
-            return
-        # -- a domain message --------------------------------------------------
-        if thread.zone is None:
-            base = build_collection(self.model, self.registry, RoleKind.PARTICIPANT)
-            takers = receiving_roles(base, self.registry, msg)
-            if not takers:
-                kind = _opening_rejection_kind(self.registry, base.available(), msg)
-                self._reply(
-                    rt,
-                    thread,
-                    ERROR_NOTIFY,
-                    {"kind": kind, "tag": msg.reply_with or "", "detected-by": "participant"},
-                )
-                self._fail(rt, thread, "no-viable-role")
-                return
-            thread.opening = msg
-            thread.zone = instantiate_all(
-                RoleCollection.of(takers),
-                self.registry,
-                msg,
-                sequence_tagger(self.name),
-                rt.rng,
-                receptions=takers,
-            )
-            rt.note(
-                "selection",
-                {
-                    "conversation": conversation,
-                    "agent": self.name,
-                    "step": "all-instantiated",
-                    "collection": [str(r) for r in sorted(thread.zone.instances)],
-                    "candidates": len(thread.zone.outbox),
-                },
-            )
-            if not thread.zone.outbox:
-                self._fail(rt, thread, "no-viable-role")
-                return
-            self._send_selected(rt, thread)
-            return
+        self._send_selected(rt, thread)
+
+    def _on_domain(self, rt, thread: _MixedThread, msg: Message) -> None:
         verdict = handle_incoming(thread.zone, self.registry, msg, rt.rng)
         if verdict is None:
             if thread.zone.outbox:
                 self._send_selected(rt, thread)
             return
-        self._reply(
-            rt,
-            thread,
-            ERROR_NOTIFY,
-            {"kind": verdict, "tag": msg.reply_with or "", "detected-by": "participant"},
-        )
+        self._reject(rt, thread, msg, verdict)
         stop_active(thread.zone)
         self._wake_parked(
             rt, thread, location=len(thread.zone.journal) + 1, offending=msg
         )
+
+    def _on_error_notice(self, rt, thread: _MixedThread, msg: Message) -> None:
+        if not thread.zone.sent_history:
+            return
+        kind = msg.content.get("kind", WRONG_STRUCTURE)
+        failed = thread.zone.sent_history[-1]
+        substitute = handle_error_mixed(thread.zone, self.registry, kind, rt.rng)
+        if substitute is not None:
+            rt.note(
+                "recovery",
+                {
+                    "conversation": thread.conversation,
+                    "agent": self.name,
+                    "action": "replacement",
+                    "kind": kind,
+                    "tag": substitute.reply_with,
+                },
+            )
+            rt.schedule_send(substitute)
+            return
+        location = max(1, len(thread.zone.journal) - len(failed.records) + 1)
+        self._wake_parked(rt, thread, location, offending=None)

@@ -19,10 +19,6 @@ class ProtocolViolationError(ParleyError):
     """A meta-protocol message arrived that the current state forbids."""
 
 
-class TransportDownError(ParleyError):
-    """The underlying transport failed while a selection was running."""
-
-
 class CyclicFatherRelationError(ParleyError):
     """The declared father relation of a protocol is not a forest."""
 

@@ -21,11 +21,12 @@ from enum import Enum
 from random import Random
 
 from .errors import NoViableRoleError, PointOutOfRangeError
-from .journal import Journal, JournalRecord, MessageReception
+from .journal import Journal, MessageReception
 from .machine import (
-    trigger_matches,
     enabled_for_message,
+    pick,
     replay_states,
+    trigger_matches,
     weak_schema_ids,
 )
 from .model import Message, Protocol, ProtocolRegistry, RoleRef, Transition
@@ -111,9 +112,6 @@ class RoleCollection:
     def remove(self, ref: RoleRef) -> None:
         if ref in self.statuses:
             self.statuses[ref] = RoleStatus.REMOVED
-
-    def exhausted(self) -> bool:
-        return not self.available() and self.active() is None
 
 
 def build_collection(model, registry: ProtocolRegistry, kind) -> RoleCollection:
@@ -308,9 +306,7 @@ def select_replacement_role(
             scores[ref] = len(pending & weak_schema_ids(machine))
         top = max(scores.values())
         winners = [ref for ref in candidates if scores[ref] == top]
-        if len(winners) == 1:
-            return winners[0]
-        return rng.choice(winners)
+        return pick(winners, rng)
     return rng.choice(candidates)
 
 

@@ -14,19 +14,20 @@ accept the first agreeable agent, single-role many-instance protocols
 pick the role backed by the largest candidate set, and multi-role
 protocols allocate one agent per role along the protocol's father
 forest.
+
+This module holds the pure parts: the matrix and its exploration
+order, the participant's step through the exchange and the three
+arbitration rules.  The exchange itself runs on the bus, one-to-one
+and broadcast alike, in :class:`parley.agents.JointInitiator`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Iterable, Protocol as TypingProtocol
+from typing import Callable, Iterable
 
-from .errors import (
-    CyclicFatherRelationError,
-    ProtocolViolationError,
-    TransportDownError,
-)
+from .errors import CyclicFatherRelationError, ProtocolViolationError
 from .model import (
     CALL_FOR_COLLABORATION,
     NOTIFY_ASSIGNMENT,
@@ -163,7 +164,7 @@ class OneNSolution:
 
 @dataclass(frozen=True)
 class SelectionFailure:
-    reason: str  # "exhausted" | "transport" | ...
+    reason: str  # "exhausted": every vector was tried without a deal
 
 
 JointOutcome = OneOneSolution | OneOneNSolution | OneNSolution | SelectionFailure
@@ -516,18 +517,8 @@ def assign_roles_1_n(
 
 
 # ---------------------------------------------------------------------------
-# One-to-one selection over a synchronous transport
+# Arbitration: first acceptable role (one-to-one)
 # ---------------------------------------------------------------------------
-
-
-class Transport(TypingProtocol):
-    """Synchronous request/reply channel used by run_joint_1_1."""
-
-    def ask(self, agent: str, performative: str, content: dict) -> tuple[str, dict]:
-        """Send and wait for the reply; raises TransportDownError."""
-
-    def tell(self, agent: str, performative: str, content: dict) -> None:
-        """Send without waiting for an answer."""
 
 
 def acceptable_role(
@@ -544,45 +535,3 @@ def acceptable_role(
         if ref.role in protocol.roles and protocol.roles[ref.role].kind is RoleKind.PARTICIPANT:
             return ref
     return None
-
-
-def run_joint_1_1(
-    task: TaskDescription,
-    matrix: CandidateMatrix,
-    transport: Transport,
-    registry: ProtocolRegistry,
-    mode: str = PROTOCOL_ORIENTED,
-) -> JointOutcome:
-    """Drive a complete one-to-one selection over a transport.
-
-    Agents of the current vector are contacted one after the other and
-    the first acceptable role wins; a vector exhausted without a deal
-    sends the exploration to the next one.
-    """
-    identified = frozenset(matrix.protocols)
-    explored: set[str] = set()
-    try:
-        while True:
-            vector = next_vector(matrix, mode, explored)
-            if vector is None:
-                return SelectionFailure(reason="exhausted")
-            explored.add(vector)
-            if mode == PROTOCOL_ORIENTED:
-                pairs = [(vector, agent) for agent in matrix.row(vector)]
-            else:
-                pairs = [(protocol, vector) for protocol in matrix.column(vector)]
-            for protocol_id, agent in pairs:
-                performative, content = transport.ask(
-                    agent,
-                    CALL_FOR_COLLABORATION,
-                    {"protocol": protocol_id, "task": task.task_id},
-                )
-                if performative == READY_TO_SELECT:
-                    roles = [RoleRef.parse(r) for r in content.get("roles", [])]
-                    ref = acceptable_role(roles, identified, registry)
-                    if ref is not None:
-                        transport.tell(agent, NOTIFY_ASSIGNMENT, {"role": str(ref)})
-                        return OneOneSolution(agent=agent, protocol=ref.protocol, role=ref)
-                transport.tell(agent, STOP_SELECTION, {})
-    except TransportDownError:
-        return SelectionFailure(reason="transport")

@@ -75,26 +75,3 @@ class Journal:
 
     def __len__(self) -> int:
         return len(self.records)
-
-
-def _render_event(event) -> str:
-    if isinstance(event, MessageReception):
-        return f"MessageReception({event.message.performative}#{event.message.reply_with})"
-    if isinstance(event, MessageEmission):
-        return f"MessageEmission({event.message.performative}#{event.message.reply_with})"
-    return f"DataChange({event.variable}={event.value!r})"
-
-
-def dump_journal(journal: Journal) -> str:
-    """Render a journal, one record per line:
-
-    ``seq | method | input(payload) | [output events]``
-    """
-    lines = []
-    for record in journal.records:
-        outs = ", ".join(_render_event(ev) for ev in record.output_events)
-        lines.append(
-            f"{record.seq} | {record.method} | "
-            f"{_render_event(record.input_event)} | [{outs}]"
-        )
-    return "\n".join(lines)

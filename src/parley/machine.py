@@ -2,15 +2,26 @@
 
 The simulator drives each role as a plain transition system; this
 module answers the questions the drivers keep asking: which
-transitions can fire on this input, can this machine replay that
-journal prefix, and which messages are "weak" (their emission or
-reception can only end the interaction).
+transitions can fire on this input, which one fires when several can,
+which states replay a journal prefix, and which messages are "weak"
+(their emission or reception can only end the interaction).
 """
 
 from __future__ import annotations
 
+from random import Random
+
 from .journal import DataChange, JournalRecord, MessageEmission, MessageReception
 from .model import Message, Protocol, RoleStateMachine, Transition
+
+#: bound on the cascade of internal transitions one input sets off
+_CASCADE_LIMIT = 8
+
+
+def pick(options, rng: Random):
+    """A seeded draw among ``options``: a lone option is taken without
+    touching the stream, more go through ``rng.choice``."""
+    return options[0] if len(options) == 1 else rng.choice(options)
 
 
 def enabled_for_message(
@@ -87,14 +98,6 @@ def replay_states(
             return frozenset()
         here = nxt
     return frozenset(here)
-
-
-def can_replay(
-    machine: RoleStateMachine,
-    protocol: Protocol,
-    records: list[JournalRecord] | tuple[JournalRecord, ...],
-) -> bool:
-    return bool(replay_states(machine, protocol, records)) or not records
 
 
 def replay_state(

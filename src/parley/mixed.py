@@ -40,8 +40,10 @@ from .journal import (
     MessageReception,
 )
 from .machine import (
+    _CASCADE_LIMIT,
     enabled_for_message,
     enabled_for_variable,
+    pick,
     replay_state,
     weak_schema_ids,
 )
@@ -51,8 +53,6 @@ from .patterns import fill_pattern
 ACTIVE = "active"
 DEACTIVATED = "deactivated"
 STOPPED = "stopped"
-
-_CASCADE_LIMIT = 8
 
 
 @dataclass
@@ -99,9 +99,6 @@ class ControlZone:
     stamp_counter: int = 0
     last_received_tag: str | None = None
 
-    def instance(self, ref: RoleRef) -> RoleInstance:
-        return self.instances[ref]
-
     def active(self) -> list[RoleInstance]:
         return [
             self.instances[r]
@@ -115,9 +112,6 @@ class ControlZone:
             for r in sorted(self.instances)
             if self.instances[r].activation == DEACTIVATED
         ]
-
-    def exhausted(self) -> bool:
-        return not self.active() and not self.deactivated()
 
 
 def sequence_tagger(prefix: str) -> Callable[[], str]:
@@ -138,12 +132,6 @@ def same_signature(a: Message, b: Message) -> bool:
         and a.ontology == b.ontology
         and a.content == b.content
     )
-
-
-def zone_coherent(cz: ControlZone) -> bool:
-    """All active instances' last replies carry one signature."""
-    generated = [inst.last_message for inst in cz.active() if inst.last_message is not None]
-    return all(same_signature(generated[0], m) for m in generated[1:]) if generated else True
 
 
 def stop_active(cz: ControlZone) -> list[RoleRef]:
@@ -210,7 +198,7 @@ def _run_step(
         if not nexts:
             return None
         input_event = outputs[0]
-        t = nexts[0] if len(nexts) == 1 else rng.choice(nexts)
+        t = pick(nexts, rng)
     return None
 
 
@@ -227,7 +215,7 @@ def _generate(
     transitions found to accept it."""
     if not receptions:
         return None
-    t = receptions[0] if len(receptions) == 1 else rng.choice(receptions)
+    t = pick(receptions, rng)
     return _run_step(
         cz, instance, protocol, t, MessageReception(msg), msg.content, tag_value, rng
     )
@@ -342,7 +330,7 @@ def handle_refire(cz: ControlZone, registry: ProtocolRegistry, event, rng: Rando
             instance.activation = STOPPED
             instance.last_message = None
             continue
-        t = nexts[0] if len(nexts) == 1 else rng.choice(nexts)
+        t = pick(nexts, rng)
         entry = _run_step(cz, instance, protocol, t, event, event.value, tag_value, rng)
         instance.last_message = entry.message if entry else None
         if entry is not None:
@@ -360,7 +348,7 @@ def _draw(entries: list[OutboxEntry], registry: ProtocolRegistry, rng: Random) -
     interaction alive, draw by seed within the preferred batch."""
     sturdy = [e for e in entries if not _entry_is_weak(e, registry)]
     pool = sturdy or entries
-    return pool[0] if len(pool) == 1 else rng.choice(pool)
+    return pick(pool, rng)
 
 
 def select_outgoing(cz: ControlZone, registry: ProtocolRegistry, rng: Random) -> Message:
@@ -554,22 +542,3 @@ def reactivate(
         weak_guard=weak_guard and any_send,
         restart=own_point == 1,
     )
-
-
-# ---------------------------------------------------------------------------
-# Snapshots
-# ---------------------------------------------------------------------------
-
-
-def dump_control_zone(cz: ControlZone) -> str:
-    """The journal dump plus one activation line per instance."""
-    from .journal import dump_journal
-
-    lines = [dump_journal(cz.journal)] if len(cz.journal) else []
-    for ref in sorted(cz.instances):
-        instance = cz.instances[ref]
-        lines.append(
-            f"{ref.protocol}:{ref.role} | {instance.activation} | "
-            f"stamp={instance.stamp} | state={instance.state}"
-        )
-    return "\n".join(lines)

@@ -63,18 +63,6 @@ CONTROL_PERFORMATIVES = frozenset(
 RESERVED_PERFORMATIVES = SELECTION_PERFORMATIVES | CONTROL_PERFORMATIVES
 
 
-def is_selection_performative(name: str) -> bool:
-    return name in SELECTION_PERFORMATIVES
-
-
-def is_control_performative(name: str) -> bool:
-    return name in CONTROL_PERFORMATIVES
-
-
-def is_domain_performative(name: str) -> bool:
-    return name not in RESERVED_PERFORMATIVES
-
-
 # ---------------------------------------------------------------------------
 # Role references
 # ---------------------------------------------------------------------------

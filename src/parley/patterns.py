@@ -53,27 +53,6 @@ def validate_pattern(pattern: Any, path: str = "$") -> list[str]:
     return problems
 
 
-def validate_content(content: Any, path: str = "$") -> list[str]:
-    """Like validate_pattern but wildcards are not allowed anywhere."""
-    problems = validate_pattern(content, path)
-    for wpath in _wildcard_paths(content, path):
-        problems.append(f"{wpath}: wildcard not allowed in concrete content")
-    return problems
-
-
-def _wildcard_paths(tree: Any, path: str) -> list[str]:
-    found: list[str] = []
-    if isinstance(tree, dict):
-        for key, sub in tree.items():
-            found.extend(_wildcard_paths(sub, f"{path}.{key}"))
-    elif isinstance(tree, list):
-        for idx, sub in enumerate(tree):
-            found.extend(_wildcard_paths(sub, f"{path}[{idx}]"))
-    elif is_wildcard(tree):
-        found.append(path)
-    return found
-
-
 def shape_matches(pattern: Any, value: Any) -> bool:
     """Structural agreement only: keys, lengths, leaf positions."""
     if isinstance(pattern, dict):

@@ -28,7 +28,6 @@ from .joint import AGENT_ORIENTED, PROTOCOL_ORIENTED, SelectionFailure
 from .model import (
     CompatibilityTable,
     InteractionModel,
-    Protocol,
     ProtocolRegistry,
     RoleRef,
     TaskDescription,
@@ -83,6 +82,8 @@ class Scenario:
 
 
 def _require(raw: dict, key: str, where: str):
+    if not isinstance(raw, dict):
+        raise ParseError(f"{where}: expected a JSON object, got {raw!r:.40}")
     if key not in raw:
         raise ParseError(f"{where}: missing {key!r}")
     return raw[key]

@@ -375,6 +375,21 @@ def oracle_same_signature(a: dict, b: dict) -> bool:
     return key(a) == key(b) and a["content"] == b["content"]
 
 
+def oracle_zone_coherent(zone) -> bool:
+    """The active instances of a control zone agree: the replies they
+    generated last (those that generated one) share one signature.
+
+    zone: a control zone; only each instance's ``activation`` and
+    ``last_message`` are read.
+    """
+    generated = [
+        instance.last_message._asdict()
+        for instance in zone.instances.values()
+        if instance.activation == "active" and instance.last_message is not None
+    ]
+    return all(oracle_same_signature(generated[0], m) for m in generated[1:])
+
+
 def oracle_render(events: list[tuple[object, str, dict]]) -> str:
     """The JSON Lines trace, one ``json.dumps`` per event.
 

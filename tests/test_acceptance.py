@@ -59,6 +59,7 @@ from .oracles import (
     oracle_assignment_valid,
     oracle_largest_set,
     oracle_recovery_points,
+    oracle_zone_coherent,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -430,8 +431,6 @@ def assert_no_concurrent_participant_messages(trace, initiator: str, conversatio
 
 
 def run_mixed_invariant_battery(raw: dict) -> dict:
-    from parley.mixed import zone_coherent
-
     scenario = scenario_from_dict(raw)
     runtime = build_runtime(scenario)
     trace = runtime.run_until_quiescent()
@@ -458,7 +457,7 @@ def run_mixed_invariant_battery(raw: dict) -> dict:
     responder = runtime.agents[scenario.agents[1].agent_id]
     for thread in responder.threads.values():
         if thread.zone is not None:
-            assert zone_coherent(thread.zone)
+            assert oracle_zone_coherent(thread.zone)
 
     assert_no_concurrent_participant_messages(trace, initiator, conversation)
     return {"status": status, "recoveries": recoveries}

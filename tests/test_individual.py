@@ -182,7 +182,6 @@ class TestRoleCollection:
         collection = server_collection()
         assert collection.available() == [server(pid) for pid in SERVER_PROTOCOLS]
         assert collection.active() is None
-        assert not collection.exhausted()
 
     def test_activation_moves_one_role_out_of_the_pool(self):
         collection = server_collection()
@@ -214,14 +213,16 @@ class TestRoleCollection:
         collection = server_collection()
         for pid in SERVER_PROTOCOLS:
             collection.remove(server(pid))
-        assert collection.exhausted()
+        assert collection.available() == []
+        assert collection.active() is None
 
     def test_an_active_role_keeps_the_collection_alive(self):
         collection = server_collection()
         collection.activate(server("attr_query"))
         for pid in SERVER_PROTOCOLS[:-1]:
             collection.remove(server(pid))
-        assert not collection.exhausted()
+        assert collection.available() == []
+        assert collection.active() == server("attr_query")
 
 
 class TestBuildCollection:
@@ -367,7 +368,7 @@ class TestParticipantDetectedPurge:
             server("attr_lookup"),
             server("attr_probe"),
         ]
-        assert collection.exhausted()
+        assert collection.available() == [] and collection.active() is None
         with pytest.raises(NoViableRoleError):
             select_replacement_role(collection, registry, prefix, error, Random(1), replayed)
 
@@ -454,7 +455,7 @@ class TestParticipantPurgeDiscriminates:
         nudge = msg("request", {"note": 7}, sender="q2")
         collection, removed = self.purge(WRONG_CONTENT, nudge)
         assert removed == [server("deaf"), server("keen")]
-        assert collection.exhausted()
+        assert collection.available() == [] and collection.active() is None
 
     def test_content_error_keeps_roles_that_swallow_the_message(self):
         nudge = msg("request", {"note": "go on"}, sender="q2")

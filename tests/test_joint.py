@@ -8,11 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parley.errors import (
-    CyclicFatherRelationError,
-    ProtocolViolationError,
-    TransportDownError,
-)
+from parley.agents import JointInitiator
+from parley.errors import CyclicFatherRelationError, ProtocolViolationError
 from parley.fixtures import bundled_protocol
 from parley.joint import (
     AGENT_ORIENTED,
@@ -28,7 +25,6 @@ from parley.joint import (
     next_vector,
     offered_roles,
     participant_meta_step,
-    run_joint_1_1,
     select_largest_set,
 )
 from parley.model import (
@@ -43,6 +39,7 @@ from parley.model import (
     RoleRef,
     TaskDescription,
 )
+from parley.runtime import AgentBase, SimRuntime
 
 from .generators import AGENT_POOL, forest_instances, largest_set_instances
 from .helpers import one_n_protocol, one_one_protocol
@@ -532,110 +529,143 @@ class TestParticipantMeta:
 
 
 # ---------------------------------------------------------------------------
-# One-to-one run over a scripted transport
+# One-to-one run on the bus, against scripted repliers
 # ---------------------------------------------------------------------------
 
 
-class ScriptedTransport:
-    """Replays canned replies; records every outgoing call."""
+class ScriptedReplier(AgentBase):
+    """Answers each call for collaboration with its next canned
+    ``(performative, content, delay)`` reply; logs every delivery."""
 
-    def __init__(self, script: dict[str, list[tuple[str, dict]]]):
-        self.script = {agent: list(replies) for agent, replies in script.items()}
-        self.log: list[tuple[str, str, str, dict]] = []
-        self.down = False
+    def __init__(self, name: str, replies: list[tuple[str, dict, int]], log: list) -> None:
+        super().__init__(name)
+        self.replies = list(replies)
+        self.log = log
 
-    def ask(self, agent, performative, content):
-        if self.down:
-            raise TransportDownError(agent)
-        self.log.append(("ask", agent, performative, content))
-        return self.script[agent].pop(0)
-
-    def tell(self, agent, performative, content):
-        self.log.append(("tell", agent, performative, content))
-
-    def message_count(self) -> int:
-        # an ask carries a call and a reply; a tell is one message
-        return sum(2 if kind == "ask" else 1 for kind, *_ in self.log)
+    def on_message(self, rt: SimRuntime, msg: Message) -> None:
+        self.log.append((self.name, msg.performative, msg.content))
+        if msg.performative == CALL_FOR_COLLABORATION:
+            performative, content, delay = self.replies.pop(0)
+            reply = Message(
+                performative, content, "kv", "core", self.name, msg.sender, msg.conversation_id
+            )
+            rt.schedule_send(reply, delay=delay)
 
 
-def _registry():
-    return {"ips": one_one_protocol("ips"), "request": one_one_protocol("request")}
+READY_IPS = (READY_TO_SELECT, {"roles": ["ips:replier"]}, 0)
+READY_REQUEST = (READY_TO_SELECT, {"roles": ["request:replier"]}, 0)
+UNABLE = (UNABLE_TO_SELECT, {"reason": "unwilling"}, 0)
+
+
+def run_one_one(identified: dict[str, list[str]], script: dict, reply_deadline: int = 10):
+    """Run a joint initiator ``q1`` holding TASK over both one-to-one
+    protocols; return it, the runtime and the repliers' delivery log."""
+    registry = {"ips": one_one_protocol("ips"), "request": one_one_protocol("request")}
+    model = InteractionModel()
+    for protocol_id in registry:
+        model.extend(protocol_id, ["asker"])
+    rt = SimRuntime(seed=0)
+    initiator = JointInitiator(
+        "q1",
+        TASK,
+        model,
+        registry,
+        {p: tuple(agents) for p, agents in identified.items()},
+        reply_deadline=reply_deadline,
+    )
+    rt.register(initiator)
+    log: list = []
+    for agent, replies in script.items():
+        rt.register(ScriptedReplier(agent, replies, log))
+    rt.run_until_quiescent()
+    return initiator, rt, log
+
+
+def sent_by(rt: SimRuntime, sender: str) -> list[tuple[str, str]]:
+    """(receiver, performative) of every message ``sender`` sent to
+    another agent, in send order."""
+    return [
+        (p["to"], p["performative"])
+        for _, kind, p in rt.trace
+        if kind == "send" and p["from"] == sender and p["to"] != sender
+    ]
 
 
 class TestRunJoint11:
+    """One-to-one exploration: agent after agent, first acceptable role wins."""
+
     def test_first_acceptable_agent_wins(self):
-        ready = (READY_TO_SELECT, {"roles": ["ips:replier"]})
-        unable = (UNABLE_TO_SELECT, {"reason": "unwilling"})
-        transport = ScriptedTransport({"d1": [unable], "d2": [ready]})
-        matrix = build_candidate_matrix(
-            TASK, [(one_one_protocol("ips"), "asker")], {"ips": ["d1", "d2"]}
+        initiator, rt, log = run_one_one(
+            {"ips": ["d1", "d2", "d3"]}, {"d1": [UNABLE], "d2": [READY_IPS], "d3": []}
         )
-        got = run_joint_1_1(TASK, matrix, transport, _registry())
-        assert got == OneOneSolution(agent="d2", protocol="ips", role=RoleRef("ips", "replier"))
-        # d1 was stopped, d2 was assigned, and nobody else was contacted
-        assert ("tell", "d1", STOP_SELECTION, {}) in transport.log
-        assert ("tell", "d2", NOTIFY_ASSIGNMENT, {"role": "ips:replier"}) in transport.log
+        assert initiator.outcome == OneOneSolution(
+            agent="d2", protocol="ips", role=RoleRef("ips", "replier")
+        )
+        # a refusal is not stopped, the winner is assigned, and nobody
+        # after it is called
+        assert sent_by(rt, "q1") == [
+            ("d1", CALL_FOR_COLLABORATION),
+            ("d2", CALL_FOR_COLLABORATION),
+            ("d2", NOTIFY_ASSIGNMENT),
+        ]
+        assert not [entry for entry in log if entry[0] == "d3"]
 
     def test_initiator_roles_are_not_acceptable(self):
         # an offer listing only initiator-kind roles is declined
-        ready = (READY_TO_SELECT, {"roles": ["ips:asker"]})
-        transport = ScriptedTransport({"d1": [ready]})
-        matrix = build_candidate_matrix(
-            TASK, [(one_one_protocol("ips"), "asker")], {"ips": ["d1"]}
-        )
-        got = run_joint_1_1(TASK, matrix, transport, _registry())
-        assert got == SelectionFailure(reason="exhausted")
-        assert ("tell", "d1", STOP_SELECTION, {}) in transport.log
+        ready = (READY_TO_SELECT, {"roles": ["ips:asker"]}, 0)
+        initiator, rt, _ = run_one_one({"ips": ["d1"]}, {"d1": [ready]})
+        assert initiator.outcome == SelectionFailure(reason="exhausted")
+        assert sent_by(rt, "q1") == [("d1", CALL_FOR_COLLABORATION), ("d1", STOP_SELECTION)]
 
     def test_compatible_role_of_other_identified_protocol_accepted(self):
-        ready = (READY_TO_SELECT, {"roles": ["request:replier"]})
-        transport = ScriptedTransport({"d7": [ready]})
-        matrix = build_candidate_matrix(
-            TASK,
-            [(one_one_protocol("ips"), "asker"), (one_one_protocol("request"), "asker")],
-            {"ips": ["d7"]},
-        )
-        got = run_joint_1_1(TASK, matrix, transport, _registry())
-        assert got == OneOneSolution(
+        initiator, rt, _ = run_one_one({"ips": ["d7"]}, {"d7": [READY_REQUEST]})
+        assert initiator.outcome == OneOneSolution(
             agent="d7", protocol="request", role=RoleRef("request", "replier")
         )
+        assert ("d7", NOTIFY_ASSIGNMENT) in sent_by(rt, "q1")
 
     def test_exploration_moves_to_next_vector(self):
-        unable = (UNABLE_TO_SELECT, {"reason": "unwilling"})
-        ready = (READY_TO_SELECT, {"roles": ["request:replier"]})
-        transport = ScriptedTransport(
-            {"d1": [unable, unable], "d2": [unable], "d3": [ready]}
-        )
-        matrix = build_candidate_matrix(
-            TASK,
-            [(one_one_protocol("ips"), "asker"), (one_one_protocol("request"), "asker")],
+        initiator, _, log = run_one_one(
             {"ips": ["d1", "d2"], "request": ["d1", "d3"]},
+            {"d1": [UNABLE, UNABLE], "d2": [UNABLE], "d3": [READY_REQUEST]},
         )
-        got = run_joint_1_1(TASK, matrix, transport, _registry())
-        assert got == OneOneSolution(
+        assert initiator.outcome == OneOneSolution(
             agent="d3", protocol="request", role=RoleRef("request", "replier")
         )
-        asked = [(agent, content["protocol"]) for kind, agent, _, content in transport.log if kind == "ask"]
+        asked = [
+            (agent, content["protocol"])
+            for agent, performative, content in log
+            if performative == CALL_FOR_COLLABORATION
+        ]
         assert asked == [("d1", "ips"), ("d2", "ips"), ("d1", "request"), ("d3", "request")]
 
     def test_everybody_refusing_exhausts_the_matrix(self):
-        unable = (UNABLE_TO_SELECT, {"reason": "unwilling"})
-        transport = ScriptedTransport({a: [unable, unable] for a in INCIDENCES["ips"] + ["d3"]})
-        got = run_joint_1_1(TASK, canonical_matrix(), transport, _registry())
-        assert got == SelectionFailure(reason="exhausted")
+        agents = sorted(set(INCIDENCES["ips"]) | set(INCIDENCES["request"]))
+        initiator, _, _ = run_one_one(INCIDENCES, {a: [UNABLE, UNABLE] for a in agents})
+        assert initiator.outcome == SelectionFailure(reason="exhausted")
 
     def test_message_count_stays_under_bound(self):
-        unable = (UNABLE_TO_SELECT, {"reason": "unwilling"})
-        transport = ScriptedTransport({a: [unable, unable] for a in INCIDENCES["ips"] + ["d3"]})
-        matrix = canonical_matrix()
-        run_joint_1_1(TASK, matrix, transport, _registry())
-        assert transport.message_count() <= 3 * len(matrix.protocols) * len(matrix.agents)
+        agents = sorted(set(INCIDENCES["ips"]) | set(INCIDENCES["request"]))
+        initiator, rt, _ = run_one_one(INCIDENCES, {a: [UNABLE, UNABLE] for a in agents})
+        matrix = initiator.matrix
+        messages = sum(
+            1 for _, kind, p in rt.trace if kind == "send" and p["from"] != p["to"]
+        )
+        assert messages <= 3 * len(matrix.protocols) * len(matrix.agents)
 
-    def test_transport_failure_reported(self):
-        transport = ScriptedTransport({})
-        transport.down = True
-        got = run_joint_1_1(TASK, canonical_matrix(), transport, _registry())
-        assert got == SelectionFailure(reason="transport")
+    def test_reply_after_the_deadline_is_stopped(self):
+        late = (READY_TO_SELECT, {"roles": ["ips:replier"]}, 5)
+        initiator, rt, log = run_one_one(
+            {"ips": ["d1", "d2"]}, {"d1": [late], "d2": [READY_IPS]}, reply_deadline=2
+        )
+        assert initiator.outcome == OneOneSolution(
+            agent="d2", protocol="ips", role=RoleRef("ips", "replier")
+        )
+        # d1 is stopped when its deadline passes, and its late offer is
+        # answered with another stop rather than an assignment
+        to_d1 = [performative for receiver, performative in sent_by(rt, "q1") if receiver == "d1"]
+        assert to_d1 == [CALL_FOR_COLLABORATION, STOP_SELECTION, STOP_SELECTION]
+        assert [p for agent, p, _ in log if agent == "d1"][-1] == STOP_SELECTION
 
 
 class TestPayload:

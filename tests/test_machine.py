@@ -9,10 +9,8 @@ from parley.journal import (
     Journal,
     MessageEmission,
     MessageReception,
-    dump_journal,
 )
 from parley.machine import (
-    can_replay,
     enabled_for_message,
     enabled_for_variable,
     replay_state,
@@ -99,8 +97,6 @@ def test_replay_rejects_impossible_histories():
     records = _asker_records()[::-1]  # reception before the send
     assert replay_states(ASKER, PROTOCOL, records) == frozenset()
     assert replay_state(ASKER, PROTOCOL, records) is None
-    assert not can_replay(ASKER, PROTOCOL, records)
-    assert can_replay(ASKER, PROTOCOL, [])
 
 
 def test_replay_send_must_match_schema_content():
@@ -183,17 +179,3 @@ class TestJournal:
             1, "m", DataChange("task", "t"), (MessageEmission(sent), DataChange("n", 2))
         )
         assert record.emissions() == (sent,)
-
-    def test_dump_is_line_per_record(self):
-        journal = Journal(owner="d1", conversation_id="t/d1")
-        journal.append(
-            "compute",
-            MessageReception(_msg("ask-one", {"q": "h"}, reply_with="q1.1")),
-            (MessageEmission(_msg("tell", {"a": "x"}, reply_with="d1.1")),),
-        )
-        journal.append("settle", DataChange("answer", "x"))
-        text = dump_journal(journal)
-        assert text.splitlines() == [
-            "1 | compute | MessageReception(ask-one#q1.1) | [MessageEmission(tell#d1.1)]",
-            "2 | settle | DataChange(answer='x') | []",
-        ]

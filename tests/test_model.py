@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 
 from parley.errors import CompositeProtocolError, ParseError, UnknownRoleError
 from parley.model import (
+    CONTROL_PERFORMATIVES,
     MANY,
+    RESERVED_PERFORMATIVES,
+    SELECTION_PERFORMATIVES,
     Action,
     CompatibilityTable,
     InteractionModel,
@@ -26,9 +29,6 @@ from parley.model import (
     Trigger,
     classify_protocol,
     compatible,
-    is_control_performative,
-    is_domain_performative,
-    is_selection_performative,
     load_protocol,
     match_task_to_protocols,
     protocol_from_dict,
@@ -54,11 +54,11 @@ def test_role_ref_renders_and_parses():
 
 
 def test_performative_families_are_disjoint():
-    assert is_selection_performative("ready-to-select")
-    assert is_control_performative("recover-at")
-    assert is_domain_performative("ask-one")
-    assert not is_domain_performative("stop-selection")
-    assert not is_domain_performative("termination-warning")
+    assert not SELECTION_PERFORMATIVES & CONTROL_PERFORMATIVES
+    assert RESERVED_PERFORMATIVES == SELECTION_PERFORMATIVES | CONTROL_PERFORMATIVES
+    assert "ready-to-select" in SELECTION_PERFORMATIVES
+    assert "recover-at" in CONTROL_PERFORMATIVES
+    assert "ask-one" not in RESERVED_PERFORMATIVES
 
 
 class TestClassification:

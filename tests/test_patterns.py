@@ -13,7 +13,6 @@ from parley.patterns import (
     leaf_paths,
     set_leaf,
     shape_matches,
-    validate_content,
     validate_pattern,
 )
 
@@ -69,11 +68,6 @@ def test_validate_pattern_reports_paths():
 def test_validate_pattern_rejects_odd_leaves():
     assert validate_pattern({"x": None}) != []
     assert validate_pattern({"x": True}) != []
-
-
-def test_validate_content_rejects_wildcards():
-    assert validate_content({"x": "?string"}) != []
-    assert validate_content({"x": "plain"}) == []
 
 
 def test_fill_is_deterministic_and_satisfying():

@@ -119,6 +119,27 @@ class TestParsing:
         with pytest.raises(ParseError):
             scenario_from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            None,
+            [],
+            {"selection_mode": "joint", "agents": [None]},
+            {"selection_mode": "joint", "agents": [5]},
+        ],
+        ids=["null", "list", "null-agent", "number-agent"],
+    )
+    def test_a_value_that_is_not_an_object_is_a_located_error(self, raw, tmp_path, capsys):
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(ParseError) as caught:
+            parse_scenario(path)
+        assert str(caught.value).startswith(f"{path}:")
+        assert "expected a JSON object" in str(caught.value)
+        assert cli_main(["validate", str(path)]) == 2
+        assert cli_main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.count("expected a JSON object") == 2
+
 
 class TestResolution:
     def _write(self, tmp_path, raw):
