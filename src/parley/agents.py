@@ -102,14 +102,9 @@ FATAL_WARNINGS = frozenset({"exhausted", "no-viable-role"})
 
 
 def _message(
-    performative: str,
-    content: dict,
-    sender: str,
-    receiver: str,
-    conversation: str,
-    reply_with: str | None = None,
-    in_reply_to: str | None = None,
+    performative: str, content: dict, sender: str, receiver: str, conversation: str
 ) -> Message:
+    """A selection or control message, untagged."""
     return Message(
         performative=performative,
         content=content,
@@ -118,8 +113,6 @@ def _message(
         sender=sender,
         receiver=receiver,
         conversation_id=conversation,
-        reply_with=reply_with,
-        in_reply_to=in_reply_to,
     )
 
 
@@ -174,7 +167,6 @@ class MachineDriver:
         self.content_overrides = content_overrides or {}
         self.state = self.machine.initial_state
         self.variables: dict[str, object] = {}
-        self.last_received_tag: str | None = None
 
     @property
     def terminated(self) -> bool:
@@ -185,14 +177,15 @@ class MachineDriver:
         content = self.content_overrides.get(schema_id)
         if content is None or not content_matches(schema.content_pattern, content):
             content = fill_pattern(schema.content_pattern)
-        return _message(
-            schema.performative,
-            content,
-            self.me,
-            self.peer,
-            self.conversation,
+        return Message(
+            performative=schema.performative,
+            content=content,
+            language=schema.language,
+            ontology=schema.ontology,
+            sender=self.me,
+            receiver=self.peer,
+            conversation_id=self.conversation,
             reply_with=self.tagger(),
-            in_reply_to=self.last_received_tag,
         )
 
     def _fire(self, transition, input_event) -> Message | None:
@@ -244,7 +237,6 @@ class MachineDriver:
         holds the transitions found to take it in the current state."""
         if not enabled:
             raise ValueError(f"{self.ref} cannot take {msg.performative} in {self.state}")
-        self.last_received_tag = msg.reply_with
         t = pick(enabled, rng)
         outgoing = self._fire(t, MessageReception(msg))
         sent = [outgoing] if outgoing is not None else []
@@ -265,10 +257,7 @@ class MachineDriver:
             or self.machine.initial_state
         )
         self.variables = {}
-        self.last_received_tag = None
         for record in self.journal.records:
-            if isinstance(record.input_event, MessageReception):
-                self.last_received_tag = record.input_event.message.reply_with
             for event in record.output_events:
                 if isinstance(event, DataChange):
                     self.variables[event.variable] = event.value
@@ -307,7 +296,6 @@ class JointInitiator(AgentBase):
         task: TaskDescription,
         model: InteractionModel,
         registry: ProtocolRegistry,
-        identified: dict[str, tuple[str, ...]],
         mode: str = PROTOCOL_ORIENTED,
         reply_deadline: int = 10,
     ) -> None:
@@ -315,7 +303,6 @@ class JointInitiator(AgentBase):
         self.task = task
         self.model = model
         self.registry = registry
-        self.identified = identified
         self.mode = mode
         self.reply_deadline = reply_deadline
         self.conversation = f"{task.task_id}!select"
@@ -325,7 +312,6 @@ class JointInitiator(AgentBase):
         self.round = _Round(number=0)
         self.pending_pairs: list[tuple[str, str]] = []
         self.inflight: tuple[str, str] | None = None
-        self.contacted: set[str] = set()
 
     # -- plumbing ----------------------------------------------------------
 
@@ -346,7 +332,7 @@ class JointInitiator(AgentBase):
 
     def on_start(self, rt: SimRuntime) -> None:
         candidates = match_task_to_protocols(self.task, self.model, self.registry)
-        self.matrix = build_candidate_matrix(self.task, candidates, self.identified)
+        self.matrix = build_candidate_matrix(self.task, candidates)
         rt.note(
             "selection",
             {
@@ -391,7 +377,6 @@ class JointInitiator(AgentBase):
         protocol_id, agent = self.pending_pairs.pop(0)
         self.round = _Round(number=self.round.number + 1, protocol=protocol_id)
         self.inflight = (protocol_id, agent)
-        self.contacted.add(agent)
         self._send(
             rt,
             agent,
@@ -429,7 +414,6 @@ class JointInitiator(AgentBase):
         )
         self.inflight = None
         for agent in agents:
-            self.contacted.add(agent)
             self._send(
                 rt,
                 agent,
@@ -654,15 +638,15 @@ class IndividualInitiator(AgentBase):
         task: TaskDescription,
         model: InteractionModel,
         registry: ProtocolRegistry,
-        participant: str,
     ) -> None:
         super().__init__(name)
         self.task = task
         self.model = model
         self.registry = registry
-        self.participant = participant
-        self.conversation = f"{task.task_id}/{participant}"
-        self.journal = Journal(owner=name, conversation_id=self.conversation)
+        #: individual selection talks to the task's one identified participant
+        self.participant = next(a for agents in task.participants.values() for a in agents)
+        self.conversation = f"{task.task_id}/{self.participant}"
+        self.journal = Journal(conversation_id=self.conversation)
         self.driver: MachineDriver | None = None
         self.status: str | None = None  # None while running
         self.final_state: str | None = None
@@ -933,7 +917,7 @@ class SequentialResponder(_Responder):
     def _open(self, rt, thread: _SequentialThread, msg: Message, takers) -> None:
         chosen = pick(list(takers), rt.rng)
         thread.collection.activate(chosen)
-        journal = Journal(owner=self.name, conversation_id=thread.conversation)
+        journal = Journal(conversation_id=thread.conversation)
         thread.driver = self._new_driver(thread, chosen, journal, sequence_tagger(self.name))
         rt.note(
             "selection",
@@ -1061,12 +1045,7 @@ class MixedResponder(_Responder):
     def _open(self, rt, thread: _MixedThread, msg: Message, takers) -> None:
         thread.opening = msg
         thread.zone = instantiate_all(
-            thread.collection,
-            self.registry,
-            msg,
-            sequence_tagger(self.name),
-            rt.rng,
-            receptions=takers,
+            takers, self.registry, msg, sequence_tagger(self.name), rt.rng
         )
         rt.note(
             "selection",

@@ -62,6 +62,8 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     if args.mode is not None:
         changes["selection_mode"] = MODE_ALIASES[args.mode]
     if args.max_ticks is not None:
+        if args.max_ticks < 1:
+            raise ParseError(f"--max-ticks must be at least 1, got {args.max_ticks}")
         changes["max_ticks"] = args.max_ticks
     if not changes:
         return scenario

@@ -327,7 +327,6 @@ class MethodGraph:
 
     initial: str
     follow: dict[str, frozenset[str]]
-    input_kind: dict[str, str]  # method -> "message" | "data"
 
 
 def method_graph(machine) -> MethodGraph:
@@ -349,15 +348,9 @@ def _method_graph(machine) -> MethodGraph:
     for t in machine.transitions:
         for method in enders.get(t.from_state, ()):  # whatever lands here
             follow[method].add(t.method)
-    input_kind = {}
-    for t in machine.transitions:
-        input_kind.setdefault(
-            t.method, "message" if t.trigger.kind == "receive" else "data"
-        )
     return MethodGraph(
         initial=next(iter(firsts)),
         follow={m: frozenset(s) for m, s in follow.items()},
-        input_kind=input_kind,
     )
 
 

@@ -68,20 +68,18 @@ class CandidateMatrix:
 
 
 def build_candidate_matrix(
-    task: TaskDescription,
-    candidates: Iterable[tuple[Protocol, str]],
-    identified: dict[str, Iterable[str]],
+    task: TaskDescription, candidates: Iterable[tuple[Protocol, str]]
 ) -> CandidateMatrix:
     """Cross the matched protocols with the agents identified for each.
 
-    ``identified`` maps protocol_id to the agents the initiator believes
-    can enact a participant role of that protocol.
+    ``task.participants`` maps protocol_id to the agents the initiator
+    believes can enact a participant role of that protocol.
     """
     protocol_ids = sorted(p.protocol_id for p, _ in candidates)
     cells = set()
     agents: set[str] = set()
     for protocol_id in protocol_ids:
-        for agent in identified.get(protocol_id, ()):  # unknown rows stay empty
+        for agent in task.participants.get(protocol_id, ()):  # unknown rows stay empty
             cells.add((protocol_id, agent))
             agents.add(agent)
     return CandidateMatrix(

@@ -53,7 +53,6 @@ class JournalRecord:
 
 @dataclass
 class Journal:
-    owner: str
     conversation_id: str
     records: list[JournalRecord] = field(default_factory=list)
 

@@ -26,7 +26,6 @@ from typing import Callable
 from .errors import NoViableRoleError
 from .individual import (
     WRONG_STRUCTURE,
-    RoleCollection,
     clamped_recovery_points,
     method_graph,
     refire_input,
@@ -97,7 +96,6 @@ class ControlZone:
     outbox: list[OutboxEntry] = field(default_factory=list)
     sent_history: list[OutboxEntry] = field(default_factory=list)
     stamp_counter: int = 0
-    last_received_tag: str | None = None
 
     def active(self) -> list[RoleInstance]:
         return [
@@ -134,14 +132,11 @@ def same_signature(a: Message, b: Message) -> bool:
     )
 
 
-def stop_active(cz: ControlZone) -> list[RoleRef]:
+def stop_active(cz: ControlZone) -> None:
     """Stop every active instance (stopping is final)."""
-    stopped = []
     for instance in cz.active():
         instance.activation = STOPPED
         instance.last_message = None
-        stopped.append(instance.ref)
-    return stopped
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +172,6 @@ def _run_step(
                 receiver=cz.counterpart,
                 conversation_id=cz.journal.conversation_id,
                 reply_with=tag_value,
-                in_reply_to=cz.last_received_tag,
             )
             records.append(PendingRecord(t.method, input_event, (MessageEmission(reply),)))
             instance.state = t.to_state
@@ -202,61 +196,41 @@ def _run_step(
     return None
 
 
-def _generate(
-    cz: ControlZone,
-    instance: RoleInstance,
-    protocol: Protocol,
-    msg: Message,
-    receptions: list[Transition],
-    tag_value: str,
-    rng: Random,
-) -> OutboxEntry | None:
-    """Take ``msg`` through one of ``receptions``, the instance's
-    transitions found to accept it."""
-    if not receptions:
-        return None
-    t = pick(receptions, rng)
-    return _run_step(
-        cz, instance, protocol, t, MessageReception(msg), msg.content, tag_value, rng
-    )
-
-
 # ---------------------------------------------------------------------------
 # Zone lifecycle
 # ---------------------------------------------------------------------------
 
 
 def instantiate_all(
-    collection: RoleCollection,
+    takers: dict[RoleRef, list[Transition]],
     registry: ProtocolRegistry,
     m0: Message,
     tag: Callable[[], str],
     rng: Random,
-    receptions: dict[RoleRef, list[Transition]],
 ) -> ControlZone:
-    """Spin up every available role on the opening message.
+    """Spin up every role that takes the opening message.
 
-    Each instance handles m0 and deposits its reply in the outbox; a
-    role with no answer to m0 is stopped on the spot.  All survivors
-    are then parked as one batch, waiting for the reply selection to
-    wake the winners.  ``receptions`` holds the transitions of each
-    role that take m0, as :func:`receiving_roles` matched them.
+    ``takers`` maps each such role to its transitions that take m0, as
+    :func:`receiving_roles` matched them.  Each instance handles m0 and
+    deposits its reply in the outbox; a role with no answer to m0 is
+    stopped on the spot.  All survivors are then parked as one batch,
+    waiting for the reply selection to wake the winners.
     """
     cz = ControlZone(
         owner=m0.receiver,
         counterpart=m0.sender,
-        journal=Journal(owner=m0.receiver, conversation_id=m0.conversation_id),
+        journal=Journal(conversation_id=m0.conversation_id),
         tag=tag,
-        last_received_tag=m0.reply_with,
     )
     tag_value = cz.tag()
-    for ref in collection.available():
+    reception = MessageReception(m0)
+    for ref in sorted(takers):
         protocol = registry[ref.protocol]
         machine = protocol.roles[ref.role]
         instance = RoleInstance(ref=ref, state=machine.initial_state)
         cz.instances[ref] = instance
-        takes = receptions.get(ref, [])
-        entry = _generate(cz, instance, protocol, m0, takes, tag_value, rng)
+        t = pick(takers[ref], rng)
+        entry = _run_step(cz, instance, protocol, t, reception, m0.content, tag_value, rng)
         if entry is None:
             instance.activation = STOPPED
             continue
@@ -294,17 +268,17 @@ def handle_incoming(
     if not takers:
         return rejection_kind(placed, msg)
     cz.outbox.clear()
-    cz.last_received_tag = msg.reply_with
     tag_value = cz.tag()
+    reception = MessageReception(msg)
     for instance in actives:
         receptions = takers.get(instance.ref)
         if receptions is None:
             instance.activation = STOPPED
             instance.last_message = None
             continue
-        entry = _generate(
-            cz, instance, registry[instance.ref.protocol], msg, receptions, tag_value, rng
-        )
+        t = pick(receptions, rng)
+        protocol = registry[instance.ref.protocol]
+        entry = _run_step(cz, instance, protocol, t, reception, msg.content, tag_value, rng)
         instance.last_message = entry.message if entry else None
         if entry is not None:
             cz.outbox.append(entry)

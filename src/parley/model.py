@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Iterable, NamedTuple, TypeVar
+from typing import Any, Callable, NamedTuple, TypeVar
 
 from .errors import CompositeProtocolError, ParseError, UnknownRoleError
 from .patterns import content_matches, shape_matches, validate_pattern
@@ -135,7 +135,6 @@ class Message(NamedTuple):
     receiver: str
     conversation_id: str
     reply_with: str | None = None
-    in_reply_to: str | None = None
 
     def structure_key(self) -> tuple:
         from .patterns import content_shape
@@ -410,13 +409,6 @@ class InteractionModel:
 
     entries: dict[str, frozenset[str]] = field(default_factory=dict)
 
-    def extend(self, protocol_id: str, role_ids: Iterable[str]) -> None:
-        merged = self.entries.get(protocol_id, frozenset()) | frozenset(role_ids)
-        self.entries[protocol_id] = merged
-
-    def enacts(self, ref: RoleRef) -> bool:
-        return ref.role in self.entries.get(ref.protocol, frozenset())
-
     def role_refs(self) -> list[RoleRef]:
         refs = [
             RoleRef(pid, rid)
@@ -438,14 +430,9 @@ class CompatibilityTable:
     """
 
     pairs: frozenset[tuple[RoleRef, RoleRef]] = frozenset()
-    known_roles: frozenset[RoleRef] = frozenset()
 
 
 def compatible(a: RoleRef, b: RoleRef, table: CompatibilityTable) -> bool:
-    if table.known_roles:
-        for ref in (a, b):
-            if ref not in table.known_roles:
-                raise UnknownRoleError(f"unknown role reference {ref}")
     if a == b:
         return True
     return (a, b) in table.pairs
@@ -453,8 +440,12 @@ def compatible(a: RoleRef, b: RoleRef, table: CompatibilityTable) -> bool:
 
 @dataclass(frozen=True)
 class TaskDescription:
+    """A task one agent initiates, with the agents it identified per protocol."""
+
     task_id: str
+    initiator: str
     required_capabilities: frozenset[str]
+    participants: dict[str, tuple[str, ...]]
     constraints: dict[str, Any] = field(default_factory=dict)
 
 

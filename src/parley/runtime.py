@@ -32,7 +32,7 @@ from fnmatch import fnmatch
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from os.path import normcase
 from random import Random
-from typing import NamedTuple, Protocol as TypingProtocol
+from typing import NamedTuple
 
 from .errors import BudgetExceededError, UnknownReceiverError
 from .model import RESERVED_PERFORMATIVES, Message
@@ -244,29 +244,17 @@ def _literal_prefix(pattern: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-class Agent(TypingProtocol):
-    """Anything the bus can deliver to."""
+class AgentBase:
+    """Anything the bus can deliver to: a named agent that ignores everything."""
 
-    name: str
+    def __init__(self, name: str) -> None:
+        self.name = name
 
     def on_start(self, runtime: "SimRuntime") -> None:
         """Called once before the first tick runs."""
 
     def on_message(self, runtime: "SimRuntime", msg: Message) -> None:
         """Handle one delivered message; schedule replies on the runtime."""
-
-
-class AgentBase:
-    """Convenience base: a named agent that ignores everything."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def on_start(self, runtime: "SimRuntime") -> None:
-        pass
-
-    def on_message(self, runtime: "SimRuntime", msg: Message) -> None:
-        pass
 
 
 #: the payload fields of the bus's send and deliver events, in the order
@@ -278,11 +266,12 @@ _DELIVER_FIELDS = ("seq", "from", "to", "conversation", "performative")
 
 class SimRuntime:
     def __init__(self, seed: int = 0, max_ticks: int = 200) -> None:
+        if max_ticks <= 0:
+            raise ValueError("max_ticks must be positive")
         self.clock = SimClock()
         self.rng = Random(seed)
-        self.seed = seed
         self.max_ticks = max_ticks
-        self.agents: dict[str, Agent] = {}
+        self.agents: dict[str, AgentBase] = {}
         self.trace: list[TraceEvent] = []
         self._heap: list[tuple[int, int, Message]] = []
         self._seq = 0
@@ -295,7 +284,7 @@ class SimRuntime:
 
     # -- wiring ------------------------------------------------------------
 
-    def register(self, agent: Agent) -> None:
+    def register(self, agent: AgentBase) -> None:
         if agent.name in self.agents:
             raise ValueError(f"agent {agent.name!r} registered twice")
         self.agents[agent.name] = agent
@@ -420,15 +409,12 @@ class SimRuntime:
         )
         self.agents[msg.receiver].on_message(self, msg)
 
-    def run_until_quiescent(self, max_ticks: int | None = None) -> list[TraceEvent]:
+    def run_until_quiescent(self) -> list[TraceEvent]:
         """Deliver until nothing is pending; return the trace.
 
         Automatic garbage collection is paused for the run (see the
         module docstring) and left as the caller had it on every exit.
         """
-        budget = self.max_ticks if max_ticks is None else max_ticks
-        if budget <= 0:
-            raise ValueError("max_ticks must be positive")
         collecting = gc.isenabled()
         gc.disable()
         try:
@@ -438,9 +424,10 @@ class SimRuntime:
                     agent.on_start(self)
             while self._heap:
                 next_tick = self._heap[0][0]
-                if next_tick > budget:
+                if next_tick > self.max_ticks:
                     raise BudgetExceededError(
-                        f"{len(self._heap)} message(s) still pending at tick budget {budget}"
+                        f"{len(self._heap)} message(s) still pending at tick budget "
+                        f"{self.max_ticks}"
                     )
                 self.clock.advance_to(next_tick)
                 delivered = 0

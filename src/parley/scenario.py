@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .agents import (
@@ -32,6 +32,7 @@ from .model import (
     RoleRef,
     TaskDescription,
     load_protocol,
+    validate_protocol,
 )
 from .runtime import FaultSpec, SimRuntime, TraceEvent
 
@@ -53,22 +54,13 @@ class AgentSpec:
 
 
 @dataclass(frozen=True)
-class TaskSpec:
-    task_id: str
-    initiator: str
-    capabilities: frozenset[str]
-    participants: dict[str, tuple[str, ...]]
-    constraints: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class Scenario:
     scenario_id: str
     seed: int
     selection_mode: str
     protocols: tuple[str, ...]
     agents: tuple[AgentSpec, ...]
-    tasks: tuple[TaskSpec, ...]
+    tasks: tuple[TaskDescription, ...]
     compatibility: tuple[tuple[str, str], ...] = ()
     faults: tuple[FaultSpec, ...] = ()
     exploration: str = PROTOCOL_ORIENTED
@@ -81,12 +73,43 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _require(raw: dict, key: str, where: str):
-    if not isinstance(raw, dict):
-        raise ParseError(f"{where}: expected a JSON object, got {raw!r:.40}")
-    if key not in raw:
+_KIND_NAMES = {dict: "a JSON object", list: "a JSON array", int: "an integer", str: "a string"}
+
+
+def _typed(value, kind: type, where: str):
+    """``value``, checked to be a ``kind`` (a JSON ``true`` is no integer)."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ParseError(f"{where}: expected {_KIND_NAMES[kind]}, got {value!r:.40}")
+    return value
+
+
+def _require(raw: dict, key: str, where: str, kind: type = object):
+    if key not in _typed(raw, dict, where):
         raise ParseError(f"{where}: missing {key!r}")
-    return raw[key]
+    return _typed(raw[key], kind, f"{where}: {key}")
+
+
+def _names(value, where: str) -> tuple[str, ...]:
+    """A JSON array of strings."""
+    names = tuple(_typed(value, list, where))
+    for name in names:
+        if not isinstance(name, str):
+            _typed(name, str, where)  # raises the located error
+    return names
+
+
+def _names_by_key(raw: dict, key: str, where: str) -> dict[str, tuple[str, ...]]:
+    """An optional JSON object whose every value is an array of strings."""
+    where = f"{where}: {key}"
+    mapping = _typed(raw.get(key, {}), dict, where)
+    return {name: _names(names, f"{where}: {name}") for name, names in mapping.items()}
+
+
+def _integer(raw: dict, key: str, default: int, where: str, least: int | None = None) -> int:
+    value = _typed(raw.get(key, default), int, f"{where}: {key}")
+    if least is not None and value < least:
+        raise ParseError(f"{where}: {key} must be at least {least}, got {value}")
+    return value
 
 
 def parse_scenario(path) -> Scenario:
@@ -110,65 +133,69 @@ def scenario_from_dict(raw: dict, where: str = "scenario") -> Scenario:
     if exploration not in (PROTOCOL_ORIENTED, AGENT_ORIENTED):
         raise ParseError(f"{where}: unknown exploration {exploration!r}")
     agents = []
-    for entry in _require(raw, "agents", where):
-        agent_id = _require(entry, "id", f"{where}: agent")
+    for entry in _require(raw, "agents", where, list):
+        agent_id = _require(entry, "id", f"{where}: agent", str)
         behavior = entry.get("behavior", "auto")
         if behavior not in BEHAVIORS:
             raise ParseError(f"{where}: agent {agent_id}: unknown behavior {behavior!r}")
         agents.append(
             AgentSpec(
                 agent_id=agent_id,
-                enacts={
-                    protocol: tuple(roles)
-                    for protocol, roles in entry.get("enacts", {}).items()
-                },
+                enacts=_names_by_key(entry, "enacts", f"{where}: agent {agent_id}"),
                 willing=bool(entry.get("willing", True)),
                 behavior=behavior,
             )
         )
     tasks = []
-    for entry in _require(raw, "tasks", where):
-        task_id = _require(entry, "id", f"{where}: task")
+    for entry in _require(raw, "tasks", where, list):
+        task_id = _require(entry, "id", f"{where}: task", str)
+        at = f"{where}: task {task_id}"
         tasks.append(
-            TaskSpec(
+            TaskDescription(
                 task_id=task_id,
-                initiator=_require(entry, "initiator", f"{where}: task {task_id}"),
-                capabilities=frozenset(entry.get("capabilities", [])),
-                participants={
-                    protocol: tuple(agents_)
-                    for protocol, agents_ in entry.get("participants", {}).items()
-                },
-                constraints=dict(entry.get("constraints", {})),
+                initiator=_require(entry, "initiator", at, str),
+                required_capabilities=frozenset(
+                    _names(entry.get("capabilities", []), f"{at}: capabilities")
+                ),
+                participants=_names_by_key(entry, "participants", at),
+                constraints=dict(
+                    _typed(entry.get("constraints", {}), dict, f"{at}: constraints")
+                ),
             )
         )
     faults = []
-    for entry in raw.get("faults", []):
+    for entry in _typed(raw.get("faults", []), list, f"{where}: faults"):
+        at = f"{where}: fault"
         try:
             faults.append(
                 FaultSpec(
-                    conversation=_require(entry, "conversation", f"{where}: fault"),
-                    ordinal=int(_require(entry, "ordinal", f"{where}: fault")),
-                    op=_require(entry, "op", f"{where}: fault"),
+                    conversation=_require(entry, "conversation", at, str),
+                    ordinal=_require(entry, "ordinal", at, int),
+                    op=_require(entry, "op", at),
                     structure_field=entry.get("field", "performative"),
-                    path=tuple(entry.get("path", [])),
+                    path=tuple(_typed(entry.get("path", []), list, f"{at}: path")),
                 )
             )
         except ValueError as exc:
-            raise ParseError(f"{where}: fault: {exc}") from exc
+            raise ParseError(f"{at}: {exc}") from exc
+    compatibility = []
+    for pair in _typed(raw.get("compatibility", []), list, f"{where}: compatibility"):
+        refs = _names(pair, f"{where}: compatibility")
+        if len(refs) != 2:
+            raise ParseError(f"{where}: compatibility: expected a pair, got {pair!r:.40}")
+        compatibility.append(refs)
     return Scenario(
         scenario_id=raw.get("scenario_id", "scenario"),
-        seed=int(raw.get("seed", 0)),
+        seed=_integer(raw, "seed", 0, where),
         selection_mode=mode,
-        protocols=tuple(_require(raw, "protocols", where)),
+        protocols=_names(_require(raw, "protocols", where), f"{where}: protocols"),
         agents=tuple(agents),
         tasks=tuple(tasks),
-        compatibility=tuple(
-            (pair[0], pair[1]) for pair in raw.get("compatibility", [])
-        ),
+        compatibility=tuple(compatibility),
         faults=tuple(faults),
         exploration=exploration,
-        reply_deadline=int(raw.get("reply_deadline", 10)),
-        max_ticks=int(raw.get("max_ticks", 200)),
+        reply_deadline=_integer(raw, "reply_deadline", 10, where, least=0),
+        max_ticks=_integer(raw, "max_ticks", 200, where, least=1),
     )
 
 
@@ -195,7 +222,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         entry = {
             "id": task.task_id,
             "initiator": task.initiator,
-            "capabilities": sorted(task.capabilities),
+            "capabilities": sorted(task.required_capabilities),
             "participants": {p: list(a) for p, a in task.participants.items()},
         }
         if task.constraints:
@@ -238,6 +265,11 @@ def serialize_scenario(scenario: Scenario, path) -> None:
 
 
 def load_registry(scenario: Scenario, base_dir: Path | None = None) -> ProtocolRegistry:
+    """The scenario's protocols by id.
+
+    A protocol named by path is validated as it loads; the bundled ones
+    were validated when ``scripts/build_fixtures.py`` wrote them.
+    """
     registry: ProtocolRegistry = {}
     for name in scenario.protocols:
         candidate = Path(name)
@@ -247,6 +279,11 @@ def load_registry(scenario: Scenario, base_dir: Path | None = None) -> ProtocolR
             if not candidate.exists():
                 raise UnresolvedReferenceError(f"no protocol file {name!r}")
             protocol = load_protocol(candidate)
+            violations = validate_protocol(protocol)
+            if violations:
+                raise ParseError(
+                    f"{candidate}: invalid protocol: " + "; ".join(map(str, violations))
+                )
         else:
             bundled = protocol_path(name)
             if not bundled.exists():
@@ -260,6 +297,7 @@ def _resolve(scenario: Scenario, base_dir: Path | None = None) -> None:
     """Check every cross reference; raise with a location on failure."""
     registry = load_registry(scenario, base_dir)
     ids = {spec.agent_id for spec in scenario.agents}
+    silent = {spec.agent_id for spec in scenario.agents if spec.behavior == SILENT}
     if len(ids) != len(scenario.agents):
         raise ParseError(f"{scenario.scenario_id}: duplicate agent ids")
     for spec in scenario.agents:
@@ -277,6 +315,11 @@ def _resolve(scenario: Scenario, base_dir: Path | None = None) -> None:
         if task.initiator not in ids:
             raise UnresolvedReferenceError(
                 f"task {task.task_id}: unknown initiator {task.initiator!r}"
+            )
+        if task.initiator in silent:
+            raise ParseError(
+                f"task {task.task_id}: initiator {task.initiator!r} is silent "
+                f"and cannot run a task"
             )
         for protocol_id, agents in task.participants.items():
             if protocol_id not in registry:
@@ -344,7 +387,7 @@ def _compatibility_table(scenario: Scenario) -> CompatibilityTable:
     pairs = frozenset(
         (RoleRef.parse(a), RoleRef.parse(b)) for a, b in scenario.compatibility
     )
-    return CompatibilityTable(pairs=pairs, known_roles=frozenset())
+    return CompatibilityTable(pairs=pairs)
 
 
 def build_runtime(scenario: Scenario, base_dir: Path | None = None) -> SimRuntime:
@@ -362,13 +405,8 @@ def build_runtime(scenario: Scenario, base_dir: Path | None = None) -> SimRuntim
             runtime.register(SilentAgent(spec.agent_id))
             continue
         model = _interaction_model(spec)
-        task_spec = initiators.get(spec.agent_id)
-        if task_spec is not None:
-            task = TaskDescription(
-                task_id=task_spec.task_id,
-                required_capabilities=task_spec.capabilities,
-                constraints=task_spec.constraints,
-            )
+        task = initiators.get(spec.agent_id)
+        if task is not None:
             if scenario.selection_mode == JOINT:
                 runtime.register(
                     JointInitiator(
@@ -376,20 +414,12 @@ def build_runtime(scenario: Scenario, base_dir: Path | None = None) -> SimRuntim
                         task,
                         model,
                         registry,
-                        identified=task_spec.participants,
                         mode=scenario.exploration,
                         reply_deadline=scenario.reply_deadline,
                     )
                 )
             else:
-                participant = next(
-                    a for agents in task_spec.participants.values() for a in agents
-                )
-                runtime.register(
-                    IndividualInitiator(
-                        spec.agent_id, task, model, registry, participant
-                    )
-                )
+                runtime.register(IndividualInitiator(spec.agent_id, task, model, registry))
             continue
         if scenario.selection_mode == JOINT:
             willing = (lambda p, t: True) if spec.willing else (lambda p, t: False)
@@ -432,13 +462,6 @@ class RunSummary:
         return all(task.terminated for task in self.tasks)
 
 
-def _task_conversations(scenario: Scenario, task: TaskSpec) -> list[str]:
-    if scenario.selection_mode == JOINT:
-        return [f"{task.task_id}!select"]
-    participant = next(a for agents in task.participants.values() for a in agents)
-    return [f"{task.task_id}/{participant}"]
-
-
 def _describe_outcome(agent) -> tuple[str, dict, bool]:
     if isinstance(agent, JointInitiator):
         outcome = agent.outcome
@@ -477,7 +500,6 @@ def summarize(scenario: Scenario, runtime: SimRuntime, trace: list[TraceEvent]) 
             messages[e.payload.get("conversation")] += 1
     tasks = []
     for task in scenario.tasks:
-        conversations = set(_task_conversations(scenario, task))
         agent = runtime.agents[task.initiator]
         outcome, detail, terminated = _describe_outcome(agent)
         tasks.append(
@@ -485,8 +507,8 @@ def summarize(scenario: Scenario, runtime: SimRuntime, trace: list[TraceEvent]) 
                 task_id=task.task_id,
                 outcome=outcome,
                 detail=detail,
-                recoveries=sum(recoveries[c] for c in conversations),
-                messages=sum(messages[c] for c in conversations),
+                recoveries=recoveries[agent.conversation],
+                messages=messages[agent.conversation],
                 terminated=terminated,
             )
         )

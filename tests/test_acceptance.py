@@ -95,13 +95,17 @@ def test_criterion_1_candidate_matrix_incidences():
     model = InteractionModel(
         entries={"ips": frozenset({"asker"}), "request": frozenset({"asker"})}
     )
-    task = TaskDescription(task_id="t1", required_capabilities=frozenset({"document-query"}))
-    identified = {
-        "ips": ["d1", "d2", "d4", "d5", "d7"],
-        "request": ["d3", "d4", "d5", "d7"],
-    }
+    task = TaskDescription(
+        task_id="t1",
+        initiator="q1",
+        required_capabilities=frozenset({"document-query"}),
+        participants={
+            "ips": ("d1", "d2", "d4", "d5", "d7"),
+            "request": ("d3", "d4", "d5", "d7"),
+        },
+    )
     candidates = match_task_to_protocols(task, model, registry)
-    matrix = build_candidate_matrix(task, candidates, identified)
+    matrix = build_candidate_matrix(task, candidates)
 
     expected_cells = {("ips", a) for a in ("d1", "d2", "d4", "d5", "d7")} | {
         ("request", a) for a in ("d3", "d4", "d5", "d7")
@@ -283,7 +287,7 @@ def test_criterion_5_recovery_points_oracle_equivalence():
             )
             for seq, (method, is_msg) in enumerate(plain_records, start=1)
         ]
-        graph = MethodGraph(initial=initial, follow=follow, input_kind={})
+        graph = MethodGraph(initial=initial, follow=follow)
         got = compute_recovery_points(records, graph)
         assert got == oracle_recovery_points(plain_records, initial, follow)
         assert 1 <= got[0] <= got[1], (plain_records, got)
@@ -299,9 +303,9 @@ def test_criterion_5_recovery_points_oracle_equivalence():
     tell = Message(
         performative="tell", content={"value": "text"}, language="kv",
         ontology="core", sender="c1", receiver="q2", conversation_id="t2/c1",
-        reply_with="c1.1", in_reply_to="q2.1",
+        reply_with="c1.1",
     )
-    journal = Journal(owner="c1", conversation_id="t2/c1")
+    journal = Journal(conversation_id="t2/c1")
     journal.append("aq-take", MessageReception(ask), (DataChange("q", ask.content),))
     journal.append("aq-answer", DataChange("q", ask.content), (MessageEmission(tell),))
     graph = method_graph(registry["attr_probe"].roles["server"])

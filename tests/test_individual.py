@@ -102,7 +102,7 @@ def server_collection() -> RoleCollection:
 
 def server_journal() -> Journal:
     """What the serving agent recorded while enacting attr_query:server."""
-    journal = Journal(owner="c1", conversation_id=CONV)
+    journal = Journal(conversation_id=CONV)
     journal.append("aq-take", MessageReception(ASK), (DataChange("q", ASK.content),))
     journal.append("aq-answer", DataChange("q", ASK.content), (MessageEmission(GOOD_TELL),))
     return journal
@@ -227,22 +227,21 @@ class TestRoleCollection:
 
 class TestBuildCollection:
     def test_keeps_only_roles_of_the_requested_kind(self, registry):
-        model = InteractionModel()
-        model.extend("attr_query", ["querier", "server"])
-        model.extend("attr_probe", ["server"])
+        model = InteractionModel(
+            {"attr_query": frozenset({"querier", "server"}), "attr_probe": frozenset({"server"})}
+        )
         collection = build_collection(model, registry, RoleKind.PARTICIPANT)
         assert collection.available() == [server("attr_probe"), server("attr_query")]
 
     def test_initiator_side_sees_the_queriers(self, registry):
-        model = InteractionModel()
-        model.extend("attr_query", ["querier", "server"])
+        model = InteractionModel({"attr_query": frozenset({"querier", "server"})})
         collection = build_collection(model, registry, RoleKind.INITIATOR)
         assert collection.available() == [RoleRef("attr_query", "querier")]
 
     def test_unknown_protocols_are_skipped(self, registry):
-        model = InteractionModel()
-        model.extend("attr_query", ["server"])
-        model.extend("ghost", ["spirit"])
+        model = InteractionModel(
+            {"attr_query": frozenset({"server"}), "ghost": frozenset({"spirit"})}
+        )
         collection = build_collection(model, registry, RoleKind.PARTICIPANT)
         assert collection.available() == [server("attr_query")]
 
@@ -541,14 +540,6 @@ class TestMethodGraph:
             "aq-final-answer": frozenset(),
             "aq-refused-late": frozenset(),
         }
-        assert graph.input_kind == {
-            "aq-open": "data",
-            "aq-first-answer": "message",
-            "aq-refused": "message",
-            "aq-follow-up": "data",
-            "aq-final-answer": "message",
-            "aq-refused-late": "message",
-        }
 
     def test_server_graph_loops(self, registry):
         graph = method_graph(registry["attr_query"].roles["server"])
@@ -597,7 +588,7 @@ DUMMY = msg("tell", {"value": "x"})
 def chain_graph(*methods: str) -> MethodGraph:
     follow = {m: frozenset({n}) for m, n in zip(methods, methods[1:])}
     follow[methods[-1]] = frozenset()
-    return MethodGraph(initial=methods[0], follow=follow, input_kind={})
+    return MethodGraph(initial=methods[0], follow=follow)
 
 
 def record(seq: int, method: str, is_message: bool) -> JournalRecord:
@@ -655,7 +646,7 @@ class TestRecoveryPoints:
             record(seq, method, is_message)
             for seq, (method, is_message) in enumerate(plain_records, start=1)
         ]
-        graph = MethodGraph(initial=initial, follow=follow, input_kind={})
+        graph = MethodGraph(initial=initial, follow=follow)
         assert compute_recovery_points(records, graph) == oracle_recovery_points(
             plain_records, initial, follow
         )
@@ -690,7 +681,7 @@ class TestTruncation:
             truncate_own(journal, 4)
 
     def emitting_journal(self) -> Journal:
-        journal = Journal(owner="q2", conversation_id=CONV)
+        journal = Journal(conversation_id=CONV)
         journal.append("open", DataChange("task", "t2"), (MessageEmission(ASK),))
         journal.append("think", DataChange("more", 1), (DataChange("note", 2),))
         journal.append(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -50,18 +51,23 @@ from .oracles import (
     oracle_largest_set,
 )
 
-TASK = TaskDescription(task_id="t1", required_capabilities=frozenset({"query"}))
-
 # the canonical two-protocol / seven-agent incidence exercised throughout
 INCIDENCES = {
-    "ips": ["d1", "d2", "d4", "d5", "d7"],
-    "request": ["d3", "d4", "d5", "d7"],
+    "ips": ("d1", "d2", "d4", "d5", "d7"),
+    "request": ("d3", "d4", "d5", "d7"),
 }
+
+TASK = TaskDescription(
+    task_id="t1",
+    initiator="q1",
+    required_capabilities=frozenset({"query"}),
+    participants=INCIDENCES,
+)
 
 
 def canonical_matrix() -> CandidateMatrix:
     protocols = [(one_one_protocol(pid), "asker") for pid in sorted(INCIDENCES)]
-    return build_candidate_matrix(TASK, protocols, INCIDENCES)
+    return build_candidate_matrix(TASK, protocols)
 
 
 def _msg(performative: str, content: dict, sender: str = "q1") -> Message:
@@ -105,9 +111,8 @@ class TestMatrix:
 
     def test_empty_vectors_never_selected(self):
         matrix = build_candidate_matrix(
-            TASK,
+            replace(TASK, participants={"ips": ("d1",)}),
             [(one_one_protocol("bare"), "asker"), (one_one_protocol("ips"), "asker")],
-            {"ips": ["d1"]},
         )
         assert matrix.row("bare") == ()
         assert next_vector(matrix, PROTOCOL_ORIENTED, frozenset()) == "ips"
@@ -407,9 +412,7 @@ class TestAssignRolesAgainstOracle:
 
 def _participant_world():
     registry = {"ips": one_one_protocol("ips"), "request": one_one_protocol("request")}
-    model = InteractionModel()
-    model.extend("ips", ["replier"])
-    model.extend("request", ["replier"])
+    model = InteractionModel({"ips": frozenset({"replier"}), "request": frozenset({"replier"})})
     table = CompatibilityTable(
         pairs=frozenset({(RoleRef("ips", "asker"), RoleRef("request", "replier"))})
     )
@@ -561,18 +564,10 @@ def run_one_one(identified: dict[str, list[str]], script: dict, reply_deadline: 
     """Run a joint initiator ``q1`` holding TASK over both one-to-one
     protocols; return it, the runtime and the repliers' delivery log."""
     registry = {"ips": one_one_protocol("ips"), "request": one_one_protocol("request")}
-    model = InteractionModel()
-    for protocol_id in registry:
-        model.extend(protocol_id, ["asker"])
+    model = InteractionModel({protocol_id: frozenset({"asker"}) for protocol_id in registry})
     rt = SimRuntime(seed=0)
-    initiator = JointInitiator(
-        "q1",
-        TASK,
-        model,
-        registry,
-        {p: tuple(agents) for p, agents in identified.items()},
-        reply_deadline=reply_deadline,
-    )
+    task = replace(TASK, participants={p: tuple(agents) for p, agents in identified.items()})
+    initiator = JointInitiator("q1", task, model, registry, reply_deadline=reply_deadline)
     rt.register(initiator)
     log: list = []
     for agent, replies in script.items():

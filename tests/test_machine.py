@@ -154,7 +154,7 @@ def test_weak_schemas_end_the_interaction():
 
 class TestJournal:
     def test_append_numbers_records(self):
-        journal = Journal(owner="d1", conversation_id="t/d1")
+        journal = Journal(conversation_id="t/d1")
         r1 = journal.append("m1", DataChange("task", "t"))
         r2 = journal.append("m2", MessageReception(_msg("tell", {"a": "x"})))
         assert (r1.seq, r2.seq) == (1, 2)
@@ -163,7 +163,7 @@ class TestJournal:
         assert len(journal) == 2
 
     def test_keep_first_removes_only_suffixes(self):
-        journal = Journal(owner="d1", conversation_id="t/d1")
+        journal = Journal(conversation_id="t/d1")
         for i in range(4):
             journal.append(f"m{i}", DataChange("v", i))
         journal.keep_first(2)

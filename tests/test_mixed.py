@@ -10,6 +10,7 @@ they should.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -91,7 +92,7 @@ def registry():
 def instantiate(collection, registry, rng):
     """Open a zone on ASK, matched once as the responder matches it."""
     takers = receiving_roles(collection, registry, ASK)
-    return instantiate_all(collection, registry, ASK, sequence_tagger("c1"), rng, takers)
+    return instantiate_all(takers, registry, ASK, sequence_tagger("c1"), rng)
 
 
 def fresh_zone(registry, seed: int):
@@ -120,7 +121,6 @@ class TestInstantiateAll:
     def test_candidates_share_one_reply_slot(self, registry):
         cz, _ = fresh_zone(registry, GOLDEN_SEED)
         assert {e.message.reply_with for e in cz.outbox} == {"c1.1"}
-        assert {e.message.in_reply_to for e in cz.outbox} == {"q2.1"}
 
     def test_golden_outbox(self, registry):
         cz, _ = fresh_zone(registry, GOLDEN_SEED)
@@ -135,7 +135,10 @@ class TestInstantiateAll:
         }
 
     def test_role_without_an_answer_is_stopped(self, registry):
-        mute = _one_shot_protocol("mute", opening_performative="ask-all")
+        # "mute" takes the ask, but its step ends without a reply
+        shot = _one_shot_protocol("mute")
+        take = replace(shot.roles["server"].transitions[0], action=Action(kind="none"))
+        mute = replace(shot, roles={"server": replace(shot.roles["server"], transitions=(take,))})
         reg = dict(registry)
         reg["mute"] = mute
         collection = RoleCollection.of([server("attr_query"), server("mute")])
@@ -269,12 +272,12 @@ def _twin_protocol(protocol_id: str, pokeable: bool = False) -> Protocol:
     )
 
 
-def _one_shot_protocol(protocol_id: str, opening_performative: str = "ask-one") -> Protocol:
+def _one_shot_protocol(protocol_id: str) -> Protocol:
     """A server that answers once with a weak goodbye and is done."""
     schemas = {
         "ask": MessageSchema(
             schema_id="ask",
-            performative=opening_performative,
+            performative="ask-one",
             content_pattern={"attribute": "?string", "document": "?string"},
         ),
         "bye": MessageSchema(schema_id="bye", performative="sorry", content_pattern={}),
@@ -463,7 +466,7 @@ class TestReactivate:
         cz = ControlZone(
             owner="c1",
             counterpart="q2",
-            journal=Journal(owner="c1", conversation_id="t2/c1"),
+            journal=Journal(conversation_id="t2/c1"),
             tag=sequence_tagger("c1"),
         )
         for pid, stamp in (("attr_digest", 3), ("attr_probe", 3), ("attr_lookup", 1)):
@@ -493,7 +496,7 @@ class TestReactivate:
         cz = ControlZone(
             owner="c1",
             counterpart="q2",
-            journal=Journal(owner="c1", conversation_id="t2/c1"),
+            journal=Journal(conversation_id="t2/c1"),
             tag=sequence_tagger("c1"),
         )
         cz.journal.append("fading-take", MessageReception(ASK), (DataChange("q", ASK.content),))

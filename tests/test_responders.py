@@ -32,8 +32,7 @@ RESPONDERS = pytest.mark.parametrize("responder", [SequentialResponder, MixedRes
 
 def bus(responder) -> SimRuntime:
     registry = {"ips": one_one_protocol("ips")}
-    model = InteractionModel()
-    model.extend("ips", ["replier"])
+    model = InteractionModel({"ips": frozenset({"replier"})})
     rt = SimRuntime(seed=0)
     rt.register(AgentBase("q1"))
     rt.register(responder("d1", model, registry))

@@ -138,7 +138,7 @@ class TestMessageImmutability:
     def test_fields_cannot_be_assigned(self):
         m = msg("a", "b")
         for name in ("performative", "content", "language", "ontology", "sender",
-                     "receiver", "conversation_id", "reply_with", "in_reply_to"):
+                     "receiver", "conversation_id", "reply_with"):
             with pytest.raises(AttributeError):
                 setattr(m, name, "changed")
         assert m == msg("a", "b")
@@ -296,9 +296,8 @@ class TestBudget:
             rt.run_until_quiescent()
 
     def test_budget_must_be_positive(self):
-        rt = SimRuntime(seed=0)
         with pytest.raises(ValueError):
-            rt.run_until_quiescent(max_ticks=0)
+            SimRuntime(seed=0, max_ticks=0)
 
 
 def _ends_normally():

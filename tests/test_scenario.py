@@ -12,7 +12,7 @@ import pytest
 import parley.runtime
 from parley.cli import main as cli_main
 from parley.errors import ParseError, UnresolvedReferenceError
-from parley.fixtures import scenario_path
+from parley.fixtures import protocol_path, scenario_path
 from parley.runtime import render_trace
 from parley.scenario import (
     JOINT,
@@ -140,6 +140,55 @@ class TestParsing:
         assert cli_main(["run", str(path)]) == 2
         assert capsys.readouterr().err.count("expected a JSON object") == 2
 
+    @pytest.mark.parametrize(
+        "change, complaint",
+        [
+            (lambda raw: raw.update(agents=5), "agents: expected a JSON array"),
+            (
+                lambda raw: raw["agents"][1].update(enacts=[]),
+                "agent helper: enacts: expected a JSON object",
+            ),
+            (
+                lambda raw: raw["tasks"][0].update(participants=["d4"]),
+                "task job: participants: expected a JSON object",
+            ),
+            (lambda raw: raw.update(seed="abc"), "seed: expected an integer"),
+            (lambda raw: raw.update(max_ticks=0), "max_ticks must be at least 1"),
+            (lambda raw: raw["tasks"][0].update(id=["x"]), "task: id: expected a string"),
+            (
+                lambda raw: raw.update(faults=[{"conversation": 5, "ordinal": 1, "op": "x"}]),
+                "fault: conversation: expected a string",
+            ),
+        ],
+        ids=[
+            "number-agents",
+            "list-enacts",
+            "list-participants",
+            "text-seed",
+            "zero-ticks",
+            "list-task-id",
+            "number-fault-conversation",
+        ],
+    )
+    def test_a_field_of_the_wrong_type_or_range_is_a_located_error(
+        self, change, complaint, tmp_path, capsys
+    ):
+        raw = minimal_raw()
+        change(raw)
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(ParseError) as caught:
+            parse_scenario(path)
+        assert str(caught.value).startswith(f"{path}: ")
+        assert complaint in str(caught.value)
+        assert cli_main(["validate", str(path)]) == 2
+        assert cli_main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.count(complaint) == 2
+
+    def test_a_tick_budget_below_one_on_the_command_line_is_a_parse_error(self, capsys):
+        assert cli_main(["run", "t1_joint", "--max-ticks", "0"]) == 2
+        assert "--max-ticks must be at least 1" in capsys.readouterr().err
+
 
 class TestResolution:
     def _write(self, tmp_path, raw):
@@ -188,6 +237,30 @@ class TestResolution:
         raw = minimal_raw(compatibility=[["ips:asker", "ips:phantom"]])
         with pytest.raises(UnresolvedReferenceError):
             parse_scenario(self._write(tmp_path, raw))
+
+    def test_a_silent_initiator_is_rejected(self, tmp_path, capsys):
+        raw = minimal_raw()
+        raw["agents"][0]["behavior"] = "silent"
+        path = self._write(tmp_path, raw)
+        with pytest.raises(ParseError, match="task job: initiator 'boss' is silent"):
+            parse_scenario(path)
+        assert cli_main(["validate", str(path)]) == 2
+        assert cli_main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.count("is silent") == 2
+
+    def test_a_protocol_named_by_path_is_validated(self, tmp_path, capsys):
+        doc = json.loads(protocol_path("ips").read_text(encoding="utf-8"))
+        replier = next(role for role in doc["roles"] if role["role_id"] == "replier")
+        replier["transitions"][0]["trigger"]["schema"] = "nope"
+        (tmp_path / "broken_ips.json").write_text(json.dumps(doc), encoding="utf-8")
+        path = self._write(tmp_path, minimal_raw(protocols=["broken_ips.json"]))
+        with pytest.raises(ParseError) as caught:
+            parse_scenario(path)
+        assert str(tmp_path / "broken_ips.json") in str(caught.value)
+        assert "bad-schema-ref [ips:replier]: trigger schema 'nope'" in str(caught.value)
+        assert cli_main(["validate", str(path)]) == 2
+        assert cli_main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.count("bad-schema-ref") == 2
 
 
 def t1_joint_with_a_copy(**changes) -> dict:
@@ -430,6 +503,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert "role querier" in out
         assert "aq-bail" in out
+
+
+class TestSchemaEnvelope:
+    @pytest.mark.parametrize("mode", [SEQUENTIAL, MIXED])
+    def test_domain_messages_carry_the_language_of_their_schema(self, mode, tmp_path):
+        """t2_sequential_fault without its fault, every schema in fipa-sl."""
+        raw = json.loads(scenario_path("t2_sequential_fault").read_text(encoding="utf-8"))
+        for name in raw["protocols"]:
+            doc = json.loads(protocol_path(name).read_text(encoding="utf-8"))
+            for schema in doc["schemas"]:
+                schema["language"] = "fipa-sl"
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+        raw.update(
+            selection_mode=mode,
+            protocols=[f"{name}.json" for name in raw["protocols"]],
+            faults=[],
+        )
+        path = tmp_path / "fipa_sl.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        _, summary = run_scenario(parse_scenario(path), base_dir=tmp_path)
+        assert [task.outcome for task in summary.tasks] == ["concluded"]
 
 
 class TestDeterminism:
