@@ -26,7 +26,6 @@ from .joint import (
     AGENT_ORIENTED,
     PROTOCOL_ORIENTED,
     CandidateMatrix,
-    JointOutcome,
     OneNSolution,
     OneOneNSolution,
     OneOneSolution,
@@ -69,8 +68,6 @@ from .scenario import (
     parse_scenario,
     run_scenario,
     scenario_from_dict,
-    scenario_to_dict,
-    serialize_scenario,
 )
 
 __version__ = "0.1.0"
@@ -84,7 +81,6 @@ __all__ = [
     "CyclicFatherRelationError",
     "FaultSpec",
     "InteractionModel",
-    "JointOutcome",
     "Message",
     "NoViableRoleError",
     "OneNSolution",
@@ -125,8 +121,6 @@ __all__ = [
     "render_trace",
     "run_scenario",
     "scenario_from_dict",
-    "scenario_to_dict",
     "select_largest_set",
-    "serialize_scenario",
     "write_trace",
 ]

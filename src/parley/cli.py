@@ -35,24 +35,15 @@ MODE_ALIASES = {
 }
 
 
-def _find_scenario(name: str) -> Path:
+def _find(name: str, kind: str, bundled_path) -> Path:
+    """The file ``name``, else the bundled ``kind`` of that stem."""
     candidate = Path(name)
     if candidate.exists():
         return candidate
-    bundled = scenario_path(candidate.stem)
+    bundled = bundled_path(candidate.stem)
     if bundled.exists():
         return bundled
-    raise ParseError(f"no scenario file or bundled scenario named {name!r}")
-
-
-def _find_protocol(name: str) -> Path:
-    candidate = Path(name)
-    if candidate.exists():
-        return candidate
-    bundled = protocol_path(candidate.stem)
-    if bundled.exists():
-        return bundled
-    raise ParseError(f"no protocol file or bundled protocol named {name!r}")
+    raise ParseError(f"no {kind} file or bundled {kind} named {name!r}")
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
@@ -73,9 +64,8 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
 
 
 def cmd_run(args) -> int:
-    path = _find_scenario(args.scenario)
-    scenario = _apply_overrides(parse_scenario(path), args)
-    trace, summary = run_scenario(scenario, base_dir=path.parent)
+    scenario = parse_scenario(_find(args.scenario, "scenario", scenario_path))
+    trace, summary = run_scenario(_apply_overrides(scenario, args))
     if args.trace:
         write_trace(trace, args.trace)
     print(f"{summary.scenario_id}: mode={summary.selection_mode} "
@@ -88,8 +78,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    path = _find_scenario(args.scenario)
-    scenario = parse_scenario(path)
+    scenario = parse_scenario(_find(args.scenario, "scenario", scenario_path))
     require_own_initiators(scenario)
     print(f"{scenario.scenario_id}: ok "
           f"({len(scenario.agents)} agents, {len(scenario.tasks)} tasks, "
@@ -128,7 +117,7 @@ def _dump_protocol(protocol: Protocol) -> None:
 
 
 def cmd_dump_protocol(args) -> int:
-    _dump_protocol(load_protocol(_find_protocol(args.protocol)))
+    _dump_protocol(load_protocol(_find(args.protocol, "protocol", protocol_path)))
     return 0
 
 

@@ -165,9 +165,6 @@ class SelectionFailure:
     reason: str  # "exhausted": every vector was tried without a deal
 
 
-JointOutcome = OneOneSolution | OneOneNSolution | OneNSolution | SelectionFailure
-
-
 # ---------------------------------------------------------------------------
 # Participant side of the meta protocol
 # ---------------------------------------------------------------------------

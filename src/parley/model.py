@@ -599,7 +599,6 @@ def protocol_to_dict(protocol: Protocol) -> dict:
 
 def load_protocol(path: str | Path) -> Protocol:
     try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        return protocol_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (json.JSONDecodeError, ParseError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    return protocol_from_dict(raw)

@@ -3,15 +3,16 @@
 A scenario names the protocol fixtures, the agents with their
 interaction models, the tasks (initiator, capabilities, identified
 participants), an optional compatibility table, fault injections, and
-the seed.  Parsing resolves every cross reference up front so a typo
-fails loudly instead of producing a silently empty run.
+the seed.  Parsing loads the protocols once and resolves every cross
+reference up front, so a typo fails loudly instead of producing a
+silently empty run, and a parsed scenario runs from any directory.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .agents import (
@@ -48,9 +49,9 @@ BEHAVIORS = ("auto", SILENT)
 @dataclass(frozen=True)
 class AgentSpec:
     agent_id: str
-    enacts: dict[str, tuple[str, ...]]
-    willing: bool = True
-    behavior: str = "auto"
+    model: InteractionModel
+    willing: bool
+    behavior: str
 
 
 @dataclass(frozen=True)
@@ -59,17 +60,19 @@ class Scenario:
     seed: int
     selection_mode: str
     protocols: tuple[str, ...]
+    #: the loaded ``protocols`` by id
+    registry: ProtocolRegistry = field(repr=False)
     agents: tuple[AgentSpec, ...]
     tasks: tuple[TaskDescription, ...]
-    compatibility: tuple[tuple[str, str], ...] = ()
-    faults: tuple[FaultSpec, ...] = ()
-    exploration: str = PROTOCOL_ORIENTED
-    reply_deadline: int = 10
-    max_ticks: int = 200
+    compatibility: CompatibilityTable
+    faults: tuple[FaultSpec, ...]
+    exploration: str
+    reply_deadline: int
+    max_ticks: int
 
 
 # ---------------------------------------------------------------------------
-# Parsing and serialisation
+# Parsing
 # ---------------------------------------------------------------------------
 
 
@@ -120,12 +123,17 @@ def parse_scenario(path) -> Scenario:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON ({exc})") from exc
-    scenario = scenario_from_dict(raw, where=str(path))
-    _resolve(scenario, base_dir=path.parent)
-    return scenario
+    return scenario_from_dict(raw, str(path), path.parent)
 
 
-def scenario_from_dict(raw: dict, where: str = "scenario") -> Scenario:
+def scenario_from_dict(
+    raw: dict, where: str = "scenario", base_dir: Path | None = None
+) -> Scenario:
+    """The checked scenario of a JSON document.
+
+    Protocols named by a relative path are looked up in ``base_dir``
+    (the working directory when it is ``None``), once.
+    """
     mode = _require(raw, "selection_mode", where)
     if mode not in SELECTION_MODES:
         raise ParseError(f"{where}: unknown selection_mode {mode!r}")
@@ -138,10 +146,11 @@ def scenario_from_dict(raw: dict, where: str = "scenario") -> Scenario:
         behavior = entry.get("behavior", "auto")
         if behavior not in BEHAVIORS:
             raise ParseError(f"{where}: agent {agent_id}: unknown behavior {behavior!r}")
+        enacts = _names_by_key(entry, "enacts", f"{where}: agent {agent_id}")
         agents.append(
             AgentSpec(
                 agent_id=agent_id,
-                enacts=_names_by_key(entry, "enacts", f"{where}: agent {agent_id}"),
+                model=InteractionModel({p: frozenset(roles) for p, roles in enacts.items()}),
                 willing=bool(entry.get("willing", True)),
                 behavior=behavior,
             )
@@ -178,85 +187,33 @@ def scenario_from_dict(raw: dict, where: str = "scenario") -> Scenario:
             )
         except ValueError as exc:
             raise ParseError(f"{at}: {exc}") from exc
-    compatibility = []
-    for pair in _typed(raw.get("compatibility", []), list, f"{where}: compatibility"):
-        refs = _names(pair, f"{where}: compatibility")
+    pairs = set()
+    at = f"{where}: compatibility"
+    for pair in _typed(raw.get("compatibility", []), list, at):
+        refs = _names(pair, at)
         if len(refs) != 2:
-            raise ParseError(f"{where}: compatibility: expected a pair, got {pair!r:.40}")
-        compatibility.append(refs)
-    return Scenario(
+            raise ParseError(f"{at}: expected a pair, got {pair!r:.40}")
+        try:
+            pairs.add((RoleRef.parse(refs[0]), RoleRef.parse(refs[1])))
+        except ParseError as exc:
+            raise ParseError(f"{at}: {exc}") from exc
+    protocols = _names(_require(raw, "protocols", where), f"{where}: protocols")
+    scenario = Scenario(
         scenario_id=raw.get("scenario_id", "scenario"),
         seed=_integer(raw, "seed", 0, where),
         selection_mode=mode,
-        protocols=_names(_require(raw, "protocols", where), f"{where}: protocols"),
+        protocols=protocols,
+        registry=load_registry(protocols, base_dir),
         agents=tuple(agents),
         tasks=tuple(tasks),
-        compatibility=tuple(compatibility),
+        compatibility=CompatibilityTable(pairs=frozenset(pairs)),
         faults=tuple(faults),
         exploration=exploration,
         reply_deadline=_integer(raw, "reply_deadline", 10, where, least=0),
         max_ticks=_integer(raw, "max_ticks", 200, where, least=1),
     )
-
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    out: dict = {
-        "scenario_id": scenario.scenario_id,
-        "seed": scenario.seed,
-        "selection_mode": scenario.selection_mode,
-        "protocols": list(scenario.protocols),
-        "agents": [],
-        "tasks": [],
-    }
-    for spec in scenario.agents:
-        entry: dict = {
-            "id": spec.agent_id,
-            "enacts": {p: list(r) for p, r in spec.enacts.items()},
-        }
-        if not spec.willing:
-            entry["willing"] = False
-        if spec.behavior != "auto":
-            entry["behavior"] = spec.behavior
-        out["agents"].append(entry)
-    for task in scenario.tasks:
-        entry = {
-            "id": task.task_id,
-            "initiator": task.initiator,
-            "capabilities": sorted(task.required_capabilities),
-            "participants": {p: list(a) for p, a in task.participants.items()},
-        }
-        if task.constraints:
-            entry["constraints"] = task.constraints
-        out["tasks"].append(entry)
-    if scenario.compatibility:
-        out["compatibility"] = [list(pair) for pair in scenario.compatibility]
-    if scenario.faults:
-        out["faults"] = []
-        for fault in scenario.faults:
-            entry = {
-                "conversation": fault.conversation,
-                "ordinal": fault.ordinal,
-                "op": fault.op,
-            }
-            if fault.op == "corrupt_structure":
-                entry["field"] = fault.structure_field
-            if fault.path:
-                entry["path"] = list(fault.path)
-            out["faults"].append(entry)
-    if scenario.exploration != PROTOCOL_ORIENTED:
-        out["exploration"] = scenario.exploration
-    if scenario.reply_deadline != 10:
-        out["reply_deadline"] = scenario.reply_deadline
-    if scenario.max_ticks != 200:
-        out["max_ticks"] = scenario.max_ticks
-    return out
-
-
-def serialize_scenario(scenario: Scenario, path) -> None:
-    Path(path).write_text(
-        json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=False) + "\n",
-        encoding="utf-8",
-    )
+    _resolve(scenario)
+    return scenario
 
 
 # ---------------------------------------------------------------------------
@@ -264,14 +221,14 @@ def serialize_scenario(scenario: Scenario, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def load_registry(scenario: Scenario, base_dir: Path | None = None) -> ProtocolRegistry:
-    """The scenario's protocols by id.
+def load_registry(protocols: tuple[str, ...], base_dir: Path | None = None) -> ProtocolRegistry:
+    """The named protocols by id.
 
     A protocol named by path is validated as it loads; the bundled ones
     were validated when ``scripts/build_fixtures.py`` wrote them.
     """
     registry: ProtocolRegistry = {}
-    for name in scenario.protocols:
+    for name in protocols:
         candidate = Path(name)
         if candidate.suffix == ".json":
             if not candidate.is_absolute() and base_dir is not None:
@@ -293,15 +250,15 @@ def load_registry(scenario: Scenario, base_dir: Path | None = None) -> ProtocolR
     return registry
 
 
-def _resolve(scenario: Scenario, base_dir: Path | None = None) -> None:
+def _resolve(scenario: Scenario) -> None:
     """Check every cross reference; raise with a location on failure."""
-    registry = load_registry(scenario, base_dir)
+    registry = scenario.registry
     ids = {spec.agent_id for spec in scenario.agents}
     silent = {spec.agent_id for spec in scenario.agents if spec.behavior == SILENT}
     if len(ids) != len(scenario.agents):
         raise ParseError(f"{scenario.scenario_id}: duplicate agent ids")
     for spec in scenario.agents:
-        for protocol_id, roles in spec.enacts.items():
+        for protocol_id, roles in spec.model.entries.items():
             if protocol_id not in registry:
                 raise UnresolvedReferenceError(
                     f"agent {spec.agent_id}: unknown protocol {protocol_id!r}"
@@ -332,11 +289,10 @@ def _resolve(scenario: Scenario, base_dir: Path | None = None) -> None:
                         f"task {task.task_id}: unknown participant {agent!r}"
                     )
     require_one_participant(scenario)
-    for left, right in scenario.compatibility:
-        for text in (left, right):
-            ref = RoleRef.parse(text)
+    for pair in sorted(scenario.compatibility.pairs):
+        for ref in pair:
             if ref.protocol not in registry or ref.role not in registry[ref.protocol].roles:
-                raise UnresolvedReferenceError(f"compatibility: no role {text!r}")
+                raise UnresolvedReferenceError(f"compatibility: no role {str(ref)!r}")
 
 
 def require_own_initiators(scenario: Scenario) -> None:
@@ -379,21 +335,9 @@ def require_one_participant(scenario: Scenario) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _interaction_model(spec: AgentSpec) -> InteractionModel:
-    return InteractionModel({p: frozenset(roles) for p, roles in spec.enacts.items()})
-
-
-def _compatibility_table(scenario: Scenario) -> CompatibilityTable:
-    pairs = frozenset(
-        (RoleRef.parse(a), RoleRef.parse(b)) for a, b in scenario.compatibility
-    )
-    return CompatibilityTable(pairs=pairs)
-
-
-def build_runtime(scenario: Scenario, base_dir: Path | None = None) -> SimRuntime:
+def build_runtime(scenario: Scenario) -> SimRuntime:
     """Instantiate the bus and all agents for one run of the scenario."""
-    registry = load_registry(scenario, base_dir)
-    table = _compatibility_table(scenario)
+    registry, table = scenario.registry, scenario.compatibility
     runtime = SimRuntime(seed=scenario.seed, max_ticks=scenario.max_ticks)
     for fault in scenario.faults:
         runtime.inject_fault(fault)
@@ -404,7 +348,7 @@ def build_runtime(scenario: Scenario, base_dir: Path | None = None) -> SimRuntim
         if spec.behavior == SILENT:
             runtime.register(SilentAgent(spec.agent_id))
             continue
-        model = _interaction_model(spec)
+        model = spec.model
         task = initiators.get(spec.agent_id)
         if task is not None:
             if scenario.selection_mode == JOINT:
@@ -521,10 +465,8 @@ def summarize(scenario: Scenario, runtime: SimRuntime, trace: list[TraceEvent]) 
     )
 
 
-def run_scenario(
-    scenario: Scenario, base_dir: Path | None = None
-) -> tuple[list[TraceEvent], RunSummary]:
+def run_scenario(scenario: Scenario) -> tuple[list[TraceEvent], RunSummary]:
     require_own_initiators(scenario)
-    runtime = build_runtime(scenario, base_dir)
+    runtime = build_runtime(scenario)
     trace = runtime.run_until_quiescent()
     return trace, summarize(scenario, runtime, trace)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from fnmatch import fnmatch
 from pathlib import Path
 from random import Random
@@ -10,6 +11,7 @@ from random import Random
 import pytest
 
 import parley.runtime
+import parley.scenario
 from parley.cli import main as cli_main
 from parley.errors import ParseError, UnresolvedReferenceError
 from parley.fixtures import protocol_path, scenario_path
@@ -23,8 +25,6 @@ from parley.scenario import (
     require_own_initiators,
     run_scenario,
     scenario_from_dict,
-    scenario_to_dict,
-    serialize_scenario,
     summarize,
 )
 
@@ -159,6 +159,10 @@ class TestParsing:
                 lambda raw: raw.update(faults=[{"conversation": 5, "ordinal": 1, "op": "x"}]),
                 "fault: conversation: expected a string",
             ),
+            (
+                lambda raw: raw.update(compatibility=[["ips:asker", "replier"]]),
+                "compatibility: bad role reference 'replier'",
+            ),
         ],
         ids=[
             "number-agents",
@@ -168,6 +172,7 @@ class TestParsing:
             "zero-ticks",
             "list-task-id",
             "number-fault-conversation",
+            "unqualified-compatibility-role",
         ],
     )
     def test_a_field_of_the_wrong_type_or_range_is_a_located_error(
@@ -262,6 +267,44 @@ class TestResolution:
         assert cli_main(["run", str(path)]) == 2
         assert capsys.readouterr().err.count("bad-schema-ref") == 2
 
+    def test_a_malformed_protocol_file_is_named(self, tmp_path, capsys):
+        (tmp_path / "x.json").write_text(json.dumps({"protocol_id": "x"}), encoding="utf-8")
+        path = self._write(tmp_path, minimal_raw(protocols=["x.json"]))
+        assert cli_main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {tmp_path / 'x.json'}: malformed protocol document:" in err
+
+    def _with_protocol_file(self, tmp_path):
+        """A scenario naming a copy of ips by a path relative to itself."""
+        (tmp_path / "x.json").write_text(
+            protocol_path("ips").read_text(encoding="utf-8"), encoding="utf-8"
+        )
+        return self._write(tmp_path, minimal_raw(protocols=["x.json", "request"]))
+
+    def test_a_parsed_scenario_runs_from_another_directory(self, tmp_path, monkeypatch):
+        path = self._with_protocol_file(tmp_path)
+        monkeypatch.chdir(tmp_path.parent)
+        scenario = parse_scenario(path)
+        runtime = build_runtime(scenario)
+        summary = summarize(scenario, runtime, runtime.run_until_quiescent())
+        assert [task.outcome for task in summary.tasks] == ["selected"]
+
+    def test_each_protocol_is_loaded_and_validated_once(self, tmp_path, monkeypatch):
+        path = self._with_protocol_file(tmp_path)
+        monkeypatch.chdir(tmp_path)  # so a second load would also find the file
+        calls = Counter()
+
+        def counting(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+            monkeypatch.setattr(parley.scenario, name, wrapper)
+
+        counting("load_protocol", parley.scenario.load_protocol)
+        counting("validate_protocol", parley.scenario.validate_protocol)
+        build_runtime(parse_scenario(path))
+        assert calls == {"load_protocol": 2, "validate_protocol": 1}
+
 
 def t1_joint_with_a_copy(**changes) -> dict:
     """t1_joint with its task duplicated as t1b (``changes`` apply to the copy)."""
@@ -308,23 +351,6 @@ class TestTaskIdentity:
     def test_bundled_scenarios_have_their_own_initiators(self):
         for name in BUNDLED:
             require_own_initiators(parse_scenario(scenario_path(name)))
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("name", BUNDLED)
-    def test_parse_serialize_parse_identity(self, name, tmp_path):
-        original = parse_scenario(scenario_path(name))
-        out = tmp_path / "echo.json"
-        serialize_scenario(original, out)
-        assert parse_scenario(out) == original
-
-    def test_to_dict_keeps_only_non_defaults(self):
-        raw = scenario_to_dict(scenario_from_dict(minimal_raw()))
-        assert "reply_deadline" not in raw
-        assert "max_ticks" not in raw
-        assert "exploration" not in raw
-        assert "faults" not in raw
-        assert "willing" not in raw["agents"][0]
 
 
 def task_conversations(scenario):
@@ -522,7 +548,7 @@ class TestSchemaEnvelope:
         )
         path = tmp_path / "fipa_sl.json"
         path.write_text(json.dumps(raw), encoding="utf-8")
-        _, summary = run_scenario(parse_scenario(path), base_dir=tmp_path)
+        _, summary = run_scenario(parse_scenario(path))
         assert [task.outcome for task in summary.tasks] == ["concluded"]
 
 
