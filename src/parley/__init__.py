@@ -27,10 +27,7 @@ from .joint import (
     PROTOCOL_ORIENTED,
     CandidateMatrix,
     OneNSolution,
-    OneOneNSolution,
-    OneOneSolution,
     ReadyToSelectPayload,
-    SelectionFailure,
     assign_roles_1_n,
     build_candidate_matrix,
     next_vector,
@@ -84,8 +81,6 @@ __all__ = [
     "Message",
     "NoViableRoleError",
     "OneNSolution",
-    "OneOneNSolution",
-    "OneOneSolution",
     "PROTOCOL_ORIENTED",
     "ParleyError",
     "ParseError",
@@ -100,7 +95,6 @@ __all__ = [
     "RoleStateMachine",
     "RunSummary",
     "Scenario",
-    "SelectionFailure",
     "SimClock",
     "SimRuntime",
     "TaskDescription",

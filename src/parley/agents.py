@@ -14,7 +14,9 @@ conversation, drops what is not for a responder, runs the termination
 handshake and rejects an opening that no role takes; each responder
 adds only how it opens a thread, takes a later domain message and
 recovers from an error notice.  Every agent traces the end of its part
-of a conversation through one ``termination`` note.
+of a conversation through one ``termination`` note, each family writes
+the envelope of its other notes in one place, and each initiator sets
+its task's (outcome, detail) once, where it decides it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .individual import (
     PARTICIPANT_DETECTED,
     WRONG_STRUCTURE,
     InteractionError,
-    RoleCollection,
     build_collection,
     clamped_recovery_points,
     locate_emission,
@@ -45,11 +46,8 @@ from .journal import DataChange, Journal, MessageEmission, MessageReception
 from .joint import (
     PROTOCOL_ORIENTED,
     CandidateMatrix,
-    OneOneNSolution,
-    OneOneSolution,
     ParticipantMetaState,
     ReadyToSelectPayload,
-    SelectionFailure,
     acceptable_role,
     assign_roles_1_n,
     build_candidate_matrix,
@@ -90,7 +88,6 @@ from .model import (
     RoleRef,
     TaskDescription,
     Transition,
-    Willingness,
     classify_protocol,
     match_task_to_protocols,
 )
@@ -296,8 +293,8 @@ class JointInitiator(AgentBase):
         task: TaskDescription,
         model: InteractionModel,
         registry: ProtocolRegistry,
-        mode: str = PROTOCOL_ORIENTED,
-        reply_deadline: int = 10,
+        mode: str,
+        reply_deadline: int,
     ) -> None:
         super().__init__(name)
         self.task = task
@@ -308,10 +305,12 @@ class JointInitiator(AgentBase):
         self.conversation = f"{task.task_id}!select"
         self.matrix: CandidateMatrix | None = None
         self.explored: set[str] = set()
-        self.outcome = None
+        #: (summary outcome, detail) once the selection is decided
+        self.outcome: tuple[str, dict] | None = None
         self.round = _Round(number=0)
         self.pending_pairs: list[tuple[str, str]] = []
-        self.inflight: tuple[str, str] | None = None
+        #: the agent of the one-to-one call awaiting its answer
+        self.inflight: str | None = None
 
     # -- plumbing ----------------------------------------------------------
 
@@ -328,20 +327,27 @@ class JointInitiator(AgentBase):
     def _category(self, protocol_id: str) -> ProtocolCategory:
         return classify_protocol(self.registry[protocol_id])
 
+    def _note(self, rt: SimRuntime, step: str, **fields) -> None:
+        rt.note("selection", {"task": self.task.task_id, "step": step, **fields})
+
+    def _solved(self, rt: SimRuntime, kind: str, protocol_id: str, **fields) -> None:
+        """Settle the task on ``protocol_id``: the ``solved`` note and the
+        summary detail carry the same ``fields``."""
+        self.outcome = ("selected", {"protocol": protocol_id, **fields})
+        self._note(rt, "solved", outcome=kind, **fields)
+        _note_termination(rt, self.conversation, self.name, "concluded")
+
     # -- lifecycle ---------------------------------------------------------
 
     def on_start(self, rt: SimRuntime) -> None:
         candidates = match_task_to_protocols(self.task, self.model, self.registry)
         self.matrix = build_candidate_matrix(self.task, candidates)
-        rt.note(
-            "selection",
-            {
-                "task": self.task.task_id,
-                "step": "matrix",
-                "protocols": list(self.matrix.protocols),
-                "agents": list(self.matrix.agents),
-                "cells": sorted(list(cell) for cell in self.matrix.cells),
-            },
+        self._note(
+            rt,
+            "matrix",
+            protocols=list(self.matrix.protocols),
+            agents=list(self.matrix.agents),
+            cells=sorted(list(cell) for cell in self.matrix.cells),
         )
         self._advance_vector(rt)
 
@@ -355,10 +361,7 @@ class JointInitiator(AgentBase):
             pairs = [(vector, agent) for agent in self.matrix.row(vector)]
         else:
             pairs = [(protocol, vector) for protocol in self.matrix.column(vector)]
-        rt.note(
-            "selection",
-            {"task": self.task.task_id, "step": "explore", "vector": vector},
-        )
+        self._note(rt, "explore", vector=vector)
         if self.mode == PROTOCOL_ORIENTED and self._category(vector) in (
             ProtocolCategory.ONE_ONE_N,
             ProtocolCategory.ONE_N,
@@ -375,8 +378,8 @@ class JointInitiator(AgentBase):
             self._advance_vector(rt)
             return
         protocol_id, agent = self.pending_pairs.pop(0)
-        self.round = _Round(number=self.round.number + 1, protocol=protocol_id)
-        self.inflight = (protocol_id, agent)
+        self.round = _Round(number=self.round.number + 1)
+        self.inflight = agent
         self._send(
             rt,
             agent,
@@ -390,19 +393,9 @@ class JointInitiator(AgentBase):
         if ref is None:
             return False
         self._send(rt, agent, NOTIFY_ASSIGNMENT, {"role": str(ref)})
-        self.outcome = OneOneSolution(agent=agent, protocol=ref.protocol, role=ref)
-        rt.note(
-            "selection",
-            {
-                "task": self.task.task_id,
-                "step": "solved",
-                "outcome": "one-one",
-                "agent": agent,
-                "protocol": ref.protocol,
-                "role": str(ref),
-            },
+        self._solved(
+            rt, "one-one", ref.protocol, agent=agent, protocol=ref.protocol, role=str(ref)
         )
-        _note_termination(rt, self.conversation, self.name, "concluded")
         self.inflight = None
         return True
 
@@ -440,18 +433,8 @@ class JointInitiator(AgentBase):
             for agent in sorted(agents):
                 self._send(rt, agent, NOTIFY_ASSIGNMENT, {"role": str(role)})
             self._stop_agents(rt, {a: None for a in replies if a not in agents})
-            self.outcome = OneOneNSolution(
-                agents=agents, protocol=role.protocol, role=role
-            )
-            rt.note(
-                "selection",
-                {
-                    "task": self.task.task_id,
-                    "step": "solved",
-                    "outcome": "largest-set",
-                    "role": str(role),
-                    "agents": sorted(agents),
-                },
+            self._solved(
+                rt, "largest-set", role.protocol, role=str(role), agents=sorted(agents)
             )
         else:
             solution = assign_roles_1_n(replies, [self.registry[protocol_id]], rt.rng)
@@ -471,32 +454,23 @@ class JointInitiator(AgentBase):
                     {"role": str(refs[0]), "roles": [str(r) for r in refs]},
                 )
             self._stop_agents(rt, {a: None for a in replies if a not in by_agent})
-            self.outcome = solution
-            rt.note(
-                "selection",
-                {
-                    "task": self.task.task_id,
-                    "step": "solved",
-                    "outcome": "role-allocation",
-                    "protocol": solution.protocol,
-                    "assignment": {
-                        str(ref): agent
-                        for ref, agent in sorted(solution.assignment.items())
-                    },
+            self._solved(
+                rt,
+                "role-allocation",
+                solution.protocol,
+                protocol=solution.protocol,
+                assignment={
+                    str(ref): agent for ref, agent in sorted(solution.assignment.items())
                 },
             )
-        _note_termination(rt, self.conversation, self.name, "concluded")
 
     def _stop_agents(self, rt: SimRuntime, agents) -> None:
         for agent in sorted(agents):
             self._send(rt, agent, STOP_SELECTION, {})
 
     def _conclude_failure(self, rt: SimRuntime, reason: str) -> None:
-        self.outcome = SelectionFailure(reason=reason)
-        rt.note(
-            "selection",
-            {"task": self.task.task_id, "step": "failed", "reason": reason},
-        )
+        self.outcome = ("failure", {"reason": reason})
+        self._note(rt, "failed", reason=reason)
         _note_termination(rt, self.conversation, self.name, "failed")
 
     # -- message handling ----------------------------------------------------
@@ -512,8 +486,7 @@ class JointInitiator(AgentBase):
             if self.round.agents:
                 self._maybe_arbitrate(rt, deadline=True)
             elif self.inflight is not None:
-                _, agent = self.inflight
-                self._send(rt, agent, STOP_SELECTION, {})
+                self._send(rt, self.inflight, STOP_SELECTION, {})
                 self.inflight = None
                 self._contact_next(rt)
             return
@@ -526,7 +499,7 @@ class JointInitiator(AgentBase):
                     )
                     self._maybe_arbitrate(rt, deadline=False)
                 return
-            if self.inflight is None or msg.sender != self.inflight[1]:
+            if msg.sender != self.inflight:
                 self._send(rt, msg.sender, STOP_SELECTION, {})  # late reply
                 return
             if self._settle_one_one(rt, msg.sender, roles):
@@ -541,7 +514,7 @@ class JointInitiator(AgentBase):
                     self.round.refused.add(msg.sender)
                     self._maybe_arbitrate(rt, deadline=False)
                 return
-            if self.inflight is not None and msg.sender == self.inflight[1]:
+            if msg.sender == self.inflight:
                 self.inflight = None
                 self._contact_next(rt)
             return
@@ -561,7 +534,7 @@ class SelectionParticipant(AgentBase):
         model: InteractionModel,
         registry: ProtocolRegistry,
         table: CompatibilityTable,
-        willing: Willingness,
+        willing: bool,
         offers: dict[str, tuple[RoleRef, ...]],
     ) -> None:
         super().__init__(name)
@@ -648,19 +621,14 @@ class IndividualInitiator(AgentBase):
         self.conversation = f"{task.task_id}/{self.participant}"
         self.journal = Journal(conversation_id=self.conversation)
         self.driver: MachineDriver | None = None
-        self.status: str | None = None  # None while running
-        self.final_state: str | None = None
+        #: (summary outcome, detail) once the task is over
+        self.outcome: tuple[str, dict] | None = None
         self.awaiting_notice = False
-
-    @property
-    def terminated(self) -> bool:
-        return self.status is not None
 
     def on_start(self, rt: SimRuntime) -> None:
         matched = match_task_to_protocols(self.task, self.model, self.registry)
         if not matched:
-            self.status = "failed"
-            _note_termination(rt, self.conversation, self.name, "failed", reason="no-protocol")
+            self._conclude(rt, "failed", {}, reason="no-protocol")
             return
         protocol, role_id = matched[0]
         overrides = self.task.constraints.get("contents", {})
@@ -683,13 +651,12 @@ class IndividualInitiator(AgentBase):
             _message(performative, content, self.name, self.participant, self.conversation)
         )
 
-    def _conclude(self, rt: SimRuntime, status: str, **extra) -> None:
-        self.status = status
-        self.final_state = self.driver.state if self.driver else None
+    def _conclude(self, rt: SimRuntime, status: str, detail: dict, **extra) -> None:
+        self.outcome = (status, detail)
         _note_termination(rt, self.conversation, self.name, status, **extra)
 
     def on_message(self, rt: SimRuntime, msg: Message) -> None:
-        if self.terminated or self.driver is None:
+        if self.outcome is not None or self.driver is None:
             return
         performative = msg.performative
         if performative == ERROR_NOTIFY:
@@ -704,12 +671,13 @@ class IndividualInitiator(AgentBase):
         if performative == TERMINATION_WARNING:
             reason = msg.content.get("reason", "")
             if reason in FATAL_WARNINGS:
-                self._conclude(rt, "failed", reason=reason)
+                self._conclude(rt, "failed", {}, reason=reason)
             return
         if performative == TERMINATION_NOTICE:
             if self.awaiting_notice:
                 self.awaiting_notice = False
-                self._conclude(rt, "concluded", final_state=self.driver.state)
+                detail = {"final_state": self.driver.state}
+                self._conclude(rt, "concluded", detail, **detail)
             return
         if performative == WAKE:
             return
@@ -736,8 +704,9 @@ class _Thread:
 
     peer: str
     conversation: str
-    #: the roles that took the opening; None until one did
-    collection: RoleCollection | None = None
+    #: the roles that took the opening and are still available (the
+    #: role a sequential responder enacts is out); None until one took it
+    collection: set[RoleRef] | None = None
     closed: bool = False
 
 
@@ -770,9 +739,12 @@ class _Responder(AgentBase):
             _message(performative, content, self.name, thread.peer, thread.conversation)
         )
 
+    def _note(self, rt: SimRuntime, event: str, thread: _Thread, **fields) -> None:
+        rt.note(event, {"conversation": thread.conversation, "agent": self.name, **fields})
+
     def _fail(self, rt: SimRuntime, thread: _Thread, reason: str) -> None:
         self._reply(rt, thread, TERMINATION_WARNING, {"reason": reason})
-        _note_termination(rt, thread.conversation, self.name, "failed", reason=reason)
+        self._note(rt, "termination", thread, status="failed", reason=reason)
         thread.closed = True
 
     def _reject(self, rt: SimRuntime, thread: _Thread, msg: Message, kind: str) -> None:
@@ -795,7 +767,7 @@ class _Responder(AgentBase):
             return
         if performative == TERMINATION_NOTICE:
             self._reply(rt, thread, TERMINATION_NOTICE, {"state": "acknowledged"})
-            _note_termination(rt, conversation, self.name, "concluded")
+            self._note(rt, "termination", thread, status="concluded")
             thread.closed = True
             return
         if performative in (TERMINATION_WARNING, RECOVER_AT):
@@ -808,14 +780,14 @@ class _Responder(AgentBase):
         if not takers:
             # content or structure complaint, judged at every initial state
             placed = []
-            for ref in base.available():
+            for ref in sorted(base):
                 protocol = self.registry[ref.protocol]
                 machine = protocol.roles[ref.role]
                 placed.append((machine, protocol, machine.initial_state))
             self._reject(rt, thread, msg, rejection_kind(placed, msg))
             self._fail(rt, thread, "no-viable-role")
             return
-        thread.collection = RoleCollection.of(takers)
+        thread.collection = set(takers)
         self._open(rt, thread, msg, takers)
 
 
@@ -867,7 +839,6 @@ class SequentialResponder(_Responder):
         driver = thread.driver
         records = list(driver.journal.records)
         prefix = records[: error.location - 1]
-        thread.collection.remove(driver.ref)
         replayed: dict[RoleRef, frozenset[str]] = {}  # each prefix replayed once
         purged = purge_collection(
             thread.collection,
@@ -895,20 +866,18 @@ class SequentialResponder(_Responder):
             error.offending if error.detected_by == PARTICIPANT_DETECTED else None,
         )
         truncate_own(driver.journal, own_point)
-        thread.collection.activate(replacement)
+        thread.collection.discard(replacement)
         thread.driver = self._new_driver(thread, replacement, driver.journal, driver.tagger)
         thread.driver.replay()
-        rt.note(
+        self._note(
+            rt,
             "recovery",
-            {
-                "conversation": thread.conversation,
-                "agent": self.name,
-                "action": "replacement",
-                "kind": error.kind,
-                "purged": [str(r) for r in purged],
-                "role": str(replacement),
-                "points": [counterpart_point, own_point],
-            },
+            thread,
+            action="replacement",
+            kind=error.kind,
+            purged=[str(r) for r in purged],
+            role=str(replacement),
+            points=[counterpart_point, own_point],
         )
         self._reply(rt, thread, RECOVER_AT, {"point": counterpart_point})
         for outgoing in thread.driver.resume(refire, rt.rng):
@@ -916,18 +885,16 @@ class SequentialResponder(_Responder):
 
     def _open(self, rt, thread: _SequentialThread, msg: Message, takers) -> None:
         chosen = pick(list(takers), rt.rng)
-        thread.collection.activate(chosen)
+        thread.collection.discard(chosen)
         journal = Journal(conversation_id=thread.conversation)
         thread.driver = self._new_driver(thread, chosen, journal, sequence_tagger(self.name))
-        rt.note(
+        self._note(
+            rt,
             "selection",
-            {
-                "conversation": thread.conversation,
-                "agent": self.name,
-                "step": "role-instantiated",
-                "role": str(chosen),
-                "collection": [str(r) for r in thread.collection.available()],
-            },
+            thread,
+            step="role-instantiated",
+            role=str(chosen),
+            collection=[str(r) for r in sorted(thread.collection)],
         )
         for outgoing in thread.driver.receive(msg, takers[chosen], rt.rng):
             rt.schedule_send(outgoing)
@@ -1019,16 +986,14 @@ class MixedResponder(_Responder):
             except NoViableRoleError:
                 self._fail(rt, thread, "exhausted")
                 return
-            rt.note(
+            self._note(
+                rt,
                 "recovery",
-                {
-                    "conversation": thread.conversation,
-                    "agent": self.name,
-                    "action": "reactivation",
-                    "roles": [str(r) for r in plan.refs],
-                    "points": [plan.counterpart_point, plan.own_point],
-                    "restart": plan.restart,
-                },
+                thread,
+                action="reactivation",
+                roles=[str(r) for r in plan.refs],
+                points=[plan.counterpart_point, plan.own_point],
+                restart=plan.restart,
             )
             self._reply(rt, thread, RECOVER_AT, {"point": plan.counterpart_point})
             if plan.weak_guard:
@@ -1047,15 +1012,13 @@ class MixedResponder(_Responder):
         thread.zone = instantiate_all(
             takers, self.registry, msg, sequence_tagger(self.name), rt.rng
         )
-        rt.note(
+        self._note(
+            rt,
             "selection",
-            {
-                "conversation": thread.conversation,
-                "agent": self.name,
-                "step": "all-instantiated",
-                "collection": [str(r) for r in sorted(thread.zone.instances)],
-                "candidates": len(thread.zone.outbox),
-            },
+            thread,
+            step="all-instantiated",
+            collection=[str(r) for r in sorted(thread.zone.instances)],
+            candidates=len(thread.zone.outbox),
         )
         if not thread.zone.outbox:
             self._fail(rt, thread, "no-viable-role")
@@ -1081,15 +1044,8 @@ class MixedResponder(_Responder):
         failed = thread.zone.sent_history[-1]
         substitute = handle_error_mixed(thread.zone, self.registry, kind, rt.rng)
         if substitute is not None:
-            rt.note(
-                "recovery",
-                {
-                    "conversation": thread.conversation,
-                    "agent": self.name,
-                    "action": "replacement",
-                    "kind": kind,
-                    "tag": substitute.reply_with,
-                },
+            self._note(
+                rt, "recovery", thread, action="replacement", kind=kind, tag=substitute.reply_with
             )
             rt.schedule_send(substitute)
             return

@@ -17,7 +17,6 @@ still covered by the kept records.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from random import Random
 
 from .errors import NoViableRoleError, PointOutOfRangeError
@@ -72,67 +71,28 @@ def locate_emission(records, reply_with: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Role collections
+# Role collections: the set of roles still available, walked in sorted order
 # ---------------------------------------------------------------------------
 
 
-class RoleStatus(str, Enum):
-    AVAILABLE = "available"
-    ACTIVE = "active"
-    REMOVED = "removed"
-
-
-@dataclass
-class RoleCollection:
-    """Candidate roles of one agent for one conversation."""
-
-    statuses: dict[RoleRef, RoleStatus]
-
-    @classmethod
-    def of(cls, refs) -> "RoleCollection":
-        return cls(statuses={ref: RoleStatus.AVAILABLE for ref in sorted(refs)})
-
-    def available(self) -> list[RoleRef]:
-        return [r for r, s in sorted(self.statuses.items()) if s is RoleStatus.AVAILABLE]
-
-    def active(self) -> RoleRef | None:
-        for ref, status in self.statuses.items():
-            if status is RoleStatus.ACTIVE:
-                return ref
-        return None
-
-    def activate(self, ref: RoleRef) -> None:
-        current = self.active()
-        if current is not None and current != ref:
-            raise ValueError(f"{current} is still active")
-        if self.statuses.get(ref) is not RoleStatus.AVAILABLE:
-            raise ValueError(f"{ref} is not available")
-        self.statuses[ref] = RoleStatus.ACTIVE
-
-    def remove(self, ref: RoleRef) -> None:
-        if ref in self.statuses:
-            self.statuses[ref] = RoleStatus.REMOVED
-
-
-def build_collection(model, registry: ProtocolRegistry, kind) -> RoleCollection:
+def build_collection(model, registry: ProtocolRegistry, kind) -> set[RoleRef]:
     """All roles of ``kind`` the agent enacts, per its interaction model."""
-    refs = [
+    return {
         ref
         for ref in model.role_refs()
         if ref.protocol in registry
         and ref.role in registry[ref.protocol].roles
         and registry[ref.protocol].roles[ref.role].kind is kind
-    ]
-    return RoleCollection.of(refs)
+    }
 
 
 def receiving_roles(
-    collection: RoleCollection, registry: ProtocolRegistry, msg: Message
+    collection: set[RoleRef], registry: ProtocolRegistry, msg: Message
 ) -> dict[RoleRef, list[Transition]]:
     """Available roles whose machine accepts ``msg`` in its initial
-    state, in collection order, each with the transitions that take it."""
+    state, in sorted order, each with the transitions that take it."""
     hits = {}
-    for ref in collection.available():
+    for ref in sorted(collection):
         protocol = registry[ref.protocol]
         machine = protocol.roles[ref.role]
         enabled = enabled_for_message(machine, protocol, machine.initial_state, msg)
@@ -184,7 +144,7 @@ def _receives_at_point(
 
 
 def purge_collection(
-    collection: RoleCollection,
+    collection: set[RoleRef],
     registry: ProtocolRegistry,
     prefix,
     error: InteractionError,
@@ -215,7 +175,7 @@ def purge_collection(
       content error).
     """
     removed: list[RoleRef] = []
-    for ref in list(collection.available()):
+    for ref in sorted(collection):
         protocol = registry[ref.protocol]
         machine = protocol.roles[ref.role]
         states = _replayed_states(ref, machine, protocol, prefix, replayed)
@@ -238,7 +198,7 @@ def purge_collection(
                 machine, protocol, states, error.offending, structural_only
             )
         if drop:
-            collection.remove(ref)
+            collection.discard(ref)
             removed.append(ref)
     return removed
 
@@ -269,7 +229,7 @@ def _schemas_at_point(machine, starts) -> frozenset[str]:
 
 
 def select_replacement_role(
-    collection: RoleCollection,
+    collection: set[RoleRef],
     registry: ProtocolRegistry,
     prefix,
     error: InteractionError,
@@ -287,7 +247,7 @@ def select_replacement_role(
     ``replayed`` holds the prefix replays :func:`purge_collection`
     already made, per role.
     """
-    candidates = collection.available()
+    candidates = sorted(collection)
     if not candidates:
         raise NoViableRoleError("the role collection is exhausted")
     if error.kind == WRONG_CONTENT:

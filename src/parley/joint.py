@@ -42,7 +42,6 @@ from .model import (
     RoleKind,
     RoleRef,
     TaskDescription,
-    Willingness,
     compatible,
 )
 
@@ -138,31 +137,12 @@ class ReadyToSelectPayload:
 
 
 @dataclass(frozen=True)
-class OneOneSolution:
-    agent: str
-    protocol: str
-    role: RoleRef
-
-
-@dataclass(frozen=True)
-class OneOneNSolution:
-    agents: frozenset[str]
-    protocol: str
-    role: RoleRef
-
-
-@dataclass(frozen=True)
 class OneNSolution:
     agents: frozenset[str]
     protocol: str
     #: one agent per participant role; several roles may share an agent
     #: when no injective allocation exists
     assignment: dict[RoleRef, str]
-
-
-@dataclass(frozen=True)
-class SelectionFailure:
-    reason: str  # "exhausted": every vector was tried without a deal
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +186,7 @@ def participant_meta_step(
     state: ParticipantMetaState,
     incoming: Message,
     registry: ProtocolRegistry,
-    willing: Willingness,
+    willing: bool,
     offer: Callable[[str], tuple[RoleRef, ...]],
 ) -> tuple[ParticipantMetaState, list[tuple[str, dict]]]:
     """Advance one participant-side selection thread.
@@ -221,10 +201,9 @@ def participant_meta_step(
     if performative == CALL_FOR_COLLABORATION:
         content = incoming.content if isinstance(incoming.content, dict) else {}
         protocol_id = content.get("protocol")
-        task_id = content.get("task", "")
         if not isinstance(protocol_id, str) or protocol_id not in registry:
             return state, [(UNABLE_TO_SELECT, {"reason": "malformed-call"})]
-        if not willing(protocol_id, task_id):
+        if not willing:
             return state, [(UNABLE_TO_SELECT, {"reason": "unwilling"})]
         roles = offer(protocol_id)
         if not roles:

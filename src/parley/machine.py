@@ -105,22 +105,11 @@ def replay_state(
     protocol: Protocol,
     records: list[JournalRecord] | tuple[JournalRecord, ...],
 ) -> str | None:
-    """One deterministic end state after replay (first match wins)."""
-    state = machine.initial_state
-    for record in records:
-        step = None
-        for t in machine.transitions_from(state):
-            if trigger_matches(protocol, t, record.input_event) and action_matches(
-                protocol, t, record.output_events
-            ):
-                step = t
-                break
-        if step is None:
-            # fall back to the exhaustive search before giving up
-            ends = replay_states(machine, protocol, records)
-            return sorted(ends)[0] if ends else None
-        state = step.to_state
-    return state
+    """One deterministic end state after replay: the least by name of
+    :func:`replay_states`, None when the machine cannot have produced
+    the records."""
+    ends = replay_states(machine, protocol, records)
+    return min(ends) if ends else None
 
 
 def weak_schema_ids(machine: RoleStateMachine) -> frozenset[str]:

@@ -468,11 +468,6 @@ def match_task_to_protocols(
     return found
 
 
-#: An autonomy predicate: may this agent commit to this protocol for
-#: this task right now?
-Willingness = Callable[[str, str], bool]
-
-
 # ---------------------------------------------------------------------------
 # JSON (de)serialisation of protocol documents
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .agents import (
 )
 from .errors import ParseError, UnresolvedReferenceError
 from .fixtures import protocol_path
-from .joint import AGENT_ORIENTED, PROTOCOL_ORIENTED, SelectionFailure
+from .joint import AGENT_ORIENTED, PROTOCOL_ORIENTED
 from .model import (
     CompatibilityTable,
     InteractionModel,
@@ -225,10 +225,12 @@ def load_registry(protocols: tuple[str, ...], base_dir: Path | None = None) -> P
     """The named protocols by id.
 
     A protocol named by path is validated as it loads; the bundled ones
-    were validated when ``scripts/build_fixtures.py`` wrote them.
+    were validated when ``scripts/build_fixtures.py`` wrote them.  Two
+    entries that load the same protocol id are an error.
     """
     registry: ProtocolRegistry = {}
-    for name in protocols:
+    entry: dict[str, int] = {}  # protocol id -> index of the entry that loaded it
+    for index, name in enumerate(protocols):
         candidate = Path(name)
         if candidate.suffix == ".json":
             if not candidate.is_absolute() and base_dir is not None:
@@ -246,6 +248,12 @@ def load_registry(protocols: tuple[str, ...], base_dir: Path | None = None) -> P
             if not bundled.exists():
                 raise UnresolvedReferenceError(f"no bundled protocol {name!r}")
             protocol = load_protocol(bundled)
+        first = entry.setdefault(protocol.protocol_id, index)
+        if first != index:
+            raise ParseError(
+                f"protocols[{first}] {protocols[first]!r} and protocols[{index}] "
+                f"{name!r} both define protocol {protocol.protocol_id!r}"
+            )
         registry[protocol.protocol_id] = protocol
     return registry
 
@@ -366,10 +374,9 @@ def build_runtime(scenario: Scenario) -> SimRuntime:
                 runtime.register(IndividualInitiator(spec.agent_id, task, model, registry))
             continue
         if scenario.selection_mode == JOINT:
-            willing = (lambda p, t: True) if spec.willing else (lambda p, t: False)
             shared = offers.setdefault(frozenset(model.entries.items()), {})
             runtime.register(
-                SelectionParticipant(spec.agent_id, model, registry, table, willing, shared)
+                SelectionParticipant(spec.agent_id, model, registry, table, spec.willing, shared)
             )
         elif scenario.selection_mode == SEQUENTIAL:
             runtime.register(SequentialResponder(spec.agent_id, model, registry))
@@ -406,33 +413,6 @@ class RunSummary:
         return all(task.terminated for task in self.tasks)
 
 
-def _describe_outcome(agent) -> tuple[str, dict, bool]:
-    if isinstance(agent, JointInitiator):
-        outcome = agent.outcome
-        if outcome is None:
-            return "unresolved", {}, False
-        if isinstance(outcome, SelectionFailure):
-            return "failure", {"reason": outcome.reason}, False
-        detail: dict = {"protocol": outcome.protocol}
-        if hasattr(outcome, "assignment"):
-            detail["assignment"] = {
-                str(ref): who for ref, who in sorted(outcome.assignment.items())
-            }
-        elif hasattr(outcome, "agents"):
-            detail["role"] = str(outcome.role)
-            detail["agents"] = sorted(outcome.agents)
-        else:
-            detail["role"] = str(outcome.role)
-            detail["agent"] = outcome.agent
-        return "selected", detail, True
-    # individual initiator
-    if agent.status == "concluded":
-        return "concluded", {"final_state": agent.final_state}, True
-    if agent.status == "failed":
-        return "failed", {}, False
-    return "unresolved", {}, False
-
-
 def summarize(scenario: Scenario, runtime: SimRuntime, trace: list[TraceEvent]) -> RunSummary:
     # one pass over the trace: per conversation, recoveries and non-self sends
     recoveries: Counter[str] = Counter()
@@ -445,7 +425,7 @@ def summarize(scenario: Scenario, runtime: SimRuntime, trace: list[TraceEvent]) 
     tasks = []
     for task in scenario.tasks:
         agent = runtime.agents[task.initiator]
-        outcome, detail, terminated = _describe_outcome(agent)
+        outcome, detail = agent.outcome or ("unresolved", {})
         tasks.append(
             TaskSummary(
                 task_id=task.task_id,
@@ -453,7 +433,7 @@ def summarize(scenario: Scenario, runtime: SimRuntime, trace: list[TraceEvent]) 
                 detail=detail,
                 recoveries=recoveries[agent.conversation],
                 messages=messages[agent.conversation],
-                terminated=terminated,
+                terminated=outcome in ("selected", "concluded"),
             )
         )
     return RunSummary(

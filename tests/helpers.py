@@ -10,16 +10,20 @@ from __future__ import annotations
 
 from random import Random
 
+from parley.agents import IndividualInitiator, SequentialResponder
 from parley.model import (
     MANY,
     Action,
+    InteractionModel,
     MessageSchema,
     Protocol,
     RoleKind,
     RoleStateMachine,
+    TaskDescription,
     Transition,
     Trigger,
 )
+from parley.runtime import FaultSpec, SimRuntime
 
 
 def _ask_schema(performative: str = "ask-one") -> MessageSchema:
@@ -177,6 +181,116 @@ def one_n_protocol(
         schemas={"kick": kick},
         roles=roles,
     )
+
+
+def _role(role_id: str, kind: RoleKind, transitions: tuple[Transition, ...]) -> RoleStateMachine:
+    """A unit-multiplicity role whose states are those its transitions
+    name; the first transition starts it and ``done`` ends it."""
+    states = {t.from_state for t in transitions} | {t.to_state for t in transitions}
+    return RoleStateMachine(
+        role_id=role_id,
+        kind=kind,
+        multiplicity=1,
+        states=frozenset(states),
+        initial_state=transitions[0].from_state,
+        terminal_states=frozenset({"done"}),
+        transitions=transitions,
+    )
+
+
+def _rewind_protocol(
+    protocol_id: str, answer: MessageSchema, accepted: tuple[MessageSchema, ...]
+) -> Protocol:
+    """An asker taking any ``accepted`` answer, and a server that takes
+    the ask into ``q`` and then answers it with ``answer``."""
+    asker = _role(
+        "asker",
+        RoleKind.INITIATOR,
+        (
+            Transition(
+                "s0",
+                Trigger(kind="internal", variable="task"),
+                Action(kind="send", schema_id="ask"),
+                "s1",
+                "ask",
+            ),
+            *(
+                Transition(
+                    "s1",
+                    Trigger(kind="receive", schema_id=schema.schema_id),
+                    Action(kind="none"),
+                    "done",
+                    f"got-{schema.schema_id}",
+                )
+                for schema in accepted
+            ),
+        ),
+    )
+    server = _role(
+        "server",
+        RoleKind.PARTICIPANT,
+        (
+            Transition(
+                "p0",
+                Trigger(kind="receive", schema_id="ask"),
+                Action(kind="data_change", variable="q"),
+                "p1",
+                "take",
+            ),
+            Transition(
+                "p1",
+                Trigger(kind="internal", variable="q"),
+                Action(kind="send", schema_id=answer.schema_id),
+                "done",
+                "answer",
+            ),
+        ),
+    )
+    return Protocol(
+        protocol_id=protocol_id,
+        capability_tags=frozenset({"query"}),
+        schemas={s.schema_id: s for s in (_ask_schema(), answer, *accepted)},
+        roles={"asker": asker, "server": server},
+    )
+
+
+def rewind_registry() -> dict[str, Protocol]:
+    """Two protocols whose servers share their method names.
+
+    Both servers ``take`` the same ask and then ``answer`` it: ``rw_a``
+    with a tell, ``rw_b`` with an inform, so the two answers differ in
+    structure.  ``rw_a``'s asker accepts either answer.  When a
+    sequential responder enacting both servers has its first answer
+    rejected, the replacement retraces the ``take`` record, so the
+    recovery rewinds to the middle of the journal instead of restarting.
+    """
+    tell = MessageSchema("tell", "tell", {"a": "?string"})
+    inform = MessageSchema("inform", "inform", {"n": "?string"})
+    return {
+        "rw_a": _rewind_protocol("rw_a", tell, (tell, inform)),
+        "rw_b": _rewind_protocol("rw_b", inform, (inform,)),
+    }
+
+
+def rewind_runtime(seed: int) -> SimRuntime:
+    """Task ``t``: asker ``q`` over ``rw_a`` against a sequential
+    responder ``c`` enacting both servers of :func:`rewind_registry`,
+    with the first answer garbled in transit."""
+    registry = rewind_registry()
+    task = TaskDescription(
+        task_id="t",
+        initiator="q",
+        required_capabilities=frozenset({"query"}),
+        participants={"rw_a": ("c",)},
+    )
+    rt = SimRuntime(seed=seed)
+    rt.inject_fault(FaultSpec(conversation="t/*", ordinal=2, op="corrupt_structure"))
+    rt.register(
+        IndividualInitiator("q", task, InteractionModel({"rw_a": frozenset({"asker"})}), registry)
+    )
+    servers = InteractionModel({protocol_id: frozenset({"server"}) for protocol_id in registry})
+    rt.register(SequentialResponder("c", servers, registry))
+    return rt
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from parley.individual import (
 from parley.joint import (
     PROTOCOL_ORIENTED,
     ReadyToSelectPayload,
-    SelectionFailure,
     assign_roles_1_n,
     build_candidate_matrix,
     next_vector,
@@ -149,9 +148,7 @@ def test_criterion_2_joint_selection_end_to_end():
     # with every identified agent declining, selection reports failure
     runtime = build_runtime(parse_scenario(scenario_path("t1_joint_refusal")))
     runtime.run_until_quiescent()
-    outcome = runtime.agents["q1"].outcome
-    assert isinstance(outcome, SelectionFailure)
-    assert outcome.reason == "exhausted"
+    assert runtime.agents["q1"].outcome == ("failure", {"reason": "exhausted"})
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0
     stamp(2, f"(d4, ips, ips:replier) selected from d4's own offer; "
@@ -444,7 +441,8 @@ def run_mixed_invariant_battery(raw: dict) -> dict:
     conversation = f"{scenario.tasks[0].task_id}/{scenario.agents[1].agent_id}"
 
     # every run settles: both ends reach a verdict
-    status = runtime.agents[initiator].status
+    outcome = runtime.agents[initiator].outcome
+    status = outcome[0] if outcome else None
     assert status in ("concluded", "failed"), f"initiator left hanging: {status}"
 
     # recovery effort is bounded by the candidate collection

@@ -25,8 +25,6 @@ from parley.individual import (
     WRONG_STRUCTURE,
     InteractionError,
     MethodGraph,
-    RoleCollection,
-    RoleStatus,
     build_collection,
     clamped_recovery_points,
     compute_recovery_points,
@@ -51,6 +49,7 @@ from parley.machine import enabled_for_message
 from parley.model import (
     Action,
     InteractionModel,
+    RECOVER_AT,
     Message,
     MessageSchema,
     Protocol,
@@ -62,6 +61,7 @@ from parley.model import (
 )
 
 from .generators import journal_graph_instances
+from .helpers import rewind_runtime
 from .oracles import oracle_recovery_points
 
 CONV = "t2/c1"
@@ -96,8 +96,8 @@ def server(protocol_id: str) -> RoleRef:
     return RoleRef(protocol_id, "server")
 
 
-def server_collection() -> RoleCollection:
-    return RoleCollection.of(server(pid) for pid in SERVER_PROTOCOLS)
+def server_collection() -> set[RoleRef]:
+    return {server(pid) for pid in SERVER_PROTOCOLS}
 
 
 def server_journal() -> Journal:
@@ -177,73 +177,25 @@ class TestLocateEmission:
 # ---------------------------------------------------------------------------
 
 
-class TestRoleCollection:
-    def test_starts_sorted_and_fully_available(self):
-        collection = server_collection()
-        assert collection.available() == [server(pid) for pid in SERVER_PROTOCOLS]
-        assert collection.active() is None
-
-    def test_activation_moves_one_role_out_of_the_pool(self):
-        collection = server_collection()
-        collection.activate(server("attr_query"))
-        assert collection.active() == server("attr_query")
-        assert server("attr_query") not in collection.available()
-
-    def test_second_activation_needs_the_first_one_gone(self):
-        collection = server_collection()
-        collection.activate(server("attr_query"))
-        with pytest.raises(ValueError):
-            collection.activate(server("attr_probe"))
-        collection.remove(server("attr_query"))
-        collection.activate(server("attr_probe"))
-        assert collection.active() == server("attr_probe")
-
-    def test_removed_roles_cannot_come_back(self):
-        collection = server_collection()
-        collection.remove(server("attr_probe"))
-        with pytest.raises(ValueError):
-            collection.activate(server("attr_probe"))
-
-    def test_removing_a_stranger_changes_nothing(self):
-        collection = server_collection()
-        collection.remove(RoleRef("ghost", "spirit"))
-        assert collection.available() == [server(pid) for pid in SERVER_PROTOCOLS]
-
-    def test_exhausted_when_nothing_left(self):
-        collection = server_collection()
-        for pid in SERVER_PROTOCOLS:
-            collection.remove(server(pid))
-        assert collection.available() == []
-        assert collection.active() is None
-
-    def test_an_active_role_keeps_the_collection_alive(self):
-        collection = server_collection()
-        collection.activate(server("attr_query"))
-        for pid in SERVER_PROTOCOLS[:-1]:
-            collection.remove(server(pid))
-        assert collection.available() == []
-        assert collection.active() == server("attr_query")
-
-
 class TestBuildCollection:
     def test_keeps_only_roles_of_the_requested_kind(self, registry):
         model = InteractionModel(
             {"attr_query": frozenset({"querier", "server"}), "attr_probe": frozenset({"server"})}
         )
         collection = build_collection(model, registry, RoleKind.PARTICIPANT)
-        assert collection.available() == [server("attr_probe"), server("attr_query")]
+        assert sorted(collection) == [server("attr_probe"), server("attr_query")]
 
     def test_initiator_side_sees_the_queriers(self, registry):
         model = InteractionModel({"attr_query": frozenset({"querier", "server"})})
         collection = build_collection(model, registry, RoleKind.INITIATOR)
-        assert collection.available() == [RoleRef("attr_query", "querier")]
+        assert sorted(collection) == [RoleRef("attr_query", "querier")]
 
     def test_unknown_protocols_are_skipped(self, registry):
         model = InteractionModel(
             {"attr_query": frozenset({"server"}), "ghost": frozenset({"spirit"})}
         )
         collection = build_collection(model, registry, RoleKind.PARTICIPANT)
-        assert collection.available() == [server("attr_query")]
+        assert sorted(collection) == [server("attr_query")]
 
 
 class TestReceivingRoles:
@@ -263,8 +215,8 @@ class TestReceivingRoles:
 
     def test_only_surviving_roles_answer(self, registry):
         collection = server_collection()
-        collection.remove(server("attr_digest"))
-        collection.remove(server("attr_lookup"))
+        collection.discard(server("attr_digest"))
+        collection.discard(server("attr_lookup"))
         hits = receiving_roles(collection, registry, ASK)
         assert list(hits) == [server("attr_probe"), server("attr_query")]
 
@@ -303,12 +255,11 @@ class TestInitiatorDetectedPurge:
         # attr_query server recomputes the tell with the method that
         # already failed once.  Both go.
         assert removed == [server("attr_lookup"), server("attr_query")]
-        assert collection.available() == [server("attr_digest"), server("attr_probe")]
+        assert sorted(collection) == [server("attr_digest"), server("attr_probe")]
 
     def test_active_role_is_handled_by_the_caller_not_the_purge(self, registry):
         collection = server_collection()
-        collection.activate(server("attr_query"))
-        collection.remove(server("attr_query"))
+        collection.discard(server("attr_query"))
         removed = purge_collection(
             collection,
             registry,
@@ -319,7 +270,7 @@ class TestInitiatorDetectedPurge:
             replayed={},
         )
         assert removed == [server("attr_lookup")]
-        assert collection.available() == [server("attr_digest"), server("attr_probe")]
+        assert sorted(collection) == [server("attr_digest"), server("attr_probe")]
 
     def test_structure_error_drops_roles_able_to_repeat_it(self, registry):
         # The counterpart could not even place an insert message.  Any
@@ -341,7 +292,7 @@ class TestInitiatorDetectedPurge:
             replayed={},
         )
         assert removed == [server("attr_digest"), server("attr_lookup")]
-        assert collection.available() == [server("attr_probe"), server("attr_query")]
+        assert sorted(collection) == [server("attr_probe"), server("attr_query")]
 
 
 class TestParticipantDetectedPurge:
@@ -349,8 +300,7 @@ class TestParticipantDetectedPurge:
 
     def test_corrupted_follow_up_ask_empties_the_collection(self, registry):
         collection = server_collection()
-        collection.activate(server("attr_query"))
-        collection.remove(server("attr_query"))
+        collection.discard(server("attr_query"))
         prefix = server_journal().records  # both records stand
         error = InteractionError(
             kind=WRONG_CONTENT,
@@ -367,7 +317,7 @@ class TestParticipantDetectedPurge:
             server("attr_lookup"),
             server("attr_probe"),
         ]
-        assert collection.available() == [] and collection.active() is None
+        assert collection == set()
         with pytest.raises(NoViableRoleError):
             select_replacement_role(collection, registry, prefix, error, Random(1), replayed)
 
@@ -436,8 +386,8 @@ class TestParticipantPurgeDiscriminates:
             "keen": _optional_nudge_protocol("keen", hears_nudges=True),
         }
 
-    def purge(self, kind: str, offending: Message) -> tuple[RoleCollection, list[RoleRef]]:
-        collection = RoleCollection.of([server("deaf"), server("keen")])
+    def purge(self, kind: str, offending: Message) -> tuple[set[RoleRef], list[RoleRef]]:
+        collection = {server("deaf"), server("keen")}
         error = InteractionError(
             kind=kind, location=1, offending=offending, detected_by=PARTICIPANT_DETECTED
         )
@@ -448,19 +398,19 @@ class TestParticipantPurgeDiscriminates:
         nudge = msg("request", {"note": 7}, sender="q2")
         collection, removed = self.purge(WRONG_STRUCTURE, nudge)
         assert removed == [server("deaf")]
-        assert collection.available() == [server("keen")]
+        assert sorted(collection) == [server("keen")]
 
     def test_content_error_demands_full_reception(self):
         nudge = msg("request", {"note": 7}, sender="q2")
         collection, removed = self.purge(WRONG_CONTENT, nudge)
         assert removed == [server("deaf"), server("keen")]
-        assert collection.available() == [] and collection.active() is None
+        assert collection == set()
 
     def test_content_error_keeps_roles_that_swallow_the_message(self):
         nudge = msg("request", {"note": "go on"}, sender="q2")
         collection, removed = self.purge(WRONG_CONTENT, nudge)
         assert removed == [server("deaf")]
-        assert collection.available() == [server("keen")]
+        assert sorted(collection) == [server("keen")]
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +419,10 @@ class TestParticipantPurgeDiscriminates:
 
 
 class TestReplacementChoice:
-    def survivors(self) -> RoleCollection:
+    def survivors(self) -> set[RoleRef]:
         collection = server_collection()
-        collection.remove(server("attr_lookup"))
-        collection.remove(server("attr_query"))
+        collection.discard(server("attr_lookup"))
+        collection.discard(server("attr_query"))
         return collection
 
     def test_content_error_prefers_the_role_with_more_ways_out(self, registry):
@@ -489,8 +439,8 @@ class TestReplacementChoice:
 
     def test_equal_counts_fall_to_the_seeded_draw(self, registry):
         collection = server_collection()
-        collection.remove(server("attr_digest"))
-        collection.remove(server("attr_query"))
+        collection.discard(server("attr_digest"))
+        collection.discard(server("attr_query"))
         prefix = server_journal().records[:1]
         error = content_error_from_initiator()
         picks = {
@@ -516,7 +466,7 @@ class TestReplacementChoice:
         assert picks == {server("attr_digest"), server("attr_probe")}
 
     def test_exhausted_collection_raises(self, registry):
-        collection = RoleCollection.of([])
+        collection = set()
         with pytest.raises(NoViableRoleError):
             select_replacement_role(
                 collection, registry, [], content_error_from_initiator(), Random(0), {}
@@ -728,3 +678,54 @@ class TestRefireInput:
             refire_input(records, 4, BAD_TELL)
         with pytest.raises(PointOutOfRangeError):
             refire_input(records, 0, BAD_TELL)
+
+
+# ---------------------------------------------------------------------------
+# A sequential recovery end to end
+# ---------------------------------------------------------------------------
+
+
+class TestSequentialRewind:
+    """The replacement server retraces the ``take`` record, so the
+    recovery keeps it and re-fires the data change that ran ``answer``."""
+
+    def run(self, seed: int):
+        rt = rewind_runtime(seed)
+        initiator = rt.agents["q"]
+        at_recover: list[list[str]] = []
+        handle = initiator.on_message
+
+        def spy(runtime, msg):
+            handle(runtime, msg)
+            if msg.performative == RECOVER_AT:
+                at_recover.append([r.method for r in initiator.journal.records])
+
+        initiator.on_message = spy
+        trace = rt.run_until_quiescent()
+        return rt, trace, at_recover
+
+    def test_a_rejected_answer_rewinds_to_the_middle_of_the_journal(self):
+        replacements = set()
+        for seed in (0, 1):
+            rt, trace, at_recover = self.run(seed)
+            (recovery,) = [e.payload for e in trace if e.kind == "recovery"]
+            assert recovery["action"] == "replacement" and recovery["purged"] == []
+            assert recovery["points"] == [1, 2]
+            # the initiator keeps its journal up to its first emission
+            assert at_recover == [["ask"]]
+            thread = rt.agents["c"].threads["t/c"]
+            assert str(thread.driver.ref) == recovery["role"]
+            assert thread.driver.ref not in thread.collection
+            # the kept take record rebuilt q, and answer ran again from it
+            assert [r.method for r in thread.driver.journal.records] == ["take", "answer"]
+            opening = thread.driver.journal.records[0].input_event.message
+            assert thread.driver.variables == {"q": opening.content}
+            answered = thread.driver.journal.records[1].emissions()[0]
+            assert rt.agents["q"].outcome == ("concluded", {"final_state": "done"})
+            assert [r.method for r in rt.agents["q"].journal.records] == [
+                "ask",
+                f"got-{answered.performative}",
+            ]
+            replacements.add(recovery["role"])
+        # the two seeds start from different servers
+        assert replacements == {"rw_a:server", "rw_b:server"}

@@ -16,10 +16,8 @@ from parley.joint import (
     AGENT_ORIENTED,
     PROTOCOL_ORIENTED,
     CandidateMatrix,
-    OneOneSolution,
     ParticipantMetaState,
     ReadyToSelectPayload,
-    SelectionFailure,
     assign_roles_1_n,
     build_candidate_matrix,
     father_order,
@@ -431,7 +429,7 @@ class TestParticipantMeta:
             ParticipantMetaState(),
             _msg(CALL_FOR_COLLABORATION, {"protocol": "ips", "task": "t1"}),
             registry,
-            willing=lambda p, t: True,
+            willing=True,
             offer=_offers(registry, model, table),
         )
         assert state.phase == "offered"
@@ -445,7 +443,7 @@ class TestParticipantMeta:
             ParticipantMetaState(),
             _msg(CALL_FOR_COLLABORATION, {"protocol": "request", "task": "t1"}),
             registry,
-            willing=lambda p, t: True,
+            willing=True,
             offer=_offers(registry, model, table),
         )
         assert replies == [(READY_TO_SELECT, {"roles": ["request:replier"]})]
@@ -456,7 +454,7 @@ class TestParticipantMeta:
             ParticipantMetaState(),
             _msg(CALL_FOR_COLLABORATION, {"protocol": "ips", "task": "t1"}),
             registry,
-            willing=lambda p, t: False,
+            willing=False,
             offer=_offers(registry, model, table),
         )
         assert state.phase == "idle"
@@ -468,7 +466,7 @@ class TestParticipantMeta:
             ParticipantMetaState(),
             _msg(CALL_FOR_COLLABORATION, {"task": "t1"}),
             registry,
-            willing=lambda p, t: True,
+            willing=True,
             offer=_offers(registry, model, table),
         )
         assert replies == [(UNABLE_TO_SELECT, {"reason": "malformed-call"})]
@@ -479,14 +477,14 @@ class TestParticipantMeta:
             ParticipantMetaState(),
             _msg(CALL_FOR_COLLABORATION, {"protocol": "ips", "task": "t1"}),
             registry,
-            willing=lambda p, t: True,
+            willing=True,
             offer=_offers(registry, model, table),
         )
         state, replies = participant_meta_step(
             state,
             _msg(NOTIFY_ASSIGNMENT, {"role": "ips:replier"}),
             registry,
-            willing=lambda p, t: True,
+            willing=True,
             offer=_offers(registry, model, table),
         )
         assert replies == []
@@ -499,7 +497,7 @@ class TestParticipantMeta:
             ParticipantMetaState(),
             _msg(CALL_FOR_COLLABORATION, {"protocol": "request", "task": "t1"}),
             registry,
-            willing=lambda p, t: True,
+            willing=True,
             offer=_offers(registry, model, table),
         )
         with pytest.raises(ProtocolViolationError):
@@ -507,7 +505,7 @@ class TestParticipantMeta:
                 state,
                 _msg(NOTIFY_ASSIGNMENT, {"role": "ips:replier"}),
                 registry,
-                willing=lambda p, t: True,
+                willing=True,
                 offer=_offers(registry, model, table),
             )
 
@@ -517,14 +515,14 @@ class TestParticipantMeta:
             ParticipantMetaState(),
             _msg(CALL_FOR_COLLABORATION, {"protocol": "ips", "task": "t1"}),
             registry,
-            willing=lambda p, t: True,
+            willing=True,
             offer=_offers(registry, model, table),
         )
         state, replies = participant_meta_step(
             state,
             _msg(STOP_SELECTION, {}),
             registry,
-            lambda p, t: True,
+            True,
             _offers(registry, model, table),
         )
         assert state.phase == "stopped"
@@ -560,6 +558,15 @@ READY_REQUEST = (READY_TO_SELECT, {"roles": ["request:replier"]}, 0)
 UNABLE = (UNABLE_TO_SELECT, {"reason": "unwilling"}, 0)
 
 
+EXHAUSTED = ("failure", {"reason": "exhausted"})
+
+
+def one_one(agent: str, protocol_id: str) -> tuple[str, dict]:
+    """The outcome of a one-to-one selection of ``agent`` as the replier
+    of ``protocol_id``."""
+    return "selected", {"protocol": protocol_id, "agent": agent, "role": f"{protocol_id}:replier"}
+
+
 def run_one_one(identified: dict[str, list[str]], script: dict, reply_deadline: int = 10):
     """Run a joint initiator ``q1`` holding TASK over both one-to-one
     protocols; return it, the runtime and the repliers' delivery log."""
@@ -567,7 +574,7 @@ def run_one_one(identified: dict[str, list[str]], script: dict, reply_deadline: 
     model = InteractionModel({protocol_id: frozenset({"asker"}) for protocol_id in registry})
     rt = SimRuntime(seed=0)
     task = replace(TASK, participants={p: tuple(agents) for p, agents in identified.items()})
-    initiator = JointInitiator("q1", task, model, registry, reply_deadline=reply_deadline)
+    initiator = JointInitiator("q1", task, model, registry, PROTOCOL_ORIENTED, reply_deadline)
     rt.register(initiator)
     log: list = []
     for agent, replies in script.items():
@@ -593,9 +600,7 @@ class TestRunJoint11:
         initiator, rt, log = run_one_one(
             {"ips": ["d1", "d2", "d3"]}, {"d1": [UNABLE], "d2": [READY_IPS], "d3": []}
         )
-        assert initiator.outcome == OneOneSolution(
-            agent="d2", protocol="ips", role=RoleRef("ips", "replier")
-        )
+        assert initiator.outcome == one_one("d2", "ips")
         # a refusal is not stopped, the winner is assigned, and nobody
         # after it is called
         assert sent_by(rt, "q1") == [
@@ -609,14 +614,12 @@ class TestRunJoint11:
         # an offer listing only initiator-kind roles is declined
         ready = (READY_TO_SELECT, {"roles": ["ips:asker"]}, 0)
         initiator, rt, _ = run_one_one({"ips": ["d1"]}, {"d1": [ready]})
-        assert initiator.outcome == SelectionFailure(reason="exhausted")
+        assert initiator.outcome == EXHAUSTED
         assert sent_by(rt, "q1") == [("d1", CALL_FOR_COLLABORATION), ("d1", STOP_SELECTION)]
 
     def test_compatible_role_of_other_identified_protocol_accepted(self):
         initiator, rt, _ = run_one_one({"ips": ["d7"]}, {"d7": [READY_REQUEST]})
-        assert initiator.outcome == OneOneSolution(
-            agent="d7", protocol="request", role=RoleRef("request", "replier")
-        )
+        assert initiator.outcome == one_one("d7", "request")
         assert ("d7", NOTIFY_ASSIGNMENT) in sent_by(rt, "q1")
 
     def test_exploration_moves_to_next_vector(self):
@@ -624,9 +627,7 @@ class TestRunJoint11:
             {"ips": ["d1", "d2"], "request": ["d1", "d3"]},
             {"d1": [UNABLE, UNABLE], "d2": [UNABLE], "d3": [READY_REQUEST]},
         )
-        assert initiator.outcome == OneOneSolution(
-            agent="d3", protocol="request", role=RoleRef("request", "replier")
-        )
+        assert initiator.outcome == one_one("d3", "request")
         asked = [
             (agent, content["protocol"])
             for agent, performative, content in log
@@ -637,7 +638,7 @@ class TestRunJoint11:
     def test_everybody_refusing_exhausts_the_matrix(self):
         agents = sorted(set(INCIDENCES["ips"]) | set(INCIDENCES["request"]))
         initiator, _, _ = run_one_one(INCIDENCES, {a: [UNABLE, UNABLE] for a in agents})
-        assert initiator.outcome == SelectionFailure(reason="exhausted")
+        assert initiator.outcome == EXHAUSTED
 
     def test_message_count_stays_under_bound(self):
         agents = sorted(set(INCIDENCES["ips"]) | set(INCIDENCES["request"]))
@@ -653,9 +654,7 @@ class TestRunJoint11:
         initiator, rt, log = run_one_one(
             {"ips": ["d1", "d2"]}, {"d1": [late], "d2": [READY_IPS]}, reply_deadline=2
         )
-        assert initiator.outcome == OneOneSolution(
-            agent="d2", protocol="ips", role=RoleRef("ips", "replier")
-        )
+        assert initiator.outcome == one_one("d2", "ips")
         # d1 is stopped when its deadline passes, and its late offer is
         # answered with another stop rather than an assignment
         to_d1 = [performative for receiver, performative in sent_by(rt, "q1") if receiver == "d1"]

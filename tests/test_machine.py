@@ -139,10 +139,12 @@ def test_replay_state_recovers_from_greedy_dead_end():
         mk_record(1, "x", MessageReception(_msg("inform", {"v": "1"})), ()),
         mk_record(2, "y", MessageReception(_msg("inform", {"w": "2"})), ()),
     ]
-    # greedy first-match goes to "a" and starves; the exhaustive pass
-    # still finds the b -> c path
+    # a greedy first match would go to "a" and starve; replay follows
+    # every branch, so the b -> c path is found
     assert replay_states(machine, protocol, records) == frozenset({"c"})
     assert replay_state(machine, protocol, records) == "c"
+    # while both branches stand, the least state by name is the one
+    assert replay_state(machine, protocol, records[:1]) == "a"
 
 
 def test_weak_schemas_end_the_interaction():

@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from parley.errors import NoViableRoleError
 from parley.fixtures import bundled_registry
 from parley.individual import (
-    RoleCollection,
     WRONG_CONTENT,
     WRONG_STRUCTURE,
     receiving_roles,
@@ -80,8 +79,8 @@ def server(protocol_id: str) -> RoleRef:
     return RoleRef(protocol_id, "server")
 
 
-def server_collection() -> RoleCollection:
-    return RoleCollection.of(server(pid) for pid in SERVER_PROTOCOLS)
+def server_collection() -> set[RoleRef]:
+    return {server(pid) for pid in SERVER_PROTOCOLS}
 
 
 @pytest.fixture(scope="module")
@@ -141,7 +140,7 @@ class TestInstantiateAll:
         mute = replace(shot, roles={"server": replace(shot.roles["server"], transitions=(take,))})
         reg = dict(registry)
         reg["mute"] = mute
-        collection = RoleCollection.of([server("attr_query"), server("mute")])
+        collection = {server("attr_query"), server("mute")}
         cz = instantiate(collection, reg, Random(0))
         assert statuses(cz)["mute"] == STOPPED
         assert statuses(cz)["attr_query"] == DEACTIVATED
@@ -183,7 +182,7 @@ class TestSelectOutgoing:
         assert {i.stamp for i in cz.deactivated()} == {1}
 
     def test_lone_candidate_is_forced(self, registry):
-        collection = RoleCollection.of([server("attr_query")])
+        collection = {server("attr_query")}
         for seed in range(8):
             rng = Random(seed)
             cz = instantiate(collection, registry, rng)
@@ -321,7 +320,7 @@ class TestReconcile:
             "twin_b": _twin_protocol("twin_b", pokeable=pokeable_twin),
         }
         rng = Random(3)
-        collection = RoleCollection.of([server("twin_a"), server("twin_b")])
+        collection = {server("twin_a"), server("twin_b")}
         cz = instantiate(collection, registry, rng)
         return cz, registry, rng
 
@@ -374,7 +373,7 @@ class TestHandleIncoming:
             "twin_b": _twin_protocol("twin_b", pokeable=True),
         }
         rng = Random(3)
-        collection = RoleCollection.of([server("twin_a"), server("twin_b")])
+        collection = {server("twin_a"), server("twin_b")}
         cz = instantiate(collection, registry, rng)
         select_outgoing(cz, registry, rng)
         assert len(cz.active()) == 2

@@ -274,6 +274,20 @@ class TestResolution:
         err = capsys.readouterr().err
         assert f"error: {tmp_path / 'x.json'}: malformed protocol document:" in err
 
+    def test_a_protocol_id_loaded_twice_is_rejected_naming_both_entries(self, tmp_path, capsys):
+        (tmp_path / "x.json").write_text(
+            protocol_path("ips").read_text(encoding="utf-8"), encoding="utf-8"
+        )
+        raw = json.loads(scenario_path("t1_joint").read_text(encoding="utf-8"))
+        raw["protocols"] = ["ips", "request", "x.json"]
+        path = self._write(tmp_path, raw)
+        message = "protocols[0] 'ips' and protocols[2] 'x.json' both define protocol 'ips'"
+        with pytest.raises(ParseError) as caught:
+            parse_scenario(path)
+        assert message in str(caught.value)
+        assert cli_main(["validate", str(path)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
     def _with_protocol_file(self, tmp_path):
         """A scenario naming a copy of ips by a path relative to itself."""
         (tmp_path / "x.json").write_text(
