@@ -51,7 +51,6 @@ from .model import (
 )
 from .runtime import (
     FaultSpec,
-    SimClock,
     SimRuntime,
     TraceEvent,
     render_trace,
@@ -95,7 +94,6 @@ __all__ = [
     "RoleStateMachine",
     "RunSummary",
     "Scenario",
-    "SimClock",
     "SimRuntime",
     "TaskDescription",
     "TaskSummary",

@@ -46,7 +46,6 @@ from .journal import DataChange, Journal, MessageEmission, MessageReception
 from .joint import (
     PROTOCOL_ORIENTED,
     CandidateMatrix,
-    ParticipantMetaState,
     ReadyToSelectPayload,
     acceptable_role,
     assign_roles_1_n,
@@ -267,12 +266,15 @@ class MachineDriver:
 
 @dataclass
 class _Round:
-    """One broadcast or per-pair contact within a vector."""
+    """One call for collaboration within a vector: to one agent
+    (pairwise) or to the whole vector at once (broadcast)."""
 
     number: int
     protocol: str | None = None
     agents: tuple[str, ...] = ()
-    replies: dict[str, ReadyToSelectPayload] = field(default_factory=dict)
+    broadcast: bool = False
+    #: agent -> the roles its ready-to-select listed
+    replies: dict[str, tuple[RoleRef, ...]] = field(default_factory=dict)
     refused: set[str] = field(default_factory=set)
 
 
@@ -283,8 +285,9 @@ class JointInitiator(AgentBase):
     one-to-one protocol is negotiated agent by agent: the first
     acceptable role wins.  Many-instance and multi-role protocols
     broadcast the call to the whole vector and arbitrate the replies
-    (largest backing set, or an allocation along the father forest)
-    once everyone answered or the reply deadline hit.
+    (largest backing set, or an allocation along the father forest).
+    Either way a round closes once everyone called answered or the
+    reply deadline hit.
     """
 
     def __init__(
@@ -308,9 +311,8 @@ class JointInitiator(AgentBase):
         #: (summary outcome, detail) once the selection is decided
         self.outcome: tuple[str, dict] | None = None
         self.round = _Round(number=0)
-        self.pending_pairs: list[tuple[str, str]] = []
-        #: the agent of the one-to-one call awaiting its answer
-        self.inflight: str | None = None
+        #: the calls of the vector still to make: (protocol, agents, broadcast)
+        self.pending: list[tuple[str, tuple[str, ...], bool]] = []
 
     # -- plumbing ----------------------------------------------------------
 
@@ -319,23 +321,8 @@ class JointInitiator(AgentBase):
             _message(performative, content, self.name, to, self.conversation)
         )
 
-    def _arm_deadline(self, rt: SimRuntime) -> None:
-        rt.wake_self(
-            self.name, self.conversation, {"round": self.round.number}, self.reply_deadline
-        )
-
-    def _category(self, protocol_id: str) -> ProtocolCategory:
-        return classify_protocol(self.registry[protocol_id])
-
     def _note(self, rt: SimRuntime, step: str, **fields) -> None:
         rt.note("selection", {"task": self.task.task_id, "step": step, **fields})
-
-    def _solved(self, rt: SimRuntime, kind: str, protocol_id: str, **fields) -> None:
-        """Settle the task on ``protocol_id``: the ``solved`` note and the
-        summary detail carry the same ``fields``."""
-        self.outcome = ("selected", {"protocol": protocol_id, **fields})
-        self._note(rt, "solved", outcome=kind, **fields)
-        _note_termination(rt, self.conversation, self.name, "concluded")
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -354,58 +341,28 @@ class JointInitiator(AgentBase):
     def _advance_vector(self, rt: SimRuntime) -> None:
         vector = next_vector(self.matrix, self.mode, self.explored)
         if vector is None:
-            self._conclude_failure(rt, "exhausted")
+            self.outcome = ("failure", {"reason": "exhausted"})
+            self._note(rt, "failed", reason="exhausted")
+            _note_termination(rt, self.conversation, self.name, "failed")
             return
         self.explored.add(vector)
-        if self.mode == PROTOCOL_ORIENTED:
-            pairs = [(vector, agent) for agent in self.matrix.row(vector)]
-        else:
-            pairs = [(protocol, vector) for protocol in self.matrix.column(vector)]
         self._note(rt, "explore", vector=vector)
-        if self.mode == PROTOCOL_ORIENTED and self._category(vector) in (
-            ProtocolCategory.ONE_ONE_N,
-            ProtocolCategory.ONE_N,
-        ):
-            self._open_broadcast(rt, vector, tuple(agent for _, agent in pairs))
+        if self.mode != PROTOCOL_ORIENTED:
+            self.pending = [(protocol, (vector,), False) for protocol in self.matrix.column(vector)]
+        elif classify_protocol(self.registry[vector]) is ProtocolCategory.ONE_ONE:
+            self.pending = [(vector, (agent,), False) for agent in self.matrix.row(vector)]
         else:
-            self.pending_pairs = pairs
-            self._contact_next(rt)
+            self.pending = [(vector, self.matrix.row(vector), True)]
+        self._call_next(rt)
 
-    # -- one-to-one: agent after agent --------------------------------------
-
-    def _contact_next(self, rt: SimRuntime) -> None:
-        if not self.pending_pairs:
+    def _call_next(self, rt: SimRuntime) -> None:
+        """Open a round for the next pending call, or explore the next vector."""
+        if not self.pending:
             self._advance_vector(rt)
             return
-        protocol_id, agent = self.pending_pairs.pop(0)
-        self.round = _Round(number=self.round.number + 1)
-        self.inflight = agent
-        self._send(
-            rt,
-            agent,
-            CALL_FOR_COLLABORATION,
-            {"protocol": protocol_id, "task": self.task.task_id},
-        )
-        self._arm_deadline(rt)
-
-    def _settle_one_one(self, rt: SimRuntime, agent: str, roles: list[RoleRef]) -> bool:
-        ref = acceptable_role(roles, frozenset(self.matrix.protocols), self.registry)
-        if ref is None:
-            return False
-        self._send(rt, agent, NOTIFY_ASSIGNMENT, {"role": str(ref)})
-        self._solved(
-            rt, "one-one", ref.protocol, agent=agent, protocol=ref.protocol, role=str(ref)
-        )
-        self.inflight = None
-        return True
-
-    # -- broadcast rounds ----------------------------------------------------
-
-    def _open_broadcast(self, rt: SimRuntime, protocol_id: str, agents: tuple[str, ...]) -> None:
-        self.round = _Round(
-            number=self.round.number + 1, protocol=protocol_id, agents=agents
-        )
-        self.inflight = None
+        protocol_id, agents, broadcast = self.pending.pop(0)
+        number = self.round.number + 1
+        self.round = _Round(number, protocol_id, agents, broadcast)
         for agent in agents:
             self._send(
                 rt,
@@ -413,111 +370,80 @@ class JointInitiator(AgentBase):
                 CALL_FOR_COLLABORATION,
                 {"protocol": protocol_id, "task": self.task.task_id},
             )
-        self._arm_deadline(rt)
+        rt.wake_self(self.name, self.conversation, {"round": number}, self.reply_deadline)
 
-    def _maybe_arbitrate(self, rt: SimRuntime, deadline: bool) -> None:
-        answered = len(self.round.replies) + len(self.round.refused)
-        if not deadline and answered < len(self.round.agents):
-            return
-        protocol_id = self.round.protocol
-        category = self._category(protocol_id)
-        replies = self.round.replies
-        self.round = _Round(number=self.round.number + 1)  # invalidate late wakes
-        if category is ProtocolCategory.ONE_ONE_N:
-            picked = select_largest_set(replies, frozenset(self.matrix.protocols))
-            if picked is None:
-                self._stop_agents(rt, replies)
-                self._advance_vector(rt)
-                return
-            role, agents = picked
-            for agent in sorted(agents):
-                self._send(rt, agent, NOTIFY_ASSIGNMENT, {"role": str(role)})
-            self._stop_agents(rt, {a: None for a in replies if a not in agents})
-            self._solved(
-                rt, "largest-set", role.protocol, role=str(role), agents=sorted(agents)
-            )
+    def _close(self, rt: SimRuntime) -> None:
+        """Arbitrate the open round, notify the agents picked, stop the
+        other repliers (a silent pairwise agent too, since it may answer
+        yet), then settle the task or make the next call."""
+        round_ = self.round
+        # drop the replies; a broadcast's close uses up a number (the wakes carry them)
+        self.round = _Round(round_.number + round_.broadcast)
+        identified = frozenset(self.matrix.protocols)
+        notices: dict[str, dict] = {}
+        if not round_.broadcast:
+            (agent,) = round_.agents
+            ref = acceptable_role(round_.replies.get(agent, ()), identified, self.registry)
+            if ref is not None:
+                notices[agent] = {"role": str(ref)}
+                kind, protocol_id = "one-one", ref.protocol
+                fields = {"agent": agent, "protocol": ref.protocol, "role": str(ref)}
+            stopped = set(round_.agents) - round_.refused
         else:
-            solution = assign_roles_1_n(replies, [self.registry[protocol_id]], rt.rng)
-            if solution is None:
-                self._stop_agents(rt, replies)
-                self._advance_vector(rt)
-                return
-            by_agent: dict[str, list[RoleRef]] = {}
-            for ref, agent in solution.assignment.items():
-                by_agent.setdefault(agent, []).append(ref)
-            for agent in sorted(by_agent):
-                refs = sorted(by_agent[agent])
-                self._send(
-                    rt,
-                    agent,
-                    NOTIFY_ASSIGNMENT,
-                    {"role": str(refs[0]), "roles": [str(r) for r in refs]},
-                )
-            self._stop_agents(rt, {a: None for a in replies if a not in by_agent})
-            self._solved(
-                rt,
-                "role-allocation",
-                solution.protocol,
-                protocol=solution.protocol,
-                assignment={
-                    str(ref): agent for ref, agent in sorted(solution.assignment.items())
-                },
-            )
-
-    def _stop_agents(self, rt: SimRuntime, agents) -> None:
-        for agent in sorted(agents):
+            replies = {a: ReadyToSelectPayload(roles) for a, roles in round_.replies.items()}
+            protocol = self.registry[round_.protocol]
+            if classify_protocol(protocol) is ProtocolCategory.ONE_ONE_N:
+                picked = select_largest_set(replies, identified)
+                if picked is not None:
+                    role, agents = picked
+                    notices = {agent: {"role": str(role)} for agent in agents}
+                    kind, protocol_id = "largest-set", role.protocol
+                    fields = {"role": str(role), "agents": sorted(agents)}
+            else:
+                solution = assign_roles_1_n(replies, [protocol], rt.rng)
+                if solution is not None:
+                    assignment = {str(r): a for r, a in sorted(solution.assignment.items())}
+                    for label, agent in assignment.items():
+                        notice = notices.setdefault(agent, {"role": label, "roles": []})
+                        notice["roles"].append(label)
+                    kind, protocol_id = "role-allocation", solution.protocol
+                    fields = {"protocol": solution.protocol, "assignment": assignment}
+            stopped = set(replies)
+        for agent in sorted(notices):
+            self._send(rt, agent, NOTIFY_ASSIGNMENT, notices[agent])
+        for agent in sorted(stopped - notices.keys()):
             self._send(rt, agent, STOP_SELECTION, {})
-
-    def _conclude_failure(self, rt: SimRuntime, reason: str) -> None:
-        self.outcome = ("failure", {"reason": reason})
-        self._note(rt, "failed", reason=reason)
-        _note_termination(rt, self.conversation, self.name, "failed")
+        if not notices:
+            self._call_next(rt)
+            return
+        # the ``solved`` note and the summary detail carry the same fields
+        self.outcome = ("selected", {"protocol": protocol_id, **fields})
+        self._note(rt, "solved", outcome=kind, **fields)
+        _note_termination(rt, self.conversation, self.name, "concluded")
 
     # -- message handling ----------------------------------------------------
 
     def on_message(self, rt: SimRuntime, msg: Message) -> None:
-        if self.outcome is not None:
-            if msg.performative == READY_TO_SELECT:
-                self._send(rt, msg.sender, STOP_SELECTION, {})
+        performative, round_ = msg.performative, self.round
+        if performative == WAKE:
+            if self.outcome is None and msg.content.get("round") == round_.number:
+                self._close(rt)  # the reply deadline
             return
-        if msg.performative == WAKE:
-            if msg.content.get("round") != self.round.number:
-                return  # a stale timer
-            if self.round.agents:
-                self._maybe_arbitrate(rt, deadline=True)
-            elif self.inflight is not None:
-                self._send(rt, self.inflight, STOP_SELECTION, {})
-                self.inflight = None
-                self._contact_next(rt)
+        if self.outcome is not None or msg.sender not in round_.agents:
+            if performative == READY_TO_SELECT:
+                self._send(rt, msg.sender, STOP_SELECTION, {})  # a late offer
             return
-        if msg.performative == READY_TO_SELECT:
-            roles = [RoleRef.parse(r) for r in msg.content.get("roles", [])]
-            if self.round.agents:  # broadcast round
-                if msg.sender in self.round.agents and roles:
-                    self.round.replies[msg.sender] = ReadyToSelectPayload(
-                        preferred_roles=tuple(roles)
-                    )
-                    self._maybe_arbitrate(rt, deadline=False)
-                return
-            if msg.sender != self.inflight:
-                self._send(rt, msg.sender, STOP_SELECTION, {})  # late reply
-                return
-            if self._settle_one_one(rt, msg.sender, roles):
-                return
-            self._send(rt, msg.sender, STOP_SELECTION, {})
-            self.inflight = None
-            self._contact_next(rt)
+        if performative == READY_TO_SELECT:
+            roles = tuple(RoleRef.parse(r) for r in msg.content.get("roles", []))
+            if not roles and round_.broadcast:
+                return  # offers nothing to arbitrate: no answer
+            round_.replies[msg.sender] = roles
+        elif performative == UNABLE_TO_SELECT:
+            round_.refused.add(msg.sender)
+        else:
             return
-        if msg.performative == UNABLE_TO_SELECT:
-            if self.round.agents:
-                if msg.sender in self.round.agents:
-                    self.round.refused.add(msg.sender)
-                    self._maybe_arbitrate(rt, deadline=False)
-                return
-            if msg.sender == self.inflight:
-                self.inflight = None
-                self._contact_next(rt)
-            return
+        if len(round_.replies) + len(round_.refused) >= len(round_.agents):
+            self._close(rt)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +468,8 @@ class SelectionParticipant(AgentBase):
         self.registry = registry
         self.table = table
         self.willing = willing
-        self.meta: dict[str, ParticipantMetaState] = {}
+        #: conversation id -> the pending offer, empty when none is
+        self.pending: dict[str, tuple[RoleRef, ...]] = {}
         #: protocol id -> the roles offered for it.  Every input of an
         #: offer but the model is fixed per runtime, so the participants
         #: of one runtime with equal models share this dict.
@@ -559,30 +486,21 @@ class SelectionParticipant(AgentBase):
     def on_message(self, rt: SimRuntime, msg: Message) -> None:
         if msg.performative not in SELECTION_PERFORMATIVES:
             return
-        state = self.meta.get(msg.conversation_id)
-        if state is None:
-            state = ParticipantMetaState()
-        new_state, replies = participant_meta_step(
-            state,
+        conversation = msg.conversation_id
+        self.pending[conversation], replies = participant_meta_step(
+            self.pending.get(conversation, ()),
             msg,
             self.registry,
             self.willing,
             self._offer,
         )
-        self.meta[msg.conversation_id] = new_state
         for performative, content in replies:
             rt.schedule_send(
-                _message(
-                    performative, content, self.name, msg.sender, msg.conversation_id
-                )
+                _message(performative, content, self.name, msg.sender, conversation)
             )
-        if new_state.phase == "assigned" and state.phase != "assigned":
+        if msg.performative == NOTIFY_ASSIGNMENT:  # the step accepted it
             _note_termination(
-                rt,
-                msg.conversation_id,
-                self.name,
-                "selected",
-                role=str(new_state.assignment),
+                rt, conversation, self.name, "selected", role=msg.content["role"]
             )
 
 
@@ -1038,10 +956,10 @@ class MixedResponder(_Responder):
         )
 
     def _on_error_notice(self, rt, thread: _MixedThread, msg: Message) -> None:
-        if not thread.zone.sent_history:
+        failed = thread.zone.last_sent
+        if failed is None:
             return
         kind = msg.content.get("kind", WRONG_STRUCTURE)
-        failed = thread.zone.sent_history[-1]
         substitute = handle_error_mixed(thread.zone, self.registry, kind, rt.rng)
         if substitute is not None:
             self._note(

@@ -82,7 +82,7 @@ def cmd_validate(args) -> int:
     require_own_initiators(scenario)
     print(f"{scenario.scenario_id}: ok "
           f"({len(scenario.agents)} agents, {len(scenario.tasks)} tasks, "
-          f"{len(scenario.protocols)} protocols)")
+          f"{len(scenario.registry)} protocols)")
     return 0
 
 

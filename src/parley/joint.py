@@ -150,13 +150,6 @@ class OneNSolution:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ParticipantMetaState:
-    phase: str = "idle"  # idle | offered | assigned | stopped
-    offered: tuple[RoleRef, ...] = ()
-    assignment: RoleRef | None = None
-
-
 def offered_roles(
     protocol_id: str,
     model: InteractionModel,
@@ -183,42 +176,44 @@ def offered_roles(
 
 
 def participant_meta_step(
-    state: ParticipantMetaState,
+    offered: tuple[RoleRef, ...],
     incoming: Message,
     registry: ProtocolRegistry,
     willing: bool,
     offer: Callable[[str], tuple[RoleRef, ...]],
-) -> tuple[ParticipantMetaState, list[tuple[str, dict]]]:
+) -> tuple[tuple[RoleRef, ...], list[tuple[str, dict]]]:
     """Advance one participant-side selection thread.
 
-    Returns the new state and the replies to send as (performative,
-    content) pairs.  A malformed call and an unwilling agent both
-    answer unable-to-select; an assignment that was never offered is a
-    protocol violation.  ``offer`` maps a protocol id to the roles to
-    offer, as :func:`offered_roles` computes them for the agent.
+    ``offered`` is the thread's pending offer, empty when none is
+    pending.  Returns the pending offer after ``incoming`` and the
+    replies to send as (performative, content) pairs.  A malformed call
+    and an unwilling agent both answer unable-to-select; an assignment
+    of a role that is not on offer is a protocol violation; an accepted
+    assignment and a stop both end the offer.  ``offer`` maps a
+    protocol id to the roles to offer, as :func:`offered_roles`
+    computes them for the agent.
     """
     performative = incoming.performative
     if performative == CALL_FOR_COLLABORATION:
         content = incoming.content if isinstance(incoming.content, dict) else {}
         protocol_id = content.get("protocol")
         if not isinstance(protocol_id, str) or protocol_id not in registry:
-            return state, [(UNABLE_TO_SELECT, {"reason": "malformed-call"})]
+            return offered, [(UNABLE_TO_SELECT, {"reason": "malformed-call"})]
         if not willing:
-            return state, [(UNABLE_TO_SELECT, {"reason": "unwilling"})]
+            return offered, [(UNABLE_TO_SELECT, {"reason": "unwilling"})]
         roles = offer(protocol_id)
         if not roles:
-            return state, [(UNABLE_TO_SELECT, {"reason": "no-role"})]
-        new = ParticipantMetaState(phase="offered", offered=roles)
-        return new, [(READY_TO_SELECT, {"roles": [str(r) for r in roles]})]
+            return offered, [(UNABLE_TO_SELECT, {"reason": "no-role"})]
+        return roles, [(READY_TO_SELECT, {"roles": [str(r) for r in roles]})]
     if performative == NOTIFY_ASSIGNMENT:
-        if state.phase != "offered":
+        if not offered:
             raise ProtocolViolationError("assignment without a pending offer")
         ref = RoleRef.parse(incoming.content.get("role", ""))
-        if ref not in state.offered:
+        if ref not in offered:
             raise ProtocolViolationError(f"assigned role {ref} was never offered")
-        return ParticipantMetaState(phase="assigned", offered=state.offered, assignment=ref), []
+        return (), []
     if performative == STOP_SELECTION:
-        return ParticipantMetaState(phase="stopped"), []
+        return (), []
     raise ProtocolViolationError(f"unexpected {performative} in selection thread")
 
 

@@ -94,7 +94,8 @@ class ControlZone:
     tag: Callable[[], str]
     instances: dict[RoleRef, RoleInstance] = field(default_factory=dict)
     outbox: list[OutboxEntry] = field(default_factory=list)
-    sent_history: list[OutboxEntry] = field(default_factory=list)
+    #: the entry of the last message sent, None before the first
+    last_sent: OutboxEntry | None = None
     stamp_counter: int = 0
 
     def active(self) -> list[RoleInstance]:
@@ -355,7 +356,7 @@ def select_outgoing(cz: ControlZone, registry: ProtocolRegistry, rng: Random) ->
         cz.outbox.remove(entry)
     for record in chosen.records:
         cz.journal.append(record.method, record.input_event, record.output_events)
-    cz.sent_history.append(chosen)
+    cz.last_sent = chosen
     return chosen.message
 
 
@@ -395,9 +396,9 @@ def handle_error_mixed(
     journal and is returned for sending.  None means this step has no
     substitute and the caller should wake parked roles instead.
     """
-    if not cz.sent_history:
+    failed = cz.last_sent
+    if failed is None:
         raise ValueError("no sent message to recover from")
-    failed = cz.sent_history[-1]
     stop_active(cz)
     failed_pattern = registry[failed.ref.protocol].schema(failed.schema_id).content_pattern
     if kind == WRONG_STRUCTURE:
@@ -436,7 +437,7 @@ def handle_error_mixed(
     cz.journal.keep_first(len(cz.journal) - len(failed.records))
     for record in retagged.records:
         cz.journal.append(record.method, record.input_event, record.output_events)
-    cz.sent_history.append(retagged)
+    cz.last_sent = retagged
     return retagged.message
 
 

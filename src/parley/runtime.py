@@ -45,16 +45,6 @@ WAKE = "wake"
 PER_TICK_LIMIT = 10_000
 
 
-@dataclass
-class SimClock:
-    tick: int = 0
-
-    def advance_to(self, tick: int) -> None:
-        if tick < self.tick:
-            raise ValueError(f"clock cannot go back from {self.tick} to {tick}")
-        self.tick = tick
-
-
 class TraceEvent(NamedTuple):
     """One trace event: a ``(tick, kind, payload)`` tuple.
 
@@ -268,7 +258,8 @@ class SimRuntime:
     def __init__(self, seed: int = 0, max_ticks: int = 200) -> None:
         if max_ticks <= 0:
             raise ValueError("max_ticks must be positive")
-        self.clock = SimClock()
+        #: the tick being delivered; the heap pops in tick order
+        self.tick = 0
         self.rng = Random(seed)
         self.max_ticks = max_ticks
         self.agents: dict[str, AgentBase] = {}
@@ -299,7 +290,7 @@ class SimRuntime:
     # -- event log ---------------------------------------------------------
 
     def note(self, kind: str, payload: dict) -> None:
-        self.trace.append(TraceEvent(self.clock.tick, kind, payload))
+        self.trace.append(TraceEvent(self.tick, kind, payload))
 
     # -- sending -----------------------------------------------------------
 
@@ -309,7 +300,7 @@ class SimRuntime:
         if msg.receiver not in self.agents:
             raise UnknownReceiverError(f"no agent named {msg.receiver!r}")
         self._seq += 1
-        heapq.heappush(self._heap, (self.clock.tick + delay, self._seq, msg))
+        heapq.heappush(self._heap, (self.tick + delay, self._seq, msg))
         self.note(
             "send",
             {
@@ -429,14 +420,14 @@ class SimRuntime:
                         f"{len(self._heap)} message(s) still pending at tick budget "
                         f"{self.max_ticks}"
                     )
-                self.clock.advance_to(next_tick)
+                self.tick = next_tick
                 delivered = 0
-                while self._heap and self._heap[0][0] == self.clock.tick:
+                while self._heap and self._heap[0][0] == next_tick:
                     _, seq, msg = heapq.heappop(self._heap)
                     delivered += 1
                     if delivered > PER_TICK_LIMIT:
                         raise BudgetExceededError(
-                            f"over {PER_TICK_LIMIT} deliveries in tick {self.clock.tick}; "
+                            f"over {PER_TICK_LIMIT} deliveries in tick {next_tick}; "
                             f"zero-delay livelock"
                         )
                     self._deliver(seq, msg)

@@ -59,8 +59,7 @@ class Scenario:
     scenario_id: str
     seed: int
     selection_mode: str
-    protocols: tuple[str, ...]
-    #: the loaded ``protocols`` by id
+    #: the protocols the scenario names, loaded, by id
     registry: ProtocolRegistry = field(repr=False)
     agents: tuple[AgentSpec, ...]
     tasks: tuple[TaskDescription, ...]
@@ -76,7 +75,13 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 
-_KIND_NAMES = {dict: "a JSON object", list: "a JSON array", int: "an integer", str: "a string"}
+_KIND_NAMES = {
+    dict: "a JSON object",
+    list: "a JSON array",
+    int: "an integer",
+    str: "a string",
+    bool: "a JSON boolean",
+}
 
 
 def _typed(value, kind: type, where: str):
@@ -146,12 +151,13 @@ def scenario_from_dict(
         behavior = entry.get("behavior", "auto")
         if behavior not in BEHAVIORS:
             raise ParseError(f"{where}: agent {agent_id}: unknown behavior {behavior!r}")
-        enacts = _names_by_key(entry, "enacts", f"{where}: agent {agent_id}")
+        at = f"{where}: agent {agent_id}"
+        enacts = _names_by_key(entry, "enacts", at)
         agents.append(
             AgentSpec(
                 agent_id=agent_id,
                 model=InteractionModel({p: frozenset(roles) for p, roles in enacts.items()}),
-                willing=bool(entry.get("willing", True)),
+                willing=_typed(entry.get("willing", True), bool, f"{at}: willing"),
                 behavior=behavior,
             )
         )
@@ -159,6 +165,9 @@ def scenario_from_dict(
     for entry in _require(raw, "tasks", where, list):
         task_id = _require(entry, "id", f"{where}: task", str)
         at = f"{where}: task {task_id}"
+        constraints = _typed(entry.get("constraints", {}), dict, f"{at}: constraints")
+        # the contents a run sends instead of filled patterns, by schema id
+        _typed(constraints.get("contents", {}), dict, f"{at}: constraints: contents")
         tasks.append(
             TaskDescription(
                 task_id=task_id,
@@ -167,9 +176,7 @@ def scenario_from_dict(
                     _names(entry.get("capabilities", []), f"{at}: capabilities")
                 ),
                 participants=_names_by_key(entry, "participants", at),
-                constraints=dict(
-                    _typed(entry.get("constraints", {}), dict, f"{at}: constraints")
-                ),
+                constraints=dict(constraints),
             )
         )
     faults = []
@@ -199,10 +206,9 @@ def scenario_from_dict(
             raise ParseError(f"{at}: {exc}") from exc
     protocols = _names(_require(raw, "protocols", where), f"{where}: protocols")
     scenario = Scenario(
-        scenario_id=raw.get("scenario_id", "scenario"),
+        scenario_id=_typed(raw.get("scenario_id", "scenario"), str, f"{where}: scenario_id"),
         seed=_integer(raw, "seed", 0, where),
         selection_mode=mode,
-        protocols=protocols,
         registry=load_registry(protocols, base_dir),
         agents=tuple(agents),
         tasks=tuple(tasks),
@@ -440,7 +446,7 @@ def summarize(scenario: Scenario, runtime: SimRuntime, trace: list[TraceEvent]) 
         scenario_id=scenario.scenario_id,
         seed=scenario.seed,
         selection_mode=scenario.selection_mode,
-        ticks=runtime.clock.tick,
+        ticks=runtime.tick,
         tasks=tuple(tasks),
     )
 

@@ -1,4 +1,5 @@
-"""Candidate matrix exploration, arbitration rules and the 1-1 flow."""
+"""Candidate matrix exploration, arbitration rules, and the pairwise and
+broadcast rounds on the bus."""
 
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ from parley.joint import (
     AGENT_ORIENTED,
     PROTOCOL_ORIENTED,
     CandidateMatrix,
-    ParticipantMetaState,
     ReadyToSelectPayload,
     assign_roles_1_n,
     build_candidate_matrix,
@@ -38,10 +38,10 @@ from parley.model import (
     RoleRef,
     TaskDescription,
 )
-from parley.runtime import AgentBase, SimRuntime
+from parley.runtime import WAKE, AgentBase, SimRuntime
 
 from .generators import AGENT_POOL, forest_instances, largest_set_instances
-from .helpers import one_n_protocol, one_one_protocol
+from .helpers import one_n_protocol, one_one_n_protocol, one_one_protocol
 from .oracles import (
     oracle_assign_roles,
     oracle_assignment_valid,
@@ -426,13 +426,13 @@ class TestParticipantMeta:
     def test_call_answered_with_offer(self):
         registry, model, table = _participant_world()
         state, replies = participant_meta_step(
-            ParticipantMetaState(),
+            (),
             _msg(CALL_FOR_COLLABORATION, {"protocol": "ips", "task": "t1"}),
             registry,
             willing=True,
             offer=_offers(registry, model, table),
         )
-        assert state.phase == "offered"
+        assert state == (RoleRef("ips", "replier"), RoleRef("request", "replier"))
         assert replies == [(READY_TO_SELECT, {"roles": ["ips:replier", "request:replier"]})]
 
     def test_compatibility_is_directional(self):
@@ -440,7 +440,7 @@ class TestParticipantMeta:
         # request's initiator has no pairs pointing anywhere: only the
         # agent's own request role can be offered for a request call.
         _, replies = participant_meta_step(
-            ParticipantMetaState(),
+            (),
             _msg(CALL_FOR_COLLABORATION, {"protocol": "request", "task": "t1"}),
             registry,
             willing=True,
@@ -451,19 +451,19 @@ class TestParticipantMeta:
     def test_unwilling_agent_declines(self):
         registry, model, table = _participant_world()
         state, replies = participant_meta_step(
-            ParticipantMetaState(),
+            (),
             _msg(CALL_FOR_COLLABORATION, {"protocol": "ips", "task": "t1"}),
             registry,
             willing=False,
             offer=_offers(registry, model, table),
         )
-        assert state.phase == "idle"
+        assert state == ()
         assert replies == [(UNABLE_TO_SELECT, {"reason": "unwilling"})]
 
     def test_malformed_call_declines(self):
         registry, model, table = _participant_world()
         _, replies = participant_meta_step(
-            ParticipantMetaState(),
+            (),
             _msg(CALL_FOR_COLLABORATION, {"task": "t1"}),
             registry,
             willing=True,
@@ -474,7 +474,7 @@ class TestParticipantMeta:
     def test_assignment_must_match_an_offer(self):
         registry, model, table = _participant_world()
         state, _ = participant_meta_step(
-            ParticipantMetaState(),
+            (),
             _msg(CALL_FOR_COLLABORATION, {"protocol": "ips", "task": "t1"}),
             registry,
             willing=True,
@@ -488,13 +488,20 @@ class TestParticipantMeta:
             offer=_offers(registry, model, table),
         )
         assert replies == []
-        assert state.phase == "assigned"
-        assert state.assignment == RoleRef("ips", "replier")
+        assert state == ()  # the accepted assignment ends the offer
+        with pytest.raises(ProtocolViolationError):  # and a second one has none
+            participant_meta_step(
+                state,
+                _msg(NOTIFY_ASSIGNMENT, {"role": "ips:replier"}),
+                registry,
+                willing=True,
+                offer=_offers(registry, model, table),
+            )
 
     def test_unoffered_assignment_rejected(self):
         registry, model, table = _participant_world()
         state, _ = participant_meta_step(
-            ParticipantMetaState(),
+            (),
             _msg(CALL_FOR_COLLABORATION, {"protocol": "request", "task": "t1"}),
             registry,
             willing=True,
@@ -512,7 +519,7 @@ class TestParticipantMeta:
     def test_stop_resets_the_thread(self):
         registry, model, table = _participant_world()
         state, _ = participant_meta_step(
-            ParticipantMetaState(),
+            (),
             _msg(CALL_FOR_COLLABORATION, {"protocol": "ips", "task": "t1"}),
             registry,
             willing=True,
@@ -525,18 +532,19 @@ class TestParticipantMeta:
             True,
             _offers(registry, model, table),
         )
-        assert state.phase == "stopped"
+        assert state == ()
         assert replies == []
 
 
 # ---------------------------------------------------------------------------
-# One-to-one run on the bus, against scripted repliers
+# Rounds on the bus, against scripted repliers
 # ---------------------------------------------------------------------------
 
 
 class ScriptedReplier(AgentBase):
     """Answers each call for collaboration with its next canned
-    ``(performative, content, delay)`` reply; logs every delivery."""
+    ``(performative, content, delay)`` reply, or not at all for a
+    ``None``; logs every delivery."""
 
     def __init__(self, name: str, replies: list[tuple[str, dict, int]], log: list) -> None:
         super().__init__(name)
@@ -545,8 +553,11 @@ class ScriptedReplier(AgentBase):
 
     def on_message(self, rt: SimRuntime, msg: Message) -> None:
         self.log.append((self.name, msg.performative, msg.content))
-        if msg.performative == CALL_FOR_COLLABORATION:
-            performative, content, delay = self.replies.pop(0)
+        if msg.performative != CALL_FOR_COLLABORATION:
+            return
+        canned = self.replies.pop(0)
+        if canned is not None:
+            performative, content, delay = canned
             reply = Message(
                 performative, content, "kv", "core", self.name, msg.sender, msg.conversation_id
             )
@@ -567,10 +578,14 @@ def one_one(agent: str, protocol_id: str) -> tuple[str, dict]:
     return "selected", {"protocol": protocol_id, "agent": agent, "role": f"{protocol_id}:replier"}
 
 
-def run_one_one(identified: dict[str, list[str]], script: dict, reply_deadline: int = 10):
-    """Run a joint initiator ``q1`` holding TASK over both one-to-one
-    protocols; return it, the runtime and the repliers' delivery log."""
-    registry = {"ips": one_one_protocol("ips"), "request": one_one_protocol("request")}
+def run_joint(
+    identified: dict[str, list[str]], script: dict, reply_deadline: int = 10, registry=None
+):
+    """Run a joint initiator ``q1`` holding TASK over ``registry`` (both
+    one-to-one protocols by default); return it, the runtime and the
+    repliers' delivery log."""
+    if registry is None:
+        registry = {"ips": one_one_protocol("ips"), "request": one_one_protocol("request")}
     model = InteractionModel({protocol_id: frozenset({"asker"}) for protocol_id in registry})
     rt = SimRuntime(seed=0)
     task = replace(TASK, participants={p: tuple(agents) for p, agents in identified.items()})
@@ -597,7 +612,7 @@ class TestRunJoint11:
     """One-to-one exploration: agent after agent, first acceptable role wins."""
 
     def test_first_acceptable_agent_wins(self):
-        initiator, rt, log = run_one_one(
+        initiator, rt, log = run_joint(
             {"ips": ["d1", "d2", "d3"]}, {"d1": [UNABLE], "d2": [READY_IPS], "d3": []}
         )
         assert initiator.outcome == one_one("d2", "ips")
@@ -613,17 +628,17 @@ class TestRunJoint11:
     def test_initiator_roles_are_not_acceptable(self):
         # an offer listing only initiator-kind roles is declined
         ready = (READY_TO_SELECT, {"roles": ["ips:asker"]}, 0)
-        initiator, rt, _ = run_one_one({"ips": ["d1"]}, {"d1": [ready]})
+        initiator, rt, _ = run_joint({"ips": ["d1"]}, {"d1": [ready]})
         assert initiator.outcome == EXHAUSTED
         assert sent_by(rt, "q1") == [("d1", CALL_FOR_COLLABORATION), ("d1", STOP_SELECTION)]
 
     def test_compatible_role_of_other_identified_protocol_accepted(self):
-        initiator, rt, _ = run_one_one({"ips": ["d7"]}, {"d7": [READY_REQUEST]})
+        initiator, rt, _ = run_joint({"ips": ["d7"]}, {"d7": [READY_REQUEST]})
         assert initiator.outcome == one_one("d7", "request")
         assert ("d7", NOTIFY_ASSIGNMENT) in sent_by(rt, "q1")
 
     def test_exploration_moves_to_next_vector(self):
-        initiator, _, log = run_one_one(
+        initiator, _, log = run_joint(
             {"ips": ["d1", "d2"], "request": ["d1", "d3"]},
             {"d1": [UNABLE, UNABLE], "d2": [UNABLE], "d3": [READY_REQUEST]},
         )
@@ -637,12 +652,12 @@ class TestRunJoint11:
 
     def test_everybody_refusing_exhausts_the_matrix(self):
         agents = sorted(set(INCIDENCES["ips"]) | set(INCIDENCES["request"]))
-        initiator, _, _ = run_one_one(INCIDENCES, {a: [UNABLE, UNABLE] for a in agents})
+        initiator, _, _ = run_joint(INCIDENCES, {a: [UNABLE, UNABLE] for a in agents})
         assert initiator.outcome == EXHAUSTED
 
     def test_message_count_stays_under_bound(self):
         agents = sorted(set(INCIDENCES["ips"]) | set(INCIDENCES["request"]))
-        initiator, rt, _ = run_one_one(INCIDENCES, {a: [UNABLE, UNABLE] for a in agents})
+        initiator, rt, _ = run_joint(INCIDENCES, {a: [UNABLE, UNABLE] for a in agents})
         matrix = initiator.matrix
         messages = sum(
             1 for _, kind, p in rt.trace if kind == "send" and p["from"] != p["to"]
@@ -651,7 +666,7 @@ class TestRunJoint11:
 
     def test_reply_after_the_deadline_is_stopped(self):
         late = (READY_TO_SELECT, {"roles": ["ips:replier"]}, 5)
-        initiator, rt, log = run_one_one(
+        initiator, rt, log = run_joint(
             {"ips": ["d1", "d2"]}, {"d1": [late], "d2": [READY_IPS]}, reply_deadline=2
         )
         assert initiator.outcome == one_one("d2", "ips")
@@ -660,6 +675,123 @@ class TestRunJoint11:
         to_d1 = [performative for receiver, performative in sent_by(rt, "q1") if receiver == "d1"]
         assert to_d1 == [CALL_FOR_COLLABORATION, STOP_SELECTION, STOP_SELECTION]
         assert [p for agent, p, _ in log if agent == "d1"][-1] == STOP_SELECTION
+
+
+#: two one-to-many protocols the task can run on, each with a ``bidder`` role
+TENDERS = {
+    pid: one_one_n_protocol(pid, tags=("query",)) for pid in ("bid", "tender")
+}
+
+
+def offer(protocol_id: str, delay: int = 0) -> tuple[str, dict, int]:
+    return READY_TO_SELECT, {"roles": [f"{protocol_id}:bidder"]}, delay
+
+
+def largest_set(*agents: str, protocol_id: str = "bid") -> tuple[str, dict]:
+    role = f"{protocol_id}:bidder"
+    return "selected", {"protocol": protocol_id, "role": role, "agents": list(agents)}
+
+
+def sent_at(rt: SimRuntime, performative: str, field: str = "to") -> list[tuple[int, object]]:
+    """(tick, ``field``) of every ``performative`` message sent, in send order."""
+    return [
+        (tick, p[field]) for tick, kind, p in rt.trace
+        if kind == "send" and p["performative"] == performative
+    ]
+
+
+class TestRunJointBroadcast:
+    """One-to-many exploration: the call goes to the whole vector, and
+    the round is arbitrated once every member answered or at the
+    deadline."""
+
+    def run(self, identified, script, reply_deadline=10):
+        return run_joint(identified, script, reply_deadline, registry=TENDERS)
+
+    def test_round_closes_when_the_last_member_answers(self):
+        initiator, rt, _ = self.run(
+            {"bid": ["d1", "d2", "d3"]},
+            {"d1": [offer("bid")], "d2": [offer("bid", 3)], "d3": [offer("bid", 1)]},
+        )
+        assert initiator.outcome == largest_set("d1", "d2", "d3")
+        assert sent_at(rt, NOTIFY_ASSIGNMENT) == [(3, "d1"), (3, "d2"), (3, "d3")]
+
+    def test_a_refusal_counts_as_an_answer(self):
+        refusal = (UNABLE_TO_SELECT, {"reason": "unwilling"}, 2)
+        initiator, rt, _ = self.run(
+            {"bid": ["d1", "d2", "d3"]},
+            {"d1": [offer("bid")], "d2": [offer("bid")], "d3": [refusal]},
+        )
+        assert initiator.outcome == largest_set("d1", "d2")
+        assert sent_at(rt, NOTIFY_ASSIGNMENT) == [(2, "d1"), (2, "d2")]
+        assert sent_at(rt, STOP_SELECTION) == []  # a refuser is not stopped
+
+    def test_at_the_deadline_the_replies_in_hand_are_arbitrated(self):
+        initiator, rt, log = self.run(
+            {"bid": ["d1", "d2", "d3"]},
+            {"d1": [offer("bid")], "d2": [offer("bid")], "d3": [None]},
+            reply_deadline=4,
+        )
+        assert initiator.outcome == largest_set("d1", "d2")
+        assert sent_at(rt, NOTIFY_ASSIGNMENT) == [(4, "d1"), (4, "d2")]
+        # the silent member hears nothing after the call
+        assert [p for agent, p, _ in log if agent == "d3"] == [CALL_FOR_COLLABORATION]
+
+    def test_an_offer_of_no_role_is_no_answer(self):
+        empty = (READY_TO_SELECT, {"roles": []}, 0)
+        initiator, rt, log = self.run(
+            {"bid": ["d1", "d2"]}, {"d1": [empty], "d2": [offer("bid")]}, reply_deadline=4
+        )
+        assert initiator.outcome == largest_set("d2")
+        assert sent_at(rt, NOTIFY_ASSIGNMENT) == [(4, "d2")]
+        assert [p for agent, p, _ in log if agent == "d1"] == [CALL_FOR_COLLABORATION]
+
+    def test_nothing_picked_stops_every_replier_and_calls_the_next_vector(self):
+        ghost = (READY_TO_SELECT, {"roles": ["ghost:bidder"]}, 0)
+        initiator, rt, _ = self.run(
+            {"bid": ["d1", "d2", "d3"], "tender": ["d1", "d4"]},
+            {"d1": [ghost, offer("tender")], "d2": [ghost], "d3": [UNABLE], "d4": [UNABLE]},
+        )
+        assert initiator.outcome == largest_set("d1", protocol_id="tender")
+        assert sent_by(rt, "q1") == [
+            ("d1", CALL_FOR_COLLABORATION),
+            ("d2", CALL_FOR_COLLABORATION),
+            ("d3", CALL_FOR_COLLABORATION),
+            ("d1", STOP_SELECTION),
+            ("d2", STOP_SELECTION),
+            ("d1", CALL_FOR_COLLABORATION),
+            ("d4", CALL_FOR_COLLABORATION),
+            ("d1", NOTIFY_ASSIGNMENT),
+        ]
+        # the wakes arm rounds 1 and 3: the close of a broadcast uses up a number
+        assert [content for _, content in sent_at(rt, WAKE, "content")] == [
+            {"round": 1},
+            {"round": 3},
+        ]
+
+
+def test_a_late_offer_during_a_broadcast_round_is_stopped():
+    """An offer from outside the open round is stopped, whatever the round kind."""
+    # bid closes at its deadline (tick 3) with nothing picked; d1's
+    # offer arrives at tick 5, just before tender's offers close it
+    initiator, rt, log = run_joint(
+        {"bid": ["d1", "d2", "d3"], "tender": ["d4", "d5"]},
+        {
+            "d1": [offer("bid", 5)],
+            "d2": [UNABLE],
+            "d3": [UNABLE],
+            "d4": [offer("tender", 2)],
+            "d5": [offer("tender", 2)],
+        },
+        reply_deadline=3,
+        registry=TENDERS,
+    )
+    assert initiator.outcome == largest_set("d4", "d5", protocol_id="tender")
+    assert sent_at(rt, STOP_SELECTION) == [(5, "d1")]
+    assert [p for agent, p, _ in log if agent == "d1"] == [
+        CALL_FOR_COLLABORATION,
+        STOP_SELECTION,
+    ]
 
 
 class TestPayload:

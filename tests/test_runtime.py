@@ -21,7 +21,6 @@ from parley.runtime import (
     _SEND_FIELDS,
     AgentBase,
     FaultSpec,
-    SimClock,
     SimRuntime,
     TraceEvent,
     corrupt_content,
@@ -70,16 +69,6 @@ class Bouncer(AgentBase):
 class Crasher(AgentBase):
     def on_message(self, rt, m):
         raise RuntimeError("handler failed")
-
-
-class TestClock:
-    def test_monotone(self):
-        clock = SimClock()
-        clock.advance_to(3)
-        clock.advance_to(3)
-        assert clock.tick == 3
-        with pytest.raises(ValueError):
-            clock.advance_to(2)
 
 
 class TestFaultSpecValidation:
@@ -198,7 +187,7 @@ class TestSendAndDeliver:
         rt.schedule_send(msg("src", "sink", content={"n": 3}))
         rt.run_until_quiescent()
         assert [m.content["n"] for m in sink.got] == [1, 2, 3]
-        assert rt.clock.tick == 0
+        assert rt.tick == 0
 
     def test_zero_delay_reply_lands_same_tick(self):
         class Responder(AgentBase):
@@ -212,7 +201,7 @@ class TestSendAndDeliver:
         rt.register(Responder("responder"))
         rt.schedule_send(msg("caller", "responder"))
         rt.run_until_quiescent()
-        assert rt.clock.tick == 0
+        assert rt.tick == 0
         assert [m.performative for m in caller.got] == ["ack"]
 
     def test_delay_lands_that_many_ticks_later(self):
@@ -222,7 +211,7 @@ class TestSendAndDeliver:
         rt.register(AgentBase("src"))
         rt.schedule_send(msg("src", "sink"), delay=4)
         rt.run_until_quiescent()
-        assert rt.clock.tick == 4
+        assert rt.tick == 4
         deliver = [e for e in rt.trace if e.kind == "deliver"]
         assert deliver[0].tick == 4
 
@@ -249,7 +238,7 @@ class TestSendAndDeliver:
         rt.register(AgentBase("loner"))
         trace = rt.run_until_quiescent()
         assert trace == []
-        assert rt.clock.tick == 0
+        assert rt.tick == 0
 
     def test_on_start_runs_once_across_resumes(self):
         class Starter(AgentBase):
@@ -273,7 +262,7 @@ class TestSendAndDeliver:
         rt.register(sleeper)
         rt.wake_self("sleeper", "c", {"round": 1}, delay=6)
         rt.run_until_quiescent()
-        assert rt.clock.tick == 6
+        assert rt.tick == 6
         assert sleeper.got[0].performative == WAKE
         assert sleeper.got[0].content == {"round": 1}
 

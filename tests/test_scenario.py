@@ -163,6 +163,15 @@ class TestParsing:
                 lambda raw: raw.update(compatibility=[["ips:asker", "replier"]]),
                 "compatibility: bad role reference 'replier'",
             ),
+            (
+                lambda raw: raw["agents"][1].update(willing="false"),
+                "agent helper: willing: expected a JSON boolean",
+            ),
+            (
+                lambda raw: raw["tasks"][0].update(constraints={"contents": 5}),
+                "task job: constraints: contents: expected a JSON object",
+            ),
+            (lambda raw: raw.update(scenario_id=5), "scenario_id: expected a string"),
         ],
         ids=[
             "number-agents",
@@ -173,6 +182,9 @@ class TestParsing:
             "list-task-id",
             "number-fault-conversation",
             "unqualified-compatibility-role",
+            "text-willing",
+            "number-contents",
+            "number-scenario-id",
         ],
     )
     def test_a_field_of_the_wrong_type_or_range_is_a_located_error(
