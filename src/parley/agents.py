@@ -21,10 +21,9 @@ its task's (outcome, detail) once, where it decides it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from random import Random
 
-from .errors import NoViableRoleError
+from .errors import NoViableRoleError, ParseError
 from .individual import (
     INITIATOR_DETECTED,
     PARTICIPANT_DETECTED,
@@ -264,18 +263,40 @@ class MachineDriver:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class _Round:
     """One call for collaboration within a vector: to one agent
     (pairwise) or to the whole vector at once (broadcast)."""
 
-    number: int
-    protocol: str | None = None
-    agents: tuple[str, ...] = ()
-    broadcast: bool = False
-    #: agent -> the roles its ready-to-select listed
-    replies: dict[str, tuple[RoleRef, ...]] = field(default_factory=dict)
-    refused: set[str] = field(default_factory=set)
+    __slots__ = ("number", "protocol", "agents", "broadcast", "replies", "refused")
+
+    def __init__(
+        self,
+        number: int,
+        protocol: str | None = None,
+        agents: tuple[str, ...] = (),
+        broadcast: bool = False,
+    ) -> None:
+        self.number = number
+        self.protocol = protocol
+        self.agents = agents
+        self.broadcast = broadcast
+        #: agent -> the offer its ready-to-select made, None for an offer
+        #: of no role (pairwise only: in a broadcast that is no answer)
+        self.replies: dict[str, ReadyToSelectPayload | None] = {}
+        #: the agents that answered unable-to-select or a malformed offer
+        self.refused: set[str] = set()
+
+
+def _read_offer(content) -> ReadyToSelectPayload | None:
+    """The offer of a ready-to-select's content, None when it lists no
+    role; ValueError or ParseError unless its roles are a list of
+    distinct ``protocol:role`` strings."""
+    roles = content.get("roles", []) if isinstance(content, dict) else None
+    if not isinstance(roles, list) or not all(isinstance(r, str) for r in roles):
+        raise ValueError(f"roles must be a list of 'protocol:role' strings, not {roles!r}")
+    if not roles:
+        return None
+    return ReadyToSelectPayload(tuple(RoleRef.parse(r) for r in roles))
 
 
 class JointInitiator(AgentBase):
@@ -383,14 +404,16 @@ class JointInitiator(AgentBase):
         notices: dict[str, dict] = {}
         if not round_.broadcast:
             (agent,) = round_.agents
-            ref = acceptable_role(round_.replies.get(agent, ()), identified, self.registry)
+            offer = round_.replies.get(agent)
+            roles = () if offer is None else offer.preferred_roles
+            ref = acceptable_role(roles, identified, self.registry)
             if ref is not None:
                 notices[agent] = {"role": str(ref)}
                 kind, protocol_id = "one-one", ref.protocol
                 fields = {"agent": agent, "protocol": ref.protocol, "role": str(ref)}
             stopped = set(round_.agents) - round_.refused
         else:
-            replies = {a: ReadyToSelectPayload(roles) for a, roles in round_.replies.items()}
+            replies = round_.replies
             protocol = self.registry[round_.protocol]
             if classify_protocol(protocol) is ProtocolCategory.ONE_ONE_N:
                 picked = select_largest_set(replies, identified)
@@ -434,10 +457,15 @@ class JointInitiator(AgentBase):
                 self._send(rt, msg.sender, STOP_SELECTION, {})  # a late offer
             return
         if performative == READY_TO_SELECT:
-            roles = tuple(RoleRef.parse(r) for r in msg.content.get("roles", []))
-            if not roles and round_.broadcast:
-                return  # offers nothing to arbitrate: no answer
-            round_.replies[msg.sender] = roles
+            try:
+                offer = _read_offer(msg.content)
+            except (ValueError, ParseError) as exc:
+                round_.refused.add(msg.sender)
+                self._note(rt, "malformed-offer", agent=msg.sender, reason=str(exc))
+            else:
+                if offer is None and round_.broadcast:
+                    return  # offers nothing to arbitrate: no answer
+                round_.replies[msg.sender] = offer
         elif performative == UNABLE_TO_SELECT:
             round_.refused.add(msg.sender)
         else:
@@ -616,16 +644,18 @@ class IndividualInitiator(AgentBase):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class _Thread:
     """One conversation a responder serves."""
 
-    peer: str
-    conversation: str
-    #: the roles that took the opening and are still available (the
-    #: role a sequential responder enacts is out); None until one took it
-    collection: set[RoleRef] | None = None
-    closed: bool = False
+    __slots__ = ("peer", "conversation", "collection", "closed")
+
+    def __init__(self, peer: str, conversation: str) -> None:
+        self.peer = peer
+        self.conversation = conversation
+        #: the roles that took the opening and are still available (the
+        #: role a sequential responder enacts is out); None until one took it
+        self.collection: set[RoleRef] | None = None
+        self.closed = False
 
 
 class _Responder(AgentBase):
@@ -714,9 +744,12 @@ class _Responder(AgentBase):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class _SequentialThread(_Thread):
-    driver: MachineDriver | None = None
+    __slots__ = ("driver",)
+
+    def __init__(self, peer: str, conversation: str) -> None:
+        super().__init__(peer, conversation)
+        self.driver: MachineDriver | None = None
 
 
 class SequentialResponder(_Responder):
@@ -862,10 +895,13 @@ class SequentialResponder(_Responder):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class _MixedThread(_Thread):
-    zone: ControlZone | None = None
-    opening: Message | None = None
+    __slots__ = ("zone", "opening")
+
+    def __init__(self, peer: str, conversation: str) -> None:
+        super().__init__(peer, conversation)
+        self.zone: ControlZone | None = None
+        self.opening: Message | None = None
 
 
 class MixedResponder(_Responder):

@@ -8,7 +8,6 @@ prints the role machines of a bundled or on-disk protocol document.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -58,7 +57,7 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
         changes["max_ticks"] = args.max_ticks
     if not changes:
         return scenario
-    scenario = dataclasses.replace(scenario, **changes)
+    scenario = scenario._replace(**changes)
     require_one_participant(scenario)
     return scenario
 

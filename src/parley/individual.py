@@ -16,8 +16,8 @@ still covered by the kept records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
+from typing import NamedTuple
 
 from .errors import NoViableRoleError, PointOutOfRangeError
 from .journal import Journal, MessageReception
@@ -37,8 +37,7 @@ INITIATOR_DETECTED = "initiator"
 PARTICIPANT_DETECTED = "participant"
 
 
-@dataclass(frozen=True)
-class InteractionError:
+class InteractionError(NamedTuple):
     """A received message the current role cannot account for."""
 
     kind: str  # WRONG_STRUCTURE | WRONG_CONTENT
@@ -275,8 +274,7 @@ def select_replacement_role(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MethodGraph:
+class MethodGraph(NamedTuple):
     """Methods of a role and which can follow which.
 
     Method b follows method a when some transition running b starts in

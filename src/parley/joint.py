@@ -23,9 +23,8 @@ and broadcast alike, in :class:`parley.agents.JointInitiator`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import CyclicFatherRelationError, ProtocolViolationError
 from .model import (
@@ -50,8 +49,7 @@ from .model import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CandidateMatrix:
+class CandidateMatrix(NamedTuple):
     """Protocol x agent incidence for one task."""
 
     task_id: str
@@ -123,21 +121,21 @@ def next_vector(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ReadyToSelectPayload:
-    """Ordered, duplicate-free role list revealed by a participant."""
+    """Ordered, duplicate-free role list revealed by a participant,
+    checked when it is made."""
 
-    preferred_roles: tuple[RoleRef, ...]
+    __slots__ = ("preferred_roles",)
 
-    def __post_init__(self) -> None:
-        if not self.preferred_roles:
+    def __init__(self, preferred_roles: tuple[RoleRef, ...]) -> None:
+        if not preferred_roles:
             raise ValueError("a ready-to-select payload lists at least one role")
-        if len(set(self.preferred_roles)) != len(self.preferred_roles):
+        if len(set(preferred_roles)) != len(preferred_roles):
             raise ValueError("duplicate roles in ready-to-select payload")
+        self.preferred_roles = preferred_roles
 
 
-@dataclass(frozen=True)
-class OneNSolution:
+class OneNSolution(NamedTuple):
     agents: frozenset[str]
     protocol: str
     #: one agent per participant role; several roles may share an agent

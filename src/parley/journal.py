@@ -6,27 +6,29 @@ methods it executed.  A record stores the event that fired the method
 method produced (message emissions and variable changes).  Error
 recovery reads journals to find out where a replacement role can pick
 the interaction up, and truncation only ever removes a suffix.
+
+The records are NamedTuples and the journal a plain class with
+``__slots__``, as everywhere in the package (see :mod:`parley.model`).
+A reception and an emission of one message are equal tuples, so events
+are told apart by ``isinstance`` alone and never by comparing them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .model import Message
 
 
-@dataclass(frozen=True)
-class MessageReception:
+class MessageReception(NamedTuple):
     message: Message
 
 
-@dataclass(frozen=True)
-class MessageEmission:
+class MessageEmission(NamedTuple):
     message: Message
 
 
-@dataclass(frozen=True)
-class DataChange:
+class DataChange(NamedTuple):
     variable: str
     value: object
 
@@ -35,8 +37,7 @@ InputEvent = MessageReception | DataChange
 OutputEvent = MessageEmission | DataChange
 
 
-@dataclass(frozen=True)
-class JournalRecord:
+class JournalRecord(NamedTuple):
     seq: int
     method: str
     input_event: InputEvent
@@ -51,10 +52,12 @@ class JournalRecord:
         )
 
 
-@dataclass
 class Journal:
-    conversation_id: str
-    records: list[JournalRecord] = field(default_factory=list)
+    __slots__ = ("conversation_id", "records")
+
+    def __init__(self, conversation_id: str) -> None:
+        self.conversation_id = conversation_id
+        self.records: list[JournalRecord] = []
 
     def append(self, method: str, input_event: InputEvent, output_events=()) -> JournalRecord:
         record = JournalRecord(

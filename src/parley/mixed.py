@@ -18,10 +18,9 @@ pick it up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import count
 from random import Random
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import NoViableRoleError
 from .individual import (
@@ -54,19 +53,22 @@ DEACTIVATED = "deactivated"
 STOPPED = "stopped"
 
 
-@dataclass
 class RoleInstance:
     """One candidate role running (or parked) inside the zone."""
 
-    ref: RoleRef
-    state: str
-    activation: str = ACTIVE
-    stamp: int = 0  # set when deactivated; higher = more recent
-    last_message: Message | None = None  # reply generated this step
+    __slots__ = ("ref", "state", "activation", "stamp", "last_message")
+
+    def __init__(
+        self, ref: RoleRef, state: str, activation: str = ACTIVE, stamp: int = 0
+    ) -> None:
+        self.ref = ref
+        self.state = state
+        self.activation = activation
+        self.stamp = stamp  # set when deactivated; higher = more recent
+        self.last_message: Message | None = None  # reply generated this step
 
 
-@dataclass(frozen=True)
-class PendingRecord:
+class PendingRecord(NamedTuple):
     """A journal record proposal, kept until its step's reply is picked."""
 
     method: str
@@ -74,8 +76,7 @@ class PendingRecord:
     output_events: tuple
 
 
-@dataclass(frozen=True)
-class OutboxEntry:
+class OutboxEntry(NamedTuple):
     """A candidate reply plus the records that would justify it."""
 
     ref: RoleRef
@@ -84,19 +85,26 @@ class OutboxEntry:
     records: tuple[PendingRecord, ...]
 
 
-@dataclass
 class ControlZone:
     """Shared state of one mixed-mode conversation on the serving side."""
 
-    owner: str
-    counterpart: str
-    journal: Journal
-    tag: Callable[[], str]
-    instances: dict[RoleRef, RoleInstance] = field(default_factory=dict)
-    outbox: list[OutboxEntry] = field(default_factory=list)
-    #: the entry of the last message sent, None before the first
-    last_sent: OutboxEntry | None = None
-    stamp_counter: int = 0
+    __slots__ = (
+        "owner", "counterpart", "journal", "tag",
+        "instances", "outbox", "last_sent", "stamp_counter",
+    )
+
+    def __init__(
+        self, owner: str, counterpart: str, journal: Journal, tag: Callable[[], str]
+    ) -> None:
+        self.owner = owner
+        self.counterpart = counterpart
+        self.journal = journal
+        self.tag = tag
+        self.instances: dict[RoleRef, RoleInstance] = {}
+        self.outbox: list[OutboxEntry] = []
+        #: the entry of the last message sent, None before the first
+        self.last_sent: OutboxEntry | None = None
+        self.stamp_counter = 0
 
     def active(self) -> list[RoleInstance]:
         return [
@@ -446,8 +454,7 @@ def handle_error_mixed(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReactivationPlan:
+class ReactivationPlan(NamedTuple):
     """What waking the most recently parked roles entails."""
 
     refs: tuple[RoleRef, ...]

@@ -12,14 +12,21 @@ the selection engine:
   several distinct participant roles (auction style)
 
 Anything else mixes traits of different categories and is rejected.
+
+Records are ``typing.NamedTuple`` classes when immutable, and plain
+classes with ``__slots__`` and an explicit ``__init__`` otherwise; none
+is a dataclass.  Defining a dataclass compiles each of its methods from
+source and imports ``inspect``, and with them the package took several
+times as long to import, which is most of a fresh ``parley run``.  A
+NamedTuple equals any tuple of the same values, so records of two kinds
+are never compared: ``Trigger`` and ``Action`` share a layout, and code
+reads their ``kind`` (whose values differ) rather than comparing them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, TypeVar
 
@@ -90,8 +97,7 @@ class RoleRef(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MessageSchema:
+class MessageSchema(NamedTuple):
     """Shape of one message kind exchanged inside a protocol."""
 
     schema_id: str
@@ -162,8 +168,7 @@ class RoleKind(str, Enum):
 MANY = "N"
 
 
-@dataclass(frozen=True)
-class Trigger:
+class Trigger(NamedTuple):
     """What fires a transition.
 
     ``receive`` waits for a message matching a schema.  ``internal``
@@ -178,15 +183,13 @@ class Trigger:
     variable: str | None = None
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     kind: str  # "send" | "data_change" | "none"
     schema_id: str | None = None
     variable: str | None = None
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     from_state: str
     trigger: Trigger
     action: Action
@@ -197,39 +200,71 @@ class Transition:
 _Derived = TypeVar("_Derived")
 
 
-@dataclass(frozen=True)
 class RoleStateMachine:
     """One role of a protocol as a transition system.
 
     A machine is immutable once loaded.  The per-state index behind
-    :meth:`transitions_from` and the data :meth:`derived` computes are
-    built on first use and kept on the machine, which is sound only
-    because nothing changes it; they live and die with the machine.
-    Equality and hashing read the declared fields alone.
+    :meth:`transitions_from` is built with the machine, and the data
+    :meth:`derived` computes is kept on it, which is sound only because
+    nothing changes it; both live and die with the machine.  Equality,
+    hashing and the repr read the declared fields alone.
     """
 
-    role_id: str
-    kind: RoleKind
-    multiplicity: int | str
-    states: frozenset[str]
-    initial_state: str
-    terminal_states: frozenset[str]
-    transitions: tuple[Transition, ...]
-    #: participant role whose first message this role's father sends;
-    #: None when the role receives its first message from the initiator
-    #: (or is the initiator itself).
-    father: str | None = None
+    #: the declared fields, in order
+    _FIELDS = (
+        "role_id",
+        "kind",
+        "multiplicity",
+        "states",
+        "initial_state",
+        "terminal_states",
+        "transitions",
+        "father",
+    )
+    __slots__ = _FIELDS + ("_by_state", "_derived", "__weakref__")
 
-    @cached_property
-    def _by_state(self) -> dict[str, tuple[Transition, ...]]:
+    def __init__(
+        self,
+        role_id: str,
+        kind: RoleKind,
+        multiplicity: int | str,
+        states: frozenset[str],
+        initial_state: str,
+        terminal_states: frozenset[str],
+        transitions: tuple[Transition, ...],
+        father: str | None = None,
+    ) -> None:
+        self.role_id = role_id
+        self.kind = kind
+        self.multiplicity = multiplicity
+        self.states = states
+        self.initial_state = initial_state
+        self.terminal_states = terminal_states
+        self.transitions = transitions
+        #: participant role whose first message this role's father sends;
+        #: None when the role receives its first message from the initiator
+        #: (or is the initiator itself).
+        self.father = father
         index: dict[str, list[Transition]] = {}
-        for t in self.transitions:
+        for t in transitions:
             index.setdefault(t.from_state, []).append(t)
-        return {state: tuple(ts) for state, ts in index.items()}
+        self._by_state = {state: tuple(ts) for state, ts in index.items()}
+        self._derived: dict[Callable, Any] = {}
 
-    @cached_property
-    def _derived(self) -> dict[Callable, Any]:
-        return {}
+    def _declared(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._declared() == other._declared()
+
+    def __hash__(self) -> int:
+        return hash(self._declared())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"RoleStateMachine({fields})"
 
     def transitions_from(self, state: str) -> tuple[Transition, ...]:
         """The transitions leaving ``state``, in declaration order."""
@@ -258,8 +293,7 @@ class ProtocolCategory(str, Enum):
     ONE_N = "one-many-roles"
 
 
-@dataclass(frozen=True)
-class Protocol:
+class Protocol(NamedTuple):
     """Message schemas plus one state machine per role.
 
     A protocol is immutable once loaded, its schemas and roles
@@ -321,8 +355,7 @@ def classify_protocol(protocol: Protocol) -> ProtocolCategory:
     )
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     subject: str
     detail: str
@@ -403,11 +436,13 @@ def validate_protocol(protocol: Protocol) -> list[Violation]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class InteractionModel:
     """The roles an agent is able and willing to enact, per protocol."""
 
-    entries: dict[str, frozenset[str]] = field(default_factory=dict)
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: dict[str, frozenset[str]]) -> None:
+        self.entries = entries
 
     def role_refs(self) -> list[RoleRef]:
         refs = [
@@ -418,8 +453,7 @@ class InteractionModel:
         return sorted(refs)
 
 
-@dataclass(frozen=True)
-class CompatibilityTable:
+class CompatibilityTable(NamedTuple):
     """Directed compatibility between roles of different protocols.
 
     A pair (a, b) states that an agent enacting a can interact with an
@@ -438,15 +472,15 @@ def compatible(a: RoleRef, b: RoleRef, table: CompatibilityTable) -> bool:
     return (a, b) in table.pairs
 
 
-@dataclass(frozen=True)
-class TaskDescription:
+class TaskDescription(NamedTuple):
     """A task one agent initiates, with the agents it identified per protocol."""
 
     task_id: str
     initiator: str
     required_capabilities: frozenset[str]
     participants: dict[str, tuple[str, ...]]
-    constraints: dict[str, Any] = field(default_factory=dict)
+    #: read only, so the shared default is never changed
+    constraints: dict[str, Any] = {}
 
 
 def match_task_to_protocols(

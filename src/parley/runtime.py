@@ -27,7 +27,6 @@ import gc
 import heapq
 import json
 import re
-from dataclasses import dataclass
 from fnmatch import fnmatch
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from os.path import normcase
@@ -157,7 +156,6 @@ def write_trace(trace: list[TraceEvent], path) -> None:
 STRUCTURE_FIELDS = ("performative", "language", "ontology", "shape")
 
 
-@dataclass(frozen=True)
 class FaultSpec:
     """One-shot mutation of the n-th conversation message in flight.
 
@@ -170,24 +168,33 @@ class FaultSpec:
     untouched and uncounted.  Specs that hit the same message apply in
     the order they were injected (file order for a scenario).  The bus
     resolves the patterns once per conversation, when it first sees it.
+    A spec is checked when it is made and never changed afterwards.
     """
 
-    conversation: str  # fnmatch pattern over conversation ids
-    ordinal: int  # 1-based position among counted messages
-    op: str  # corrupt_structure | corrupt_content
-    #: for corrupt_structure: which structural facet to mangle
-    structure_field: str = "performative"
-    #: for corrupt_content: path to the leaf to type-swap; falls back
-    #: to the first leaf when the path does not resolve
-    path: tuple = ()
+    __slots__ = ("conversation", "ordinal", "op", "structure_field", "path")
 
-    def __post_init__(self) -> None:
-        if self.ordinal < 1:
+    def __init__(
+        self,
+        conversation: str,
+        ordinal: int,
+        op: str,
+        structure_field: str = "performative",
+        path: tuple = (),
+    ) -> None:
+        if ordinal < 1:
             raise ValueError("fault ordinal is 1-based")
-        if self.op not in ("corrupt_structure", "corrupt_content"):
-            raise ValueError(f"unknown fault op {self.op!r}")
-        if self.op == "corrupt_structure" and self.structure_field not in STRUCTURE_FIELDS:
-            raise ValueError(f"unknown structure field {self.structure_field!r}")
+        if op not in ("corrupt_structure", "corrupt_content"):
+            raise ValueError(f"unknown fault op {op!r}")
+        if op == "corrupt_structure" and structure_field not in STRUCTURE_FIELDS:
+            raise ValueError(f"unknown structure field {structure_field!r}")
+        self.conversation = conversation  # fnmatch pattern over conversation ids
+        self.ordinal = ordinal  # 1-based position among counted messages
+        self.op = op  # corrupt_structure | corrupt_content
+        #: for corrupt_structure: which structural facet to mangle
+        self.structure_field = structure_field
+        #: for corrupt_content: path to the leaf to type-swap; falls back
+        #: to the first leaf when the path does not resolve
+        self.path = path
 
 
 def corrupt_structure(msg: Message, structure_field: str) -> Message:
@@ -214,10 +221,12 @@ def corrupt_content(msg: Message, path: tuple) -> Message:
     return msg._replace(content=set_leaf(msg.content, target, new))
 
 
-@dataclass
 class _FaultState:
-    spec: FaultSpec
-    seen: int = 0
+    __slots__ = ("spec", "seen")
+
+    def __init__(self, spec: FaultSpec) -> None:
+        self.spec = spec
+        self.seen = 0
 
 
 #: the characters that end a glob's literal prefix

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .agents import (
     IndividualInitiator,
@@ -46,21 +46,19 @@ SILENT = "silent"
 BEHAVIORS = ("auto", SILENT)
 
 
-@dataclass(frozen=True)
-class AgentSpec:
+class AgentSpec(NamedTuple):
     agent_id: str
     model: InteractionModel
     willing: bool
     behavior: str
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     scenario_id: str
     seed: int
     selection_mode: str
     #: the protocols the scenario names, loaded, by id
-    registry: ProtocolRegistry = field(repr=False)
+    registry: ProtocolRegistry
     agents: tuple[AgentSpec, ...]
     tasks: tuple[TaskDescription, ...]
     compatibility: CompatibilityTable
@@ -396,8 +394,7 @@ def build_runtime(scenario: Scenario) -> SimRuntime:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TaskSummary:
+class TaskSummary(NamedTuple):
     task_id: str
     outcome: str
     detail: dict
@@ -406,8 +403,7 @@ class TaskSummary:
     terminated: bool
 
 
-@dataclass(frozen=True)
-class RunSummary:
+class RunSummary(NamedTuple):
     scenario_id: str
     seed: int
     selection_mode: str

@@ -9,7 +9,6 @@ instance generation is plain seeded random so the counts are exact.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from pathlib import Path
 from random import Random
@@ -499,7 +498,7 @@ def test_criterion_8_determinism():
     for name in BUNDLED:
         base = parse_scenario(scenario_path(name))
         for bump in (1, 2):
-            scenario = dataclasses.replace(base, seed=base.seed + bump)
+            scenario = base._replace(seed=base.seed + bump)
             trace, summary = run_scenario(scenario)
             sent = {e.payload["seq"] for e in trace if e.kind == "send"}
             assert all(

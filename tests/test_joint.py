@@ -3,7 +3,6 @@ broadcast rounds on the bus."""
 
 from __future__ import annotations
 
-from dataclasses import replace
 from random import Random
 
 import pytest
@@ -109,7 +108,7 @@ class TestMatrix:
 
     def test_empty_vectors_never_selected(self):
         matrix = build_candidate_matrix(
-            replace(TASK, participants={"ips": ("d1",)}),
+            TASK._replace(participants={"ips": ("d1",)}),
             [(one_one_protocol("bare"), "asker"), (one_one_protocol("ips"), "asker")],
         )
         assert matrix.row("bare") == ()
@@ -588,7 +587,7 @@ def run_joint(
         registry = {"ips": one_one_protocol("ips"), "request": one_one_protocol("request")}
     model = InteractionModel({protocol_id: frozenset({"asker"}) for protocol_id in registry})
     rt = SimRuntime(seed=0)
-    task = replace(TASK, participants={p: tuple(agents) for p, agents in identified.items()})
+    task = TASK._replace(participants={p: tuple(agents) for p, agents in identified.items()})
     initiator = JointInitiator("q1", task, model, registry, PROTOCOL_ORIENTED, reply_deadline)
     rt.register(initiator)
     log: list = []
@@ -792,6 +791,55 @@ def test_a_late_offer_during_a_broadcast_round_is_stopped():
         CALL_FOR_COLLABORATION,
         STOP_SELECTION,
     ]
+
+
+#: ready-to-select roles that are not distinct ``protocol:role`` strings,
+#: with the reason the initiator notes; ``{p}:{r}`` is a role of the call
+MALFORMED = {
+    "duplicate": (["{p}:{r}", "{p}:{r}"], "duplicate roles in ready-to-select payload"),
+    "no-colon": (["nocolon"], "bad role reference 'nocolon', expected 'protocol:role'"),
+}
+
+
+def malformed(kind: str, protocol_id: str, role_id: str) -> tuple[str, dict, int]:
+    roles, _ = MALFORMED[kind]
+    return READY_TO_SELECT, {"roles": [r.format(p=protocol_id, r=role_id) for r in roles]}, 0
+
+
+def malformed_notes(rt: SimRuntime) -> list[dict]:
+    return [p for _, kind, p in rt.trace if kind == "selection" and p["step"] == "malformed-offer"]
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+class TestMalformedOffer:
+    """A malformed ready-to-select is a refusal, noted once: the round
+    closes without it and the run goes on."""
+
+    def test_in_a_broadcast_round(self, kind):
+        initiator, rt, log = run_joint(
+            {"bid": ["d1", "d2"]},
+            {"d1": [malformed(kind, "bid", "bidder")], "d2": [offer("bid")]},
+            registry=TENDERS,
+        )
+        assert initiator.outcome == largest_set("d2")
+        assert sent_at(rt, NOTIFY_ASSIGNMENT) == [(0, "d2")]
+        # a refuser is not stopped
+        assert [p for agent, p, _ in log if agent == "d1"] == [CALL_FOR_COLLABORATION]
+        assert malformed_notes(rt) == [
+            {"task": "t1", "step": "malformed-offer", "agent": "d1", "reason": MALFORMED[kind][1]}
+        ]
+
+    def test_in_a_pairwise_round(self, kind):
+        initiator, rt, _ = run_joint(
+            {"ips": ["d1", "d2"]}, {"d1": [malformed(kind, "ips", "replier")], "d2": [READY_IPS]}
+        )
+        assert initiator.outcome == one_one("d2", "ips")
+        assert sent_by(rt, "q1") == [
+            ("d1", CALL_FOR_COLLABORATION),
+            ("d2", CALL_FOR_COLLABORATION),
+            ("d2", NOTIFY_ASSIGNMENT),
+        ]
+        assert [note["agent"] for note in malformed_notes(rt)] == ["d1"]
 
 
 class TestPayload:

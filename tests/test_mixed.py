@@ -10,7 +10,6 @@ they should.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from random import Random
 
 import pytest
@@ -136,8 +135,12 @@ class TestInstantiateAll:
     def test_role_without_an_answer_is_stopped(self, registry):
         # "mute" takes the ask, but its step ends without a reply
         shot = _one_shot_protocol("mute")
-        take = replace(shot.roles["server"].transitions[0], action=Action(kind="none"))
-        mute = replace(shot, roles={"server": replace(shot.roles["server"], transitions=(take,))})
+        served = shot.roles["server"]
+        take = served.transitions[0]._replace(action=Action(kind="none"))
+        mute = shot._replace(roles={"server": RoleStateMachine(
+            served.role_id, served.kind, served.multiplicity, served.states,
+            served.initial_state, served.terminal_states, (take,), served.father,
+        )})
         reg = dict(registry)
         reg["mute"] = mute
         collection = {server("attr_query"), server("mute")}
