@@ -100,15 +100,7 @@ def _message(
     performative: str, content: dict, sender: str, receiver: str, conversation: str
 ) -> Message:
     """A selection or control message, untagged."""
-    return Message(
-        performative=performative,
-        content=content,
-        language="kv",
-        ontology="core",
-        sender=sender,
-        receiver=receiver,
-        conversation_id=conversation,
-    )
+    return Message(performative, content, "kv", "core", sender, receiver, conversation)
 
 
 def _note_termination(rt: SimRuntime, conversation: str, agent: str, status: str, **extra) -> None:

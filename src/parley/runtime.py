@@ -1,6 +1,6 @@
 """Deterministic discrete-tick message bus with scripted fault injection.
 
-Agents are step functions invoked serially: the bus pops the next
+Agents are step functions invoked serially: the bus takes the next
 delivery, hands it to the receiving agent, and collects whatever that
 agent schedules in response.  Zero-delay sends land later within the
 same tick, so a request/reply cascade plays out tick-locally while
@@ -9,24 +9,41 @@ run flows through the single seeded stream owned by the bus, and the
 trace is a flat list of events ordered by (tick, sequence), so a
 (scenario, seed) pair reproduces byte-identically.
 
+Pending messages sit in one FIFO queue per tick, a calendar queue with
+a bucket per tick.  A send appends to the queue of its tick, and the
+bus drains the earliest tick's queue from the front.  Sequence numbers
+only grow, so each queue is already in sequence order, and a zero-delay
+send made while a tick is drained lands behind everything queued for
+that tick: the (tick, sequence) order of a heap, at the cost of an
+append and a pop.
+
 Timers are plain self-addressed messages: an agent that wants to hear
 back in N ticks schedules a wake to itself with delay N.  Self-sends
 never count as conversation traffic, which keeps fault ordinals and
-message tallies about the actual exchange.
+message tallies about the actual exchange.  Fault matching runs only
+once a fault is injected.
+
+A zero-delay livelock is caught by depth, not by breadth.  Each pending
+message carries its zero-delay hop count: 0 when it was sent before the
+run, from ``on_start`` or with a delay, and one more than the delivery
+being handled when a handler sends it with no delay (wakes included).
+A chain deeper than ``MAX_ZERO_DELAY_HOPS`` is a livelock; a tick may
+deliver any number of messages that are each a few hops deep.
 
 A run makes no reference cycles: messages, events and states are
 freed by reference counting as soon as they are dropped.  Automatic
 cyclic garbage collection would only rescan the live agents, so
-``run_until_quiescent`` pauses it for the run and then restores the
-caller's setting.
+``run_until_quiescent`` runs under ``collector_paused``, which pauses
+it and then restores the caller's setting.  Parsing a scenario makes no
+cycles either and runs under the same pause.
 """
 
 from __future__ import annotations
 
 import gc
-import heapq
 import json
 import re
+from collections import deque
 from fnmatch import fnmatch
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from os.path import normcase
@@ -40,8 +57,37 @@ from .patterns import get_leaf, leaf_paths, set_leaf
 #: performative of self-addressed timer messages
 WAKE = "wake"
 
-#: hard per-tick delivery cap; hitting it means a zero-delay livelock
-PER_TICK_LIMIT = 10_000
+#: deepest zero-delay chain a run delivers; a deeper one is a livelock
+MAX_ZERO_DELAY_HOPS = 10_000
+
+
+class _CollectorPause:
+    """Automatic garbage collection paused for a ``with`` block, then
+    restored as the caller had it, however the block exits.
+
+    Both methods are static, so ``with`` binds no method object: entering
+    allocates nothing the collector tracks, and no collection can start
+    between the caller's call and the pause.  Blocks nest; each restores
+    the setting its own entry found.  The setting is the process's, so
+    the stack of found settings is kept on the class.
+    """
+
+    __slots__ = ()
+    #: the settings the open blocks found, innermost last
+    _found: list[bool] = []
+
+    @staticmethod
+    def __enter__() -> None:
+        _CollectorPause._found.append(gc.isenabled())
+        gc.disable()
+
+    @staticmethod
+    def __exit__(kind, error, traceback) -> None:
+        if _CollectorPause._found.pop():
+            gc.enable()
+
+
+collector_paused = _CollectorPause()
 
 
 class TraceEvent(NamedTuple):
@@ -262,19 +308,26 @@ class AgentBase:
 _SEND_FIELDS = ("seq", "from", "to", "conversation", "performative", "tag", "content")
 _DELIVER_FIELDS = ("seq", "from", "to", "conversation", "performative")
 
+#: builds a tuple subclass from one tuple of its fields
+_new_tuple = tuple.__new__
+
 
 class SimRuntime:
     def __init__(self, seed: int = 0, max_ticks: int = 200) -> None:
         if max_ticks <= 0:
             raise ValueError("max_ticks must be positive")
-        #: the tick being delivered; the heap pops in tick order
+        #: the tick being delivered; ticks are drained in order
         self.tick = 0
         self.rng = Random(seed)
         self.max_ticks = max_ticks
         self.agents: dict[str, AgentBase] = {}
         self.trace: list[TraceEvent] = []
-        self._heap: list[tuple[int, int, Message]] = []
+        #: tick -> its pending (seq, message, zero-delay hops), in seq order
+        self._queues: dict[int, deque[tuple[int, Message, int]]] = {}
         self._seq = 0
+        #: hops of the delivery being handled; -1 outside any delivery,
+        #: so that a zero-delay send made there gets 0
+        self._hops = -1
         self._faults: list[_FaultState] = []
         #: literal prefix -> indices into _faults of the specs with that prefix
         self._fault_buckets: dict[str, list[int]] = {}
@@ -299,7 +352,9 @@ class SimRuntime:
     # -- event log ---------------------------------------------------------
 
     def note(self, kind: str, payload: dict) -> None:
-        self.trace.append(TraceEvent(self.tick, kind, payload))
+        # every send and delivery is noted: build the event with the tuple
+        # constructor, not through the Python-level __new__ of a NamedTuple
+        self.trace.append(_new_tuple(TraceEvent, (self.tick, kind, payload)))
 
     # -- sending -----------------------------------------------------------
 
@@ -309,7 +364,11 @@ class SimRuntime:
         if msg.receiver not in self.agents:
             raise UnknownReceiverError(f"no agent named {msg.receiver!r}")
         self._seq += 1
-        heapq.heappush(self._heap, (self.tick + delay, self._seq, msg))
+        tick = self.tick + delay
+        queue = self._queues.get(tick)
+        if queue is None:
+            queue = self._queues[tick] = deque()
+        queue.append((self._seq, msg, 0 if delay else self._hops + 1))
         self.note(
             "send",
             {
@@ -326,16 +385,7 @@ class SimRuntime:
     def wake_self(self, agent: str, conversation: str, content: dict, delay: int) -> None:
         """Schedule a timer: a wake message from the agent to itself."""
         self.schedule_send(
-            Message(
-                performative=WAKE,
-                content=content,
-                language="kv",
-                ontology="core",
-                sender=agent,
-                receiver=agent,
-                conversation_id=conversation,
-            ),
-            delay=delay,
+            Message(WAKE, content, "kv", "core", agent, agent, conversation), delay
         )
 
     # -- running -----------------------------------------------------------
@@ -396,7 +446,8 @@ class SimRuntime:
         return msg
 
     def _deliver(self, seq: int, msg: Message) -> None:
-        msg = self._apply_faults(seq, msg)
+        if self._faults:
+            msg = self._apply_faults(seq, msg)
         self.note(
             "deliver",
             {
@@ -414,33 +465,37 @@ class SimRuntime:
 
         Automatic garbage collection is paused for the run (see the
         module docstring) and left as the caller had it on every exit.
+        A delivery that raises leaves the undelivered messages pending.
         """
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            if not self._started:
-                self._started = True
-                for agent in list(self.agents.values()):
-                    agent.on_start(self)
-            while self._heap:
-                next_tick = self._heap[0][0]
-                if next_tick > self.max_ticks:
-                    raise BudgetExceededError(
-                        f"{len(self._heap)} message(s) still pending at tick budget "
-                        f"{self.max_ticks}"
-                    )
-                self.tick = next_tick
-                delivered = 0
-                while self._heap and self._heap[0][0] == next_tick:
-                    _, seq, msg = heapq.heappop(self._heap)
-                    delivered += 1
-                    if delivered > PER_TICK_LIMIT:
+        queues = self._queues
+        with collector_paused:
+            try:
+                if not self._started:
+                    self._started = True
+                    for agent in list(self.agents.values()):
+                        agent.on_start(self)
+                while queues:
+                    tick = min(queues)
+                    if tick > self.max_ticks:
+                        pending = sum(len(queue) for queue in queues.values())
                         raise BudgetExceededError(
-                            f"over {PER_TICK_LIMIT} deliveries in tick {next_tick}; "
-                            f"zero-delay livelock"
+                            f"{pending} message(s) still pending at tick budget "
+                            f"{self.max_ticks}"
                         )
-                    self._deliver(seq, msg)
-        finally:
-            if collecting:
-                gc.enable()
+                    self.tick = tick
+                    queue = queues[tick]
+                    pop = queue.popleft
+                    while queue:
+                        seq, msg, hops = pop()
+                        if hops > MAX_ZERO_DELAY_HOPS:
+                            queue.appendleft((seq, msg, hops))
+                            raise BudgetExceededError(
+                                f"over {MAX_ZERO_DELAY_HOPS} zero-delay hops in tick "
+                                f"{tick}; zero-delay livelock"
+                            )
+                        self._hops = hops
+                        self._deliver(seq, msg)
+                    del queues[tick]
+            finally:
+                self._hops = -1
         return self.trace

@@ -6,6 +6,13 @@ participants), an optional compatibility table, fault injections, and
 the seed.  Parsing loads the protocols once and resolves every cross
 reference up front, so a typo fails loudly instead of producing a
 silently empty run, and a parsed scenario runs from any directory.
+
+Parsing builds many small objects (the JSON document, the protocols,
+the records) and no reference cycles, so every automatic collection
+started while parsing would scan young objects and free nothing.
+``parse_scenario`` runs under ``runtime.collector_paused``, as a run
+does; the young objects are looked at once, by the first collection
+after it.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from .model import (
     load_protocol,
     validate_protocol,
 )
-from .runtime import FaultSpec, SimRuntime, TraceEvent
+from .runtime import FaultSpec, SimRuntime, TraceEvent, collector_paused
 
 JOINT = "joint"
 SEQUENTIAL = "individual_sequential"
@@ -119,14 +126,16 @@ def _integer(raw: dict, key: str, default: int, where: str, least: int | None = 
 
 
 def parse_scenario(path) -> Scenario:
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"no scenario file at {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON ({exc})") from exc
-    return scenario_from_dict(raw, str(path), path.parent)
+    # parsing makes no reference cycles (see the module docstring)
+    with collector_paused:
+        path = Path(path)
+        if not path.exists():
+            raise ParseError(f"no scenario file at {path}")
+        try:
+            raw = json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: not valid JSON ({exc})") from exc
+        return scenario_from_dict(raw, str(path), path.parent)
 
 
 def scenario_from_dict(

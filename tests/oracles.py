@@ -8,6 +8,7 @@ obvious: brute force where possible.
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import Counter
 from fnmatch import fnmatch
@@ -256,6 +257,39 @@ def oracle_apply_faults(
                 hits.append(i)
         fired.append(hits)
     return fired
+
+
+# ---------------------------------------------------------------------------
+# Delivery order
+# ---------------------------------------------------------------------------
+
+def oracle_delivery_order(runs: list[list[tuple[int, tuple]]]) -> list[tuple[int, int]]:
+    """The (tick, seq) of every delivery when all pending sends share one
+    heap keyed by (tick, seq).
+
+    runs: per run, the sends made just before it, each ``(delay, node)``;
+    the first run's are made at tick 0, a later run's at the tick the
+    previous run stopped in.  A node is ``(raises, children)``: its
+    delivery sends each ``(delay, child)`` in order, then ends the run
+    when ``raises`` is true.  Sends are numbered 1, 2, ... in the order
+    they are made.
+    """
+    heap: list[tuple[int, int, tuple]] = []
+    seq = tick = 0
+    order: list[tuple[int, int]] = []
+    for sends in runs:
+        for delay, node in sends:
+            seq += 1
+            heapq.heappush(heap, (tick + delay, seq, node))
+        while heap:
+            tick, delivered, (raises, children) = heapq.heappop(heap)
+            order.append((tick, delivered))
+            for delay, child in children:
+                seq += 1
+                heapq.heappush(heap, (tick + delay, seq, child))
+            if raises:
+                break
+    return order
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ the run left no reference cycle behind for the collector to find.
 from __future__ import annotations
 
 import gc
+import json
 import weakref
 from collections import Counter
 from random import Random
@@ -36,6 +37,7 @@ from parley.scenario import (
     MIXED,
     SEQUENTIAL,
     build_runtime,
+    parse_scenario,
     scenario_from_dict,
     summarize,
 )
@@ -239,14 +241,16 @@ def _with_content_faults(doc: dict) -> dict:
     ],
     ids=["sequential", "mixed", "joint_fanout"],
 )
-def test_a_run_leaves_no_cyclic_garbage(doc):
-    """Everything a run allocates is freed by reference counting, so the
-    collector it pauses has nothing to find afterwards."""
+def test_a_run_leaves_no_cyclic_garbage(doc, tmp_path):
+    """Everything parsing and a run allocate is freed by reference
+    counting, so the collector they pause has nothing to find afterwards."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
     enabled = gc.isenabled()
     gc.disable()  # no automatic collection may take the run's cycles first
     try:
         gc.collect()  # the caller's leftovers are not the run's
-        scenario = scenario_from_dict(doc)
+        scenario = parse_scenario(path)
         runtime = build_runtime(scenario)
         trace = runtime.run_until_quiescent()
         summarize(scenario, runtime, trace)

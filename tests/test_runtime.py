@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import gc
 import json
+from collections import Counter
+from functools import partial
 from random import Random
 
 import pytest
@@ -12,10 +15,11 @@ from hypothesis import strategies as st
 
 import parley.runtime
 
-from parley.errors import BudgetExceededError, UnknownReceiverError
+from parley.errors import BudgetExceededError, ParleyError, ParseError, UnknownReceiverError
+from parley.fixtures import ROOT as FIXTURES
 from parley.model import Message
 from parley.runtime import (
-    PER_TICK_LIMIT,
+    MAX_ZERO_DELAY_HOPS,
     WAKE,
     _DELIVER_FIELDS,
     _SEND_FIELDS,
@@ -28,11 +32,17 @@ from parley.runtime import (
     render_trace,
     write_trace,
 )
-from parley.scenario import build_runtime, scenario_from_dict
+from parley.scenario import (
+    SEQUENTIAL,
+    build_runtime,
+    parse_scenario,
+    scenario_from_dict,
+    summarize,
+)
 
 from .generators import CONTENT_KEYS, content_trees, fault_streams
-from .helpers import joint_scenario
-from .oracles import oracle_apply_faults, oracle_render
+from .helpers import individual_scenario, joint_fanout_scenario, joint_scenario
+from .oracles import oracle_apply_faults, oracle_delivery_order, oracle_render
 
 
 def msg(sender, receiver, performative="inform", content=None, conv="c", tag=None):
@@ -284,6 +294,49 @@ class TestBudget:
         with pytest.raises(BudgetExceededError, match="livelock"):
             rt.run_until_quiescent()
 
+    def test_zero_delay_self_wake_loop_is_cut_off(self):
+        class Insomniac(AgentBase):
+            def on_message(self, rt, m):
+                rt.wake_self(self.name, "c", {}, delay=0)
+
+        rt = SimRuntime(seed=0)
+        rt.register(Insomniac("sleeper"))
+        rt.wake_self("sleeper", "c", {}, delay=0)
+        with pytest.raises(BudgetExceededError, match="zero-delay livelock"):
+            rt.run_until_quiescent()
+        assert rt.tick == 0
+
+    @pytest.mark.parametrize(
+        "depth", [MAX_ZERO_DELAY_HOPS, MAX_ZERO_DELAY_HOPS + 1], ids=["at-limit", "beyond"]
+    )
+    def test_a_chain_is_cut_off_only_beyond_the_hop_limit(self, depth):
+        class Countdown(AgentBase):
+            def on_message(self, rt, m):
+                if m.content["n"]:
+                    rt.schedule_send(msg(self.name, self.name, content={"n": m.content["n"] - 1}))
+
+        rt = SimRuntime(seed=0)
+        rt.register(Countdown("c"))
+        rt.schedule_send(msg("c", "c", content={"n": depth}))
+        if depth <= MAX_ZERO_DELAY_HOPS:
+            rt.run_until_quiescent()
+        else:
+            for _ in range(2):  # the message it refused stays pending
+                with pytest.raises(BudgetExceededError, match="zero-delay livelock"):
+                    rt.run_until_quiescent()
+        assert sum(e.kind == "deliver" for e in rt.trace) == MAX_ZERO_DELAY_HOPS + 1
+
+    def test_a_wide_shallow_tick_runs(self):
+        # 48 broadcasts to 300 of 1,000 agents: a tick delivers more
+        # messages than a chain may be deep, each a few hops from a call
+        scenario = scenario_from_dict(joint_fanout_scenario(Random(1), 48, 1000, 300))
+        runtime = build_runtime(scenario)
+        trace = runtime.run_until_quiescent()
+        per_tick = Counter(e.tick for e in trace if e.kind == "deliver")
+        assert max(per_tick.values()) > MAX_ZERO_DELAY_HOPS
+        summary = summarize(scenario, runtime, trace)
+        assert all(task.outcome != "unresolved" for task in summary.tasks)
+
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError):
             SimRuntime(seed=0, max_ticks=0)
@@ -357,27 +410,115 @@ class TestCollectorPause:
 
     def test_no_collection_starts_inside_a_run(self, restore_gc):
         runtime = build_runtime(scenario_from_dict(joint_scenario(Random(3), 4, 8)))
-        started: list[bool] = []
-        inside = [False]
-
-        def note(phase, info):
-            if phase == "start":
-                started.append(inside[0])
-
-        gc.enable()
-        gc.collect()
-        gc.callbacks.append(note)
-        gc.set_threshold(1)  # any tracked allocation would start a collection
-        try:
-            inside[0] = True
-            runtime.run_until_quiescent()
-            inside[0] = False
-            gc.collect()  # the callback is live
-        finally:
-            gc.callbacks.remove(note)
+        started = _collections_started(runtime.run_until_quiescent)
         assert len(runtime.trace) > 50
         assert started and not any(started)
         assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            (json.dumps(joint_scenario(Random(3), 4, 8)), None),
+            ('{"selection_mode": ', ParseError),  # not JSON
+            (json.dumps({"selection_mode": "joint", "agents": 1}), ParseError),
+        ],
+        ids=["parsed", "bad-json", "bad-field"],
+    )
+    def test_the_callers_setting_survives_parsing(self, tmp_path, text, error, enabled,
+                                                  restore_gc):
+        path = tmp_path / "scenario.json"
+        path.write_text(text, encoding="utf-8")
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        if error is None:
+            parse_scenario(path)
+        else:
+            with pytest.raises(error):
+                parse_scenario(path)
+        assert gc.isenabled() is enabled
+
+    def test_no_collection_starts_while_parsing(self, tmp_path, restore_gc):
+        path = tmp_path / "fanout.json"
+        path.write_text(json.dumps(joint_fanout_scenario(Random(1), 6, 40, 20)))
+        parse_scenario(path)  # on Python 3.10 a first call allocates its frame
+        started = _collections_started(partial(parse_scenario, path))
+        assert started and not any(started)
+        assert gc.isenabled()
+
+    def test_mutated_bundled_scenarios_fail_only_as_parley_errors(self, tmp_path, restore_gc):
+        docs = [
+            json.loads(path.read_text(encoding="utf-8"))
+            for path in sorted((FIXTURES / "scenarios").glob("*.json"))
+        ]
+        rng = Random(12)
+        path = tmp_path / "mutant.json"
+        refused = 0
+        for i in range(300):
+            path.write_text(json.dumps(_mutate(rng.choice(docs), rng)), encoding="utf-8")
+            enabled = i % 2 == 0
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+            try:
+                parse_scenario(path)
+            except ParleyError:
+                refused += 1
+            assert gc.isenabled() is enabled
+        assert 0 < refused < 300
+
+
+def _collections_started(action) -> list[bool]:
+    """For each collection started during ``action`` or by the check
+    after it, whether it started during ``action``; at threshold 1 any
+    tracked allocation starts one."""
+    started: list[bool] = []
+    inside = [False]
+
+    def note(phase, info):
+        if phase == "start":
+            started.append(inside[0])
+
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(note)
+    gc.set_threshold(1)
+    try:
+        inside[0] = True
+        action()
+        inside[0] = False
+        gc.collect()  # the callback is live
+    finally:
+        gc.callbacks.remove(note)
+    return started
+
+
+#: what a mutation puts in place of a scenario field
+_ODD_VALUES = (None, True, 0, -1, 1.5, "", "x", "nocolon", [], {}, [1], {"x": 1})
+
+
+def _mutate(doc: dict, rng: Random) -> dict:
+    """A copy of ``doc`` with one field, anywhere in it, replaced by an
+    odd value, or removed from its object."""
+    doc = copy.deepcopy(doc)
+    slots = []
+    pending = [doc]
+    while pending:
+        node = pending.pop()
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            slots.append((node, key))
+            if isinstance(value, (dict, list)):
+                pending.append(value)
+    node, key = rng.choice(slots)
+    if isinstance(node, dict) and rng.random() < 0.2:
+        del node[key]
+    else:
+        node[key] = rng.choice(_ODD_VALUES)
+    return doc
 
 
 class TestFaultMechanics:
@@ -459,6 +600,37 @@ class TestFaultMechanics:
         assert sink.got[0].content == {"x": 99}
 
 
+def _without_faults(doc: dict) -> dict:
+    doc["faults"] = []
+    return doc
+
+
+class TestFaultMatchingOnlyWithFaults:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            individual_scenario(Random(4), SEQUENTIAL, 4),
+            _without_faults(individual_scenario(Random(4), SEQUENTIAL, 4)),
+            joint_fanout_scenario(Random(7), 6, 40, 20),
+        ],
+        ids=["sequential-faults", "sequential", "joint-fanout"],
+    )
+    def test_a_run_matches_faults_only_once_one_is_injected(self, doc, monkeypatch):
+        matched: list[int] = []
+        apply_faults = SimRuntime._apply_faults
+
+        def counted(rt, seq, m):
+            matched.append(seq)
+            return apply_faults(rt, seq, m)
+
+        monkeypatch.setattr(SimRuntime, "_apply_faults", counted)
+        runtime = build_runtime(scenario_from_dict(doc))
+        trace = runtime.run_until_quiescent()
+        deliveries = sum(e.kind == "deliver" for e in trace)
+        assert deliveries > 20
+        assert len(matched) == (deliveries if doc.get("faults") else 0)
+
+
 class ScanRuntime(SimRuntime):
     """The bus with fault matching done by the oracle's scan of every spec."""
 
@@ -468,6 +640,7 @@ class ScanRuntime(SimRuntime):
         self.stream: list[tuple[str, bool]] = []
 
     def inject_fault(self, spec):
+        super().inject_fault(spec)  # the bus matches faults once one is injected
         self.specs.append((spec, len(self.stream)))
 
     def _apply_faults(self, seq, m):
@@ -535,6 +708,73 @@ class TestFaultMatchingAgainstOracle:
     ))
     def test_delivers_what_a_scan_of_every_spec_delivers(self, case):
         assert _play(SimRuntime(seed=0), *case) == _play(ScanRuntime(), *case)
+
+
+class Scripted(AgentBase):
+    """Sends the children of each node it is delivered, then raises if
+    the node says so; a node is ``(raises, [(delay, child), ...])``."""
+
+    def __init__(self, name, start):
+        super().__init__(name)
+        self.start = start
+
+    def on_start(self, rt):
+        self.send(rt, self.start)
+
+    def send(self, rt, sends):
+        for delay, node in sends:
+            rt.schedule_send(msg(self.name, self.name, content={"node": node}), delay)
+
+    def on_message(self, rt, m):
+        raises, children = m.content["node"]
+        self.send(rt, children)
+        if raises:
+            raise RuntimeError("scripted failure")
+
+
+def _delivery_order(runs):
+    """(tick, seq) of each delivery over one run per entry of ``runs``:
+    the first run's sends are made from ``on_start``, a later run's from
+    outside just before it."""
+    rt = SimRuntime(seed=0)
+    agent = Scripted("a", runs[0])
+    rt.register(agent)
+    for n, sends in enumerate(runs):
+        if n:
+            agent.send(rt, sends)
+        try:
+            rt.run_until_quiescent()
+        except RuntimeError:
+            pass
+    return [(e.tick, e.payload["seq"]) for e in rt.trace if e.kind == "deliver"]
+
+
+_DELAYS = st.integers(min_value=0, max_value=3)
+_LEAF = (False, [])
+_NODES = st.recursive(
+    st.just(_LEAF),
+    lambda children: st.tuples(
+        st.integers(min_value=0, max_value=5).map(lambda n: n == 0),
+        st.lists(st.tuples(_DELAYS, children), max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+class TestQueueOrderAgainstOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.tuples(_DELAYS, _NODES), max_size=4), min_size=2, max_size=2))
+    @example([
+        [
+            (0, (False, [(0, _LEAF), (1, _LEAF)])),
+            (0, (True, [(0, _LEAF), (2, _LEAF)])),  # raises mid-tick
+            (0, (False, [(0, _LEAF)])),
+            (2, _LEAF),
+        ],
+        [(0, _LEAF), (1, (False, [(0, _LEAF)]))],
+    ])
+    def test_delivers_in_the_order_of_one_heap(self, runs):
+        assert _delivery_order(runs) == oracle_delivery_order(runs)
 
 
 class Gambler(AgentBase):
@@ -614,10 +854,6 @@ class TestTraceShape:
         out = tmp_path / "t.jsonl"
         write_trace(rt.trace, out)
         assert out.read_text(encoding="utf-8") == render_trace(rt.trace)
-
-    def test_per_tick_limit_is_generous(self):
-        # the cap exists to catch livelock, not to throttle real cascades
-        assert PER_TICK_LIMIT >= 1_000
 
 
 # ---------------------------------------------------------------------------
