@@ -2,7 +2,8 @@
 
 ``parley run`` executes a scenario and reports one line per task;
 ``parley validate`` just parses and resolves; ``parley dump-protocol``
-prints the role machines of a bundled or on-disk protocol document.
+checks a bundled or on-disk protocol document, as a scenario naming it
+by path would, and prints its role machines.
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ from pathlib import Path
 
 from .errors import ParleyError, ParseError, UnresolvedReferenceError
 from .fixtures import protocol_path, scenario_path
-from .model import Protocol, load_protocol
+from .model import Protocol
 from .runtime import write_trace
 from .scenario import (
     JOINT,
     MIXED,
     SEQUENTIAL,
     Scenario,
+    load_protocol_file,
     parse_scenario,
     require_one_participant,
     require_own_initiators,
@@ -88,6 +90,8 @@ def cmd_validate(args) -> int:
 def _dump_protocol(protocol: Protocol) -> None:
     print(f"protocol {protocol.protocol_id} "
           f"capabilities={sorted(protocol.capability_tags)}")
+    if protocol.omega is not None:
+        print(f"  omega {json.dumps(protocol.omega, sort_keys=True)}")
     for schema in protocol.schemas.values():
         print(f"  schema {schema.schema_id}: {schema.performative} "
               f"{json.dumps(schema.content_pattern, sort_keys=True)}")
@@ -116,7 +120,7 @@ def _dump_protocol(protocol: Protocol) -> None:
 
 
 def cmd_dump_protocol(args) -> int:
-    _dump_protocol(load_protocol(_find(args.protocol, "protocol", protocol_path)))
+    _dump_protocol(load_protocol_file(_find(args.protocol, "protocol", protocol_path)))
     return 0
 
 

@@ -1,7 +1,11 @@
 """Bundled protocol and scenario documents.
 
-Regenerated by scripts/build_fixtures.py; loaded here by name so tests
-and the command line can share them without path gymnastics.
+The JSON files are the only source: to change a protocol, edit its
+document.  Loading a bundled protocol skips ``validate_protocol``, so
+``TestValidation.test_bundled_protocols_are_clean`` in
+``tests/test_model.py`` is where the bundled set is validated and each
+protocol's category pinned.  They are loaded here by name so tests and
+the command line can share them without path gymnastics.
 """
 
 from __future__ import annotations

@@ -503,127 +503,157 @@ def match_task_to_protocols(
 
 
 # ---------------------------------------------------------------------------
-# JSON (de)serialisation of protocol documents
+# Reading JSON documents
+#
+# Protocol and scenario documents come from outside the program, so both
+# readers check the type of every field they take and name where a bad one
+# sits.  A location is text (the scenario reader's ``"file: agent a1"``) or
+# a tuple of the keys and indexes leading to a value (the protocol
+# reader's ``roles[1].transitions[0]``).  Its text is built only when an
+# error is raised, so a good document pays for none.
 # ---------------------------------------------------------------------------
 
 
-def _trigger_from_dict(raw: dict) -> Trigger:
-    kind = raw.get("kind")
+_KIND_NAMES = {
+    dict: "a JSON object",
+    list: "a JSON array",
+    int: "an integer",
+    str: "a string",
+    bool: "a JSON boolean",
+}
+
+
+def _located(where: str | tuple, key: str | None = None) -> str:
+    """The text of location ``where``, or of ``key`` within it."""
+    if isinstance(where, str):
+        return where if key is None else f"{where}: {key}"
+    steps = where if key is None else (*where, key)
+    text = "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in steps)
+    return text.lstrip(".") or "top level"
+
+
+def _typed(value, kind: type, where: str | tuple, key: str | None = None):
+    """``value``, checked to be a ``kind`` (a JSON ``true`` is no integer);
+    an error names ``key`` within ``where``."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ParseError(
+            f"{_located(where, key)}: expected {_KIND_NAMES[kind]}, got {value!r:.40}"
+        )
+    return value
+
+
+def _require(raw: dict, key: str, where: str | tuple, kind: type = object):
+    """``raw[key]``, checked to be a ``kind``; ``raw`` sits at ``where``."""
+    if not isinstance(raw, dict) or key not in raw:
+        _typed(raw, dict, where)  # raises the located error for a non-object
+        raise ParseError(f"{_located(where)}: missing {key!r}")
+    value = raw[key]
+    return value if kind is object else _typed(value, kind, where, key)
+
+
+def _names(value, where: str | tuple, key: str | None = None) -> tuple[str, ...]:
+    """A JSON array of strings."""
+    names = tuple(_typed(value, list, where, key))
+    for name in names:
+        if not isinstance(name, str):
+            _typed(name, str, where, key)  # raises the located error
+    return names
+
+
+_ROLE_KINDS = {kind.value: kind for kind in RoleKind}
+
+
+def _trigger_from_dict(raw: dict, where: tuple) -> Trigger:
+    kind = _require(raw, "kind", where)
     if kind == "receive":
-        return Trigger(kind="receive", schema_id=raw["schema"])
+        return Trigger("receive", _require(raw, "schema", where, str))
     if kind == "internal":
-        return Trigger(kind="internal", variable=raw["variable"])
-    raise ParseError(f"bad trigger {raw!r}")
+        return Trigger("internal", None, _require(raw, "variable", where, str))
+    raise ParseError(f"{_located(where, 'kind')}: unknown trigger kind {kind!r:.40}")
 
 
-def _action_from_dict(raw: dict) -> Action:
-    kind = raw.get("kind")
+def _action_from_dict(raw: dict, where: tuple) -> Action:
+    kind = _require(raw, "kind", where)
     if kind == "send":
-        return Action(kind="send", schema_id=raw["schema"])
+        return Action("send", _require(raw, "schema", where, str))
     if kind == "data_change":
-        return Action(kind="data_change", variable=raw["variable"])
+        return Action("data_change", None, _require(raw, "variable", where, str))
     if kind == "none":
-        return Action(kind="none")
-    raise ParseError(f"bad action {raw!r}")
-
-
-def _trigger_to_dict(trigger: Trigger) -> dict:
-    if trigger.kind == "receive":
-        return {"kind": "receive", "schema": trigger.schema_id}
-    return {"kind": "internal", "variable": trigger.variable}
-
-
-def _action_to_dict(action: Action) -> dict:
-    if action.kind == "send":
-        return {"kind": "send", "schema": action.schema_id}
-    if action.kind == "data_change":
-        return {"kind": "data_change", "variable": action.variable}
-    return {"kind": "none"}
+        return Action("none")
+    raise ParseError(f"{_located(where, 'kind')}: unknown action kind {kind!r:.40}")
 
 
 def protocol_from_dict(raw: dict) -> Protocol:
+    """The protocol of a JSON document, every field checked for its type.
+
+    An error names the JSON path of the bad field, as in
+    ``roles[1].transitions[0].trigger``.  The static checks of
+    :func:`validate_protocol` are not made here.
+    """
     try:
-        schemas = {
-            s["schema_id"]: MessageSchema(
-                schema_id=s["schema_id"],
-                performative=s["performative"],
-                content_pattern=s["content_pattern"],
-                language=s.get("language", "kv"),
-                ontology=s.get("ontology", "core"),
+        schemas: dict[str, MessageSchema] = {}
+        protocol_id = _require(raw, "protocol_id", (), str)
+        for i, s in enumerate(_require(raw, "schemas", (), list)):
+            at = ("schemas", i)
+            schema_id = _require(s, "schema_id", at, str)
+            if schema_id in schemas:
+                raise ParseError(f"{_located(at, 'schema_id')}: duplicate schema id {schema_id!r}")
+            schemas[schema_id] = MessageSchema(
+                schema_id,
+                _require(s, "performative", at, str),
+                _require(s, "content_pattern", at),
+                _typed(s.get("language", "kv"), str, at, "language"),
+                _typed(s.get("ontology", "core"), str, at, "ontology"),
             )
-            for s in raw["schemas"]
-        }
-        roles = {}
-        for r in raw["roles"]:
-            transitions = tuple(
-                Transition(
-                    from_state=t["from"],
-                    trigger=_trigger_from_dict(t["trigger"]),
-                    action=_action_from_dict(t["action"]),
-                    to_state=t["to"],
-                    method=t["method"],
+        roles: dict[str, RoleStateMachine] = {}
+        for i, r in enumerate(_require(raw, "roles", (), list)):
+            at = ("roles", i)
+            role_id = _require(r, "role_id", at, str)
+            if role_id in roles:
+                raise ParseError(f"{_located(at, 'role_id')}: duplicate role id {role_id!r}")
+            kind = _ROLE_KINDS.get(_require(r, "kind", at, str))
+            if kind is None:
+                raise ParseError(f"{_located(at, 'kind')}: unknown role kind {r['kind']!r:.40}")
+            multiplicity = _require(r, "multiplicity", at)
+            if multiplicity != MANY and type(multiplicity) is not int:
+                raise ParseError(
+                    f"{_located(at, 'multiplicity')}: expected an integer or {MANY!r}, "
+                    f"got {multiplicity!r:.40}"
                 )
-                for t in r["transitions"]
-            )
-            roles[r["role_id"]] = RoleStateMachine(
-                role_id=r["role_id"],
-                kind=RoleKind(r["kind"]),
-                multiplicity=r["multiplicity"],
-                states=frozenset(r["states"]),
-                initial_state=r["initial"],
-                terminal_states=frozenset(r["terminals"]),
-                transitions=transitions,
-                father=r.get("father"),
+            father = r.get("father")
+            if father is not None:
+                _typed(father, str, at, "father")
+            transitions = []
+            for j, t in enumerate(_require(r, "transitions", at, list)):
+                t_at = (*at, "transitions", j)
+                transitions.append(
+                    Transition(
+                        _require(t, "from", t_at, str),
+                        _trigger_from_dict(_require(t, "trigger", t_at), (*t_at, "trigger")),
+                        _action_from_dict(_require(t, "action", t_at), (*t_at, "action")),
+                        _require(t, "to", t_at, str),
+                        _require(t, "method", t_at, str),
+                    )
+                )
+            roles[role_id] = RoleStateMachine(
+                role_id,
+                kind,
+                multiplicity,
+                frozenset(_names(_require(r, "states", at), at, "states")),
+                _require(r, "initial", at, str),
+                frozenset(_names(_require(r, "terminals", at), at, "terminals")),
+                tuple(transitions),
+                father,
             )
         return Protocol(
-            protocol_id=raw["protocol_id"],
-            capability_tags=frozenset(raw.get("capability_tags", [])),
-            schemas=schemas,
-            roles=roles,
-            omega=raw.get("omega"),
+            protocol_id,
+            frozenset(_names(raw.get("capability_tags", []), (), "capability_tags")),
+            schemas,
+            roles,
+            raw.get("omega"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed protocol document: {exc!r}") from exc
-
-
-def protocol_to_dict(protocol: Protocol) -> dict:
-    return {
-        "protocol_id": protocol.protocol_id,
-        "capability_tags": sorted(protocol.capability_tags),
-        "schemas": [
-            {
-                "schema_id": s.schema_id,
-                "performative": s.performative,
-                "content_pattern": s.content_pattern,
-                "language": s.language,
-                "ontology": s.ontology,
-            }
-            for _, s in sorted(protocol.schemas.items())
-        ],
-        "roles": [
-            {
-                "role_id": m.role_id,
-                "kind": m.kind.value,
-                "multiplicity": m.multiplicity,
-                "states": sorted(m.states),
-                "initial": m.initial_state,
-                "terminals": sorted(m.terminal_states),
-                "father": m.father,
-                "transitions": [
-                    {
-                        "from": t.from_state,
-                        "trigger": _trigger_to_dict(t.trigger),
-                        "action": _action_to_dict(t.action),
-                        "to": t.to_state,
-                        "method": t.method,
-                    }
-                    for t in m.transitions
-                ],
-            }
-            for _, m in sorted(protocol.roles.items())
-        ],
-        "omega": protocol.omega,
-    }
+    except ParseError as exc:
+        raise ParseError(f"malformed protocol document: {exc}") from None
 
 
 def load_protocol(path: str | Path) -> Protocol:
@@ -631,3 +661,4 @@ def load_protocol(path: str | Path) -> Protocol:
         return protocol_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
     except (json.JSONDecodeError, ParseError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+

@@ -36,9 +36,13 @@ from .joint import AGENT_ORIENTED, PROTOCOL_ORIENTED
 from .model import (
     CompatibilityTable,
     InteractionModel,
+    Protocol,
     ProtocolRegistry,
     RoleRef,
     TaskDescription,
+    _names,
+    _require,
+    _typed,
     load_protocol,
     validate_protocol,
 )
@@ -80,37 +84,6 @@ class Scenario(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-_KIND_NAMES = {
-    dict: "a JSON object",
-    list: "a JSON array",
-    int: "an integer",
-    str: "a string",
-    bool: "a JSON boolean",
-}
-
-
-def _typed(value, kind: type, where: str):
-    """``value``, checked to be a ``kind`` (a JSON ``true`` is no integer)."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ParseError(f"{where}: expected {_KIND_NAMES[kind]}, got {value!r:.40}")
-    return value
-
-
-def _require(raw: dict, key: str, where: str, kind: type = object):
-    if key not in _typed(raw, dict, where):
-        raise ParseError(f"{where}: missing {key!r}")
-    return _typed(raw[key], kind, f"{where}: {key}")
-
-
-def _names(value, where: str) -> tuple[str, ...]:
-    """A JSON array of strings."""
-    names = tuple(_typed(value, list, where))
-    for name in names:
-        if not isinstance(name, str):
-            _typed(name, str, where)  # raises the located error
-    return names
-
-
 def _names_by_key(raw: dict, key: str, where: str) -> dict[str, tuple[str, ...]]:
     """An optional JSON object whose every value is an array of strings."""
     where = f"{where}: {key}"
@@ -119,7 +92,7 @@ def _names_by_key(raw: dict, key: str, where: str) -> dict[str, tuple[str, ...]]
 
 
 def _integer(raw: dict, key: str, default: int, where: str, least: int | None = None) -> int:
-    value = _typed(raw.get(key, default), int, f"{where}: {key}")
+    value = _typed(raw.get(key, default), int, where, key)
     if least is not None and value < least:
         raise ParseError(f"{where}: {key} must be at least {least}, got {value}")
     return value
@@ -164,7 +137,7 @@ def scenario_from_dict(
             AgentSpec(
                 agent_id=agent_id,
                 model=InteractionModel({p: frozenset(roles) for p, roles in enacts.items()}),
-                willing=_typed(entry.get("willing", True), bool, f"{at}: willing"),
+                willing=_typed(entry.get("willing", True), bool, at, "willing"),
                 behavior=behavior,
             )
         )
@@ -172,7 +145,7 @@ def scenario_from_dict(
     for entry in _require(raw, "tasks", where, list):
         task_id = _require(entry, "id", f"{where}: task", str)
         at = f"{where}: task {task_id}"
-        constraints = _typed(entry.get("constraints", {}), dict, f"{at}: constraints")
+        constraints = _typed(entry.get("constraints", {}), dict, at, "constraints")
         # the contents a run sends instead of filled patterns, by schema id
         _typed(constraints.get("contents", {}), dict, f"{at}: constraints: contents")
         tasks.append(
@@ -180,14 +153,14 @@ def scenario_from_dict(
                 task_id=task_id,
                 initiator=_require(entry, "initiator", at, str),
                 required_capabilities=frozenset(
-                    _names(entry.get("capabilities", []), f"{at}: capabilities")
+                    _names(entry.get("capabilities", []), at, "capabilities")
                 ),
                 participants=_names_by_key(entry, "participants", at),
                 constraints=dict(constraints),
             )
         )
     faults = []
-    for entry in _typed(raw.get("faults", []), list, f"{where}: faults"):
+    for entry in _typed(raw.get("faults", []), list, where, "faults"):
         at = f"{where}: fault"
         try:
             faults.append(
@@ -196,7 +169,7 @@ def scenario_from_dict(
                     ordinal=_require(entry, "ordinal", at, int),
                     op=_require(entry, "op", at),
                     structure_field=entry.get("field", "performative"),
-                    path=tuple(_typed(entry.get("path", []), list, f"{at}: path")),
+                    path=tuple(_typed(entry.get("path", []), list, at, "path")),
                 )
             )
         except ValueError as exc:
@@ -211,9 +184,9 @@ def scenario_from_dict(
             pairs.add((RoleRef.parse(refs[0]), RoleRef.parse(refs[1])))
         except ParseError as exc:
             raise ParseError(f"{at}: {exc}") from exc
-    protocols = _names(_require(raw, "protocols", where), f"{where}: protocols")
+    protocols = _names(_require(raw, "protocols", where), where, "protocols")
     scenario = Scenario(
-        scenario_id=_typed(raw.get("scenario_id", "scenario"), str, f"{where}: scenario_id"),
+        scenario_id=_typed(raw.get("scenario_id", "scenario"), str, where, "scenario_id"),
         seed=_integer(raw, "seed", 0, where),
         selection_mode=mode,
         registry=load_registry(protocols, base_dir),
@@ -234,12 +207,23 @@ def scenario_from_dict(
 # ---------------------------------------------------------------------------
 
 
+def load_protocol_file(path: Path) -> Protocol:
+    """A protocol document from outside the package, read and validated."""
+    protocol = load_protocol(path)
+    violations = validate_protocol(protocol)
+    if violations:
+        raise ParseError(f"{path}: invalid protocol: " + "; ".join(map(str, violations)))
+    return protocol
+
+
 def load_registry(protocols: tuple[str, ...], base_dir: Path | None = None) -> ProtocolRegistry:
     """The named protocols by id.
 
-    A protocol named by path is validated as it loads; the bundled ones
-    were validated when ``scripts/build_fixtures.py`` wrote them.  Two
-    entries that load the same protocol id are an error.
+    A protocol named by path is validated as it loads.  A bundled one is
+    not, since every run would repeat the same checks:
+    ``TestValidation.test_bundled_protocols_are_clean`` in
+    ``tests/test_model.py`` validates and classifies each bundled protocol
+    instead.  Two entries that load the same protocol id are an error.
     """
     registry: ProtocolRegistry = {}
     entry: dict[str, int] = {}  # protocol id -> index of the entry that loaded it
@@ -250,12 +234,7 @@ def load_registry(protocols: tuple[str, ...], base_dir: Path | None = None) -> P
                 candidate = base_dir / candidate
             if not candidate.exists():
                 raise UnresolvedReferenceError(f"no protocol file {name!r}")
-            protocol = load_protocol(candidate)
-            violations = validate_protocol(protocol)
-            if violations:
-                raise ParseError(
-                    f"{candidate}: invalid protocol: " + "; ".join(map(str, violations))
-                )
+            protocol = load_protocol_file(candidate)
         else:
             bundled = protocol_path(name)
             if not bundled.exists():

@@ -1,4 +1,4 @@
-"""Protocol documents: classification, validation, serde."""
+"""Protocol documents: classification, validation, loading."""
 
 from __future__ import annotations
 
@@ -32,7 +32,6 @@ from parley.model import (
     load_protocol,
     match_task_to_protocols,
     protocol_from_dict,
-    protocol_to_dict,
     validate_protocol,
 )
 
@@ -110,11 +109,23 @@ class TestValidation:
         assert validate_protocol(one_n_protocol("p", {"x": None, "y": "x"})) == []
 
     def test_bundled_protocols_are_clean(self):
-        # loading a bundled protocol skips validation: this is where it happens
+        # the JSON files are the only source of the bundled protocols, and
+        # loading one skips validate_protocol: this test is where the
+        # bundled set is validated and each protocol's category pinned
         registry = bundled_registry(*BUNDLED_PROTOCOLS)
         assert len(registry) == 9
         assert {pid: validate_protocol(p) for pid, p in registry.items()} == {
             pid: [] for pid in registry
+        }
+        pinned = {
+            ProtocolCategory.ONE_ONE: (
+                "ips", "request", "attr_digest", "attr_lookup", "attr_probe", "attr_query"
+            ),
+            ProtocolCategory.ONE_ONE_N: ("cnp", "icnp"),
+            ProtocolCategory.ONE_N: ("auction",),
+        }
+        assert {pid: classify_protocol(p) for pid, p in registry.items()} == {
+            pid: category for category, pids in pinned.items() for pid in pids
         }
 
     def test_reserved_performative_flagged(self):
@@ -263,30 +274,88 @@ def test_interaction_model_role_refs_are_sorted():
     assert model.role_refs() == [RoleRef("ips", "asker"), RoleRef("ips", "replier")]
 
 
+#: ``one_one_protocol("p1")`` of ``tests/helpers.py`` as a document; one
+#: schema leaves ``language`` and ``ontology`` to their defaults, and one
+#: role leaves ``father`` out
+ONE_ONE_DOC = """
+{
+  "protocol_id": "p1",
+  "capability_tags": ["query"],
+  "schemas": [
+    {"schema_id": "ask", "performative": "ask-one", "content_pattern": {"q": "?string"}},
+    {"schema_id": "reply", "performative": "tell", "content_pattern": {"a": "?string"},
+     "language": "kv", "ontology": "core"}
+  ],
+  "roles": [
+    {"role_id": "asker", "kind": "initiator", "multiplicity": 1,
+     "states": ["s0", "s1", "done"], "initial": "s0", "terminals": ["done"],
+     "transitions": [
+       {"from": "s0", "trigger": {"kind": "internal", "variable": "task"},
+        "action": {"kind": "send", "schema": "ask"}, "to": "s1", "method": "p1-send-ask"},
+       {"from": "s1", "trigger": {"kind": "receive", "schema": "reply"},
+        "action": {"kind": "none"}, "to": "done", "method": "p1-take-reply"}
+     ]},
+    {"role_id": "replier", "kind": "participant", "multiplicity": 1, "father": null,
+     "states": ["p0", "done"], "initial": "p0", "terminals": ["done"],
+     "transitions": [
+       {"from": "p0", "trigger": {"kind": "receive", "schema": "ask"},
+        "action": {"kind": "send", "schema": "reply"}, "to": "done", "method": "p1-answer"}
+     ]}
+  ]
+}
+"""
+
+#: ``one_n_protocol("p3", {"x": None, "y": "x"})`` as a document
+ONE_N_DOC = """
+{
+  "protocol_id": "p3",
+  "capability_tags": ["ceremony"],
+  "schemas": [
+    {"schema_id": "kick", "performative": "inform", "content_pattern": {"go": "?string"}}
+  ],
+  "roles": [
+    {"role_id": "chair", "kind": "initiator", "multiplicity": 1,
+     "states": ["s0", "done"], "initial": "s0", "terminals": ["done"],
+     "transitions": [
+       {"from": "s0", "trigger": {"kind": "internal", "variable": "task"},
+        "action": {"kind": "send", "schema": "kick"}, "to": "done", "method": "p3-kickoff"}
+     ]},
+    {"role_id": "x", "kind": "participant", "multiplicity": 1,
+     "states": ["p0", "done"], "initial": "p0", "terminals": ["done"],
+     "transitions": [
+       {"from": "p0", "trigger": {"kind": "receive", "schema": "kick"},
+        "action": {"kind": "none"}, "to": "done", "method": "p3-x-join"}
+     ]},
+    {"role_id": "y", "kind": "participant", "multiplicity": 1, "father": "x",
+     "states": ["p0", "done"], "initial": "p0", "terminals": ["done"],
+     "transitions": [
+       {"from": "p0", "trigger": {"kind": "receive", "schema": "kick"},
+        "action": {"kind": "none"}, "to": "done", "method": "p3-y-join"}
+     ]}
+  ]
+}
+"""
+
+
 class TestSerde:
-    def test_round_trip_preserves_everything(self):
-        for protocol in (
-            one_one_protocol("p1"),
-            one_one_n_protocol("p2"),
-            one_n_protocol("p3", {"x": None, "y": "x"}),
-        ):
-            raw = json.loads(json.dumps(protocol_to_dict(protocol)))
-            assert protocol_from_dict(raw) == protocol
+    def test_literal_documents_load_as_built(self):
+        assert protocol_from_dict(json.loads(ONE_ONE_DOC)) == one_one_protocol("p1")
+        assert protocol_from_dict(json.loads(ONE_N_DOC)) == one_n_protocol(
+            "p3", {"x": None, "y": "x"}
+        )
+        many = json.loads(ONE_ONE_DOC)
+        many["capability_tags"] = ["tender"]
+        many["roles"][1].update(role_id="bidder", multiplicity=MANY)
+        assert protocol_from_dict(many) == one_one_n_protocol("p1")
 
     def test_omega_carried_opaquely(self):
-        base = one_one_protocol("p")
-        noted = Protocol(
-            protocol_id=base.protocol_id,
-            capability_tags=base.capability_tags,
-            schemas=base.schemas,
-            roles=base.roles,
-            omega={"annotation": ["anything", 1]},
-        )
-        again = protocol_from_dict(protocol_to_dict(noted))
-        assert again.omega == {"annotation": ["anything", 1]}
+        raw = json.loads(ONE_ONE_DOC)
+        assert protocol_from_dict(raw).omega is None
+        raw["omega"] = {"annotation": ["anything", 1]}
+        assert protocol_from_dict(raw).omega == {"annotation": ["anything", 1]}
 
     def test_malformed_documents_raise_parse_error(self, tmp_path):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="malformed protocol document: top level: missing"):
             protocol_from_dict({"protocol_id": "p"})  # no schemas/roles
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -294,10 +363,9 @@ class TestSerde:
             load_protocol(bad)
 
     def test_load_from_file(self, tmp_path):
-        protocol = one_one_protocol("disk")
         path = tmp_path / "disk.json"
-        path.write_text(json.dumps(protocol_to_dict(protocol)))
-        assert load_protocol(path) == protocol
+        path.write_text(ONE_ONE_DOC, encoding="utf-8")
+        assert load_protocol(path) == one_one_protocol("p1")
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from parley.scenario import (
     SEQUENTIAL,
     build_runtime,
     parse_scenario,
+    run_scenario,
     scenario_from_dict,
     summarize,
 )
@@ -409,6 +410,8 @@ class TestCollectorPause:
         assert gc.isenabled() is enabled
 
     def test_no_collection_starts_inside_a_run(self, restore_gc):
+        # on Python 3.10 a first call allocates its frame
+        build_runtime(scenario_from_dict(joint_scenario(Random(3), 4, 8))).run_until_quiescent()
         runtime = build_runtime(scenario_from_dict(joint_scenario(Random(3), 4, 8)))
         started = _collections_started(runtime.run_until_quiescent)
         assert len(runtime.trace) > 50
@@ -470,6 +473,36 @@ class TestCollectorPause:
             assert gc.isenabled() is enabled
         assert 0 < refused < 300
 
+    def test_mutated_bundled_protocols_fail_only_as_parley_errors(self, tmp_path, restore_gc):
+        """Each mutant is named by path from t1_joint, in place of the
+        bundled protocol it was made from; a scenario that parses runs."""
+        docs = {
+            path.stem: json.loads(path.read_text(encoding="utf-8"))
+            for path in sorted((FIXTURES / "protocols").glob("*.json"))
+        }
+        raw = json.loads((FIXTURES / "scenarios" / "t1_joint.json").read_text(encoding="utf-8"))
+        rng = Random(13)
+        path = tmp_path / "scenario.json"
+        refused = 0
+        for i in range(300):
+            name = rng.choice(sorted(docs))
+            (tmp_path / "mutant.json").write_text(
+                json.dumps(_mutate(docs[name], rng)), encoding="utf-8"
+            )
+            protocols = [p for p in raw["protocols"] if p != name] + ["mutant.json"]
+            path.write_text(json.dumps({**raw, "protocols": protocols}), encoding="utf-8")
+            enabled = i % 2 == 0
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+            try:
+                run_scenario(parse_scenario(path))
+            except ParleyError:
+                refused += 1
+            assert gc.isenabled() is enabled
+        assert 0 < refused < 300
+
 
 def _collections_started(action) -> list[bool]:
     """For each collection started during ``action`` or by the check
@@ -496,7 +529,7 @@ def _collections_started(action) -> list[bool]:
     return started
 
 
-#: what a mutation puts in place of a scenario field
+#: what a mutation puts in place of a document's field
 _ODD_VALUES = (None, True, 0, -1, 1.5, "", "x", "nocolon", [], {}, [1], {"x": 1})
 
 

@@ -279,6 +279,50 @@ class TestResolution:
         assert cli_main(["run", str(path)]) == 2
         assert capsys.readouterr().err.count("bad-schema-ref") == 2
 
+    @pytest.mark.parametrize(
+        "change, complaint",
+        [
+            (
+                lambda doc: doc["roles"][1]["transitions"][0].update(trigger=1.5),
+                "roles[1].transitions[0].trigger: expected a JSON object, got 1.5",
+            ),
+            (
+                lambda doc: doc.update(capability_tags="query"),
+                "capability_tags: expected a JSON array, got 'query'",
+            ),
+            (
+                lambda doc: doc["roles"].append(dict(doc["roles"][1])),
+                "roles[2].role_id: duplicate role id 'replier'",
+            ),
+            (
+                lambda doc: doc["schemas"].append(dict(doc["schemas"][0])),
+                "schemas[2].schema_id: duplicate schema id 'answer'",
+            ),
+            (
+                lambda doc: doc["roles"][1].update(multiplicity=True),
+                "roles[1].multiplicity: expected an integer or 'N', got True",
+            ),
+        ],
+        ids=["number-trigger", "text-capability-tags", "second-role", "second-schema",
+             "boolean-multiplicity"],
+    )
+    def test_a_bad_protocol_field_is_named_by_file_and_json_path(
+        self, change, complaint, tmp_path, capsys
+    ):
+        doc = json.loads(protocol_path("ips").read_text(encoding="utf-8"))
+        change(doc)
+        protocol = tmp_path / "x.json"
+        protocol.write_text(json.dumps(doc), encoding="utf-8")
+        path = self._write(tmp_path, minimal_raw(protocols=["x.json"]))
+        with pytest.raises(ParseError) as caught:
+            parse_scenario(path)
+        assert str(caught.value) == f"{protocol}: malformed protocol document: {complaint}"
+        for command in ("validate", "run"):
+            assert cli_main([command, str(path)]) == 2
+        assert cli_main(["dump-protocol", str(protocol)]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"error: {protocol}: malformed protocol document: {complaint}") == 3
+
     def test_a_malformed_protocol_file_is_named(self, tmp_path, capsys):
         (tmp_path / "x.json").write_text(json.dumps({"protocol_id": "x"}), encoding="utf-8")
         path = self._write(tmp_path, minimal_raw(protocols=["x.json"]))
@@ -555,6 +599,26 @@ class TestCli:
         out = capsys.readouterr().out
         assert "role querier" in out
         assert "aq-bail" in out
+
+    def test_dump_protocol_validates_the_file(self, tmp_path, capsys):
+        doc = json.loads(protocol_path("ips").read_text(encoding="utf-8"))
+        replier = next(role for role in doc["roles"] if role["role_id"] == "replier")
+        replier["transitions"][0]["trigger"]["schema"] = "nope"
+        path = tmp_path / "broken_ips.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli_main(["dump-protocol", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: {path}: invalid protocol: " in err
+        assert "bad-schema-ref [ips:replier]: trigger schema 'nope'" in err
+
+    def test_dump_protocol_prints_the_omega_block(self, tmp_path, capsys):
+        doc = json.loads(protocol_path("ips").read_text(encoding="utf-8"))
+        doc["omega"] = {"note": ["anything", 1]}
+        path = tmp_path / "noted_ips.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli_main(["dump-protocol", str(path)]) == 0
+        assert '  omega {"note": ["anything", 1]}\n' in capsys.readouterr().out
 
 
 class TestSchemaEnvelope:
