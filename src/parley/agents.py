@@ -5,9 +5,10 @@ protocol and roles to use before anything domain-level happens.  The
 individual-selection agents skip the negotiation: the opening domain
 message itself makes the responder pick roles, either one at a time
 (sequential, with purge-and-replace recovery) or all at once behind a
-control zone (mixed).  A small machine driver shared by the initiator
-and the sequential responder turns state machines into journaled
-message exchanges.
+control zone (mixed).  The individual initiator and the sequential
+responder each enact a role through a :class:`machine.MachineDriver`,
+and the mixed responder through a :mod:`mixed` control zone; both step
+their role machines by the one transition cascade of :mod:`machine`.
 
 The two responders share one base class.  It keeps a thread per
 conversation, drops what is not for a responder, runs the termination
@@ -21,13 +22,10 @@ its task's (outcome, detail) once, where it decides it.
 
 from __future__ import annotations
 
-from random import Random
-
 from .errors import NoViableRoleError, ParseError
 from .individual import (
     INITIATOR_DETECTED,
     PARTICIPANT_DETECTED,
-    WRONG_STRUCTURE,
     InteractionError,
     build_collection,
     clamped_recovery_points,
@@ -36,12 +34,11 @@ from .individual import (
     purge_collection,
     receiving_roles,
     refire_input,
-    rejection_kind,
     select_replacement_role,
     truncate_counterpart,
     truncate_own,
 )
-from .journal import DataChange, Journal, MessageEmission, MessageReception
+from .journal import DataChange, Journal
 from .joint import (
     PROTOCOL_ORIENTED,
     CandidateMatrix,
@@ -54,16 +51,21 @@ from .joint import (
     participant_meta_step,
     select_largest_set,
 )
-from .machine import _CASCADE_LIMIT, enabled_for_message, pick, replay_state
+from .machine import (
+    WRONG_STRUCTURE,
+    MachineDriver,
+    pick,
+    rejection_kind,
+    sequence_tagger,
+)
 from .mixed import (
     ControlZone,
     handle_error_mixed,
+    feed,
     handle_incoming,
-    handle_refire,
     instantiate_all,
     reactivate,
     select_outgoing,
-    sequence_tagger,
     stop_active,
 )
 from .model import (
@@ -85,11 +87,9 @@ from .model import (
     RoleKind,
     RoleRef,
     TaskDescription,
-    Transition,
     classify_protocol,
     match_task_to_protocols,
 )
-from .patterns import content_matches, fill_pattern
 from .runtime import WAKE, AgentBase, SimRuntime
 
 #: termination-warning reasons that end the interaction for good
@@ -111,143 +111,15 @@ def _note_termination(rt: SimRuntime, conversation: str, agent: str, status: str
     )
 
 
+def _schedule(rt: SimRuntime, msg: Message | None) -> None:
+    """Put on the bus the message a driver step sent, if it sent one."""
+    if msg is not None:
+        rt.schedule_send(msg)
+
+
 def _error_notice(kind: str, msg: Message, detected_by: str) -> dict:
     """The content of an error notice flagging ``msg``."""
     return {"kind": kind, "tag": msg.reply_with or "", "detected-by": detected_by}
-
-
-# ---------------------------------------------------------------------------
-# Machine driver: one enacted role over one journal
-# ---------------------------------------------------------------------------
-
-
-class MachineDriver:
-    """Journaled execution of a single role state machine.
-
-    Receptions come in through :meth:`receive`, internal steps are
-    pumped until the machine has to wait, and every fired transition
-    appends one journal record.  The driver never judges an incoming
-    message - callers match it first (:meth:`accepting`) and hand the
-    transitions that take it to :meth:`receive`, so nothing invalid is
-    ever journaled and nothing is matched twice.
-    """
-
-    def __init__(
-        self,
-        ref: RoleRef,
-        registry: ProtocolRegistry,
-        journal: Journal,
-        tagger,
-        me: str,
-        peer: str,
-        conversation: str,
-        content_overrides: dict[str, dict] | None = None,
-    ) -> None:
-        self.ref = ref
-        self.protocol = registry[ref.protocol]
-        self.machine = self.protocol.roles[ref.role]
-        self.journal = journal
-        self.tagger = tagger
-        self.me = me
-        self.peer = peer
-        self.conversation = conversation
-        self.content_overrides = content_overrides or {}
-        self.state = self.machine.initial_state
-        self.variables: dict[str, object] = {}
-
-    @property
-    def terminated(self) -> bool:
-        return self.state in self.machine.terminal_states
-
-    def _emit(self, schema_id: str) -> Message:
-        schema = self.protocol.schema(schema_id)
-        content = self.content_overrides.get(schema_id)
-        if content is None or not content_matches(schema.content_pattern, content):
-            content = fill_pattern(schema.content_pattern)
-        return Message(
-            performative=schema.performative,
-            content=content,
-            language=schema.language,
-            ontology=schema.ontology,
-            sender=self.me,
-            receiver=self.peer,
-            conversation_id=self.conversation,
-            reply_with=self.tagger(),
-        )
-
-    def _fire(self, transition, input_event) -> Message | None:
-        outputs: tuple = ()
-        outgoing = None
-        if transition.action.kind == "send":
-            outgoing = self._emit(transition.action.schema_id)
-            outputs = (MessageEmission(outgoing),)
-        elif transition.action.kind == "data_change":
-            value = (
-                input_event.message.content
-                if isinstance(input_event, MessageReception)
-                else input_event.value
-            )
-            self.variables[transition.action.variable] = value
-            outputs = (DataChange(transition.action.variable, value),)
-        self.journal.append(transition.method, input_event, outputs)
-        self.state = transition.to_state
-        return outgoing
-
-    def pump(self, rng: Random) -> list[Message]:
-        """Fire internal transitions until the machine must wait."""
-        sent: list[Message] = []
-        for _ in range(_CASCADE_LIMIT):
-            ready = [
-                t
-                for t in self.machine.transitions_from(self.state)
-                if t.trigger.kind == "internal" and t.trigger.variable in self.variables
-            ]
-            if not ready:
-                break
-            t = pick(ready, rng)
-            value = self.variables[t.trigger.variable]
-            outgoing = self._fire(t, DataChange(t.trigger.variable, value))
-            if outgoing is not None:
-                sent.append(outgoing)
-        return sent
-
-    def accepting(self, msg: Message) -> list[Transition]:
-        """The receive transitions of the current state that take ``msg``."""
-        return enabled_for_message(self.machine, self.protocol, self.state, msg)
-
-    def rejection_kind(self, msg: Message) -> str:
-        """The error kind of a message :meth:`accepting` found no transition for."""
-        return rejection_kind([(self.machine, self.protocol, self.state)], msg)
-
-    def receive(self, msg: Message, enabled: list[Transition], rng: Random) -> list[Message]:
-        """Journal a reception and everything it sets off; ``enabled``
-        holds the transitions found to take it in the current state."""
-        if not enabled:
-            raise ValueError(f"{self.ref} cannot take {msg.performative} in {self.state}")
-        t = pick(enabled, rng)
-        outgoing = self._fire(t, MessageReception(msg))
-        sent = [outgoing] if outgoing is not None else []
-        sent.extend(self.pump(rng))
-        return sent
-
-    def resume(self, event, rng: Random) -> list[Message]:
-        """Re-fire a recovered input event (reception or data change)."""
-        if isinstance(event, MessageReception):
-            return self.receive(event.message, self.accepting(event.message), rng)
-        self.variables[event.variable] = event.value
-        return self.pump(rng)
-
-    def replay(self) -> None:
-        """Rebuild state and variables from the journal as it stands."""
-        self.state = (
-            replay_state(self.machine, self.protocol, self.journal.records)
-            or self.machine.initial_state
-        )
-        self.variables = {}
-        for record in self.journal.records:
-            for event in record.output_events:
-                if isinstance(event, DataChange):
-                    self.variables[event.variable] = event.value
 
 
 # ---------------------------------------------------------------------------
@@ -577,12 +449,9 @@ class IndividualInitiator(AgentBase):
             sequence_tagger(self.name),
             me=self.name,
             peer=self.participant,
-            conversation=self.conversation,
             content_overrides=overrides,
         )
-        self.driver.variables["task"] = self.task.task_id
-        for outgoing in self.driver.pump(rt.rng):
-            rt.schedule_send(outgoing)
+        _schedule(rt, self.driver.resume(DataChange("task", self.task.task_id), rt.rng))
 
     def _send(self, rt: SimRuntime, performative: str, content: dict) -> None:
         rt.schedule_send(
@@ -624,8 +493,7 @@ class IndividualInitiator(AgentBase):
             verdict = self.driver.rejection_kind(msg)
             self._send(rt, ERROR_NOTIFY, _error_notice(verdict, msg, INITIATOR_DETECTED))
             return
-        for outgoing in self.driver.receive(msg, enabled, rt.rng):
-            rt.schedule_send(outgoing)
+        _schedule(rt, self.driver.receive(msg, enabled, rt.rng))
         if self.driver.terminated and not self.awaiting_notice:
             self.awaiting_notice = True
             self._send(rt, TERMINATION_NOTICE, {"state": self.driver.state})
@@ -639,14 +507,13 @@ class IndividualInitiator(AgentBase):
 class _Thread:
     """One conversation a responder serves."""
 
-    __slots__ = ("peer", "conversation", "collection", "closed")
+    __slots__ = ("peer", "conversation", "opening", "closed")
 
     def __init__(self, peer: str, conversation: str) -> None:
         self.peer = peer
         self.conversation = conversation
-        #: the roles that took the opening and are still available (the
-        #: role a sequential responder enacts is out); None until one took it
-        self.collection: set[RoleRef] | None = None
+        #: the opening message, once a role took it
+        self.opening: Message | None = None
         self.closed = False
 
 
@@ -702,7 +569,7 @@ class _Responder(AgentBase):
         if thread is None:
             thread = self.threads[conversation] = self.thread_type(msg.sender, conversation)
         if performative == ERROR_NOTIFY:
-            if thread.collection is not None:
+            if thread.opening is not None:
                 self._on_error_notice(rt, thread, msg)
             return
         if performative == TERMINATION_NOTICE:
@@ -712,7 +579,7 @@ class _Responder(AgentBase):
             return
         if performative in (TERMINATION_WARNING, RECOVER_AT):
             return
-        if thread.collection is not None:
+        if thread.opening is not None:
             self._on_domain(rt, thread, msg)
             return
         base = build_collection(self.model, self.registry, RoleKind.PARTICIPANT)
@@ -727,7 +594,7 @@ class _Responder(AgentBase):
             self._reject(rt, thread, msg, rejection_kind(placed, msg))
             self._fail(rt, thread, "no-viable-role")
             return
-        thread.collection = set(takers)
+        thread.opening = msg
         self._open(rt, thread, msg, takers)
 
 
@@ -737,10 +604,13 @@ class _Responder(AgentBase):
 
 
 class _SequentialThread(_Thread):
-    __slots__ = ("driver",)
+    __slots__ = ("collection", "driver")
 
     def __init__(self, peer: str, conversation: str) -> None:
         super().__init__(peer, conversation)
+        #: the roles that took the opening and are still available; the
+        #: enacted role is out
+        self.collection: set[RoleRef] = set()
         self.driver: MachineDriver | None = None
 
 
@@ -757,19 +627,6 @@ class SequentialResponder(_Responder):
 
     thread_type = _SequentialThread
     on_message = _Responder.on_message
-
-    def _new_driver(
-        self, thread: _SequentialThread, ref: RoleRef, journal: Journal, tagger
-    ) -> MachineDriver:
-        return MachineDriver(
-            ref,
-            self.registry,
-            journal,
-            tagger,
-            me=self.name,
-            peer=thread.peer,
-            conversation=thread.conversation,
-        )
 
     def _recover(
         self,
@@ -810,7 +667,9 @@ class SequentialResponder(_Responder):
         )
         truncate_own(driver.journal, own_point)
         thread.collection.discard(replacement)
-        thread.driver = self._new_driver(thread, replacement, driver.journal, driver.tagger)
+        thread.driver = MachineDriver(
+            replacement, self.registry, driver.journal, driver.tagger, self.name, thread.peer
+        )
         thread.driver.replay()
         self._note(
             rt,
@@ -823,14 +682,15 @@ class SequentialResponder(_Responder):
             points=[counterpart_point, own_point],
         )
         self._reply(rt, thread, RECOVER_AT, {"point": counterpart_point})
-        for outgoing in thread.driver.resume(refire, rt.rng):
-            rt.schedule_send(outgoing)
+        _schedule(rt, thread.driver.resume(refire, rt.rng))
 
     def _open(self, rt, thread: _SequentialThread, msg: Message, takers) -> None:
         chosen = pick(list(takers), rt.rng)
-        thread.collection.discard(chosen)
+        thread.collection = set(takers) - {chosen}
         journal = Journal(conversation_id=thread.conversation)
-        thread.driver = self._new_driver(thread, chosen, journal, sequence_tagger(self.name))
+        thread.driver = MachineDriver(
+            chosen, self.registry, journal, sequence_tagger(self.name), self.name, thread.peer
+        )
         self._note(
             rt,
             "selection",
@@ -839,14 +699,12 @@ class SequentialResponder(_Responder):
             role=str(chosen),
             collection=[str(r) for r in sorted(thread.collection)],
         )
-        for outgoing in thread.driver.receive(msg, takers[chosen], rt.rng):
-            rt.schedule_send(outgoing)
+        _schedule(rt, thread.driver.receive(msg, takers[chosen], rt.rng))
 
     def _on_domain(self, rt, thread: _SequentialThread, msg: Message) -> None:
         enabled = thread.driver.accepting(msg)
         if enabled:
-            for outgoing in thread.driver.receive(msg, enabled, rt.rng):
-                rt.schedule_send(outgoing)
+            _schedule(rt, thread.driver.receive(msg, enabled, rt.rng))
             return
         verdict = thread.driver.rejection_kind(msg)
         location = len(thread.driver.journal) + 1
@@ -888,12 +746,11 @@ class SequentialResponder(_Responder):
 
 
 class _MixedThread(_Thread):
-    __slots__ = ("zone", "opening")
+    __slots__ = ("zone",)
 
     def __init__(self, peer: str, conversation: str) -> None:
         super().__init__(peer, conversation)
         self.zone: ControlZone | None = None
-        self.opening: Message | None = None
 
 
 class MixedResponder(_Responder):
@@ -944,8 +801,7 @@ class MixedResponder(_Responder):
             self._reply(rt, thread, RECOVER_AT, {"point": plan.counterpart_point})
             if plan.weak_guard:
                 self._reply(rt, thread, TERMINATION_WARNING, {"reason": "weak-cohort"})
-            verdict = handle_refire(cz, self.registry, plan.refire, rt.rng)
-            if verdict is None and cz.outbox:
+            if feed(cz, self.registry, plan.refire, rt.rng) and cz.outbox:
                 self._send_selected(rt, thread)
                 return
             stop_active(cz)
@@ -954,7 +810,6 @@ class MixedResponder(_Responder):
         self._fail(rt, thread, "exhausted")
 
     def _open(self, rt, thread: _MixedThread, msg: Message, takers) -> None:
-        thread.opening = msg
         thread.zone = instantiate_all(
             takers, self.registry, msg, sequence_tagger(self.name), rt.rng
         )

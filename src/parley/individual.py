@@ -22,6 +22,8 @@ from typing import NamedTuple
 from .errors import NoViableRoleError, PointOutOfRangeError
 from .journal import Journal, MessageReception
 from .machine import (
+    WRONG_CONTENT,
+    WRONG_STRUCTURE,
     enabled_for_message,
     pick,
     replay_states,
@@ -29,9 +31,6 @@ from .machine import (
     weak_schema_ids,
 )
 from .model import Message, Protocol, ProtocolRegistry, RoleRef, Transition
-
-WRONG_STRUCTURE = "wrong-structure"
-WRONG_CONTENT = "wrong-content"
 
 INITIATOR_DETECTED = "initiator"
 PARTICIPANT_DETECTED = "participant"
@@ -44,19 +43,6 @@ class InteractionError(NamedTuple):
     location: int  # 1-based record index at the collection owner
     offending: Message
     detected_by: str  # INITIATOR_DETECTED | PARTICIPANT_DETECTED
-
-
-def rejection_kind(placed, msg: Message) -> str:
-    """The error kind of a message that no candidate takes in full.
-
-    ``placed`` yields a (machine, protocol, state) triple per candidate
-    role.  Structure is judged before content: only a message that fits
-    an expected shape somewhere can be blamed on its values.
-    """
-    for machine, protocol, state in placed:
-        if enabled_for_message(machine, protocol, state, msg, structural_only=True):
-            return WRONG_CONTENT
-    return WRONG_STRUCTURE
 
 
 def locate_emission(records, reply_with: str) -> int:

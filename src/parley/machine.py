@@ -4,18 +4,40 @@ The simulator drives each role as a plain transition system; this
 module answers the questions the drivers keep asking: which
 transitions can fire on this input, which one fires when several can,
 which states replay a journal prefix, and which messages are "weak"
-(their emission or reception can only end the interaction).
+(their emission or reception can only end the interaction).  It also
+holds :class:`MachineDriver`, which enacts one role over one journal.
+
+Every role machine steps by one rule, :func:`cascade`: an input event
+fires one of the transitions it enables, and an internal transition
+then fires on a change of the named agent variable - the change the
+transition just fired wrote, and no other.  A send or an action of
+kind ``none`` writes nothing, so the cascade stops there; it stops too
+where the written variable enables nothing.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from random import Random
+from typing import Callable, NamedTuple
 
-from .journal import DataChange, JournalRecord, MessageEmission, MessageReception
-from .model import Message, Protocol, RoleStateMachine, Transition
+from .journal import DataChange, Journal, JournalRecord, MessageEmission, MessageReception
+from .model import (
+    Message,
+    MessageSchema,
+    Protocol,
+    ProtocolRegistry,
+    RoleRef,
+    RoleStateMachine,
+    Transition,
+)
+from .patterns import content_matches, fill_pattern
 
 #: bound on the cascade of internal transitions one input sets off
 _CASCADE_LIMIT = 8
+
+WRONG_STRUCTURE = "wrong-structure"
+WRONG_CONTENT = "wrong-content"
 
 
 def pick(options, rng: Random):
@@ -51,6 +73,80 @@ def enabled_for_variable(
         for t in machine.transitions_from(state)
         if t.trigger.kind == "internal" and t.trigger.variable == variable
     ]
+
+
+def enabled_for(
+    machine: RoleStateMachine, protocol: Protocol, state: str, event
+) -> list[Transition]:
+    """Transitions from ``state`` that an input event fires: receive
+    transitions whose schema accepts a reception, internal ones on the
+    variable a data change writes."""
+    if isinstance(event, MessageReception):
+        return enabled_for_message(machine, protocol, state, event.message)
+    return enabled_for_variable(machine, state, event.variable)
+
+
+def rejection_kind(placed, msg: Message) -> str:
+    """The error kind of a message that no candidate takes in full.
+
+    ``placed`` yields a (machine, protocol, state) triple per candidate
+    role.  Structure is judged before content: only a message that fits
+    an expected shape somewhere can be blamed on its values.
+    """
+    for machine, protocol, state in placed:
+        if enabled_for_message(machine, protocol, state, msg, structural_only=True):
+            return WRONG_CONTENT
+    return WRONG_STRUCTURE
+
+
+class PendingRecord(NamedTuple):
+    """One fired transition, as a journal records it."""
+
+    method: str
+    input_event: object
+    output_events: tuple
+
+
+def cascade(
+    protocol: Protocol,
+    machine: RoleStateMachine,
+    enabled: list[Transition],
+    event,
+    emit: Callable[[MessageSchema], Message],
+    rng: Random,
+) -> tuple[Transition, tuple[PendingRecord, ...], Message | None]:
+    """Fire one of ``enabled`` on ``event``, then the internal
+    transitions it sets off, by the rule of this module.
+
+    ``enabled`` holds the transitions found to take ``event`` in the
+    current state, at least one.  ``emit`` makes the message a send transition sends
+    from its schema.  A data change writes the value of the input: the
+    content of a reception, the value of a change.  Returns the last
+    transition fired (its ``to_state`` is the state reached), one
+    record per transition fired, and the message sent, None when the
+    cascade ends without a send.
+    """
+    value = event.message.content if isinstance(event, MessageReception) else event.value
+    records: list[PendingRecord] = []
+    sent = None
+    for _ in range(_CASCADE_LIMIT):
+        t = pick(enabled, rng)
+        kind = t.action.kind
+        if kind == "send":
+            sent = emit(protocol.schema(t.action.schema_id))  # type: ignore[arg-type]
+            outputs: tuple = (MessageEmission(sent),)
+        elif kind == "data_change":
+            outputs = (DataChange(t.action.variable, value),)
+        else:
+            outputs = ()
+        records.append(PendingRecord(t.method, event, outputs))
+        if kind != "data_change":
+            break  # a send or no action writes nothing
+        event = outputs[0]
+        enabled = enabled_for_variable(machine, t.to_state, event.variable)
+        if not enabled:
+            break
+    return t, tuple(records), sent
 
 
 def trigger_matches(protocol: Protocol, t: Transition, event) -> bool:
@@ -136,3 +232,102 @@ def _weak_schema_ids(machine: RoleStateMachine) -> frozenset[str]:
         if all(t.to_state in machine.terminal_states for t in ts)
     }
     return frozenset(weak)
+
+
+# ---------------------------------------------------------------------------
+# Machine driver: one enacted role over one journal
+# ---------------------------------------------------------------------------
+
+
+def sequence_tagger(prefix: str) -> Callable[[], str]:
+    """Fresh reply tags ``prefix.1``, ``prefix.2``, ... for one journal."""
+    counter = count(1)
+    return lambda: f"{prefix}.{next(counter)}"
+
+
+class MachineDriver:
+    """Journaled execution of a single role state machine.
+
+    Each input - a reception, or a data change that starts or resumes
+    the role - fires one :func:`cascade`, and every fired transition
+    appends one journal record.  The driver never judges an incoming
+    message - callers match it first (:meth:`accepting`) and hand the
+    transitions that take it to :meth:`receive`, so nothing invalid is
+    ever journaled and nothing is matched twice.
+    """
+
+    def __init__(
+        self,
+        ref: RoleRef,
+        registry: ProtocolRegistry,
+        journal: Journal,
+        tagger,
+        me: str,
+        peer: str,
+        content_overrides: dict[str, dict] | None = None,
+    ) -> None:
+        self.ref = ref
+        self.protocol = registry[ref.protocol]
+        self.machine = self.protocol.roles[ref.role]
+        self.journal = journal
+        self.tagger = tagger
+        self.me = me
+        self.peer = peer
+        self.content_overrides = content_overrides or {}
+        self.state = self.machine.initial_state
+
+    @property
+    def terminated(self) -> bool:
+        return self.state in self.machine.terminal_states
+
+    def _emit(self, schema: MessageSchema) -> Message:
+        content = self.content_overrides.get(schema.schema_id)
+        if content is None or not content_matches(schema.content_pattern, content):
+            content = fill_pattern(schema.content_pattern)
+        return Message(
+            performative=schema.performative,
+            content=content,
+            language=schema.language,
+            ontology=schema.ontology,
+            sender=self.me,
+            receiver=self.peer,
+            conversation_id=self.journal.conversation_id,
+            reply_with=self.tagger(),
+        )
+
+    def accepting(self, msg: Message) -> list[Transition]:
+        """The receive transitions of the current state that take ``msg``."""
+        return enabled_for_message(self.machine, self.protocol, self.state, msg)
+
+    def rejection_kind(self, msg: Message) -> str:
+        """The error kind of a message :meth:`accepting` found no transition for."""
+        return rejection_kind([(self.machine, self.protocol, self.state)], msg)
+
+    def receive(self, msg: Message, enabled: list[Transition], rng: Random) -> Message | None:
+        """Journal a reception and everything it sets off; ``enabled``
+        holds the transitions found to take it in the current state.
+        Returns the message sent, if any."""
+        return self._run(MessageReception(msg), enabled, rng)
+
+    def resume(self, event, rng: Random) -> Message | None:
+        """Fire an input event nobody matched yet: the data change that
+        starts an initiator's role, or the input a recovery re-fires.
+        Nothing fires when no transition of the current state takes it."""
+        enabled = enabled_for(self.machine, self.protocol, self.state, event)
+        return self._run(event, enabled, rng) if enabled else None
+
+    def replay(self) -> None:
+        """Rebuild the state from the journal as it stands."""
+        self.state = (
+            replay_state(self.machine, self.protocol, self.journal.records)
+            or self.machine.initial_state
+        )
+
+    def _run(self, event, enabled: list[Transition], rng: Random) -> Message | None:
+        last, records, sent = cascade(
+            self.protocol, self.machine, enabled, event, self._emit, rng
+        )
+        for record in records:
+            self.journal.append(*record)
+        self.state = last.to_state
+        return sent

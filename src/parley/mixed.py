@@ -18,34 +18,28 @@ pick it up.
 
 from __future__ import annotations
 
-from itertools import count
 from random import Random
 from typing import Callable, NamedTuple
 
 from .errors import NoViableRoleError
 from .individual import (
-    WRONG_STRUCTURE,
     clamped_recovery_points,
     method_graph,
     refire_input,
-    rejection_kind,
     truncate_own,
 )
-from .journal import (
-    DataChange,
-    Journal,
-    MessageEmission,
-    MessageReception,
-)
+from .journal import Journal, MessageEmission, MessageReception
 from .machine import (
-    _CASCADE_LIMIT,
-    enabled_for_message,
-    enabled_for_variable,
+    WRONG_STRUCTURE,
+    PendingRecord,
+    cascade,
+    enabled_for,
     pick,
+    rejection_kind,
     replay_state,
     weak_schema_ids,
 )
-from .model import Message, Protocol, ProtocolRegistry, RoleRef, Transition
+from .model import Message, MessageSchema, Protocol, ProtocolRegistry, RoleRef, Transition
 from .patterns import fill_pattern
 
 ACTIVE = "active"
@@ -68,16 +62,9 @@ class RoleInstance:
         self.last_message: Message | None = None  # reply generated this step
 
 
-class PendingRecord(NamedTuple):
-    """A journal record proposal, kept until its step's reply is picked."""
-
-    method: str
-    input_event: object
-    output_events: tuple
-
-
 class OutboxEntry(NamedTuple):
-    """A candidate reply plus the records that would justify it."""
+    """A candidate reply plus the records that would justify it, kept
+    until its step's reply is picked."""
 
     ref: RoleRef
     message: Message
@@ -121,12 +108,6 @@ class ControlZone:
         ]
 
 
-def sequence_tagger(prefix: str) -> Callable[[], str]:
-    """Fresh reply tags ``prefix.1``, ``prefix.2``, ... for a zone."""
-    counter = count(1)
-    return lambda: f"{prefix}.{next(counter)}"
-
-
 def same_signature(a: Message, b: Message) -> bool:
     """Structure and content both equal - the activation criterion.
 
@@ -153,56 +134,33 @@ def stop_active(cz: ControlZone) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _run_step(
+def _step(
     cz: ControlZone,
     instance: RoleInstance,
     protocol: Protocol,
-    first: object,
-    input_event: object,
-    value: object,
-    tag_value: str,
+    enabled: list[Transition],
+    event,
+    tag: str,
     rng: Random,
-) -> OutboxEntry | None:
-    """Drive the instance from transition ``first`` until it emits a
-    reply or runs out of internal moves.  Advances the instance's
-    state; returns None when no reply came out."""
-    machine = protocol.roles[instance.ref.role]
-    records: list[PendingRecord] = []
-    t = first
-    for _ in range(_CASCADE_LIMIT):
-        if t.action.kind == "send":
-            schema = protocol.schema(t.action.schema_id)
-            reply = Message(
-                performative=schema.performative,
-                content=fill_pattern(schema.content_pattern),
-                language=schema.language,
-                ontology=schema.ontology,
-                sender=cz.owner,
-                receiver=cz.counterpart,
-                conversation_id=cz.journal.conversation_id,
-                reply_with=tag_value,
-            )
-            records.append(PendingRecord(t.method, input_event, (MessageEmission(reply),)))
-            instance.state = t.to_state
-            return OutboxEntry(
-                ref=instance.ref,
-                message=reply,
-                schema_id=schema.schema_id,
-                records=tuple(records),
-            )
-        outputs: tuple = ()
-        if t.action.kind == "data_change":
-            outputs = (DataChange(t.action.variable, value),)
-        records.append(PendingRecord(t.method, input_event, outputs))
-        instance.state = t.to_state
-        if t.action.kind != "data_change":
-            return None  # the step ended without a reply
-        nexts = enabled_for_variable(machine, instance.state, t.action.variable)
-        if not nexts:
-            return None
-        input_event = outputs[0]
-        t = pick(nexts, rng)
-    return None
+) -> bool:
+    """Fire ``event`` in the instance, by :func:`machine.cascade`.  A
+    reply, tagged with the step's one ``tag``, goes to the outbox with
+    the records that justify it; returns whether one came out."""
+
+    def emit(schema: MessageSchema) -> Message:
+        content = fill_pattern(schema.content_pattern)
+        route = cz.owner, cz.counterpart, cz.journal.conversation_id
+        return Message(schema.performative, content, schema.language, schema.ontology, *route, tag)
+
+    last, records, sent = cascade(
+        protocol, protocol.roles[instance.ref.role], enabled, event, emit, rng
+    )
+    instance.state = last.to_state
+    instance.last_message = sent
+    if sent is None:
+        return False
+    cz.outbox.append(OutboxEntry(instance.ref, sent, last.action.schema_id, records))
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +193,10 @@ def instantiate_all(
     reception = MessageReception(m0)
     for ref in sorted(takers):
         protocol = registry[ref.protocol]
-        machine = protocol.roles[ref.role]
-        instance = RoleInstance(ref=ref, state=machine.initial_state)
+        instance = RoleInstance(ref=ref, state=protocol.roles[ref.role].initial_state)
         cz.instances[ref] = instance
-        t = pick(takers[ref], rng)
-        entry = _run_step(cz, instance, protocol, t, reception, m0.content, tag_value, rng)
-        if entry is None:
+        if not _step(cz, instance, protocol, takers[ref], reception, tag_value, rng):
             instance.activation = STOPPED
-            continue
-        instance.last_message = entry.message
-        cz.outbox.append(entry)
     cz.stamp_counter = 1
     for instance in cz.instances.values():
         if instance.activation == ACTIVE:
@@ -253,72 +205,47 @@ def instantiate_all(
     return cz
 
 
-def handle_incoming(
-    cz: ControlZone, registry: ProtocolRegistry, msg: Message, rng: Random
-) -> str | None:
-    """Feed one incoming message to every active instance.
+def feed(cz: ControlZone, registry: ProtocolRegistry, event, rng: Random) -> bool:
+    """Feed one input event to every active instance: the reception of
+    an incoming message, or the input a reactivation re-fires.
 
-    Returns None when at least one instance takes the message: those
-    instances generate this step's candidate replies (the previous
-    step's leftover alternates are dropped first), and any active
-    instance the real message just proved wrong is stopped.  When
-    nobody takes it, returns the error kind and touches nothing.
+    When at least one instance takes it, those instances generate this
+    step's candidate replies (the previous step's leftover alternates
+    are dropped first), any active instance the event just proved
+    wrong - or, after a reactivation, woke in vain - is stopped, and
+    True comes back.  When nobody takes it, returns False and touches
+    nothing.
     """
-    actives = cz.active()
-    placed = []
-    takers: dict[RoleRef, list[Transition]] = {}
-    for instance in actives:
-        protocol = registry[instance.ref.protocol]
-        machine = protocol.roles[instance.ref.role]
-        placed.append((machine, protocol, instance.state))
-        enabled = enabled_for_message(machine, protocol, instance.state, msg)
-        if enabled:
-            takers[instance.ref] = enabled
-    if not takers:
-        return rejection_kind(placed, msg)
-    cz.outbox.clear()
-    tag_value = cz.tag()
-    reception = MessageReception(msg)
-    for instance in actives:
-        receptions = takers.get(instance.ref)
-        if receptions is None:
-            instance.activation = STOPPED
-            instance.last_message = None
-            continue
-        t = pick(receptions, rng)
-        protocol = registry[instance.ref.protocol]
-        entry = _run_step(cz, instance, protocol, t, reception, msg.content, tag_value, rng)
-        instance.last_message = entry.message if entry else None
-        if entry is not None:
-            cz.outbox.append(entry)
-    return None
-
-
-def handle_refire(cz: ControlZone, registry: ProtocolRegistry, event, rng: Random) -> str | None:
-    """Resume after a reactivation by replaying the re-fired input.
-
-    A message event goes through the normal incoming path; a data
-    change resumes each woken instance's internal step.  Instances that
-    cannot fire it were woken in vain and are stopped.
-    """
-    if isinstance(event, MessageReception):
-        return handle_incoming(cz, registry, event.message, rng)
-    cz.outbox.clear()
-    tag_value = cz.tag()
+    fired = []
     for instance in cz.active():
         protocol = registry[instance.ref.protocol]
         machine = protocol.roles[instance.ref.role]
-        nexts = enabled_for_variable(machine, instance.state, event.variable)
-        if not nexts:
+        fired.append((instance, protocol, enabled_for(machine, protocol, instance.state, event)))
+    if not any(enabled for _, _, enabled in fired):
+        return False
+    cz.outbox.clear()
+    tag_value = cz.tag()
+    for instance, protocol, enabled in fired:
+        if enabled:
+            _step(cz, instance, protocol, enabled, event, tag_value, rng)
+        else:
             instance.activation = STOPPED
             instance.last_message = None
-            continue
-        t = pick(nexts, rng)
-        entry = _run_step(cz, instance, protocol, t, event, event.value, tag_value, rng)
-        instance.last_message = entry.message if entry else None
-        if entry is not None:
-            cz.outbox.append(entry)
-    return None
+    return True
+
+
+def handle_incoming(
+    cz: ControlZone, registry: ProtocolRegistry, msg: Message, rng: Random
+) -> str | None:
+    """:func:`feed` an incoming message: None when an active instance
+    takes it, else the error kind, with nothing touched."""
+    if feed(cz, registry, MessageReception(msg), rng):
+        return None
+    placed = []
+    for instance in cz.active():
+        protocol = registry[instance.ref.protocol]
+        placed.append((protocol.roles[instance.ref.role], protocol, instance.state))
+    return rejection_kind(placed, msg)
 
 
 def _entry_is_weak(entry: OutboxEntry, registry: ProtocolRegistry) -> bool:

@@ -175,7 +175,8 @@ class Trigger(NamedTuple):
     fires on a change of the named agent variable; the very first
     transition of an initiator role is triggered this way when the
     agent takes up a task, and later ones by data_change actions of
-    preceding transitions.
+    preceding transitions, by the cascade rule stated in
+    :mod:`parley.machine`.
     """
 
     kind: str  # "receive" | "internal"
@@ -552,22 +553,43 @@ def _require(raw: dict, key: str, where: str | tuple, kind: type = object):
 
 
 def _names(value, where: str | tuple, key: str | None = None) -> tuple[str, ...]:
-    """A JSON array of strings."""
+    """A JSON array of strings; an error names the bad element."""
     names = tuple(_typed(value, list, where, key))
-    for name in names:
+    for i, name in enumerate(names):
         if not isinstance(name, str):
-            _typed(name, str, where, key)  # raises the located error
+            _typed(name, str, f"{_located(where, key)}[{i}]")  # raises the located error
     return names
 
 
+def _known(raw, keys: frozenset[str], where: str | tuple) -> dict:
+    """``raw``, checked to be an object with no key outside ``keys``: a
+    misspelt optional field would otherwise take its default."""
+    for key in _typed(raw, dict, where):
+        if key not in keys:
+            raise ParseError(f"{_located(where)}: unknown key {key!r:.40}")
+    return raw
+
+
 _ROLE_KINDS = {kind.value: kind for kind in RoleKind}
+
+#: the keys each object of a protocol document may have
+_PROTOCOL_KEYS = frozenset({"protocol_id", "capability_tags", "schemas", "roles", "omega"})
+_SCHEMA_KEYS = frozenset({"schema_id", "performative", "content_pattern", "language", "ontology"})
+_ROLE_KEYS = frozenset(
+    {"role_id", "kind", "multiplicity", "father", "states", "initial", "terminals", "transitions"}
+)
+_TRANSITION_KEYS = frozenset({"from", "trigger", "action", "to", "method"})
+_NAMES_SCHEMA = frozenset({"kind", "schema"})
+_NAMES_VARIABLE = frozenset({"kind", "variable"})
 
 
 def _trigger_from_dict(raw: dict, where: tuple) -> Trigger:
     kind = _require(raw, "kind", where)
     if kind == "receive":
+        _known(raw, _NAMES_SCHEMA, where)
         return Trigger("receive", _require(raw, "schema", where, str))
     if kind == "internal":
+        _known(raw, _NAMES_VARIABLE, where)
         return Trigger("internal", None, _require(raw, "variable", where, str))
     raise ParseError(f"{_located(where, 'kind')}: unknown trigger kind {kind!r:.40}")
 
@@ -575,10 +597,13 @@ def _trigger_from_dict(raw: dict, where: tuple) -> Trigger:
 def _action_from_dict(raw: dict, where: tuple) -> Action:
     kind = _require(raw, "kind", where)
     if kind == "send":
+        _known(raw, _NAMES_SCHEMA, where)
         return Action("send", _require(raw, "schema", where, str))
     if kind == "data_change":
+        _known(raw, _NAMES_VARIABLE, where)
         return Action("data_change", None, _require(raw, "variable", where, str))
     if kind == "none":
+        _known(raw, frozenset({"kind"}), where)
         return Action("none")
     raise ParseError(f"{_located(where, 'kind')}: unknown action kind {kind!r:.40}")
 
@@ -592,10 +617,10 @@ def protocol_from_dict(raw: dict) -> Protocol:
     """
     try:
         schemas: dict[str, MessageSchema] = {}
-        protocol_id = _require(raw, "protocol_id", (), str)
+        protocol_id = _require(_known(raw, _PROTOCOL_KEYS, ()), "protocol_id", (), str)
         for i, s in enumerate(_require(raw, "schemas", (), list)):
             at = ("schemas", i)
-            schema_id = _require(s, "schema_id", at, str)
+            schema_id = _require(_known(s, _SCHEMA_KEYS, at), "schema_id", at, str)
             if schema_id in schemas:
                 raise ParseError(f"{_located(at, 'schema_id')}: duplicate schema id {schema_id!r}")
             schemas[schema_id] = MessageSchema(
@@ -608,7 +633,7 @@ def protocol_from_dict(raw: dict) -> Protocol:
         roles: dict[str, RoleStateMachine] = {}
         for i, r in enumerate(_require(raw, "roles", (), list)):
             at = ("roles", i)
-            role_id = _require(r, "role_id", at, str)
+            role_id = _require(_known(r, _ROLE_KEYS, at), "role_id", at, str)
             if role_id in roles:
                 raise ParseError(f"{_located(at, 'role_id')}: duplicate role id {role_id!r}")
             kind = _ROLE_KINDS.get(_require(r, "kind", at, str))
@@ -626,6 +651,7 @@ def protocol_from_dict(raw: dict) -> Protocol:
             transitions = []
             for j, t in enumerate(_require(r, "transitions", at, list)):
                 t_at = (*at, "transitions", j)
+                _known(t, _TRANSITION_KEYS, t_at)
                 transitions.append(
                     Transition(
                         _require(t, "from", t_at, str),

@@ -40,6 +40,7 @@ from .model import (
     ProtocolRegistry,
     RoleRef,
     TaskDescription,
+    _known,
     _names,
     _require,
     _typed,
@@ -55,6 +56,16 @@ SELECTION_MODES = (JOINT, SEQUENTIAL, MIXED)
 
 SILENT = "silent"
 BEHAVIORS = ("auto", SILENT)
+
+#: the keys each object of a scenario document may have
+_SCENARIO_KEYS = frozenset({
+    "scenario_id", "seed", "selection_mode", "exploration", "protocols", "agents", "tasks",
+    "faults", "compatibility", "reply_deadline", "max_ticks",
+})
+_AGENT_KEYS = frozenset({"id", "enacts", "willing", "behavior"})
+_TASK_KEYS = frozenset({"id", "initiator", "capabilities", "participants", "constraints"})
+_CONSTRAINT_KEYS = frozenset({"contents"})
+_FAULT_KEYS = frozenset({"conversation", "ordinal", "op", "field", "path"})
 
 
 class AgentSpec(NamedTuple):
@@ -119,7 +130,7 @@ def scenario_from_dict(
     Protocols named by a relative path are looked up in ``base_dir``
     (the working directory when it is ``None``), once.
     """
-    mode = _require(raw, "selection_mode", where)
+    mode = _require(_known(raw, _SCENARIO_KEYS, where), "selection_mode", where)
     if mode not in SELECTION_MODES:
         raise ParseError(f"{where}: unknown selection_mode {mode!r}")
     exploration = raw.get("exploration", PROTOCOL_ORIENTED)
@@ -132,6 +143,7 @@ def scenario_from_dict(
         if behavior not in BEHAVIORS:
             raise ParseError(f"{where}: agent {agent_id}: unknown behavior {behavior!r}")
         at = f"{where}: agent {agent_id}"
+        _known(entry, _AGENT_KEYS, at)
         enacts = _names_by_key(entry, "enacts", at)
         agents.append(
             AgentSpec(
@@ -145,7 +157,8 @@ def scenario_from_dict(
     for entry in _require(raw, "tasks", where, list):
         task_id = _require(entry, "id", f"{where}: task", str)
         at = f"{where}: task {task_id}"
-        constraints = _typed(entry.get("constraints", {}), dict, at, "constraints")
+        _known(entry, _TASK_KEYS, at)
+        constraints = _known(entry.get("constraints", {}), _CONSTRAINT_KEYS, f"{at}: constraints")
         # the contents a run sends instead of filled patterns, by schema id
         _typed(constraints.get("contents", {}), dict, f"{at}: constraints: contents")
         tasks.append(
@@ -162,6 +175,7 @@ def scenario_from_dict(
     faults = []
     for entry in _typed(raw.get("faults", []), list, where, "faults"):
         at = f"{where}: fault"
+        _known(entry, _FAULT_KEYS, at)
         try:
             faults.append(
                 FaultSpec(

@@ -33,7 +33,6 @@ from parley.individual import (
     purge_collection,
     receiving_roles,
     refire_input,
-    rejection_kind,
     select_replacement_role,
     truncate_counterpart,
     truncate_own,
@@ -45,7 +44,7 @@ from parley.journal import (
     MessageEmission,
     MessageReception,
 )
-from parley.machine import enabled_for_message
+from parley.machine import enabled_for_message, rejection_kind
 from parley.model import (
     Action,
     InteractionModel,
@@ -719,7 +718,7 @@ class TestSequentialRewind:
             # the kept take record rebuilt q, and answer ran again from it
             assert [r.method for r in thread.driver.journal.records] == ["take", "answer"]
             opening = thread.driver.journal.records[0].input_event.message
-            assert thread.driver.variables == {"q": opening.content}
+            assert thread.driver.journal.records[1].input_event == DataChange("q", opening.content)
             answered = thread.driver.journal.records[1].emissions()[0]
             assert rt.agents["q"].outcome == ("concluded", {"final_state": "done"})
             assert [r.method for r in rt.agents["q"].journal.records] == [

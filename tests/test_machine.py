@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from random import Random
+
 import pytest
 
 from parley.journal import (
@@ -11,18 +13,22 @@ from parley.journal import (
     MessageReception,
 )
 from parley.machine import (
+    MachineDriver,
     enabled_for_message,
     enabled_for_variable,
     replay_state,
     replay_states,
+    sequence_tagger,
     weak_schema_ids,
 )
+from parley.mixed import instantiate_all, select_outgoing
 from parley.model import (
     Action,
     Message,
     MessageSchema,
     Protocol,
     RoleKind,
+    RoleRef,
     RoleStateMachine,
     Transition,
     Trigger,
@@ -152,6 +158,79 @@ def test_weak_schemas_end_the_interaction():
     # the replier's single transition both takes "ask" and sends
     # "reply" into its terminal state, so both are weak for it
     assert weak_schema_ids(REPLIER) == frozenset({"ask", "reply"})
+
+
+def _lingering_server() -> Protocol:
+    """A server whose variable ``q`` outlives the transition that wrote it.
+
+    ``take`` writes ``q`` and ``note`` writes ``r`` from it.  In ``p2``
+    ``answer`` fires on ``r``, the variable just written, while
+    ``early`` fires on ``q``, written one transition before; after the
+    answer, ``again`` fires on ``q`` too.  By the one cascade rule only
+    ``r`` counts in ``p2``, and a send writes nothing, so the cascade
+    stops in ``p3``.
+    """
+    def internal(source, variable, action, target, method):
+        return Transition(source, Trigger("internal", variable=variable), action, target, method)
+
+    transitions = (
+        Transition(
+            "p0", Trigger("receive", schema_id="ask"), Action("data_change", variable="q"),
+            "p1", "take",
+        ),
+        internal("p1", "q", Action("data_change", variable="r"), "p2", "note"),
+        internal("p2", "r", Action("send", schema_id="tell"), "p3", "answer"),
+        internal("p2", "q", Action("send", schema_id="tell"), "p3", "early"),
+        internal("p3", "q", Action("send", schema_id="extra"), "done", "again"),
+    )
+    server = RoleStateMachine(
+        role_id="server",
+        kind=RoleKind.PARTICIPANT,
+        multiplicity=1,
+        states=frozenset({"p0", "p1", "p2", "p3", "done"}),
+        initial_state="p0",
+        terminal_states=frozenset({"done"}),
+        transitions=transitions,
+    )
+    schemas = (
+        MessageSchema("ask", "ask-one", {"q": "?string"}),
+        MessageSchema("tell", "tell", {"a": "?string"}),
+        MessageSchema("extra", "inform", {"a": "?string"}),
+    )
+    return Protocol(
+        protocol_id="linger",
+        capability_tags=frozenset(),
+        schemas={schema.schema_id: schema for schema in schemas},
+        roles={"server": server},
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_driver_and_a_zone_fire_one_cascade_rule(seed):
+    """A sequential driver and a one-instance control zone journal the
+    same records for the same reception."""
+    protocol = _lingering_server()
+    registry = {"linger": protocol}
+    ref = RoleRef("linger", "server")
+    ask = _msg("ask-one", {"q": "height"})
+
+    driver = MachineDriver(ref, registry, Journal("t/x"), sequence_tagger("d1"), "d1", "q1")
+    sent = driver.receive(ask, driver.accepting(ask), Random(seed))
+    takers = {ref: enabled_for_message(protocol.roles["server"], protocol, "p0", ask)}
+    zone = instantiate_all(takers, registry, ask, sequence_tagger("d1"), Random(seed))
+    assert select_outgoing(zone, registry, Random(seed)) == sent
+
+    def journaled(journal):
+        return [(r.method, r.input_event, r.output_events) for r in journal.records]
+
+    assert journaled(driver.journal) == journaled(zone.journal)
+    q, r = DataChange("q", ask.content), DataChange("r", ask.content)
+    assert journaled(driver.journal) == [
+        ("take", MessageReception(ask), (q,)),
+        ("note", q, (r,)),
+        ("answer", r, (MessageEmission(sent),)),
+    ]
+    assert driver.state == zone.instances[ref].state == "p3"
 
 
 class TestJournal:

@@ -29,16 +29,16 @@ from parley.mixed import (
     STOPPED,
     ControlZone,
     RoleInstance,
+    feed,
     handle_error_mixed,
     handle_incoming,
-    handle_refire,
     instantiate_all,
     reactivate,
     same_signature,
     select_outgoing,
-    sequence_tagger,
     stop_active,
 )
+from parley.machine import sequence_tagger
 from parley.model import (
     Action,
     Message,
@@ -461,7 +461,7 @@ class TestReactivate:
         assert not plan.weak_guard
         assert len(cz.journal) == 0
         assert plan.refire == MessageReception(ASK)
-        assert handle_refire(cz, registry, plan.refire, rng) is None
+        assert feed(cz, registry, plan.refire, rng)
         assert len(cz.outbox) == 1 and cz.outbox[0].ref == server("attr_lookup")
 
     def test_whole_stamp_class_wakes_together(self, registry):
@@ -512,7 +512,7 @@ class TestReactivate:
         assert not plan.restart
         assert cz.instances[ref].state == "p1"
         assert plan.refire == DataChange("q", ASK.content)
-        assert handle_refire(cz, registry, plan.refire, Random(0)) is None
+        assert feed(cz, registry, plan.refire, Random(0))
         assert [e.message.performative for e in cz.outbox] == ["sorry"]
 
 
@@ -540,7 +540,7 @@ class TestRecoveryBound:
                     plan = reactivate(cz, registry, location=max(len(cz.journal), 1), offending=ASK)
                 except NoViableRoleError:
                     break
-                if handle_refire(cz, registry, plan.refire, rng) is None and cz.outbox:
+                if feed(cz, registry, plan.refire, rng) and cz.outbox:
                     select_outgoing(cz, registry, rng)
                 else:
                     stop_active(cz)

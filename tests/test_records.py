@@ -20,7 +20,8 @@ import pytest
 from parley.individual import InteractionError, MethodGraph
 from parley.joint import CandidateMatrix, OneNSolution
 from parley.journal import DataChange, JournalRecord, MessageEmission, MessageReception
-from parley.mixed import OutboxEntry, PendingRecord, ReactivationPlan
+from parley.machine import PendingRecord
+from parley.mixed import OutboxEntry, ReactivationPlan
 from parley.model import (
     Action,
     CompatibilityTable,

@@ -172,6 +172,25 @@ class TestParsing:
                 "task job: constraints: contents: expected a JSON object",
             ),
             (lambda raw: raw.update(scenario_id=5), "scenario_id: expected a string"),
+            (
+                lambda raw: raw["agents"][1].update(willng=False),
+                "agent helper: unknown key 'willng'",
+            ),
+            (lambda raw: raw.update(seeds=2), "odd.json: unknown key 'seeds'"),
+            (
+                lambda raw: raw["tasks"][0].update(constraints={"content": {}}),
+                "task job: constraints: unknown key 'content'",
+            ),
+            (
+                lambda raw: raw.update(faults=[
+                    {"conversation": "*", "ordinal": 1, "op": "corrupt_structure", "feild": "x"}
+                ]),
+                "fault: unknown key 'feild'",
+            ),
+            (
+                lambda raw: raw["tasks"][0].update(capabilities=["document-query", "q", 5]),
+                "task job: capabilities[2]: expected a string, got 5",
+            ),
         ],
         ids=[
             "number-agents",
@@ -185,6 +204,11 @@ class TestParsing:
             "text-willing",
             "number-contents",
             "number-scenario-id",
+            "misspelt-agent-willing",
+            "misspelt-seed",
+            "misspelt-constraint",
+            "misspelt-fault-field",
+            "number-capability",
         ],
     )
     def test_a_field_of_the_wrong_type_or_range_is_a_located_error(
@@ -302,9 +326,30 @@ class TestResolution:
                 lambda doc: doc["roles"][1].update(multiplicity=True),
                 "roles[1].multiplicity: expected an integer or 'N', got True",
             ),
+            (
+                lambda doc: doc["schemas"][0].update(langauge="xml"),
+                "schemas[0]: unknown key 'langauge'",
+            ),
+            (
+                lambda doc: doc["roles"][1].update(fathr="asker"),
+                "roles[1]: unknown key 'fathr'",
+            ),
+            (
+                lambda doc: doc["roles"][1]["transitions"][0]["trigger"].update(variable="q"),
+                "roles[1].transitions[0].trigger: unknown key 'variable'",
+            ),
+            (
+                lambda doc: doc.update(omega={"any": "thing"}, note="x"),
+                "top level: unknown key 'note'",
+            ),
+            (
+                lambda doc: doc["roles"][1].update(states=["done", "p0", 5]),
+                "roles[1].states[2]: expected a string, got 5",
+            ),
         ],
         ids=["number-trigger", "text-capability-tags", "second-role", "second-schema",
-             "boolean-multiplicity"],
+             "boolean-multiplicity", "misspelt-schema-language", "misspelt-role-father",
+             "variable-on-a-receive-trigger", "unknown-top-level-key", "number-state"],
     )
     def test_a_bad_protocol_field_is_named_by_file_and_json_path(
         self, change, complaint, tmp_path, capsys
