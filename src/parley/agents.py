@@ -28,15 +28,12 @@ from .individual import (
     PARTICIPANT_DETECTED,
     InteractionError,
     build_collection,
-    clamped_recovery_points,
     locate_emission,
-    method_graph,
     purge_collection,
     receiving_roles,
-    refire_input,
+    rewind,
     select_replacement_role,
     truncate_counterpart,
-    truncate_own,
 )
 from .journal import DataChange, Journal
 from .joint import (
@@ -628,44 +625,26 @@ class SequentialResponder(_Responder):
     thread_type = _SequentialThread
     on_message = _Responder.on_message
 
-    def _recover(
-        self,
-        rt: SimRuntime,
-        thread: _SequentialThread,
-        error: InteractionError,
-        culprit_method: str | None,
-        error_input,
-    ) -> None:
+    def _recover(self, rt: SimRuntime, thread: _SequentialThread, error: InteractionError) -> None:
         driver = thread.driver
-        records = list(driver.journal.records)
-        prefix = records[: error.location - 1]
+        records = driver.journal.records
         replayed: dict[RoleRef, frozenset[str]] = {}  # each prefix replayed once
         purged = purge_collection(
-            thread.collection,
-            self.registry,
-            prefix,
-            error,
-            culprit_method=culprit_method,
-            error_input=error_input,
-            replayed=replayed,
+            thread.collection, self.registry, records, error, replayed=replayed
         )
         try:
             replacement = select_replacement_role(
-                thread.collection, self.registry, prefix, error, rt.rng, replayed=replayed
+                thread.collection, self.registry, records, error, rt.rng, replayed=replayed
             )
         except NoViableRoleError:
             self._fail(rt, thread, "exhausted")
             return
-        machine = self.registry[replacement.protocol].roles[replacement.role]
-        counterpart_point, own_point = clamped_recovery_points(
-            records, method_graph(machine), error.location
-        )
-        refire = refire_input(
-            records,
-            own_point,
+        counterpart_point, own_point, refire = rewind(
+            driver.journal,
+            [self.registry[replacement.protocol].roles[replacement.role]],
+            error.location,
             error.offending if error.detected_by == PARTICIPANT_DETECTED else None,
         )
-        truncate_own(driver.journal, own_point)
         thread.collection.discard(replacement)
         thread.driver = MachineDriver(
             replacement, self.registry, driver.journal, driver.tagger, self.name, thread.peer
@@ -715,7 +694,7 @@ class SequentialResponder(_Responder):
             offending=msg,
             detected_by=PARTICIPANT_DETECTED,
         )
-        self._recover(rt, thread, error, culprit_method=None, error_input=None)
+        self._recover(rt, thread, error)
 
     def _on_error_notice(self, rt, thread: _SequentialThread, msg: Message) -> None:
         kind = msg.content.get("kind", WRONG_STRUCTURE)
@@ -724,20 +703,13 @@ class SequentialResponder(_Responder):
         location = locate_emission(records, tag)
         if location == 0:
             return  # notice about a message this journal never sent
-        record = records[location - 1]
         error = InteractionError(
             kind=kind,
             location=location,
-            offending=record.emissions()[0],
+            offending=records[location - 1].emissions()[0],
             detected_by=INITIATOR_DETECTED,
         )
-        self._recover(
-            rt,
-            thread,
-            error,
-            culprit_method=record.method,
-            error_input=record.input_event,
-        )
+        self._recover(rt, thread, error)
 
 
 # ---------------------------------------------------------------------------
@@ -779,8 +751,9 @@ class MixedResponder(_Responder):
     ) -> None:
         """Reactivate cohorts until one takes the re-fired input."""
         cz = thread.zone
-        guard = 2 * len(cz.instances) + 1
-        for _ in range(guard):
+        # each failed pass stops its cohort for good, so the parked
+        # roles run out and reactivate raises before this loops forever
+        while True:
             if offending is None and len(cz.journal) == 0:
                 # nothing left to retrace: re-fire the opening itself
                 offending = thread.opening
@@ -807,7 +780,6 @@ class MixedResponder(_Responder):
             stop_active(cz)
             location = max(len(cz.journal), 1)
             offending = None
-        self._fail(rt, thread, "exhausted")
 
     def _open(self, rt, thread: _MixedThread, msg: Message, takers) -> None:
         thread.zone = instantiate_all(
@@ -839,9 +811,7 @@ class MixedResponder(_Responder):
         )
 
     def _on_error_notice(self, rt, thread: _MixedThread, msg: Message) -> None:
-        failed = thread.zone.last_sent
-        if failed is None:
-            return
+        failed = thread.zone.last_sent  # an open thread has sent: _open fails it otherwise
         kind = msg.content.get("kind", WRONG_STRUCTURE)
         substitute = handle_error_mixed(thread.zone, self.registry, kind, rt.rng)
         if substitute is not None:

@@ -37,14 +37,16 @@ MODE_ALIASES = {
 
 
 def _find(name: str, kind: str, bundled_path) -> Path:
-    """The file ``name``, else the bundled ``kind`` of that stem."""
-    candidate = Path(name)
-    if candidate.exists():
-        return candidate
-    bundled = bundled_path(candidate.stem)
-    if bundled.exists():
-        return bundled
-    raise ParseError(f"no {kind} file or bundled {kind} named {name!r}")
+    """The ``kind`` file ``name`` when it ends in ``.json``, else the
+    bundled ``kind`` of that name: the rule by which
+    :func:`scenario.load_registry` reads a protocol entry."""
+    if Path(name).suffix == ".json":
+        path, missing = Path(name), f"no {kind} file {name!r}"
+    else:
+        path, missing = bundled_path(name), f"no bundled {kind} {name!r}"
+    if not path.is_file():
+        raise ParseError(missing)
+    return path
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:

@@ -8,10 +8,12 @@ roles that would repeat the failure, a replacement is chosen, both
 journals are cut back to a safe point and the interaction resumes from
 there.
 
-The safe point is computed per side: the replacement role's point is
-how far it can retrace the recorded history (as a path in its method
-graph), the counterpart's point counts how many of its own sends are
-still covered by the kept records.
+Both individual modes rewind by one rule, :func:`rewind`: the roles
+about to take over (the replacement in sequential mode, the woken
+cohort in mixed mode) each retrace the history as a path in their
+method graph, up to the failure.  The journal keeps the records before
+the earliest of their points and re-fires the input there; the
+counterpart's point counts its own sends the kept records still cover.
 """
 
 from __future__ import annotations
@@ -131,22 +133,20 @@ def _receives_at_point(
 def purge_collection(
     collection: set[RoleRef],
     registry: ProtocolRegistry,
-    prefix,
+    records,
     error: InteractionError,
-    culprit_method: str | None = None,
-    error_input=None,
     *,
     replayed: dict[RoleRef, frozenset[str]],
 ) -> list[RoleRef]:
     """Drop every candidate role that would repeat the failure.
 
-    ``prefix`` holds the journal records before the error location.
-    For an error the counterpart detected (an own emission gone wrong),
-    ``error_input`` is the event that fired the failing record and
-    ``culprit_method`` the method that ran it; both are read off the
-    still-untruncated journal by the caller.  Each candidate replays
-    the prefix once; pass the same ``replayed`` dict to
-    :func:`select_replacement_role` to reuse those replays there.
+    ``records`` is the journal as it stood when the error was found.
+    The prefix is its records before ``error.location``; for an error
+    the counterpart detected (an own emission gone wrong), the record
+    at the location is the culprit, whose method and input event the
+    rules below read.  Each candidate replays the prefix once; pass the
+    same ``replayed`` dict to :func:`select_replacement_role` to reuse
+    those replays there.
 
     All candidates must be able to replay the prefix.  On top of that:
 
@@ -159,6 +159,8 @@ def purge_collection(
       that can take it (structurally for a structure error, fully for a
       content error).
     """
+    prefix = records[: error.location - 1]
+    culprit = records[error.location - 1] if error.detected_by == INITIATOR_DETECTED else None
     removed: list[RoleRef] = []
     for ref in sorted(collection):
         protocol = registry[ref.protocol]
@@ -169,14 +171,12 @@ def purge_collection(
             drop = True
         elif error.detected_by == INITIATOR_DETECTED:
             same = _generates_same_structure(
-                machine, protocol, states, error_input, error.offending
+                machine, protocol, states, culprit.input_event, error.offending
             )
             if error.kind == WRONG_STRUCTURE:
                 drop = same
             else:
-                drop = not same or (
-                    culprit_method is not None and culprit_method in machine.method_ids()
-                )
+                drop = not same or culprit.method in machine.method_ids()
         else:
             structural_only = error.kind == WRONG_STRUCTURE
             drop = not _receives_at_point(
@@ -216,7 +216,7 @@ def _schemas_at_point(machine, starts) -> frozenset[str]:
 def select_replacement_role(
     collection: set[RoleRef],
     registry: ProtocolRegistry,
-    prefix,
+    records,
     error: InteractionError,
     rng: Random,
     replayed: dict[RoleRef, frozenset[str]],
@@ -229,13 +229,14 @@ def select_replacement_role(
     aside.  A role rich in ways out is the conservative pick: if it is
     wrong too, it fails cheaply.  Ties (and structure errors, where the
     journal says nothing about content habits) fall to a seeded draw.
-    ``replayed`` holds the prefix replays :func:`purge_collection`
-    already made, per role.
+    ``records`` and ``replayed`` are those :func:`purge_collection` was
+    given, so the prefix replays it made are reused.
     """
     candidates = sorted(collection)
     if not candidates:
         raise NoViableRoleError("the role collection is exhausted")
     if error.kind == WRONG_CONTENT:
+        prefix = records[: error.location - 1]
         scores: dict[RoleRef, int] = {}
         for ref in candidates:
             protocol = registry[ref.protocol]
@@ -299,21 +300,27 @@ def _method_graph(machine) -> MethodGraph:
 
 
 def compute_recovery_points(records, graph: MethodGraph) -> tuple[int, int]:
+    """(counterpart point, own point) for a whole history against a
+    method graph: :func:`clamped_recovery_points` with no cap."""
+    return clamped_recovery_points(records, graph, len(records) + 1)
+
+
+def clamped_recovery_points(records, graph: MethodGraph, location: int) -> tuple[int, int]:
     """(counterpart point, own point) for a history against a method graph.
 
     The own point grows while the records trace a path of the graph
-    from its initial method; the counterpart point additionally counts
-    how many of the traced records were fired by a received message.
-    Both start at 1: a history that diverges immediately restarts the
-    interaction from scratch.  Note the records are taken as given -
-    including any not yet erased after an error - so drivers cap the
-    result at the failure location before acting on it.
+    from its initial method, and never reaches past ``location``, the
+    1-based index of the failing record (one past the end for a failed
+    reception).  The counterpart point additionally counts how many of
+    the traced records were fired by a received message.  Both start at
+    1: a history that diverges immediately restarts the interaction
+    from scratch.
     """
-    i = j = 1
     if not records or records[0].method != graph.initial:
         return 1, 1
+    i = j = 1
     current = records[0].method
-    for record in records[1:]:
+    for record in records[1:location]:
         if record.method not in graph.follow.get(current, frozenset()):
             break
         current = record.method
@@ -321,19 +328,6 @@ def compute_recovery_points(records, graph: MethodGraph) -> tuple[int, int]:
         if record.input_is_message():
             i += 1
     return i, j
-
-
-def clamped_recovery_points(records, graph: MethodGraph, location: int) -> tuple[int, int]:
-    """Recovery points capped at the failure location.
-
-    ``location`` is the 1-based index of the failing record (one past
-    the end for a failed reception).  The own point never reaches past
-    it, and the counterpart point is recomputed for the capped prefix.
-    """
-    _, j = compute_recovery_points(records, graph)
-    j_eff = min(j, location)
-    i_eff = 1 + sum(1 for r in records[1:j_eff] if r.input_is_message())
-    return i_eff, j_eff
 
 
 def truncate_own(journal: Journal, point: int) -> None:
@@ -369,3 +363,16 @@ def refire_input(records, point: int, offending: Message | None):
     if point == len(records) + 1 and offending is not None:
         return MessageReception(offending)
     raise PointOutOfRangeError(f"nothing to re-fire at point {point}")
+
+
+def rewind(journal: Journal, machines, location: int, offending: Message | None):
+    """Cut ``journal`` back to the earliest recovery points of the role
+    ``machines`` about to take over, capped at the failure ``location``.
+    Returns (counterpart point, own point, input to re-fire): the input
+    recorded at the own point, or ``offending`` one past the history."""
+    records = journal.records
+    points = [clamped_recovery_points(records, method_graph(m), location) for m in machines]
+    own_point = min(p[1] for p in points)
+    refire = refire_input(records, own_point, offending)
+    truncate_own(journal, own_point)
+    return min(p[0] for p in points), own_point, refire

@@ -52,7 +52,6 @@ from .model import (
 class CandidateMatrix(NamedTuple):
     """Protocol x agent incidence for one task."""
 
-    task_id: str
     protocols: tuple[str, ...]
     agents: tuple[str, ...]
     cells: frozenset[tuple[str, str]]  # (protocol_id, agent_id)
@@ -80,7 +79,6 @@ def build_candidate_matrix(
             cells.add((protocol_id, agent))
             agents.add(agent)
     return CandidateMatrix(
-        task_id=task.task_id,
         protocols=tuple(protocol_ids),
         agents=tuple(sorted(agents)),
         cells=frozenset(cells),
@@ -136,7 +134,6 @@ class ReadyToSelectPayload:
 
 
 class OneNSolution(NamedTuple):
-    agents: frozenset[str]
     protocol: str
     #: one agent per participant role; several roles may share an agent
     #: when no injective allocation exists
@@ -470,11 +467,7 @@ def assign_roles_1_n(
                 collisions,
                 forced,
                 protocol.protocol_id,
-                OneNSolution(
-                    agents=frozenset(assignment.values()),
-                    protocol=protocol.protocol_id,
-                    assignment=assignment,
-                ),
+                OneNSolution(protocol=protocol.protocol_id, assignment=assignment),
             )
         )
     if not fully:

@@ -266,7 +266,6 @@ class MachineDriver:
         peer: str,
         content_overrides: dict[str, dict] | None = None,
     ) -> None:
-        self.ref = ref
         self.protocol = registry[ref.protocol]
         self.machine = self.protocol.roles[ref.role]
         self.journal = journal

@@ -12,8 +12,8 @@ When the sent message turns out wrong, recovery is local bookkeeping:
 the roles that produced it are stopped, an alternate reply from the
 same step can replace the failed one outright, and when the step's
 candidates are used up the most recently parked roles are woken and
-the shared journal is cut back to where their own method graphs can
-pick it up.
+the shared journal is cut back for them by the rewind rule of
+:mod:`individual`.
 """
 
 from __future__ import annotations
@@ -22,12 +22,7 @@ from random import Random
 from typing import Callable, NamedTuple
 
 from .errors import NoViableRoleError
-from .individual import (
-    clamped_recovery_points,
-    method_graph,
-    refire_input,
-    truncate_own,
-)
+from .individual import rewind
 from .journal import Journal, MessageEmission, MessageReception
 from .machine import (
     WRONG_STRUCTURE,
@@ -122,11 +117,24 @@ def same_signature(a: Message, b: Message) -> bool:
     )
 
 
+def _stop(instance: RoleInstance) -> None:
+    """Stop an instance for good, reply and all."""
+    instance.activation = STOPPED
+    instance.last_message = None
+
+
 def stop_active(cz: ControlZone) -> None:
     """Stop every active instance (stopping is final)."""
     for instance in cz.active():
-        instance.activation = STOPPED
-        instance.last_message = None
+        _stop(instance)
+
+
+def _park(cz: ControlZone, instances: list[RoleInstance]) -> None:
+    """Park ``instances`` as one freshly stamped batch."""
+    cz.stamp_counter += 1
+    for instance in instances:
+        instance.activation = DEACTIVATED
+        instance.stamp = cz.stamp_counter
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +204,8 @@ def instantiate_all(
         instance = RoleInstance(ref=ref, state=protocol.roles[ref.role].initial_state)
         cz.instances[ref] = instance
         if not _step(cz, instance, protocol, takers[ref], reception, tag_value, rng):
-            instance.activation = STOPPED
-    cz.stamp_counter = 1
-    for instance in cz.instances.values():
-        if instance.activation == ACTIVE:
-            instance.activation = DEACTIVATED
-            instance.stamp = cz.stamp_counter
+            _stop(instance)
+    _park(cz, cz.active())
     return cz
 
 
@@ -229,8 +233,7 @@ def feed(cz: ControlZone, registry: ProtocolRegistry, event, rng: Random) -> boo
         if enabled:
             _step(cz, instance, protocol, enabled, event, tag_value, rng)
         else:
-            instance.activation = STOPPED
-            instance.last_message = None
+            _stop(instance)
     return True
 
 
@@ -261,38 +264,39 @@ def _draw(entries: list[OutboxEntry], registry: ProtocolRegistry, rng: Random) -
     return pick(pool, rng)
 
 
-def select_outgoing(cz: ControlZone, registry: ProtocolRegistry, rng: Random) -> Message:
-    """Pick this step's reply and reconcile activations around it.
-
-    Identical candidates short-circuit: everyone stays active and no
-    draw happens.  Otherwise the drawn reply wakes (or keeps awake)
-    exactly the instances that generated its signature; active
-    instances left out are parked as one freshly stamped batch.
-    The losing candidates stay in the outbox - they are the alternates
-    error handling may fall back on.
-    """
-    if not cz.outbox:
-        raise ValueError("nothing to select: the outbox is empty")
-    first = cz.outbox[0]
-    if all(same_signature(first.message, e.message) for e in cz.outbox[1:]):
-        chosen = first
-    else:
-        chosen = _draw(cz.outbox, registry, rng)
+def _send(cz: ControlZone, chosen: OutboxEntry) -> Message:
+    """Send ``chosen``: the instances that generated its signature wake
+    (or stay awake) and leave the outbox, the other active instances are
+    parked as one batch, and its records are journaled."""
     matching = [e for e in cz.outbox if same_signature(chosen.message, e.message)]
     matching_refs = {e.ref for e in matching}
     parked = [inst for inst in cz.active() if inst.ref not in matching_refs]
     if parked:
-        cz.stamp_counter += 1
-        for instance in parked:
-            instance.activation = DEACTIVATED
-            instance.stamp = cz.stamp_counter
+        _park(cz, parked)
     for entry in matching:
-        cz.instances[entry.ref].activation = ACTIVE
+        instance = cz.instances[entry.ref]
+        instance.activation = ACTIVE
+        instance.last_message = chosen.message
         cz.outbox.remove(entry)
     for record in chosen.records:
         cz.journal.append(record.method, record.input_event, record.output_events)
     cz.last_sent = chosen
     return chosen.message
+
+
+def select_outgoing(cz: ControlZone, registry: ProtocolRegistry, rng: Random) -> Message:
+    """Pick this step's reply and :func:`_send` it.
+
+    Identical candidates short-circuit: everyone stays active and no
+    draw happens.  The losing candidates stay in the outbox - they are
+    the alternates error handling may fall back on.
+    """
+    if not cz.outbox:
+        raise ValueError("nothing to select: the outbox is empty")
+    first = cz.outbox[0]
+    if all(same_signature(first.message, e.message) for e in cz.outbox[1:]):
+        return _send(cz, first)
+    return _send(cz, _draw(cz.outbox, registry, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +354,7 @@ def handle_error_mixed(
         ]
     for entry in doomed:
         cz.outbox.remove(entry)
-        cz.instances[entry.ref].activation = STOPPED
-        cz.instances[entry.ref].last_message = None
+        _stop(cz.instances[entry.ref])
     if kind == WRONG_STRUCTURE:
         eligible = list(cz.outbox)
     else:
@@ -362,18 +365,9 @@ def handle_error_mixed(
         ]
     if not eligible:
         return None
-    chosen = _draw(eligible, registry, rng)
-    matching = [e for e in cz.outbox if same_signature(chosen.message, e.message)]
-    retagged = _retag(cz, chosen)
-    for entry in matching:
-        cz.instances[entry.ref].activation = ACTIVE
-        cz.instances[entry.ref].last_message = retagged.message
-        cz.outbox.remove(entry)
+    chosen = _retag(cz, _draw(eligible, registry, rng))
     cz.journal.keep_first(len(cz.journal) - len(failed.records))
-    for record in retagged.records:
-        cz.journal.append(record.method, record.input_event, record.output_events)
-    cz.last_sent = retagged
-    return retagged.message
+    return _send(cz, chosen)  # nothing is active to park
 
 
 # ---------------------------------------------------------------------------
@@ -408,26 +402,22 @@ def reactivate(
 ) -> ReactivationPlan:
     """Wake every instance sharing the highest parking stamp.
 
-    Each woken role retraces the shared journal with its own method
-    graph; the journal is cut at the earliest of their recovery points
-    (capped at the failure location) and the instances are rewound to
-    replay the kept prefix.  The returned plan carries the input to
-    re-fire and how far the counterpart must roll back.
+    The shared journal is rewound (:func:`individual.rewind`) for the
+    woken roles, and the instances replay the kept prefix.  The returned
+    plan carries the input to re-fire and how far the counterpart must
+    roll back.
     """
     pool = cz.deactivated()
     if not pool:
         raise NoViableRoleError("every parked role is used up")
     top = max(instance.stamp for instance in pool)
     cohort = [instance for instance in pool if instance.stamp == top]
-    records = list(cz.journal.records)
-    points = []
-    for instance in cohort:
-        machine = registry[instance.ref.protocol].roles[instance.ref.role]
-        points.append(clamped_recovery_points(records, method_graph(machine), location))
-    counterpart_point = min(p[0] for p in points)
-    own_point = min(p[1] for p in points)
-    refire = refire_input(records, own_point, offending)
-    truncate_own(cz.journal, own_point)
+    counterpart_point, own_point, refire = rewind(
+        cz.journal,
+        [registry[i.ref.protocol].roles[i.ref.role] for i in cohort],
+        location,
+        offending,
+    )
     weak_guard = True
     any_send = False
     for instance in cohort:

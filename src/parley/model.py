@@ -375,6 +375,12 @@ def validate_protocol(protocol: Protocol) -> list[Violation]:
     initiators = [m for m in protocol.roles.values() if m.kind is RoleKind.INITIATOR]
     if len(initiators) != 1:
         bad("initiator-count", protocol.protocol_id, f"found {len(initiators)} initiator roles")
+    else:
+        try:
+            classify_protocol(protocol)
+        except CompositeProtocolError as exc:
+            detail = str(exc).removeprefix(f"{protocol.protocol_id}: ")
+            bad("composite", protocol.protocol_id, detail)
     for schema in protocol.schemas.values():
         for problem in validate_pattern(schema.content_pattern):
             bad("bad-pattern", f"{protocol.protocol_id}/{schema.schema_id}", problem)

@@ -65,7 +65,11 @@ _SCENARIO_KEYS = frozenset({
 _AGENT_KEYS = frozenset({"id", "enacts", "willing", "behavior"})
 _TASK_KEYS = frozenset({"id", "initiator", "capabilities", "participants", "constraints"})
 _CONSTRAINT_KEYS = frozenset({"contents"})
-_FAULT_KEYS = frozenset({"conversation", "ordinal", "op", "field", "path"})
+#: the keys a fault may have, per op (``FaultSpec`` refuses any other op)
+_FAULT_KEYS = {
+    "corrupt_structure": frozenset({"conversation", "ordinal", "op", "field"}),
+    "corrupt_content": frozenset({"conversation", "ordinal", "op", "path"}),
+}
 
 
 class AgentSpec(NamedTuple):
@@ -113,7 +117,7 @@ def parse_scenario(path) -> Scenario:
     # parsing makes no reference cycles (see the module docstring)
     with collector_paused:
         path = Path(path)
-        if not path.exists():
+        if not path.is_file():
             raise ParseError(f"no scenario file at {path}")
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
@@ -175,13 +179,15 @@ def scenario_from_dict(
     faults = []
     for entry in _typed(raw.get("faults", []), list, where, "faults"):
         at = f"{where}: fault"
-        _known(entry, _FAULT_KEYS, at)
+        op = _require(entry, "op", at, str)
+        if op in _FAULT_KEYS:
+            _known(entry, _FAULT_KEYS[op], at)
         try:
             faults.append(
                 FaultSpec(
                     conversation=_require(entry, "conversation", at, str),
                     ordinal=_require(entry, "ordinal", at, int),
-                    op=_require(entry, "op", at),
+                    op=op,
                     structure_field=entry.get("field", "performative"),
                     path=tuple(_typed(entry.get("path", []), list, at, "path")),
                 )
@@ -246,7 +252,7 @@ def load_registry(protocols: tuple[str, ...], base_dir: Path | None = None) -> P
         if candidate.suffix == ".json":
             if not candidate.is_absolute() and base_dir is not None:
                 candidate = base_dir / candidate
-            if not candidate.exists():
+            if not candidate.is_file():
                 raise UnresolvedReferenceError(f"no protocol file {name!r}")
             protocol = load_protocol_file(candidate)
         else:

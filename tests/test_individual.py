@@ -235,19 +235,15 @@ def content_error_from_initiator() -> InteractionError:
 
 
 class TestInitiatorDetectedPurge:
-    """The counterpart rejected our second record's emission."""
+    """The counterpart rejected our second record's emission: the purge
+    reads the culprit, aq-answer fired by the change of q, off that
+    record."""
 
     def test_content_error_drops_wrong_shape_and_culprit_sharers(self, registry):
         collection = server_collection()
-        prefix = server_journal().records[:1]
+        error = content_error_from_initiator()
         removed = purge_collection(
-            collection,
-            registry,
-            prefix,
-            content_error_from_initiator(),
-            culprit_method="aq-answer",
-            error_input=DataChange("q", ASK.content),
-            replayed={},
+            collection, registry, server_journal().records, error, replayed={}
         )
         # attr_lookup only answers with inserts and sorries, so it could
         # never have produced the rejected tell: useless here.  The
@@ -259,14 +255,9 @@ class TestInitiatorDetectedPurge:
     def test_active_role_is_handled_by_the_caller_not_the_purge(self, registry):
         collection = server_collection()
         collection.discard(server("attr_query"))
+        error = content_error_from_initiator()
         removed = purge_collection(
-            collection,
-            registry,
-            server_journal().records[:1],
-            content_error_from_initiator(),
-            culprit_method="aq-answer",
-            error_input=DataChange("q", ASK.content),
-            replayed={},
+            collection, registry, server_journal().records, error, replayed={}
         )
         assert removed == [server("attr_lookup")]
         assert sorted(collection) == [server("attr_digest"), server("attr_probe")]
@@ -283,12 +274,7 @@ class TestInitiatorDetectedPurge:
         )
         collection = server_collection()
         removed = purge_collection(
-            collection,
-            registry,
-            server_journal().records[:1],
-            error,
-            error_input=DataChange("q", ASK.content),
-            replayed={},
+            collection, registry, server_journal().records, error, replayed={}
         )
         assert removed == [server("attr_digest"), server("attr_lookup")]
         assert sorted(collection) == [server("attr_probe"), server("attr_query")]
@@ -713,8 +699,9 @@ class TestSequentialRewind:
             # the initiator keeps its journal up to its first emission
             assert at_recover == [["ask"]]
             thread = rt.agents["c"].threads["t/c"]
-            assert str(thread.driver.ref) == recovery["role"]
-            assert thread.driver.ref not in thread.collection
+            role = RoleRef.parse(recovery["role"])
+            assert (thread.driver.protocol.protocol_id, thread.driver.machine.role_id) == role
+            assert role not in thread.collection
             # the kept take record rebuilt q, and answer ran again from it
             assert [r.method for r in thread.driver.journal.records] == ["take", "answer"]
             opening = thread.driver.journal.records[0].input_event.message

@@ -188,6 +188,18 @@ class TestParsing:
                 "fault: unknown key 'feild'",
             ),
             (
+                lambda raw: raw.update(faults=[
+                    {"conversation": "*", "ordinal": 1, "op": "corrupt_content", "field": "shape"}
+                ]),
+                "fault: unknown key 'field'",
+            ),
+            (
+                lambda raw: raw.update(faults=[
+                    {"conversation": "*", "ordinal": 1, "op": "corrupt_structure", "path": ["a"]}
+                ]),
+                "fault: unknown key 'path'",
+            ),
+            (
                 lambda raw: raw["tasks"][0].update(capabilities=["document-query", "q", 5]),
                 "task job: capabilities[2]: expected a string, got 5",
             ),
@@ -208,6 +220,8 @@ class TestParsing:
             "misspelt-seed",
             "misspelt-constraint",
             "misspelt-fault-field",
+            "field-on-a-content-fault",
+            "path-on-a-structure-fault",
             "number-capability",
         ],
     )
@@ -302,6 +316,24 @@ class TestResolution:
         assert cli_main(["validate", str(path)]) == 2
         assert cli_main(["run", str(path)]) == 2
         assert capsys.readouterr().err.count("bad-schema-ref") == 2
+
+    def test_a_composite_protocol_is_refused_when_it_loads(self, tmp_path, capsys):
+        """An auction whose participant roles all have multiplicity N
+        cannot be classified: that is a violation of the file, found by
+        validate, not an error in the middle of a run."""
+        doc = json.loads(protocol_path("auction").read_text(encoding="utf-8"))
+        for role in doc["roles"]:
+            if role["kind"] == "participant":
+                role["multiplicity"] = "N"
+        protocol = tmp_path / "composite.json"
+        protocol.write_text(json.dumps(doc), encoding="utf-8")
+        raw = json.loads(scenario_path("auction_tree").read_text(encoding="utf-8"))
+        raw["protocols"] = ["composite.json"]
+        path = self._write(tmp_path, raw)
+        assert cli_main(["validate", str(path)]) == 2
+        assert cli_main(["run", str(path)]) == 2
+        assert cli_main(["dump-protocol", str(protocol)]) == 2
+        assert capsys.readouterr().err.count("composite [auction]: several participant") == 3
 
     @pytest.mark.parametrize(
         "change, complaint",
@@ -638,6 +670,36 @@ class TestCli:
     def test_unknown_scenario(self, capsys):
         assert cli_main(["run", "does_not_exist"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "no/such/dir/t1_joint.json"],
+            ["validate", "no/such/dir/t1_joint.json"],
+            ["dump-protocol", "typo/ips.json"],
+        ],
+    )
+    def test_a_missing_path_is_not_the_bundled_file_of_its_stem(self, argv, capsys):
+        assert cli_main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"file {argv[1]!r}" in err
+
+    def test_a_directory_is_neither_read_nor_taken_for_a_bundled_name(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t1_joint").mkdir()
+        (tmp_path / "ips.json").mkdir()
+        assert cli_main(["validate", "t1_joint"]) == 0  # the bundled scenario
+        assert cli_main(["dump-protocol", "ips.json"]) == 2
+        raw = json.loads(scenario_path("t1_joint").read_text(encoding="utf-8"))
+        raw["protocols"] = ["ips.json", "request"]
+        (tmp_path / "s.json").write_text(json.dumps(raw), encoding="utf-8")
+        assert cli_main(["validate", "s.json"]) == 2
+        assert capsys.readouterr().err.count("error: no protocol file 'ips.json'") == 2
+        with pytest.raises(ParseError, match="no scenario file at"):
+            parse_scenario(tmp_path / "ips.json")
 
     def test_dump_protocol(self, capsys):
         assert cli_main(["dump-protocol", "attr_query"]) == 0
