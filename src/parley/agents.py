@@ -148,18 +148,6 @@ class _Round:
         self.refused: set[str] = set()
 
 
-def _read_offer(content) -> ReadyToSelectPayload | None:
-    """The offer of a ready-to-select's content, None when it lists no
-    role; ValueError or ParseError unless its roles are a list of
-    distinct ``protocol:role`` strings."""
-    roles = content.get("roles", []) if isinstance(content, dict) else None
-    if not isinstance(roles, list) or not all(isinstance(r, str) for r in roles):
-        raise ValueError(f"roles must be a list of 'protocol:role' strings, not {roles!r}")
-    if not roles:
-        return None
-    return ReadyToSelectPayload(tuple(RoleRef.parse(r) for r in roles))
-
-
 class JointInitiator(AgentBase):
     """Runs the selection meta protocol for one task.
 
@@ -195,6 +183,9 @@ class JointInitiator(AgentBase):
         self.round = _Round(number=0)
         #: the calls of the vector still to make: (protocol, agents, broadcast)
         self.pending: list[tuple[str, tuple[str, ...], bool]] = []
+        #: the role strings of each well-formed offer read -> its payload;
+        #: repliers with equal models send equal offers
+        self.offers_read: dict[tuple[str, ...], ReadyToSelectPayload | None] = {}
 
     # -- plumbing ----------------------------------------------------------
 
@@ -205,6 +196,20 @@ class JointInitiator(AgentBase):
 
     def _note(self, rt: SimRuntime, step: str, **fields) -> None:
         rt.note("selection", {"task": self.task.task_id, "step": step, **fields})
+
+    def _read_offer(self, content) -> ReadyToSelectPayload | None:
+        """The offer of a ready-to-select's content, None when it lists no
+        role; ValueError or ParseError unless its roles are a list of
+        distinct ``protocol:role`` strings."""
+        roles = content.get("roles", []) if isinstance(content, dict) else None
+        if not isinstance(roles, list) or not all(isinstance(r, str) for r in roles):
+            raise ValueError(f"roles must be a list of 'protocol:role' strings, not {roles!r}")
+        key = tuple(roles)
+        if key in self.offers_read:
+            return self.offers_read[key]
+        offer = ReadyToSelectPayload(tuple(RoleRef.parse(r) for r in roles)) if roles else None
+        self.offers_read[key] = offer
+        return offer
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -245,13 +250,10 @@ class JointInitiator(AgentBase):
         protocol_id, agents, broadcast = self.pending.pop(0)
         number = self.round.number + 1
         self.round = _Round(number, protocol_id, agents, broadcast)
+        # one content for the whole call: message contents are never changed
+        call = {"protocol": protocol_id, "task": self.task.task_id}
         for agent in agents:
-            self._send(
-                rt,
-                agent,
-                CALL_FOR_COLLABORATION,
-                {"protocol": protocol_id, "task": self.task.task_id},
-            )
+            self._send(rt, agent, CALL_FOR_COLLABORATION, call)
         rt.wake_self(self.name, self.conversation, {"round": number}, self.reply_deadline)
 
     def _close(self, rt: SimRuntime) -> None:
@@ -280,7 +282,8 @@ class JointInitiator(AgentBase):
                 picked = select_largest_set(replies, identified)
                 if picked is not None:
                     role, agents = picked
-                    notices = {agent: {"role": str(role)} for agent in agents}
+                    notice = {"role": str(role)}
+                    notices = dict.fromkeys(agents, notice)
                     kind, protocol_id = "largest-set", role.protocol
                     fields = {"role": str(role), "agents": sorted(agents)}
             else:
@@ -295,8 +298,9 @@ class JointInitiator(AgentBase):
             stopped = set(replies)
         for agent in sorted(notices):
             self._send(rt, agent, NOTIFY_ASSIGNMENT, notices[agent])
+        stop: dict = {}
         for agent in sorted(stopped - notices.keys()):
-            self._send(rt, agent, STOP_SELECTION, {})
+            self._send(rt, agent, STOP_SELECTION, stop)
         if not notices:
             self._call_next(rt)
             return
@@ -319,7 +323,7 @@ class JointInitiator(AgentBase):
             return
         if performative == READY_TO_SELECT:
             try:
-                offer = _read_offer(msg.content)
+                offer = self._read_offer(msg.content)
             except (ValueError, ParseError) as exc:
                 round_.refused.add(msg.sender)
                 self._note(rt, "malformed-offer", agent=msg.sender, reason=str(exc))
@@ -350,7 +354,7 @@ class SelectionParticipant(AgentBase):
         registry: ProtocolRegistry,
         table: CompatibilityTable,
         willing: bool,
-        offers: dict[str, tuple[RoleRef, ...]],
+        offers: dict[str, tuple[tuple[RoleRef, ...], dict]],
     ) -> None:
         super().__init__(name)
         self.model = model
@@ -359,17 +363,17 @@ class SelectionParticipant(AgentBase):
         self.willing = willing
         #: conversation id -> the pending offer, empty when none is
         self.pending: dict[str, tuple[RoleRef, ...]] = {}
-        #: protocol id -> the roles offered for it.  Every input of an
-        #: offer but the model is fixed per runtime, so the participants
-        #: of one runtime with equal models share this dict.
+        #: protocol id -> the roles offered for it and the ready-to-select
+        #: content listing them.  Every input of an offer but the model is
+        #: fixed per runtime, so the participants of one runtime with equal
+        #: models share this dict, and so one content for all their offers.
         self.offers = offers
 
-    def _offer(self, protocol_id: str) -> tuple[RoleRef, ...]:
+    def _offer(self, protocol_id: str) -> tuple[tuple[RoleRef, ...], dict]:
         offer = self.offers.get(protocol_id)
         if offer is None:
-            offer = self.offers[protocol_id] = offered_roles(
-                protocol_id, self.model, self.table, self.registry
-            )
+            roles = offered_roles(protocol_id, self.model, self.table, self.registry)
+            offer = self.offers[protocol_id] = (roles, {"roles": [str(r) for r in roles]})
         return offer
 
     def on_message(self, rt: SimRuntime, msg: Message) -> None:

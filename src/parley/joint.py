@@ -175,7 +175,7 @@ def participant_meta_step(
     incoming: Message,
     registry: ProtocolRegistry,
     willing: bool,
-    offer: Callable[[str], tuple[RoleRef, ...]],
+    offer: Callable[[str], tuple[tuple[RoleRef, ...], dict]],
 ) -> tuple[tuple[RoleRef, ...], list[tuple[str, dict]]]:
     """Advance one participant-side selection thread.
 
@@ -186,7 +186,9 @@ def participant_meta_step(
     of a role that is not on offer is a protocol violation; an accepted
     assignment and a stop both end the offer.  ``offer`` maps a
     protocol id to the roles to offer, as :func:`offered_roles`
-    computes them for the agent.
+    computes them for the agent, and the ready-to-select content that
+    lists them; that content is sent as it is, so one offer may serve
+    many calls.
     """
     performative = incoming.performative
     if performative == CALL_FOR_COLLABORATION:
@@ -196,10 +198,10 @@ def participant_meta_step(
             return offered, [(UNABLE_TO_SELECT, {"reason": "malformed-call"})]
         if not willing:
             return offered, [(UNABLE_TO_SELECT, {"reason": "unwilling"})]
-        roles = offer(protocol_id)
+        roles, ready = offer(protocol_id)
         if not roles:
             return offered, [(UNABLE_TO_SELECT, {"reason": "no-role"})]
-        return roles, [(READY_TO_SELECT, {"roles": [str(r) for r in roles]})]
+        return roles, [(READY_TO_SELECT, ready)]
     if performative == NOTIFY_ASSIGNMENT:
         if not offered:
             raise ProtocolViolationError("assignment without a pending offer")

@@ -131,6 +131,8 @@ class Message(NamedTuple):
     An immutable tuple: ``msg._replace(field=value)`` makes a changed
     copy, and two messages are equal when their fields are (tuple
     equality, so a plain tuple of the same values is equal too).
+    Its content is never changed either, so many messages may share one
+    content object (a broadcast call, equal offers).
     """
 
     performative: str

@@ -48,6 +48,7 @@ from fnmatch import fnmatch
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from os.path import normcase
 from random import Random
+from sys import getrefcount
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, UnknownReceiverError
@@ -117,6 +118,9 @@ def render_trace(trace: list[TraceEvent]) -> str:
     are written as ``int.__repr__`` and strings through the same
     ``encode_basestring_ascii`` that ``json.dumps`` uses, so the bytes
     stay its bytes; only a send's ``content`` goes through the C encoder.
+    A message's content is never changed once sent, and one content may
+    be shared by many messages (a broadcast call, equal offers), so each
+    distinct content object is encoded once per call and its text reused.
     Other payloads are encoded whole and spliced after the tick and kind,
     unless they are empty or carry a ``tick`` or ``kind`` field of their
     own (that field overwrites the event's in place).  One C encoder,
@@ -132,6 +136,9 @@ def render_trace(trace: list[TraceEvent]) -> str:
         ": ", ", ", False, False, True,
     )
     quote = encode_basestring_ascii
+    #: id of a shared send content -> its JSON text; every event is alive
+    #: for the whole call, so no id is reused while this map is
+    texts: dict[int, str] = {}
     lines: list[str] = []
     for event in trace:
         tick, kind, payload = event
@@ -150,13 +157,22 @@ def render_trace(trace: list[TraceEvent]) -> str:
                     and type(performative) is str
                     and (tag is None or type(tag) is str)
                 ):
+                    text = texts.get(id(content))
+                    if text is None:
+                        text = "".join(encode(content, 0))
+                        # keep the text only of a content held beyond this
+                        # payload (which, the local and the call make 3
+                        # references): only such a content can recur, and
+                        # most are one message's alone
+                        if getrefcount(content) > 3:
+                            texts[id(content)] = text
                     lines.append(
                         f'{{"tick": {tick}, "kind": {quote(kind)}, "seq": {seq}, '
                         f'"from": {quote(sender)}, "to": {quote(receiver)}, '
                         f'"conversation": {quote(conversation)}, '
                         f'"performative": {quote(performative)}, '
                         f'"tag": {"null" if tag is None else quote(tag)}, '
-                        f'"content": {"".join(encode(content, 0))}}}\n'
+                        f'"content": {text}}}\n'
                     )
                     continue
             elif plain and fields == _DELIVER_FIELDS:

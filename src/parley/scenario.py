@@ -363,7 +363,7 @@ def build_runtime(scenario: Scenario) -> SimRuntime:
         runtime.inject_fault(fault)
     initiators = {task.initiator: task for task in scenario.tasks}
     # participants with equal interaction models offer the same roles
-    offers: dict[frozenset, dict[str, tuple[RoleRef, ...]]] = {}
+    offers: dict[frozenset, dict[str, tuple[tuple[RoleRef, ...], dict]]] = {}
     for spec in scenario.agents:
         if spec.behavior == SILENT:
             runtime.register(SilentAgent(spec.agent_id))

@@ -108,9 +108,17 @@ FAULT_OPS = (
 STREAM_KINDS = ("inform", "inform", "inform", "wake", "error-notify")
 
 
+def _trailing_star_globs():
+    """A literal prefix and one trailing ``*``: any prefix of a stream id
+    (the empty one and the whole id too), or of an id no stream uses."""
+    return st.sampled_from(STREAM_CONVERSATIONS + ("T1/c1", "zz")).flatmap(
+        lambda name: st.integers(0, len(name)).map(lambda end: name[:end] + "*")
+    )
+
+
 def _fault_specs():
     return st.tuples(
-        st.sampled_from(FAULT_PATTERNS),
+        st.sampled_from(FAULT_PATTERNS) | _trailing_star_globs(),
         st.integers(min_value=1, max_value=4),
         st.sampled_from(FAULT_OPS),
     )

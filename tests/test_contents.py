@@ -1,0 +1,131 @@
+"""Message contents never change once sent, and equal ones are one object.
+
+A trace event keeps the content its message was sent with, not a copy,
+and ``render_trace`` encodes each distinct content object once.  Both
+rest on the rule that no agent, fault or bus step changes a content
+after it is sent: the first test deep-copies every content as it is
+noted and compares it with its copy once the run is over.  The second
+pins, by count, that a broadcast call is one content for all its
+receivers, that participants with equal models answer it with one
+ready-to-select object, and that an initiator reads each distinct offer
+once.
+"""
+
+from __future__ import annotations
+
+import copy
+import gc
+from collections import defaultdict
+from random import Random
+
+import pytest
+
+import parley.agents
+from parley.fixtures import scenario_path
+from parley.runtime import SimRuntime
+from parley.scenario import (
+    MIXED,
+    SEQUENTIAL,
+    build_runtime,
+    parse_scenario,
+    scenario_from_dict,
+    summarize,
+)
+
+from .helpers import individual_scenario, joint_fanout_scenario, joint_scenario
+
+BUNDLED = (
+    "t1_joint",
+    "t1_joint_refusal",
+    "t2_sequential_fault",
+    "t2_mixed_fault",
+    "cnp_largest_set",
+    "auction_tree",
+)
+
+
+def _scenarios(family: str):
+    if family == "bundled":
+        return [parse_scenario(scenario_path(name)) for name in BUNDLED]
+    if family == "joint":
+        docs = [joint_scenario(Random(seed), 6, 12) for seed in range(50)]
+    else:
+        docs = [individual_scenario(Random(seed), family, 8, max_faults=3) for seed in range(50)]
+    return [scenario_from_dict(doc) for doc in docs]
+
+
+@pytest.mark.parametrize("family", ["bundled", "joint", SEQUENTIAL, MIXED])
+def test_no_content_changes_after_it_is_sent(family, monkeypatch):
+    noted: list[tuple[object, object]] = []
+    note = SimRuntime.note
+
+    def copying(rt, kind, payload):
+        if kind == "send":
+            noted.append((payload["content"], copy.deepcopy(payload["content"])))
+        note(rt, kind, payload)
+
+    monkeypatch.setattr(SimRuntime, "note", copying)
+    for scenario in _scenarios(family):
+        before = len(noted)
+        build_runtime(scenario).run_until_quiescent()
+        changed = [sent for sent, kept in noted[before:] if sent != kept]
+        assert changed == [], scenario.scenario_id
+    assert len(noted) > 50
+
+
+def test_a_broadcast_and_equal_offers_share_one_content():
+    doc = joint_fanout_scenario(Random(7), 9, 60, 30)
+    scenario = scenario_from_dict(doc)
+    runtime = build_runtime(scenario)
+    trace = runtime.run_until_quiescent()
+    assert {t.outcome for t in summarize(scenario, runtime, trace).tasks} == {"selected"}
+    sends = defaultdict(list)
+    for event in trace:
+        if event.kind == "send":
+            sends[event.payload["performative"]].append(event.payload)
+
+    def objects(performative):
+        return len(sends[performative]), len({id(p["content"]) for p in sends[performative]})
+
+    # one call content per round: each round sends one deadline wake
+    rounds = sum(1 for p in sends["wake"] if "round" in p["content"])
+    assert rounds == 9
+    assert objects("call-for-collaboration") == (183, rounds)
+    calls_by_round: dict[tuple, set] = defaultdict(set)
+    for p in sends["call-for-collaboration"]:
+        calls_by_round[p["from"], p["content"]["protocol"]].add(id(p["content"]))
+    assert all(len(ids) == 1 for ids in calls_by_round.values())
+    # one ready-to-select object per (model, offer): 165 replies, 23 objects
+    models = {a["id"]: repr(sorted(a["enacts"].items())) for a in doc["agents"]}
+    by_model: dict[tuple, set] = defaultdict(set)
+    for p in sends["ready-to-select"]:
+        by_model[models[p["from"]], tuple(p["content"]["roles"])].add(id(p["content"]))
+    assert objects("ready-to-select") == (165, len(by_model)) == (165, 23)
+    assert all(len(ids) == 1 for ids in by_model.values())
+    # one notice per role picked by largest set, one stop content per close
+    assert objects("notify-assignment") == (93, 15)
+    assert objects("stop-selection") == (72, 3)
+
+
+def test_an_initiator_reads_each_distinct_offer_once(monkeypatch):
+    made: list[tuple] = []
+    original = parley.agents.ReadyToSelectPayload
+
+    def counted(roles):
+        made.append(roles)
+        return original(roles)
+
+    monkeypatch.setattr(parley.agents, "ReadyToSelectPayload", counted)
+    scenario = scenario_from_dict(joint_fanout_scenario(Random(7), 9, 60, 30))
+    trace = build_runtime(scenario).run_until_quiescent()
+    sent = {e.payload["seq"]: e.payload for e in trace if e.kind == "send"}
+    read = [
+        sent[e.payload["seq"]] for e in trace
+        if e.kind == "deliver" and e.payload["performative"] == "ready-to-select"
+    ]
+    distinct = {(p["to"], tuple(p["content"]["roles"])) for p in read}
+    assert (len(read), len(distinct), len(made)) == (165, 24, 24)
+    # the offers read go with their initiators: none outlives the run
+    del trace, sent, read
+    gc.collect()
+    assert not any(type(o) is original for o in gc.get_objects())

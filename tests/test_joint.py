@@ -417,8 +417,14 @@ def _participant_world():
 
 
 def _offers(registry, model, table):
-    """The agent's offer per protocol id, as a participant computes it."""
-    return lambda pid: offered_roles(pid, model, table, registry)
+    """The agent's offer per protocol id and its ready-to-select content,
+    as a participant computes them."""
+
+    def offer(pid):
+        roles = offered_roles(pid, model, table, registry)
+        return roles, {"roles": [str(r) for r in roles]}
+
+    return offer
 
 
 class TestParticipantMeta:
@@ -828,6 +834,20 @@ class TestMalformedOffer:
         assert malformed_notes(rt) == [
             {"task": "t1", "step": "malformed-offer", "agent": "d1", "reason": MALFORMED[kind][1]}
         ]
+
+    def test_each_copy_of_one_malformed_offer_is_refused(self, kind):
+        # the initiator remembers the offers it read, but not a refusal
+        initiator, rt, _ = run_joint(
+            {"bid": ["d1", "d2", "d3"]},
+            {
+                "d1": [malformed(kind, "bid", "bidder")],
+                "d2": [malformed(kind, "bid", "bidder")],
+                "d3": [offer("bid")],
+            },
+            registry=TENDERS,
+        )
+        assert initiator.outcome == largest_set("d3")
+        assert [note["agent"] for note in malformed_notes(rt)] == ["d1", "d2"]
 
     def test_in_a_pairwise_round(self, kind):
         initiator, rt, _ = run_joint(

@@ -950,6 +950,48 @@ def _events():
     return st.lists(st.tuples(ticks, kinds, payload), max_size=8)
 
 
+def _self_loop() -> list:
+    loop: list = []
+    loop.append(loop)
+    return loop
+
+
+#: contents several sends may share: plain trees, and ones json.dumps
+#: refuses (a set, circular lists)
+_SHARED_CONTENT = (
+    content_trees(_RENDER_LEAVES)
+    | st.builds(lambda: {1, 2})
+    | st.builds(_circular)
+    | st.builds(_self_loop)
+)
+
+
+@st.composite
+def _shared_content_events(draw):
+    """Traces whose sends reuse a few content objects, as a broadcast
+    call or equal offers do, among other events.  A send is as the bus
+    writes it or has one field of an odd type (so that it is encoded
+    whole), and either way carries one of the shared objects."""
+    pool = draw(st.lists(_SHARED_CONTENT, min_size=1, max_size=3))
+    others = draw(_events())
+    sends = draw(st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=300),
+            _PLAIN_SEND | st.builds(_spoil, _PLAIN_SEND, st.integers(0, 5), _ODD),
+            st.sampled_from(pool),
+        ),
+        min_size=2,
+        max_size=8,
+    ))
+    events = [
+        (tick, "send", dict(zip(_SEND_FIELDS, values[:-1] + (content,))))
+        for tick, values, content in sends
+    ]
+    for at, event in zip(draw(st.lists(st.integers(0, len(events)), max_size=len(others))), others):
+        events.insert(at, event)
+    return events
+
+
 def _render_both(events):
     trace = [TraceEvent(tick, kind, payload) for tick, kind, payload in events]
     return render_trace(trace), oracle_render(events)
@@ -968,13 +1010,13 @@ def _assert_renders_as_json_dumps(events):
 
 
 class TestRender:
-    @settings(max_examples=100, deadline=None)
-    @given(_events())
+    @settings(max_examples=150, deadline=None)
+    @given(_events() | _shared_content_events())
     def test_lines_are_what_json_dumps_writes(self, events):
         _assert_renders_as_json_dumps(events)
 
-    @settings(max_examples=25, deadline=None)
-    @given(_events())
+    @settings(max_examples=40, deadline=None)
+    @given(_events() | _shared_content_events())
     def test_without_the_c_encoder_the_lines_are_the_same(self, events):
         original = parley.runtime.c_make_encoder
         parley.runtime.c_make_encoder = None
@@ -982,6 +1024,54 @@ class TestRender:
             _assert_renders_as_json_dumps(events)
         finally:
             parley.runtime.c_make_encoder = original
+
+    @pytest.mark.parametrize(
+        "shared",
+        [{"roles": ["cnp:contractor"]}, {1, 2}, _circular(), _self_loop()],
+        ids=["plain", "set", "circular", "self-loop"],
+    )
+    def test_one_content_in_several_sends_renders_each_as_json_dumps_does(self, shared):
+        send = dict(zip(_SEND_FIELDS, (4, "src", "sink", "c", "inform", "m.1", shared)))
+        events = [
+            (0, "send", send),
+            (1, "deliver", dict(zip(_DELIVER_FIELDS, (4, "src", "sink", "c", "inform")))),
+            (1, "send", {**send, "seq": 5, "to": "other"}),
+            (1, "send", {**send, "seq": True}),  # encoded whole
+            (2, "send", send),
+        ]
+        _assert_renders_as_json_dumps(events)
+
+    def test_a_content_shared_by_several_sends_is_encoded_once(self, monkeypatch):
+        encoded: list = []
+        make = parley.runtime.c_make_encoder
+
+        def counting(*args):
+            encode = make(*args)
+
+            def counted(value, level):
+                encoded.append(value)
+                return encode(value, level)
+
+            return counted
+
+        monkeypatch.setattr(parley.runtime, "c_make_encoder", counting)
+        shared = {"protocol": "cnp", "task": "t1"}
+        trace = [
+            TraceEvent(0, "send", dict(zip(_SEND_FIELDS, (n, "i", f"p{n}", "c", "call", None, shared))))
+            for n in range(5)
+        ] + [
+            TraceEvent(0, "send", dict(zip(_SEND_FIELDS, (n, "p", "i", "c", "ready", None, {"n": n}))))
+            for n in range(3)
+        ]
+        assert render_trace(trace) == oracle_render(trace)
+        assert encoded == [shared, {"n": 0}, {"n": 1}, {"n": 2}]
+
+    def test_no_text_outlives_its_call(self):
+        # each content is freed with its trace, so the next call's new
+        # content may get its id; it must still be encoded afresh
+        for n in range(50):
+            send = dict(zip(_SEND_FIELDS, (n, "src", "sink", "c", "inform", None, {"n": n})))
+            _assert_renders_as_json_dumps([(0, "send", send)])
 
     @pytest.mark.parametrize(
         "change",
