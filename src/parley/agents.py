@@ -53,7 +53,6 @@ from .machine import (
     MachineDriver,
     pick,
     rejection_kind,
-    sequence_tagger,
 )
 from .mixed import (
     ControlZone,
@@ -430,7 +429,7 @@ class IndividualInitiator(AgentBase):
         #: individual selection talks to the task's one identified participant
         self.participant = next(a for agents in task.participants.values() for a in agents)
         self.conversation = f"{task.task_id}/{self.participant}"
-        self.journal = Journal(conversation_id=self.conversation)
+        self.journal = Journal(self.conversation, self.name, self.participant)
         self.driver: MachineDriver | None = None
         #: (summary outcome, detail) once the task is over
         self.outcome: tuple[str, dict] | None = None
@@ -444,13 +443,7 @@ class IndividualInitiator(AgentBase):
         protocol, role_id = matched[0]
         overrides = self.task.constraints.get("contents", {})
         self.driver = MachineDriver(
-            protocol.ref(role_id),
-            self.registry,
-            self.journal,
-            sequence_tagger(self.name),
-            me=self.name,
-            peer=self.participant,
-            content_overrides=overrides,
+            protocol.ref(role_id), self.registry, self.journal, content_overrides=overrides
         )
         _schedule(rt, self.driver.resume(DataChange("task", self.task.task_id), rt.rng))
 
@@ -650,9 +643,7 @@ class SequentialResponder(_Responder):
             error.offending if error.detected_by == PARTICIPANT_DETECTED else None,
         )
         thread.collection.discard(replacement)
-        thread.driver = MachineDriver(
-            replacement, self.registry, driver.journal, driver.tagger, self.name, thread.peer
-        )
+        thread.driver = MachineDriver(replacement, self.registry, driver.journal)
         thread.driver.replay()
         self._note(
             rt,
@@ -670,10 +661,8 @@ class SequentialResponder(_Responder):
     def _open(self, rt, thread: _SequentialThread, msg: Message, takers) -> None:
         chosen = pick(list(takers), rt.rng)
         thread.collection = set(takers) - {chosen}
-        journal = Journal(conversation_id=thread.conversation)
-        thread.driver = MachineDriver(
-            chosen, self.registry, journal, sequence_tagger(self.name), self.name, thread.peer
-        )
+        journal = Journal(thread.conversation, self.name, thread.peer)
+        thread.driver = MachineDriver(chosen, self.registry, journal)
         self._note(
             rt,
             "selection",
@@ -743,8 +732,7 @@ class MixedResponder(_Responder):
     on_message = _Responder.on_message
 
     def _send_selected(self, rt: SimRuntime, thread: _MixedThread) -> None:
-        outgoing = select_outgoing(thread.zone, self.registry, rt.rng)
-        rt.schedule_send(outgoing)
+        rt.schedule_send(select_outgoing(thread.zone, rt.rng))
 
     def _wake_parked(
         self,
@@ -762,7 +750,7 @@ class MixedResponder(_Responder):
                 # nothing left to retrace: re-fire the opening itself
                 offending = thread.opening
             try:
-                plan = reactivate(cz, self.registry, location, offending)
+                plan = reactivate(cz, location, offending)
             except NoViableRoleError:
                 self._fail(rt, thread, "exhausted")
                 return
@@ -778,7 +766,7 @@ class MixedResponder(_Responder):
             self._reply(rt, thread, RECOVER_AT, {"point": plan.counterpart_point})
             if plan.weak_guard:
                 self._reply(rt, thread, TERMINATION_WARNING, {"reason": "weak-cohort"})
-            if feed(cz, self.registry, plan.refire, rt.rng) and cz.outbox:
+            if feed(cz, plan.refire, rt.rng) and cz.outbox:
                 self._send_selected(rt, thread)
                 return
             stop_active(cz)
@@ -786,9 +774,7 @@ class MixedResponder(_Responder):
             offending = None
 
     def _open(self, rt, thread: _MixedThread, msg: Message, takers) -> None:
-        thread.zone = instantiate_all(
-            takers, self.registry, msg, sequence_tagger(self.name), rt.rng
-        )
+        thread.zone = instantiate_all(takers, self.registry, msg, rt.rng)
         self._note(
             rt,
             "selection",
@@ -803,7 +789,7 @@ class MixedResponder(_Responder):
         self._send_selected(rt, thread)
 
     def _on_domain(self, rt, thread: _MixedThread, msg: Message) -> None:
-        verdict = handle_incoming(thread.zone, self.registry, msg, rt.rng)
+        verdict = handle_incoming(thread.zone, msg, rt.rng)
         if verdict is None:
             if thread.zone.outbox:
                 self._send_selected(rt, thread)
@@ -817,7 +803,7 @@ class MixedResponder(_Responder):
     def _on_error_notice(self, rt, thread: _MixedThread, msg: Message) -> None:
         failed = thread.zone.last_sent  # an open thread has sent: _open fails it otherwise
         kind = msg.content.get("kind", WRONG_STRUCTURE)
-        substitute = handle_error_mixed(thread.zone, self.registry, kind, rt.rng)
+        substitute = handle_error_mixed(thread.zone, kind, rt.rng)
         if substitute is not None:
             self._note(
                 rt, "recovery", thread, action="replacement", kind=kind, tag=substitute.reply_with

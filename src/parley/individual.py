@@ -50,10 +50,10 @@ class InteractionError(NamedTuple):
 def locate_emission(records, reply_with: str) -> int:
     """1-based index of the record that emitted the message tagged
     ``reply_with``; 0 when no record did."""
-    for record in records:
+    for seq, record in enumerate(records, 1):
         for emitted in record.emissions():
             if emitted.reply_with == reply_with:
-                return record.seq
+                return seq
     return 0
 
 
@@ -344,10 +344,10 @@ def truncate_counterpart(journal: Journal, point: int) -> None:
     if point < 1:
         raise PointOutOfRangeError(f"point {point} must be positive")
     emitted = 0
-    for record in journal.records:
+    for seq, record in enumerate(journal.records, 1):
         emitted += len(record.emissions())
         if emitted >= point:
-            journal.keep_first(record.seq)
+            journal.keep_first(seq)
             return
     raise PointOutOfRangeError(
         f"journal holds {emitted} emissions, point {point} asks for more"

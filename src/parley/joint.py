@@ -26,7 +26,7 @@ from __future__ import annotations
 from random import Random
 from typing import Callable, Iterable, NamedTuple
 
-from .errors import CyclicFatherRelationError, ProtocolViolationError
+from .errors import ProtocolViolationError
 from .model import (
     CALL_FOR_COLLABORATION,
     NOTIFY_ASSIGNMENT,
@@ -42,6 +42,7 @@ from .model import (
     RoleRef,
     TaskDescription,
     compatible,
+    father_order,
 )
 
 # ---------------------------------------------------------------------------
@@ -295,41 +296,6 @@ def select_largest_set(
 # ---------------------------------------------------------------------------
 # Arbitration: role allocation along the father forest (multi-role)
 # ---------------------------------------------------------------------------
-
-
-def father_order(protocol: Protocol) -> list[str]:
-    """Participant roles in breadth-first father order.
-
-    A role's father is the role sending its first message; roles fed
-    directly by the initiator sit at the top level.  The declared
-    relation must be a forest over the participant roles.
-    """
-    participants = {m.role_id for m in protocol.participant_roles()}
-    initiator_id = protocol.initiator_role().role_id
-    children: dict[str | None, list[str]] = {}
-    for role_id in sorted(participants):
-        father = protocol.roles[role_id].father
-        if father == initiator_id or father is None:
-            children.setdefault(None, []).append(role_id)
-        elif father in participants:
-            children.setdefault(father, []).append(role_id)
-        else:
-            raise CyclicFatherRelationError(
-                f"{protocol.protocol_id}: father of {role_id} is unknown"
-            )
-    order: list[str] = []
-    frontier = children.get(None, [])
-    while frontier:
-        order.extend(frontier)
-        nxt: list[str] = []
-        for role_id in frontier:
-            nxt.extend(children.get(role_id, []))
-        frontier = nxt
-    if len(order) != len(participants):
-        raise CyclicFatherRelationError(
-            f"{protocol.protocol_id}: father relation is not a forest"
-        )
-    return order
 
 
 def _injective_matching(

@@ -1,11 +1,14 @@
-"""Interaction journals.
+"""Interaction journals: one agent's side of one conversation.
 
-Every agent keeps, per conversation, an append-only journal of the
-methods it executed.  A record stores the event that fired the method
-(a message reception or an agent-variable change) and the events the
-method produced (message emissions and variable changes).  Error
-recovery reads journals to find out where a replacement role can pick
-the interaction up, and truncation only ever removes a suffix.
+Every agent keeps, per conversation, one journal.  It knows the route
+(the conversation, this agent and its peer), hands out this side's
+reply tags, and holds an append-only list of the methods the agent
+executed.  A record stores the event that fired the method (a message
+reception or an agent-variable change) and the events the method
+produced (message emissions and variable changes); the n-th record is
+``records[n - 1]``.  Error recovery reads journals to find out where a
+replacement role can pick the interaction up, and truncation only ever
+removes a suffix.  Tags are never reused, truncation or not.
 
 The records are NamedTuples and the journal a plain class with
 ``__slots__``, as everywhere in the package (see :mod:`parley.model`).
@@ -38,7 +41,9 @@ OutputEvent = MessageEmission | DataChange
 
 
 class JournalRecord(NamedTuple):
-    seq: int
+    """One fired transition: its method, the event that fired it and
+    the events it produced."""
+
     method: str
     input_event: InputEvent
     output_events: tuple[OutputEvent, ...] = ()
@@ -53,21 +58,19 @@ class JournalRecord(NamedTuple):
 
 
 class Journal:
-    __slots__ = ("conversation_id", "records")
+    __slots__ = ("conversation_id", "me", "peer", "records", "_tags")
 
-    def __init__(self, conversation_id: str) -> None:
+    def __init__(self, conversation_id: str, me: str, peer: str) -> None:
         self.conversation_id = conversation_id
+        self.me = me
+        self.peer = peer
         self.records: list[JournalRecord] = []
+        self._tags = 0
 
-    def append(self, method: str, input_event: InputEvent, output_events=()) -> JournalRecord:
-        record = JournalRecord(
-            seq=len(self.records) + 1,
-            method=method,
-            input_event=input_event,
-            output_events=tuple(output_events),
-        )
-        self.records.append(record)
-        return record
+    def tag(self) -> str:
+        """A fresh reply tag: ``me.1``, ``me.2``, ..."""
+        self._tags += 1
+        return f"{self.me}.{self._tags}"
 
     def keep_first(self, count: int) -> None:
         """Truncate to the first ``count`` records (suffix removal only)."""

@@ -5,21 +5,23 @@ module answers the questions the drivers keep asking: which
 transitions can fire on this input, which one fires when several can,
 which states replay a journal prefix, and which messages are "weak"
 (their emission or reception can only end the interaction).  It also
-holds :class:`MachineDriver`, which enacts one role over one journal.
+holds :class:`MachineDriver`, which enacts one role over one journal
+and sends along the journal's route, with the journal's reply tags.
 
 Every role machine steps by one rule, :func:`cascade`: an input event
 fires one of the transitions it enables, and an internal transition
 then fires on a change of the named agent variable - the change the
 transition just fired wrote, and no other.  A send or an action of
 kind ``none`` writes nothing, so the cascade stops there; it stops too
-where the written variable enables nothing.
+where the written variable enables nothing.  The cascade returns one
+:class:`journal.JournalRecord` per transition it fired, and the caller
+extends a journal with them.
 """
 
 from __future__ import annotations
 
-from itertools import count
 from random import Random
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .journal import DataChange, Journal, JournalRecord, MessageEmission, MessageReception
 from .model import (
@@ -99,14 +101,6 @@ def rejection_kind(placed, msg: Message) -> str:
     return WRONG_STRUCTURE
 
 
-class PendingRecord(NamedTuple):
-    """One fired transition, as a journal records it."""
-
-    method: str
-    input_event: object
-    output_events: tuple
-
-
 def cascade(
     protocol: Protocol,
     machine: RoleStateMachine,
@@ -114,7 +108,7 @@ def cascade(
     event,
     emit: Callable[[MessageSchema], Message],
     rng: Random,
-) -> tuple[Transition, tuple[PendingRecord, ...], Message | None]:
+) -> tuple[Transition, tuple[JournalRecord, ...], Message | None]:
     """Fire one of ``enabled`` on ``event``, then the internal
     transitions it sets off, by the rule of this module.
 
@@ -127,7 +121,7 @@ def cascade(
     cascade ends without a send.
     """
     value = event.message.content if isinstance(event, MessageReception) else event.value
-    records: list[PendingRecord] = []
+    records: list[JournalRecord] = []
     sent = None
     for _ in range(_CASCADE_LIMIT):
         t = pick(enabled, rng)
@@ -139,7 +133,7 @@ def cascade(
             outputs = (DataChange(t.action.variable, value),)
         else:
             outputs = ()
-        records.append(PendingRecord(t.method, event, outputs))
+        records.append(JournalRecord(t.method, event, outputs))
         if kind != "data_change":
             break  # a send or no action writes nothing
         event = outputs[0]
@@ -239,21 +233,15 @@ def _weak_schema_ids(machine: RoleStateMachine) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 
 
-def sequence_tagger(prefix: str) -> Callable[[], str]:
-    """Fresh reply tags ``prefix.1``, ``prefix.2``, ... for one journal."""
-    counter = count(1)
-    return lambda: f"{prefix}.{next(counter)}"
-
-
 class MachineDriver:
     """Journaled execution of a single role state machine.
 
     Each input - a reception, or a data change that starts or resumes
-    the role - fires one :func:`cascade`, and every fired transition
-    appends one journal record.  The driver never judges an incoming
-    message - callers match it first (:meth:`accepting`) and hand the
-    transitions that take it to :meth:`receive`, so nothing invalid is
-    ever journaled and nothing is matched twice.
+    the role - fires one :func:`cascade`, whose records extend the
+    journal.  The driver never judges an incoming message - callers
+    match it first (:meth:`accepting`) and hand the transitions that
+    take it to :meth:`receive`, so nothing invalid is ever journaled and
+    nothing is matched twice.
     """
 
     def __init__(
@@ -261,17 +249,11 @@ class MachineDriver:
         ref: RoleRef,
         registry: ProtocolRegistry,
         journal: Journal,
-        tagger,
-        me: str,
-        peer: str,
         content_overrides: dict[str, dict] | None = None,
     ) -> None:
         self.protocol = registry[ref.protocol]
         self.machine = self.protocol.roles[ref.role]
         self.journal = journal
-        self.tagger = tagger
-        self.me = me
-        self.peer = peer
         self.content_overrides = content_overrides or {}
         self.state = self.machine.initial_state
 
@@ -283,15 +265,16 @@ class MachineDriver:
         content = self.content_overrides.get(schema.schema_id)
         if content is None or not content_matches(schema.content_pattern, content):
             content = fill_pattern(schema.content_pattern)
+        journal = self.journal
         return Message(
             performative=schema.performative,
             content=content,
             language=schema.language,
             ontology=schema.ontology,
-            sender=self.me,
-            receiver=self.peer,
-            conversation_id=self.journal.conversation_id,
-            reply_with=self.tagger(),
+            sender=journal.me,
+            receiver=journal.peer,
+            conversation_id=journal.conversation_id,
+            reply_with=journal.tag(),
         )
 
     def accepting(self, msg: Message) -> list[Transition]:
@@ -326,7 +309,6 @@ class MachineDriver:
         last, records, sent = cascade(
             self.protocol, self.machine, enabled, event, self._emit, rng
         )
-        for record in records:
-            self.journal.append(*record)
+        self.journal.records.extend(records)
         self.state = last.to_state
         return sent

@@ -8,6 +8,12 @@ replies matched it stay active while the others are parked.  The
 counterpart never learns any of this: it sees one message per step,
 as if a single role were running.
 
+The zone's one journal is the serving side of the conversation: its
+route addresses every reply, it tags each step's reply once, and it
+records the cascade (:func:`machine.cascade`) behind every reply sent.
+Each instance carries its protocol and machine, so nothing here looks a
+role up again.
+
 When the sent message turns out wrong, recovery is local bookkeeping:
 the roles that produced it are stopped, an alternate reply from the
 same step can replace the failed one outright, and when the step's
@@ -19,14 +25,13 @@ the shared journal is cut back for them by the rewind rule of
 from __future__ import annotations
 
 from random import Random
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import NoViableRoleError
 from .individual import rewind
-from .journal import Journal, MessageEmission, MessageReception
+from .journal import Journal, JournalRecord, MessageEmission, MessageReception
 from .machine import (
     WRONG_STRUCTURE,
-    PendingRecord,
     cascade,
     enabled_for,
     pick,
@@ -43,15 +48,18 @@ STOPPED = "stopped"
 
 
 class RoleInstance:
-    """One candidate role running (or parked) inside the zone."""
+    """One candidate role running (or parked) inside the zone, with the
+    protocol and machine it enacts; it starts in the initial state."""
 
-    __slots__ = ("ref", "state", "activation", "stamp", "last_message")
+    __slots__ = ("ref", "protocol", "machine", "state", "activation", "stamp", "last_message")
 
     def __init__(
-        self, ref: RoleRef, state: str, activation: str = ACTIVE, stamp: int = 0
+        self, ref: RoleRef, protocol: Protocol, activation: str = ACTIVE, stamp: int = 0
     ) -> None:
         self.ref = ref
-        self.state = state
+        self.protocol = protocol
+        self.machine = protocol.roles[ref.role]
+        self.state = self.machine.initial_state
         self.activation = activation
         self.stamp = stamp  # set when deactivated; higher = more recent
         self.last_message: Message | None = None  # reply generated this step
@@ -64,24 +72,16 @@ class OutboxEntry(NamedTuple):
     ref: RoleRef
     message: Message
     schema_id: str
-    records: tuple[PendingRecord, ...]
+    records: tuple[JournalRecord, ...]
 
 
 class ControlZone:
     """Shared state of one mixed-mode conversation on the serving side."""
 
-    __slots__ = (
-        "owner", "counterpart", "journal", "tag",
-        "instances", "outbox", "last_sent", "stamp_counter",
-    )
+    __slots__ = ("journal", "instances", "outbox", "last_sent", "stamp_counter")
 
-    def __init__(
-        self, owner: str, counterpart: str, journal: Journal, tag: Callable[[], str]
-    ) -> None:
-        self.owner = owner
-        self.counterpart = counterpart
+    def __init__(self, journal: Journal) -> None:
         self.journal = journal
-        self.tag = tag
         self.instances: dict[RoleRef, RoleInstance] = {}
         self.outbox: list[OutboxEntry] = []
         #: the entry of the last message sent, None before the first
@@ -145,7 +145,6 @@ def _park(cz: ControlZone, instances: list[RoleInstance]) -> None:
 def _step(
     cz: ControlZone,
     instance: RoleInstance,
-    protocol: Protocol,
     enabled: list[Transition],
     event,
     tag: str,
@@ -157,11 +156,12 @@ def _step(
 
     def emit(schema: MessageSchema) -> Message:
         content = fill_pattern(schema.content_pattern)
-        route = cz.owner, cz.counterpart, cz.journal.conversation_id
+        journal = cz.journal
+        route = journal.me, journal.peer, journal.conversation_id
         return Message(schema.performative, content, schema.language, schema.ontology, *route, tag)
 
     last, records, sent = cascade(
-        protocol, protocol.roles[instance.ref.role], enabled, event, emit, rng
+        instance.protocol, instance.machine, enabled, event, emit, rng
     )
     instance.state = last.to_state
     instance.last_message = sent
@@ -180,36 +180,30 @@ def instantiate_all(
     takers: dict[RoleRef, list[Transition]],
     registry: ProtocolRegistry,
     m0: Message,
-    tag: Callable[[], str],
     rng: Random,
 ) -> ControlZone:
     """Spin up every role that takes the opening message.
 
     ``takers`` maps each such role to its transitions that take m0, as
-    :func:`receiving_roles` matched them.  Each instance handles m0 and
-    deposits its reply in the outbox; a role with no answer to m0 is
-    stopped on the spot.  All survivors are then parked as one batch,
-    waiting for the reply selection to wake the winners.
+    :func:`receiving_roles` matched them.  The zone's journal runs
+    between m0's receiver and its sender, in m0's conversation.  Each
+    instance handles m0 and deposits its reply in the outbox; a role
+    with no answer to m0 is stopped on the spot.  All survivors are
+    then parked as one batch, waiting for the reply selection to wake
+    the winners.
     """
-    cz = ControlZone(
-        owner=m0.receiver,
-        counterpart=m0.sender,
-        journal=Journal(conversation_id=m0.conversation_id),
-        tag=tag,
-    )
-    tag_value = cz.tag()
+    cz = ControlZone(Journal(m0.conversation_id, m0.receiver, m0.sender))
+    tag = cz.journal.tag()
     reception = MessageReception(m0)
     for ref in sorted(takers):
-        protocol = registry[ref.protocol]
-        instance = RoleInstance(ref=ref, state=protocol.roles[ref.role].initial_state)
-        cz.instances[ref] = instance
-        if not _step(cz, instance, protocol, takers[ref], reception, tag_value, rng):
+        instance = cz.instances[ref] = RoleInstance(ref, registry[ref.protocol])
+        if not _step(cz, instance, takers[ref], reception, tag, rng):
             _stop(instance)
     _park(cz, cz.active())
     return cz
 
 
-def feed(cz: ControlZone, registry: ProtocolRegistry, event, rng: Random) -> bool:
+def feed(cz: ControlZone, event, rng: Random) -> bool:
     """Feed one input event to every active instance: the reception of
     an incoming message, or the input a reactivation re-fires.
 
@@ -220,48 +214,39 @@ def feed(cz: ControlZone, registry: ProtocolRegistry, event, rng: Random) -> boo
     True comes back.  When nobody takes it, returns False and touches
     nothing.
     """
-    fired = []
-    for instance in cz.active():
-        protocol = registry[instance.ref.protocol]
-        machine = protocol.roles[instance.ref.role]
-        fired.append((instance, protocol, enabled_for(machine, protocol, instance.state, event)))
-    if not any(enabled for _, _, enabled in fired):
+    fired = [
+        (instance, enabled_for(instance.machine, instance.protocol, instance.state, event))
+        for instance in cz.active()
+    ]
+    if not any(enabled for _, enabled in fired):
         return False
     cz.outbox.clear()
-    tag_value = cz.tag()
-    for instance, protocol, enabled in fired:
+    tag = cz.journal.tag()
+    for instance, enabled in fired:
         if enabled:
-            _step(cz, instance, protocol, enabled, event, tag_value, rng)
+            _step(cz, instance, enabled, event, tag, rng)
         else:
             _stop(instance)
     return True
 
 
-def handle_incoming(
-    cz: ControlZone, registry: ProtocolRegistry, msg: Message, rng: Random
-) -> str | None:
+def handle_incoming(cz: ControlZone, msg: Message, rng: Random) -> str | None:
     """:func:`feed` an incoming message: None when an active instance
     takes it, else the error kind, with nothing touched."""
-    if feed(cz, registry, MessageReception(msg), rng):
+    if feed(cz, MessageReception(msg), rng):
         return None
-    placed = []
-    for instance in cz.active():
-        protocol = registry[instance.ref.protocol]
-        placed.append((protocol.roles[instance.ref.role], protocol, instance.state))
+    placed = [(i.machine, i.protocol, i.state) for i in cz.active()]
     return rejection_kind(placed, msg)
 
 
-def _entry_is_weak(entry: OutboxEntry, registry: ProtocolRegistry) -> bool:
-    machine = registry[entry.ref.protocol].roles[entry.ref.role]
-    return entry.schema_id in weak_schema_ids(machine)
-
-
-def _draw(entries: list[OutboxEntry], registry: ProtocolRegistry, rng: Random) -> OutboxEntry:
+def _draw(cz: ControlZone, entries: list[OutboxEntry], rng: Random) -> OutboxEntry:
     """The reply-selection principle: prefer messages that keep the
     interaction alive, draw by seed within the preferred batch."""
-    sturdy = [e for e in entries if not _entry_is_weak(e, registry)]
-    pool = sturdy or entries
-    return pick(pool, rng)
+    sturdy = [
+        e for e in entries
+        if e.schema_id not in weak_schema_ids(cz.instances[e.ref].machine)
+    ]
+    return pick(sturdy or entries, rng)
 
 
 def _send(cz: ControlZone, chosen: OutboxEntry) -> Message:
@@ -278,13 +263,12 @@ def _send(cz: ControlZone, chosen: OutboxEntry) -> Message:
         instance.activation = ACTIVE
         instance.last_message = chosen.message
         cz.outbox.remove(entry)
-    for record in chosen.records:
-        cz.journal.append(record.method, record.input_event, record.output_events)
+    cz.journal.records.extend(chosen.records)
     cz.last_sent = chosen
     return chosen.message
 
 
-def select_outgoing(cz: ControlZone, registry: ProtocolRegistry, rng: Random) -> Message:
+def select_outgoing(cz: ControlZone, rng: Random) -> Message:
     """Pick this step's reply and :func:`_send` it.
 
     Identical candidates short-circuit: everyone stays active and no
@@ -296,7 +280,7 @@ def select_outgoing(cz: ControlZone, registry: ProtocolRegistry, rng: Random) ->
     first = cz.outbox[0]
     if all(same_signature(first.message, e.message) for e in cz.outbox[1:]):
         return _send(cz, first)
-    return _send(cz, _draw(cz.outbox, registry, rng))
+    return _send(cz, _draw(cz, cz.outbox, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -307,30 +291,28 @@ def select_outgoing(cz: ControlZone, registry: ProtocolRegistry, rng: Random) ->
 def _retag(cz: ControlZone, entry: OutboxEntry) -> OutboxEntry:
     """A replacement goes out as a fresh send: new reply tag, and the
     pending records updated to emit the retagged message."""
-    message = entry.message._replace(reply_with=cz.tag())
+    message = entry.message._replace(reply_with=cz.journal.tag())
     records = tuple(
-        PendingRecord(
-            rec.method,
-            rec.input_event,
-            tuple(
+        rec._replace(
+            output_events=tuple(
                 MessageEmission(message) if isinstance(ev, MessageEmission) else ev
                 for ev in rec.output_events
-            ),
+            )
         )
         for rec in entry.records
     )
-    return OutboxEntry(entry.ref, message, entry.schema_id, records)
+    return entry._replace(message=message, records=records)
 
 
-def handle_error_mixed(
-    cz: ControlZone, registry: ProtocolRegistry, kind: str, rng: Random
-) -> Message | None:
+def handle_error_mixed(cz: ControlZone, kind: str, rng: Random) -> Message | None:
     """React to the counterpart rejecting the last sent message.
 
     The roles behind it are stopped.  A structure complaint voids every
-    same-structure alternate; a content complaint voids the same
-    content pattern and restricts the replacement to the same structure
-    under a different pattern.  The surviving alternates go through the
+    alternate of the failed reply's structure; a content complaint voids
+    the same content pattern and restricts the replacement to the same
+    structure under a different pattern.  Every reply is its schema's
+    fill, so the failed schema's structure test tells the alternates of
+    the same structure.  The surviving alternates go through the
     usual selection; the winner replaces the failed message in the
     journal and is returned for sending.  None means this step has no
     substitute and the caller should wake parked roles instead.
@@ -339,18 +321,15 @@ def handle_error_mixed(
     if failed is None:
         raise ValueError("no sent message to recover from")
     stop_active(cz)
-    failed_pattern = registry[failed.ref.protocol].schema(failed.schema_id).content_pattern
+    failed_schema = cz.instances[failed.ref].protocol.schema(failed.schema_id)
     if kind == WRONG_STRUCTURE:
-        doomed = [
-            e
-            for e in cz.outbox
-            if e.message.structure_key() == failed.message.structure_key()
-        ]
+        doomed = [e for e in cz.outbox if failed_schema.structure_matches(e.message)]
     else:
         doomed = [
             e
             for e in cz.outbox
-            if registry[e.ref.protocol].schema(e.schema_id).content_pattern == failed_pattern
+            if cz.instances[e.ref].protocol.schema(e.schema_id).content_pattern
+            == failed_schema.content_pattern
         ]
     for entry in doomed:
         cz.outbox.remove(entry)
@@ -358,14 +337,10 @@ def handle_error_mixed(
     if kind == WRONG_STRUCTURE:
         eligible = list(cz.outbox)
     else:
-        eligible = [
-            e
-            for e in cz.outbox
-            if e.message.structure_key() == failed.message.structure_key()
-        ]
+        eligible = [e for e in cz.outbox if failed_schema.structure_matches(e.message)]
     if not eligible:
         return None
-    chosen = _retag(cz, _draw(eligible, registry, rng))
+    chosen = _retag(cz, _draw(cz, eligible, rng))
     cz.journal.keep_first(len(cz.journal) - len(failed.records))
     return _send(cz, chosen)  # nothing is active to park
 
@@ -394,12 +369,7 @@ def _next_send_schemas(machine, state: str) -> frozenset[str]:
     )
 
 
-def reactivate(
-    cz: ControlZone,
-    registry: ProtocolRegistry,
-    location: int,
-    offending: Message | None,
-) -> ReactivationPlan:
+def reactivate(cz: ControlZone, location: int, offending: Message | None) -> ReactivationPlan:
     """Wake every instance sharing the highest parking stamp.
 
     The shared journal is rewound (:func:`individual.rewind`) for the
@@ -413,20 +383,17 @@ def reactivate(
     top = max(instance.stamp for instance in pool)
     cohort = [instance for instance in pool if instance.stamp == top]
     counterpart_point, own_point, refire = rewind(
-        cz.journal,
-        [registry[i.ref.protocol].roles[i.ref.role] for i in cohort],
-        location,
-        offending,
+        cz.journal, [i.machine for i in cohort], location, offending
     )
     weak_guard = True
     any_send = False
     for instance in cohort:
-        protocol = registry[instance.ref.protocol]
-        machine = protocol.roles[instance.ref.role]
+        machine = instance.machine
         instance.activation = ACTIVE
         instance.last_message = None
         instance.state = (
-            replay_state(machine, protocol, cz.journal.records) or machine.initial_state
+            replay_state(machine, instance.protocol, cz.journal.records)
+            or machine.initial_state
         )
         sends = _next_send_schemas(machine, instance.state)
         if sends:

@@ -30,7 +30,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, TypeVar
 
-from .errors import CompositeProtocolError, ParseError, UnknownRoleError
+from .errors import CompositeProtocolError, CyclicFatherRelationError, ParseError, UnknownRoleError
 from .patterns import content_matches, shape_matches, validate_pattern
 
 # ---------------------------------------------------------------------------
@@ -143,16 +143,6 @@ class Message(NamedTuple):
     receiver: str
     conversation_id: str
     reply_with: str | None = None
-
-    def structure_key(self) -> tuple:
-        from .patterns import content_shape
-
-        return (
-            self.performative,
-            self.language,
-            self.ontology,
-            content_shape(self.content),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +348,41 @@ def classify_protocol(protocol: Protocol) -> ProtocolCategory:
     )
 
 
+def father_order(protocol: Protocol) -> list[str]:
+    """Participant roles in breadth-first father order.
+
+    A role's father is the role sending its first message; roles fed
+    directly by the initiator sit at the top level.  The declared
+    relation must be a forest over the participant roles.
+    """
+    participants = {m.role_id for m in protocol.participant_roles()}
+    initiator_id = protocol.initiator_role().role_id
+    children: dict[str | None, list[str]] = {}
+    for role_id in sorted(participants):
+        father = protocol.roles[role_id].father
+        if father == initiator_id or father is None:
+            children.setdefault(None, []).append(role_id)
+        elif father in participants:
+            children.setdefault(father, []).append(role_id)
+        else:
+            raise CyclicFatherRelationError(
+                f"{protocol.protocol_id}: father of {role_id} is unknown"
+            )
+    order: list[str] = []
+    frontier = children.get(None, [])
+    while frontier:
+        order.extend(frontier)
+        nxt: list[str] = []
+        for role_id in frontier:
+            nxt.extend(children.get(role_id, []))
+        frontier = nxt
+    if len(order) != len(participants):
+        raise CyclicFatherRelationError(
+            f"{protocol.protocol_id}: father relation is not a forest"
+        )
+    return order
+
+
 class Violation(NamedTuple):
     code: str
     subject: str
@@ -437,6 +462,13 @@ def validate_protocol(protocol: Protocol) -> list[Violation]:
             for t in first:
                 if t.action.kind != "send":
                     bad("bad-first-action", subject, "initiator roles start by sending")
+    # the forest check, once every father names a role
+    if len(initiators) == 1 and not any(v.code == "bad-father" for v in report):
+        try:
+            father_order(protocol)
+        except CyclicFatherRelationError as exc:
+            detail = str(exc).removeprefix(f"{protocol.protocol_id}: ")
+            bad("bad-father", protocol.protocol_id, detail)
     return report
 
 

@@ -115,15 +115,6 @@ def fill_pattern(pattern: Any) -> Any:
     return pattern
 
 
-def content_shape(value: Any) -> Any:
-    """A hashable fingerprint of the tree structure, ignoring leaves."""
-    if isinstance(value, dict):
-        return ("map", tuple(sorted((k, content_shape(v)) for k, v in value.items())))
-    if isinstance(value, list):
-        return ("seq", tuple(content_shape(v) for v in value))
-    return "leaf"
-
-
 def leaf_paths(value: Any) -> list[tuple[Any, ...]]:
     """All leaf positions of a content tree, in a stable sorted order."""
     found: list[tuple[Any, ...]] = []

@@ -215,7 +215,7 @@ def scenario_from_dict(
         compatibility=CompatibilityTable(pairs=frozenset(pairs)),
         faults=tuple(faults),
         exploration=exploration,
-        reply_deadline=_integer(raw, "reply_deadline", 10, where, least=0),
+        reply_deadline=_integer(raw, "reply_deadline", 10, where, least=1),
         max_ticks=_integer(raw, "max_ticks", 200, where, least=1),
     )
     _resolve(scenario)

@@ -277,7 +277,6 @@ def test_criterion_5_recovery_points_oracle_equivalence():
         plain_records, initial, follow = random_journal_graph_instance(rng)
         records = [
             JournalRecord(
-                seq=seq,
                 method=method,
                 input_event=MessageReception(DUMMY) if is_msg else DataChange("v", seq),
             )
@@ -301,9 +300,11 @@ def test_criterion_5_recovery_points_oracle_equivalence():
         ontology="core", sender="c1", receiver="q2", conversation_id="t2/c1",
         reply_with="c1.1",
     )
-    journal = Journal(conversation_id="t2/c1")
-    journal.append("aq-take", MessageReception(ask), (DataChange("q", ask.content),))
-    journal.append("aq-answer", DataChange("q", ask.content), (MessageEmission(tell),))
+    journal = Journal("t2/c1", "c1", "q2")
+    journal.records += [
+        JournalRecord("aq-take", MessageReception(ask), (DataChange("q", ask.content),)),
+        JournalRecord("aq-answer", DataChange("q", ask.content), (MessageEmission(tell),)),
+    ]
     graph = method_graph(registry["attr_probe"].roles["server"])
     assert compute_recovery_points(journal.records, graph) == (1, 1)
     assert clamped_recovery_points(journal.records, graph, location=2) == (1, 1)

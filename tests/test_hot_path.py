@@ -29,9 +29,9 @@ import parley.mixed
 import parley.runtime
 from parley.fixtures import bundled_protocol
 from parley.individual import method_graph
-from parley.joint import ReadyToSelectPayload, assign_roles_1_n, father_order
+from parley.joint import ReadyToSelectPayload, assign_roles_1_n
 from parley.machine import weak_schema_ids
-from parley.model import RESERVED_PERFORMATIVES, RoleRef
+from parley.model import RESERVED_PERFORMATIVES, RoleRef, father_order
 from parley.runtime import WAKE, render_trace
 from parley.scenario import (
     MIXED,

@@ -46,6 +46,7 @@ from parley.journal import (
 )
 from parley.machine import enabled_for_message, rejection_kind
 from parley.model import (
+    RESERVED_PERFORMATIVES,
     Action,
     InteractionModel,
     RECOVER_AT,
@@ -59,8 +60,11 @@ from parley.model import (
     Trigger,
 )
 
+from parley.runtime import WAKE
+from parley.scenario import MIXED, SEQUENTIAL, build_runtime, scenario_from_dict
+
 from .generators import journal_graph_instances
-from .helpers import rewind_runtime
+from .helpers import individual_scenario, rewind_runtime
 from .oracles import oracle_recovery_points
 
 CONV = "t2/c1"
@@ -101,9 +105,11 @@ def server_collection() -> set[RoleRef]:
 
 def server_journal() -> Journal:
     """What the serving agent recorded while enacting attr_query:server."""
-    journal = Journal(conversation_id=CONV)
-    journal.append("aq-take", MessageReception(ASK), (DataChange("q", ASK.content),))
-    journal.append("aq-answer", DataChange("q", ASK.content), (MessageEmission(GOOD_TELL),))
+    journal = Journal(CONV, "c1", "q2")
+    journal.records += [
+        JournalRecord("aq-take", MessageReception(ASK), (DataChange("q", ASK.content),)),
+        JournalRecord("aq-answer", DataChange("q", ASK.content), (MessageEmission(GOOD_TELL),)),
+    ]
     return journal
 
 
@@ -528,7 +534,7 @@ def chain_graph(*methods: str) -> MethodGraph:
 
 def record(seq: int, method: str, is_message: bool) -> JournalRecord:
     input_event = MessageReception(DUMMY) if is_message else DataChange("v", seq)
-    return JournalRecord(seq=seq, method=method, input_event=input_event)
+    return JournalRecord(method=method, input_event=input_event)
 
 
 class TestRecoveryPoints:
@@ -616,14 +622,16 @@ class TestTruncation:
             truncate_own(journal, 4)
 
     def emitting_journal(self) -> Journal:
-        journal = Journal(conversation_id=CONV)
-        journal.append("open", DataChange("task", "t2"), (MessageEmission(ASK),))
-        journal.append("think", DataChange("more", 1), (DataChange("note", 2),))
-        journal.append(
-            "burst",
-            DataChange("more", 2),
-            (MessageEmission(GOOD_TELL), MessageEmission(BAD_TELL)),
-        )
+        journal = Journal(CONV, "q2", "c1")
+        journal.records += [
+            JournalRecord("open", DataChange("task", "t2"), (MessageEmission(ASK),)),
+            JournalRecord("think", DataChange("more", 1), (DataChange("note", 2),)),
+            JournalRecord(
+                "burst",
+                DataChange("more", 2),
+                (MessageEmission(GOOD_TELL), MessageEmission(BAD_TELL)),
+            ),
+        ]
         return journal
 
     def test_counterpart_keeps_through_the_nth_emission(self):
@@ -715,3 +723,31 @@ class TestSequentialRewind:
             replacements.add(recovery["role"])
         # the two seeds start from different servers
         assert replacements == {"rw_a:server", "rw_b:server"}
+
+
+#: performatives of the sends that are no domain message
+NON_DOMAIN = RESERVED_PERFORMATIVES | {WAKE}
+
+
+@pytest.mark.parametrize("mode", [SEQUENTIAL, MIXED])
+def test_reply_tags_are_never_reused(mode):
+    """Each side tags its domain sends ``<sender>.1``, ``<sender>.2``, ...
+    from its journal, so within one conversation the number only grows:
+    across sequential replacements and mixed retags alike."""
+    replacements = 0
+    for seed in range(50):
+        doc = individual_scenario(Random(seed), mode, 8, max_faults=3)
+        trace = build_runtime(scenario_from_dict(doc)).run_until_quiescent()
+        last: dict[tuple[str, str], int] = {}
+        for event in trace:
+            payload = event.payload
+            if event.kind == "recovery" and payload["action"] == "replacement":
+                replacements += 1
+            if event.kind != "send" or payload["performative"] in NON_DOMAIN:
+                continue
+            sender, _, number = payload["tag"].rpartition(".")
+            assert sender == payload["from"] and number.isdigit(), (seed, payload)
+            key = payload["from"], payload["conversation"]
+            assert int(number) > last.get(key, 0), (seed, payload)
+            last[key] = int(number)
+    assert replacements > 50

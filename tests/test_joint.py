@@ -19,7 +19,6 @@ from parley.joint import (
     ReadyToSelectPayload,
     assign_roles_1_n,
     build_candidate_matrix,
-    father_order,
     next_vector,
     offered_roles,
     participant_meta_step,
@@ -36,6 +35,7 @@ from parley.model import (
     Message,
     RoleRef,
     TaskDescription,
+    father_order,
 )
 from parley.runtime import WAKE, AgentBase, SimRuntime
 

@@ -9,6 +9,7 @@ import pytest
 from parley.journal import (
     DataChange,
     Journal,
+    JournalRecord,
     MessageEmission,
     MessageReception,
 )
@@ -18,7 +19,6 @@ from parley.machine import (
     enabled_for_variable,
     replay_state,
     replay_states,
-    sequence_tagger,
     weak_schema_ids,
 )
 from parley.mixed import instantiate_all, select_outgoing
@@ -79,17 +79,9 @@ def _asker_records():
     reply = _msg("tell", {"a": "tall"}, sender="d1", receiver="q1")
     return [
         # method names intentionally off: replay matches on events only
-        mk_record(1, "whatever-1", DataChange("task", "t"), (MessageEmission(ask),)),
-        mk_record(2, "whatever-2", MessageReception(reply), ()),
+        JournalRecord("whatever-1", DataChange("task", "t"), (MessageEmission(ask),)),
+        JournalRecord("whatever-2", MessageReception(reply), ()),
     ]
-
-
-def mk_record(seq, method, input_event, output_events):
-    from parley.journal import JournalRecord
-
-    return JournalRecord(
-        seq=seq, method=method, input_event=input_event, output_events=output_events
-    )
 
 
 def test_replay_follows_events_not_method_names():
@@ -107,7 +99,7 @@ def test_replay_rejects_impossible_histories():
 
 def test_replay_send_must_match_schema_content():
     bad_ask = _msg("ask-one", {"q": 99}, sender="q1", receiver="d1")
-    records = [mk_record(1, "m", DataChange("task", "t"), (MessageEmission(bad_ask),))]
+    records = [JournalRecord("m", DataChange("task", "t"), (MessageEmission(bad_ask),))]
     assert replay_states(ASKER, PROTOCOL, records) == frozenset()
 
 
@@ -142,8 +134,8 @@ def _forked_machine():
 def test_replay_state_recovers_from_greedy_dead_end():
     machine, protocol = _forked_machine()
     records = [
-        mk_record(1, "x", MessageReception(_msg("inform", {"v": "1"})), ()),
-        mk_record(2, "y", MessageReception(_msg("inform", {"w": "2"})), ()),
+        JournalRecord("x", MessageReception(_msg("inform", {"v": "1"})), ()),
+        JournalRecord("y", MessageReception(_msg("inform", {"w": "2"})), ()),
     ]
     # a greedy first match would go to "a" and starve; replay follows
     # every branch, so the b -> c path is found
@@ -214,11 +206,11 @@ def test_the_driver_and_a_zone_fire_one_cascade_rule(seed):
     ref = RoleRef("linger", "server")
     ask = _msg("ask-one", {"q": "height"})
 
-    driver = MachineDriver(ref, registry, Journal("t/x"), sequence_tagger("d1"), "d1", "q1")
+    driver = MachineDriver(ref, registry, Journal("t/x", "d1", "q1"))
     sent = driver.receive(ask, driver.accepting(ask), Random(seed))
     takers = {ref: enabled_for_message(protocol.roles["server"], protocol, "p0", ask)}
-    zone = instantiate_all(takers, registry, ask, sequence_tagger("d1"), Random(seed))
-    assert select_outgoing(zone, registry, Random(seed)) == sent
+    zone = instantiate_all(takers, registry, ask, Random(seed))
+    assert select_outgoing(zone, Random(seed)) == sent
 
     def journaled(journal):
         return [(r.method, r.input_event, r.output_events) for r in journal.records]
@@ -234,19 +226,21 @@ def test_the_driver_and_a_zone_fire_one_cascade_rule(seed):
 
 
 class TestJournal:
-    def test_append_numbers_records(self):
-        journal = Journal(conversation_id="t/d1")
-        r1 = journal.append("m1", DataChange("task", "t"))
-        r2 = journal.append("m2", MessageReception(_msg("tell", {"a": "x"})))
-        assert (r1.seq, r2.seq) == (1, 2)
+    def test_records_and_tags(self):
+        journal = Journal("t/d1", "d1", "q1")
+        r1 = JournalRecord("m1", DataChange("task", "t"))
+        r2 = JournalRecord("m2", MessageReception(_msg("tell", {"a": "x"})))
+        journal.records += [r1, r2]
         assert not r1.input_is_message()
         assert r2.input_is_message()
         assert len(journal) == 2
+        assert [journal.tag(), journal.tag()] == ["d1.1", "d1.2"]
+        journal.keep_first(0)
+        assert journal.tag() == "d1.3"  # a cut journal never reuses a tag
 
     def test_keep_first_removes_only_suffixes(self):
-        journal = Journal(conversation_id="t/d1")
-        for i in range(4):
-            journal.append(f"m{i}", DataChange("v", i))
+        journal = Journal("t/d1", "d1", "q1")
+        journal.records += [JournalRecord(f"m{i}", DataChange("v", i)) for i in range(4)]
         journal.keep_first(2)
         assert [r.method for r in journal.records] == ["m0", "m1"]
         with pytest.raises(ValueError):
@@ -256,7 +250,7 @@ class TestJournal:
 
     def test_emissions_collects_messages_only(self):
         sent = _msg("tell", {"a": "x"}, reply_with="q1.3")
-        record = mk_record(
-            1, "m", DataChange("task", "t"), (MessageEmission(sent), DataChange("n", 2))
+        record = JournalRecord(
+            "m", DataChange("task", "t"), (MessageEmission(sent), DataChange("n", 2))
         )
         assert record.emissions() == (sent,)

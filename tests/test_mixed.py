@@ -16,13 +16,13 @@ import pytest
 from hypothesis import given, settings
 
 from parley.errors import NoViableRoleError
-from parley.fixtures import bundled_registry
+from parley.fixtures import ROOT as FIXTURES, bundled_registry
 from parley.individual import (
     WRONG_CONTENT,
     WRONG_STRUCTURE,
     receiving_roles,
 )
-from parley.journal import DataChange, Journal, MessageEmission, MessageReception
+from parley.journal import DataChange, Journal, JournalRecord, MessageEmission, MessageReception
 from parley.mixed import (
     ACTIVE,
     DEACTIVATED,
@@ -38,7 +38,6 @@ from parley.mixed import (
     select_outgoing,
     stop_active,
 )
-from parley.machine import sequence_tagger
 from parley.model import (
     Action,
     Message,
@@ -50,9 +49,10 @@ from parley.model import (
     Transition,
     Trigger,
 )
+from parley.patterns import fill_pattern
 
 from .generators import message_pairs
-from .oracles import oracle_same_signature, oracle_zone_coherent
+from .oracles import oracle_same_signature, oracle_shape_key, oracle_zone_coherent
 
 GOLDEN_SEED = 51
 SERVER_PROTOCOLS = ("attr_digest", "attr_lookup", "attr_probe", "attr_query")
@@ -90,7 +90,7 @@ def registry():
 def instantiate(collection, registry, rng):
     """Open a zone on ASK, matched once as the responder matches it."""
     takers = receiving_roles(collection, registry, ASK)
-    return instantiate_all(takers, registry, ASK, sequence_tagger("c1"), rng)
+    return instantiate_all(takers, registry, ASK, rng)
 
 
 def fresh_zone(registry, seed: int):
@@ -161,26 +161,26 @@ class TestSelectOutgoing:
         # give-up (sorry/error) must never be the step's message.
         for seed in range(40):
             cz, rng = fresh_zone(registry, seed)
-            selected = select_outgoing(cz, registry, rng)
+            selected = select_outgoing(cz, rng)
             assert selected.performative in {"tell", "insert"}
 
     def test_matching_generators_wake_together(self, registry):
         cz, rng = fresh_zone(registry, GOLDEN_SEED)
-        selected = select_outgoing(cz, registry, rng)
+        selected = select_outgoing(cz, rng)
         assert selected.performative == "tell" and selected.content == {"value": "text"}
         assert [i.ref for i in cz.active()] == [server("attr_probe"), server("attr_query")]
         assert {e.ref.protocol for e in cz.outbox} == {"attr_digest", "attr_lookup"}
 
     def test_selection_journals_one_generators_records(self, registry):
         cz, rng = fresh_zone(registry, GOLDEN_SEED)
-        select_outgoing(cz, registry, rng)
+        select_outgoing(cz, rng)
         methods = [r.method for r in cz.journal.records]
         assert methods in (["ap-take", "ap-answer"], ["aq-take", "aq-answer"])
         assert cz.journal.records[0].input_event == MessageReception(ASK)
 
     def test_initial_selection_burns_no_stamp(self, registry):
         cz, rng = fresh_zone(registry, GOLDEN_SEED)
-        select_outgoing(cz, registry, rng)
+        select_outgoing(cz, rng)
         assert cz.stamp_counter == 1
         assert {i.stamp for i in cz.deactivated()} == {1}
 
@@ -190,18 +190,18 @@ class TestSelectOutgoing:
             rng = Random(seed)
             cz = instantiate(collection, registry, rng)
             only = cz.outbox[0].message
-            assert select_outgoing(cz, registry, rng) == only
+            assert select_outgoing(cz, rng) == only
 
     def test_empty_outbox_is_a_caller_bug(self, registry):
         cz, rng = fresh_zone(registry, GOLDEN_SEED)
         cz.outbox.clear()
         with pytest.raises(ValueError):
-            select_outgoing(cz, registry, rng)
+            select_outgoing(cz, rng)
 
     def test_coherence_holds_after_every_selection(self, registry):
         for seed in range(40):
             cz, rng = fresh_zone(registry, seed)
-            select_outgoing(cz, registry, rng)
+            select_outgoing(cz, rng)
             assert oracle_zone_coherent(cz)
 
     def test_identical_tells_do_wake_pairs_somewhere(self, registry):
@@ -210,7 +210,7 @@ class TestSelectOutgoing:
         paired = False
         for seed in range(40):
             cz, rng = fresh_zone(registry, seed)
-            select_outgoing(cz, registry, rng)
+            select_outgoing(cz, rng)
             paired = paired or len(cz.active()) == 2
         assert paired
 
@@ -329,12 +329,12 @@ class TestReconcile:
 
     def test_unanimous_steps_keep_everyone_active(self):
         cz, registry, rng = self.twin_zone()
-        select_outgoing(cz, registry, rng)
+        select_outgoing(cz, rng)
         assert [i.ref for i in cz.active()] == [server("twin_a"), server("twin_b")]
         assert cz.stamp_counter == 1
         follow_up = msg("ask-one", {"attribute": "size", "document": "d1"}, reply_with="q2.2")
-        assert handle_incoming(cz, registry, follow_up, rng) is None
-        select_outgoing(cz, registry, rng)
+        assert handle_incoming(cz, follow_up, rng) is None
+        select_outgoing(cz, rng)
         assert [i.ref for i in cz.active()] == [server("twin_a"), server("twin_b")]
         assert cz.stamp_counter == 1  # nothing diverged, nothing parked
         assert oracle_zone_coherent(cz)
@@ -342,15 +342,15 @@ class TestReconcile:
     def test_divergent_steps_park_the_losers_with_a_fresh_stamp(self, registry):
         for seed in range(60):
             cz, rng = fresh_zone(registry, seed)
-            select_outgoing(cz, registry, rng)
+            select_outgoing(cz, rng)
             if len(cz.active()) < 2:
                 continue
             follow_up = msg(
                 "ask-one", {"attribute": "size", "document": "d1"}, reply_with="q2.2"
             )
-            assert handle_incoming(cz, registry, follow_up, rng) is None
+            assert handle_incoming(cz, follow_up, rng) is None
             before = [i.ref for i in cz.active()]
-            select_outgoing(cz, registry, rng)
+            select_outgoing(cz, rng)
             assert oracle_zone_coherent(cz)
             parked = [i for i in cz.deactivated() if i.stamp == 2]
             if parked:
@@ -362,13 +362,13 @@ class TestReconcile:
 class TestHandleIncoming:
     def test_message_nobody_takes_reports_without_touching(self, registry):
         cz, rng = fresh_zone(registry, GOLDEN_SEED)
-        select_outgoing(cz, registry, rng)
+        select_outgoing(cz, rng)
         alternates = list(cz.outbox)
         broken = msg("ask-one", {"attribute": 9, "document": "d4"}, reply_with="q2.2")
-        assert handle_incoming(cz, registry, broken, rng) == WRONG_CONTENT
+        assert handle_incoming(cz, broken, rng) == WRONG_CONTENT
         assert cz.outbox == alternates
         alien = msg("yodel", {"la": "hi"}, reply_with="q2.2")
-        assert handle_incoming(cz, registry, alien, rng) == WRONG_STRUCTURE
+        assert handle_incoming(cz, alien, rng) == WRONG_STRUCTURE
 
     def test_the_real_message_stops_roles_it_proves_wrong(self):
         registry = {
@@ -378,10 +378,10 @@ class TestHandleIncoming:
         rng = Random(3)
         collection = {server("twin_a"), server("twin_b")}
         cz = instantiate(collection, registry, rng)
-        select_outgoing(cz, registry, rng)
+        select_outgoing(cz, rng)
         assert len(cz.active()) == 2
         poke = msg("request", {"note": "more"}, reply_with="q2.2")
-        assert handle_incoming(cz, registry, poke, rng) is None
+        assert handle_incoming(cz, poke, rng) is None
         assert statuses(cz) == {"twin_a": STOPPED, "twin_b": ACTIVE}
         assert [e.ref.protocol for e in cz.outbox] == ["twin_b"]
 
@@ -394,8 +394,8 @@ class TestHandleIncoming:
 class TestHandleErrorMixed:
     def test_content_complaint_swaps_in_a_differently_patterned_tell(self, registry):
         cz, rng = fresh_zone(registry, GOLDEN_SEED)
-        select_outgoing(cz, registry, rng)
-        replacement = handle_error_mixed(cz, registry, WRONG_CONTENT, rng)
+        select_outgoing(cz, rng)
+        replacement = handle_error_mixed(cz, WRONG_CONTENT, rng)
         assert replacement is not None
         assert replacement.performative == "tell"
         assert replacement.content == {"value": 7}
@@ -413,8 +413,8 @@ class TestHandleErrorMixed:
 
     def test_structure_complaint_also_voids_same_shaped_alternates(self, registry):
         cz, rng = fresh_zone(registry, GOLDEN_SEED)
-        select_outgoing(cz, registry, rng)
-        replacement = handle_error_mixed(cz, registry, WRONG_STRUCTURE, rng)
+        select_outgoing(cz, rng)
+        replacement = handle_error_mixed(cz, WRONG_STRUCTURE, rng)
         assert replacement is not None
         assert replacement.performative == "insert"
         assert replacement.content == {"fact": "text"}
@@ -430,9 +430,9 @@ class TestHandleErrorMixed:
 
     def test_exhausted_step_returns_nothing(self, registry):
         cz, rng = fresh_zone(registry, GOLDEN_SEED)
-        select_outgoing(cz, registry, rng)
-        handle_error_mixed(cz, registry, WRONG_CONTENT, rng)
-        assert handle_error_mixed(cz, registry, WRONG_CONTENT, rng) is None
+        select_outgoing(cz, rng)
+        handle_error_mixed(cz, WRONG_CONTENT, rng)
+        assert handle_error_mixed(cz, WRONG_CONTENT, rng) is None
         # only the lookup's insert is left, and it has the wrong structure
         assert [e.ref.protocol for e in cz.outbox] == ["attr_lookup"]
         assert statuses(cz)["attr_digest"] == STOPPED
@@ -440,7 +440,7 @@ class TestHandleErrorMixed:
     def test_without_history_there_is_nothing_to_recover(self, registry):
         cz, rng = fresh_zone(registry, GOLDEN_SEED)
         with pytest.raises(ValueError):
-            handle_error_mixed(cz, registry, WRONG_CONTENT, rng)
+            handle_error_mixed(cz, WRONG_CONTENT, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -451,36 +451,31 @@ class TestHandleErrorMixed:
 class TestReactivate:
     def test_golden_run_falls_back_to_the_parked_lookup(self, registry):
         cz, rng = fresh_zone(registry, GOLDEN_SEED)
-        select_outgoing(cz, registry, rng)
-        handle_error_mixed(cz, registry, WRONG_CONTENT, rng)
-        assert handle_error_mixed(cz, registry, WRONG_CONTENT, rng) is None
-        plan = reactivate(cz, registry, location=2, offending=None)
+        select_outgoing(cz, rng)
+        handle_error_mixed(cz, WRONG_CONTENT, rng)
+        assert handle_error_mixed(cz, WRONG_CONTENT, rng) is None
+        plan = reactivate(cz, location=2, offending=None)
         assert plan.refs == (server("attr_lookup"),)
         assert (plan.counterpart_point, plan.own_point) == (1, 1)
         assert plan.restart
         assert not plan.weak_guard
         assert len(cz.journal) == 0
         assert plan.refire == MessageReception(ASK)
-        assert feed(cz, registry, plan.refire, rng)
+        assert feed(cz, plan.refire, rng)
         assert len(cz.outbox) == 1 and cz.outbox[0].ref == server("attr_lookup")
 
     def test_whole_stamp_class_wakes_together(self, registry):
-        cz = ControlZone(
-            owner="c1",
-            counterpart="q2",
-            journal=Journal(conversation_id="t2/c1"),
-            tag=sequence_tagger("c1"),
-        )
+        cz = ControlZone(Journal("t2/c1", "c1", "q2"))
         for pid, stamp in (("attr_digest", 3), ("attr_probe", 3), ("attr_lookup", 1)):
             ref = server(pid)
             cz.instances[ref] = RoleInstance(
-                ref=ref, state="p0", activation=DEACTIVATED, stamp=stamp
+                ref=ref, protocol=registry[pid], activation=DEACTIVATED, stamp=stamp
             )
         stopped_ref = server("attr_query")
         cz.instances[stopped_ref] = RoleInstance(
-            ref=stopped_ref, state="p0", activation=STOPPED
+            ref=stopped_ref, protocol=registry["attr_query"], activation=STOPPED
         )
-        plan = reactivate(cz, registry, location=1, offending=ASK)
+        plan = reactivate(cz, location=1, offending=ASK)
         assert plan.refs == (server("attr_digest"), server("attr_probe"))
         assert cz.instances[server("attr_lookup")].activation == DEACTIVATED
         assert cz.instances[stopped_ref].activation == STOPPED
@@ -491,28 +486,28 @@ class TestReactivate:
         for instance in cz.instances.values():
             instance.activation = STOPPED
         with pytest.raises(NoViableRoleError):
-            reactivate(cz, registry, location=1, offending=ASK)
+            reactivate(cz, location=1, offending=ASK)
 
     def test_waking_into_a_goodbye_raises_the_guard(self):
         registry = {"fading": _one_shot_protocol("fading")}
-        cz = ControlZone(
-            owner="c1",
-            counterpart="q2",
-            journal=Journal(conversation_id="t2/c1"),
-            tag=sequence_tagger("c1"),
-        )
-        cz.journal.append("fading-take", MessageReception(ASK), (DataChange("q", ASK.content),))
+        cz = ControlZone(Journal("t2/c1", "c1", "q2"))
         bye = msg("sorry", {}, sender="c1", receiver="q2", reply_with="c1.1")
-        cz.journal.append("fading-bye", DataChange("q", ASK.content), (MessageEmission(bye),))
+        cz.journal.records += [
+            JournalRecord("fading-take", MessageReception(ASK), (DataChange("q", ASK.content),)),
+            JournalRecord("fading-bye", DataChange("q", ASK.content), (MessageEmission(bye),)),
+        ]
         ref = server("fading")
-        cz.instances[ref] = RoleInstance(ref=ref, state="gone", activation=DEACTIVATED, stamp=1)
-        plan = reactivate(cz, registry, location=2, offending=None)
+        cz.instances[ref] = RoleInstance(
+            ref=ref, protocol=registry["fading"], activation=DEACTIVATED, stamp=1
+        )
+        cz.instances[ref].state = "gone"
+        plan = reactivate(cz, location=2, offending=None)
         assert (plan.counterpart_point, plan.own_point) == (1, 2)
         assert plan.weak_guard  # the only pending reply ends the interaction
         assert not plan.restart
         assert cz.instances[ref].state == "p1"
         assert plan.refire == DataChange("q", ASK.content)
-        assert feed(cz, registry, plan.refire, Random(0))
+        assert feed(cz, plan.refire, Random(0))
         assert [e.message.performative for e in cz.outbox] == ["sorry"]
 
 
@@ -528,20 +523,20 @@ class TestRecoveryBound:
         # role or a stamp class, so it must die out within 2 per role.
         for seed in range(25):
             cz, rng = fresh_zone(registry, seed)
-            select_outgoing(cz, registry, rng)
+            select_outgoing(cz, rng)
             recoveries = 0
             bound = 2 * len(cz.instances)
             while True:
                 recoveries += 1
                 assert recoveries <= bound
-                if handle_error_mixed(cz, registry, WRONG_CONTENT, rng) is not None:
+                if handle_error_mixed(cz, WRONG_CONTENT, rng) is not None:
                     continue
                 try:
-                    plan = reactivate(cz, registry, location=max(len(cz.journal), 1), offending=ASK)
+                    plan = reactivate(cz, location=max(len(cz.journal), 1), offending=ASK)
                 except NoViableRoleError:
                     break
-                if feed(cz, registry, plan.refire, rng) and cz.outbox:
-                    select_outgoing(cz, registry, rng)
+                if feed(cz, plan.refire, rng) and cz.outbox:
+                    select_outgoing(cz, rng)
                 else:
                     stop_active(cz)
             assert not cz.active() and not cz.deactivated()
@@ -552,13 +547,13 @@ class TestRecoveryBound:
 
         for seed in range(25):
             cz, rng = fresh_zone(registry, seed)
-            select_outgoing(cz, registry, rng)
+            select_outgoing(cz, rng)
             assert sent(cz) == 1
             follow_up = msg(
                 "ask-one", {"attribute": "size", "document": "d1"}, reply_with="q2.2"
             )
-            if handle_incoming(cz, registry, follow_up, rng) is None and cz.outbox:
-                select_outgoing(cz, registry, rng)
+            if handle_incoming(cz, follow_up, rng) is None and cz.outbox:
+                select_outgoing(cz, rng)
                 assert sent(cz) == 2
 
 
@@ -579,3 +574,29 @@ def test_signature_agrees_with_the_structure_key_oracle(pair):
         for m in pair
     )
     assert same_signature(a, b) == oracle_same_signature(*pair)
+
+
+def test_a_schema_takes_the_structure_of_exactly_the_fills_that_share_its_own():
+    """Every zone reply is its schema's fill, so error handling asks the
+    failed reply's schema about an alternate's structure.  Over every
+    pair of bundled schemas, that agrees with comparing the two fills'
+    structure fingerprints."""
+    names = sorted(path.stem for path in (FIXTURES / "protocols").glob("*.json"))
+    schemas = [s for p in bundled_registry(*names).values() for s in p.schemas.values()]
+
+    def fill(schema):
+        content = fill_pattern(schema.content_pattern)
+        envelope = schema.performative, content, schema.language, schema.ontology
+        return Message(*envelope, "c1", "q2", "t2/c1")
+
+    def fingerprint(m):
+        return m.performative, m.language, m.ontology, oracle_shape_key(m.content)
+
+    fills = [fill(schema) for schema in schemas]
+    shared = 0
+    for schema, own in zip(schemas, fills):
+        for other_schema, other in zip(schemas, fills):
+            takes = schema.structure_matches(other)
+            assert takes == (fingerprint(own) == fingerprint(other)), (schema, other_schema)
+            shared += takes and other_schema is not schema
+    assert shared > 0

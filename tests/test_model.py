@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parley.cli import main as cli_main
 from parley.errors import CompositeProtocolError, ParseError
 from parley.model import (
     CONTROL_PERFORMATIVES,
@@ -27,6 +28,7 @@ from parley.model import (
     TaskDescription,
     Transition,
     Trigger,
+    Violation,
     classify_protocol,
     compatible,
     load_protocol,
@@ -37,6 +39,7 @@ from parley.model import (
 
 from parley.fixtures import ROOT as FIXTURES, bundled_registry
 from parley.machine import weak_schema_ids
+from parley.scenario import load_protocol_file
 
 from .generators import patterns_and_contents
 from .helpers import one_n_protocol, one_one_n_protocol, one_one_protocol
@@ -209,6 +212,31 @@ class TestValidation:
         )
         codes = {v.code for v in validate_protocol(protocol)}
         assert "bad-first-action" in codes
+
+    @staticmethod
+    def _auction_with_buyer_father(father):
+        doc = json.loads((FIXTURES / "protocols" / "auction.json").read_text(encoding="utf-8"))
+        (buyer,) = [role for role in doc["roles"] if role["role_id"] == "buyer"]
+        buyer["father"] = father
+        return doc
+
+    def test_cyclic_father_relation_refused_when_it_loads(self, tmp_path):
+        # buyer -> manager -> seller -> buyer: no role is fed by the initiator
+        doc = self._auction_with_buyer_father("seller")
+        assert validate_protocol(protocol_from_dict(doc)) == [
+            Violation("bad-father", "auction", "father relation is not a forest")
+        ]
+        path = tmp_path / "cyclic.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ParseError, match="invalid protocol: bad-father"):
+            load_protocol_file(path)
+        assert cli_main(["dump-protocol", str(path)]) == 2
+
+    def test_dangling_father_reported_once(self):
+        doc = self._auction_with_buyer_father("ghost")
+        assert validate_protocol(protocol_from_dict(doc)) == [
+            Violation("bad-father", "auction:buyer", "father 'ghost' is not a role")
+        ]
 
 
 def test_schema_structure_vs_content():

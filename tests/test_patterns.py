@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from parley.patterns import (
     content_matches,
-    content_shape,
     fill_pattern,
     get_leaf,
     leaf_paths,
@@ -94,14 +93,6 @@ def test_fill_always_satisfies_its_pattern(pattern):
     filled = fill_pattern(pattern)
     assert content_matches(pattern, filled)
     assert shape_matches(pattern, filled)
-
-
-def test_shape_fingerprint_hashes_structure_only():
-    a = content_shape({"x": 1, "y": ["a", "b"]})
-    b = content_shape({"y": ["zz", "q"], "x": "other"})
-    assert a == b
-    assert hash(a) == hash(b)
-    assert a != content_shape({"x": 1, "y": ["a"]})
 
 
 def test_leaf_paths_are_stable_and_addressable():

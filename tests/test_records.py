@@ -20,7 +20,6 @@ import pytest
 from parley.individual import InteractionError, MethodGraph
 from parley.joint import CandidateMatrix, OneNSolution
 from parley.journal import DataChange, JournalRecord, MessageEmission, MessageReception
-from parley.machine import PendingRecord
 from parley.mixed import OutboxEntry, ReactivationPlan
 from parley.model import (
     Action,
@@ -71,7 +70,6 @@ RECORDS = (
     Scenario,
     TaskSummary,
     RunSummary,
-    PendingRecord,
     OutboxEntry,
     ReactivationPlan,
 )

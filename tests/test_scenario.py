@@ -154,6 +154,9 @@ class TestParsing:
             ),
             (lambda raw: raw.update(seed="abc"), "seed: expected an integer"),
             (lambda raw: raw.update(max_ticks=0), "max_ticks must be at least 1"),
+            # a round's wake comes before the replies of its own tick, so a
+            # deadline of 0 would close every round with no reply
+            (lambda raw: raw.update(reply_deadline=0), "reply_deadline must be at least 1"),
             (lambda raw: raw["tasks"][0].update(id=["x"]), "task: id: expected a string"),
             (
                 lambda raw: raw.update(faults=[{"conversation": 5, "ordinal": 1, "op": "x"}]),
@@ -210,6 +213,7 @@ class TestParsing:
             "list-participants",
             "text-seed",
             "zero-ticks",
+            "zero-reply-deadline",
             "list-task-id",
             "number-fault-conversation",
             "unqualified-compatibility-role",
