@@ -133,11 +133,12 @@ class _Round:
         self,
         number: int,
         protocol: str | None = None,
-        agents: tuple[str, ...] = (),
+        agents: frozenset[str] = frozenset(),
         broadcast: bool = False,
     ) -> None:
         self.number = number
         self.protocol = protocol
+        #: the agents called, a set so that admitting a reply is one lookup
         self.agents = agents
         self.broadcast = broadcast
         #: agent -> the offer its ready-to-select made, None for an offer
@@ -157,6 +158,10 @@ class JointInitiator(AgentBase):
     (largest backing set, or an allocation along the father forest).
     Either way a round closes once everyone called answered or the
     reply deadline hit.
+
+    The work per reply does not grow with the fan-out: a reply is
+    admitted by one set lookup, and repliers with equal models send one
+    shared ready-to-select content, which is read once.
     """
 
     def __init__(
@@ -182,9 +187,9 @@ class JointInitiator(AgentBase):
         self.round = _Round(number=0)
         #: the calls of the vector still to make: (protocol, agents, broadcast)
         self.pending: list[tuple[str, tuple[str, ...], bool]] = []
-        #: the role strings of each well-formed offer read -> its payload;
-        #: repliers with equal models send equal offers
-        self.offers_read: dict[tuple[str, ...], ReadyToSelectPayload | None] = {}
+        #: id of each well-formed ready-to-select content read -> that
+        #: content, held so that its id is not reused, and its offer
+        self.offers_read: dict[int, tuple[dict, ReadyToSelectPayload | None]] = {}
 
     # -- plumbing ----------------------------------------------------------
 
@@ -199,15 +204,16 @@ class JointInitiator(AgentBase):
     def _read_offer(self, content) -> ReadyToSelectPayload | None:
         """The offer of a ready-to-select's content, None when it lists no
         role; ValueError or ParseError unless its roles are a list of
-        distinct ``protocol:role`` strings."""
+        distinct ``protocol:role`` strings.  A content is never changed
+        once sent, so each well-formed content object is read once."""
+        read = self.offers_read.get(id(content))
+        if read is not None:
+            return read[1]
         roles = content.get("roles", []) if isinstance(content, dict) else None
         if not isinstance(roles, list) or not all(isinstance(r, str) for r in roles):
             raise ValueError(f"roles must be a list of 'protocol:role' strings, not {roles!r}")
-        key = tuple(roles)
-        if key in self.offers_read:
-            return self.offers_read[key]
         offer = ReadyToSelectPayload(tuple(RoleRef.parse(r) for r in roles)) if roles else None
-        self.offers_read[key] = offer
+        self.offers_read[id(content)] = (content, offer)
         return offer
 
     # -- lifecycle ---------------------------------------------------------
@@ -220,7 +226,8 @@ class JointInitiator(AgentBase):
             "matrix",
             protocols=list(self.matrix.protocols),
             agents=list(self.matrix.agents),
-            cells=sorted(list(cell) for cell in self.matrix.cells),
+            # the rows come in protocol order, each in agent order: sorted cells
+            cells=[[p, a] for p, row in self.matrix.rows.items() for a in row],
         )
         self._advance_vector(rt)
 
@@ -248,7 +255,7 @@ class JointInitiator(AgentBase):
             return
         protocol_id, agents, broadcast = self.pending.pop(0)
         number = self.round.number + 1
-        self.round = _Round(number, protocol_id, agents, broadcast)
+        self.round = _Round(number, protocol_id, frozenset(agents), broadcast)
         # one content for the whole call: message contents are never changed
         call = {"protocol": protocol_id, "task": self.task.task_id}
         for agent in agents:
@@ -273,7 +280,7 @@ class JointInitiator(AgentBase):
                 notices[agent] = {"role": str(ref)}
                 kind, protocol_id = "one-one", ref.protocol
                 fields = {"agent": agent, "protocol": ref.protocol, "role": str(ref)}
-            stopped = set(round_.agents) - round_.refused
+            stopped = round_.agents - round_.refused
         else:
             replies = round_.replies
             protocol = self.registry[round_.protocol]
@@ -364,8 +371,8 @@ class SelectionParticipant(AgentBase):
         self.pending: dict[str, tuple[RoleRef, ...]] = {}
         #: protocol id -> the roles offered for it and the ready-to-select
         #: content listing them.  Every input of an offer but the model is
-        #: fixed per runtime, so the participants of one runtime with equal
-        #: models share this dict, and so one content for all their offers.
+        #: fixed per runtime, so the participants of one runtime with one
+        #: model share this dict, and so one content for all their offers.
         self.offers = offers
 
     def _offer(self, protocol_id: str) -> tuple[tuple[RoleRef, ...], dict]:

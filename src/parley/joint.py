@@ -51,17 +51,25 @@ from .model import (
 
 
 class CandidateMatrix(NamedTuple):
-    """Protocol x agent incidence for one task."""
+    """Protocol x agent incidence for one task.
+
+    Every row and every column is listed once, when the matrix is built,
+    so reading one, or the number of its cells, does not scan the matrix.
+    The cells are the (protocol_id, agent_id) pairs of the rows.
+    """
 
     protocols: tuple[str, ...]
     agents: tuple[str, ...]
-    cells: frozenset[tuple[str, str]]  # (protocol_id, agent_id)
+    #: protocol id -> the agents of its row, in agent order
+    rows: dict[str, tuple[str, ...]]
+    #: agent id -> the protocols of its column, in protocol order
+    columns: dict[str, tuple[str, ...]]
 
     def row(self, protocol_id: str) -> tuple[str, ...]:
-        return tuple(a for a in self.agents if (protocol_id, a) in self.cells)
+        return self.rows.get(protocol_id, ())
 
     def column(self, agent_id: str) -> tuple[str, ...]:
-        return tuple(p for p in self.protocols if (p, agent_id) in self.cells)
+        return self.columns.get(agent_id, ())
 
 
 def build_candidate_matrix(
@@ -72,17 +80,18 @@ def build_candidate_matrix(
     ``task.participants`` maps protocol_id to the agents the initiator
     believes can enact a participant role of that protocol.
     """
-    protocol_ids = sorted(p.protocol_id for p, _ in candidates)
-    cells = set()
-    agents: set[str] = set()
-    for protocol_id in protocol_ids:
-        for agent in task.participants.get(protocol_id, ()):  # unknown rows stay empty
-            cells.add((protocol_id, agent))
-            agents.add(agent)
+    protocol_ids = sorted({p.protocol_id for p, _ in candidates})
+    # unknown rows stay empty
+    rows = {p: tuple(sorted(set(task.participants.get(p, ())))) for p in protocol_ids}
+    columns: dict[str, list[str]] = {}
+    for protocol_id, row in rows.items():
+        for agent in row:
+            columns.setdefault(agent, []).append(protocol_id)
     return CandidateMatrix(
         protocols=tuple(protocol_ids),
-        agents=tuple(sorted(agents)),
-        cells=frozenset(cells),
+        agents=tuple(sorted(columns)),
+        rows=rows,
+        columns={agent: tuple(protocols) for agent, protocols in columns.items()},
     )
 
 
@@ -97,11 +106,9 @@ def next_vector(
     most cells.  Ties break on the lexicographically smaller label;
     vectors without any cell are never worth exploring."""
     if mode == PROTOCOL_ORIENTED:
-        labels = matrix.protocols
-        count = lambda label: len(matrix.row(label))  # noqa: E731
+        labels, vectors = matrix.protocols, matrix.rows
     elif mode == AGENT_ORIENTED:
-        labels = matrix.agents
-        count = lambda label: len(matrix.column(label))  # noqa: E731
+        labels, vectors = matrix.agents, matrix.columns
     else:
         raise ValueError(f"unknown exploration mode {mode!r}")
     best: str | None = None
@@ -109,7 +116,7 @@ def next_vector(
     for label in labels:
         if label in explored:
             continue
-        n = count(label)
+        n = len(vectors[label])
         if n > best_count or (n == best_count and n > 0 and (best is None or label < best)):
             best, best_count = label, n
     return best
@@ -171,6 +178,11 @@ def offered_roles(
     return tuple(usable)
 
 
+#: reason -> the one unable-to-select content sent for it; message
+#: contents are never changed, so every refusal for a reason shares it
+_UNABLE = {reason: {"reason": reason} for reason in ("malformed-call", "unwilling", "no-role")}
+
+
 def participant_meta_step(
     offered: tuple[RoleRef, ...],
     incoming: Message,
@@ -196,12 +208,12 @@ def participant_meta_step(
         content = incoming.content if isinstance(incoming.content, dict) else {}
         protocol_id = content.get("protocol")
         if not isinstance(protocol_id, str) or protocol_id not in registry:
-            return offered, [(UNABLE_TO_SELECT, {"reason": "malformed-call"})]
+            return offered, [(UNABLE_TO_SELECT, _UNABLE["malformed-call"])]
         if not willing:
-            return offered, [(UNABLE_TO_SELECT, {"reason": "unwilling"})]
+            return offered, [(UNABLE_TO_SELECT, _UNABLE["unwilling"])]
         roles, ready = offer(protocol_id)
         if not roles:
-            return offered, [(UNABLE_TO_SELECT, {"reason": "no-role"})]
+            return offered, [(UNABLE_TO_SELECT, _UNABLE["no-role"])]
         return roles, [(READY_TO_SELECT, ready)]
     if performative == NOTIFY_ASSIGNMENT:
         if not offered:

@@ -7,6 +7,13 @@ the seed.  Parsing loads the protocols once and resolves every cross
 reference up front, so a typo fails loudly instead of producing a
 silently empty run, and a parsed scenario runs from any directory.
 
+In an open system many agents enact the same roles, so the work that
+depends only on an agent's ``enacts`` is done once per distinct value:
+agents whose ``enacts`` objects are equal share one checked
+:class:`InteractionModel` (see ``_interaction_model`` for what counts
+as equal), ``_resolve`` checks each model once, in agent order, and
+the participants of one model share one offers table.
+
 Parsing builds many small objects (the JSON document, the protocols,
 the records) and no reference cycles, so every automatic collection
 started while parsing would scan young objects and free nothing.
@@ -106,6 +113,39 @@ def _names_by_key(raw: dict, key: str, where: str) -> dict[str, tuple[str, ...]]
     return {name: _names(names, f"{where}: {name}") for name, names in mapping.items()}
 
 
+#: the only value type of an ``enacts`` object that gets a sharing key
+_ARRAY = frozenset({list})
+
+
+def _interaction_model(
+    entry: dict, at: str, models: dict[tuple, InteractionModel]
+) -> InteractionModel:
+    """The checked model of an agent's ``enacts``, one per distinct value.
+
+    ``models`` maps the sharing key of each ``enacts`` checked so far to
+    its model.  Only an object whose every value is exactly an array has
+    a key, and equal keys are equal objects of equal arrays, so a hit is
+    a value that passed the check.  Anything else (a role list given as
+    an object or as a string, say) takes the checked path, whatever
+    agents came before.
+    """
+    enacts = entry.get("enacts", {})
+    key = None
+    if type(enacts) is dict and set(map(type, enacts.values())) <= _ARRAY:
+        key = tuple(zip(enacts, map(tuple, enacts.values())))  # (protocol, roles) pairs
+        try:
+            return models[key]
+        except KeyError:
+            pass
+        except TypeError:  # an unhashable role name, which the check refuses
+            key = None
+    names = _names_by_key(entry, "enacts", at)
+    model = InteractionModel({p: frozenset(roles) for p, roles in names.items()})
+    if key is not None:
+        models[key] = model
+    return model
+
+
 def _integer(raw: dict, key: str, default: int, where: str, least: int | None = None) -> int:
     value = _typed(raw.get(key, default), int, where, key)
     if least is not None and value < least:
@@ -141,6 +181,7 @@ def scenario_from_dict(
     if exploration not in (PROTOCOL_ORIENTED, AGENT_ORIENTED):
         raise ParseError(f"{where}: unknown exploration {exploration!r}")
     agents = []
+    models: dict[tuple, InteractionModel] = {}  # see _interaction_model
     for entry in _require(raw, "agents", where, list):
         agent_id = _require(entry, "id", f"{where}: agent", str)
         behavior = entry.get("behavior", "auto")
@@ -148,11 +189,10 @@ def scenario_from_dict(
             raise ParseError(f"{where}: agent {agent_id}: unknown behavior {behavior!r}")
         at = f"{where}: agent {agent_id}"
         _known(entry, _AGENT_KEYS, at)
-        enacts = _names_by_key(entry, "enacts", at)
         agents.append(
             AgentSpec(
                 agent_id=agent_id,
-                model=InteractionModel({p: frozenset(roles) for p, roles in enacts.items()}),
+                model=_interaction_model(entry, at, models),
                 willing=_typed(entry.get("willing", True), bool, at, "willing"),
                 behavior=behavior,
             )
@@ -277,7 +317,11 @@ def _resolve(scenario: Scenario) -> None:
     silent = {spec.agent_id for spec in scenario.agents if spec.behavior == SILENT}
     if len(ids) != len(scenario.agents):
         raise ParseError(f"{scenario.scenario_id}: duplicate agent ids")
+    checked: set[InteractionModel] = set()  # agents with equal enacts share a model
     for spec in scenario.agents:
+        if spec.model in checked:
+            continue
+        checked.add(spec.model)
         for protocol_id, roles in spec.model.entries.items():
             if protocol_id not in registry:
                 raise UnresolvedReferenceError(
@@ -362,8 +406,9 @@ def build_runtime(scenario: Scenario) -> SimRuntime:
     for fault in scenario.faults:
         runtime.inject_fault(fault)
     initiators = {task.initiator: task for task in scenario.tasks}
-    # participants with equal interaction models offer the same roles
-    offers: dict[frozenset, dict[str, tuple[tuple[RoleRef, ...], dict]]] = {}
+    # participants with one interaction model (agents with equal enacts
+    # share one) offer the same roles, so they share one offers table
+    offers: dict[InteractionModel, dict[str, tuple[tuple[RoleRef, ...], dict]]] = {}
     for spec in scenario.agents:
         if spec.behavior == SILENT:
             runtime.register(SilentAgent(spec.agent_id))
@@ -386,7 +431,7 @@ def build_runtime(scenario: Scenario) -> SimRuntime:
                 runtime.register(IndividualInitiator(spec.agent_id, task, model, registry))
             continue
         if scenario.selection_mode == JOINT:
-            shared = offers.setdefault(frozenset(model.entries.items()), {})
+            shared = offers.setdefault(model, {})
             runtime.register(
                 SelectionParticipant(spec.agent_id, model, registry, table, spec.willing, shared)
             )

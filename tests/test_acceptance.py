@@ -108,7 +108,7 @@ def test_criterion_1_candidate_matrix_incidences():
     expected_cells = {("ips", a) for a in ("d1", "d2", "d4", "d5", "d7")} | {
         ("request", a) for a in ("d3", "d4", "d5", "d7")
     }
-    assert matrix.cells == frozenset(expected_cells)
+    assert {(p, a) for p, row in matrix.rows.items() for a in row} == expected_cells
     assert matrix.protocols == ("ips", "request")
     assert matrix.agents == ("d1", "d2", "d3", "d4", "d5", "d7")
     # five incidences beat four: the densest row is explored first

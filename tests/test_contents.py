@@ -7,8 +7,9 @@ after it is sent: the first test deep-copies every content as it is
 noted and compares it with its copy once the run is over.  The second
 pins, by count, that a broadcast call is one content for all its
 receivers, that participants with equal models answer it with one
-ready-to-select object, and that an initiator reads each distinct offer
-once.
+ready-to-select object, that every refusal for one reason is one
+unable-to-select object, and that an initiator reads each distinct
+offer content once.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ from random import Random
 import pytest
 
 import parley.agents
-from parley.fixtures import scenario_path
+from parley.fixtures import bundled_protocol, scenario_path
+from parley.joint import participant_meta_step
+from parley.model import CALL_FOR_COLLABORATION, UNABLE_TO_SELECT, Message, RoleRef
 from parley.runtime import SimRuntime
 from parley.scenario import (
     MIXED,
@@ -105,6 +108,28 @@ def test_a_broadcast_and_equal_offers_share_one_content():
     # one notice per role picked by largest set, one stop content per close
     assert objects("notify-assignment") == (93, 15)
     assert objects("stop-selection") == (72, 3)
+    # one refusal content per reason: every refusal here is an unwilling one
+    assert objects("unable-to-select") == (18, 1)
+
+
+@pytest.mark.parametrize(
+    "content, willing, roles, reason",
+    [
+        ({"task": "t1"}, True, (RoleRef("ips", "replier"),), "malformed-call"),
+        ({"protocol": "ips", "task": "t1"}, False, (RoleRef("ips", "replier"),), "unwilling"),
+        ({"protocol": "ips", "task": "t1"}, True, (), "no-role"),
+    ],
+    ids=["malformed-call", "unwilling", "no-role"],
+)
+def test_a_refusal_sends_one_content_per_reason(content, willing, roles, reason):
+    registry = {"ips": bundled_protocol("ips")}
+    sent = []
+    for agent in ("d1", "d2"):
+        call = Message(CALL_FOR_COLLABORATION, dict(content), "kv", "core", "q1", agent, "t1!select")
+        _, replies = participant_meta_step((), call, registry, willing, lambda _: (roles, {}))
+        assert replies == [(UNABLE_TO_SELECT, {"reason": reason})]
+        sent.append(replies[0][1])
+    assert sent[0] is sent[1]
 
 
 def test_an_initiator_reads_each_distinct_offer_once(monkeypatch):
@@ -123,8 +148,11 @@ def test_an_initiator_reads_each_distinct_offer_once(monkeypatch):
         sent[e.payload["seq"]] for e in trace
         if e.kind == "deliver" and e.payload["performative"] == "ready-to-select"
     ]
-    distinct = {(p["to"], tuple(p["content"]["roles"])) for p in read}
-    assert (len(read), len(distinct), len(made)) == (165, 24, 24)
+    # each initiator reads each content object once, not each role list:
+    # repliers with different models may send equal lists in two objects
+    distinct = {(p["to"], id(p["content"])) for p in read}
+    assert len({(p["to"], tuple(p["content"]["roles"])) for p in read}) == 24
+    assert (len(read), len(distinct), len(made)) == (165, 68, 68)
     # the offers read go with their initiators: none outlives the run
     del trace, sent, read
     gc.collect()

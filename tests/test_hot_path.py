@@ -3,8 +3,11 @@
 Counted, not timed: the matcher is wrapped and every call recorded, so
 a handler that matches the same delivery against the same role twice
 shows up as a repeated call.  The same holds for the joint side: a
+scenario's ``enacts`` objects are read once per distinct value, a
 participant's offer is computed once per interaction model and
-protocol, and a role allocation runs a bounded number of matchings
+protocol, an initiator parses each distinct offer content once, the
+name comparisons that admit a reply do not grow with the size of the
+call, and a role allocation runs a bounded number of matchings
 whatever the size of the pool.  The lifetime checks drop a finished run
 and require its machines and agents to be collected, which rules out
 any cache that holds on to them from module level, and require that
@@ -27,11 +30,19 @@ import parley.joint
 import parley.machine
 import parley.mixed
 import parley.runtime
+import parley.scenario
+from parley.agents import SelectionParticipant
 from parley.fixtures import bundled_protocol
 from parley.individual import method_graph
 from parley.joint import ReadyToSelectPayload, assign_roles_1_n
 from parley.machine import weak_schema_ids
-from parley.model import RESERVED_PERFORMATIVES, RoleRef, father_order
+from parley.model import (
+    READY_TO_SELECT,
+    RESERVED_PERFORMATIVES,
+    UNABLE_TO_SELECT,
+    RoleRef,
+    father_order,
+)
 from parley.runtime import WAKE, render_trace
 from parley.scenario import (
     MIXED,
@@ -161,6 +172,111 @@ def test_an_offer_is_computed_once_per_model_and_protocol(monkeypatch):
     )
     assert calls_for_collaboration > 5 * len(calls)
     assert max(calls.values()) == 1
+
+
+def test_each_distinct_enacts_is_read_and_wired_once(monkeypatch):
+    """Agents with equal ``enacts`` share one checked model, and the
+    participants of one model share one offers table."""
+    original = parley.scenario._names_by_key
+    read: Counter = Counter()
+
+    def counted(raw, key, where):
+        read[key] += 1
+        return original(raw, key, where)
+
+    monkeypatch.setattr(parley.scenario, "_names_by_key", counted)
+    doc = joint_fanout_scenario(Random(11), 12, 400, 100)
+    distinct = {json.dumps(agent["enacts"]) for agent in doc["agents"]}
+    assert len(doc["agents"]) > 20 * len(distinct)
+    scenario = scenario_from_dict(doc)
+    assert read["enacts"] == len(distinct)
+    assert len({id(spec.model) for spec in scenario.agents}) == len(distinct)
+    runtime = build_runtime(scenario)
+    participants = [a for a in runtime.agents.values() if isinstance(a, SelectionParticipant)]
+    assert len({id(a.offers) for a in participants}) == len({id(a.model) for a in participants})
+
+
+def test_an_initiator_parses_each_distinct_offer_content_once(monkeypatch):
+    made = [0]
+    original = parley.agents.ReadyToSelectPayload
+
+    def counted(roles):
+        made[0] += 1
+        return original(roles)
+
+    handle = parley.agents.JointInitiator.on_message
+    parsed: set[tuple] = set()  # (initiator, id of the content) of each parse
+    offers = 0
+
+    def tracked(initiator, rt, msg):
+        nonlocal offers
+        before = made[0]
+        handle(initiator, rt, msg)
+        if msg.performative == READY_TO_SELECT:
+            offers += 1
+            key = (initiator.name, id(msg.content))
+            assert made[0] - before <= (key not in parsed)
+            if made[0] > before:
+                parsed.add(key)
+        else:
+            assert made[0] == before
+
+    monkeypatch.setattr(parley.agents, "ReadyToSelectPayload", counted)
+    monkeypatch.setattr(parley.agents.JointInitiator, "on_message", tracked)
+    scenario = scenario_from_dict(joint_fanout_scenario(Random(11), 12, 400, 100))
+    runtime = build_runtime(scenario)
+    trace = runtime.run_until_quiescent()
+    assert {t.outcome for t in summarize(scenario, runtime, trace).tasks} == {"selected"}
+    sent = {e.payload["seq"]: e.payload for e in trace if e.kind == "send"}
+    distinct = {
+        (sent[e.payload["seq"]]["to"], id(sent[e.payload["seq"]]["content"]))
+        for e in trace
+        if e.kind == "deliver" and e.payload["performative"] == READY_TO_SELECT
+    }
+    assert made[0] == len(parsed) == len(distinct)
+    assert offers > 5 * made[0]
+
+
+def _admission_comparisons(fanout: int, monkeypatch) -> list[int]:
+    """The agent-name comparisons made by each reply an initiator takes
+    without closing its round (closing arbitrates, and that is counted
+    elsewhere).  Participants get names that count every comparison."""
+    compared = [0]
+
+    class CountedName(str):
+        __hash__ = str.__hash__
+
+        def __eq__(self, other):
+            compared[0] += 1
+            return str.__eq__(self, other)
+
+    scenario = scenario_from_dict(joint_fanout_scenario(Random(3), 6, 2 * fanout, fanout))
+    scenario = scenario._replace(agents=tuple(
+        spec._replace(agent_id=CountedName(spec.agent_id)) if spec.agent_id[0] == "p" else spec
+        for spec in scenario.agents
+    ))
+    handle = parley.agents.JointInitiator.on_message
+    per_reply: list[int] = []
+
+    def tracked(initiator, rt, msg):
+        round_, compared[0] = initiator.round, 0
+        handle(initiator, rt, msg)
+        if msg.performative in (READY_TO_SELECT, UNABLE_TO_SELECT) and initiator.round is round_:
+            per_reply.append(compared[0])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(parley.agents.JointInitiator, "on_message", tracked)
+        runtime = build_runtime(scenario)
+        trace = runtime.run_until_quiescent()
+    assert {t.outcome for t in summarize(scenario, runtime, trace).tasks} == {"selected"}
+    return per_reply
+
+
+def test_admitting_a_reply_does_not_grow_with_the_call(monkeypatch):
+    small = _admission_comparisons(40, monkeypatch)
+    large = _admission_comparisons(160, monkeypatch)
+    assert len(large) > 3 * len(small) > 0
+    assert max(large) == max(small) <= 1
 
 
 @pytest.mark.parametrize("pool", [20, 200])

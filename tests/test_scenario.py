@@ -244,6 +244,51 @@ class TestParsing:
         assert cli_main(["run", str(path)]) == 2
         assert capsys.readouterr().err.count(complaint) == 2
 
+    @pytest.mark.parametrize(
+        "earlier, later, complaint",
+        [
+            (["replier"], {"replier": True}, "agent copy: enacts: ips: expected a JSON array"),
+            ([], "", "agent copy: enacts: ips: expected a JSON array"),
+            (["replier"], [["replier"]], "agent copy: enacts: ips[0]: expected a string"),
+        ],
+        ids=["object-role-list", "string-role-list", "nested-role-list"],
+    )
+    def test_an_enacts_like_an_earlier_one_is_still_checked(
+        self, earlier, later, complaint, tmp_path, capsys
+    ):
+        """Agents with equal ``enacts`` share one checked model.  A role
+        list given as an object, as a string or with an array inside is
+        refused with the error it gets alone, even after an agent whose
+        valid role list has the same elements (the keys of the object, the
+        characters of the string, the roles inside the inner array)."""
+        messages = []
+        for before in ([], [{"id": "first", "enacts": {"ips": earlier}}]):
+            raw = minimal_raw()
+            raw["agents"] += before + [{"id": "copy", "enacts": {"ips": later}}]
+            path = tmp_path / f"odd{len(before)}.json"
+            path.write_text(json.dumps(raw), encoding="utf-8")
+            with pytest.raises(ParseError) as caught:
+                parse_scenario(path)
+            messages.append(str(caught.value).replace(str(path), "<path>"))
+            assert cli_main(["validate", str(path)]) == 2
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(f"<path>: {complaint}")
+        assert capsys.readouterr().err.count(complaint) == 2
+
+    def test_agents_with_equal_enacts_share_one_model(self):
+        raw = minimal_raw(protocols=["ips", "request"])
+        raw["agents"] += [
+            {"id": "twin", "enacts": {"ips": ["replier"]}},
+            {"id": "wider", "enacts": {"ips": ["replier"], "request": []}},
+            {"id": "reordered", "enacts": {"request": [], "ips": ["replier"]}},
+        ]
+        models = {spec.agent_id: spec.model for spec in scenario_from_dict(raw).agents}
+        assert models["twin"] is models["helper"]
+        assert models["wider"] is not models["helper"]
+        # the same object in another key order is checked on its own
+        assert models["reordered"] is not models["wider"]
+        assert models["reordered"].entries == models["wider"].entries
+
     def test_a_tick_budget_below_one_on_the_command_line_is_a_parse_error(self, capsys):
         assert cli_main(["run", "t1_joint", "--max-ticks", "0"]) == 2
         assert "--max-ticks must be at least 1" in capsys.readouterr().err
@@ -265,6 +310,12 @@ class TestResolution:
         raw = minimal_raw()
         raw["agents"][1]["enacts"]["ips"] = ["king"]
         with pytest.raises(UnresolvedReferenceError):
+            parse_scenario(self._write(tmp_path, raw))
+
+    def test_a_bad_model_of_many_agents_is_named_by_the_first(self, tmp_path):
+        raw = minimal_raw()
+        raw["agents"] += [{"id": f"k{i}", "enacts": {"ips": ["king"]}} for i in range(3)]
+        with pytest.raises(UnresolvedReferenceError, match="^agent k0: no role ips:king$"):
             parse_scenario(self._write(tmp_path, raw))
 
     def test_unknown_initiator(self, tmp_path):
