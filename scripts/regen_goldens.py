@@ -15,10 +15,11 @@ reruns every scenario and its narrative check but writes nothing: it
 compares the fresh trace and summary with the frozen files byte for
 byte, prints the first line that differs, and exits 1 on any
 difference.  It also renders every path of ``render_trace`` (the
-templated send and deliver lines, the spliced payloads, the as_dict
-fallbacks and the errors) and each fresh trace against one
-``json.dumps`` per event.  It needs only the standard library, so any
-Python the package supports can run it.
+templated send and deliver records, the spliced dict payloads, the
+as_dict fallbacks and the errors), with the C encoder and without it,
+and each fresh trace against one ``json.dumps`` per event.  It needs
+only the standard library, so any Python the package supports can run
+it.
 """
 
 from __future__ import annotations
@@ -32,12 +33,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from parley.fixtures import scenario_path  # noqa: E402
-from parley.runtime import (  # noqa: E402
-    _DELIVER_FIELDS,
-    _SEND_FIELDS,
-    TraceEvent,
-    render_trace,
-)
+from parley import runtime  # noqa: E402
+from parley.model import Message  # noqa: E402
+from parley.runtime import Delivered, Sent, TraceEvent, render_trace  # noqa: E402
 from parley.scenario import parse_scenario, run_scenario  # noqa: E402
 
 DATA = ROOT / "tests" / "data"
@@ -182,26 +180,65 @@ def dumps_per_event(events) -> str:
     return "".join(json.dumps({"tick": t, "kind": k, **p}) + "\n" for t, k, p in events)
 
 
+def render_without_c_encoder(trace) -> str:
+    """render_trace as it runs where json has no C encoder."""
+    make = runtime.c_make_encoder
+    runtime.c_make_encoder = None
+    try:
+        return render_trace(trace)
+    finally:
+        runtime.c_make_encoder = make
+
+
 def render_problems() -> list[str]:
-    """Each path of render_trace against one json.dumps per event: the
-    same bytes, or the same exception type and message."""
+    """Each path of render_trace, with and without the C encoder, against
+    one json.dumps per event: the same bytes, or the same exception type
+    and message."""
     loop: list = []
     loop.append({"again": loop})
-    send = dict(zip(_SEND_FIELDS, (4, "src", "sink", "c", "inform", "m.1", {"x": [1, 0.5]})))
-    deliver = dict(zip(_DELIVER_FIELDS, (4, "src", "sink", "c", "inform")))
+    message = Message("inform", {"x": [1, 0.5]}, "kv", "core", "src", "sink", "c", "m.1")
+    send = {"seq": 4, "from": "src", "to": "sink", "conversation": "c",
+            "performative": "inform", "tag": "m.1", "content": {"x": [1, 0.5]}}
+    deliver = {k: send[k] for k in ("seq", "from", "to", "conversation", "performative")}
+
+    def sent(**change):
+        return Sent(4, message._replace(**change))
+
+    def delivered(**change):
+        return Delivered(4, message._replace(**change))
+
     cases = {
-        "send": [(3, "send", send)],
-        "send without tag": [(3, "send", {**send, "tag": None})],
-        "send with non-ASCII ids": [(3, "send", {**send, "to": "\u4e2d", "tag": "\u00e9\U0001f600"})],
-        "send with NaN and infinities": [
+        "send record": [(3, "send", sent())],
+        "send record without tag": [(3, "send", sent(reply_with=None))],
+        "send record with int sender": [(3, "send", sent(sender=7))],
+        "send record with non-ASCII ids and tag": [
+            (3, "send", sent(receiver="\u4e2d", reply_with="\u00e9\U0001f600"))
+        ],
+        "send record with int tag": [(3, "send", sent(reply_with=7))],
+        "send record with NaN and infinities": [
+            (3, "send", sent(content=[float("nan"), float("inf"), -float("inf")]))
+        ],
+        "send record with bool seq": [(3, "send", Sent(True, message))],
+        "send record with bool tick": [(True, "send", sent())],
+        "deliver record": [(3, "deliver", delivered())],
+        "deliver record with int sender": [(3, "deliver", delivered(sender=7))],
+        "deliver record with None receiver": [(3, "deliver", delivered(receiver=None))],
+        "record with unserialisable content": [
+            (1, "deliver", delivered()), (3, "send", sent(content={"deep": [{1, 2}]}))
+        ],
+        "record with circular content": [(3, "send", sent(content=loop))],
+        "send dict": [(3, "send", send)],
+        "send dict without tag": [(3, "send", {**send, "tag": None})],
+        "send dict with non-ASCII ids": [(3, "send", {**send, "to": "\u4e2d", "tag": "\u00e9\U0001f600"})],
+        "send dict with NaN and infinities": [
             (3, "send", {**send, "content": [float("nan"), float("inf"), -float("inf")]})
         ],
-        "send with bool seq": [(3, "send", {**send, "seq": True})],
-        "send with int sender": [(3, "send", {**send, "from": 7})],
-        "send with int tag": [(3, "send", {**send, "tag": 7})],
-        "send with bool tick": [(True, "send", send)],
-        "deliver": [(3, "deliver", deliver)],
-        "deliver with None receiver": [(3, "deliver", {**deliver, "to": None})],
+        "send dict with bool seq": [(3, "send", {**send, "seq": True})],
+        "send dict with int sender": [(3, "send", {**send, "from": 7})],
+        "send dict with int tag": [(3, "send", {**send, "tag": 7})],
+        "send dict with bool tick": [(True, "send", send)],
+        "deliver dict": [(3, "deliver", deliver)],
+        "deliver dict with None receiver": [(3, "deliver", {**deliver, "to": None})],
         "spliced payload": [(5, "recovery", {"conversation": "c", "points": [1, None]})],
         "empty payload": [(5, "selection", {})],
         "payload with its own kind": [(5, "recovery", {"action": "replacement", "kind": "content"})],
@@ -213,16 +250,23 @@ def render_problems() -> list[str]:
     }
     problems = []
     for name, events in cases.items():
-        outcomes = []
-        for render in (dumps_per_event, lambda evs: render_trace([TraceEvent(*e) for e in evs])):
+        trace = [TraceEvent(*e) for e in events]
+        outcomes = {}
+        for path, render in (
+            ("json.dumps", dumps_per_event),
+            ("render_trace", render_trace),
+            ("render_trace without the C encoder", render_without_c_encoder),
+        ):
             try:
-                outcomes.append(render(events))
+                outcomes[path] = render(trace)
             except (TypeError, ValueError) as exc:
-                outcomes.append(f"{type(exc).__name__}: {exc}")
-        if outcomes[0] != outcomes[1]:
-            problems.append(
-                f"render {name}: json.dumps {outcomes[0]!r}, render_trace {outcomes[1]!r}"
-            )
+                outcomes[path] = f"{type(exc).__name__}: {exc}"
+        expected = outcomes.pop("json.dumps")
+        problems.extend(
+            f"render {name}: json.dumps {expected!r}, {path} {got!r}"
+            for path, got in outcomes.items()
+            if got != expected
+        )
     return problems
 
 

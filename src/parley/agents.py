@@ -361,6 +361,7 @@ class SelectionParticipant(AgentBase):
         table: CompatibilityTable,
         willing: bool,
         offers: dict[str, tuple[tuple[RoleRef, ...], dict]],
+        contents: dict[tuple[RoleRef, ...], dict],
     ) -> None:
         super().__init__(name)
         self.model = model
@@ -372,14 +373,20 @@ class SelectionParticipant(AgentBase):
         #: protocol id -> the roles offered for it and the ready-to-select
         #: content listing them.  Every input of an offer but the model is
         #: fixed per runtime, so the participants of one runtime with one
-        #: model share this dict, and so one content for all their offers.
+        #: model share this dict.
         self.offers = offers
+        #: offered roles -> the one ready-to-select content listing them,
+        #: shared by every participant of the runtime, whatever its model
+        self.contents = contents
 
     def _offer(self, protocol_id: str) -> tuple[tuple[RoleRef, ...], dict]:
         offer = self.offers.get(protocol_id)
         if offer is None:
             roles = offered_roles(protocol_id, self.model, self.table, self.registry)
-            offer = self.offers[protocol_id] = (roles, {"roles": [str(r) for r in roles]})
+            content = self.contents.get(roles)
+            if content is None:
+                content = self.contents[roles] = {"roles": [str(r) for r in roles]}
+            offer = self.offers[protocol_id] = (roles, content)
         return offer
 
     def on_message(self, rt: SimRuntime, msg: Message) -> None:

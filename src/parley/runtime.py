@@ -17,6 +17,13 @@ send made while a tick is drained lands behind everything queued for
 that tick: the (tick, sequence) order of a heap, at the cost of an
 append and a pop.
 
+The bus records each message once: a send event's payload is a
+``Sent(seq, message)`` record and a deliver event's a
+``Delivered(seq, message)``, each holding the ``Message`` itself (for a
+delivery, the message after any fault).  A record reads like the dict
+of its trace fields, and ``render_trace`` writes its line straight off
+the message.  Agents' notes and fault events are dicts.
+
 Timers are plain self-addressed messages: an agent that wants to hear
 back in N ticks schedules a wake to itself with delay N.  Self-sends
 never count as conversation traffic, which keeps fault ordinals and
@@ -95,36 +102,110 @@ class TraceEvent(NamedTuple):
     """One trace event: a ``(tick, kind, payload)`` tuple.
 
     ``kind`` is send, deliver, fault, recovery, selection or
-    termination.  The payload is stored as the bus or the agent passed
-    it, not copied, so it must not change once noted.
+    termination.  The payload of a send or deliver event is a
+    :class:`Sent` or :class:`Delivered` record, which holds the message
+    itself and reads like the dict of its trace fields; every other
+    payload is a dict.  A payload is stored as the bus or the agent
+    passed it, not copied, so it must not change once noted.
     """
 
     tick: int
     kind: str
-    payload: dict
+    payload: dict | Sent | Delivered
 
     def as_dict(self) -> dict:
         return {"tick": self.tick, "kind": self.kind, **self.payload}
+
+
+#: the index of a ``Message`` field in the tuple
+_AT = Message._fields.index
+
+
+class _BusRecord(tuple):
+    """A ``(seq, message)`` tuple with a read-only view of the dict of its
+    trace fields: ``record["from"]``, ``get``, ``keys()``, ``in``,
+    ``dict(record)`` and ``{**record}`` see the fields of ``_FIELDS``, in
+    line order, with the message's values.  It copies nothing, so it is
+    as immutable as its message.  Iterating it, as for any tuple, gives
+    its seq and message."""
+
+    __slots__ = ()
+    #: trace field -> the index of its value in the message, None for the
+    #: seq; in the order a trace line writes the fields
+    _FIELDS: dict[str, int | None] = {}
+
+    def __new__(cls, seq: int, message: Message):
+        return tuple.__new__(cls, (seq, message))
+
+    @property
+    def seq(self) -> int:
+        return tuple.__getitem__(self, 0)
+
+    @property
+    def message(self) -> Message:
+        return tuple.__getitem__(self, 1)
+
+    def keys(self):
+        return self._FIELDS.keys()
+
+    def __contains__(self, key) -> bool:
+        return key in self._FIELDS
+
+    def __getitem__(self, key):
+        index = self._FIELDS[key]
+        seq, message = self
+        return seq if index is None else message[index]
+
+    def get(self, key, default=None):
+        return self[key] if key in self._FIELDS else default
+
+
+class Sent(_BusRecord):
+    """A send event's payload: the sequence number and the message as
+    it was scheduled."""
+
+    __slots__ = ()
+    _FIELDS = {
+        "seq": None,
+        "from": _AT("sender"),
+        "to": _AT("receiver"),
+        "conversation": _AT("conversation_id"),
+        "performative": _AT("performative"),
+        "tag": _AT("reply_with"),
+        "content": _AT("content"),
+    }
+
+
+class Delivered(_BusRecord):
+    """A deliver event's payload: the sequence number and the message as
+    it was handed to its receiver, after any fault."""
+
+    __slots__ = ()
+    _FIELDS = {
+        field: Sent._FIELDS[field] for field in ("seq", "from", "to", "conversation", "performative")
+    }
 
 
 def render_trace(trace: list[TraceEvent]) -> str:
     """One JSON object per line, fields in insertion order.
 
     Each line is what ``json.dumps`` writes for ``event.as_dict()`` with
-    its defaults.  The bus's own ``send`` and ``deliver`` payloads
-    (fields ``_SEND_FIELDS`` and ``_DELIVER_FIELDS``) are written from a
-    template when their fields have the plain types the bus gives them:
-    ``int`` seq and tick, ``str`` ids, a ``str`` or ``None`` tag.  Ints
-    are written as ``int.__repr__`` and strings through the same
+    its defaults.  A :class:`Sent` or :class:`Delivered` payload is
+    written from a template, read straight off its message, when its
+    fields have the plain types the bus gives them: ``int`` seq and
+    tick, ``str`` ids, a ``str`` or ``None`` tag.  Ints are written as
+    ``int.__repr__`` and strings through the same
     ``encode_basestring_ascii`` that ``json.dumps`` uses, so the bytes
     stay its bytes; only a send's ``content`` goes through the C encoder.
     A message's content is never changed once sent, and one content may
     be shared by many messages (a broadcast call, equal offers), so each
     distinct content object is encoded once per call and its text reused.
-    Other payloads are encoded whole and spliced after the tick and kind,
-    unless they are empty or carry a ``tick`` or ``kind`` field of their
-    own (that field overwrites the event's in place).  One C encoder,
-    with the ``json.dumps`` defaults, serves the whole call.
+    A dict payload is encoded whole and spliced after the tick and kind,
+    unless it is empty or carries a ``tick`` or ``kind`` field of its own
+    (that field overwrites the event's in place).  Such a dict, and a
+    record with a field of another type, is encoded through
+    ``event.as_dict()``.  One C encoder, with the ``json.dumps``
+    defaults, serves the whole call.
     """
     if c_make_encoder is None:
         return "".join(json.dumps(event.as_dict()) + "\n" for event in trace)
@@ -142,13 +223,12 @@ def render_trace(trace: list[TraceEvent]) -> str:
     lines: list[str] = []
     for event in trace:
         tick, kind, payload = event
-        fields = tuple(payload) if type(payload) is dict else None
+        record = type(payload)
         plain = type(tick) is int and type(kind) is str
         try:
-            if plain and fields == _SEND_FIELDS:
-                seq, sender, receiver, conversation, performative, tag, content = (
-                    payload.values()
-                )
+            if plain and record is Sent:
+                seq, msg = payload
+                performative, content, _, _, sender, receiver, conversation, tag = msg
                 if (
                     type(seq) is int
                     and type(sender) is str
@@ -160,8 +240,8 @@ def render_trace(trace: list[TraceEvent]) -> str:
                     text = texts.get(id(content))
                     if text is None:
                         text = "".join(encode(content, 0))
-                        # keep the text only of a content held beyond this
-                        # payload (which, the local and the call make 3
+                        # keep the text only of a content held beyond its
+                        # message (which, the local and the call make 3
                         # references): only such a content can recur, and
                         # most are one message's alone
                         if getrefcount(content) > 3:
@@ -175,8 +255,9 @@ def render_trace(trace: list[TraceEvent]) -> str:
                         f'"content": {text}}}\n'
                     )
                     continue
-            elif plain and fields == _DELIVER_FIELDS:
-                seq, sender, receiver, conversation, performative = payload.values()
+            elif plain and record is Delivered:
+                seq, msg = payload
+                performative, _, _, _, sender, receiver, conversation, _ = msg
                 if (
                     type(seq) is int
                     and type(sender) is str
@@ -191,7 +272,10 @@ def render_trace(trace: list[TraceEvent]) -> str:
                         f'"performative": {quote(performative)}}}\n'
                     )
                     continue
-            if plain and fields and "tick" not in payload and "kind" not in payload:
+            if (
+                plain and record is dict and payload
+                and "tick" not in payload and "kind" not in payload
+            ):
                 body = "".join(encode(payload, 0))
                 lines.append(f'{{"tick": {tick}, "kind": {quote(kind)}, {body[1:]}\n')
             else:
@@ -318,12 +402,6 @@ class AgentBase:
         """Handle one delivered message; schedule replies on the runtime."""
 
 
-#: the payload fields of the bus's send and deliver events, in the order
-#: ``schedule_send`` and ``_deliver`` write them; ``render_trace`` writes
-#: these payloads from a template
-_SEND_FIELDS = ("seq", "from", "to", "conversation", "performative", "tag", "content")
-_DELIVER_FIELDS = ("seq", "from", "to", "conversation", "performative")
-
 #: builds a tuple subclass from one tuple of its fields
 _new_tuple = tuple.__new__
 
@@ -368,8 +446,7 @@ class SimRuntime:
     # -- event log ---------------------------------------------------------
 
     def note(self, kind: str, payload: dict) -> None:
-        # every send and delivery is noted: build the event with the tuple
-        # constructor, not through the Python-level __new__ of a NamedTuple
+        """Append an event with a dict payload: an agent's note or a fault."""
         self.trace.append(_new_tuple(TraceEvent, (self.tick, kind, payload)))
 
     # -- sending -----------------------------------------------------------
@@ -385,17 +462,10 @@ class SimRuntime:
         if queue is None:
             queue = self._queues[tick] = deque()
         queue.append((self._seq, msg, 0 if delay else self._hops + 1))
-        self.note(
-            "send",
-            {
-                "seq": self._seq,
-                "from": msg.sender,
-                "to": msg.receiver,
-                "conversation": msg.conversation_id,
-                "performative": msg.performative,
-                "tag": msg.reply_with,
-                "content": msg.content,
-            },
+        # every send and delivery is recorded: build both tuples with the
+        # tuple constructor, not through a Python-level __new__
+        self.trace.append(
+            _new_tuple(TraceEvent, (self.tick, "send", _new_tuple(Sent, (self._seq, msg))))
         )
 
     def wake_self(self, agent: str, conversation: str, content: dict, delay: int) -> None:
@@ -464,15 +534,8 @@ class SimRuntime:
     def _deliver(self, seq: int, msg: Message) -> None:
         if self._faults:
             msg = self._apply_faults(seq, msg)
-        self.note(
-            "deliver",
-            {
-                "seq": seq,
-                "from": msg.sender,
-                "to": msg.receiver,
-                "conversation": msg.conversation_id,
-                "performative": msg.performative,
-            },
+        self.trace.append(
+            _new_tuple(TraceEvent, (self.tick, "deliver", _new_tuple(Delivered, (seq, msg))))
         )
         self.agents[msg.receiver].on_message(self, msg)
 

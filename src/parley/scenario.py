@@ -12,7 +12,9 @@ depends only on an agent's ``enacts`` is done once per distinct value:
 agents whose ``enacts`` objects are equal share one checked
 :class:`InteractionModel` (see ``_interaction_model`` for what counts
 as equal), ``_resolve`` checks each model once, in agent order, and
-the participants of one model share one offers table.
+the participants of one model share one offers table.  Every
+participant of a runtime sends one ready-to-select content per
+distinct list of offered roles.
 
 Parsing builds many small objects (the JSON document, the protocols,
 the records) and no reference cycles, so every automatic collection
@@ -407,8 +409,10 @@ def build_runtime(scenario: Scenario) -> SimRuntime:
         runtime.inject_fault(fault)
     initiators = {task.initiator: task for task in scenario.tasks}
     # participants with one interaction model (agents with equal enacts
-    # share one) offer the same roles, so they share one offers table
+    # share one) offer the same roles, so they share one offers table;
+    # equal role lists, whatever the model, are sent in one content
     offers: dict[InteractionModel, dict[str, tuple[tuple[RoleRef, ...], dict]]] = {}
+    contents: dict[tuple[RoleRef, ...], dict] = {}
     for spec in scenario.agents:
         if spec.behavior == SILENT:
             runtime.register(SilentAgent(spec.agent_id))
@@ -433,7 +437,9 @@ def build_runtime(scenario: Scenario) -> SimRuntime:
         if scenario.selection_mode == JOINT:
             shared = offers.setdefault(model, {})
             runtime.register(
-                SelectionParticipant(spec.agent_id, model, registry, table, spec.willing, shared)
+                SelectionParticipant(
+                    spec.agent_id, model, registry, table, spec.willing, shared, contents
+                )
             )
         elif scenario.selection_mode == SEQUENTIAL:
             runtime.register(SequentialResponder(spec.agent_id, model, registry))
@@ -469,14 +475,17 @@ class RunSummary(NamedTuple):
 
 
 def summarize(scenario: Scenario, runtime: SimRuntime, trace: list[TraceEvent]) -> RunSummary:
-    # one pass over the trace: per conversation, recoveries and non-self sends
+    # one pass over the trace: per conversation, recoveries and non-self
+    # sends, each send read off the message its Sent record holds
     recoveries: Counter[str] = Counter()
     messages: Counter[str] = Counter()
-    for e in trace:
-        if e.kind == "recovery":
-            recoveries[e.payload.get("conversation")] += 1
-        elif e.kind == "send" and e.payload.get("from") != e.payload.get("to"):
-            messages[e.payload.get("conversation")] += 1
+    for _, kind, payload in trace:
+        if kind == "send":
+            _, msg = payload
+            if msg.sender != msg.receiver:
+                messages[msg.conversation_id] += 1
+        elif kind == "recovery":
+            recoveries[payload.get("conversation")] += 1
     tasks = []
     for task in scenario.tasks:
         agent = runtime.agents[task.initiator]

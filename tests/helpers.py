@@ -11,6 +11,7 @@ from __future__ import annotations
 from random import Random
 
 from parley.agents import IndividualInitiator, SequentialResponder
+from parley.fixtures import scenario_path
 from parley.model import (
     MANY,
     Action,
@@ -24,6 +25,7 @@ from parley.model import (
     Trigger,
 )
 from parley.runtime import FaultSpec, SimRuntime
+from parley.scenario import Scenario, parse_scenario, scenario_from_dict
 
 
 def _ask_schema(performative: str = "ask-one") -> MessageSchema:
@@ -419,3 +421,27 @@ def joint_fanout_scenario(rng: Random, n_tasks: int, n_agents: int, fanout: int)
         "agents": agents,
         "tasks": tasks,
     }
+
+
+#: the bundled scenarios, each with a golden trace under tests/data/
+BUNDLED = (
+    "t1_joint",
+    "t1_joint_refusal",
+    "t2_sequential_fault",
+    "t2_mixed_fault",
+    "cnp_largest_set",
+    "auction_tree",
+)
+
+
+def sample_scenarios(family: str) -> list[Scenario]:
+    """The bundled scenarios (``family`` "bundled"), or 50 seeded random
+    ones of a selection mode: joint, or an individual mode with up to
+    three faults per task."""
+    if family == "bundled":
+        return [parse_scenario(scenario_path(name)) for name in BUNDLED]
+    if family == "joint":
+        docs = [joint_scenario(Random(seed), 6, 12) for seed in range(50)]
+    else:
+        docs = [individual_scenario(Random(seed), family, 8, max_faults=3) for seed in range(50)]
+    return [scenario_from_dict(doc) for doc in docs]

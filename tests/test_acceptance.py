@@ -52,7 +52,7 @@ from parley.scenario import (
     summarize,
 )
 
-from .helpers import one_n_protocol
+from .helpers import BUNDLED, one_n_protocol
 from .oracles import (
     oracle_assignment_valid,
     oracle_largest_set,
@@ -61,15 +61,6 @@ from .oracles import (
 )
 
 DATA = Path(__file__).parent / "data"
-
-BUNDLED = (
-    "t1_joint",
-    "t1_joint_refusal",
-    "t2_sequential_fault",
-    "t2_mixed_fault",
-    "cnp_largest_set",
-    "auction_tree",
-)
 
 
 def stamp(n: int, text: str) -> None:

@@ -4,10 +4,10 @@ A trace event keeps the content its message was sent with, not a copy,
 and ``render_trace`` encodes each distinct content object once.  Both
 rest on the rule that no agent, fault or bus step changes a content
 after it is sent: the first test deep-copies every content as it is
-noted and compares it with its copy once the run is over.  The second
+sent and compares it with its copy once the run is over.  The second
 pins, by count, that a broadcast call is one content for all its
-receivers, that participants with equal models answer it with one
-ready-to-select object, that every refusal for one reason is one
+receivers, that participants answer it with one ready-to-select
+object per offered role list, whatever their models, that every refusal for one reason is one
 unable-to-select object, and that an initiator reads each distinct
 offer content once.
 """
@@ -22,7 +22,7 @@ from random import Random
 import pytest
 
 import parley.agents
-from parley.fixtures import bundled_protocol, scenario_path
+from parley.fixtures import bundled_protocol
 from parley.joint import participant_meta_step
 from parley.model import CALL_FOR_COLLABORATION, UNABLE_TO_SELECT, Message, RoleRef
 from parley.runtime import SimRuntime
@@ -30,45 +30,24 @@ from parley.scenario import (
     MIXED,
     SEQUENTIAL,
     build_runtime,
-    parse_scenario,
     scenario_from_dict,
     summarize,
 )
 
-from .helpers import individual_scenario, joint_fanout_scenario, joint_scenario
-
-BUNDLED = (
-    "t1_joint",
-    "t1_joint_refusal",
-    "t2_sequential_fault",
-    "t2_mixed_fault",
-    "cnp_largest_set",
-    "auction_tree",
-)
-
-
-def _scenarios(family: str):
-    if family == "bundled":
-        return [parse_scenario(scenario_path(name)) for name in BUNDLED]
-    if family == "joint":
-        docs = [joint_scenario(Random(seed), 6, 12) for seed in range(50)]
-    else:
-        docs = [individual_scenario(Random(seed), family, 8, max_faults=3) for seed in range(50)]
-    return [scenario_from_dict(doc) for doc in docs]
+from .helpers import joint_fanout_scenario, sample_scenarios
 
 
 @pytest.mark.parametrize("family", ["bundled", "joint", SEQUENTIAL, MIXED])
 def test_no_content_changes_after_it_is_sent(family, monkeypatch):
     noted: list[tuple[object, object]] = []
-    note = SimRuntime.note
+    schedule_send = SimRuntime.schedule_send
 
-    def copying(rt, kind, payload):
-        if kind == "send":
-            noted.append((payload["content"], copy.deepcopy(payload["content"])))
-        note(rt, kind, payload)
+    def copying(rt, msg, delay=0):
+        noted.append((msg.content, copy.deepcopy(msg.content)))
+        schedule_send(rt, msg, delay)
 
-    monkeypatch.setattr(SimRuntime, "note", copying)
-    for scenario in _scenarios(family):
+    monkeypatch.setattr(SimRuntime, "schedule_send", copying)
+    for scenario in sample_scenarios(family):
         before = len(noted)
         build_runtime(scenario).run_until_quiescent()
         changed = [sent for sent, kept in noted[before:] if sent != kept]
@@ -98,13 +77,13 @@ def test_a_broadcast_and_equal_offers_share_one_content():
     for p in sends["call-for-collaboration"]:
         calls_by_round[p["from"], p["content"]["protocol"]].add(id(p["content"]))
     assert all(len(ids) == 1 for ids in calls_by_round.values())
-    # one ready-to-select object per (model, offer): 165 replies, 23 objects
-    models = {a["id"]: repr(sorted(a["enacts"].items())) for a in doc["agents"]}
-    by_model: dict[tuple, set] = defaultdict(set)
+    # one ready-to-select object per offered role list, whatever the
+    # model: 165 replies, 8 objects
+    by_roles: dict[tuple, set] = defaultdict(set)
     for p in sends["ready-to-select"]:
-        by_model[models[p["from"]], tuple(p["content"]["roles"])].add(id(p["content"]))
-    assert objects("ready-to-select") == (165, len(by_model)) == (165, 23)
-    assert all(len(ids) == 1 for ids in by_model.values())
+        by_roles[tuple(p["content"]["roles"])].add(id(p["content"]))
+    assert objects("ready-to-select") == (165, len(by_roles)) == (165, 8)
+    assert all(len(ids) == 1 for ids in by_roles.values())
     # one notice per role picked by largest set, one stop content per close
     assert objects("notify-assignment") == (93, 15)
     assert objects("stop-selection") == (72, 3)
@@ -148,11 +127,11 @@ def test_an_initiator_reads_each_distinct_offer_once(monkeypatch):
         sent[e.payload["seq"]] for e in trace
         if e.kind == "deliver" and e.payload["performative"] == "ready-to-select"
     ]
-    # each initiator reads each content object once, not each role list:
-    # repliers with different models may send equal lists in two objects
+    # each initiator reads each content object once, and equal role lists
+    # are one object, so it reads each distinct role list once
     distinct = {(p["to"], id(p["content"])) for p in read}
     assert len({(p["to"], tuple(p["content"]["roles"])) for p in read}) == 24
-    assert (len(read), len(distinct), len(made)) == (165, 68, 68)
+    assert (len(read), len(distinct), len(made)) == (165, 24, 24)
     # the offers read go with their initiators: none outlives the run
     del trace, sent, read
     gc.collect()

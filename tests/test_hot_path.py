@@ -5,7 +5,7 @@ a handler that matches the same delivery against the same role twice
 shows up as a repeated call.  The same holds for the joint side: a
 scenario's ``enacts`` objects are read once per distinct value, a
 participant's offer is computed once per interaction model and
-protocol, an initiator parses each distinct offer content once, the
+protocol and sent in one content per distinct role list, an initiator parses each distinct offer content once, the
 name comparisons that admit a reply do not grow with the size of the
 call, and a role allocation runs a bounded number of matchings
 whatever the size of the pool.  The lifetime checks drop a finished run
@@ -172,6 +172,23 @@ def test_an_offer_is_computed_once_per_model_and_protocol(monkeypatch):
     )
     assert calls_for_collaboration > 5 * len(calls)
     assert max(calls.values()) == 1
+
+
+def test_equal_offers_are_one_content_whatever_the_model():
+    scenario = scenario_from_dict(joint_fanout_scenario(Random(11), 12, 400, 100))
+    runtime = build_runtime(scenario)
+    trace = runtime.run_until_quiescent()
+    assert {t.outcome for t in summarize(scenario, runtime, trace).tasks} == {"selected"}
+    offers = [
+        e.payload.message for e in trace
+        if e.kind == "send" and e.payload["performative"] == READY_TO_SELECT
+    ]
+    role_lists = {tuple(m.content["roles"]) for m in offers}
+    models = {(id(runtime.agents[m.sender].model), tuple(m.content["roles"])) for m in offers}
+    # several models offer some of the same lists, and each list is one object
+    assert len(offers) > 50 * len(role_lists)
+    assert len(models) > len(role_lists)
+    assert len({id(m.content) for m in offers}) == len(role_lists)
 
 
 def test_each_distinct_enacts_is_read_and_wired_once(monkeypatch):

@@ -21,10 +21,10 @@ from parley.model import Message
 from parley.runtime import (
     MAX_ZERO_DELAY_HOPS,
     WAKE,
-    _DELIVER_FIELDS,
-    _SEND_FIELDS,
     AgentBase,
+    Delivered,
     FaultSpec,
+    Sent,
     SimRuntime,
     TraceEvent,
     corrupt_content,
@@ -33,6 +33,7 @@ from parley.runtime import (
     write_trace,
 )
 from parley.scenario import (
+    MIXED,
     SEQUENTIAL,
     build_runtime,
     parse_scenario,
@@ -42,7 +43,7 @@ from parley.scenario import (
 )
 
 from .generators import CONTENT_KEYS, content_trees, fault_streams
-from .helpers import individual_scenario, joint_fanout_scenario, joint_scenario
+from .helpers import individual_scenario, joint_fanout_scenario, joint_scenario, sample_scenarios
 from .oracles import oracle_apply_faults, oracle_delivery_order, oracle_render
 
 
@@ -858,16 +859,43 @@ class TestTraceShape:
             '"conversation": "c", "performative": "inform"}'
         )
 
-    def test_bus_events_carry_the_fields_render_trace_templates(self):
+    def test_bus_events_carry_the_message_itself(self):
         rt = SimRuntime(seed=0)
         rt.register(Recorder("sink"))
         rt.register(AgentBase("src"))
-        rt.schedule_send(msg("src", "sink"))
+        sent = msg("src", "sink", tag="m.1")
+        rt.schedule_send(sent)
         rt.run_until_quiescent()
-        assert [(e.kind, tuple(e.payload)) for e in rt.trace] == [
-            ("send", _SEND_FIELDS),
-            ("deliver", _DELIVER_FIELDS),
-        ]
+        send, deliver = rt.trace
+        assert (type(send.payload), type(deliver.payload)) == (Sent, Delivered)
+        assert send.payload.message is sent and deliver.payload.message is sent
+        assert send.payload.seq == deliver.payload.seq == 1
+        assert tuple(send.payload.keys()) == _SEND_FIELDS
+        assert tuple(deliver.payload.keys()) == _DELIVER_FIELDS
+
+    def test_a_bus_record_reads_like_the_dict_of_its_fields(self):
+        record = Sent(4, msg("src", "sink", tag="m.1"))
+        fields = {
+            "seq": 4, "from": "src", "to": "sink", "conversation": "c",
+            "performative": "inform", "tag": "m.1", "content": {"x": "hello"},
+        }
+        assert dict(record) == {**record} == fields
+        assert list(dict(record)) == list(fields)
+        assert record["from"] == "src" and record.get("tag") == "m.1"
+        assert record.get("nope") is None and record.get("nope", 5) == 5
+        assert "content" in record and "message" not in record
+        with pytest.raises(KeyError):
+            record["message"]
+        seq, message = record
+        assert (seq, message) == (record.seq, record.message)
+        deliver = Delivered(4, msg("src", "sink", tag="m.1"))
+        assert dict(deliver) == {k: fields[k] for k in _DELIVER_FIELDS}
+        assert "tag" not in deliver and deliver.get("content") is None
+        with pytest.raises(KeyError):
+            deliver["content"]
+        event = TraceEvent(2, "send", record)
+        assert event.as_dict() == {"tick": 2, "kind": "send", **fields}
+        assert json.dumps(event.as_dict()) == json.dumps({"tick": 2, "kind": "send", **fields})
 
     def test_an_event_is_a_tuple_holding_the_payload_it_was_given(self):
         rt = SimRuntime(seed=0)
@@ -877,6 +905,46 @@ class TestTraceShape:
         assert (tick, kind) == (0, "selection")
         assert held is payload
         assert rt.trace[0].as_dict() == {"tick": 0, "kind": "selection", "conversation": "c"}
+
+    @pytest.mark.parametrize("family", ["bundled", "joint", SEQUENTIAL, MIXED])
+    def test_a_record_holds_the_very_message_and_reads_as_its_line(self, family):
+        """Every send record holds the message that was scheduled, every
+        deliver record the one handed to its receiver (after any fault),
+        and each reads as its rendered line without the tick and kind."""
+        checked = 0
+        for scenario in sample_scenarios(family):
+            rt = build_runtime(scenario)
+            scheduled: list[Message] = []
+            handed: list[Message] = []
+            schedule_send = rt.schedule_send
+
+            def scheduling(message, delay=0):
+                scheduled.append(message)
+                schedule_send(message, delay)
+
+            rt.schedule_send = scheduling
+            for agent in rt.agents.values():
+                def handing(runtime, message, handle=agent.on_message):
+                    handed.append(message)
+                    handle(runtime, message)
+
+                agent.on_message = handing
+            trace = rt.run_until_quiescent()
+            sends = [e.payload for e in trace if e.kind == "send"]
+            delivers = [e.payload for e in trace if e.kind == "deliver"]
+            assert len(sends) == len(scheduled) and len(delivers) == len(handed)
+            assert all(type(p) is Sent for p in sends)
+            assert all(type(p) is Delivered for p in delivers)
+            assert all(p.message is m for p, m in zip(sends, scheduled))
+            assert all(p.message is m for p, m in zip(delivers, handed))
+            for event, line in zip(trace, render_trace(trace).splitlines()):
+                if event.kind in ("send", "deliver"):
+                    fields = json.loads(line)
+                    del fields["tick"], fields["kind"]
+                    assert dict(event.payload) == fields
+                    assert list(event.payload.keys()) == list(fields)
+                    checked += 1
+        assert checked > 100
 
     def test_write_trace_round_trips_bytes(self, tmp_path):
         rt = SimRuntime(seed=0)
@@ -892,6 +960,10 @@ class TestTraceShape:
 # ---------------------------------------------------------------------------
 # Rendering: one encoder per trace, the bytes of json.dumps per event
 # ---------------------------------------------------------------------------
+
+#: the trace fields of the bus's send and deliver events, in line order
+_SEND_FIELDS = ("seq", "from", "to", "conversation", "performative", "tag", "content")
+_DELIVER_FIELDS = _SEND_FIELDS[:5]
 
 #: payload values: non-ASCII text, floats (NaN and infinities too), None,
 #: nested lists and dicts
@@ -929,14 +1001,25 @@ def _spoil(values: tuple, at: int, value) -> tuple:
     return values[:at] + (value,) + values[at + 1:]
 
 
+def _record(values: tuple) -> Sent | Delivered:
+    """The bus record whose trace fields are ``values``, in line order."""
+    seq, sender, receiver, conversation, performative, *rest = values
+    tag, content = rest or (None, None)
+    message = Message(performative, content, "kv", "core", sender, receiver, conversation, tag)
+    return Sent(seq, message) if rest else Delivered(seq, message)
+
+
 def _bus_payloads():
-    """Payloads whose fields are exactly those of the bus's send or
-    deliver events: as the bus writes them, or with one field of a type
-    the templates must leave to the as_dict path."""
+    """Send and deliver payloads, each as the bus writes it (a record) and
+    as a dict with the same fields, with plain values or with one field
+    of a type the templates must leave to the as_dict path."""
     send = _PLAIN_SEND | st.builds(_spoil, _PLAIN_SEND, st.integers(0, 5), _ODD)
     deliver = _PLAIN_DELIVER | st.builds(_spoil, _PLAIN_DELIVER, st.integers(0, 4), _ODD)
-    return send.map(lambda v: dict(zip(_SEND_FIELDS, v))) | deliver.map(
-        lambda v: dict(zip(_DELIVER_FIELDS, v))
+    return (
+        send.map(_record)
+        | deliver.map(_record)
+        | send.map(lambda v: dict(zip(_SEND_FIELDS, v)))
+        | deliver.map(lambda v: dict(zip(_DELIVER_FIELDS, v)))
     )
 
 
@@ -969,9 +1052,10 @@ _SHARED_CONTENT = (
 @st.composite
 def _shared_content_events(draw):
     """Traces whose sends reuse a few content objects, as a broadcast
-    call or equal offers do, among other events.  A send is as the bus
-    writes it or has one field of an odd type (so that it is encoded
-    whole), and either way carries one of the shared objects."""
+    call or equal offers do, among other events.  A send is a record as
+    the bus writes it, or one with a field of an odd type (so that it is
+    encoded whole), or a dict, and each carries one of the shared
+    objects."""
     pool = draw(st.lists(_SHARED_CONTENT, min_size=1, max_size=3))
     others = draw(_events())
     sends = draw(st.lists(
@@ -979,13 +1063,15 @@ def _shared_content_events(draw):
             st.integers(min_value=0, max_value=300),
             _PLAIN_SEND | st.builds(_spoil, _PLAIN_SEND, st.integers(0, 5), _ODD),
             st.sampled_from(pool),
+            st.booleans(),
         ),
         min_size=2,
         max_size=8,
     ))
     events = [
-        (tick, "send", dict(zip(_SEND_FIELDS, values[:-1] + (content,))))
-        for tick, values, content in sends
+        (tick, "send", _record(fields) if record else dict(zip(_SEND_FIELDS, fields)))
+        for tick, values, content, record in sends
+        for fields in [values[:-1] + (content,)]
     ]
     for at, event in zip(draw(st.lists(st.integers(0, len(events)), max_size=len(others))), others):
         events.insert(at, event)
@@ -1007,6 +1093,10 @@ def _assert_renders_as_json_dumps(events):
         assert str(got.value) == str(exc)
         return
     assert render_trace([TraceEvent(t, k, p) for t, k, p in events]) == expected
+
+
+def _send(seq, content, sender="src", receiver="sink", tag="m.1") -> Sent:
+    return Sent(seq, msg(sender, receiver, content=content, tag=tag))
 
 
 class TestRender:
@@ -1031,12 +1121,13 @@ class TestRender:
         ids=["plain", "set", "circular", "self-loop"],
     )
     def test_one_content_in_several_sends_renders_each_as_json_dumps_does(self, shared):
-        send = dict(zip(_SEND_FIELDS, (4, "src", "sink", "c", "inform", "m.1", shared)))
+        send = _send(4, shared)
         events = [
             (0, "send", send),
-            (1, "deliver", dict(zip(_DELIVER_FIELDS, (4, "src", "sink", "c", "inform")))),
-            (1, "send", {**send, "seq": 5, "to": "other"}),
-            (1, "send", {**send, "seq": True}),  # encoded whole
+            (1, "deliver", Delivered(*send)),
+            (1, "send", _send(5, shared, receiver="other")),
+            (1, "send", Sent(True, send.message)),  # encoded whole
+            (1, "send", dict(send)),  # encoded whole
             (2, "send", send),
         ]
         _assert_renders_as_json_dumps(events)
@@ -1057,10 +1148,10 @@ class TestRender:
         monkeypatch.setattr(parley.runtime, "c_make_encoder", counting)
         shared = {"protocol": "cnp", "task": "t1"}
         trace = [
-            TraceEvent(0, "send", dict(zip(_SEND_FIELDS, (n, "i", f"p{n}", "c", "call", None, shared))))
+            TraceEvent(0, "send", Sent(n, msg("i", f"p{n}", "call", shared)))
             for n in range(5)
         ] + [
-            TraceEvent(0, "send", dict(zip(_SEND_FIELDS, (n, "p", "i", "c", "ready", None, {"n": n}))))
+            TraceEvent(0, "send", Sent(n, msg("p", "i", "ready", {"n": n})))
             for n in range(3)
         ]
         assert render_trace(trace) == oracle_render(trace)
@@ -1070,8 +1161,7 @@ class TestRender:
         # each content is freed with its trace, so the next call's new
         # content may get its id; it must still be encoded afresh
         for n in range(50):
-            send = dict(zip(_SEND_FIELDS, (n, "src", "sink", "c", "inform", None, {"n": n})))
-            _assert_renders_as_json_dumps([(0, "send", send)])
+            _assert_renders_as_json_dumps([(0, "send", _send(n, {"n": n}))])
 
     @pytest.mark.parametrize(
         "change",
@@ -1095,6 +1185,35 @@ class TestRender:
         deliver = dict(zip(_DELIVER_FIELDS, (4, "src", "sink", "c", "inform")))
         deliver.update((k, v) for k, v in change.items() if k in deliver)
         events = [(2, "deliver", deliver), (3, "send", {**send, **change})]
+        _assert_renders_as_json_dumps(events)
+
+    @pytest.mark.parametrize("c_encoder", [True, False], ids=["c-encoder", "pure-python"])
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {},
+            {"sender": 7},
+            {"receiver": None},
+            {"sender": "\u00e9", "reply_with": "\u00e9\u4e2d\U0001f600"},
+            {"reply_with": None},
+            {"reply_with": 3},
+            {"performative": 2.5},
+            {"content": {"x": [float("nan"), float("inf"), -float("inf")]}},
+            {"content": {"deep": [{1, 2}]}},
+            {"content": _circular()},
+        ],
+        ids=["plain", "int-sender", "none-receiver", "non-ascii-tag", "none-tag", "int-tag",
+             "float-performative", "nan-inf-content", "unserialisable", "circular"],
+    )
+    def test_bus_records_render_as_json_dumps_writes_them(self, change, c_encoder, monkeypatch):
+        if not c_encoder:
+            monkeypatch.setattr(parley.runtime, "c_make_encoder", None)
+        message = msg("src", "sink", content={"x": 1}, tag="m.1")._replace(**change)
+        events = [
+            (2, "deliver", Delivered(4, message)),
+            (3, "send", Sent(4, message)),
+            (3, "send", Sent(True, message)),
+        ]
         _assert_renders_as_json_dumps(events)
 
     def test_a_payload_kind_field_overwrites_the_event_kind_in_place(self):

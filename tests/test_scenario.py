@@ -28,19 +28,10 @@ from parley.scenario import (
     summarize,
 )
 
-from .helpers import individual_scenario, joint_scenario
+from .helpers import BUNDLED, individual_scenario, joint_scenario
 from .oracles import oracle_summary_counts
 
 DATA = Path(__file__).parent / "data"
-
-BUNDLED = (
-    "t1_joint",
-    "t1_joint_refusal",
-    "t2_sequential_fault",
-    "t2_mixed_fault",
-    "cnp_largest_set",
-    "auction_tree",
-)
 
 
 def minimal_raw(**overrides):
