@@ -15,14 +15,16 @@ from pathlib import Path
 from ..model import Protocol, ProtocolRegistry, load_protocol
 
 ROOT = Path(__file__).parent
+_PROTOCOLS = ROOT / "protocols"
+_SCENARIOS = ROOT / "scenarios"
 
 
 def protocol_path(name: str) -> Path:
-    return ROOT / "protocols" / f"{name}.json"
+    return _PROTOCOLS / f"{name}.json"
 
 
 def scenario_path(name: str) -> Path:
-    return ROOT / "scenarios" / f"{name}.json"
+    return _SCENARIOS / f"{name}.json"
 
 
 def bundled_protocol(name: str) -> Protocol:

@@ -190,6 +190,12 @@ class Transition(NamedTuple):
     method: str
 
 
+#: builds a tuple subclass from one tuple of its fields, not through the
+#: Python-level ``__new__`` of a NamedTuple: a protocol load and a run
+#: build many records
+_new_tuple = tuple.__new__
+
+
 _Derived = TypeVar("_Derived")
 
 
@@ -551,7 +557,10 @@ def match_task_to_protocols(
 # sits.  A location is text (the scenario reader's ``"file: agent a1"``) or
 # a tuple of the keys and indexes leading to a value (the protocol
 # reader's ``roles[1].transitions[0]``).  Its text is built only when an
-# error is raised, so a good document pays for none.
+# error is raised, so a good document pays for none.  Each helper first
+# tries a fast exit (an exact-type test, ``keys.issuperset(raw)`` or one
+# dict lookup) and returns as soon as it passes; otherwise it falls
+# through to the located checks, the one path that raises each refusal.
 # ---------------------------------------------------------------------------
 
 
@@ -576,6 +585,8 @@ def _located(where: str | tuple, key: str | None = None) -> str:
 def _typed(value, kind: type, where: str | tuple, key: str | None = None):
     """``value``, checked to be a ``kind`` (a JSON ``true`` is no integer);
     an error names ``key`` within ``where``."""
+    if type(value) is kind:  # what a JSON document holds
+        return value
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ParseError(
             f"{_located(where, key)}: expected {_KIND_NAMES[kind]}, got {value!r:.40}"
@@ -585,6 +596,10 @@ def _typed(value, kind: type, where: str | tuple, key: str | None = None):
 
 def _require(raw: dict, key: str, where: str | tuple, kind: type = object):
     """``raw[key]``, checked to be a ``kind``; ``raw`` sits at ``where``."""
+    if type(raw) is dict and key in raw:
+        value = raw[key]
+        if kind is object or type(value) is kind:
+            return value
     if not isinstance(raw, dict) or key not in raw:
         _typed(raw, dict, where)  # raises the located error for a non-object
         raise ParseError(f"{_located(where)}: missing {key!r}")
@@ -592,8 +607,20 @@ def _require(raw: dict, key: str, where: str | tuple, kind: type = object):
     return value if kind is object else _typed(value, kind, where, key)
 
 
+#: the type of every element of a good array of names
+_STRINGS = frozenset({str})
+
+
+def _is_names(value) -> bool:
+    """Whether ``value`` is exactly a list of exactly strings, as a JSON
+    array of strings is."""
+    return type(value) is list and _STRINGS.issuperset(map(type, value))
+
+
 def _names(value, where: str | tuple, key: str | None = None) -> tuple[str, ...]:
     """A JSON array of strings; an error names the bad element."""
+    if _is_names(value):
+        return tuple(value)
     names = tuple(_typed(value, list, where, key))
     for i, name in enumerate(names):
         if not isinstance(name, str):
@@ -604,6 +631,8 @@ def _names(value, where: str | tuple, key: str | None = None) -> tuple[str, ...]
 def _known(raw, keys: frozenset[str], where: str | tuple) -> dict:
     """``raw``, checked to be an object with no key outside ``keys``: a
     misspelt optional field would otherwise take its default."""
+    if type(raw) is dict and keys.issuperset(raw):
+        return raw
     for key in _typed(raw, dict, where):
         if key not in keys:
             raise ParseError(f"{_located(where)}: unknown key {key!r:.40}")
@@ -621,31 +650,73 @@ _ROLE_KEYS = frozenset(
 _TRANSITION_KEYS = frozenset({"from", "trigger", "action", "to", "method"})
 _NAMES_SCHEMA = frozenset({"kind", "schema"})
 _NAMES_VARIABLE = frozenset({"kind", "variable"})
+_NAMES_NONE = frozenset({"kind"})
+_NO_ACTION = Action("none")
 
 
 def _trigger_from_dict(raw: dict, where: tuple) -> Trigger:
+    """The ``trigger`` of the transition at ``where``."""
+    if type(raw) is dict and len(raw) == 2:  # a kind and its one name
+        kind, schema, variable = raw.get("kind"), raw.get("schema"), raw.get("variable")
+        if kind == "receive" and type(schema) is str:
+            return _new_tuple(Trigger, ("receive", schema, None))
+        if kind == "internal" and type(variable) is str:
+            return _new_tuple(Trigger, ("internal", None, variable))
+    where = (*where, "trigger")
     kind = _require(raw, "kind", where)
     if kind == "receive":
         _known(raw, _NAMES_SCHEMA, where)
-        return Trigger("receive", _require(raw, "schema", where, str))
+        return _new_tuple(Trigger, ("receive", _require(raw, "schema", where, str), None))
     if kind == "internal":
         _known(raw, _NAMES_VARIABLE, where)
-        return Trigger("internal", None, _require(raw, "variable", where, str))
+        return _new_tuple(Trigger, ("internal", None, _require(raw, "variable", where, str)))
     raise ParseError(f"{_located(where, 'kind')}: unknown trigger kind {kind!r:.40}")
 
 
 def _action_from_dict(raw: dict, where: tuple) -> Action:
+    """The ``action`` of the transition at ``where``."""
+    if type(raw) is dict and len(raw) <= 2:  # a kind and at most one name
+        kind, schema, variable = raw.get("kind"), raw.get("schema"), raw.get("variable")
+        if kind == "send" and type(schema) is str:
+            return _new_tuple(Action, ("send", schema, None))
+        if kind == "data_change" and type(variable) is str:
+            return _new_tuple(Action, ("data_change", None, variable))
+        if kind == "none" and len(raw) == 1:
+            return _NO_ACTION
+    where = (*where, "action")
     kind = _require(raw, "kind", where)
     if kind == "send":
         _known(raw, _NAMES_SCHEMA, where)
-        return Action("send", _require(raw, "schema", where, str))
+        return _new_tuple(Action, ("send", _require(raw, "schema", where, str), None))
     if kind == "data_change":
         _known(raw, _NAMES_VARIABLE, where)
-        return Action("data_change", None, _require(raw, "variable", where, str))
+        return _new_tuple(Action, ("data_change", None, _require(raw, "variable", where, str)))
     if kind == "none":
-        _known(raw, frozenset({"kind"}), where)
-        return Action("none")
+        _known(raw, _NAMES_NONE, where)
+        return _NO_ACTION
     raise ParseError(f"{_located(where, 'kind')}: unknown action kind {kind!r:.40}")
+
+
+def _transition_from_dict(raw: dict, where: tuple) -> Transition:
+    """The transition at ``where``."""
+    if type(raw) is dict and len(raw) == 5 and _TRANSITION_KEYS.issuperset(raw):
+        from_state, to_state, method = raw["from"], raw["to"], raw["method"]
+        if type(from_state) is str and type(to_state) is str and type(method) is str:
+            return _new_tuple(Transition, (
+                from_state,
+                _trigger_from_dict(raw["trigger"], where),
+                _action_from_dict(raw["action"], where),
+                to_state,
+                method,
+            ))
+    _known(raw, _TRANSITION_KEYS, where)
+    return _new_tuple(Transition, (
+        _require(raw, "from", where, str),
+        _trigger_from_dict(_require(raw, "trigger", where), where),
+        _action_from_dict(_require(raw, "action", where), where),
+        _require(raw, "to", where, str),
+        _require(raw, "method", where, str),
+    ))
 
 
 def protocol_from_dict(raw: dict) -> Protocol:
@@ -688,19 +759,10 @@ def protocol_from_dict(raw: dict) -> Protocol:
             father = r.get("father")
             if father is not None:
                 _typed(father, str, at, "father")
-            transitions = []
-            for j, t in enumerate(_require(r, "transitions", at, list)):
-                t_at = (*at, "transitions", j)
-                _known(t, _TRANSITION_KEYS, t_at)
-                transitions.append(
-                    Transition(
-                        _require(t, "from", t_at, str),
-                        _trigger_from_dict(_require(t, "trigger", t_at), (*t_at, "trigger")),
-                        _action_from_dict(_require(t, "action", t_at), (*t_at, "action")),
-                        _require(t, "to", t_at, str),
-                        _require(t, "method", t_at, str),
-                    )
-                )
+            transitions = [
+                _transition_from_dict(t, (*at, "transitions", j))
+                for j, t in enumerate(_require(r, "transitions", at, list))
+            ]
             roles[role_id] = RoleStateMachine(
                 role_id,
                 kind,
@@ -724,7 +786,9 @@ def protocol_from_dict(raw: dict) -> Protocol:
 
 def load_protocol(path: str | Path) -> Protocol:
     try:
-        return protocol_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        with open(path, encoding="utf-8") as file:
+            raw = json.load(file)
+        return protocol_from_dict(raw)
     except (json.JSONDecodeError, ParseError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

@@ -41,8 +41,9 @@ A run makes no reference cycles: messages, events and states are
 freed by reference counting as soon as they are dropped.  Automatic
 cyclic garbage collection would only rescan the live agents, so
 ``run_until_quiescent`` runs under ``collector_paused``, which pauses
-it and then restores the caller's setting.  Parsing a scenario makes no
-cycles either and runs under the same pause.
+it and then restores the caller's setting.  Parsing a scenario and
+wiring its agents make no cycles either and run under the same pause,
+so the collector is paused while a scenario is parsed, wired and run.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from sys import getrefcount
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, UnknownReceiverError
-from .model import RESERVED_PERFORMATIVES, Message
+from .model import RESERVED_PERFORMATIVES, Message, _new_tuple
 from .patterns import get_leaf, leaf_paths, set_leaf
 
 #: performative of self-addressed timer messages
@@ -400,10 +401,6 @@ class AgentBase:
 
     def on_message(self, runtime: "SimRuntime", msg: Message) -> None:
         """Handle one delivered message; schedule replies on the runtime."""
-
-
-#: builds a tuple subclass from one tuple of its fields
-_new_tuple = tuple.__new__
 
 
 class SimRuntime:

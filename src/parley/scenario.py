@@ -16,12 +16,19 @@ the participants of one model share one offers table.  Every
 participant of a runtime sends one ready-to-select content per
 distinct list of offered roles.
 
-Parsing builds many small objects (the JSON document, the protocols,
-the records) and no reference cycles, so every automatic collection
-started while parsing would scan young objects and free nothing.
-``parse_scenario`` runs under ``runtime.collector_paused``, as a run
-does; the young objects are looked at once, by the first collection
-after it.
+Each document is read with one ``open`` and checked in one walk.  The
+readers of agents and tasks, like the protocol reader's helpers, first
+try a fast exit that takes a well-typed entry as it is, and fall
+through to the located checks, which raise every refusal, only when an
+exact-type or key test fails.
+
+Parsing and wiring build many small objects (the JSON document, the
+protocols, the records, the agents) and no reference cycles, so every
+automatic collection started while they run would scan young objects
+and free nothing.  ``parse_scenario`` and ``build_runtime`` run under
+``runtime.collector_paused``, as a run does: the collector is paused
+while a scenario is parsed, wired and run, and the young objects are
+looked at once, by the first collection after it.
 """
 
 from __future__ import annotations
@@ -49,8 +56,10 @@ from .model import (
     ProtocolRegistry,
     RoleRef,
     TaskDescription,
+    _is_names,
     _known,
     _names,
+    _new_tuple,
     _require,
     _typed,
     load_protocol,
@@ -120,7 +129,7 @@ _ARRAY = frozenset({list})
 
 
 def _interaction_model(
-    entry: dict, at: str, models: dict[tuple, InteractionModel]
+    entry: dict, where: str, models: dict[tuple, InteractionModel]
 ) -> InteractionModel:
     """The checked model of an agent's ``enacts``, one per distinct value.
 
@@ -129,11 +138,11 @@ def _interaction_model(
     a key, and equal keys are equal objects of equal arrays, so a hit is
     a value that passed the check.  Anything else (a role list given as
     an object or as a string, say) takes the checked path, whatever
-    agents came before.
+    agents came before, and an error names the agent within ``where``.
     """
     enacts = entry.get("enacts", {})
     key = None
-    if type(enacts) is dict and set(map(type, enacts.values())) <= _ARRAY:
+    if type(enacts) is dict and _ARRAY.issuperset(map(type, enacts.values())):
         key = tuple(zip(enacts, map(tuple, enacts.values())))  # (protocol, roles) pairs
         try:
             return models[key]
@@ -141,11 +150,74 @@ def _interaction_model(
             pass
         except TypeError:  # an unhashable role name, which the check refuses
             key = None
-    names = _names_by_key(entry, "enacts", at)
+    names = _names_by_key(entry, "enacts", f"{where}: agent {entry['id']}")
     model = InteractionModel({p: frozenset(roles) for p, roles in names.items()})
     if key is not None:
         models[key] = model
     return model
+
+
+def _agent(entry: dict, where: str, models: dict[tuple, InteractionModel]) -> AgentSpec:
+    """The agent of one ``agents`` entry of the scenario at ``where``."""
+    if type(entry) is dict and _AGENT_KEYS.issuperset(entry):
+        agent_id, behavior = entry.get("id"), entry.get("behavior", "auto")
+        willing = entry.get("willing", True)
+        if type(agent_id) is str and behavior in BEHAVIORS and type(willing) is bool:
+            model = _interaction_model(entry, where, models)
+            return _new_tuple(AgentSpec, (agent_id, model, willing, behavior))
+    agent_id = _require(entry, "id", f"{where}: agent", str)
+    behavior = entry.get("behavior", "auto")
+    if behavior not in BEHAVIORS:
+        raise ParseError(f"{where}: agent {agent_id}: unknown behavior {behavior!r}")
+    at = f"{where}: agent {agent_id}"
+    _known(entry, _AGENT_KEYS, at)
+    return AgentSpec(
+        agent_id=agent_id,
+        model=_interaction_model(entry, where, models),
+        willing=_typed(entry.get("willing", True), bool, at, "willing"),
+        behavior=behavior,
+    )
+
+
+def _task(entry: dict, where: str) -> TaskDescription:
+    """The task of one ``tasks`` entry of the scenario at ``where``."""
+    if type(entry) is dict and _TASK_KEYS.issuperset(entry):
+        task_id, initiator = entry.get("id"), entry.get("initiator")
+        capabilities = entry.get("capabilities", [])
+        participants = entry.get("participants", {})
+        constraints = entry.get("constraints", {})
+        if (
+            type(task_id) is str
+            and type(initiator) is str
+            and _is_names(capabilities)
+            and type(participants) is dict
+            and all(map(_is_names, participants.values()))
+            and type(constraints) is dict
+            and _CONSTRAINT_KEYS.issuperset(constraints)
+            and type(constraints.get("contents", {})) is dict
+        ):
+            return _new_tuple(TaskDescription, (
+                task_id,
+                initiator,
+                frozenset(capabilities),
+                {protocol: tuple(agents) for protocol, agents in participants.items()},
+                dict(constraints),
+            ))
+    task_id = _require(entry, "id", f"{where}: task", str)
+    at = f"{where}: task {task_id}"
+    _known(entry, _TASK_KEYS, at)
+    constraints = _known(entry.get("constraints", {}), _CONSTRAINT_KEYS, f"{at}: constraints")
+    # the contents a run sends instead of filled patterns, by schema id
+    _typed(constraints.get("contents", {}), dict, f"{at}: constraints: contents")
+    return TaskDescription(
+        task_id=task_id,
+        initiator=_require(entry, "initiator", at, str),
+        required_capabilities=frozenset(
+            _names(entry.get("capabilities", []), at, "capabilities")
+        ),
+        participants=_names_by_key(entry, "participants", at),
+        constraints=dict(constraints),
+    )
 
 
 def _integer(raw: dict, key: str, default: int, where: str, least: int | None = None) -> int:
@@ -162,7 +234,8 @@ def parse_scenario(path) -> Scenario:
         if not path.is_file():
             raise ParseError(f"no scenario file at {path}")
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
+            with open(path, encoding="utf-8") as file:
+                raw = json.load(file)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: not valid JSON ({exc})") from exc
         return scenario_from_dict(raw, str(path), path.parent)
@@ -182,45 +255,12 @@ def scenario_from_dict(
     exploration = raw.get("exploration", PROTOCOL_ORIENTED)
     if exploration not in (PROTOCOL_ORIENTED, AGENT_ORIENTED):
         raise ParseError(f"{where}: unknown exploration {exploration!r}")
-    agents = []
     models: dict[tuple, InteractionModel] = {}  # see _interaction_model
-    for entry in _require(raw, "agents", where, list):
-        agent_id = _require(entry, "id", f"{where}: agent", str)
-        behavior = entry.get("behavior", "auto")
-        if behavior not in BEHAVIORS:
-            raise ParseError(f"{where}: agent {agent_id}: unknown behavior {behavior!r}")
-        at = f"{where}: agent {agent_id}"
-        _known(entry, _AGENT_KEYS, at)
-        agents.append(
-            AgentSpec(
-                agent_id=agent_id,
-                model=_interaction_model(entry, at, models),
-                willing=_typed(entry.get("willing", True), bool, at, "willing"),
-                behavior=behavior,
-            )
-        )
-    tasks = []
-    for entry in _require(raw, "tasks", where, list):
-        task_id = _require(entry, "id", f"{where}: task", str)
-        at = f"{where}: task {task_id}"
-        _known(entry, _TASK_KEYS, at)
-        constraints = _known(entry.get("constraints", {}), _CONSTRAINT_KEYS, f"{at}: constraints")
-        # the contents a run sends instead of filled patterns, by schema id
-        _typed(constraints.get("contents", {}), dict, f"{at}: constraints: contents")
-        tasks.append(
-            TaskDescription(
-                task_id=task_id,
-                initiator=_require(entry, "initiator", at, str),
-                required_capabilities=frozenset(
-                    _names(entry.get("capabilities", []), at, "capabilities")
-                ),
-                participants=_names_by_key(entry, "participants", at),
-                constraints=dict(constraints),
-            )
-        )
+    agents = [_agent(entry, where, models) for entry in _require(raw, "agents", where, list)]
+    tasks = [_task(entry, where) for entry in _require(raw, "tasks", where, list)]
     faults = []
+    at = f"{where}: fault"
     for entry in _typed(raw.get("faults", []), list, where, "faults"):
-        at = f"{where}: fault"
         op = _require(entry, "op", at, str)
         if op in _FAULT_KEYS:
             _known(entry, _FAULT_KEYS[op], at)
@@ -290,18 +330,22 @@ def load_registry(protocols: tuple[str, ...], base_dir: Path | None = None) -> P
     registry: ProtocolRegistry = {}
     entry: dict[str, int] = {}  # protocol id -> index of the entry that loaded it
     for index, name in enumerate(protocols):
-        candidate = Path(name)
-        if candidate.suffix == ".json":
+        # only a name with ".json" in it can have that suffix, so a bundled
+        # name is told without building a Path
+        if ".json" in name and Path(name).suffix == ".json":
+            candidate = Path(name)
             if not candidate.is_absolute() and base_dir is not None:
                 candidate = base_dir / candidate
             if not candidate.is_file():
                 raise UnresolvedReferenceError(f"no protocol file {name!r}")
             protocol = load_protocol_file(candidate)
         else:
-            bundled = protocol_path(name)
-            if not bundled.exists():
-                raise UnresolvedReferenceError(f"no bundled protocol {name!r}")
-            protocol = load_protocol(bundled)
+            try:
+                protocol = load_protocol(protocol_path(name))
+            # what a check that the file exists would read as no file: no
+            # such path, a file used as a directory, a NUL in the name
+            except (FileNotFoundError, NotADirectoryError, ValueError):
+                raise UnresolvedReferenceError(f"no bundled protocol {name!r}") from None
         first = entry.setdefault(protocol.protocol_id, index)
         if first != index:
             raise ParseError(
@@ -403,49 +447,51 @@ def require_one_participant(scenario: Scenario) -> None:
 
 def build_runtime(scenario: Scenario) -> SimRuntime:
     """Instantiate the bus and all agents for one run of the scenario."""
-    registry, table = scenario.registry, scenario.compatibility
-    runtime = SimRuntime(seed=scenario.seed, max_ticks=scenario.max_ticks)
-    for fault in scenario.faults:
-        runtime.inject_fault(fault)
-    initiators = {task.initiator: task for task in scenario.tasks}
-    # participants with one interaction model (agents with equal enacts
-    # share one) offer the same roles, so they share one offers table;
-    # equal role lists, whatever the model, are sent in one content
-    offers: dict[InteractionModel, dict[str, tuple[tuple[RoleRef, ...], dict]]] = {}
-    contents: dict[tuple[RoleRef, ...], dict] = {}
-    for spec in scenario.agents:
-        if spec.behavior == SILENT:
-            runtime.register(SilentAgent(spec.agent_id))
-            continue
-        model = spec.model
-        task = initiators.get(spec.agent_id)
-        if task is not None:
+    # wiring makes no reference cycles (see the module docstring)
+    with collector_paused:
+        registry, table = scenario.registry, scenario.compatibility
+        runtime = SimRuntime(seed=scenario.seed, max_ticks=scenario.max_ticks)
+        for fault in scenario.faults:
+            runtime.inject_fault(fault)
+        initiators = {task.initiator: task for task in scenario.tasks}
+        # participants with one interaction model (agents with equal enacts
+        # share one) offer the same roles, so they share one offers table;
+        # equal role lists, whatever the model, are sent in one content
+        offers: dict[InteractionModel, dict[str, tuple[tuple[RoleRef, ...], dict]]] = {}
+        contents: dict[tuple[RoleRef, ...], dict] = {}
+        for spec in scenario.agents:
+            if spec.behavior == SILENT:
+                runtime.register(SilentAgent(spec.agent_id))
+                continue
+            model = spec.model
+            task = initiators.get(spec.agent_id)
+            if task is not None:
+                if scenario.selection_mode == JOINT:
+                    runtime.register(
+                        JointInitiator(
+                            spec.agent_id,
+                            task,
+                            model,
+                            registry,
+                            mode=scenario.exploration,
+                            reply_deadline=scenario.reply_deadline,
+                        )
+                    )
+                else:
+                    runtime.register(IndividualInitiator(spec.agent_id, task, model, registry))
+                continue
             if scenario.selection_mode == JOINT:
+                shared = offers.setdefault(model, {})
                 runtime.register(
-                    JointInitiator(
-                        spec.agent_id,
-                        task,
-                        model,
-                        registry,
-                        mode=scenario.exploration,
-                        reply_deadline=scenario.reply_deadline,
+                    SelectionParticipant(
+                        spec.agent_id, model, registry, table, spec.willing, shared, contents
                     )
                 )
+            elif scenario.selection_mode == SEQUENTIAL:
+                runtime.register(SequentialResponder(spec.agent_id, model, registry))
             else:
-                runtime.register(IndividualInitiator(spec.agent_id, task, model, registry))
-            continue
-        if scenario.selection_mode == JOINT:
-            shared = offers.setdefault(model, {})
-            runtime.register(
-                SelectionParticipant(
-                    spec.agent_id, model, registry, table, spec.willing, shared, contents
-                )
-            )
-        elif scenario.selection_mode == SEQUENTIAL:
-            runtime.register(SequentialResponder(spec.agent_id, model, registry))
-        else:
-            runtime.register(MixedResponder(spec.agent_id, model, registry))
-    return runtime
+                runtime.register(MixedResponder(spec.agent_id, model, registry))
+        return runtime
 
 
 # ---------------------------------------------------------------------------

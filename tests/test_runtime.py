@@ -7,6 +7,7 @@ import gc
 import json
 from collections import Counter
 from functools import partial
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -452,6 +453,30 @@ class TestCollectorPause:
         assert started and not any(started)
         assert gc.isenabled()
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            partial(individual_scenario, Random(1), SEQUENTIAL, 500),
+            partial(joint_fanout_scenario, Random(1), 6, 40, 20),
+        ],
+        ids=["individual-500", "joint_fanout-6x40"],
+    )
+    def test_no_collection_starts_while_wiring(self, make, restore_gc):
+        scenario = scenario_from_dict(make())
+        build_runtime(scenario)  # on Python 3.10 a first call allocates its frame
+        started = _collections_started(partial(build_runtime, scenario))
+        assert started and not any(started)
+        assert gc.isenabled()
+        twice = scenario._replace(agents=scenario.agents * 2)  # each agent registered twice
+        for enabled in (True, False):
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+            with pytest.raises(ValueError, match="registered twice"):
+                build_runtime(twice)
+            assert gc.isenabled() is enabled
+
     def test_mutated_bundled_scenarios_fail_only_as_parley_errors(self, tmp_path, restore_gc):
         docs = [
             json.loads(path.read_text(encoding="utf-8"))
@@ -459,7 +484,7 @@ class TestCollectorPause:
         ]
         rng = Random(12)
         path = tmp_path / "mutant.json"
-        refused = 0
+        outcomes = []
         for i in range(300):
             path.write_text(json.dumps(_mutate(rng.choice(docs), rng)), encoding="utf-8")
             enabled = i % 2 == 0
@@ -467,12 +492,10 @@ class TestCollectorPause:
                 gc.enable()
             else:
                 gc.disable()
-            try:
-                parse_scenario(path)
-            except ParleyError:
-                refused += 1
+            outcomes.append(_outcome(partial(parse_scenario, path), tmp_path))
             assert gc.isenabled() is enabled
-        assert 0 < refused < 300
+        assert 0 < outcomes.count("accepted") < 300
+        assert outcomes == MUTANT_OUTCOMES["scenarios"]
 
     def test_mutated_bundled_protocols_fail_only_as_parley_errors(self, tmp_path, restore_gc):
         """Each mutant is named by path from t1_joint, in place of the
@@ -484,7 +507,7 @@ class TestCollectorPause:
         raw = json.loads((FIXTURES / "scenarios" / "t1_joint.json").read_text(encoding="utf-8"))
         rng = Random(13)
         path = tmp_path / "scenario.json"
-        refused = 0
+        outcomes = []
         for i in range(300):
             name = rng.choice(sorted(docs))
             (tmp_path / "mutant.json").write_text(
@@ -497,12 +520,10 @@ class TestCollectorPause:
                 gc.enable()
             else:
                 gc.disable()
-            try:
-                run_scenario(parse_scenario(path))
-            except ParleyError:
-                refused += 1
+            outcomes.append(_outcome(lambda: run_scenario(parse_scenario(path)), tmp_path))
             assert gc.isenabled() is enabled
-        assert 0 < refused < 300
+        assert 0 < outcomes.count("accepted") < 300
+        assert outcomes == MUTANT_OUTCOMES["protocols"]
 
 
 def _collections_started(action) -> list[bool]:
@@ -528,6 +549,24 @@ def _collections_started(action) -> list[bool]:
     finally:
         gc.callbacks.remove(note)
     return started
+
+
+#: what each seeded mutant of the two tests above produces, in order: the
+#: class and text of its refusal, with the test's directory as ``<tmp>``,
+#: or ``accepted``; recorded once, so a change to a reader that changes
+#: any refusal's text, or the order of its checks, shows here
+MUTANT_OUTCOMES = json.loads(
+    (Path(__file__).parent / "data" / "mutant_outcomes.json").read_text(encoding="utf-8")
+)
+
+
+def _outcome(action, tmp_path) -> str:
+    """What ``action`` produced: ``accepted``, or its refusal."""
+    try:
+        action()
+    except ParleyError as exc:
+        return f"{type(exc).__name__}: {exc}".replace(str(tmp_path), "<tmp>")
+    return "accepted"
 
 
 #: what a mutation puts in place of a document's field

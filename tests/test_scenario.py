@@ -498,6 +498,47 @@ class TestResolution:
         build_runtime(parse_scenario(path))
         assert calls == {"load_protocol": 2, "validate_protocol": 1}
 
+    @pytest.mark.parametrize(
+        "directory, protocols, error, message",
+        [
+            pytest.param(None, None, ParseError, "no scenario file at {path}",
+                         id="missing-scenario"),
+            pytest.param("s.json", None, ParseError, "no scenario file at {path}",
+                         id="directory-scenario"),
+            pytest.param(None, ["ips", "nosuch"], UnresolvedReferenceError,
+                         "no bundled protocol 'nosuch'", id="unknown-bundled"),
+            pytest.param(None, ["ips", "no\0such"], UnresolvedReferenceError,
+                         "no bundled protocol 'no\\x00such'", id="nul-in-bundled"),
+            pytest.param(None, ["ips", "request.json/x"], UnresolvedReferenceError,
+                         "no bundled protocol 'request.json/x'", id="bundled-under-a-file"),
+            pytest.param(None, ["x.json", "request"], UnresolvedReferenceError,
+                         "no protocol file 'x.json'", id="missing-protocol-file"),
+            pytest.param("x.json", ["x.json", "request"], UnresolvedReferenceError,
+                         "no protocol file 'x.json'", id="directory-protocol-file"),
+        ],
+    )
+    def test_a_path_to_no_file_is_refused_with_its_error(
+        self, directory, protocols, error, message, tmp_path, capsys
+    ):
+        """A bundled protocol is opened without first checking that its
+        file exists; every path that names no file is still refused with
+        its error class and text, and ``validate`` exits 2."""
+        path = tmp_path / "s.json"
+        if directory is not None:
+            (tmp_path / directory).mkdir()
+        if protocols is not None:
+            raw = json.loads(scenario_path("t1_joint").read_text(encoding="utf-8"))
+            path.write_text(json.dumps({**raw, "protocols": protocols}), encoding="utf-8")
+        message = message.format(path=path)
+        with pytest.raises(error) as caught:
+            parse_scenario(path)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+        assert cli_main(["validate", str(path)]) == 2
+        if protocols is None:  # the command line looks the file up first
+            message = f"no scenario file {str(path)!r}"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 def t1_joint_with_a_copy(**changes) -> dict:
     """t1_joint with its task duplicated as t1b (``changes`` apply to the copy)."""
@@ -635,6 +676,34 @@ class TestSummaryAgainstOracle:
             assert wakes > 0
         else:
             assert most_recoveries >= 2
+
+
+class TestValidScenarioFuzz:
+    """Seeded random valid scenarios: both individual modes with 1-3
+    faults per task, and joint selection over a pool with silent and
+    unwilling agents.  Whatever the faults, a run must not raise, leave
+    a task unresolved, or send a message it never delivers."""
+
+    def test_no_run_raises_or_leaves_work_undone(self):
+        runs = 0
+        for seed in range(400):
+            rng = Random(seed)
+            docs = [
+                individual_scenario(Random(seed), mode, rng.randint(1, 4), max_faults)
+                for mode in (SEQUENTIAL, MIXED)
+                for max_faults in (1, 2, 3)
+            ]
+            docs.append(joint_scenario(Random(seed), rng.randint(1, 4), rng.randint(4, 10)))
+            for doc in docs:
+                where = f"seed {seed}, {doc['scenario_id']}"
+                trace, summary = run_scenario(scenario_from_dict(doc))
+                assert [t.task_id for t in summary.tasks] == [t["id"] for t in doc["tasks"]]
+                assert all(t.outcome != "unresolved" for t in summary.tasks), where
+                sent = Counter(e.payload.seq for e in trace if e.kind == "send")
+                delivered = Counter(e.payload.seq for e in trace if e.kind == "deliver")
+                assert sent == delivered, where
+                runs += 1
+        assert runs == 2800
 
 
 class IterationCountingList(list):
