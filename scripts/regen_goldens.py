@@ -32,7 +32,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from parley.fixtures import scenario_path  # noqa: E402
 from parley import runtime  # noqa: E402
 from parley.model import Message  # noqa: E402
 from parley.runtime import Delivered, Sent, TraceEvent, render_trace  # noqa: E402
@@ -288,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
         failed = bool(problems)
         print(f"render_trace: {'differs from' if problems else 'identical to'} json.dumps")
     for name, check in GOLDENS.items():
-        scenario = parse_scenario(scenario_path(name))
+        scenario = parse_scenario(name)
         trace, summary = run_scenario(scenario)
         check(trace, summary)
         outputs = {

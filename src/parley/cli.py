@@ -11,20 +11,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .errors import ParleyError, ParseError, UnresolvedReferenceError
-from .fixtures import protocol_path, scenario_path
-from .model import Protocol
+from .model import Protocol, load_protocol, require_valid
 from .runtime import write_trace
 from .scenario import (
     JOINT,
     MIXED,
     SEQUENTIAL,
     Scenario,
-    load_protocol_file,
     parse_scenario,
-    require_one_participant,
+    require_mode_fits,
     require_own_initiators,
     run_scenario,
 )
@@ -34,19 +31,6 @@ MODE_ALIASES = {
     "seq": SEQUENTIAL,
     "mixed": MIXED,
 }
-
-
-def _find(name: str, kind: str, bundled_path) -> Path:
-    """The ``kind`` file ``name`` when it ends in ``.json``, else the
-    bundled ``kind`` of that name: the rule by which
-    :func:`scenario.load_registry` reads a protocol entry."""
-    if Path(name).suffix == ".json":
-        path, missing = Path(name), f"no {kind} file {name!r}"
-    else:
-        path, missing = bundled_path(name), f"no bundled {kind} {name!r}"
-    if not path.is_file():
-        raise ParseError(missing)
-    return path
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
@@ -62,12 +46,12 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     if not changes:
         return scenario
     scenario = scenario._replace(**changes)
-    require_one_participant(scenario)
+    require_mode_fits(scenario)
     return scenario
 
 
 def cmd_run(args) -> int:
-    scenario = parse_scenario(_find(args.scenario, "scenario", scenario_path))
+    scenario = parse_scenario(args.scenario)
     trace, summary = run_scenario(_apply_overrides(scenario, args))
     if args.trace:
         write_trace(trace, args.trace)
@@ -81,7 +65,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    scenario = parse_scenario(_find(args.scenario, "scenario", scenario_path))
+    scenario = parse_scenario(args.scenario)
     require_own_initiators(scenario)
     print(f"{scenario.scenario_id}: ok "
           f"({len(scenario.agents)} agents, {len(scenario.tasks)} tasks, "
@@ -106,23 +90,16 @@ def _dump_protocol(protocol: Protocol) -> None:
         print(f"    states: {machine.initial_state} -> "
               f"{sorted(machine.terminal_states)}")
         for t in machine.transitions:
-            trig = t.trigger
-            if trig.kind == "receive":
-                left = f"receive {trig.schema_id}"
-            else:
-                left = f"internal {trig.variable}"
-            act = t.action
-            if act.kind == "send":
-                right = f"send {act.schema_id}"
-            elif act.kind == "data_change":
-                right = f"set {act.variable}"
-            else:
-                right = "-"
+            trig, act = t.trigger, t.action
+            left = f"{trig.kind} {trig.schema_id if trig.kind == 'receive' else trig.variable}"
+            texts = {"send": f"send {act.schema_id}", "data_change": f"set {act.variable}"}
+            right = texts.get(act.kind, "-")
             print(f"    {t.from_state} --{t.method}: {left} / {right}--> {t.to_state}")
 
 
 def cmd_dump_protocol(args) -> int:
-    _dump_protocol(load_protocol_file(_find(args.protocol, "protocol", protocol_path)))
+    # a bundled protocol loads unchecked, and none is printed unchecked
+    _dump_protocol(require_valid(load_protocol(args.protocol), args.protocol))
     return 0
 
 
@@ -158,12 +135,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, UnresolvedReferenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ParleyError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, (ParseError, UnresolvedReferenceError)) else 3
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from .model import (
     RoleStateMachine,
     Transition,
 )
-from .patterns import content_matches, fill_pattern
+from .patterns import fill_pattern
 
 #: bound on the cascade of internal transitions one input sets off
 _CASCADE_LIMIT = 8
@@ -262,8 +262,9 @@ class MachineDriver:
         return self.state in self.machine.terminal_states
 
     def _emit(self, schema: MessageSchema) -> Message:
+        # a task's contents were checked against their schemas when read
         content = self.content_overrides.get(schema.schema_id)
-        if content is None or not content_matches(schema.content_pattern, content):
+        if content is None:
             content = fill_pattern(schema.content_pattern)
         journal = self.journal
         return Message(

@@ -30,7 +30,14 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, TypeVar
 
-from .errors import CompositeProtocolError, CyclicFatherRelationError, ParseError, UnknownRoleError
+from .errors import (
+    CompositeProtocolError,
+    CyclicFatherRelationError,
+    ParseError,
+    UnknownRoleError,
+    UnresolvedReferenceError,
+)
+from .fixtures import ROOT
 from .patterns import content_matches, shape_matches, validate_pattern
 
 # ---------------------------------------------------------------------------
@@ -564,6 +571,46 @@ def match_task_to_protocols(
 # ---------------------------------------------------------------------------
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON value")
+
+
+#: the directory of the bundled documents, as text: a bundled name is
+#: made a path without a ``Path`` join
+_BUNDLED = str(ROOT)
+
+#: strict JSON: ``NaN`` and ``Infinity`` are refused, at no cost to other
+#: documents; a key given twice in one object keeps its last value
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
+def read_document(name: str | Path, kind: str, base_dir: Path | None = None):
+    """The JSON value, path and bundledness of the ``kind`` document
+    ``name``: a file when the name ends in ``.json`` (in ``base_dir`` when
+    relative), else the bundled ``kind`` of that name.  It is opened
+    once, with no stat, and every failure to open or decode it is
+    refused here."""
+    name = str(name)
+    bundled = not name.endswith(".json")
+    if bundled:
+        path, missing = f"{_BUNDLED}/{kind}s/{name}.json", f"no bundled {kind} {name!r}"
+    else:  # an absolute name replaces base_dir
+        path, missing = Path(base_dir or "", name), f"no {kind} file {name!r}"
+    try:
+        with open(path, "rb") as file:
+            data = file.read()
+    except (OSError, ValueError):  # no such file, a directory, a NUL or too long a name
+        raise UnresolvedReferenceError(missing) from None
+    try:
+        return _DECODER.decode(data.decode("utf-8")), path, bundled
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    except RecursionError:
+        raise ParseError(f"{path}: not valid JSON (nested too deeply)") from None
+    except ValueError as exc:  # a syntax error, a NaN, an integer of too many digits
+        raise ParseError(f"{path}: not valid JSON ({exc})") from None
+
+
 _KIND_NAMES = {
     dict: "a JSON object",
     list: "a JSON array",
@@ -723,72 +770,79 @@ def protocol_from_dict(raw: dict) -> Protocol:
     """The protocol of a JSON document, every field checked for its type.
 
     An error names the JSON path of the bad field, as in
-    ``roles[1].transitions[0].trigger``.  The static checks of
-    :func:`validate_protocol` are not made here.
+    ``roles[1].transitions[0].trigger``; :func:`load_protocol` adds the
+    file.  The static checks of :func:`validate_protocol` are not made here.
     """
-    try:
-        schemas: dict[str, MessageSchema] = {}
-        protocol_id = _require(_known(raw, _PROTOCOL_KEYS, ()), "protocol_id", (), str)
-        for i, s in enumerate(_require(raw, "schemas", (), list)):
-            at = ("schemas", i)
-            schema_id = _require(_known(s, _SCHEMA_KEYS, at), "schema_id", at, str)
-            if schema_id in schemas:
-                raise ParseError(f"{_located(at, 'schema_id')}: duplicate schema id {schema_id!r}")
-            schemas[schema_id] = MessageSchema(
-                schema_id,
-                _require(s, "performative", at, str),
-                _require(s, "content_pattern", at),
-                _typed(s.get("language", "kv"), str, at, "language"),
-                _typed(s.get("ontology", "core"), str, at, "ontology"),
-            )
-        roles: dict[str, RoleStateMachine] = {}
-        for i, r in enumerate(_require(raw, "roles", (), list)):
-            at = ("roles", i)
-            role_id = _require(_known(r, _ROLE_KEYS, at), "role_id", at, str)
-            if role_id in roles:
-                raise ParseError(f"{_located(at, 'role_id')}: duplicate role id {role_id!r}")
-            kind = _ROLE_KINDS.get(_require(r, "kind", at, str))
-            if kind is None:
-                raise ParseError(f"{_located(at, 'kind')}: unknown role kind {r['kind']!r:.40}")
-            multiplicity = _require(r, "multiplicity", at)
-            if multiplicity != MANY and type(multiplicity) is not int:
-                raise ParseError(
-                    f"{_located(at, 'multiplicity')}: expected an integer or {MANY!r}, "
-                    f"got {multiplicity!r:.40}"
-                )
-            father = r.get("father")
-            if father is not None:
-                _typed(father, str, at, "father")
-            transitions = [
-                _transition_from_dict(t, (*at, "transitions", j))
-                for j, t in enumerate(_require(r, "transitions", at, list))
-            ]
-            roles[role_id] = RoleStateMachine(
-                role_id,
-                kind,
-                multiplicity,
-                frozenset(_names(_require(r, "states", at), at, "states")),
-                _require(r, "initial", at, str),
-                frozenset(_names(_require(r, "terminals", at), at, "terminals")),
-                tuple(transitions),
-                father,
-            )
-        return Protocol(
-            protocol_id,
-            frozenset(_names(raw.get("capability_tags", []), (), "capability_tags")),
-            schemas,
-            roles,
-            raw.get("omega"),
+    schemas: dict[str, MessageSchema] = {}
+    protocol_id = _require(_known(raw, _PROTOCOL_KEYS, ()), "protocol_id", (), str)
+    for i, s in enumerate(_require(raw, "schemas", (), list)):
+        at = ("schemas", i)
+        schema_id = _require(_known(s, _SCHEMA_KEYS, at), "schema_id", at, str)
+        if schema_id in schemas:
+            raise ParseError(f"{_located(at, 'schema_id')}: duplicate schema id {schema_id!r}")
+        schemas[schema_id] = MessageSchema(
+            schema_id,
+            _require(s, "performative", at, str),
+            _require(s, "content_pattern", at),
+            _typed(s.get("language", "kv"), str, at, "language"),
+            _typed(s.get("ontology", "core"), str, at, "ontology"),
         )
-    except ParseError as exc:
-        raise ParseError(f"malformed protocol document: {exc}") from None
+    roles: dict[str, RoleStateMachine] = {}
+    for i, r in enumerate(_require(raw, "roles", (), list)):
+        at = ("roles", i)
+        role_id = _require(_known(r, _ROLE_KEYS, at), "role_id", at, str)
+        if role_id in roles:
+            raise ParseError(f"{_located(at, 'role_id')}: duplicate role id {role_id!r}")
+        kind = _ROLE_KINDS.get(_require(r, "kind", at, str))
+        if kind is None:
+            raise ParseError(f"{_located(at, 'kind')}: unknown role kind {r['kind']!r:.40}")
+        multiplicity = _require(r, "multiplicity", at)
+        if multiplicity != MANY and type(multiplicity) is not int:
+            raise ParseError(
+                f"{_located(at, 'multiplicity')}: expected an integer or {MANY!r}, "
+                f"got {multiplicity!r:.40}"
+            )
+        father = r.get("father")
+        if father is not None:
+            _typed(father, str, at, "father")
+        transitions = [
+            _transition_from_dict(t, (*at, "transitions", j))
+            for j, t in enumerate(_require(r, "transitions", at, list))
+        ]
+        roles[role_id] = RoleStateMachine(
+            role_id,
+            kind,
+            multiplicity,
+            frozenset(_names(_require(r, "states", at), at, "states")),
+            _require(r, "initial", at, str),
+            frozenset(_names(_require(r, "terminals", at), at, "terminals")),
+            tuple(transitions),
+            father,
+        )
+    return Protocol(
+        protocol_id,
+        frozenset(_names(raw.get("capability_tags", []), (), "capability_tags")),
+        schemas,
+        roles,
+        raw.get("omega"),
+    )
 
 
-def load_protocol(path: str | Path) -> Protocol:
+def require_valid(protocol: Protocol, where: str) -> Protocol:
+    """``protocol``, refused naming ``where`` if :func:`validate_protocol` objects."""
+    violations = validate_protocol(protocol)
+    if violations:
+        raise ParseError(f"{where}: invalid protocol: " + "; ".join(map(str, violations)))
+    return protocol
+
+
+def load_protocol(name: str | Path, base_dir: Path | None = None) -> Protocol:
+    """The protocol document ``name`` (see :func:`read_document`), validated
+    unless bundled: ``TestValidation.test_bundled_protocols_are_clean`` in
+    ``tests/test_model.py`` validates the bundled ones once, not every run."""
+    raw, path, bundled = read_document(name, "protocol", base_dir)
     try:
-        with open(path, encoding="utf-8") as file:
-            raw = json.load(file)
-        return protocol_from_dict(raw)
-    except (json.JSONDecodeError, ParseError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-
+        protocol = protocol_from_dict(raw)
+    except ParseError as exc:
+        raise ParseError(f"{path}: malformed protocol document: {exc}") from None
+    return protocol if bundled else require_valid(protocol, str(path))

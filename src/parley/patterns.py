@@ -33,18 +33,24 @@ def _is_scalar(value: Any) -> bool:
     return isinstance(value, (str, int, float)) and not isinstance(value, bool)
 
 
-def validate_pattern(pattern: Any, path: str = "$") -> list[str]:
+#: how deep a pattern may nest: the matchers and the filler recurse into it
+MAX_DEPTH = 32
+
+
+def validate_pattern(pattern: Any, path: str = "$", depth: int = 0) -> list[str]:
     """Return a list of problems (empty when the pattern is well formed)."""
     problems: list[str] = []
-    if isinstance(pattern, dict):
+    if isinstance(pattern, (dict, list)) and depth == MAX_DEPTH:
+        problems.append(f"{path}: nested deeper than {MAX_DEPTH}")
+    elif isinstance(pattern, dict):
         for key, sub in pattern.items():
             if not isinstance(key, str):
                 problems.append(f"{path}: non-string key {key!r}")
             else:
-                problems.extend(validate_pattern(sub, f"{path}.{key}"))
+                problems.extend(validate_pattern(sub, f"{path}.{key}", depth + 1))
     elif isinstance(pattern, list):
         for idx, sub in enumerate(pattern):
-            problems.extend(validate_pattern(sub, f"{path}[{idx}]"))
+            problems.extend(validate_pattern(sub, f"{path}[{idx}]", depth + 1))
     elif isinstance(pattern, str):
         if pattern.startswith("?") and pattern not in WILDCARDS:
             problems.append(f"{path}: unknown wildcard {pattern!r}")

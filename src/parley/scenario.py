@@ -33,7 +33,6 @@ looked at once, by the first collection after it.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
@@ -47,12 +46,10 @@ from .agents import (
     SilentAgent,
 )
 from .errors import ParseError, UnresolvedReferenceError
-from .fixtures import protocol_path
 from .joint import AGENT_ORIENTED, PROTOCOL_ORIENTED
 from .model import (
     CompatibilityTable,
     InteractionModel,
-    Protocol,
     ProtocolRegistry,
     RoleRef,
     TaskDescription,
@@ -63,8 +60,10 @@ from .model import (
     _require,
     _typed,
     load_protocol,
-    validate_protocol,
+    match_task_to_protocols,
+    read_document,
 )
+from .patterns import content_matches
 from .runtime import FaultSpec, SimRuntime, TraceEvent, collector_paused
 
 JOINT = "joint"
@@ -227,18 +226,14 @@ def _integer(raw: dict, key: str, default: int, where: str, least: int | None = 
     return value
 
 
-def parse_scenario(path) -> Scenario:
+def parse_scenario(name: str | Path) -> Scenario:
+    """The checked scenario document ``name``: a file when it ends in
+    ``.json``, else the bundled scenario of that name (see
+    :func:`model.read_document`)."""
     # parsing makes no reference cycles (see the module docstring)
     with collector_paused:
-        path = Path(path)
-        if not path.is_file():
-            raise ParseError(f"no scenario file at {path}")
-        try:
-            with open(path, encoding="utf-8") as file:
-                raw = json.load(file)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: not valid JSON ({exc})") from exc
-        return scenario_from_dict(raw, str(path), path.parent)
+        raw, path, _ = read_document(name, "scenario")
+        return scenario_from_dict(raw, str(path), Path(path).parent)
 
 
 def scenario_from_dict(
@@ -309,43 +304,14 @@ def scenario_from_dict(
 # ---------------------------------------------------------------------------
 
 
-def load_protocol_file(path: Path) -> Protocol:
-    """A protocol document from outside the package, read and validated."""
-    protocol = load_protocol(path)
-    violations = validate_protocol(protocol)
-    if violations:
-        raise ParseError(f"{path}: invalid protocol: " + "; ".join(map(str, violations)))
-    return protocol
-
-
 def load_registry(protocols: tuple[str, ...], base_dir: Path | None = None) -> ProtocolRegistry:
-    """The named protocols by id.
-
-    A protocol named by path is validated as it loads.  A bundled one is
-    not, since every run would repeat the same checks:
-    ``TestValidation.test_bundled_protocols_are_clean`` in
-    ``tests/test_model.py`` validates and classifies each bundled protocol
-    instead.  Two entries that load the same protocol id are an error.
-    """
+    """The named protocols by id, each read by :func:`model.load_protocol`
+    (a relative file name in ``base_dir``); two entries that load the same
+    protocol id are an error."""
     registry: ProtocolRegistry = {}
     entry: dict[str, int] = {}  # protocol id -> index of the entry that loaded it
     for index, name in enumerate(protocols):
-        # only a name with ".json" in it can have that suffix, so a bundled
-        # name is told without building a Path
-        if ".json" in name and Path(name).suffix == ".json":
-            candidate = Path(name)
-            if not candidate.is_absolute() and base_dir is not None:
-                candidate = base_dir / candidate
-            if not candidate.is_file():
-                raise UnresolvedReferenceError(f"no protocol file {name!r}")
-            protocol = load_protocol_file(candidate)
-        else:
-            try:
-                protocol = load_protocol(protocol_path(name))
-            # what a check that the file exists would read as no file: no
-            # such path, a file used as a directory, a NUL in the name
-            except (FileNotFoundError, NotADirectoryError, ValueError):
-                raise UnresolvedReferenceError(f"no bundled protocol {name!r}") from None
+        protocol = load_protocol(name, base_dir)
         first = entry.setdefault(protocol.protocol_id, index)
         if first != index:
             raise ParseError(
@@ -359,9 +325,8 @@ def load_registry(protocols: tuple[str, ...], base_dir: Path | None = None) -> P
 def _resolve(scenario: Scenario) -> None:
     """Check every cross reference; raise with a location on failure."""
     registry = scenario.registry
-    ids = {spec.agent_id for spec in scenario.agents}
-    silent = {spec.agent_id for spec in scenario.agents if spec.behavior == SILENT}
-    if len(ids) != len(scenario.agents):
+    specs = {spec.agent_id: spec for spec in scenario.agents}
+    if len(specs) != len(scenario.agents):
         raise ParseError(f"{scenario.scenario_id}: duplicate agent ids")
     checked: set[InteractionModel] = set()  # agents with equal enacts share a model
     for spec in scenario.agents:
@@ -373,17 +338,19 @@ def _resolve(scenario: Scenario) -> None:
                 raise UnresolvedReferenceError(
                     f"agent {spec.agent_id}: unknown protocol {protocol_id!r}"
                 )
-            for role in roles:
-                if role not in registry[protocol_id].roles:
-                    raise UnresolvedReferenceError(
-                        f"agent {spec.agent_id}: no role {protocol_id}:{role}"
-                    )
+            unknown = roles.difference(registry[protocol_id].roles)
+            if unknown:  # named in sorted order, whatever the hash seed
+                raise UnresolvedReferenceError(
+                    f"agent {spec.agent_id}: no role {protocol_id}:{min(unknown)}"
+                )
+    # (initiator's model, capabilities) -> the schemas a task's contents may name
+    usable: dict[tuple, dict] = {}
     for task in scenario.tasks:
-        if task.initiator not in ids:
+        if task.initiator not in specs:
             raise UnresolvedReferenceError(
                 f"task {task.task_id}: unknown initiator {task.initiator!r}"
             )
-        if task.initiator in silent:
+        if specs[task.initiator].behavior == SILENT:
             raise ParseError(
                 f"task {task.task_id}: initiator {task.initiator!r} is silent "
                 f"and cannot run a task"
@@ -394,11 +361,29 @@ def _resolve(scenario: Scenario) -> None:
                     f"task {task.task_id}: unknown protocol {protocol_id!r}"
                 )
             for agent in agents:
-                if agent not in ids:
+                if agent not in specs:
                     raise UnresolvedReferenceError(
                         f"task {task.task_id}: unknown participant {agent!r}"
                     )
-    require_one_participant(scenario)
+        contents = task.constraints.get("contents")
+        if contents and scenario.selection_mode != JOINT:
+            key = (specs[task.initiator].model, task.required_capabilities)
+            schemas = usable.get(key)
+            if schemas is None:  # an individual initiator runs the first protocol matched
+                matched = match_task_to_protocols(task, key[0], registry)
+                schemas = usable[key] = matched[0][0].schemas if matched else {}
+            for schema_id, content in contents.items():
+                if schema_id not in schemas:
+                    raise UnresolvedReferenceError(
+                        f"task {task.task_id}: contents: {task.initiator} initiates no "
+                        f"protocol with a schema {schema_id!r}"
+                    )
+                if not content_matches(schemas[schema_id].content_pattern, content):
+                    raise ParseError(
+                        f"task {task.task_id}: contents: {schema_id}: {content!r:.40} "
+                        f"does not match its pattern"
+                    )
+    require_mode_fits(scenario)
     for pair in sorted(scenario.compatibility.pairs):
         for ref in pair:
             if ref.protocol not in registry or ref.role not in registry[ref.protocol].roles:
@@ -427,11 +412,14 @@ def require_own_initiators(scenario: Scenario) -> None:
         by_initiator[task.initiator] = task.task_id
 
 
-def require_one_participant(scenario: Scenario) -> None:
-    """Individual selection talks to one identified participant per task."""
-    if scenario.selection_mode == JOINT:
-        return
+def require_mode_fits(scenario: Scenario) -> None:
+    """Joint selection sends no task contents, and individual selection
+    talks to one identified participant per task."""
     for task in scenario.tasks:
+        if scenario.selection_mode == JOINT:
+            if task.constraints.get("contents"):
+                raise ParseError(f"task {task.task_id}: {JOINT} selection sends no contents")
+            continue
         named = {a for agents in task.participants.values() for a in agents}
         if len(named) != 1:
             raise UnresolvedReferenceError(

@@ -8,10 +8,11 @@ seeded multi-task scenario documents over the bundled protocols.
 
 from __future__ import annotations
 
+from pathlib import Path
 from random import Random
 
 from parley.agents import IndividualInitiator, SequentialResponder
-from parley.fixtures import scenario_path
+from parley.fixtures import ROOT as FIXTURES
 from parley.model import (
     MANY,
     Action,
@@ -26,6 +27,16 @@ from parley.model import (
 )
 from parley.runtime import FaultSpec, SimRuntime
 from parley.scenario import Scenario, parse_scenario, scenario_from_dict
+
+
+def protocol_path(name: str) -> Path:
+    """The file of the bundled protocol ``name``."""
+    return FIXTURES / "protocols" / f"{name}.json"
+
+
+def scenario_path(name: str) -> Path:
+    """The file of the bundled scenario ``name``."""
+    return FIXTURES / "scenarios" / f"{name}.json"
 
 
 def _ask_schema(performative: str = "ask-one") -> MessageSchema:
@@ -439,7 +450,7 @@ def sample_scenarios(family: str) -> list[Scenario]:
     ones of a selection mode: joint, or an individual mode with up to
     three faults per task."""
     if family == "bundled":
-        return [parse_scenario(scenario_path(name)) for name in BUNDLED]
+        return [parse_scenario(name) for name in BUNDLED]
     if family == "joint":
         docs = [joint_scenario(Random(seed), 6, 12) for seed in range(50)]
     else:

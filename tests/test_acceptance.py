@@ -13,7 +13,6 @@ import time
 from pathlib import Path
 from random import Random
 
-from parley.fixtures import bundled_registry, scenario_path
 from parley.individual import (
     MethodGraph,
     clamped_recovery_points,
@@ -46,6 +45,7 @@ from parley.model import (
 from parley.runtime import WAKE, render_trace
 from parley.scenario import (
     build_runtime,
+    load_registry,
     parse_scenario,
     run_scenario,
     scenario_from_dict,
@@ -80,7 +80,7 @@ def payload(*labels: str) -> ReadyToSelectPayload:
 
 def test_criterion_1_candidate_matrix_incidences():
     t0 = time.monotonic()
-    registry = bundled_registry("ips", "request")
+    registry = load_registry(("ips", "request"))
     model = InteractionModel(
         entries={"ips": frozenset({"asker"}), "request": frozenset({"asker"})}
     )
@@ -118,7 +118,7 @@ def test_criterion_1_candidate_matrix_incidences():
 
 def test_criterion_2_joint_selection_end_to_end():
     t0 = time.monotonic()
-    trace, summary = run_scenario(parse_scenario(scenario_path("t1_joint")))
+    trace, summary = run_scenario(parse_scenario("t1_joint"))
     task = summary.tasks[0]
     assert task.outcome == "selected"
     triple = (task.detail["agent"], task.detail["protocol"], task.detail["role"])
@@ -136,7 +136,7 @@ def test_criterion_2_joint_selection_end_to_end():
     assert offered and task.detail["role"] in offered[0]
 
     # with every identified agent declining, selection reports failure
-    runtime = build_runtime(parse_scenario(scenario_path("t1_joint_refusal")))
+    runtime = build_runtime(parse_scenario("t1_joint_refusal"))
     runtime.run_until_quiescent()
     assert runtime.agents["q1"].outcome == ("failure", {"reason": "exhausted"})
     elapsed = time.monotonic() - t0
@@ -280,7 +280,7 @@ def test_criterion_5_recovery_points_oracle_equivalence():
 
     # worked example: a replacement whose methods never produced the
     # journal must restart, and both points collapse onto record 1
-    registry = bundled_registry("attr_query", "attr_probe")
+    registry = load_registry(("attr_query", "attr_probe"))
     ask = Message(
         performative="ask-one", content={"attribute": "modified", "document": "d4"},
         language="kv", ontology="core", sender="q2", receiver="c1",
@@ -313,7 +313,7 @@ def test_criterion_5_recovery_points_oracle_equivalence():
 
 def test_criterion_6_sequential_recovery_golden_run():
     t0 = time.monotonic()
-    scenario = parse_scenario(scenario_path("t2_sequential_fault"))
+    scenario = parse_scenario("t2_sequential_fault")
     trace, summary = run_scenario(scenario)
 
     frozen = (DATA / "t2_sequential_fault.trace.jsonl").read_text(encoding="utf-8")
@@ -480,7 +480,7 @@ def test_criterion_7_mixed_mode_coherence_under_random_faults():
 def test_criterion_8_determinism():
     t0 = time.monotonic()
     for name in BUNDLED:
-        scenario = parse_scenario(scenario_path(name))
+        scenario = parse_scenario(name)
         first, _ = run_scenario(scenario)
         second, _ = run_scenario(scenario)
         assert render_trace(first) == render_trace(second), name
@@ -488,7 +488,7 @@ def test_criterion_8_determinism():
     # under other seeds the stories differ but stay well formed
     reseeded = 0
     for name in BUNDLED:
-        base = parse_scenario(scenario_path(name))
+        base = parse_scenario(name)
         for bump in (1, 2):
             scenario = base._replace(seed=base.seed + bump)
             trace, summary = run_scenario(scenario)

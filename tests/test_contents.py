@@ -22,9 +22,8 @@ from random import Random
 import pytest
 
 import parley.agents
-from parley.fixtures import bundled_protocol
 from parley.joint import participant_meta_step
-from parley.model import CALL_FOR_COLLABORATION, UNABLE_TO_SELECT, Message, RoleRef
+from parley.model import CALL_FOR_COLLABORATION, UNABLE_TO_SELECT, Message, RoleRef, load_protocol
 from parley.runtime import SimRuntime
 from parley.scenario import (
     MIXED,
@@ -101,7 +100,7 @@ def test_a_broadcast_and_equal_offers_share_one_content():
     ids=["malformed-call", "unwilling", "no-role"],
 )
 def test_a_refusal_sends_one_content_per_reason(content, willing, roles, reason):
-    registry = {"ips": bundled_protocol("ips")}
+    registry = {"ips": load_protocol("ips")}
     sent = []
     for agent in ("d1", "d2"):
         call = Message(CALL_FOR_COLLABORATION, dict(content), "kv", "core", "q1", agent, "t1!select")

@@ -32,7 +32,6 @@ import parley.mixed
 import parley.runtime
 import parley.scenario
 from parley.agents import SelectionParticipant
-from parley.fixtures import bundled_protocol
 from parley.individual import method_graph
 from parley.joint import ReadyToSelectPayload, assign_roles_1_n
 from parley.machine import weak_schema_ids
@@ -42,6 +41,7 @@ from parley.model import (
     UNABLE_TO_SELECT,
     RoleRef,
     father_order,
+    load_protocol,
 )
 from parley.runtime import WAKE, render_trace
 from parley.scenario import (
@@ -309,7 +309,7 @@ def test_an_allocation_runs_a_bounded_number_of_matchings(pool, monkeypatch):
 
     monkeypatch.setattr(parley.joint, "_injective_matching", counted)
     protocols = [
-        bundled_protocol("auction"),
+        load_protocol("auction"),
         one_n_protocol("cer", {"x": None, "y": "x", "z": None, "w": "y"}),
     ]
     labels = [str(p.ref(r)) for p in protocols for r in father_order(p)]

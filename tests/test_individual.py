@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 
 from parley.errors import NoViableRoleError, PointOutOfRangeError
-from parley.fixtures import bundled_registry
 from parley.individual import (
     INITIATOR_DETECTED,
     PARTICIPANT_DETECTED,
@@ -61,7 +60,7 @@ from parley.model import (
 )
 
 from parley.runtime import WAKE
-from parley.scenario import MIXED, SEQUENTIAL, build_runtime, scenario_from_dict
+from parley.scenario import MIXED, SEQUENTIAL, build_runtime, load_registry, scenario_from_dict
 
 from .generators import journal_graph_instances
 from .helpers import individual_scenario, rewind_runtime
@@ -115,7 +114,7 @@ def server_journal() -> Journal:
 
 @pytest.fixture(scope="module")
 def registry():
-    return bundled_registry(*SERVER_PROTOCOLS)
+    return load_registry(SERVER_PROTOCOLS)
 
 
 # ---------------------------------------------------------------------------

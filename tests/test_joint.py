@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from parley.agents import JointInitiator
 from parley.errors import CyclicFatherRelationError, ProtocolViolationError
-from parley.fixtures import bundled_protocol
 from parley.joint import (
     AGENT_ORIENTED,
     PROTOCOL_ORIENTED,
@@ -36,6 +35,7 @@ from parley.model import (
     RoleRef,
     TaskDescription,
     father_order,
+    load_protocol,
 )
 from parley.runtime import WAKE, AgentBase, SimRuntime
 
@@ -350,7 +350,7 @@ class TestAssignRoles:
         assert first == second
 
 
-AUCTION = bundled_protocol("auction")
+AUCTION = load_protocol("auction")
 #: the auction's participant roles, plus a label of a protocol not asked about
 AUCTION_LABELS = ("auction:buyer", "auction:manager", "auction:seller", "cnp:contractor")
 

@@ -11,11 +11,10 @@ from random import Random
 
 import pytest
 
-from parley.fixtures import scenario_path
 from parley.runtime import render_trace
 from parley.scenario import run_scenario, scenario_from_dict
 
-from .helpers import joint_fanout_scenario, joint_scenario
+from .helpers import joint_fanout_scenario, joint_scenario, scenario_path
 from .meta_monitor import meta_protocol_violations
 
 REPO = Path(__file__).resolve().parent.parent

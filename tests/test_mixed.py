@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 
 from parley.errors import NoViableRoleError
-from parley.fixtures import ROOT as FIXTURES, bundled_registry
+from parley.fixtures import ROOT as FIXTURES
 from parley.individual import (
     WRONG_CONTENT,
     WRONG_STRUCTURE,
@@ -50,6 +50,7 @@ from parley.model import (
     Trigger,
 )
 from parley.patterns import fill_pattern
+from parley.scenario import load_registry
 
 from .generators import message_pairs
 from .oracles import oracle_same_signature, oracle_shape_key, oracle_zone_coherent
@@ -84,7 +85,7 @@ def server_collection() -> set[RoleRef]:
 
 @pytest.fixture(scope="module")
 def registry():
-    return bundled_registry(*SERVER_PROTOCOLS)
+    return load_registry(SERVER_PROTOCOLS)
 
 
 def instantiate(collection, registry, rng):
@@ -582,7 +583,7 @@ def test_a_schema_takes_the_structure_of_exactly_the_fills_that_share_its_own():
     pair of bundled schemas, that agrees with comparing the two fills'
     structure fingerprints."""
     names = sorted(path.stem for path in (FIXTURES / "protocols").glob("*.json"))
-    schemas = [s for p in bundled_registry(*names).values() for s in p.schemas.values()]
+    schemas = [s for p in load_registry(names).values() for s in p.schemas.values()]
 
     def fill(schema):
         content = fill_pattern(schema.content_pattern)

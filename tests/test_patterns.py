@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from parley.patterns import (
+    MAX_DEPTH,
     content_matches,
     fill_pattern,
     get_leaf,
@@ -62,6 +63,21 @@ def test_validate_pattern_reports_paths():
     assert any("$.bad" in p and "?bogus" in p for p in problems)
     assert any("non-string key" in p for p in problems)
     assert validate_pattern(PATTERN) == []
+
+
+def test_validate_pattern_bounds_the_nesting_the_matchers_recurse_into():
+    def nested(depth):
+        pattern = {"x": "?string"}
+        for _ in range(depth):
+            pattern = [pattern]
+        return pattern
+
+    assert validate_pattern(nested(MAX_DEPTH - 1)) == []
+    assert validate_pattern(nested(MAX_DEPTH)) == [
+        "$" + "[0]" * MAX_DEPTH + f": nested deeper than {MAX_DEPTH}"
+    ]
+    # deeper than a walk could recurse: refused, not a RecursionError
+    assert len(validate_pattern(nested(5000))) == 1
 
 
 def test_validate_pattern_rejects_odd_leaves():

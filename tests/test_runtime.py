@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import gc
 import json
+import re
 from collections import Counter
 from functools import partial
 from pathlib import Path
@@ -18,7 +19,7 @@ import parley.runtime
 
 from parley.errors import BudgetExceededError, ParleyError, ParseError, UnknownReceiverError
 from parley.fixtures import ROOT as FIXTURES
-from parley.model import Message
+from parley.model import Message, load_protocol
 from parley.runtime import (
     MAX_ZERO_DELAY_HOPS,
     WAKE,
@@ -526,6 +527,31 @@ class TestCollectorPause:
         assert outcomes == MUTANT_OUTCOMES["protocols"]
 
 
+    def test_byte_mutants_of_bundled_documents_fail_only_as_parley_errors(self, tmp_path):
+        """Each mutant is a bundled document cut short, spliced with a
+        piece of another or re-encoded, read as a scenario file (and run
+        if it parses) or as a protocol file."""
+        docs = [
+            (kind[:-1], path.read_bytes())
+            for kind in ("protocols", "scenarios")
+            for path in sorted((FIXTURES / kind).glob("*.json"))
+        ]
+        rng = Random(14)
+        path = tmp_path / "mutant.json"
+        outcomes = []
+        for _ in range(300):
+            kind, data = rng.choice(docs)
+            path.write_bytes(_mutate_bytes(data, [d for _, d in docs], rng))
+            if kind == "scenario":
+                outcome = _outcome(lambda: run_scenario(parse_scenario(path)), tmp_path)
+            else:
+                outcome = _outcome(partial(load_protocol, path), tmp_path)
+            # the json module words its syntax errors differently across versions
+            outcomes.append(re.sub(r"not valid JSON \(.*\)$", "not valid JSON", outcome))
+        assert 0 < outcomes.count("accepted") < 300
+        assert outcomes == BYTE_MUTANT_OUTCOMES
+
+
 def _collections_started(action) -> list[bool]:
     """For each collection started during ``action`` or by the check
     after it, whether it started during ``action``; at threshold 1 any
@@ -558,6 +584,10 @@ def _collections_started(action) -> list[bool]:
 MUTANT_OUTCOMES = json.loads(
     (Path(__file__).parent / "data" / "mutant_outcomes.json").read_text(encoding="utf-8")
 )
+#: the same for the byte mutants, a JSON syntax error's detail dropped
+BYTE_MUTANT_OUTCOMES = json.loads(
+    (Path(__file__).parent / "data" / "byte_mutant_outcomes.json").read_text(encoding="utf-8")
+)["documents"]
 
 
 def _outcome(action, tmp_path) -> str:
@@ -592,6 +622,24 @@ def _mutate(doc: dict, rng: Random) -> dict:
     else:
         node[key] = rng.choice(_ODD_VALUES)
     return doc
+
+
+def _mutate_bytes(data: bytes, others: list[bytes], rng: Random) -> bytes:
+    """``data`` cut short, with a piece of one of ``others`` spliced in,
+    or with an accented letter put after one of its quotes and the whole
+    encoded in Latin-1, UTF-16 (with or without its byte order mark) or
+    UTF-8."""
+    how = rng.choice(("cut", "splice", "encode"))
+    if how == "cut":
+        return data[: rng.randrange(len(data))]
+    if how == "splice":
+        other = rng.choice(others)
+        i, k = rng.randrange(len(data)), rng.randrange(len(other))
+        return data[:i] + other[k : k + rng.randrange(40)] + data[i + rng.randrange(40) :]
+    text = data.decode("utf-8")
+    quote = rng.choice([i for i, char in enumerate(text) if char == '"'])
+    text = text[: quote + 1] + "é" + text[quote + 1 :]
+    return text.encode(rng.choice(("latin-1", "utf-16", "utf-16-le", "utf-8")))
 
 
 class TestFaultMechanics:

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from fnmatch import fnmatch
 from pathlib import Path
@@ -10,11 +13,12 @@ from random import Random
 
 import pytest
 
+import parley.model
 import parley.runtime
 import parley.scenario
 from parley.cli import main as cli_main
 from parley.errors import ParseError, UnresolvedReferenceError
-from parley.fixtures import protocol_path, scenario_path
+from parley.model import Violation, load_protocol
 from parley.runtime import render_trace
 from parley.scenario import (
     JOINT,
@@ -28,7 +32,13 @@ from parley.scenario import (
     summarize,
 )
 
-from .helpers import BUNDLED, individual_scenario, joint_scenario
+from .helpers import (
+    BUNDLED,
+    individual_scenario,
+    joint_scenario,
+    protocol_path,
+    scenario_path,
+)
 from .oracles import oracle_summary_counts
 
 DATA = Path(__file__).parent / "data"
@@ -60,7 +70,7 @@ def minimal_raw(**overrides):
 class TestParsing:
     def test_bundled_scenarios_all_parse(self):
         for name in BUNDLED:
-            scenario = parse_scenario(scenario_path(name))
+            scenario = parse_scenario(name)
             assert scenario.scenario_id == name
             assert scenario.agents and scenario.tasks
 
@@ -74,7 +84,7 @@ class TestParsing:
         assert scenario.agents[0].behavior == "auto"
 
     def test_missing_file(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(UnresolvedReferenceError, match="^no scenario file '/nowhere/else.json'$"):
             parse_scenario("/nowhere/else.json")
 
     def test_invalid_json(self, tmp_path):
@@ -487,23 +497,25 @@ class TestResolution:
         monkeypatch.chdir(tmp_path)  # so a second load would also find the file
         calls = Counter()
 
-        def counting(name, function):
+        def counting(module, name):
+            function = getattr(module, name)
+
             def wrapper(*args):
                 calls[name] += 1
                 return function(*args)
-            monkeypatch.setattr(parley.scenario, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
 
-        counting("load_protocol", parley.scenario.load_protocol)
-        counting("validate_protocol", parley.scenario.validate_protocol)
+        counting(parley.scenario, "load_protocol")
+        counting(parley.model, "validate_protocol")
         build_runtime(parse_scenario(path))
         assert calls == {"load_protocol": 2, "validate_protocol": 1}
 
     @pytest.mark.parametrize(
         "directory, protocols, error, message",
         [
-            pytest.param(None, None, ParseError, "no scenario file at {path}",
+            pytest.param(None, None, UnresolvedReferenceError, "no scenario file '{path}'",
                          id="missing-scenario"),
-            pytest.param("s.json", None, ParseError, "no scenario file at {path}",
+            pytest.param("s.json", None, UnresolvedReferenceError, "no scenario file '{path}'",
                          id="directory-scenario"),
             pytest.param(None, ["ips", "nosuch"], UnresolvedReferenceError,
                          "no bundled protocol 'nosuch'", id="unknown-bundled"),
@@ -520,9 +532,10 @@ class TestResolution:
     def test_a_path_to_no_file_is_refused_with_its_error(
         self, directory, protocols, error, message, tmp_path, capsys
     ):
-        """A bundled protocol is opened without first checking that its
-        file exists; every path that names no file is still refused with
-        its error class and text, and ``validate`` exits 2."""
+        """A document is opened without first checking that its file
+        exists; every path that names no file is still refused with its
+        error class and text, the same through ``parse_scenario`` and the
+        command line, and ``validate`` exits 2."""
         path = tmp_path / "s.json"
         if directory is not None:
             (tmp_path / directory).mkdir()
@@ -535,9 +548,154 @@ class TestResolution:
         assert type(caught.value) is error
         assert str(caught.value) == message
         assert cli_main(["validate", str(path)]) == 2
-        if protocols is None:  # the command line looks the file up first
-            message = f"no scenario file {str(path)!r}"
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _bundled_raw(name: str) -> dict:
+    return json.loads(scenario_path(name).read_text(encoding="utf-8"))
+
+
+class TestDocuments:
+    """One function finds and reads every document, so a document that
+    cannot be read is refused alike through ``parse_scenario``,
+    ``load_protocol`` and the command line, as a located ParleyError
+    (exit 2), never as a traceback."""
+
+    @staticmethod
+    def _refused(path, error, message, capsys):
+        with pytest.raises(error) as caught:
+            parse_scenario(path)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+        assert cli_main(["validate", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_a_scenario_that_is_not_utf8_is_refused(self, tmp_path, capsys):
+        text = json.dumps({**_bundled_raw("t1_joint"), "scenario_id": "café"}, ensure_ascii=False)
+        path = tmp_path / "latin1.json"
+        path.write_bytes(text.encode("latin-1"))
+        at = text.index("é")  # every character before it is one byte
+        message = f"{path}: not UTF-8 (invalid continuation byte at byte {at})"
+        self._refused(path, ParseError, message, capsys)
+
+    def test_a_bundled_name_too_long_for_a_file_name_is_no_document(self, tmp_path, capsys):
+        name = "x" * 300
+        with pytest.raises(UnresolvedReferenceError, match=f"^no bundled scenario '{name}'$"):
+            parse_scenario(name)
+        assert cli_main(["validate", name]) == 2
+        assert cli_main(["dump-protocol", name]) == 2
+        assert capsys.readouterr().err == (
+            f"error: no bundled scenario '{name}'\nerror: no bundled protocol '{name}'\n"
+        )
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({**_bundled_raw("t1_joint"), "protocols": [name, "request"]}))
+        self._refused(path, UnresolvedReferenceError, f"no bundled protocol '{name}'", capsys)
+
+    def test_a_document_nested_too_deeply_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        self._refused(path, ParseError, f"{path}: not valid JSON (nested too deeply)", capsys)
+        with pytest.raises(ParseError, match="nested too deeply"):
+            load_protocol(path)
+
+    def test_an_integer_of_too_many_digits_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        text = json.dumps({**_bundled_raw("t1_joint"), "seed": 0})
+        path.write_text(text.replace('"seed": 0', '"seed": ' + "9" * 5000))
+        with pytest.raises(ParseError) as caught:
+            parse_scenario(path)
+        assert str(caught.value).startswith(f"{path}: not valid JSON (Exceeds the limit (4300")
+        assert cli_main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {caught.value}\n"
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_nan_and_infinity_are_refused(self, literal, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        text = json.dumps({**_bundled_raw("t1_joint"), "seed": 0})
+        path.write_text(text.replace('"seed": 0', f'"seed": {literal}'))
+        message = f"{path}: not valid JSON ({literal} is not a JSON value)"
+        self._refused(path, ParseError, message, capsys)
+        protocol = tmp_path / "p.json"
+        text = protocol_path("ips").read_text(encoding="utf-8")
+        protocol.write_text(text.replace('"?string"', literal, 1))
+        with pytest.raises(ParseError, match=f"not valid JSON \\({literal} is not"):
+            load_protocol(protocol)
+
+    def test_a_key_given_twice_keeps_its_last_value(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(_bundled_raw("t1_joint"))[:-1] + ', "seed": 7, "seed": 8}')
+        assert parse_scenario(path).seed == 8
+
+    def test_an_unknown_role_is_named_whatever_the_hash_seed(self, tmp_path):
+        raw = _bundled_raw("auction_tree")
+        raw["agents"][3]["enacts"] = {"auction": ["none", "auto"]}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(raw))
+        errors = []
+        # checked in set order, hash seeds 0 and 1 named different roles
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(SRC)}
+            done = subprocess.run(
+                [sys.executable, "-m", "parley", "validate", str(path)],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert done.returncode == 2
+            errors.append(done.stderr)
+        assert errors == ["error: agent b3: no role auction:auto\n"] * 2
+
+    def test_dump_protocol_validates_a_bundled_protocol(self, monkeypatch, capsys):
+        violation = Violation("composite", "ips", "planted")
+        monkeypatch.setattr(parley.model, "validate_protocol", lambda protocol: [violation])
+        assert load_protocol("ips").protocol_id == "ips"  # bundled: loaded unchecked
+        assert cli_main(["dump-protocol", "ips"]) == 2
+        assert capsys.readouterr() == ("", "error: ips: invalid protocol: composite [ips]: planted\n")
+
+
+class TestTaskContents:
+    """A task's contents are checked when its scenario is read: each
+    names a schema of a protocol its initiator can initiate and fits
+    that schema's pattern, and joint selection, which sends none, has
+    none."""
+
+    @pytest.mark.parametrize(
+        "contents, error, message",
+        [
+            ({"askk": {"attribute": "modified", "document": "d4"}}, UnresolvedReferenceError,
+             "task t2: contents: q2 initiates no protocol with a schema 'askk'"),
+            ({"ask": {"attribute": "modified", "document": 4}}, ParseError,
+             "task t2: contents: ask: {'attribute': 'modified', 'document': 4} "
+             "does not match its pattern"),
+            ({"ask": {"attribute": "modified"}}, ParseError,
+             "task t2: contents: ask: {'attribute': 'modified'} does not match its pattern"),
+        ],
+        ids=["unknown-schema", "number-for-a-string", "missing-key"],
+    )
+    @pytest.mark.parametrize("name", ["t2_sequential_fault", "t2_mixed_fault"])
+    def test_contents_that_would_not_be_sent_are_refused(
+        self, name, contents, error, message, tmp_path, capsys
+    ):
+        raw = _bundled_raw(name)
+        raw["tasks"][0]["constraints"]["contents"] = contents
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        TestDocuments._refused(path, error, message, capsys)
+
+    def test_joint_selection_refuses_contents(self, capsys):
+        raw = _bundled_raw("t1_joint")
+        raw["tasks"][0]["constraints"] = {"contents": {"ask": {"attribute": "a", "document": "d"}}}
+        with pytest.raises(ParseError, match="^task t1: joint selection sends no contents$"):
+            scenario_from_dict(raw)
+        assert cli_main(["run", "t2_sequential_fault", "--mode", "joint"]) == 2
+        assert capsys.readouterr() == ("", "error: task t2: joint selection sends no contents\n")
+
+    def test_the_given_contents_are_sent(self):
+        trace, _ = run_scenario(parse_scenario("t2_sequential_fault"))
+        asks = [p.message.content for kind, p in ((e.kind, e.payload) for e in trace)
+                if kind == "send" and p.message.performative == "ask-one"]
+        assert asks and all(c == {"attribute": "modified", "document": "d4"} for c in asks)
 
 
 def t1_joint_with_a_copy(**changes) -> dict:
@@ -584,7 +742,7 @@ class TestTaskIdentity:
 
     def test_bundled_scenarios_have_their_own_initiators(self):
         for name in BUNDLED:
-            require_own_initiators(parse_scenario(scenario_path(name)))
+            require_own_initiators(parse_scenario(name))
 
 
 def task_conversations(scenario):
@@ -617,20 +775,20 @@ class TestGoldenRuns:
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_trace_bytes(self, name):
-        scenario = parse_scenario(scenario_path(name))
+        scenario = parse_scenario(name)
         trace, _ = run_scenario(scenario)
         frozen = (DATA / f"{name}.trace.jsonl").read_text(encoding="utf-8")
         assert render_trace(trace) == frozen
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_summary_counts_match_trace(self, name):
-        scenario = parse_scenario(scenario_path(name))
+        scenario = parse_scenario(name)
         trace, summary = run_scenario(scenario)
         assert_counts_match_oracle(scenario, trace, summary)
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_frozen_summary(self, name):
-        scenario = parse_scenario(scenario_path(name))
+        scenario = parse_scenario(name)
         trace, summary = run_scenario(scenario)
         frozen = json.loads((DATA / f"{name}.summary.json").read_text(encoding="utf-8"))
         assert frozen["events"] == len(trace)
@@ -644,7 +802,7 @@ class TestGoldenRuns:
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_every_delivery_has_a_send(self, name):
-        trace, _ = run_scenario(parse_scenario(scenario_path(name)))
+        trace, _ = run_scenario(parse_scenario(name))
         sent = {e.payload["seq"] for e in trace if e.kind == "send"}
         for e in trace:
             if e.kind == "deliver":
@@ -813,7 +971,7 @@ class TestCli:
         (tmp_path / "s.json").write_text(json.dumps(raw), encoding="utf-8")
         assert cli_main(["validate", "s.json"]) == 2
         assert capsys.readouterr().err.count("error: no protocol file 'ips.json'") == 2
-        with pytest.raises(ParseError, match="no scenario file at"):
+        with pytest.raises(UnresolvedReferenceError, match="no scenario file"):
             parse_scenario(tmp_path / "ips.json")
 
     def test_dump_protocol(self, capsys):
@@ -866,7 +1024,7 @@ class TestSchemaEnvelope:
 
 class TestDeterminism:
     def test_same_scenario_same_bytes(self):
-        scenario = parse_scenario(scenario_path("t2_mixed_fault"))
+        scenario = parse_scenario("t2_mixed_fault")
         first, _ = run_scenario(scenario)
         second, _ = run_scenario(scenario)
         assert render_trace(first) == render_trace(second)
