@@ -39,7 +39,6 @@ from .journal import DataChange, Journal
 from .joint import (
     PROTOCOL_ORIENTED,
     CandidateMatrix,
-    ReadyToSelectPayload,
     acceptable_role,
     assign_roles_1_n,
     build_candidate_matrix,
@@ -75,7 +74,6 @@ from .model import (
     TERMINATION_NOTICE,
     TERMINATION_WARNING,
     UNABLE_TO_SELECT,
-    CompatibilityTable,
     InteractionModel,
     Message,
     ProtocolCategory,
@@ -141,9 +139,9 @@ class _Round:
         #: the agents called, a set so that admitting a reply is one lookup
         self.agents = agents
         self.broadcast = broadcast
-        #: agent -> the offer its ready-to-select made, None for an offer
-        #: of no role (pairwise only: in a broadcast that is no answer)
-        self.replies: dict[str, ReadyToSelectPayload | None] = {}
+        #: agent -> the roles its ready-to-select offered, empty for an
+        #: offer of no role (pairwise only: in a broadcast that is no answer)
+        self.replies: dict[str, tuple[RoleRef, ...]] = {}
         #: the agents that answered unable-to-select or a malformed offer
         self.refused: set[str] = set()
 
@@ -189,7 +187,7 @@ class JointInitiator(AgentBase):
         self.pending: list[tuple[str, tuple[str, ...], bool]] = []
         #: id of each well-formed ready-to-select content read -> that
         #: content, held so that its id is not reused, and its offer
-        self.offers_read: dict[int, tuple[dict, ReadyToSelectPayload | None]] = {}
+        self.offers_read: dict[int, tuple[dict, tuple[RoleRef, ...]]] = {}
 
     # -- plumbing ----------------------------------------------------------
 
@@ -201,18 +199,20 @@ class JointInitiator(AgentBase):
     def _note(self, rt: SimRuntime, step: str, **fields) -> None:
         rt.note("selection", {"task": self.task.task_id, "step": step, **fields})
 
-    def _read_offer(self, content) -> ReadyToSelectPayload | None:
-        """The offer of a ready-to-select's content, None when it lists no
-        role; ValueError or ParseError unless its roles are a list of
-        distinct ``protocol:role`` strings.  A content is never changed
-        once sent, so each well-formed content object is read once."""
+    def _read_offer(self, content) -> tuple[RoleRef, ...]:
+        """The roles a ready-to-select's content offers, in its order;
+        ValueError or ParseError unless they are a list of distinct
+        ``protocol:role`` strings.  A content is never changed once sent,
+        so each well-formed content object is read once."""
         read = self.offers_read.get(id(content))
         if read is not None:
             return read[1]
         roles = content.get("roles", []) if isinstance(content, dict) else None
         if not isinstance(roles, list) or not all(isinstance(r, str) for r in roles):
             raise ValueError(f"roles must be a list of 'protocol:role' strings, not {roles!r}")
-        offer = ReadyToSelectPayload(tuple(RoleRef.parse(r) for r in roles)) if roles else None
+        offer = tuple(map(RoleRef.parse, roles))
+        if len(set(offer)) != len(offer):
+            raise ValueError("duplicate roles in ready-to-select payload")
         self.offers_read[id(content)] = (content, offer)
         return offer
 
@@ -241,11 +241,11 @@ class JointInitiator(AgentBase):
         self.explored.add(vector)
         self._note(rt, "explore", vector=vector)
         if self.mode != PROTOCOL_ORIENTED:
-            self.pending = [(protocol, (vector,), False) for protocol in self.matrix.column(vector)]
+            self.pending = [(p, (vector,), False) for p in self.matrix.columns[vector]]
         elif classify_protocol(self.registry[vector]) is ProtocolCategory.ONE_ONE:
-            self.pending = [(vector, (agent,), False) for agent in self.matrix.row(vector)]
+            self.pending = [(vector, (agent,), False) for agent in self.matrix.rows[vector]]
         else:
-            self.pending = [(vector, self.matrix.row(vector), True)]
+            self.pending = [(vector, self.matrix.rows[vector], True)]
         self._call_next(rt)
 
     def _call_next(self, rt: SimRuntime) -> None:
@@ -273,9 +273,7 @@ class JointInitiator(AgentBase):
         notices: dict[str, dict] = {}
         if not round_.broadcast:
             (agent,) = round_.agents
-            offer = round_.replies.get(agent)
-            roles = () if offer is None else offer.preferred_roles
-            ref = acceptable_role(roles, identified, self.registry)
+            ref = acceptable_role(round_.replies.get(agent, ()), identified, self.registry)
             if ref is not None:
                 notices[agent] = {"role": str(ref)}
                 kind, protocol_id = "one-one", ref.protocol
@@ -334,7 +332,7 @@ class JointInitiator(AgentBase):
                 round_.refused.add(msg.sender)
                 self._note(rt, "malformed-offer", agent=msg.sender, reason=str(exc))
             else:
-                if offer is None and round_.broadcast:
+                if not offer and round_.broadcast:
                     return  # offers nothing to arbitrate: no answer
                 round_.replies[msg.sender] = offer
         elif performative == UNABLE_TO_SELECT:
@@ -358,7 +356,7 @@ class SelectionParticipant(AgentBase):
         name: str,
         model: InteractionModel,
         registry: ProtocolRegistry,
-        table: CompatibilityTable,
+        table: frozenset[tuple[RoleRef, RoleRef]],
         willing: bool,
         offers: dict[str, tuple[tuple[RoleRef, ...], dict]],
         contents: dict[tuple[RoleRef, ...], dict],
@@ -456,9 +454,8 @@ class IndividualInitiator(AgentBase):
             return
         protocol, role_id = matched[0]
         overrides = self.task.constraints.get("contents", {})
-        self.driver = MachineDriver(
-            protocol.ref(role_id), self.registry, self.journal, content_overrides=overrides
-        )
+        ref = RoleRef(protocol.protocol_id, role_id)
+        self.driver = MachineDriver(ref, self.registry, self.journal, content_overrides=overrides)
         _schedule(rt, self.driver.resume(DataChange("task", self.task.task_id), rt.rng))
 
     def _send(self, rt: SimRuntime, performative: str, content: dict) -> None:

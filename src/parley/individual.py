@@ -116,7 +116,7 @@ def _generates_same_structure(
                 continue
             if t.action.kind != "send":
                 continue
-            if protocol.schema(t.action.schema_id).structure_matches(offending):
+            if protocol.schemas[t.action.schema_id].structure_matches(offending):
                 return True
     return False
 
@@ -247,7 +247,7 @@ def select_replacement_role(
             pending = frozenset(
                 s
                 for s in pending
-                if not protocol.schema(s).structure_matches(error.offending)
+                if not protocol.schemas[s].structure_matches(error.offending)
             )
             scores[ref] = len(pending & weak_schema_ids(machine))
         top = max(scores.values())

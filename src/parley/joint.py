@@ -33,7 +33,6 @@ from .model import (
     READY_TO_SELECT,
     STOP_SELECTION,
     UNABLE_TO_SELECT,
-    CompatibilityTable,
     InteractionModel,
     Message,
     Protocol,
@@ -41,7 +40,6 @@ from .model import (
     RoleKind,
     RoleRef,
     TaskDescription,
-    compatible,
     father_order,
 )
 
@@ -55,7 +53,8 @@ class CandidateMatrix(NamedTuple):
 
     Every row and every column is listed once, when the matrix is built,
     so reading one, or the number of its cells, does not scan the matrix.
-    The cells are the (protocol_id, agent_id) pairs of the rows.
+    Every protocol has a row, an empty one included, and every agent a
+    column.  The cells are the (protocol_id, agent_id) pairs of the rows.
     """
 
     protocols: tuple[str, ...]
@@ -64,12 +63,6 @@ class CandidateMatrix(NamedTuple):
     rows: dict[str, tuple[str, ...]]
     #: agent id -> the protocols of its column, in protocol order
     columns: dict[str, tuple[str, ...]]
-
-    def row(self, protocol_id: str) -> tuple[str, ...]:
-        return self.rows.get(protocol_id, ())
-
-    def column(self, agent_id: str) -> tuple[str, ...]:
-        return self.columns.get(agent_id, ())
 
 
 def build_candidate_matrix(
@@ -123,22 +116,14 @@ def next_vector(
 
 
 # ---------------------------------------------------------------------------
-# Payloads and outcomes
+# Offers and outcomes
+#
+# An offer is the tuple of roles a participant's ready-to-select lists,
+# in its order of preference, empty for an offer of no role.  The
+# initiator checks a content once, where it reads it
+# (``JointInitiator._read_offer``), and the arbitration rules take the
+# offers as ``agent -> roles``.
 # ---------------------------------------------------------------------------
-
-
-class ReadyToSelectPayload:
-    """Ordered, duplicate-free role list revealed by a participant,
-    checked when it is made."""
-
-    __slots__ = ("preferred_roles",)
-
-    def __init__(self, preferred_roles: tuple[RoleRef, ...]) -> None:
-        if not preferred_roles:
-            raise ValueError("a ready-to-select payload lists at least one role")
-        if len(set(preferred_roles)) != len(preferred_roles):
-            raise ValueError("duplicate roles in ready-to-select payload")
-        self.preferred_roles = preferred_roles
 
 
 class OneNSolution(NamedTuple):
@@ -156,23 +141,24 @@ class OneNSolution(NamedTuple):
 def offered_roles(
     protocol_id: str,
     model: InteractionModel,
-    table: CompatibilityTable,
+    table: frozenset[tuple[RoleRef, RoleRef]],
     registry: ProtocolRegistry,
 ) -> tuple[RoleRef, ...]:
     """Participant roles the agent can commit to for a call naming
     ``protocol_id``: its roles of that protocol plus every enacted role
-    compatible with the caller's initiator role.  Roles of the called
+    that ``table`` pairs with the caller's initiator role, as
+    ``(initiator role, participant role)``.  Roles of the called
     protocol come first, then the rest, each in role order."""
     protocol = registry.get(protocol_id)
     if protocol is None:
         return ()
-    initiator_ref = protocol.ref(protocol.initiator_role().role_id)
+    initiator_ref = RoleRef(protocol_id, protocol.initiator_role().role_id)
     usable: list[RoleRef] = []
     for ref in model.role_refs():
         owner = registry.get(ref.protocol)
         if owner is None or owner.roles[ref.role].kind is not RoleKind.PARTICIPANT:
             continue
-        if ref.protocol == protocol_id or compatible(initiator_ref, ref, table):
+        if ref.protocol == protocol_id or (initiator_ref, ref) in table:
             usable.append(ref)
     usable.sort(key=lambda r: (r.protocol != protocol_id, r))
     return tuple(usable)
@@ -233,7 +219,7 @@ def participant_meta_step(
 
 
 def select_largest_set(
-    replies: dict[str, ReadyToSelectPayload],
+    replies: dict[str, tuple[RoleRef, ...]],
     identified_protocols: frozenset[str] | set[str],
 ) -> tuple[RoleRef, frozenset[str]] | None:
     """Pick the role backed by the largest candidate set.
@@ -261,7 +247,7 @@ def select_largest_set(
     n = len(replies)
     backing: dict[RoleRef, set[str]] = {}
     for agent in sorted(replies):
-        for ref in replies[agent].preferred_roles:
+        for ref in replies[agent]:
             if ref.protocol in identified_protocols:
                 backing.setdefault(ref, set()).add(agent)
     if not backing:
@@ -390,7 +376,7 @@ def _strip_singletons(
 
 
 def assign_roles_1_n(
-    replies: dict[str, ReadyToSelectPayload],
+    replies: dict[str, tuple[RoleRef, ...]],
     protocols: Iterable[Protocol],
     rng: Random,
 ) -> OneNSolution | None:
@@ -411,10 +397,10 @@ def assign_roles_1_n(
     """
     fully: list[tuple[int, int, str, OneNSolution]] = []
     for protocol in sorted(protocols, key=lambda p: p.protocol_id):
-        order = [protocol.ref(rid) for rid in father_order(protocol)]
+        order = [RoleRef(protocol.protocol_id, rid) for rid in father_order(protocol)]
         candidates: dict[RoleRef, set[str]] = {ref: set() for ref in order}
         for agent in sorted(replies):
-            for ref in replies[agent].preferred_roles:
+            for ref in replies[agent]:
                 if ref in candidates:
                     candidates[ref].add(agent)
         if any(not agents for agents in candidates.values()):

@@ -60,7 +60,7 @@ def enabled_for_message(
     for t in machine.transitions_from(state):
         if t.trigger.kind != "receive":
             continue
-        schema = protocol.schema(t.trigger.schema_id)  # type: ignore[arg-type]
+        schema = protocol.schemas[t.trigger.schema_id]  # type: ignore[index]
         ok = schema.structure_matches(msg) if structural_only else schema.content_matches(msg)
         if ok:
             hits.append(t)
@@ -127,7 +127,7 @@ def cascade(
         t = pick(enabled, rng)
         kind = t.action.kind
         if kind == "send":
-            sent = emit(protocol.schema(t.action.schema_id))  # type: ignore[arg-type]
+            sent = emit(protocol.schemas[t.action.schema_id])  # type: ignore[index]
             outputs: tuple = (MessageEmission(sent),)
         elif kind == "data_change":
             outputs = (DataChange(t.action.variable, value),)
@@ -145,9 +145,9 @@ def cascade(
 
 def trigger_matches(protocol: Protocol, t: Transition, event) -> bool:
     if t.trigger.kind == "receive":
-        return isinstance(event, MessageReception) and protocol.schema(
-            t.trigger.schema_id  # type: ignore[arg-type]
-        ).content_matches(event.message)
+        return isinstance(event, MessageReception) and protocol.schemas[
+            t.trigger.schema_id  # type: ignore[index]
+        ].content_matches(event.message)
     return isinstance(event, DataChange) and event.variable == t.trigger.variable
 
 
@@ -158,9 +158,9 @@ def action_matches(protocol: Protocol, t: Transition, outputs: tuple) -> bool:
         return False
     out = outputs[0]
     if t.action.kind == "send":
-        return isinstance(out, MessageEmission) and protocol.schema(
-            t.action.schema_id  # type: ignore[arg-type]
-        ).content_matches(out.message)
+        return isinstance(out, MessageEmission) and protocol.schemas[
+            t.action.schema_id  # type: ignore[index]
+        ].content_matches(out.message)
     return isinstance(out, DataChange) and out.variable == t.action.variable
 
 

@@ -88,19 +88,9 @@ class ControlZone:
         self.last_sent: OutboxEntry | None = None
         self.stamp_counter = 0
 
-    def active(self) -> list[RoleInstance]:
-        return [
-            self.instances[r]
-            for r in sorted(self.instances)
-            if self.instances[r].activation == ACTIVE
-        ]
-
-    def deactivated(self) -> list[RoleInstance]:
-        return [
-            self.instances[r]
-            for r in sorted(self.instances)
-            if self.instances[r].activation == DEACTIVATED
-        ]
+    def with_activation(self, activation: str) -> list[RoleInstance]:
+        """The instances whose activation is ``activation``, in role order."""
+        return [i for _, i in sorted(self.instances.items()) if i.activation == activation]
 
 
 def same_signature(a: Message, b: Message) -> bool:
@@ -125,7 +115,7 @@ def _stop(instance: RoleInstance) -> None:
 
 def stop_active(cz: ControlZone) -> None:
     """Stop every active instance (stopping is final)."""
-    for instance in cz.active():
+    for instance in cz.with_activation(ACTIVE):
         _stop(instance)
 
 
@@ -199,7 +189,7 @@ def instantiate_all(
         instance = cz.instances[ref] = RoleInstance(ref, registry[ref.protocol])
         if not _step(cz, instance, takers[ref], reception, tag, rng):
             _stop(instance)
-    _park(cz, cz.active())
+    _park(cz, cz.with_activation(ACTIVE))
     return cz
 
 
@@ -216,7 +206,7 @@ def feed(cz: ControlZone, event, rng: Random) -> bool:
     """
     fired = [
         (instance, enabled_for(instance.machine, instance.protocol, instance.state, event))
-        for instance in cz.active()
+        for instance in cz.with_activation(ACTIVE)
     ]
     if not any(enabled for _, enabled in fired):
         return False
@@ -235,7 +225,7 @@ def handle_incoming(cz: ControlZone, msg: Message, rng: Random) -> str | None:
     takes it, else the error kind, with nothing touched."""
     if feed(cz, MessageReception(msg), rng):
         return None
-    placed = [(i.machine, i.protocol, i.state) for i in cz.active()]
+    placed = [(i.machine, i.protocol, i.state) for i in cz.with_activation(ACTIVE)]
     return rejection_kind(placed, msg)
 
 
@@ -255,7 +245,7 @@ def _send(cz: ControlZone, chosen: OutboxEntry) -> Message:
     parked as one batch, and its records are journaled."""
     matching = [e for e in cz.outbox if same_signature(chosen.message, e.message)]
     matching_refs = {e.ref for e in matching}
-    parked = [inst for inst in cz.active() if inst.ref not in matching_refs]
+    parked = [inst for inst in cz.with_activation(ACTIVE) if inst.ref not in matching_refs]
     if parked:
         _park(cz, parked)
     for entry in matching:
@@ -321,14 +311,14 @@ def handle_error_mixed(cz: ControlZone, kind: str, rng: Random) -> Message | Non
     if failed is None:
         raise ValueError("no sent message to recover from")
     stop_active(cz)
-    failed_schema = cz.instances[failed.ref].protocol.schema(failed.schema_id)
+    failed_schema = cz.instances[failed.ref].protocol.schemas[failed.schema_id]
     if kind == WRONG_STRUCTURE:
         doomed = [e for e in cz.outbox if failed_schema.structure_matches(e.message)]
     else:
         doomed = [
             e
             for e in cz.outbox
-            if cz.instances[e.ref].protocol.schema(e.schema_id).content_pattern
+            if cz.instances[e.ref].protocol.schemas[e.schema_id].content_pattern
             == failed_schema.content_pattern
         ]
     for entry in doomed:
@@ -377,7 +367,7 @@ def reactivate(cz: ControlZone, location: int, offending: Message | None) -> Rea
     plan carries the input to re-fire and how far the counterpart must
     roll back.
     """
-    pool = cz.deactivated()
+    pool = cz.with_activation(DEACTIVATED)
     if not pool:
         raise NoViableRoleError("every parked role is used up")
     top = max(instance.stamp for instance in pool)

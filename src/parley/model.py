@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 from enum import Enum
+from os.path import basename
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, TypeVar
 
@@ -313,9 +314,6 @@ class Protocol(NamedTuple):
     #: opaque annotation block, carried but never interpreted
     omega: Any = None
 
-    def schema(self, schema_id: str) -> MessageSchema:
-        return self.schemas[schema_id]
-
     def initiator_role(self) -> RoleStateMachine:
         for machine in self.roles.values():
             if machine.kind is RoleKind.INITIATOR:
@@ -324,11 +322,6 @@ class Protocol(NamedTuple):
 
     def participant_roles(self) -> list[RoleStateMachine]:
         return [m for m in self.roles.values() if m.kind is RoleKind.PARTICIPANT]
-
-    def ref(self, role_id: str) -> RoleRef:
-        if role_id not in self.roles:
-            raise UnknownRoleError(f"{self.protocol_id} has no role {role_id}")
-        return RoleRef(self.protocol_id, role_id)
 
 
 #: Protocols known to a running system, keyed by protocol_id.
@@ -486,7 +479,7 @@ def validate_protocol(protocol: Protocol) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
-# Interaction models, compatibility, tasks
+# Interaction models and tasks
 # ---------------------------------------------------------------------------
 
 
@@ -505,25 +498,6 @@ class InteractionModel:
             for rid in rids
         ]
         return sorted(refs)
-
-
-class CompatibilityTable(NamedTuple):
-    """Directed compatibility between roles of different protocols.
-
-    A pair (a, b) states that an agent enacting a can interact with an
-    agent enacting b.  The relation is reflexive by construction and
-    deliberately not symmetric: a plain initiator can often drive the
-    participant of a richer dialect, while the richer initiator would
-    starve against the plain participant.
-    """
-
-    pairs: frozenset[tuple[RoleRef, RoleRef]] = frozenset()
-
-
-def compatible(a: RoleRef, b: RoleRef, table: CompatibilityTable) -> bool:
-    if a == b:
-        return True
-    return (a, b) in table.pairs
 
 
 class TaskDescription(NamedTuple):
@@ -587,13 +561,16 @@ _DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 def read_document(name: str | Path, kind: str, base_dir: Path | None = None):
     """The JSON value, path and bundledness of the ``kind`` document
     ``name``: a file when the name ends in ``.json`` (in ``base_dir`` when
-    relative), else the bundled ``kind`` of that name.  It is opened
-    once, with no stat, and every failure to open or decode it is
-    refused here."""
+    relative), else the bundled ``kind`` of that name, which must be a
+    bare file name: a path would reach documents of another kind, or
+    outside the package.  It is opened once, with no stat, and every
+    failure to open or decode it is refused here."""
     name = str(name)
     bundled = not name.endswith(".json")
     if bundled:
         path, missing = f"{_BUNDLED}/{kind}s/{name}.json", f"no bundled {kind} {name!r}"
+        if basename(name) != name:
+            raise UnresolvedReferenceError(missing)
     else:  # an absolute name replaces base_dir
         path, missing = Path(base_dir or "", name), f"no {kind} file {name!r}"
     try:

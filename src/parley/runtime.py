@@ -303,45 +303,31 @@ def write_trace(trace: list[TraceEvent], path) -> None:
 STRUCTURE_FIELDS = ("performative", "language", "ontology", "shape")
 
 
-class FaultSpec:
+class FaultSpec(NamedTuple):
     """One-shot mutation of the n-th conversation message in flight.
 
     ``conversation`` is an ``fnmatch`` glob over conversation ids.
-    ``ordinal`` counts the counted messages of every conversation the
-    pattern matches, together: ``t1/*`` with ordinal 3 hits the third
-    counted message across all of ``t1``'s conversations.  Only
-    messages of the interaction itself are counted: reserved (selection
-    and control) performatives and self-addressed wakes pass through
-    untouched and uncounted.  Specs that hit the same message apply in
-    the order they were injected (file order for a scenario).  The bus
-    resolves the patterns once per conversation, when it first sees it.
-    A spec is checked when it is made and never changed afterwards.
+    ``ordinal`` (1-based) counts the counted messages of every
+    conversation the pattern matches, together: ``t1/*`` with ordinal 3
+    hits the third counted message across all of ``t1``'s conversations.
+    Only messages of the interaction itself are counted: reserved
+    (selection and control) performatives and self-addressed wakes pass
+    through untouched and uncounted.  Specs that hit the same message
+    apply in the order they were injected (file order for a scenario).
+    The bus resolves the patterns once per conversation, when it first
+    sees it.  The scenario reader, where faults come from, checks the
+    ordinal, the op and the structure field; the bus takes a spec as it
+    is.
     """
 
-    __slots__ = ("conversation", "ordinal", "op", "structure_field", "path")
-
-    def __init__(
-        self,
-        conversation: str,
-        ordinal: int,
-        op: str,
-        structure_field: str = "performative",
-        path: tuple = (),
-    ) -> None:
-        if ordinal < 1:
-            raise ValueError("fault ordinal is 1-based")
-        if op not in ("corrupt_structure", "corrupt_content"):
-            raise ValueError(f"unknown fault op {op!r}")
-        if op == "corrupt_structure" and structure_field not in STRUCTURE_FIELDS:
-            raise ValueError(f"unknown structure field {structure_field!r}")
-        self.conversation = conversation  # fnmatch pattern over conversation ids
-        self.ordinal = ordinal  # 1-based position among counted messages
-        self.op = op  # corrupt_structure | corrupt_content
-        #: for corrupt_structure: which structural facet to mangle
-        self.structure_field = structure_field
-        #: for corrupt_content: path to the leaf to type-swap; falls back
-        #: to the first leaf when the path does not resolve
-        self.path = path
+    conversation: str
+    ordinal: int
+    op: str  # corrupt_structure | corrupt_content
+    #: for corrupt_structure: which of ``STRUCTURE_FIELDS`` to mangle
+    structure_field: str = "performative"
+    #: for corrupt_content: path to the leaf to type-swap; falls back
+    #: to the first leaf when the path does not resolve
+    path: tuple = ()
 
 
 def corrupt_structure(msg: Message, structure_field: str) -> Message:

@@ -48,7 +48,6 @@ from .agents import (
 from .errors import ParseError, UnresolvedReferenceError
 from .joint import AGENT_ORIENTED, PROTOCOL_ORIENTED
 from .model import (
-    CompatibilityTable,
     InteractionModel,
     ProtocolRegistry,
     RoleRef,
@@ -64,7 +63,7 @@ from .model import (
     read_document,
 )
 from .patterns import content_matches
-from .runtime import FaultSpec, SimRuntime, TraceEvent, collector_paused
+from .runtime import STRUCTURE_FIELDS, FaultSpec, SimRuntime, TraceEvent, collector_paused
 
 JOINT = "joint"
 SEQUENTIAL = "individual_sequential"
@@ -82,7 +81,7 @@ _SCENARIO_KEYS = frozenset({
 _AGENT_KEYS = frozenset({"id", "enacts", "willing", "behavior"})
 _TASK_KEYS = frozenset({"id", "initiator", "capabilities", "participants", "constraints"})
 _CONSTRAINT_KEYS = frozenset({"contents"})
-#: the keys a fault may have, per op (``FaultSpec`` refuses any other op)
+#: the fault ops, each with the keys its fault may have
 _FAULT_KEYS = {
     "corrupt_structure": frozenset({"conversation", "ordinal", "op", "field"}),
     "corrupt_content": frozenset({"conversation", "ordinal", "op", "path"}),
@@ -104,7 +103,12 @@ class Scenario(NamedTuple):
     registry: ProtocolRegistry
     agents: tuple[AgentSpec, ...]
     tasks: tuple[TaskDescription, ...]
-    compatibility: CompatibilityTable
+    #: directed compatibility between roles of different protocols: a pair
+    #: (a, b) lets an agent enacting b answer a call from one enacting a.
+    #: It is deliberately not symmetric: a plain initiator can often drive
+    #: the participant of a richer dialect, while the richer initiator
+    #: would starve against the plain participant
+    compatibility: frozenset[tuple[RoleRef, RoleRef]]
     faults: tuple[FaultSpec, ...]
     exploration: str
     reply_deadline: int
@@ -259,18 +263,17 @@ def scenario_from_dict(
         op = _require(entry, "op", at, str)
         if op in _FAULT_KEYS:
             _known(entry, _FAULT_KEYS[op], at)
-        try:
-            faults.append(
-                FaultSpec(
-                    conversation=_require(entry, "conversation", at, str),
-                    ordinal=_require(entry, "ordinal", at, int),
-                    op=op,
-                    structure_field=entry.get("field", "performative"),
-                    path=tuple(_typed(entry.get("path", []), list, at, "path")),
-                )
-            )
-        except ValueError as exc:
-            raise ParseError(f"{at}: {exc}") from exc
+        conversation = _require(entry, "conversation", at, str)
+        ordinal = _require(entry, "ordinal", at, int)
+        field = entry.get("field", "performative")
+        path = tuple(_typed(entry.get("path", []), list, at, "path"))
+        if ordinal < 1:
+            raise ParseError(f"{at}: fault ordinal is 1-based")
+        if op not in _FAULT_KEYS:
+            raise ParseError(f"{at}: unknown fault op {op!r}")
+        if op == "corrupt_structure" and field not in STRUCTURE_FIELDS:
+            raise ParseError(f"{at}: unknown structure field {field!r}")
+        faults.append(_new_tuple(FaultSpec, (conversation, ordinal, op, field, path)))
     pairs = set()
     at = f"{where}: compatibility"
     for pair in _typed(raw.get("compatibility", []), list, at):
@@ -289,7 +292,7 @@ def scenario_from_dict(
         registry=load_registry(protocols, base_dir),
         agents=tuple(agents),
         tasks=tuple(tasks),
-        compatibility=CompatibilityTable(pairs=frozenset(pairs)),
+        compatibility=frozenset(pairs),
         faults=tuple(faults),
         exploration=exploration,
         reply_deadline=_integer(raw, "reply_deadline", 10, where, least=1),
@@ -384,7 +387,7 @@ def _resolve(scenario: Scenario) -> None:
                         f"does not match its pattern"
                     )
     require_mode_fits(scenario)
-    for pair in sorted(scenario.compatibility.pairs):
+    for pair in sorted(scenario.compatibility):
         for ref in pair:
             if ref.protocol not in registry or ref.role not in registry[ref.protocol].roles:
                 raise UnresolvedReferenceError(f"compatibility: no role {str(ref)!r}")

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from pathlib import Path
 from random import Random
+from typing import Callable
 
+import parley.agents
 from parley.agents import IndividualInitiator, SequentialResponder
 from parley.fixtures import ROOT as FIXTURES
 from parley.model import (
@@ -20,6 +22,7 @@ from parley.model import (
     MessageSchema,
     Protocol,
     RoleKind,
+    RoleRef,
     RoleStateMachine,
     TaskDescription,
     Transition,
@@ -456,3 +459,39 @@ def sample_scenarios(family: str) -> list[Scenario]:
     else:
         docs = [individual_scenario(Random(seed), family, 8, max_faults=3) for seed in range(50)]
     return [scenario_from_dict(doc) for doc in docs]
+
+
+def record_offer_reads(monkeypatch) -> tuple[list[tuple[str, str, int]], Callable[[], int]]:
+    """Record each offer a joint initiator reads, as (initiator,
+    performative, id of the content) of the message it handled; return
+    the records and a count of the roles parsed that are still alive.
+
+    Reading an offer parses its roles, so a message whose handling
+    parsed a role (``RoleRef.parse`` as the initiators look it up) is one
+    read; an offer of no role parses nothing and is not recorded.  Each
+    role parsed is a ``RoleRef`` subclass, equal to the ``RoleRef`` it
+    stands for, that counts itself out when it is freed.
+    """
+    reads: list[tuple[str, str, int]] = []
+    made, freed = [0], [0]
+
+    class CountedRef(RoleRef):
+        @classmethod
+        def parse(cls, text: str) -> RoleRef:
+            made[0] += 1
+            return cls(*RoleRef.parse(text))
+
+        def __del__(self) -> None:
+            freed[0] += 1
+
+    handle = parley.agents.JointInitiator.on_message
+
+    def tracked(initiator, rt, msg):
+        before = made[0]
+        handle(initiator, rt, msg)
+        if made[0] > before:
+            reads.append((initiator.name, msg.performative, id(msg.content)))
+
+    monkeypatch.setattr(parley.agents, "RoleRef", CountedRef)
+    monkeypatch.setattr(parley.agents.JointInitiator, "on_message", tracked)
+    return reads, lambda: made[0] - freed[0]

@@ -21,7 +21,6 @@ from parley.individual import (
 )
 from parley.joint import (
     PROTOCOL_ORIENTED,
-    ReadyToSelectPayload,
     assign_roles_1_n,
     build_candidate_matrix,
     next_vector,
@@ -67,10 +66,9 @@ def stamp(n: int, text: str) -> None:
     print(f"ACCEPTANCE {n} PASS — {text}")
 
 
-def payload(*labels: str) -> ReadyToSelectPayload:
-    return ReadyToSelectPayload(
-        preferred_roles=tuple(RoleRef.parse(label) for label in labels)
-    )
+def payload(*labels: str) -> tuple[RoleRef, ...]:
+    """The offer of a ready-to-select listing ``labels``."""
+    return tuple(RoleRef.parse(label) for label in labels)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +101,7 @@ def test_criterion_1_candidate_matrix_incidences():
     assert matrix.protocols == ("ips", "request")
     assert matrix.agents == ("d1", "d2", "d3", "d4", "d5", "d7")
     # five incidences beat four: the densest row is explored first
-    assert len(matrix.row("ips")) == 5 and len(matrix.row("request")) == 4
+    assert len(matrix.rows["ips"]) == 5 and len(matrix.rows["request"]) == 4
     assert next_vector(matrix, PROTOCOL_ORIENTED, frozenset()) == "ips"
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0

@@ -21,7 +21,6 @@ from random import Random
 
 import pytest
 
-import parley.agents
 from parley.joint import participant_meta_step
 from parley.model import CALL_FOR_COLLABORATION, UNABLE_TO_SELECT, Message, RoleRef, load_protocol
 from parley.runtime import SimRuntime
@@ -33,7 +32,7 @@ from parley.scenario import (
     summarize,
 )
 
-from .helpers import joint_fanout_scenario, sample_scenarios
+from .helpers import joint_fanout_scenario, record_offer_reads, sample_scenarios
 
 
 @pytest.mark.parametrize("family", ["bundled", "joint", SEQUENTIAL, MIXED])
@@ -111,14 +110,7 @@ def test_a_refusal_sends_one_content_per_reason(content, willing, roles, reason)
 
 
 def test_an_initiator_reads_each_distinct_offer_once(monkeypatch):
-    made: list[tuple] = []
-    original = parley.agents.ReadyToSelectPayload
-
-    def counted(roles):
-        made.append(roles)
-        return original(roles)
-
-    monkeypatch.setattr(parley.agents, "ReadyToSelectPayload", counted)
+    made, alive = record_offer_reads(monkeypatch)
     scenario = scenario_from_dict(joint_fanout_scenario(Random(7), 9, 60, 30))
     trace = build_runtime(scenario).run_until_quiescent()
     sent = {e.payload["seq"]: e.payload for e in trace if e.kind == "send"}
@@ -131,7 +123,8 @@ def test_an_initiator_reads_each_distinct_offer_once(monkeypatch):
     distinct = {(p["to"], id(p["content"])) for p in read}
     assert len({(p["to"], tuple(p["content"]["roles"])) for p in read}) == 24
     assert (len(read), len(distinct), len(made)) == (165, 24, 24)
+    assert {(to, content) for to, _, content in made} == distinct
     # the offers read go with their initiators: none outlives the run
     del trace, sent, read
     gc.collect()
-    assert not any(type(o) is original for o in gc.get_objects())
+    assert alive() == 0

@@ -33,7 +33,7 @@ import parley.runtime
 import parley.scenario
 from parley.agents import SelectionParticipant
 from parley.individual import method_graph
-from parley.joint import ReadyToSelectPayload, assign_roles_1_n
+from parley.joint import assign_roles_1_n
 from parley.machine import weak_schema_ids
 from parley.model import (
     READY_TO_SELECT,
@@ -58,6 +58,7 @@ from .helpers import (
     joint_fanout_scenario,
     joint_scenario,
     one_n_protocol,
+    record_offer_reads,
 )
 
 
@@ -214,44 +215,24 @@ def test_each_distinct_enacts_is_read_and_wired_once(monkeypatch):
 
 
 def test_an_initiator_parses_each_distinct_offer_content_once(monkeypatch):
-    made = [0]
-    original = parley.agents.ReadyToSelectPayload
-
-    def counted(roles):
-        made[0] += 1
-        return original(roles)
-
-    handle = parley.agents.JointInitiator.on_message
-    parsed: set[tuple] = set()  # (initiator, id of the content) of each parse
-    offers = 0
-
-    def tracked(initiator, rt, msg):
-        nonlocal offers
-        before = made[0]
-        handle(initiator, rt, msg)
-        if msg.performative == READY_TO_SELECT:
-            offers += 1
-            key = (initiator.name, id(msg.content))
-            assert made[0] - before <= (key not in parsed)
-            if made[0] > before:
-                parsed.add(key)
-        else:
-            assert made[0] == before
-
-    monkeypatch.setattr(parley.agents, "ReadyToSelectPayload", counted)
-    monkeypatch.setattr(parley.agents.JointInitiator, "on_message", tracked)
+    reads, _ = record_offer_reads(monkeypatch)
     scenario = scenario_from_dict(joint_fanout_scenario(Random(11), 12, 400, 100))
     runtime = build_runtime(scenario)
     trace = runtime.run_until_quiescent()
     assert {t.outcome for t in summarize(scenario, runtime, trace).tasks} == {"selected"}
+    # only an offer is parsed, and each (initiator, content) once
+    assert {performative for _, performative, _ in reads} == {READY_TO_SELECT}
+    parsed = {(initiator, content) for initiator, _, content in reads}
+    assert len(parsed) == len(reads)
     sent = {e.payload["seq"]: e.payload for e in trace if e.kind == "send"}
-    distinct = {
-        (sent[e.payload["seq"]]["to"], id(sent[e.payload["seq"]]["content"]))
+    offers = [
+        sent[e.payload["seq"]]
         for e in trace
         if e.kind == "deliver" and e.payload["performative"] == READY_TO_SELECT
-    }
-    assert made[0] == len(parsed) == len(distinct)
-    assert offers > 5 * made[0]
+    ]
+    distinct = {(p["to"], id(p["content"])) for p in offers}
+    assert parsed == distinct
+    assert len(offers) > 5 * len(reads)
 
 
 def _admission_comparisons(fanout: int, monkeypatch) -> list[int]:
@@ -312,13 +293,10 @@ def test_an_allocation_runs_a_bounded_number_of_matchings(pool, monkeypatch):
         load_protocol("auction"),
         one_n_protocol("cer", {"x": None, "y": "x", "z": None, "w": "y"}),
     ]
-    labels = [str(p.ref(r)) for p in protocols for r in father_order(p)]
+    refs = [RoleRef(p.protocol_id, r) for p in protocols for r in father_order(p)]
     rng = Random(pool)
     replies = {
-        f"a{i}": ReadyToSelectPayload(
-            tuple(RoleRef.parse(lbl) for lbl in labels if i < 2 or rng.random() < 0.7)
-        )
-        for i in range(pool)
+        f"a{i}": tuple(ref for ref in refs if i < 2 or rng.random() < 0.7) for i in range(pool)
     }
     got = assign_roles_1_n(replies, protocols, Random(1))
     assert got is not None

@@ -15,7 +15,6 @@ from parley.joint import (
     AGENT_ORIENTED,
     PROTOCOL_ORIENTED,
     CandidateMatrix,
-    ReadyToSelectPayload,
     assign_roles_1_n,
     build_candidate_matrix,
     next_vector,
@@ -29,7 +28,6 @@ from parley.model import (
     READY_TO_SELECT,
     STOP_SELECTION,
     UNABLE_TO_SELECT,
-    CompatibilityTable,
     InteractionModel,
     Message,
     RoleRef,
@@ -89,10 +87,10 @@ class TestMatrix:
         matrix = canonical_matrix()
         assert matrix.protocols == ("ips", "request")
         assert matrix.agents == ("d1", "d2", "d3", "d4", "d5", "d7")
-        assert matrix.row("ips") == ("d1", "d2", "d4", "d5", "d7")
-        assert matrix.row("request") == ("d3", "d4", "d5", "d7")
-        assert matrix.column("d4") == ("ips", "request")
-        assert matrix.column("d3") == ("request",)
+        assert matrix.rows["ips"] == ("d1", "d2", "d4", "d5", "d7")
+        assert matrix.rows["request"] == ("d3", "d4", "d5", "d7")
+        assert matrix.columns["d4"] == ("ips", "request")
+        assert matrix.columns["d3"] == ("request",)
 
     def test_densest_row_explored_first(self):
         matrix = canonical_matrix()
@@ -111,7 +109,7 @@ class TestMatrix:
             TASK._replace(participants={"ips": ("d1",)}),
             [(one_one_protocol("bare"), "asker"), (one_one_protocol("ips"), "asker")],
         )
-        assert matrix.row("bare") == ()
+        assert matrix.rows["bare"] == ()
         assert next_vector(matrix, PROTOCOL_ORIENTED, frozenset()) == "ips"
         assert next_vector(matrix, PROTOCOL_ORIENTED, {"ips"}) is None
 
@@ -125,12 +123,13 @@ class TestMatrix:
 # ---------------------------------------------------------------------------
 
 
-def payload(*labels: str) -> ReadyToSelectPayload:
-    return ReadyToSelectPayload(tuple(RoleRef.parse(lbl) for lbl in labels))
+def payload(*labels: str) -> tuple[RoleRef, ...]:
+    """The offer of a ready-to-select listing ``labels``."""
+    return tuple(RoleRef.parse(lbl) for lbl in labels)
 
 
-def as_plain(replies: dict[str, ReadyToSelectPayload]) -> dict[str, list[str]]:
-    return {a: [str(r) for r in p.preferred_roles] for a, p in replies.items()}
+def as_plain(replies: dict[str, tuple[RoleRef, ...]]) -> dict[str, list[str]]:
+    return {a: [str(r) for r in roles] for a, roles in replies.items()}
 
 
 class TestLargestSet:
@@ -410,9 +409,7 @@ class TestAssignRolesAgainstOracle:
 def _participant_world():
     registry = {"ips": one_one_protocol("ips"), "request": one_one_protocol("request")}
     model = InteractionModel({"ips": frozenset({"replier"}), "request": frozenset({"replier"})})
-    table = CompatibilityTable(
-        pairs=frozenset({(RoleRef("ips", "asker"), RoleRef("request", "replier"))})
-    )
+    table = frozenset({(RoleRef("ips", "asker"), RoleRef("request", "replier"))})
     return registry, model, table
 
 
@@ -637,6 +634,21 @@ class TestRunJoint11:
         assert initiator.outcome == EXHAUSTED
         assert sent_by(rt, "q1") == [("d1", CALL_FOR_COLLABORATION), ("d1", STOP_SELECTION)]
 
+    def test_an_offer_of_no_role_answers_a_pairwise_call(self):
+        # the round closes on it at once, with nothing acceptable
+        empty = (READY_TO_SELECT, {"roles": []}, 0)
+        initiator, rt, _ = run_joint(
+            {"ips": ["d1", "d2"]}, {"d1": [empty], "d2": [READY_IPS]}, reply_deadline=4
+        )
+        assert initiator.outcome == one_one("d2", "ips")
+        assert sent_by(rt, "q1") == [
+            ("d1", CALL_FOR_COLLABORATION),
+            ("d1", STOP_SELECTION),
+            ("d2", CALL_FOR_COLLABORATION),
+            ("d2", NOTIFY_ASSIGNMENT),
+        ]
+        assert sent_at(rt, CALL_FOR_COLLABORATION) == [(0, "d1"), (0, "d2")]
+
     def test_compatible_role_of_other_identified_protocol_accepted(self):
         initiator, rt, _ = run_joint({"ips": ["d7"]}, {"d7": [READY_REQUEST]})
         assert initiator.outcome == one_one("d7", "request")
@@ -860,14 +872,6 @@ class TestMalformedOffer:
             ("d2", NOTIFY_ASSIGNMENT),
         ]
         assert [note["agent"] for note in malformed_notes(rt)] == ["d1"]
-
-
-class TestPayload:
-    def test_rejects_empty_and_duplicates(self):
-        with pytest.raises(ValueError):
-            ReadyToSelectPayload(())
-        with pytest.raises(ValueError):
-            payload("many:rA", "many:rA")
 
 
 def test_offered_roles_unknown_protocol_is_empty():

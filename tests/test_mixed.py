@@ -114,7 +114,7 @@ class TestInstantiateAll:
         cz, _ = fresh_zone(registry, GOLDEN_SEED)
         assert len(cz.outbox) == 4
         assert statuses(cz) == {pid: DEACTIVATED for pid in SERVER_PROTOCOLS}
-        assert all(inst.stamp == 1 for inst in cz.deactivated())
+        assert all(inst.stamp == 1 for inst in cz.with_activation(DEACTIVATED))
         assert len(cz.journal) == 0
 
     def test_candidates_share_one_reply_slot(self, registry):
@@ -169,7 +169,8 @@ class TestSelectOutgoing:
         cz, rng = fresh_zone(registry, GOLDEN_SEED)
         selected = select_outgoing(cz, rng)
         assert selected.performative == "tell" and selected.content == {"value": "text"}
-        assert [i.ref for i in cz.active()] == [server("attr_probe"), server("attr_query")]
+        active = [i.ref for i in cz.with_activation(ACTIVE)]
+        assert active == [server("attr_probe"), server("attr_query")]
         assert {e.ref.protocol for e in cz.outbox} == {"attr_digest", "attr_lookup"}
 
     def test_selection_journals_one_generators_records(self, registry):
@@ -183,7 +184,7 @@ class TestSelectOutgoing:
         cz, rng = fresh_zone(registry, GOLDEN_SEED)
         select_outgoing(cz, rng)
         assert cz.stamp_counter == 1
-        assert {i.stamp for i in cz.deactivated()} == {1}
+        assert {i.stamp for i in cz.with_activation(DEACTIVATED)} == {1}
 
     def test_lone_candidate_is_forced(self, registry):
         collection = {server("attr_query")}
@@ -212,7 +213,7 @@ class TestSelectOutgoing:
         for seed in range(40):
             cz, rng = fresh_zone(registry, seed)
             select_outgoing(cz, rng)
-            paired = paired or len(cz.active()) == 2
+            paired = paired or len(cz.with_activation(ACTIVE)) == 2
         assert paired
 
 
@@ -331,12 +332,12 @@ class TestReconcile:
     def test_unanimous_steps_keep_everyone_active(self):
         cz, registry, rng = self.twin_zone()
         select_outgoing(cz, rng)
-        assert [i.ref for i in cz.active()] == [server("twin_a"), server("twin_b")]
+        assert [i.ref for i in cz.with_activation(ACTIVE)] == [server("twin_a"), server("twin_b")]
         assert cz.stamp_counter == 1
         follow_up = msg("ask-one", {"attribute": "size", "document": "d1"}, reply_with="q2.2")
         assert handle_incoming(cz, follow_up, rng) is None
         select_outgoing(cz, rng)
-        assert [i.ref for i in cz.active()] == [server("twin_a"), server("twin_b")]
+        assert [i.ref for i in cz.with_activation(ACTIVE)] == [server("twin_a"), server("twin_b")]
         assert cz.stamp_counter == 1  # nothing diverged, nothing parked
         assert oracle_zone_coherent(cz)
 
@@ -344,18 +345,18 @@ class TestReconcile:
         for seed in range(60):
             cz, rng = fresh_zone(registry, seed)
             select_outgoing(cz, rng)
-            if len(cz.active()) < 2:
+            if len(cz.with_activation(ACTIVE)) < 2:
                 continue
             follow_up = msg(
                 "ask-one", {"attribute": "size", "document": "d1"}, reply_with="q2.2"
             )
             assert handle_incoming(cz, follow_up, rng) is None
-            before = [i.ref for i in cz.active()]
+            before = [i.ref for i in cz.with_activation(ACTIVE)]
             select_outgoing(cz, rng)
             assert oracle_zone_coherent(cz)
-            parked = [i for i in cz.deactivated() if i.stamp == 2]
+            parked = [i for i in cz.with_activation(DEACTIVATED) if i.stamp == 2]
             if parked:
-                assert len(parked) + len(cz.active()) == len(before)
+                assert len(parked) + len(cz.with_activation(ACTIVE)) == len(before)
                 return
         pytest.fail("no seed produced a divergent pair of active replies")
 
@@ -380,7 +381,7 @@ class TestHandleIncoming:
         collection = {server("twin_a"), server("twin_b")}
         cz = instantiate(collection, registry, rng)
         select_outgoing(cz, rng)
-        assert len(cz.active()) == 2
+        assert len(cz.with_activation(ACTIVE)) == 2
         poke = msg("request", {"note": "more"}, reply_with="q2.2")
         assert handle_incoming(cz, poke, rng) is None
         assert statuses(cz) == {"twin_a": STOPPED, "twin_b": ACTIVE}
@@ -540,7 +541,7 @@ class TestRecoveryBound:
                     select_outgoing(cz, rng)
                 else:
                     stop_active(cz)
-            assert not cz.active() and not cz.deactivated()
+            assert not cz.with_activation(ACTIVE) and not cz.with_activation(DEACTIVATED)
 
     def test_one_message_reaches_the_counterpart_per_step(self, registry):
         def sent(cz):

@@ -16,7 +16,6 @@ from parley.model import (
     RESERVED_PERFORMATIVES,
     SELECTION_PERFORMATIVES,
     Action,
-    CompatibilityTable,
     InteractionModel,
     MessageSchema,
     Message,
@@ -30,7 +29,6 @@ from parley.model import (
     Trigger,
     Violation,
     classify_protocol,
-    compatible,
     load_protocol,
     match_task_to_protocols,
     protocol_from_dict,
@@ -286,15 +284,6 @@ def test_task_matching_filters_and_sorts():
         ("alpha", "asker"),
         ("zeta", "asker"),
     ]
-
-
-def test_compatibility_reflexive_and_directed():
-    a = RoleRef("ips", "asker")
-    b = RoleRef("request", "replier")
-    table = CompatibilityTable(pairs=frozenset({(a, b)}))
-    assert compatible(a, a, table)
-    assert compatible(a, b, table)
-    assert not compatible(b, a, table)
 
 
 def test_interaction_model_role_refs_are_sorted():

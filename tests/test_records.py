@@ -23,7 +23,6 @@ from parley.journal import DataChange, JournalRecord, MessageEmission, MessageRe
 from parley.mixed import OutboxEntry, ReactivationPlan
 from parley.model import (
     Action,
-    CompatibilityTable,
     MessageSchema,
     Protocol,
     TaskDescription,
@@ -31,6 +30,7 @@ from parley.model import (
     Trigger,
     Violation,
 )
+from parley.runtime import FaultSpec
 from parley.scenario import AgentSpec, RunSummary, Scenario, TaskSummary
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -56,7 +56,6 @@ RECORDS = (
     Transition,
     Protocol,
     Violation,
-    CompatibilityTable,
     TaskDescription,
     MessageReception,
     MessageEmission,
@@ -72,6 +71,7 @@ RECORDS = (
     RunSummary,
     OutboxEntry,
     ReactivationPlan,
+    FaultSpec,
 )
 
 

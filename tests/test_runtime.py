@@ -85,23 +85,6 @@ class Crasher(AgentBase):
         raise RuntimeError("handler failed")
 
 
-class TestFaultSpecValidation:
-    def test_ordinal_is_one_based(self):
-        with pytest.raises(ValueError):
-            FaultSpec(conversation="*", ordinal=0, op="corrupt_content")
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            FaultSpec(conversation="*", ordinal=1, op="drop")
-
-    def test_unknown_structure_field(self):
-        with pytest.raises(ValueError):
-            FaultSpec(
-                conversation="*", ordinal=1, op="corrupt_structure",
-                structure_field="colour",
-            )
-
-
 class TestCorruptionOps:
     def test_structure_performative(self):
         out = corrupt_structure(msg("a", "b"), "performative")

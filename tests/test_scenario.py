@@ -67,6 +67,11 @@ def minimal_raw(**overrides):
     return raw
 
 
+def fault(**fields) -> dict:
+    """A good fault of ``minimal_raw``'s task, with ``fields`` changed."""
+    return {"conversation": "job/*", "ordinal": 1, "op": "corrupt_structure", **fields}
+
+
 class TestParsing:
     def test_bundled_scenarios_all_parse(self):
         for name in BUNDLED:
@@ -207,6 +212,34 @@ class TestParsing:
                 lambda raw: raw["tasks"][0].update(capabilities=["document-query", "q", 5]),
                 "task job: capabilities[2]: expected a string, got 5",
             ),
+            # a fault's ordinal, op and field are checked in that order,
+            # each after the types of the fields
+            (lambda raw: raw.update(faults=[fault(ordinal=0)]), "fault: fault ordinal is 1-based"),
+            (lambda raw: raw.update(faults=[fault(op="drop")]), "fault: unknown fault op 'drop'"),
+            (
+                lambda raw: raw.update(faults=[fault(field="colour")]),
+                "fault: unknown structure field 'colour'",
+            ),
+            (
+                lambda raw: raw.update(faults=[fault(ordinal=-1, op="drop", field="colour")]),
+                "fault: fault ordinal is 1-based",
+            ),
+            (
+                lambda raw: raw.update(faults=[fault(ordinal=0, field="colour")]),
+                "fault: fault ordinal is 1-based",
+            ),
+            (
+                lambda raw: raw.update(faults=[fault(op="drop", field="colour")]),
+                "fault: unknown fault op 'drop'",
+            ),
+            (
+                lambda raw: raw.update(faults=[fault(ordinal=0, conversation=None)]),
+                "fault: conversation: expected a string, got None",
+            ),
+            (
+                lambda raw: raw.update(faults=[fault(op="drop", path="x")]),
+                "fault: path: expected a JSON array, got 'x'",
+            ),
         ],
         ids=[
             "number-agents",
@@ -228,6 +261,14 @@ class TestParsing:
             "field-on-a-content-fault",
             "path-on-a-structure-fault",
             "number-capability",
+            "zero-fault-ordinal",
+            "unknown-fault-op",
+            "unknown-structure-field",
+            "fault-ordinal-before-op-and-field",
+            "fault-ordinal-before-field",
+            "fault-op-before-field",
+            "fault-types-before-ordinal",
+            "fault-types-before-op",
         ],
     )
     def test_a_field_of_the_wrong_type_or_range_is_a_located_error(
@@ -592,6 +633,33 @@ class TestDocuments:
         )
         path = tmp_path / "s.json"
         path.write_text(json.dumps({**_bundled_raw("t1_joint"), "protocols": [name, "request"]}))
+        self._refused(path, UnresolvedReferenceError, f"no bundled protocol '{name}'", capsys)
+
+    def test_a_bundled_name_is_a_bare_file_name(self, capsys):
+        # a path would read a document of another kind
+        with pytest.raises(UnresolvedReferenceError) as caught:
+            parse_scenario("../protocols/ips")
+        assert str(caught.value) == "no bundled scenario '../protocols/ips'"
+        assert cli_main(["validate", "../protocols/ips"]) == 2
+        assert cli_main(["dump-protocol", "../scenarios/t1_joint"]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: no bundled scenario '../protocols/ips'\n"
+            "error: no bundled protocol '../scenarios/t1_joint'\n",
+        )
+
+    def test_a_protocol_outside_the_package_is_no_bundled_protocol(self, tmp_path, capsys):
+        # named as bundled, a composite auction outside the package would
+        # load without the checks every other protocol file gets
+        doc = json.loads(protocol_path("auction").read_text(encoding="utf-8"))
+        for role in doc["roles"]:
+            if role["kind"] == "participant":
+                role["multiplicity"] = "N"
+        (tmp_path / "composite.json").write_text(json.dumps(doc), encoding="utf-8")
+        name = os.path.relpath(tmp_path / "composite", protocol_path("auction").parent)
+        assert name.startswith("..")
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({**_bundled_raw("auction_tree"), "protocols": [name]}))
         self._refused(path, UnresolvedReferenceError, f"no bundled protocol '{name}'", capsys)
 
     def test_a_document_nested_too_deeply_is_refused(self, tmp_path, capsys):
