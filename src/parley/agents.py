@@ -5,10 +5,10 @@ protocol and roles to use before anything domain-level happens.  The
 individual-selection agents skip the negotiation: the opening domain
 message itself makes the responder pick roles, either one at a time
 (sequential, with purge-and-replace recovery) or all at once behind a
-control zone (mixed).  The individual initiator and the sequential
-responder each enact a role through a :class:`machine.MachineDriver`,
-and the mixed responder through a :mod:`mixed` control zone; both step
-their role machines by the one transition cascade of :mod:`machine`.
+control zone (mixed).  Every role they enact is a
+:class:`machine.MachineDriver`, stepped by its one transition cascade:
+the individual initiator and the sequential responder hold one each,
+and every instance of a mixed responder's :mod:`mixed` zone is one.
 
 The two responders share one base class.  It keeps a thread per
 conversation, drops what is not for a responder, runs the termination
@@ -78,7 +78,6 @@ from .model import (
     Message,
     ProtocolCategory,
     ProtocolRegistry,
-    RoleKind,
     RoleRef,
     TaskDescription,
     classify_protocol,
@@ -495,7 +494,7 @@ class IndividualInitiator(AgentBase):
             return
         enabled = self.driver.accepting(msg)
         if not enabled:
-            verdict = self.driver.rejection_kind(msg)
+            verdict = rejection_kind((self.driver,), msg)
             self._send(rt, ERROR_NOTIFY, _error_notice(verdict, msg, INITIATOR_DETECTED))
             return
         _schedule(rt, self.driver.receive(msg, enabled, rt.rng))
@@ -587,16 +586,13 @@ class _Responder(AgentBase):
         if thread.opening is not None:
             self._on_domain(rt, thread, msg)
             return
-        base = build_collection(self.model, self.registry, RoleKind.PARTICIPANT)
+        base = build_collection(self.model, self.registry)
         takers = receiving_roles(base, self.registry, msg)
         if not takers:
             # content or structure complaint, judged at every initial state
-            placed = []
-            for ref in sorted(base):
-                protocol = self.registry[ref.protocol]
-                machine = protocol.roles[ref.role]
-                placed.append((machine, protocol, machine.initial_state))
-            self._reject(rt, thread, msg, rejection_kind(placed, msg))
+            journal = Journal(conversation, self.name, thread.peer)
+            fresh = [MachineDriver(ref, self.registry, journal) for ref in sorted(base)]
+            self._reject(rt, thread, msg, rejection_kind(fresh, msg))
             self._fail(rt, thread, "no-viable-role")
             return
         thread.opening = msg
@@ -647,14 +643,14 @@ class SequentialResponder(_Responder):
         except NoViableRoleError:
             self._fail(rt, thread, "exhausted")
             return
+        thread.collection.discard(replacement)
+        thread.driver = MachineDriver(replacement, self.registry, driver.journal)
         counterpart_point, own_point, refire = rewind(
             driver.journal,
-            [self.registry[replacement.protocol].roles[replacement.role]],
+            [thread.driver.machine],
             error.location,
             error.offending if error.detected_by == PARTICIPANT_DETECTED else None,
         )
-        thread.collection.discard(replacement)
-        thread.driver = MachineDriver(replacement, self.registry, driver.journal)
         thread.driver.replay()
         self._note(
             rt,
@@ -689,7 +685,7 @@ class SequentialResponder(_Responder):
         if enabled:
             _schedule(rt, thread.driver.receive(msg, enabled, rt.rng))
             return
-        verdict = thread.driver.rejection_kind(msg)
+        verdict = rejection_kind((thread.driver,), msg)
         location = len(thread.driver.journal) + 1
         self._reject(rt, thread, msg, verdict)
         error = InteractionError(

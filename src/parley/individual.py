@@ -32,7 +32,7 @@ from .machine import (
     trigger_matches,
     weak_schema_ids,
 )
-from .model import Message, Protocol, ProtocolRegistry, RoleRef, Transition
+from .model import Message, Protocol, ProtocolRegistry, RoleKind, RoleRef, Transition
 
 INITIATOR_DETECTED = "initiator"
 PARTICIPANT_DETECTED = "participant"
@@ -62,14 +62,14 @@ def locate_emission(records, reply_with: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_collection(model, registry: ProtocolRegistry, kind) -> set[RoleRef]:
-    """All roles of ``kind`` the agent enacts, per its interaction model."""
+def build_collection(model, registry: ProtocolRegistry) -> set[RoleRef]:
+    """All participant roles the agent enacts, per its interaction model."""
     return {
         ref
         for ref in model.role_refs()
         if ref.protocol in registry
         and ref.role in registry[ref.protocol].roles
-        and registry[ref.protocol].roles[ref.role].kind is kind
+        and registry[ref.protocol].roles[ref.role].kind is RoleKind.PARTICIPANT
     }
 
 
@@ -121,15 +121,6 @@ def _generates_same_structure(
     return False
 
 
-def _receives_at_point(
-    machine, protocol: Protocol, states, offending: Message, structural_only: bool
-) -> bool:
-    return any(
-        enabled_for_message(machine, protocol, state, offending, structural_only)
-        for state in states
-    )
-
-
 def purge_collection(
     collection: set[RoleRef],
     registry: ProtocolRegistry,
@@ -179,8 +170,9 @@ def purge_collection(
                 drop = not same or culprit.method in machine.method_ids()
         else:
             structural_only = error.kind == WRONG_STRUCTURE
-            drop = not _receives_at_point(
-                machine, protocol, states, error.offending, structural_only
+            drop = not any(
+                enabled_for_message(machine, protocol, state, error.offending, structural_only)
+                for state in states
             )
         if drop:
             collection.discard(ref)
@@ -195,16 +187,8 @@ def purge_collection(
 
 def _schemas_at_point(machine, starts) -> frozenset[str]:
     """Schemas the role could still send or receive from ``starts``."""
-    reachable = set(starts)
-    frontier = list(starts)
-    while frontier:
-        here = frontier.pop()
-        for t in machine.transitions_from(here):
-            if t.to_state not in reachable:
-                reachable.add(t.to_state)
-                frontier.append(t.to_state)
     schemas: set[str] = set()
-    for state in reachable:
+    for state in machine.reachable(starts):
         for t in machine.transitions_from(state):
             if t.trigger.kind == "receive":
                 schemas.add(t.trigger.schema_id)  # type: ignore[arg-type]

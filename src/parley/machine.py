@@ -5,23 +5,22 @@ module answers the questions the drivers keep asking: which
 transitions can fire on this input, which one fires when several can,
 which states replay a journal prefix, and which messages are "weak"
 (their emission or reception can only end the interaction).  It also
-holds :class:`MachineDriver`, which enacts one role over one journal
-and sends along the journal's route, with the journal's reply tags.
+holds :class:`MachineDriver`, the one enactment of a role: its position
+(protocol, machine, state) over one journal, whose route addresses
+what it sends.  Every role an agent enacts, mixed zone instances too,
+is a driver.
 
-Every role machine steps by one rule, :func:`cascade`: an input event
-fires one of the transitions it enables, and an internal transition
-then fires on a change of the named agent variable - the change the
-transition just fired wrote, and no other.  A send or an action of
-kind ``none`` writes nothing, so the cascade stops there; it stops too
-where the written variable enables nothing.  The cascade returns one
-:class:`journal.JournalRecord` per transition it fired, and the caller
-extends a journal with them.
+Every role machine steps by one rule, :meth:`MachineDriver.fire`: an
+input event fires one of the transitions it enables, and an internal
+transition then fires on a change of the named agent variable - the
+change the transition just fired wrote, and no other.  A send or an
+action of kind ``none`` writes nothing, so the cascade stops there; it
+stops too where the written variable enables nothing.
 """
 
 from __future__ import annotations
 
 from random import Random
-from typing import Callable
 
 from .journal import DataChange, Journal, JournalRecord, MessageEmission, MessageReception
 from .model import (
@@ -67,9 +66,8 @@ def enabled_for_message(
     return hits
 
 
-def enabled_for_variable(
-    machine: RoleStateMachine, state: str, variable: str
-) -> list[Transition]:
+def enabled_for_variable(machine: RoleStateMachine, state: str, variable: str) -> list[Transition]:
+    """Internal transitions from ``state`` that a change of ``variable`` fires."""
     return [
         t
         for t in machine.transitions_from(state)
@@ -77,70 +75,17 @@ def enabled_for_variable(
     ]
 
 
-def enabled_for(
-    machine: RoleStateMachine, protocol: Protocol, state: str, event
-) -> list[Transition]:
-    """Transitions from ``state`` that an input event fires: receive
-    transitions whose schema accepts a reception, internal ones on the
-    variable a data change writes."""
-    if isinstance(event, MessageReception):
-        return enabled_for_message(machine, protocol, state, event.message)
-    return enabled_for_variable(machine, state, event.variable)
+def rejection_kind(drivers, msg: Message) -> str:
+    """The error kind of a message that none of ``drivers`` takes in full.
 
-
-def rejection_kind(placed, msg: Message) -> str:
-    """The error kind of a message that no candidate takes in full.
-
-    ``placed`` yields a (machine, protocol, state) triple per candidate
-    role.  Structure is judged before content: only a message that fits
-    an expected shape somewhere can be blamed on its values.
+    Structure is judged before content: only a message that fits an
+    expected shape in some driver's current state can be blamed on its
+    values.
     """
-    for machine, protocol, state in placed:
-        if enabled_for_message(machine, protocol, state, msg, structural_only=True):
+    for driver in drivers:
+        if driver.accepting(msg, structural_only=True):
             return WRONG_CONTENT
     return WRONG_STRUCTURE
-
-
-def cascade(
-    protocol: Protocol,
-    machine: RoleStateMachine,
-    enabled: list[Transition],
-    event,
-    emit: Callable[[MessageSchema], Message],
-    rng: Random,
-) -> tuple[Transition, tuple[JournalRecord, ...], Message | None]:
-    """Fire one of ``enabled`` on ``event``, then the internal
-    transitions it sets off, by the rule of this module.
-
-    ``enabled`` holds the transitions found to take ``event`` in the
-    current state, at least one.  ``emit`` makes the message a send transition sends
-    from its schema.  A data change writes the value of the input: the
-    content of a reception, the value of a change.  Returns the last
-    transition fired (its ``to_state`` is the state reached), one
-    record per transition fired, and the message sent, None when the
-    cascade ends without a send.
-    """
-    value = event.message.content if isinstance(event, MessageReception) else event.value
-    records: list[JournalRecord] = []
-    sent = None
-    for _ in range(_CASCADE_LIMIT):
-        t = pick(enabled, rng)
-        kind = t.action.kind
-        if kind == "send":
-            sent = emit(protocol.schemas[t.action.schema_id])  # type: ignore[index]
-            outputs: tuple = (MessageEmission(sent),)
-        elif kind == "data_change":
-            outputs = (DataChange(t.action.variable, value),)
-        else:
-            outputs = ()
-        records.append(JournalRecord(t.method, event, outputs))
-        if kind != "data_change":
-            break  # a send or no action writes nothing
-        event = outputs[0]
-        enabled = enabled_for_variable(machine, t.to_state, event.variable)
-        if not enabled:
-            break
-    return t, tuple(records), sent
 
 
 def trigger_matches(protocol: Protocol, t: Transition, event) -> bool:
@@ -190,18 +135,6 @@ def replay_states(
     return frozenset(here)
 
 
-def replay_state(
-    machine: RoleStateMachine,
-    protocol: Protocol,
-    records: list[JournalRecord] | tuple[JournalRecord, ...],
-) -> str | None:
-    """One deterministic end state after replay: the least by name of
-    :func:`replay_states`, None when the machine cannot have produced
-    the records."""
-    ends = replay_states(machine, protocol, records)
-    return min(ends) if ends else None
-
-
 def weak_schema_ids(machine: RoleStateMachine) -> frozenset[str]:
     """Schemas whose every occurrence in this role ends the interaction.
 
@@ -234,15 +167,17 @@ def _weak_schema_ids(machine: RoleStateMachine) -> frozenset[str]:
 
 
 class MachineDriver:
-    """Journaled execution of a single role state machine.
+    """One enacted role: its protocol, machine and state, over one journal.
 
     Each input - a reception, or a data change that starts or resumes
-    the role - fires one :func:`cascade`, whose records extend the
-    journal.  The driver never judges an incoming message - callers
-    match it first (:meth:`accepting`) and hand the transitions that
-    take it to :meth:`receive`, so nothing invalid is ever journaled and
-    nothing is matched twice.
+    the role - fires one cascade (:meth:`fire`).  The driver never
+    judges an incoming message - callers match it first
+    (:meth:`accepting`) and hand the transitions that take it to
+    :meth:`receive`, so nothing invalid is ever journaled and nothing is
+    matched twice.
     """
+
+    __slots__ = ("ref", "protocol", "machine", "journal", "content_overrides", "state")
 
     def __init__(
         self,
@@ -251,6 +186,7 @@ class MachineDriver:
         journal: Journal,
         content_overrides: dict[str, dict] | None = None,
     ) -> None:
+        self.ref = ref
         self.protocol = registry[ref.protocol]
         self.machine = self.protocol.roles[ref.role]
         self.journal = journal
@@ -261,7 +197,7 @@ class MachineDriver:
     def terminated(self) -> bool:
         return self.state in self.machine.terminal_states
 
-    def _emit(self, schema: MessageSchema) -> Message:
+    def _emit(self, schema: MessageSchema, tag: str | None) -> Message:
         # a task's contents were checked against their schemas when read
         content = self.content_overrides.get(schema.schema_id)
         if content is None:
@@ -275,16 +211,60 @@ class MachineDriver:
             sender=journal.me,
             receiver=journal.peer,
             conversation_id=journal.conversation_id,
-            reply_with=journal.tag(),
+            reply_with=journal.tag() if tag is None else tag,
         )
 
-    def accepting(self, msg: Message) -> list[Transition]:
-        """The receive transitions of the current state that take ``msg``."""
-        return enabled_for_message(self.machine, self.protocol, self.state, msg)
+    def accepting(self, msg: Message, structural_only: bool = False) -> list[Transition]:
+        """The receive transitions of the current state that take ``msg``
+        (or, with ``structural_only``, take its structure)."""
+        return enabled_for_message(self.machine, self.protocol, self.state, msg, structural_only)
 
-    def rejection_kind(self, msg: Message) -> str:
-        """The error kind of a message :meth:`accepting` found no transition for."""
-        return rejection_kind([(self.machine, self.protocol, self.state)], msg)
+    def enabled_for(self, event) -> list[Transition]:
+        """Transitions from the current state that an input event fires:
+        receive transitions whose schema accepts a reception, internal
+        ones on the variable a data change writes."""
+        if isinstance(event, MessageReception):
+            return self.accepting(event.message)
+        return enabled_for_variable(self.machine, self.state, event.variable)
+
+    def fire(
+        self, enabled: list[Transition], event, rng: Random, tag: str | None = None
+    ) -> tuple[Transition, tuple[JournalRecord, ...], Message | None]:
+        """Fire one of ``enabled`` on ``event``, then the internal
+        transitions it sets off, by the rule of this module, and move to
+        the state reached.  Nothing is journaled.
+
+        ``enabled`` holds the transitions found to take ``event`` in the
+        current state, at least one.  A data change writes the value of
+        the input: the content of a reception, the value of a change.  A
+        message sent carries ``tag``, or a journal tag drawn as it is
+        made when ``tag`` is None.  Returns the last transition fired,
+        one record per transition fired, and the message sent, None when
+        the cascade ends without a send.
+        """
+        value = event.message.content if isinstance(event, MessageReception) else event.value
+        records: list[JournalRecord] = []
+        sent = None
+        for _ in range(_CASCADE_LIMIT):
+            t = pick(enabled, rng)
+            kind = t.action.kind
+            if kind == "send":
+                schema = self.protocol.schemas[t.action.schema_id]  # type: ignore[index]
+                sent = self._emit(schema, tag)
+                outputs: tuple = (MessageEmission(sent),)
+            elif kind == "data_change":
+                outputs = (DataChange(t.action.variable, value),)
+            else:
+                outputs = ()
+            records.append(JournalRecord(t.method, event, outputs))
+            if kind != "data_change":
+                break  # a send or no action writes nothing
+            event = outputs[0]
+            enabled = enabled_for_variable(self.machine, t.to_state, event.variable)
+            if not enabled:
+                break
+        self.state = t.to_state
+        return t, tuple(records), sent
 
     def receive(self, msg: Message, enabled: list[Transition], rng: Random) -> Message | None:
         """Journal a reception and everything it sets off; ``enabled``
@@ -296,20 +276,17 @@ class MachineDriver:
         """Fire an input event nobody matched yet: the data change that
         starts an initiator's role, or the input a recovery re-fires.
         Nothing fires when no transition of the current state takes it."""
-        enabled = enabled_for(self.machine, self.protocol, self.state, event)
+        enabled = self.enabled_for(event)
         return self._run(event, enabled, rng) if enabled else None
 
-    def replay(self) -> None:
-        """Rebuild the state from the journal as it stands."""
-        self.state = (
-            replay_state(self.machine, self.protocol, self.journal.records)
-            or self.machine.initial_state
-        )
-
     def _run(self, event, enabled: list[Transition], rng: Random) -> Message | None:
-        last, records, sent = cascade(
-            self.protocol, self.machine, enabled, event, self._emit, rng
-        )
+        _, records, sent = self.fire(enabled, event, rng)
         self.journal.records.extend(records)
-        self.state = last.to_state
         return sent
+
+    def replay(self) -> None:
+        """Rebuild the state from the journal as it stands: the least by
+        name of the states :func:`replay_states` finds, the initial state
+        when the machine cannot have produced the journal."""
+        ends = replay_states(self.machine, self.protocol, self.journal.records)
+        self.state = min(ends) if ends else self.machine.initial_state

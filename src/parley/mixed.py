@@ -10,9 +10,9 @@ as if a single role were running.
 
 The zone's one journal is the serving side of the conversation: its
 route addresses every reply, it tags each step's reply once, and it
-records the cascade (:func:`machine.cascade`) behind every reply sent.
-Each instance carries its protocol and machine, so nothing here looks a
-role up again.
+records the cascade (:meth:`machine.MachineDriver.fire`) behind every
+reply sent.  Each instance is a driver over that journal, so it fires,
+matches and replays as a lone role does.
 
 When the sent message turns out wrong, recovery is local bookkeeping:
 the roles that produced it are stopped, an alternate reply from the
@@ -30,38 +30,24 @@ from typing import NamedTuple
 from .errors import NoViableRoleError
 from .individual import rewind
 from .journal import Journal, JournalRecord, MessageEmission, MessageReception
-from .machine import (
-    WRONG_STRUCTURE,
-    cascade,
-    enabled_for,
-    pick,
-    rejection_kind,
-    replay_state,
-    weak_schema_ids,
-)
-from .model import Message, MessageSchema, Protocol, ProtocolRegistry, RoleRef, Transition
-from .patterns import fill_pattern
+from .machine import WRONG_STRUCTURE, MachineDriver, pick, rejection_kind, weak_schema_ids
+from .model import Message, ProtocolRegistry, RoleRef, Transition
 
 ACTIVE = "active"
 DEACTIVATED = "deactivated"
 STOPPED = "stopped"
 
 
-class RoleInstance:
-    """One candidate role running (or parked) inside the zone, with the
-    protocol and machine it enacts; it starts in the initial state."""
+class RoleInstance(MachineDriver):
+    """One candidate role running (or parked) inside the zone: a driver
+    over the zone's journal; it starts in the initial state."""
 
-    __slots__ = ("ref", "protocol", "machine", "state", "activation", "stamp", "last_message")
+    __slots__ = ("activation", "stamp", "last_message")
 
-    def __init__(
-        self, ref: RoleRef, protocol: Protocol, activation: str = ACTIVE, stamp: int = 0
-    ) -> None:
-        self.ref = ref
-        self.protocol = protocol
-        self.machine = protocol.roles[ref.role]
-        self.state = self.machine.initial_state
-        self.activation = activation
-        self.stamp = stamp  # set when deactivated; higher = more recent
+    def __init__(self, ref: RoleRef, registry: ProtocolRegistry, journal: Journal) -> None:
+        super().__init__(ref, registry, journal)
+        self.activation = ACTIVE
+        self.stamp = 0  # set when deactivated; higher = more recent
         self.last_message: Message | None = None  # reply generated this step
 
 
@@ -140,20 +126,10 @@ def _step(
     tag: str,
     rng: Random,
 ) -> bool:
-    """Fire ``event`` in the instance, by :func:`machine.cascade`.  A
-    reply, tagged with the step's one ``tag``, goes to the outbox with
-    the records that justify it; returns whether one came out."""
-
-    def emit(schema: MessageSchema) -> Message:
-        content = fill_pattern(schema.content_pattern)
-        journal = cz.journal
-        route = journal.me, journal.peer, journal.conversation_id
-        return Message(schema.performative, content, schema.language, schema.ontology, *route, tag)
-
-    last, records, sent = cascade(
-        instance.protocol, instance.machine, enabled, event, emit, rng
-    )
-    instance.state = last.to_state
+    """Fire ``event`` in the instance.  A reply, tagged with the step's
+    one ``tag``, goes to the outbox with the records that justify it;
+    returns whether one came out."""
+    last, records, sent = instance.fire(enabled, event, rng, tag)
     instance.last_message = sent
     if sent is None:
         return False
@@ -186,7 +162,7 @@ def instantiate_all(
     tag = cz.journal.tag()
     reception = MessageReception(m0)
     for ref in sorted(takers):
-        instance = cz.instances[ref] = RoleInstance(ref, registry[ref.protocol])
+        instance = cz.instances[ref] = RoleInstance(ref, registry, cz.journal)
         if not _step(cz, instance, takers[ref], reception, tag, rng):
             _stop(instance)
     _park(cz, cz.with_activation(ACTIVE))
@@ -204,10 +180,7 @@ def feed(cz: ControlZone, event, rng: Random) -> bool:
     True comes back.  When nobody takes it, returns False and touches
     nothing.
     """
-    fired = [
-        (instance, enabled_for(instance.machine, instance.protocol, instance.state, event))
-        for instance in cz.with_activation(ACTIVE)
-    ]
+    fired = [(instance, instance.enabled_for(event)) for instance in cz.with_activation(ACTIVE)]
     if not any(enabled for _, enabled in fired):
         return False
     cz.outbox.clear()
@@ -225,8 +198,7 @@ def handle_incoming(cz: ControlZone, msg: Message, rng: Random) -> str | None:
     takes it, else the error kind, with nothing touched."""
     if feed(cz, MessageReception(msg), rng):
         return None
-    placed = [(i.machine, i.protocol, i.state) for i in cz.with_activation(ACTIVE)]
-    return rejection_kind(placed, msg)
+    return rejection_kind(cz.with_activation(ACTIVE), msg)
 
 
 def _draw(cz: ControlZone, entries: list[OutboxEntry], rng: Random) -> OutboxEntry:
@@ -351,14 +323,6 @@ class ReactivationPlan(NamedTuple):
     restart: bool  # the shared journal gave nothing to keep
 
 
-def _next_send_schemas(machine, state: str) -> frozenset[str]:
-    return frozenset(
-        t.action.schema_id
-        for t in machine.transitions_from(state)
-        if t.action.kind == "send"
-    )
-
-
 def reactivate(cz: ControlZone, location: int, offending: Message | None) -> ReactivationPlan:
     """Wake every instance sharing the highest parking stamp.
 
@@ -381,11 +345,12 @@ def reactivate(cz: ControlZone, location: int, offending: Message | None) -> Rea
         machine = instance.machine
         instance.activation = ACTIVE
         instance.last_message = None
-        instance.state = (
-            replay_state(machine, instance.protocol, cz.journal.records)
-            or machine.initial_state
-        )
-        sends = _next_send_schemas(machine, instance.state)
+        instance.replay()
+        sends = {
+            t.action.schema_id
+            for t in machine.transitions_from(instance.state)
+            if t.action.kind == "send"
+        }
         if sends:
             any_send = True
             if sends - weak_schema_ids(machine):

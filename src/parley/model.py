@@ -26,6 +26,8 @@ reads their ``kind`` (whose values differ) rather than comparing them.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from enum import Enum
 from os.path import basename
 from pathlib import Path
@@ -277,6 +279,18 @@ class RoleStateMachine:
         """The transitions leaving ``state``, in declaration order."""
         return self._by_state.get(state, ())
 
+    def reachable(self, starts) -> set[str]:
+        """The states some path of transitions leads to from ``starts``,
+        ``starts`` included."""
+        seen = set(starts)
+        frontier = list(seen)
+        while frontier:
+            for t in self.transitions_from(frontier.pop()):
+                if t.to_state not in seen:
+                    seen.add(t.to_state)
+                    frontier.append(t.to_state)
+        return seen
+
     def method_ids(self) -> frozenset[str]:
         return frozenset(t.method for t in self.transitions)
 
@@ -446,16 +460,7 @@ def validate_protocol(protocol: Protocol) -> list[Violation]:
                 bad("bad-schema-ref", subject, f"trigger schema {t.trigger.schema_id!r}")
             if t.action.kind == "send" and t.action.schema_id not in protocol.schemas:
                 bad("bad-schema-ref", subject, f"action schema {t.action.schema_id!r}")
-        # reachability
-        reachable = {machine.initial_state}
-        frontier = [machine.initial_state]
-        while frontier:
-            here = frontier.pop()
-            for t in machine.transitions_from(here):
-                if t.to_state not in reachable:
-                    reachable.add(t.to_state)
-                    frontier.append(t.to_state)
-        for state in sorted(machine.states - reachable):
+        for state in sorted(machine.states - machine.reachable((machine.initial_state,))):
             bad("unreachable-state", subject, state)
         first = machine.transitions_from(machine.initial_state)
         if not first and machine.states - machine.terminal_states:
@@ -545,8 +550,32 @@ def match_task_to_protocols(
 # ---------------------------------------------------------------------------
 
 
+class _Constant(ValueError):
+    """``NaN`` or an infinity: JSON has no such value."""
+
+
 def _refuse_constant(name: str):
-    raise ValueError(f"{name} is not a JSON value")
+    raise _Constant(f"{name} is not a JSON value")
+
+
+#: a JSON string, skipped whole, or a number: its digits, then a tail
+#: (fraction and exponent) that is empty for an integer
+_LITERAL = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|-?([0-9]+)((?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)')
+
+
+def _long_integer(text: str) -> str | None:
+    """Where the first integer literal of ``text`` with more digits than
+    ``int`` reads stands, and its length; None when there is none."""
+    limit = sys.get_int_max_str_digits()
+    for literal in _LITERAL.finditer(text):
+        digits, tail = literal.groups()
+        if digits and not tail and len(digits) > limit:
+            at = json.JSONDecodeError("", text, literal.start())  # its line and column
+            return (
+                f"an integer of {len(digits)} digits at line {at.lineno} column {at.colno}, "
+                f"over the limit of {limit}"
+            )
+    return None
 
 
 #: the directory of the bundled documents, as text: a bundled name is
@@ -579,13 +608,15 @@ def read_document(name: str | Path, kind: str, base_dir: Path | None = None):
     except (OSError, ValueError):  # no such file, a directory, a NUL or too long a name
         raise UnresolvedReferenceError(missing) from None
     try:
-        return _DECODER.decode(data.decode("utf-8")), path, bundled
+        text = data.decode("utf-8")
+        return _DECODER.decode(text), path, bundled
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
     except RecursionError:
         raise ParseError(f"{path}: not valid JSON (nested too deeply)") from None
     except ValueError as exc:  # a syntax error, a NaN, an integer of too many digits
-        raise ParseError(f"{path}: not valid JSON ({exc})") from None
+        located = _long_integer(text) if type(exc) is ValueError else None
+        raise ParseError(f"{path}: not valid JSON ({located or exc})") from None
 
 
 _KIND_NAMES = {

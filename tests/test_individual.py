@@ -43,7 +43,7 @@ from parley.journal import (
     MessageEmission,
     MessageReception,
 )
-from parley.machine import enabled_for_message, rejection_kind
+from parley.machine import MachineDriver, rejection_kind
 from parley.model import (
     RESERVED_PERFORMATIVES,
     Action,
@@ -127,12 +127,17 @@ class TestCheckIncoming:
     rejection_kind names the error."""
 
     @staticmethod
-    def verdict(registry, state, message):
-        protocol = registry["attr_query"]
-        machine = protocol.roles["querier"]
-        if enabled_for_message(machine, protocol, state, message):
+    def querier(registry, state):
+        ref = RoleRef("attr_query", "querier")
+        driver = MachineDriver(ref, registry, Journal(CONV, "q2", "c1"))
+        driver.state = state
+        return driver
+
+    def verdict(self, registry, state, message):
+        driver = self.querier(registry, state)
+        if driver.accepting(message):
             return None
-        return rejection_kind([(machine, protocol, state)], message)
+        return rejection_kind((driver,), message)
 
     def test_expected_message_raises_nothing(self, registry):
         assert self.verdict(registry, "i1", GOOD_TELL) is None
@@ -156,9 +161,7 @@ class TestCheckIncoming:
         assert self.verdict(registry, "i0", GOOD_TELL) == WRONG_STRUCTURE
 
     def test_any_candidate_fitting_the_structure_makes_it_a_content_error(self, registry):
-        protocol = registry["attr_query"]
-        machine = protocol.roles["querier"]
-        placed = [(machine, protocol, "i0"), (machine, protocol, "i1")]
+        placed = [self.querier(registry, "i0"), self.querier(registry, "i1")]
         assert rejection_kind(placed, BAD_TELL) == WRONG_CONTENT
         assert rejection_kind(placed[:1], BAD_TELL) == WRONG_STRUCTURE
 
@@ -186,19 +189,14 @@ class TestBuildCollection:
         model = InteractionModel(
             {"attr_query": frozenset({"querier", "server"}), "attr_probe": frozenset({"server"})}
         )
-        collection = build_collection(model, registry, RoleKind.PARTICIPANT)
+        collection = build_collection(model, registry)
         assert sorted(collection) == [server("attr_probe"), server("attr_query")]
-
-    def test_initiator_side_sees_the_queriers(self, registry):
-        model = InteractionModel({"attr_query": frozenset({"querier", "server"})})
-        collection = build_collection(model, registry, RoleKind.INITIATOR)
-        assert sorted(collection) == [RoleRef("attr_query", "querier")]
 
     def test_unknown_protocols_are_skipped(self, registry):
         model = InteractionModel(
             {"attr_query": frozenset({"server"}), "ghost": frozenset({"spirit"})}
         )
-        collection = build_collection(model, registry, RoleKind.PARTICIPANT)
+        collection = build_collection(model, registry)
         assert sorted(collection) == [server("attr_query")]
 
 

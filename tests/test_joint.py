@@ -464,14 +464,16 @@ class TestParticipantMeta:
 
     def test_malformed_call_declines(self):
         registry, model, table = _participant_world()
-        _, replies = participant_meta_step(
-            (),
-            _msg(CALL_FOR_COLLABORATION, {"task": "t1"}),
-            registry,
-            willing=True,
-            offer=_offers(registry, model, table),
-        )
-        assert replies == [(UNABLE_TO_SELECT, {"reason": "malformed-call"})]
+        # no protocol named, and a protocol the agent's registry lacks
+        for content in ({"task": "t1"}, {"protocol": "mystery", "task": "t1"}):
+            _, replies = participant_meta_step(
+                (),
+                _msg(CALL_FOR_COLLABORATION, content),
+                registry,
+                willing=True,
+                offer=_offers(registry, model, table),
+            )
+            assert replies == [(UNABLE_TO_SELECT, {"reason": "malformed-call"})]
 
     def test_assignment_must_match_an_offer(self):
         registry, model, table = _participant_world()
@@ -877,3 +879,17 @@ class TestMalformedOffer:
 def test_offered_roles_unknown_protocol_is_empty():
     registry, model, table = _participant_world()
     assert offered_roles("mystery", model, table, registry) == ()
+
+
+def test_an_initiator_role_is_never_offered():
+    """An agent that also enacts the called protocol's initiator role
+    offers only its participant role, and a compatibility pair whose
+    second element is an initiator role adds nothing to the offer."""
+    registry, _, _ = _participant_world()
+    model = InteractionModel(
+        {"ips": frozenset({"asker", "replier"}), "request": frozenset({"asker"})}
+    )
+    replier = RoleRef("ips", "replier")
+    assert offered_roles("ips", model, frozenset(), registry) == (replier,)
+    table = frozenset({(RoleRef("ips", "asker"), RoleRef("request", "asker"))})
+    assert offered_roles("ips", model, table, registry) == (replier,)

@@ -17,7 +17,6 @@ from parley.machine import (
     MachineDriver,
     enabled_for_message,
     enabled_for_variable,
-    replay_state,
     replay_states,
     weak_schema_ids,
 )
@@ -84,23 +83,42 @@ def _asker_records():
     ]
 
 
+def _replayed(machine, protocol, records):
+    """The state a driver of ``machine`` replays ``records`` into."""
+    ref = RoleRef(protocol.protocol_id, machine.role_id)
+    driver = MachineDriver(ref, {ref.protocol: protocol}, Journal("t/x", "q1", "d1"))
+    driver.journal.records += records
+    driver.replay()
+    return driver.state
+
+
 def test_replay_follows_events_not_method_names():
     records = _asker_records()
     assert replay_states(ASKER, PROTOCOL, records) == frozenset({"done"})
     assert replay_states(ASKER, PROTOCOL, records[:1]) == frozenset({"s1"})
-    assert replay_state(ASKER, PROTOCOL, records) == "done"
+    assert _replayed(ASKER, PROTOCOL, records) == "done"
 
 
 def test_replay_rejects_impossible_histories():
     records = _asker_records()[::-1]  # reception before the send
     assert replay_states(ASKER, PROTOCOL, records) == frozenset()
-    assert replay_state(ASKER, PROTOCOL, records) is None
+    # a driver that cannot replay its journal stands in the initial state
+    assert _replayed(ASKER, PROTOCOL, records) == ASKER.initial_state
 
 
 def test_replay_send_must_match_schema_content():
     bad_ask = _msg("ask-one", {"q": 99}, sender="q1", receiver="d1")
     records = [JournalRecord("m", DataChange("task", "t"), (MessageEmission(bad_ask),))]
     assert replay_states(ASKER, PROTOCOL, records) == frozenset()
+
+
+def test_replay_data_change_must_write_the_named_variable():
+    protocol = _lingering_server()
+    server = protocol.roles["server"]
+    ask = _msg("ask-one", {"q": "height"})
+    for variable, replayed in (("q", {"p1"}), ("r", set())):
+        records = [JournalRecord("take", MessageReception(ask), (DataChange(variable, "h"),))]
+        assert replay_states(server, protocol, records) == frozenset(replayed)
 
 
 def _forked_machine():
@@ -140,9 +158,9 @@ def test_replay_state_recovers_from_greedy_dead_end():
     # a greedy first match would go to "a" and starve; replay follows
     # every branch, so the b -> c path is found
     assert replay_states(machine, protocol, records) == frozenset({"c"})
-    assert replay_state(machine, protocol, records) == "c"
+    assert _replayed(machine, protocol, records) == "c"
     # while both branches stand, the least state by name is the one
-    assert replay_state(machine, protocol, records[:1]) == "a"
+    assert _replayed(machine, protocol, records[:1]) == "a"
 
 
 def test_weak_schemas_end_the_interaction():

@@ -470,13 +470,11 @@ class TestReactivate:
         cz = ControlZone(Journal("t2/c1", "c1", "q2"))
         for pid, stamp in (("attr_digest", 3), ("attr_probe", 3), ("attr_lookup", 1)):
             ref = server(pid)
-            cz.instances[ref] = RoleInstance(
-                ref=ref, protocol=registry[pid], activation=DEACTIVATED, stamp=stamp
-            )
+            instance = cz.instances[ref] = RoleInstance(ref, registry, cz.journal)
+            instance.activation, instance.stamp = DEACTIVATED, stamp
         stopped_ref = server("attr_query")
-        cz.instances[stopped_ref] = RoleInstance(
-            ref=stopped_ref, protocol=registry["attr_query"], activation=STOPPED
-        )
+        cz.instances[stopped_ref] = RoleInstance(stopped_ref, registry, cz.journal)
+        cz.instances[stopped_ref].activation = STOPPED
         plan = reactivate(cz, location=1, offending=ASK)
         assert plan.refs == (server("attr_digest"), server("attr_probe"))
         assert cz.instances[server("attr_lookup")].activation == DEACTIVATED
@@ -499,10 +497,8 @@ class TestReactivate:
             JournalRecord("fading-bye", DataChange("q", ASK.content), (MessageEmission(bye),)),
         ]
         ref = server("fading")
-        cz.instances[ref] = RoleInstance(
-            ref=ref, protocol=registry["fading"], activation=DEACTIVATED, stamp=1
-        )
-        cz.instances[ref].state = "gone"
+        instance = cz.instances[ref] = RoleInstance(ref, registry, cz.journal)
+        instance.activation, instance.stamp, instance.state = DEACTIVATED, 1, "gone"
         plan = reactivate(cz, location=2, offending=None)
         assert (plan.counterpart_point, plan.own_point) == (1, 2)
         assert plan.weak_guard  # the only pending reply ends the interaction

@@ -670,14 +670,19 @@ class TestDocuments:
             load_protocol(path)
 
     def test_an_integer_of_too_many_digits_is_refused(self, tmp_path, capsys):
+        # the refusal names the first over-long integer by line and
+        # column, past a string of digits and a number with a long fraction
         path = tmp_path / "s.json"
-        text = json.dumps({**_bundled_raw("t1_joint"), "seed": 0})
-        path.write_text(text.replace('"seed": 0', '"seed": ' + "9" * 5000))
-        with pytest.raises(ParseError) as caught:
-            parse_scenario(path)
-        assert str(caught.value).startswith(f"{path}: not valid JSON (Exceeds the limit (4300")
-        assert cli_main(["validate", str(path)]) == 2
-        assert capsys.readouterr().err == f"error: {caught.value}\n"
+        raw = {**_bundled_raw("t1_joint"), "scenario_id": "9" * 5000, "seed": 0}
+        long_float = '"x": 0.' + "5" * 5000 + "e1, "
+        text = json.dumps(raw, indent=1).replace('"seed": 0', long_float + '"seed": -' + "9" * 5000)
+        path.write_text(text)
+        before = text[: text.index('"seed": -') + len('"seed": ')].split("\n")
+        message = (
+            f"{path}: not valid JSON (an integer of 5000 digits at line {len(before)} "
+            f"column {len(before[-1]) + 1}, over the limit of 4300)"
+        )
+        self._refused(path, ParseError, message, capsys)
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_nan_and_infinity_are_refused(self, literal, tmp_path, capsys):
