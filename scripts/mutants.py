@@ -48,13 +48,7 @@ TIMEOUT_S = 600
 
 #: survivors no test can kill, each with the reason.  A label names a
 #: line, so an edit above it shows the mutant again, to be judged again.
-EQUIVALENT = {
-    "joint.py:113 == -> !=": (
-        "next_vector's tie clause holds for neither operator: the labels of a"
-        " matrix build_candidate_matrix builds are sorted, so no later tie has"
-        " the smaller label"
-    ),
-}
+EQUIVALENT: dict[str, str] = {}
 
 #: each operator and the one a mutant puts in its place
 SWAPS = {

@@ -26,10 +26,10 @@ from .journal import Journal, MessageReception
 from .machine import (
     WRONG_CONTENT,
     WRONG_STRUCTURE,
+    enabled_for,
     enabled_for_message,
     pick,
     replay_states,
-    trigger_matches,
     weak_schema_ids,
 )
 from .model import Message, Protocol, ProtocolRegistry, RoleKind, RoleRef, Transition
@@ -111,9 +111,7 @@ def _generates_same_structure(
     message of the offending message's structure when fed the same
     input?"""
     for state in states:
-        for t in machine.transitions_from(state):
-            if not trigger_matches(protocol, t, input_event):
-                continue
+        for t in enabled_for(machine, protocol, state, input_event):
             if t.action.kind != "send":
                 continue
             if protocol.schemas[t.action.schema_id].structure_matches(offending):

@@ -55,6 +55,8 @@ class CandidateMatrix(NamedTuple):
     so reading one, or the number of its cells, does not scan the matrix.
     Every protocol has a row, an empty one included, and every agent a
     column.  The cells are the (protocol_id, agent_id) pairs of the rows.
+    ``protocols`` and ``agents`` are sorted, so the first of several
+    vectors in their order is the one with the smallest label.
     """
 
     protocols: tuple[str, ...]
@@ -110,7 +112,7 @@ def next_vector(
         if label in explored:
             continue
         n = len(vectors[label])
-        if n > best_count or (n == best_count and n > 0 and (best is None or label < best)):
+        if n > best_count:
             best, best_count = label, n
     return best
 

@@ -2,13 +2,14 @@
 
 The simulator drives each role as a plain transition system; this
 module answers the questions the drivers keep asking: which
-transitions can fire on this input, which one fires when several can,
-which states replay a journal prefix, and which messages are "weak"
-(their emission or reception can only end the interaction).  It also
-holds :class:`MachineDriver`, the one enactment of a role: its position
-(protocol, machine, state) over one journal, whose route addresses
-what it sends.  Every role an agent enacts, mixed zone instances too,
-is a driver.
+transitions can fire on this input (one rule, :func:`enabled_for`,
+which journal replay and the purge rules ask too), which one fires
+when several can, which states replay a journal prefix, and which
+messages are "weak" (their emission or reception can only end the
+interaction).  It also holds :class:`MachineDriver`, the one enactment
+of a role: its position (protocol, machine, state) over one journal,
+whose route addresses what it sends.  Every role an agent enacts,
+mixed zone instances too, is a driver.
 
 Every role machine steps by one rule, :meth:`MachineDriver.fire`: an
 input event fires one of the transitions it enables, and an internal
@@ -75,6 +76,17 @@ def enabled_for_variable(machine: RoleStateMachine, state: str, variable: str) -
     ]
 
 
+def enabled_for(
+    machine: RoleStateMachine, protocol: Protocol, state: str, event
+) -> list[Transition]:
+    """Transitions from ``state`` that an input event fires: receive
+    transitions whose schema accepts a reception, internal ones on the
+    variable a data change writes."""
+    if isinstance(event, MessageReception):
+        return enabled_for_message(machine, protocol, state, event.message)
+    return enabled_for_variable(machine, state, event.variable)
+
+
 def rejection_kind(drivers, msg: Message) -> str:
     """The error kind of a message that none of ``drivers`` takes in full.
 
@@ -86,14 +98,6 @@ def rejection_kind(drivers, msg: Message) -> str:
         if driver.accepting(msg, structural_only=True):
             return WRONG_CONTENT
     return WRONG_STRUCTURE
-
-
-def trigger_matches(protocol: Protocol, t: Transition, event) -> bool:
-    if t.trigger.kind == "receive":
-        return isinstance(event, MessageReception) and protocol.schemas[
-            t.trigger.schema_id  # type: ignore[index]
-        ].content_matches(event.message)
-    return isinstance(event, DataChange) and event.variable == t.trigger.variable
 
 
 def action_matches(protocol: Protocol, t: Transition, outputs: tuple) -> bool:
@@ -116,18 +120,16 @@ def replay_states(
 ) -> frozenset[str]:
     """All states the machine can be in after replaying the records.
 
-    A record is replayed by any transition whose trigger matches its
-    input event and whose action matches its output events.  The empty
-    set means the machine cannot have produced this history.
+    A record is replayed by any transition its input event fires
+    (:func:`enabled_for`) whose action matches its output events.  The
+    empty set means the machine cannot have produced this history.
     """
     here = {machine.initial_state}
     for record in records:
         nxt: set[str] = set()
         for state in here:
-            for t in machine.transitions_from(state):
-                if trigger_matches(protocol, t, record.input_event) and action_matches(
-                    protocol, t, record.output_events
-                ):
+            for t in enabled_for(machine, protocol, state, record.input_event):
+                if action_matches(protocol, t, record.output_events):
                     nxt.add(t.to_state)
         if not nxt:
             return frozenset()
@@ -220,12 +222,8 @@ class MachineDriver:
         return enabled_for_message(self.machine, self.protocol, self.state, msg, structural_only)
 
     def enabled_for(self, event) -> list[Transition]:
-        """Transitions from the current state that an input event fires:
-        receive transitions whose schema accepts a reception, internal
-        ones on the variable a data change writes."""
-        if isinstance(event, MessageReception):
-            return self.accepting(event.message)
-        return enabled_for_variable(self.machine, self.state, event.variable)
+        """Transitions from the current state that an input event fires."""
+        return enabled_for(self.machine, self.protocol, self.state, event)
 
     def fire(
         self, enabled: list[Transition], event, rng: Random, tag: str | None = None

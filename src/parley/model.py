@@ -465,6 +465,11 @@ def validate_protocol(protocol: Protocol) -> list[Violation]:
         first = machine.transitions_from(machine.initial_state)
         if not first and machine.states - machine.terminal_states:
             bad("no-first-transition", subject, "initial state has no outgoing transition")
+        methods = sorted({t.method for t in first})
+        if len(methods) > 1:
+            # a recovery retraces a journal from the role's one initial method
+            detail = f"initial state runs {len(methods)} methods: {', '.join(methods)}"
+            bad("initial-method", subject, detail)
         if machine.kind is RoleKind.PARTICIPANT:
             for t in first:
                 if t.trigger.kind != "receive":
@@ -683,7 +688,7 @@ def _names(value, where: str | tuple, key: str | None = None) -> tuple[str, ...]
     return names
 
 
-def _known(raw, keys: frozenset[str], where: str | tuple) -> dict:
+def _known(raw, keys: frozenset[str] | set[str], where: str | tuple) -> dict:
     """``raw``, checked to be an object with no key outside ``keys``: a
     misspelt optional field would otherwise take its default."""
     if type(raw) is dict and keys.issuperset(raw):
@@ -703,53 +708,34 @@ _ROLE_KEYS = frozenset(
     {"role_id", "kind", "multiplicity", "father", "states", "initial", "terminals", "transitions"}
 )
 _TRANSITION_KEYS = frozenset({"from", "trigger", "action", "to", "method"})
-_NAMES_SCHEMA = frozenset({"kind", "schema"})
-_NAMES_VARIABLE = frozenset({"kind", "variable"})
-_NAMES_NONE = frozenset({"kind"})
+#: each kind of a transition's trigger or action -> the one name key it
+#: carries, None for a kind that carries none
+_TRIGGER_KINDS = {"receive": "schema", "internal": "variable"}
+_ACTION_KINDS = {"send": "schema", "data_change": "variable", "none": None}
 _NO_ACTION = Action("none")
 
 
-def _trigger_from_dict(raw: dict, where: tuple) -> Trigger:
-    """The ``trigger`` of the transition at ``where``."""
-    if type(raw) is dict and len(raw) == 2:  # a kind and its one name
-        kind, schema, variable = raw.get("kind"), raw.get("schema"), raw.get("variable")
-        if kind == "receive" and type(schema) is str:
-            return _new_tuple(Trigger, ("receive", schema, None))
-        if kind == "internal" and type(variable) is str:
-            return _new_tuple(Trigger, ("internal", None, variable))
-    where = (*where, "trigger")
+def _end_from_dict(raw: dict, where: tuple, end: str, record: type, kinds: dict):
+    """The ``end`` (``trigger`` or ``action``) of the transition at
+    ``where``: a ``record`` of a kind in ``kinds`` and its one name, the
+    other name None (an end has no key beyond its kind's)."""
+    if type(raw) is dict and type(kind := raw.get("kind")) is str and kind in kinds:
+        key = kinds[kind]
+        if key is None:
+            if len(raw) == 1:
+                return _NO_ACTION
+        elif len(raw) == 2 and type(raw.get(key)) is str:
+            return _new_tuple(record, (kind, raw.get("schema"), raw.get("variable")))
+    where = (*where, end)
     kind = _require(raw, "kind", where)
-    if kind == "receive":
-        _known(raw, _NAMES_SCHEMA, where)
-        return _new_tuple(Trigger, ("receive", _require(raw, "schema", where, str), None))
-    if kind == "internal":
-        _known(raw, _NAMES_VARIABLE, where)
-        return _new_tuple(Trigger, ("internal", None, _require(raw, "variable", where, str)))
-    raise ParseError(f"{_located(where, 'kind')}: unknown trigger kind {kind!r:.40}")
-
-
-def _action_from_dict(raw: dict, where: tuple) -> Action:
-    """The ``action`` of the transition at ``where``."""
-    if type(raw) is dict and len(raw) <= 2:  # a kind and at most one name
-        kind, schema, variable = raw.get("kind"), raw.get("schema"), raw.get("variable")
-        if kind == "send" and type(schema) is str:
-            return _new_tuple(Action, ("send", schema, None))
-        if kind == "data_change" and type(variable) is str:
-            return _new_tuple(Action, ("data_change", None, variable))
-        if kind == "none" and len(raw) == 1:
-            return _NO_ACTION
-    where = (*where, "action")
-    kind = _require(raw, "kind", where)
-    if kind == "send":
-        _known(raw, _NAMES_SCHEMA, where)
-        return _new_tuple(Action, ("send", _require(raw, "schema", where, str), None))
-    if kind == "data_change":
-        _known(raw, _NAMES_VARIABLE, where)
-        return _new_tuple(Action, ("data_change", None, _require(raw, "variable", where, str)))
-    if kind == "none":
-        _known(raw, _NAMES_NONE, where)
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ParseError(f"{_located(where, 'kind')}: unknown {end} kind {kind!r:.40}")
+    key = kinds[kind]
+    _known(raw, {"kind", key} if key else {"kind"}, where)
+    if key is None:
         return _NO_ACTION
-    raise ParseError(f"{_located(where, 'kind')}: unknown action kind {kind!r:.40}")
+    _require(raw, key, where, str)
+    return _new_tuple(record, (kind, raw.get("schema"), raw.get("variable")))
 
 
 def _transition_from_dict(raw: dict, where: tuple) -> Transition:
@@ -759,16 +745,16 @@ def _transition_from_dict(raw: dict, where: tuple) -> Transition:
         if type(from_state) is str and type(to_state) is str and type(method) is str:
             return _new_tuple(Transition, (
                 from_state,
-                _trigger_from_dict(raw["trigger"], where),
-                _action_from_dict(raw["action"], where),
+                _end_from_dict(raw["trigger"], where, "trigger", Trigger, _TRIGGER_KINDS),
+                _end_from_dict(raw["action"], where, "action", Action, _ACTION_KINDS),
                 to_state,
                 method,
             ))
     _known(raw, _TRANSITION_KEYS, where)
     return _new_tuple(Transition, (
         _require(raw, "from", where, str),
-        _trigger_from_dict(_require(raw, "trigger", where), where),
-        _action_from_dict(_require(raw, "action", where), where),
+        _end_from_dict(_require(raw, "trigger", where), where, "trigger", Trigger, _TRIGGER_KINDS),
+        _end_from_dict(_require(raw, "action", where), where, "action", Action, _ACTION_KINDS),
         _require(raw, "to", where, str),
         _require(raw, "method", where, str),
     ))

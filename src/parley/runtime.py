@@ -102,12 +102,13 @@ collector_paused = _CollectorPause()
 class TraceEvent(NamedTuple):
     """One trace event: a ``(tick, kind, payload)`` tuple.
 
-    ``kind`` is send, deliver, fault, recovery, selection or
-    termination.  The payload of a send or deliver event is a
-    :class:`Sent` or :class:`Delivered` record, which holds the message
-    itself and reads like the dict of its trace fields; every other
-    payload is a dict.  A payload is stored as the bus or the agent
-    passed it, not copied, so it must not change once noted.
+    ``tick`` is the bus's ``int`` tick and ``kind`` one of send, deliver,
+    fault, recovery, selection or termination.  The payload of a send or
+    deliver event is a :class:`Sent` or :class:`Delivered` record, which
+    holds the message itself and reads like the dict of its trace
+    fields; every other payload is a dict, rendered whole through
+    :meth:`as_dict`.  A payload is stored as the bus or the agent passed
+    it, not copied, so it must not change once noted.
     """
 
     tick: int
@@ -192,19 +193,15 @@ def render_trace(trace: list[TraceEvent]) -> str:
 
     Each line is what ``json.dumps`` writes for ``event.as_dict()`` with
     its defaults.  A :class:`Sent` or :class:`Delivered` payload is
-    written from a template, read straight off its message, when its
-    fields have the plain types the bus gives them: ``int`` seq and
-    tick, ``str`` ids, a ``str`` or ``None`` tag.  Ints are written as
-    ``int.__repr__`` and strings through the same
-    ``encode_basestring_ascii`` that ``json.dumps`` uses, so the bytes
-    stay its bytes; only a send's ``content`` goes through the C encoder.
-    A message's content is never changed once sent, and one content may
-    be shared by many messages (a broadcast call, equal offers), so each
-    distinct content object is encoded once per call and its text reused.
-    A dict payload is encoded whole and spliced after the tick and kind,
-    unless it is empty or carries a ``tick`` or ``kind`` field of its own
-    (that field overwrites the event's in place).  Such a dict, and a
-    record with a field of another type, is encoded through
+    written from a template, read straight off its message, which holds
+    for the values the bus writes: ``int`` ticks and seqs, ``str`` kinds
+    and ids, a ``str`` or ``None`` tag; an id, performative or tag of
+    another type raises ``TypeError`` from the quoting.  Ints are written as
+    ``int.__repr__`` and strings through the ``encode_basestring_ascii``
+    of ``json.dumps``; a send's ``content`` goes through the C encoder,
+    once per call for each distinct content object (a content is never
+    changed once sent, and a broadcast call or equal offers share one).
+    Every other event (an agent's note, a fault) is encoded whole through
     ``event.as_dict()``.  One C encoder, with the ``json.dumps``
     defaults, serves the whole call.
     """
@@ -225,60 +222,34 @@ def render_trace(trace: list[TraceEvent]) -> str:
     for event in trace:
         tick, kind, payload = event
         record = type(payload)
-        plain = type(tick) is int and type(kind) is str
         try:
-            if plain and record is Sent:
-                seq, msg = payload
-                performative, content, _, _, sender, receiver, conversation, tag = msg
-                if (
-                    type(seq) is int
-                    and type(sender) is str
-                    and type(receiver) is str
-                    and type(conversation) is str
-                    and type(performative) is str
-                    and (tag is None or type(tag) is str)
-                ):
-                    text = texts.get(id(content))
-                    if text is None:
-                        text = "".join(encode(content, 0))
-                        # keep the text only of a content held beyond its
-                        # message (which, the local and the call make 3
-                        # references): only such a content can recur, and
-                        # most are one message's alone
-                        if getrefcount(content) > 3:
-                            texts[id(content)] = text
-                    lines.append(
-                        f'{{"tick": {tick}, "kind": {quote(kind)}, "seq": {seq}, '
-                        f'"from": {quote(sender)}, "to": {quote(receiver)}, '
-                        f'"conversation": {quote(conversation)}, '
-                        f'"performative": {quote(performative)}, '
-                        f'"tag": {"null" if tag is None else quote(tag)}, '
-                        f'"content": {text}}}\n'
-                    )
-                    continue
-            elif plain and record is Delivered:
-                seq, msg = payload
-                performative, _, _, _, sender, receiver, conversation, _ = msg
-                if (
-                    type(seq) is int
-                    and type(sender) is str
-                    and type(receiver) is str
-                    and type(conversation) is str
-                    and type(performative) is str
-                ):
-                    lines.append(
-                        f'{{"tick": {tick}, "kind": {quote(kind)}, "seq": {seq}, '
-                        f'"from": {quote(sender)}, "to": {quote(receiver)}, '
-                        f'"conversation": {quote(conversation)}, '
-                        f'"performative": {quote(performative)}}}\n'
-                    )
-                    continue
-            if (
-                plain and record is dict and payload
-                and "tick" not in payload and "kind" not in payload
-            ):
-                body = "".join(encode(payload, 0))
-                lines.append(f'{{"tick": {tick}, "kind": {quote(kind)}, {body[1:]}\n')
+            if record is Sent:
+                seq, (performative, content, _, _, sender, receiver, conversation, tag) = payload
+                text = texts.get(id(content))
+                if text is None:
+                    text = "".join(encode(content, 0))
+                    # keep the text only of a content held beyond its
+                    # message (which, the local and the call make 3
+                    # references): only such a content can recur, and
+                    # most are one message's alone
+                    if getrefcount(content) > 3:
+                        texts[id(content)] = text
+                lines.append(
+                    f'{{"tick": {tick}, "kind": {quote(kind)}, "seq": {seq}, '
+                    f'"from": {quote(sender)}, "to": {quote(receiver)}, '
+                    f'"conversation": {quote(conversation)}, '
+                    f'"performative": {quote(performative)}, '
+                    f'"tag": {"null" if tag is None else quote(tag)}, '
+                    f'"content": {text}}}\n'
+                )
+            elif record is Delivered:
+                seq, (performative, _, _, _, sender, receiver, conversation, _) = payload
+                lines.append(
+                    f'{{"tick": {tick}, "kind": {quote(kind)}, "seq": {seq}, '
+                    f'"from": {quote(sender)}, "to": {quote(receiver)}, '
+                    f'"conversation": {quote(conversation)}, '
+                    f'"performative": {quote(performative)}}}\n'
+                )
             else:
                 lines.append("".join(encode(event.as_dict(), 0)) + "\n")
         except (TypeError, ValueError):

@@ -236,6 +236,34 @@ class TestValidation:
             Violation("bad-father", "auction:buyer", "father 'ghost' is not a role")
         ]
 
+    def test_a_role_starting_with_two_methods_is_refused_when_it_loads(self, tmp_path, capsys):
+        # a recovery retraces a journal from the role's one initial method,
+        # so a run would fail at its first recovery
+        doc = json.loads((FIXTURES / "protocols" / "attr_lookup.json").read_text(encoding="utf-8"))
+        (server,) = [role for role in doc["roles"] if role["role_id"] == "server"]
+        take = server["transitions"][0]
+        assert take["from"] == server["initial"]
+        server["transitions"].append({**take, "method": "al-take-again"})
+        detail = "initial state runs 2 methods: al-take, al-take-again"
+        assert validate_protocol(protocol_from_dict(doc)) == [
+            Violation("initial-method", "attr_lookup:server", detail)
+        ]
+        (tmp_path / "attr_lookup.json").write_text(json.dumps(doc), encoding="utf-8")
+        scenario = json.loads(
+            (FIXTURES / "scenarios" / "t2_sequential_fault.json").read_text(encoding="utf-8")
+        )
+        scenario["protocols"] = [
+            "attr_lookup.json" if name == "attr_lookup" else name for name in scenario["protocols"]
+        ]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        for command in ("validate", "run"):
+            assert cli_main([command, str(path)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {tmp_path / 'attr_lookup.json'}: invalid protocol: "
+                f"initial-method [attr_lookup:server]: {detail}\n"
+            )
+
 
 def test_schema_structure_vs_content():
     schema = MessageSchema(

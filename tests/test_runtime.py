@@ -980,7 +980,10 @@ class TestTraceShape:
     def test_a_record_holds_the_very_message_and_reads_as_its_line(self, family):
         """Every send record holds the message that was scheduled, every
         deliver record the one handed to its receiver (after any fault),
-        and each reads as its rendered line without the tick and kind."""
+        and each reads as its rendered line without the tick and kind.
+        Every event has the field types ``render_trace``'s templates
+        write: an int tick, a str kind, and on a record an int seq, str
+        ids and a str or None tag."""
         checked = 0
         for scenario in sample_scenarios(family):
             rt = build_runtime(scenario)
@@ -1007,6 +1010,15 @@ class TestTraceShape:
             assert all(type(p) is Delivered for p in delivers)
             assert all(p.message is m for p, m in zip(sends, scheduled))
             assert all(p.message is m for p, m in zip(delivers, handed))
+            for tick, kind, payload in trace:
+                assert type(tick) is int and type(kind) is str
+                if type(payload) in (Sent, Delivered):
+                    seq, message = payload
+                    assert type(seq) is int
+                    assert {type(message.sender), type(message.receiver)} == {str}
+                    assert type(message.conversation_id) is str
+                    assert type(message.performative) is str
+                    assert message.reply_with is None or type(message.reply_with) is str
             for event, line in zip(trace, render_trace(trace).splitlines()):
                 if event.kind in ("send", "deliver"):
                     fields = json.loads(line)
@@ -1062,8 +1074,8 @@ _CONTENT = content_trees(_RENDER_LEAVES) | st.builds(
 _SEQ = st.integers(min_value=-(2**70), max_value=2**70)
 _PLAIN_SEND = st.tuples(_SEQ, _TEXT, _TEXT, _TEXT, _TEXT, _TEXT | st.none(), _CONTENT)
 _PLAIN_DELIVER = st.tuples(_SEQ, _TEXT, _TEXT, _TEXT, _TEXT)
-#: values the templates must not take in place of an int seq or a str id
-#: (None stays a valid tag)
+#: values of other types in place of an int seq or a str id, which a dict
+#: payload may hold and a bus record never does (None stays a valid tag)
 _ODD = st.booleans() | st.integers(min_value=-5, max_value=5) | st.none()
 
 
@@ -1079,28 +1091,26 @@ def _record(values: tuple) -> Sent | Delivered:
     return Sent(seq, message) if rest else Delivered(seq, message)
 
 
-def _bus_payloads():
-    """Send and deliver payloads, each as the bus writes it (a record) and
-    as a dict with the same fields, with plain values or with one field
-    of a type the templates must leave to the as_dict path."""
-    send = _PLAIN_SEND | st.builds(_spoil, _PLAIN_SEND, st.integers(0, 5), _ODD)
-    deliver = _PLAIN_DELIVER | st.builds(_spoil, _PLAIN_DELIVER, st.integers(0, 4), _ODD)
-    return (
-        send.map(_record)
-        | deliver.map(_record)
-        | send.map(lambda v: dict(zip(_SEND_FIELDS, v)))
-        | deliver.map(lambda v: dict(zip(_DELIVER_FIELDS, v)))
-    )
+#: the fields of a dict send or deliver: plain, or with one field of another type
+_DICT_SEND = _PLAIN_SEND | st.builds(_spoil, _PLAIN_SEND, st.integers(0, 5), _ODD)
+_DICT_DELIVER = _PLAIN_DELIVER | st.builds(_spoil, _PLAIN_DELIVER, st.integers(0, 4), _ODD)
 
 
 def _events():
-    payload = (
-        st.dictionaries(_PAYLOAD_KEYS, content_trees(_RENDER_LEAVES), max_size=5)
-        | _bus_payloads()
-    )
+    """Events as the bus writes them (a send or deliver record, with the
+    field types of the bus, at an int tick), and events with a dict
+    payload of any values at any tick, the fields of a send or deliver
+    among them."""
     kinds = st.sampled_from(("send", "deliver", "recovery", "\u00e9v\u00e9nement"))
-    ticks = st.integers(min_value=0, max_value=300) | st.just(True)
-    return st.lists(st.tuples(ticks, kinds, payload), max_size=8)
+    ticks = st.integers(min_value=0, max_value=300)
+    records = _PLAIN_SEND.map(_record) | _PLAIN_DELIVER.map(_record)
+    dicts = (
+        st.dictionaries(_PAYLOAD_KEYS, content_trees(_RENDER_LEAVES), max_size=5)
+        | _DICT_SEND.map(lambda v: dict(zip(_SEND_FIELDS, v)))
+        | _DICT_DELIVER.map(lambda v: dict(zip(_DELIVER_FIELDS, v)))
+    )
+    event = st.tuples(ticks, kinds, records) | st.tuples(ticks | st.just(True), kinds, dicts)
+    return st.lists(event, max_size=8)
 
 
 def _self_loop() -> list:
@@ -1123,18 +1133,15 @@ _SHARED_CONTENT = (
 def _shared_content_events(draw):
     """Traces whose sends reuse a few content objects, as a broadcast
     call or equal offers do, among other events.  A send is a record as
-    the bus writes it, or one with a field of an odd type (so that it is
-    encoded whole), or a dict, and each carries one of the shared
-    objects."""
+    the bus writes it, or a dict of any values, and each carries one of
+    the shared objects."""
     pool = draw(st.lists(_SHARED_CONTENT, min_size=1, max_size=3))
     others = draw(_events())
+    ticks = st.integers(min_value=0, max_value=300)
+    contents = st.sampled_from(pool)
     sends = draw(st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=300),
-            _PLAIN_SEND | st.builds(_spoil, _PLAIN_SEND, st.integers(0, 5), _ODD),
-            st.sampled_from(pool),
-            st.booleans(),
-        ),
+        st.tuples(ticks, _PLAIN_SEND, contents, st.just(True))
+        | st.tuples(ticks, _DICT_SEND, contents, st.just(False)),
         min_size=2,
         max_size=8,
     ))
@@ -1196,7 +1203,6 @@ class TestRender:
             (0, "send", send),
             (1, "deliver", Delivered(*send)),
             (1, "send", _send(5, shared, receiver="other")),
-            (1, "send", Sent(True, send.message)),  # encoded whole
             (1, "send", dict(send)),  # encoded whole
             (2, "send", send),
         ]
@@ -1262,29 +1268,41 @@ class TestRender:
         "change",
         [
             {},
-            {"sender": 7},
-            {"receiver": None},
             {"sender": "\u00e9", "reply_with": "\u00e9\u4e2d\U0001f600"},
             {"reply_with": None},
-            {"reply_with": 3},
-            {"performative": 2.5},
             {"content": {"x": [float("nan"), float("inf"), -float("inf")]}},
             {"content": {"deep": [{1, 2}]}},
             {"content": _circular()},
         ],
-        ids=["plain", "int-sender", "none-receiver", "non-ascii-tag", "none-tag", "int-tag",
-             "float-performative", "nan-inf-content", "unserialisable", "circular"],
+        ids=["plain", "non-ascii-tag", "none-tag", "nan-inf-content", "unserialisable",
+             "circular"],
     )
     def test_bus_records_render_as_json_dumps_writes_them(self, change, c_encoder, monkeypatch):
         if not c_encoder:
             monkeypatch.setattr(parley.runtime, "c_make_encoder", None)
         message = msg("src", "sink", content={"x": 1}, tag="m.1")._replace(**change)
-        events = [
-            (2, "deliver", Delivered(4, message)),
-            (3, "send", Sent(4, message)),
-            (3, "send", Sent(True, message)),
-        ]
+        events = [(2, "deliver", Delivered(4, message)), (3, "send", Sent(4, message))]
         _assert_renders_as_json_dumps(events)
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"sender": 7}, {"receiver": None}, {"reply_with": 3}, {"performative": 2.5}],
+        ids=["int-sender", "none-receiver", "int-tag", "float-performative"],
+    )
+    def test_a_record_text_field_of_another_type_is_refused(self, change):
+        """A record whose id, performative or tag is of a type the bus
+        never writes raises TypeError rather than being written as some
+        other line (a dict payload takes any value); a deliver line,
+        which carries no tag, ignores its message's tag."""
+        message = msg("src", "sink", content={"x": 1}, tag="m.1")._replace(**change)
+        with pytest.raises(TypeError):
+            render_trace([TraceEvent(3, "send", Sent(4, message))])
+        deliver = [(2, "deliver", Delivered(4, message))]
+        if "reply_with" in change:
+            _assert_renders_as_json_dumps(deliver)
+        else:
+            with pytest.raises(TypeError):
+                render_trace([TraceEvent(*event) for event in deliver])
 
     def test_a_payload_kind_field_overwrites_the_event_kind_in_place(self):
         events = [(3, "recovery", {"action": "replacement", "kind": "content"})]

@@ -475,10 +475,43 @@ class TestResolution:
                 lambda doc: doc["roles"][1].update(states=["done", "p0", 5]),
                 "roles[1].states[2]: expected a string, got 5",
             ),
+            (
+                lambda doc: doc["roles"][1]["transitions"][0]["trigger"].update(kind="send"),
+                "roles[1].transitions[0].trigger.kind: unknown trigger kind 'send'",
+            ),
+            (
+                lambda doc: doc["roles"][1]["transitions"][0]["action"].update(kind="receive"),
+                "roles[1].transitions[0].action.kind: unknown action kind 'receive'",
+            ),
+            (
+                lambda doc: doc["roles"][1]["transitions"][0]["trigger"].pop("kind"),
+                "roles[1].transitions[0].trigger: missing 'kind'",
+            ),
+            (
+                lambda doc: doc["roles"][1]["transitions"][0]["action"].pop("schema"),
+                "roles[1].transitions[0].action: missing 'schema'",
+            ),
+            (
+                lambda doc: doc["roles"][0]["transitions"][1]["action"].update(schema="answer"),
+                "roles[0].transitions[1].action: unknown key 'schema'",
+            ),
+            (
+                lambda doc: doc["roles"][1]["transitions"][0].update(
+                    action={"kind": "none", "schema": "answer"}
+                ),
+                "roles[1].transitions[0].action: unknown key 'schema'",
+            ),
+            (
+                lambda doc: doc["roles"][1]["transitions"][0]["trigger"].update(schema=3),
+                "roles[1].transitions[0].trigger.schema: expected a string, got 3",
+            ),
         ],
         ids=["number-trigger", "text-capability-tags", "second-role", "second-schema",
              "boolean-multiplicity", "misspelt-schema-language", "misspelt-role-father",
-             "variable-on-a-receive-trigger", "unknown-top-level-key", "number-state"],
+             "variable-on-a-receive-trigger", "unknown-top-level-key", "number-state",
+             "send-trigger", "receive-action", "trigger-without-kind",
+             "send-without-schema", "data-change-naming-a-schema",
+             "none-action-naming-a-schema", "number-schema-name"],
     )
     def test_a_bad_protocol_field_is_named_by_file_and_json_path(
         self, change, complaint, tmp_path, capsys
