@@ -22,7 +22,7 @@ its task's (outcome, detail) once, where it decides it.
 
 from __future__ import annotations
 
-from .errors import NoViableRoleError, ParseError
+from .errors import NoViableRoleError, ParseError, ProtocolViolationError
 from .individual import (
     INITIATOR_DETECTED,
     PARTICIPANT_DETECTED,
@@ -44,7 +44,6 @@ from .joint import (
     build_candidate_matrix,
     next_vector,
     offered_roles,
-    participant_meta_step,
     select_largest_set,
 )
 from .machine import (
@@ -290,14 +289,14 @@ class JointInitiator(AgentBase):
                     kind, protocol_id = "largest-set", role.protocol
                     fields = {"role": str(role), "agents": sorted(agents)}
             else:
-                solution = assign_roles_1_n(replies, [protocol], rt.rng)
-                if solution is not None:
-                    assignment = {str(r): a for r, a in sorted(solution.assignment.items())}
+                allocation = assign_roles_1_n(replies, protocol, rt.rng)
+                if allocation is not None:
+                    assignment = {str(r): a for r, a in sorted(allocation.items())}
                     for label, agent in assignment.items():
                         notice = notices.setdefault(agent, {"role": label, "roles": []})
                         notice["roles"].append(label)
-                    kind, protocol_id = "role-allocation", solution.protocol
-                    fields = {"protocol": solution.protocol, "assignment": assignment}
+                    kind, protocol_id = "role-allocation", round_.protocol
+                    fields = {"protocol": round_.protocol, "assignment": assignment}
             stopped = set(replies)
         for agent in sorted(notices):
             self._send(rt, agent, NOTIFY_ASSIGNMENT, notices[agent])
@@ -347,8 +346,20 @@ class JointInitiator(AgentBase):
 # ---------------------------------------------------------------------------
 
 
+#: reason -> the one unable-to-select content sent for it; message
+#: contents are never changed, so every refusal for a reason shares it
+_UNABLE = {reason: {"reason": reason} for reason in ("malformed-call", "unwilling", "no-role")}
+
+
 class SelectionParticipant(AgentBase):
-    """Answers calls for collaboration with the roles it can commit to."""
+    """Answers calls for collaboration with the roles it can commit to.
+
+    A malformed call and an unwilling agent both answer
+    unable-to-select, as does an agent with no role to offer.  An
+    assignment of a role that is not on offer is a protocol violation,
+    and so is a reply performative sent to a participant; an accepted
+    assignment and a stop both end the offer.
+    """
 
     def __init__(
         self,
@@ -365,7 +376,7 @@ class SelectionParticipant(AgentBase):
         self.registry = registry
         self.table = table
         self.willing = willing
-        #: conversation id -> the pending offer, empty when none is
+        #: conversation id -> the roles on offer, while an offer is pending
         self.pending: dict[str, tuple[RoleRef, ...]] = {}
         #: protocol id -> the roles offered for it and the ready-to-select
         #: content listing them.  Every input of an offer but the model is
@@ -376,35 +387,45 @@ class SelectionParticipant(AgentBase):
         #: shared by every participant of the runtime, whatever its model
         self.contents = contents
 
-    def _offer(self, protocol_id: str) -> tuple[tuple[RoleRef, ...], dict]:
-        offer = self.offers.get(protocol_id)
-        if offer is None:
-            roles = offered_roles(protocol_id, self.model, self.table, self.registry)
-            content = self.contents.get(roles)
-            if content is None:
-                content = self.contents[roles] = {"roles": [str(r) for r in roles]}
-            offer = self.offers[protocol_id] = (roles, content)
-        return offer
-
     def on_message(self, rt: SimRuntime, msg: Message) -> None:
-        if msg.performative not in SELECTION_PERFORMATIVES:
-            return
-        conversation = msg.conversation_id
-        self.pending[conversation], replies = participant_meta_step(
-            self.pending.get(conversation, ()),
-            msg,
-            self.registry,
-            self.willing,
-            self._offer,
-        )
-        for performative, content in replies:
-            rt.schedule_send(
-                _message(performative, content, self.name, msg.sender, conversation)
-            )
-        if msg.performative == NOTIFY_ASSIGNMENT:  # the step accepted it
+        performative, conversation = msg.performative, msg.conversation_id
+        if performative == CALL_FOR_COLLABORATION:
+            content = msg.content if isinstance(msg.content, dict) else {}
+            protocol_id = content.get("protocol")
+            if not isinstance(protocol_id, str) or protocol_id not in self.registry:
+                reply = UNABLE_TO_SELECT, _UNABLE["malformed-call"]
+            elif not self.willing:
+                reply = UNABLE_TO_SELECT, _UNABLE["unwilling"]
+            else:
+                offer = self.offers.get(protocol_id)
+                if offer is None:
+                    roles = offered_roles(protocol_id, self.model, self.table, self.registry)
+                    ready = self.contents.get(roles)
+                    if ready is None:
+                        ready = self.contents[roles] = {"roles": [str(r) for r in roles]}
+                    offer = self.offers[protocol_id] = (roles, ready)
+                roles, ready = offer
+                if roles:
+                    self.pending[conversation] = roles
+                    reply = READY_TO_SELECT, ready
+                else:
+                    reply = UNABLE_TO_SELECT, _UNABLE["no-role"]
+            rt.schedule_send(_message(*reply, self.name, msg.sender, conversation))
+        elif performative == NOTIFY_ASSIGNMENT:
+            offered = self.pending.get(conversation)
+            if offered is None:
+                raise ProtocolViolationError("assignment without a pending offer")
+            ref = RoleRef.parse(msg.content.get("role", ""))
+            if ref not in offered:
+                raise ProtocolViolationError(f"assigned role {ref} was never offered")
+            del self.pending[conversation]
             _note_termination(
                 rt, conversation, self.name, "selected", role=msg.content["role"]
             )
+        elif performative == STOP_SELECTION:
+            self.pending.pop(conversation, None)
+        elif performative in SELECTION_PERFORMATIVES:
+            raise ProtocolViolationError(f"unexpected {performative} in selection thread")
 
 
 class SilentAgent(AgentBase):
@@ -706,7 +727,7 @@ class SequentialResponder(_Responder):
         error = InteractionError(
             kind=kind,
             location=location,
-            offending=records[location - 1].emissions()[0],
+            offending=records[location - 1].output,
             detected_by=INITIATOR_DETECTED,
         )
         self._recover(rt, thread, error)

@@ -22,7 +22,7 @@ from random import Random
 from typing import NamedTuple
 
 from .errors import NoViableRoleError, PointOutOfRangeError
-from .journal import Journal, MessageReception
+from .journal import Journal
 from .machine import (
     WRONG_CONTENT,
     WRONG_STRUCTURE,
@@ -51,9 +51,9 @@ def locate_emission(records, reply_with: str) -> int:
     """1-based index of the record that emitted the message tagged
     ``reply_with``; 0 when no record did."""
     for seq, record in enumerate(records, 1):
-        for emitted in record.emissions():
-            if emitted.reply_with == reply_with:
-                return seq
+        sent = record.output
+        if isinstance(sent, Message) and sent.reply_with == reply_with:
+            return seq
     return 0
 
 
@@ -307,7 +307,7 @@ def clamped_recovery_points(records, graph: MethodGraph, location: int) -> tuple
             break
         current = record.method
         j += 1
-        if record.input_is_message():
+        if isinstance(record.input_event, Message):
             i += 1
     return i, j
 
@@ -327,7 +327,7 @@ def truncate_counterpart(journal: Journal, point: int) -> None:
         raise PointOutOfRangeError(f"point {point} must be positive")
     emitted = 0
     for seq, record in enumerate(journal.records, 1):
-        emitted += len(record.emissions())
+        emitted += isinstance(record.output, Message)
         if emitted >= point:
             journal.keep_first(seq)
             return
@@ -343,7 +343,7 @@ def refire_input(records, point: int, offending: Message | None):
     if 1 <= point <= len(records):
         return records[point - 1].input_event
     if point == len(records) + 1 and offending is not None:
-        return MessageReception(offending)
+        return offending
     raise PointOutOfRangeError(f"nothing to re-fire at point {point}")
 
 

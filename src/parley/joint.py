@@ -16,25 +16,19 @@ protocols allocate one agent per role along the protocol's father
 forest.
 
 This module holds the pure parts: the matrix and its exploration
-order, the participant's step through the exchange and the three
-arbitration rules.  The exchange itself runs on the bus, one-to-one
-and broadcast alike, in :class:`parley.agents.JointInitiator`.
+order, the roles a participant offers and the three arbitration rules.
+The exchange itself runs on the bus, one-to-one and broadcast alike,
+between :class:`parley.agents.JointInitiator` and
+:class:`parley.agents.SelectionParticipant`.
 """
 
 from __future__ import annotations
 
 from random import Random
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
-from .errors import ProtocolViolationError
 from .model import (
-    CALL_FOR_COLLABORATION,
-    NOTIFY_ASSIGNMENT,
-    READY_TO_SELECT,
-    STOP_SELECTION,
-    UNABLE_TO_SELECT,
     InteractionModel,
-    Message,
     Protocol,
     ProtocolRegistry,
     RoleKind,
@@ -99,13 +93,12 @@ def next_vector(
 ) -> str | None:
     """The least sparse unexplored vector: the row (or column) with the
     most cells.  Ties break on the lexicographically smaller label;
-    vectors without any cell are never worth exploring."""
+    vectors without any cell are never worth exploring.  ``mode`` is
+    one of the two orientations: a scenario names no other."""
     if mode == PROTOCOL_ORIENTED:
         labels, vectors = matrix.protocols, matrix.rows
-    elif mode == AGENT_ORIENTED:
-        labels, vectors = matrix.agents, matrix.columns
     else:
-        raise ValueError(f"unknown exploration mode {mode!r}")
+        labels, vectors = matrix.agents, matrix.columns
     best: str | None = None
     best_count = 0
     for label in labels:
@@ -118,25 +111,13 @@ def next_vector(
 
 
 # ---------------------------------------------------------------------------
-# Offers and outcomes
+# Offers
 #
 # An offer is the tuple of roles a participant's ready-to-select lists,
 # in its order of preference, empty for an offer of no role.  The
 # initiator checks a content once, where it reads it
 # (``JointInitiator._read_offer``), and the arbitration rules take the
 # offers as ``agent -> roles``.
-# ---------------------------------------------------------------------------
-
-
-class OneNSolution(NamedTuple):
-    protocol: str
-    #: one agent per participant role; several roles may share an agent
-    #: when no injective allocation exists
-    assignment: dict[RoleRef, str]
-
-
-# ---------------------------------------------------------------------------
-# Participant side of the meta protocol
 # ---------------------------------------------------------------------------
 
 
@@ -150,69 +131,18 @@ def offered_roles(
     ``protocol_id``: its roles of that protocol plus every enacted role
     that ``table`` pairs with the caller's initiator role, as
     ``(initiator role, participant role)``.  Roles of the called
-    protocol come first, then the rest, each in role order."""
-    protocol = registry.get(protocol_id)
-    if protocol is None:
-        return ()
-    initiator_ref = RoleRef(protocol_id, protocol.initiator_role().role_id)
+    protocol come first, then the rest, each in role order.  The call
+    names a protocol of ``registry``: a participant refuses any other
+    before asking."""
+    initiator_ref = RoleRef(protocol_id, registry[protocol_id].initiator_role().role_id)
     usable: list[RoleRef] = []
     for ref in model.role_refs():
-        owner = registry.get(ref.protocol)
-        if owner is None or owner.roles[ref.role].kind is not RoleKind.PARTICIPANT:
+        if registry[ref.protocol].roles[ref.role].kind is not RoleKind.PARTICIPANT:
             continue
         if ref.protocol == protocol_id or (initiator_ref, ref) in table:
             usable.append(ref)
     usable.sort(key=lambda r: (r.protocol != protocol_id, r))
     return tuple(usable)
-
-
-#: reason -> the one unable-to-select content sent for it; message
-#: contents are never changed, so every refusal for a reason shares it
-_UNABLE = {reason: {"reason": reason} for reason in ("malformed-call", "unwilling", "no-role")}
-
-
-def participant_meta_step(
-    offered: tuple[RoleRef, ...],
-    incoming: Message,
-    registry: ProtocolRegistry,
-    willing: bool,
-    offer: Callable[[str], tuple[tuple[RoleRef, ...], dict]],
-) -> tuple[tuple[RoleRef, ...], list[tuple[str, dict]]]:
-    """Advance one participant-side selection thread.
-
-    ``offered`` is the thread's pending offer, empty when none is
-    pending.  Returns the pending offer after ``incoming`` and the
-    replies to send as (performative, content) pairs.  A malformed call
-    and an unwilling agent both answer unable-to-select; an assignment
-    of a role that is not on offer is a protocol violation; an accepted
-    assignment and a stop both end the offer.  ``offer`` maps a
-    protocol id to the roles to offer, as :func:`offered_roles`
-    computes them for the agent, and the ready-to-select content that
-    lists them; that content is sent as it is, so one offer may serve
-    many calls.
-    """
-    performative = incoming.performative
-    if performative == CALL_FOR_COLLABORATION:
-        content = incoming.content if isinstance(incoming.content, dict) else {}
-        protocol_id = content.get("protocol")
-        if not isinstance(protocol_id, str) or protocol_id not in registry:
-            return offered, [(UNABLE_TO_SELECT, _UNABLE["malformed-call"])]
-        if not willing:
-            return offered, [(UNABLE_TO_SELECT, _UNABLE["unwilling"])]
-        roles, ready = offer(protocol_id)
-        if not roles:
-            return offered, [(UNABLE_TO_SELECT, _UNABLE["no-role"])]
-        return roles, [(READY_TO_SELECT, ready)]
-    if performative == NOTIFY_ASSIGNMENT:
-        if not offered:
-            raise ProtocolViolationError("assignment without a pending offer")
-        ref = RoleRef.parse(incoming.content.get("role", ""))
-        if ref not in offered:
-            raise ProtocolViolationError(f"assigned role {ref} was never offered")
-        return (), []
-    if performative == STOP_SELECTION:
-        return (), []
-    raise ProtocolViolationError(f"unexpected {performative} in selection thread")
 
 
 # ---------------------------------------------------------------------------
@@ -378,70 +308,44 @@ def _strip_singletons(
 
 
 def assign_roles_1_n(
-    replies: dict[str, tuple[RoleRef, ...]],
-    protocols: Iterable[Protocol],
-    rng: Random,
-) -> OneNSolution | None:
-    """Allocate one agent to every participant role of some protocol.
+    replies: dict[str, tuple[RoleRef, ...]], protocol: Protocol, rng: Random
+) -> dict[RoleRef, str] | None:
+    """Allocate one agent to every participant role of ``protocol``, as
+    role -> agent; None when some role has no candidate.
 
-    Roles are clustered by protocol; a protocol is dropped as soon as
-    one of its participant roles has no candidate.  Within a protocol,
-    allocation walks the father forest breadth-first, drawing an agent
+    Allocation walks the father forest breadth-first, drawing an agent
     for each role from its candidate set.  Draws are restricted to
     agents that keep an injective completion reachable whenever one is
-    reachable at all, and after every assignment the assigned agent is
-    withdrawn from the remaining non-singleton sets (the singleton rule
-    is also applied before the walk and after each withdrawal).
-
-    Among fully assigned protocols the one with the fewest role
-    collisions wins; remaining ties prefer fewer forced singleton
-    conflicts, then the smallest protocol id.
+    reachable at all, so several roles share an agent only when no
+    injective allocation exists.  After every assignment the assigned
+    agent is withdrawn from the remaining non-singleton sets (the
+    singleton rule is also applied before the walk and after each
+    withdrawal).
     """
-    fully: list[tuple[int, int, str, OneNSolution]] = []
-    for protocol in sorted(protocols, key=lambda p: p.protocol_id):
-        order = [RoleRef(protocol.protocol_id, rid) for rid in father_order(protocol)]
-        candidates: dict[RoleRef, set[str]] = {ref: set() for ref in order}
-        for agent in sorted(replies):
-            for ref in replies[agent]:
-                if ref in candidates:
-                    candidates[ref].add(agent)
-        if any(not agents for agents in candidates.values()):
-            continue
-        original = {ref: frozenset(agents) for ref, agents in candidates.items()}
-        pending = list(order)
-        _strip_singletons(candidates, pending)
-        assignment: dict[RoleRef, str] = {}
-        used: set[str] = set()
-        for ref in order:
-            pending.remove(ref)
-            pool = sorted(candidates[ref])
-            viable = _viable(pool, pending, candidates, used)
-            agent = rng.choice(viable if viable else pool)
-            assignment[ref] = agent
-            used.add(agent)
-            for other in pending:
-                if len(candidates[other]) > 1:
-                    candidates[other].discard(agent)
-            _strip_singletons(candidates, pending)
-        collisions = len(assignment) - len(set(assignment.values()))
-        forced = sum(
-            1
-            for ref in order
-            if len(original[ref]) == 1
-            and list(assignment.values()).count(assignment[ref]) > 1
-        )
-        fully.append(
-            (
-                collisions,
-                forced,
-                protocol.protocol_id,
-                OneNSolution(protocol=protocol.protocol_id, assignment=assignment),
-            )
-        )
-    if not fully:
+    order = [RoleRef(protocol.protocol_id, rid) for rid in father_order(protocol)]
+    candidates: dict[RoleRef, set[str]] = {ref: set() for ref in order}
+    for agent in sorted(replies):
+        for ref in replies[agent]:
+            if ref in candidates:
+                candidates[ref].add(agent)
+    if any(not agents for agents in candidates.values()):
         return None
-    fully.sort(key=lambda item: (item[0], item[1], item[2]))
-    return fully[0][3]
+    pending = list(order)
+    _strip_singletons(candidates, pending)
+    assignment: dict[RoleRef, str] = {}
+    used: set[str] = set()
+    for ref in order:
+        pending.remove(ref)
+        pool = sorted(candidates[ref])
+        viable = _viable(pool, pending, candidates, used)
+        agent = rng.choice(viable if viable else pool)
+        assignment[ref] = agent
+        used.add(agent)
+        for other in pending:
+            if len(candidates[other]) > 1:
+                candidates[other].discard(agent)
+        _strip_singletons(candidates, pending)
+    return assignment
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,20 @@ Every agent keeps, per conversation, one journal.  It knows the route
 (the conversation, this agent and its peer), hands out this side's
 reply tags, and holds an append-only list of the methods the agent
 executed.  A record stores the event that fired the method (a message
-reception or an agent-variable change) and the events the method
-produced (message emissions and variable changes); the n-th record is
+reception or an agent-variable change) and what the method produced (a
+message emission, a variable change, or nothing); the n-th record is
 ``records[n - 1]``.  Error recovery reads journals to find out where a
 replacement role can pick the interaction up, and truncation only ever
 removes a suffix.  Tags are never reused, truncation or not.
 
 The records are NamedTuples and the journal a plain class with
 ``__slots__``, as everywhere in the package (see :mod:`parley.model`).
-A reception and an emission of one message are equal tuples, so events
-are told apart by ``isinstance`` alone and never by comparing them.
+A record holds the values themselves: the :class:`~parley.model.Message`
+received or the :class:`DataChange` that fired the method, and the
+message sent, the change written or None, since a transition's one
+action makes at most one.  A journal is one side of a conversation, so
+a message in a record's input was received and one in its output was
+sent; ``isinstance(event, Message)`` tells a message from a change.
 """
 
 from __future__ import annotations
@@ -23,38 +27,18 @@ from typing import NamedTuple
 from .model import Message
 
 
-class MessageReception(NamedTuple):
-    message: Message
-
-
-class MessageEmission(NamedTuple):
-    message: Message
-
-
 class DataChange(NamedTuple):
     variable: str
     value: object
 
 
-InputEvent = MessageReception | DataChange
-OutputEvent = MessageEmission | DataChange
-
-
 class JournalRecord(NamedTuple):
     """One fired transition: its method, the event that fired it and
-    the events it produced."""
+    what its action produced."""
 
     method: str
-    input_event: InputEvent
-    output_events: tuple[OutputEvent, ...] = ()
-
-    def input_is_message(self) -> bool:
-        return isinstance(self.input_event, MessageReception)
-
-    def emissions(self) -> tuple[Message, ...]:
-        return tuple(
-            ev.message for ev in self.output_events if isinstance(ev, MessageEmission)
-        )
+    input_event: Message | DataChange
+    output: Message | DataChange | None = None
 
 
 class Journal:

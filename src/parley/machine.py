@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from random import Random
 
-from .journal import DataChange, Journal, JournalRecord, MessageEmission, MessageReception
+from .journal import DataChange, Journal, JournalRecord
 from .model import (
     Message,
     MessageSchema,
@@ -80,10 +80,10 @@ def enabled_for(
     machine: RoleStateMachine, protocol: Protocol, state: str, event
 ) -> list[Transition]:
     """Transitions from ``state`` that an input event fires: receive
-    transitions whose schema accepts a reception, internal ones on the
-    variable a data change writes."""
-    if isinstance(event, MessageReception):
-        return enabled_for_message(machine, protocol, state, event.message)
+    transitions whose schema accepts a message received, internal ones
+    on the variable a data change writes."""
+    if isinstance(event, Message):
+        return enabled_for_message(machine, protocol, state, event)
     return enabled_for_variable(machine, state, event.variable)
 
 
@@ -100,17 +100,15 @@ def rejection_kind(drivers, msg: Message) -> str:
     return WRONG_STRUCTURE
 
 
-def action_matches(protocol: Protocol, t: Transition, outputs: tuple) -> bool:
-    if t.action.kind == "none":
-        return len(outputs) == 0
-    if len(outputs) != 1:
-        return False
-    out = outputs[0]
-    if t.action.kind == "send":
-        return isinstance(out, MessageEmission) and protocol.schemas[
+def action_matches(protocol: Protocol, t: Transition, output) -> bool:
+    kind = t.action.kind
+    if kind == "none":
+        return output is None
+    if kind == "send":
+        return isinstance(output, Message) and protocol.schemas[
             t.action.schema_id  # type: ignore[index]
-        ].content_matches(out.message)
-    return isinstance(out, DataChange) and out.variable == t.action.variable
+        ].content_matches(output)
+    return isinstance(output, DataChange) and output.variable == t.action.variable
 
 
 def replay_states(
@@ -121,7 +119,7 @@ def replay_states(
     """All states the machine can be in after replaying the records.
 
     A record is replayed by any transition its input event fires
-    (:func:`enabled_for`) whose action matches its output events.  The
+    (:func:`enabled_for`) whose action matches its output.  The
     empty set means the machine cannot have produced this history.
     """
     here = {machine.initial_state}
@@ -129,7 +127,7 @@ def replay_states(
         nxt: set[str] = set()
         for state in here:
             for t in enabled_for(machine, protocol, state, record.input_event):
-                if action_matches(protocol, t, record.output_events):
+                if action_matches(protocol, t, record.output):
                     nxt.add(t.to_state)
         if not nxt:
             return frozenset()
@@ -240,7 +238,7 @@ class MachineDriver:
         one record per transition fired, and the message sent, None when
         the cascade ends without a send.
         """
-        value = event.message.content if isinstance(event, MessageReception) else event.value
+        value = event.content if isinstance(event, Message) else event.value
         records: list[JournalRecord] = []
         sent = None
         for _ in range(_CASCADE_LIMIT):
@@ -248,39 +246,36 @@ class MachineDriver:
             kind = t.action.kind
             if kind == "send":
                 schema = self.protocol.schemas[t.action.schema_id]  # type: ignore[index]
-                sent = self._emit(schema, tag)
-                outputs: tuple = (MessageEmission(sent),)
+                sent = output = self._emit(schema, tag)
             elif kind == "data_change":
-                outputs = (DataChange(t.action.variable, value),)
+                output = DataChange(t.action.variable, value)
             else:
-                outputs = ()
-            records.append(JournalRecord(t.method, event, outputs))
+                output = None
+            records.append(JournalRecord(t.method, event, output))
             if kind != "data_change":
                 break  # a send or no action writes nothing
-            event = outputs[0]
+            event = output
             enabled = enabled_for_variable(self.machine, t.to_state, event.variable)
             if not enabled:
                 break
         self.state = t.to_state
         return t, tuple(records), sent
 
-    def receive(self, msg: Message, enabled: list[Transition], rng: Random) -> Message | None:
-        """Journal a reception and everything it sets off; ``enabled``
-        holds the transitions found to take it in the current state.
-        Returns the message sent, if any."""
-        return self._run(MessageReception(msg), enabled, rng)
+    def receive(self, event, enabled: list[Transition], rng: Random) -> Message | None:
+        """Journal an input event (a message received or a data change)
+        and everything it sets off; ``enabled`` holds the transitions
+        found to take it in the current state.  Returns the message sent,
+        if any."""
+        _, records, sent = self.fire(enabled, event, rng)
+        self.journal.records.extend(records)
+        return sent
 
     def resume(self, event, rng: Random) -> Message | None:
         """Fire an input event nobody matched yet: the data change that
         starts an initiator's role, or the input a recovery re-fires.
         Nothing fires when no transition of the current state takes it."""
         enabled = self.enabled_for(event)
-        return self._run(event, enabled, rng) if enabled else None
-
-    def _run(self, event, enabled: list[Transition], rng: Random) -> Message | None:
-        _, records, sent = self.fire(enabled, event, rng)
-        self.journal.records.extend(records)
-        return sent
+        return self.receive(event, enabled, rng) if enabled else None
 
     def replay(self) -> None:
         """Rebuild the state from the journal as it stands: the least by

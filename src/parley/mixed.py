@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .errors import NoViableRoleError
 from .individual import rewind
-from .journal import Journal, JournalRecord, MessageEmission, MessageReception
+from .journal import Journal, JournalRecord
 from .machine import WRONG_STRUCTURE, MachineDriver, pick, rejection_kind, weak_schema_ids
 from .model import Message, ProtocolRegistry, RoleRef, Transition
 
@@ -68,6 +68,8 @@ class ControlZone:
 
     def __init__(self, journal: Journal) -> None:
         self.journal = journal
+        #: role -> its instance, filled once, in role order, by
+        #: :func:`instantiate_all`
         self.instances: dict[RoleRef, RoleInstance] = {}
         self.outbox: list[OutboxEntry] = []
         #: the entry of the last message sent, None before the first
@@ -76,7 +78,7 @@ class ControlZone:
 
     def with_activation(self, activation: str) -> list[RoleInstance]:
         """The instances whose activation is ``activation``, in role order."""
-        return [i for _, i in sorted(self.instances.items()) if i.activation == activation]
+        return [i for i in self.instances.values() if i.activation == activation]
 
 
 def same_signature(a: Message, b: Message) -> bool:
@@ -160,10 +162,9 @@ def instantiate_all(
     """
     cz = ControlZone(Journal(m0.conversation_id, m0.receiver, m0.sender))
     tag = cz.journal.tag()
-    reception = MessageReception(m0)
     for ref in sorted(takers):
         instance = cz.instances[ref] = RoleInstance(ref, registry, cz.journal)
-        if not _step(cz, instance, takers[ref], reception, tag, rng):
+        if not _step(cz, instance, takers[ref], m0, tag, rng):
             _stop(instance)
     _park(cz, cz.with_activation(ACTIVE))
     return cz
@@ -196,7 +197,7 @@ def feed(cz: ControlZone, event, rng: Random) -> bool:
 def handle_incoming(cz: ControlZone, msg: Message, rng: Random) -> str | None:
     """:func:`feed` an incoming message: None when an active instance
     takes it, else the error kind, with nothing touched."""
-    if feed(cz, MessageReception(msg), rng):
+    if feed(cz, msg, rng):
         return None
     return rejection_kind(cz.with_activation(ACTIVE), msg)
 
@@ -252,18 +253,11 @@ def select_outgoing(cz: ControlZone, rng: Random) -> Message:
 
 def _retag(cz: ControlZone, entry: OutboxEntry) -> OutboxEntry:
     """A replacement goes out as a fresh send: new reply tag, and the
-    pending records updated to emit the retagged message."""
+    pending records updated to emit the retagged message.  A send ends
+    the cascade, so the last record is the one that emits it."""
     message = entry.message._replace(reply_with=cz.journal.tag())
-    records = tuple(
-        rec._replace(
-            output_events=tuple(
-                MessageEmission(message) if isinstance(ev, MessageEmission) else ev
-                for ev in rec.output_events
-            )
-        )
-        for rec in entry.records
-    )
-    return entry._replace(message=message, records=records)
+    *cascade, send = entry.records
+    return entry._replace(message=message, records=(*cascade, send._replace(output=message)))
 
 
 def handle_error_mixed(cz: ControlZone, kind: str, rng: Random) -> Message | None:

@@ -120,80 +120,61 @@ def oracle_assignment_valid(
 
 
 def oracle_assign_roles(
-    orders: dict[str, list[str]], replies: dict[str, list[str]], rng
-) -> tuple[str, dict[str, str]] | None:
+    protocol: str, order: list[str], replies: dict[str, list[str]], rng
+) -> dict[str, str] | None:
     """The 1:N allocation, drawing from ``rng`` exactly as the package does.
 
-    orders: protocol id -> its participant roles in father order.
+    order: the protocol's participant roles in father order.
     replies: agent -> role labels ("protocol:role") it offered.
-    Returns (protocol, {label: agent}) or None.
+    Returns {label: agent}, or None when some role has no backer.
 
-    Protocols are tried in id order and every role must have a backer.
     Before the walk, and after each draw, an agent that is the only
     candidate of a role leaves every other non-singleton set, to a
     fixpoint.  Each role in turn draws (``rng.choice``, sorted pool)
     among the unused agents that leave the roles after it a set of
     distinct unused agents -- checked agent by agent, by brute force --
     or from its whole pool when no agent does; the drawn agent then
-    leaves the non-singleton sets of the roles after it.  The protocol
-    with the fewest shared agents wins, then the fewest roles whose only
-    backer is shared, then the smallest id.
+    leaves the non-singleton sets of the roles after it.
     """
-    results = []
-    for protocol in sorted(orders):
-        order = [f"{protocol}:{role}" for role in orders[protocol]]
-        pools = {label: {a for a in replies if label in replies[a]} for label in order}
-        if any(not agents for agents in pools.values()):
-            continue
-        original = {label: set(agents) for label, agents in pools.items()}
-
-        def strip(pending: list[str]) -> None:
-            changed = True
-            while changed:
-                changed = False
-                for label in pending:
-                    if len(pools[label]) != 1:
-                        continue
-                    owner = next(iter(pools[label]))
-                    for other in pending:
-                        if other != label and len(pools[other]) > 1 and owner in pools[other]:
-                            pools[other].discard(owner)
-                            changed = True
-
-        pending = list(order)
-        strip(pending)
-        assignment: dict[str, str] = {}
-        for label in order:
-            pending.remove(label)
-            pool = sorted(pools[label])
-            viable = [
-                agent
-                for agent in pool
-                if agent not in assignment.values()
-                and oracle_injective_exists(
-                    {
-                        rest: pools[rest] - set(assignment.values()) - {agent}
-                        for rest in pending
-                    }
-                )
-            ]
-            agent = rng.choice(viable if viable else pool)
-            assignment[label] = agent
-            for other in pending:
-                if len(pools[other]) > 1:
-                    pools[other].discard(agent)
-            strip(pending)
-        shared = len(assignment) - len(set(assignment.values()))
-        drawn = list(assignment.values())
-        forced = sum(
-            1 for label in order
-            if len(original[label]) == 1 and drawn.count(assignment[label]) > 1
-        )
-        results.append((shared, forced, protocol, assignment))
-    if not results:
+    order = [f"{protocol}:{role}" for role in order]
+    pools = {label: {a for a in replies if label in replies[a]} for label in order}
+    if any(not agents for agents in pools.values()):
         return None
-    _, _, protocol, assignment = min(results, key=lambda item: item[:3])
-    return protocol, assignment
+
+    def strip(pending: list[str]) -> None:
+        changed = True
+        while changed:
+            changed = False
+            for label in pending:
+                if len(pools[label]) != 1:
+                    continue
+                owner = next(iter(pools[label]))
+                for other in pending:
+                    if other != label and len(pools[other]) > 1 and owner in pools[other]:
+                        pools[other].discard(owner)
+                        changed = True
+
+    pending = list(order)
+    strip(pending)
+    assignment: dict[str, str] = {}
+    for label in order:
+        pending.remove(label)
+        pool = sorted(pools[label])
+        viable = [
+            agent
+            for agent in pool
+            if agent not in assignment.values()
+            and oracle_injective_exists(
+                {rest: pools[rest] - set(assignment.values()) - {agent} for rest in pending}
+            )
+        ]
+        agent = rng.choice(viable if viable else pool)
+        assignment[label] = agent
+        for other in pending:
+            if len(pools[other]) > 1:
+                pools[other].discard(agent)
+        strip(pending)
+    return assignment
 
 
 # ---------------------------------------------------------------------------

@@ -26,13 +26,7 @@ from parley.joint import (
     next_vector,
     select_largest_set,
 )
-from parley.journal import (
-    DataChange,
-    Journal,
-    JournalRecord,
-    MessageEmission,
-    MessageReception,
-)
+from parley.journal import DataChange, Journal, JournalRecord
 from parley.model import (
     RESERVED_PERFORMATIVES,
     InteractionModel,
@@ -212,13 +206,13 @@ def test_criterion_4_role_allocation_on_father_forests():
             agent: payload(*[f"cer:{r}" for r in roles])
             for agent, roles in plain_replies.items()
         }
-        got = assign_roles_1_n(replies, [protocol], Random(i))
+        got = assign_roles_1_n(replies, protocol, Random(i))
         assert got is not None, (fathers, plain_replies)
         candidates = {
             role: {a for a, roles in plain_replies.items() if role in roles}
             for role in fathers
         }
-        assignment = {ref.role: agent for ref, agent in got.assignment.items()}
+        assignment = {ref.role: agent for ref, agent in got.items()}
         assert oracle_assignment_valid(candidates, assignment), (
             fathers, plain_replies, assignment,
         )
@@ -267,7 +261,7 @@ def test_criterion_5_recovery_points_oracle_equivalence():
         records = [
             JournalRecord(
                 method=method,
-                input_event=MessageReception(DUMMY) if is_msg else DataChange("v", seq),
+                input_event=DUMMY if is_msg else DataChange("v", seq),
             )
             for seq, (method, is_msg) in enumerate(plain_records, start=1)
         ]
@@ -291,8 +285,8 @@ def test_criterion_5_recovery_points_oracle_equivalence():
     )
     journal = Journal("t2/c1", "c1", "q2")
     journal.records += [
-        JournalRecord("aq-take", MessageReception(ask), (DataChange("q", ask.content),)),
-        JournalRecord("aq-answer", DataChange("q", ask.content), (MessageEmission(tell),)),
+        JournalRecord("aq-take", ask, DataChange("q", ask.content)),
+        JournalRecord("aq-answer", DataChange("q", ask.content), tell),
     ]
     graph = method_graph(registry["attr_probe"].roles["server"])
     assert compute_recovery_points(journal.records, graph) == (1, 1)

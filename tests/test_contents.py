@@ -21,9 +21,15 @@ from random import Random
 
 import pytest
 
-from parley.joint import participant_meta_step
-from parley.model import CALL_FOR_COLLABORATION, UNABLE_TO_SELECT, Message, RoleRef, load_protocol
-from parley.runtime import SimRuntime
+from parley.agents import SelectionParticipant
+from parley.model import (
+    CALL_FOR_COLLABORATION,
+    UNABLE_TO_SELECT,
+    InteractionModel,
+    Message,
+    load_protocol,
+)
+from parley.runtime import AgentBase, SimRuntime
 from parley.scenario import (
     MIXED,
     SEQUENTIAL,
@@ -90,23 +96,30 @@ def test_a_broadcast_and_equal_offers_share_one_content():
 
 
 @pytest.mark.parametrize(
-    "content, willing, roles, reason",
+    "content, willing, enacts, reason",
     [
-        ({"task": "t1"}, True, (RoleRef("ips", "replier"),), "malformed-call"),
-        ({"protocol": "ips", "task": "t1"}, False, (RoleRef("ips", "replier"),), "unwilling"),
-        ({"protocol": "ips", "task": "t1"}, True, (), "no-role"),
+        ({"task": "t1"}, True, {"replier"}, "malformed-call"),
+        ({"protocol": "ips", "task": "t1"}, False, {"replier"}, "unwilling"),
+        ({"protocol": "ips", "task": "t1"}, True, set(), "no-role"),
     ],
     ids=["malformed-call", "unwilling", "no-role"],
 )
-def test_a_refusal_sends_one_content_per_reason(content, willing, roles, reason):
+def test_a_refusal_sends_one_content_per_reason(content, willing, enacts, reason):
     registry = {"ips": load_protocol("ips")}
-    sent = []
+    model = InteractionModel({"ips": frozenset(enacts)})
+    rt = SimRuntime(seed=0)
+    rt.register(AgentBase("q1"))
     for agent in ("d1", "d2"):
+        rt.register(SelectionParticipant(agent, model, registry, frozenset(), willing, {}, {}))
         call = Message(CALL_FOR_COLLABORATION, dict(content), "kv", "core", "q1", agent, "t1!select")
-        _, replies = participant_meta_step((), call, registry, willing, lambda _: (roles, {}))
-        assert replies == [(UNABLE_TO_SELECT, {"reason": reason})]
-        sent.append(replies[0][1])
-    assert sent[0] is sent[1]
+        rt.schedule_send(call)
+    start = len(rt.trace)
+    rt.run_until_quiescent()
+    sent = [p for _, kind, p in rt.trace[start:] if kind == "send"]
+    assert [(p["from"], p["performative"], p["content"]) for p in sent] == [
+        (agent, UNABLE_TO_SELECT, {"reason": reason}) for agent in ("d1", "d2")
+    ]
+    assert sent[0]["content"] is sent[1]["content"]
 
 
 def test_an_initiator_reads_each_distinct_offer_once(monkeypatch):

@@ -36,13 +36,7 @@ from parley.individual import (
     truncate_counterpart,
     truncate_own,
 )
-from parley.journal import (
-    DataChange,
-    Journal,
-    JournalRecord,
-    MessageEmission,
-    MessageReception,
-)
+from parley.journal import DataChange, Journal, JournalRecord
 from parley.machine import MachineDriver, rejection_kind
 from parley.model import (
     RESERVED_PERFORMATIVES,
@@ -106,8 +100,8 @@ def server_journal() -> Journal:
     """What the serving agent recorded while enacting attr_query:server."""
     journal = Journal(CONV, "c1", "q2")
     journal.records += [
-        JournalRecord("aq-take", MessageReception(ASK), (DataChange("q", ASK.content),)),
-        JournalRecord("aq-answer", DataChange("q", ASK.content), (MessageEmission(GOOD_TELL),)),
+        JournalRecord("aq-take", ASK, DataChange("q", ASK.content)),
+        JournalRecord("aq-answer", DataChange("q", ASK.content), GOOD_TELL),
     ]
     return journal
 
@@ -530,7 +524,7 @@ def chain_graph(*methods: str) -> MethodGraph:
 
 
 def record(seq: int, method: str, is_message: bool) -> JournalRecord:
-    input_event = MessageReception(DUMMY) if is_message else DataChange("v", seq)
+    input_event = DUMMY if is_message else DataChange("v", seq)
     return JournalRecord(method=method, input_event=input_event)
 
 
@@ -621,13 +615,9 @@ class TestTruncation:
     def emitting_journal(self) -> Journal:
         journal = Journal(CONV, "q2", "c1")
         journal.records += [
-            JournalRecord("open", DataChange("task", "t2"), (MessageEmission(ASK),)),
-            JournalRecord("think", DataChange("more", 1), (DataChange("note", 2),)),
-            JournalRecord(
-                "burst",
-                DataChange("more", 2),
-                (MessageEmission(GOOD_TELL), MessageEmission(BAD_TELL)),
-            ),
+            JournalRecord("open", DataChange("task", "t2"), ASK),
+            JournalRecord("think", DataChange("more", 1), DataChange("note", 2)),
+            JournalRecord("answer", DataChange("more", 2), GOOD_TELL),
         ]
         return journal
 
@@ -636,27 +626,27 @@ class TestTruncation:
         truncate_counterpart(journal, 1)
         assert [r.method for r in journal.records] == ["open"]
 
-    def test_counterpart_records_are_atomic(self):
+    def test_counterpart_keeps_the_changes_before_an_emission(self):
         journal = self.emitting_journal()
         truncate_counterpart(journal, 2)
-        assert [r.method for r in journal.records] == ["open", "think", "burst"]
+        assert [r.method for r in journal.records] == ["open", "think", "answer"]
 
     def test_counterpart_point_out_of_range(self):
         with pytest.raises(PointOutOfRangeError):
             truncate_counterpart(self.emitting_journal(), 0)
         with pytest.raises(PointOutOfRangeError):
-            truncate_counterpart(self.emitting_journal(), 4)
+            truncate_counterpart(self.emitting_journal(), 3)
 
 
 class TestRefireInput:
     def test_replays_the_recorded_input(self):
         records = server_journal().records
-        assert refire_input(records, 1, None) == MessageReception(ASK)
+        assert refire_input(records, 1, None) == ASK
         assert refire_input(records, 2, None) == DataChange("q", ASK.content)
 
     def test_feeds_the_offending_message_past_the_end(self):
         records = server_journal().records
-        assert refire_input(records, 3, BAD_TELL) == MessageReception(BAD_TELL)
+        assert refire_input(records, 3, BAD_TELL) == BAD_TELL
 
     def test_past_the_end_without_a_message_fails(self):
         with pytest.raises(PointOutOfRangeError):
@@ -709,9 +699,9 @@ class TestSequentialRewind:
             assert role not in thread.collection
             # the kept take record rebuilt q, and answer ran again from it
             assert [r.method for r in thread.driver.journal.records] == ["take", "answer"]
-            opening = thread.driver.journal.records[0].input_event.message
+            opening = thread.driver.journal.records[0].input_event
             assert thread.driver.journal.records[1].input_event == DataChange("q", opening.content)
-            answered = thread.driver.journal.records[1].emissions()[0]
+            answered = thread.driver.journal.records[1].output
             assert rt.agents["q"].outcome == ("concluded", {"final_state": "done"})
             assert [r.method for r in rt.agents["q"].journal.records] == [
                 "ask",

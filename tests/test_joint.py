@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parley.agents import JointInitiator
+from parley.agents import JointInitiator, SelectionParticipant
 from parley.errors import CyclicFatherRelationError, ProtocolViolationError
 from parley.joint import (
     AGENT_ORIENTED,
@@ -19,7 +19,6 @@ from parley.joint import (
     build_candidate_matrix,
     next_vector,
     offered_roles,
-    participant_meta_step,
     select_largest_set,
 )
 from parley.model import (
@@ -36,9 +35,10 @@ from parley.model import (
     load_protocol,
 )
 from parley.runtime import WAKE, AgentBase, SimRuntime
+from parley.scenario import build_runtime
 
 from .generators import AGENT_POOL, forest_instances, largest_set_instances
-from .helpers import one_n_protocol, one_one_n_protocol, one_one_protocol
+from .helpers import one_n_protocol, one_one_n_protocol, one_one_protocol, sample_scenarios
 from .oracles import (
     oracle_assign_roles,
     oracle_assignment_valid,
@@ -112,10 +112,6 @@ class TestMatrix:
         assert matrix.rows["bare"] == ()
         assert next_vector(matrix, PROTOCOL_ORIENTED, frozenset()) == "ips"
         assert next_vector(matrix, PROTOCOL_ORIENTED, {"ips"}) is None
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            next_vector(canonical_matrix(), "sideways", frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +257,10 @@ class TestAssignRoles:
             "c": payload("cer:z"),
         }
         for seed in range(25):
-            got = assign_roles_1_n(replies, [protocol], Random(seed))
+            got = assign_roles_1_n(replies, protocol, Random(seed))
             assert got is not None
-            assert got.assignment[RoleRef("cer", "z")] == "c"
-            assert len(set(got.assignment.values())) == 3
+            assert got[RoleRef("cer", "z")] == "c"
+            assert len(set(got.values())) == 3
 
     def test_singleton_rule_cascades(self):
         protocol = one_n_protocol("cer", {"x": None, "y": None, "z": None})
@@ -273,50 +269,27 @@ class TestAssignRoles:
             "b": payload("cer:y", "cer:z"),
             "c": payload("cer:z"),
         }
-        got = assign_roles_1_n(replies, [protocol], Random(0))
+        got = assign_roles_1_n(replies, protocol, Random(0))
         assert got is not None
-        assert got.assignment == {
+        assert got == {
             RoleRef("cer", "x"): "a",
             RoleRef("cer", "y"): "b",
             RoleRef("cer", "z"): "c",
         }
 
-    def test_uncovered_role_drops_the_protocol(self):
-        roomy = one_n_protocol("roomy", {"u": None, "v": None})
-        gappy = one_n_protocol("gappy", {"u": None, "v": None})
-        replies = {
-            "a": payload("roomy:u", "gappy:u"),
-            "b": payload("roomy:v"),
-        }
-        got = assign_roles_1_n(replies, [gappy, roomy], Random(3))
-        assert got is not None
-        assert got.protocol == "roomy"
-
-    def test_fewest_collisions_wins_between_protocols(self):
-        crowded = one_n_protocol("crowded", {"u": None, "v": None})
-        roomy = one_n_protocol("roomy", {"u": None, "v": None})
-        replies = {
-            "a": payload("crowded:u", "crowded:v", "roomy:u"),
-            "b": payload("roomy:v"),
-        }
-        got = assign_roles_1_n(replies, [crowded, roomy], Random(1))
-        assert got is not None
-        assert got.protocol == "roomy"
-        assert set(got.assignment.values()) == {"a", "b"}
-
     def test_collision_allowed_when_unavoidable(self):
         protocol = one_n_protocol("cer", {"x": None, "y": None})
         replies = {"a": payload("cer:x", "cer:y")}
-        got = assign_roles_1_n(replies, [protocol], Random(0))
+        got = assign_roles_1_n(replies, protocol, Random(0))
         assert got is not None
-        assert got.assignment == {
+        assert got == {
             RoleRef("cer", "x"): "a",
             RoleRef("cer", "y"): "a",
         }
 
     def test_no_protocol_covered(self):
         protocol = one_n_protocol("cer", {"x": None, "y": None})
-        assert assign_roles_1_n({"a": payload("cer:x")}, [protocol], Random(0)) is None
+        assert assign_roles_1_n({"a": payload("cer:x")}, protocol, Random(0)) is None
 
     @settings(max_examples=200)
     @given(forest_instances(), st.integers(min_value=0, max_value=2**32 - 1))
@@ -327,13 +300,13 @@ class TestAssignRoles:
             agent: payload(*[f"cer:{r}" for r in roles])
             for agent, roles in plain_replies.items()
         }
-        got = assign_roles_1_n(replies, [protocol], Random(seed))
+        got = assign_roles_1_n(replies, protocol, Random(seed))
         assert got is not None
         candidates = {
             role: {a for a, roles in plain_replies.items() if role in roles}
             for role in fathers
         }
-        assignment = {ref.role: agent for ref, agent in got.assignment.items()}
+        assignment = {ref.role: agent for ref, agent in got.items()}
         assert oracle_assignment_valid(candidates, assignment)
 
     def test_same_seed_same_result(self):
@@ -344,8 +317,8 @@ class TestAssignRoles:
             "a2": payload("cer:p1", "cer:p2", "cer:p3"),
             "a3": payload("cer:p2", "cer:p3"),
         }
-        first = assign_roles_1_n(replies, [protocol], Random(42))
-        second = assign_roles_1_n(replies, [protocol], Random(42))
+        first = assign_roles_1_n(replies, protocol, Random(42))
+        second = assign_roles_1_n(replies, protocol, Random(42))
         assert first == second
 
 
@@ -371,24 +344,24 @@ class TestAssignRolesAgainstOracle:
     """The full result and the draws taken, against the agent-by-agent
     scan of :func:`oracle_assign_roles`, under the same seed."""
 
-    def check(self, protocols, plain_replies, seed):
+    def check(self, protocol, plain_replies, seed):
         replies = {agent: payload(*labels) for agent, labels in plain_replies.items()}
         got_rng, want_rng = Random(seed), Random(seed)
-        got = assign_roles_1_n(replies, protocols, got_rng)
+        got = assign_roles_1_n(replies, protocol, got_rng)
         want = oracle_assign_roles(
-            {p.protocol_id: father_order(p) for p in protocols}, plain_replies, want_rng
+            protocol.protocol_id, father_order(protocol), plain_replies, want_rng
         )
         if want is None:
             assert got is None
         else:
             assert got is not None
-            assert (got.protocol, {str(r): a for r, a in got.assignment.items()}) == want
+            assert {str(r): a for r, a in got.items()} == want
         assert got_rng.getstate() == want_rng.getstate()
 
     @settings(max_examples=200, deadline=None)
     @given(auction_replies(), st.integers(min_value=0, max_value=2**32 - 1))
     def test_auction_candidate_sets(self, replies, seed):
-        self.check([AUCTION], replies, seed)
+        self.check(AUCTION, replies, seed)
 
     @settings(max_examples=200, deadline=None)
     @given(forest_instances(), auction_replies(), st.integers(min_value=0, max_value=2**32 - 1))
@@ -398,7 +371,8 @@ class TestAssignRolesAgainstOracle:
             agent: [f"cer:{r}" for r in forest.get(agent, [])] + auction.get(agent, [])
             for agent in sorted(set(forest) | set(auction))
         }
-        self.check([one_n_protocol("cer", fathers), AUCTION], replies, seed)
+        for protocol in (one_n_protocol("cer", fathers), AUCTION):
+            self.check(protocol, replies, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -413,131 +387,105 @@ def _participant_world():
     return registry, model, table
 
 
-def _offers(registry, model, table):
-    """The agent's offer per protocol id and its ready-to-select content,
-    as a participant computes them."""
+def participant_bus(willing: bool = True) -> tuple[SimRuntime, SelectionParticipant]:
+    """A participant ``d1`` on a bare bus beside a silent ``q1`` that
+    only injects messages."""
+    registry, model, table = _participant_world()
+    rt = SimRuntime(seed=0)
+    rt.register(AgentBase("q1"))
+    participant = SelectionParticipant("d1", model, registry, table, willing, {}, {})
+    rt.register(participant)
+    return rt, participant
 
-    def offer(pid):
-        roles = offered_roles(pid, model, table, registry)
-        return roles, {"roles": [str(r) for r in roles]}
 
-    return offer
+def deliver(rt: SimRuntime, performative: str, content: dict) -> list[tuple[str, dict]]:
+    """Send one message from q1 to d1; return the replies d1 sent."""
+    rt.schedule_send(_msg(performative, content))
+    start = len(rt.trace)
+    rt.run_until_quiescent()
+    return [
+        (p["performative"], p["content"]) for _, kind, p in rt.trace[start:] if kind == "send"
+    ]
+
+
+CALL_IPS = {"protocol": "ips", "task": "t1"}
 
 
 class TestParticipantMeta:
     def test_call_answered_with_offer(self):
-        registry, model, table = _participant_world()
-        state, replies = participant_meta_step(
-            (),
-            _msg(CALL_FOR_COLLABORATION, {"protocol": "ips", "task": "t1"}),
-            registry,
-            willing=True,
-            offer=_offers(registry, model, table),
-        )
-        assert state == (RoleRef("ips", "replier"), RoleRef("request", "replier"))
+        rt, participant = participant_bus()
+        replies = deliver(rt, CALL_FOR_COLLABORATION, CALL_IPS)
+        offer = (RoleRef("ips", "replier"), RoleRef("request", "replier"))
+        assert participant.pending == {"t1/d1": offer}
         assert replies == [(READY_TO_SELECT, {"roles": ["ips:replier", "request:replier"]})]
 
     def test_compatibility_is_directional(self):
-        registry, model, table = _participant_world()
+        rt, _ = participant_bus()
         # request's initiator has no pairs pointing anywhere: only the
         # agent's own request role can be offered for a request call.
-        _, replies = participant_meta_step(
-            (),
-            _msg(CALL_FOR_COLLABORATION, {"protocol": "request", "task": "t1"}),
-            registry,
-            willing=True,
-            offer=_offers(registry, model, table),
-        )
+        replies = deliver(rt, CALL_FOR_COLLABORATION, {"protocol": "request", "task": "t1"})
         assert replies == [(READY_TO_SELECT, {"roles": ["request:replier"]})]
 
     def test_unwilling_agent_declines(self):
-        registry, model, table = _participant_world()
-        state, replies = participant_meta_step(
-            (),
-            _msg(CALL_FOR_COLLABORATION, {"protocol": "ips", "task": "t1"}),
-            registry,
-            willing=False,
-            offer=_offers(registry, model, table),
-        )
-        assert state == ()
+        rt, participant = participant_bus(willing=False)
+        replies = deliver(rt, CALL_FOR_COLLABORATION, CALL_IPS)
+        assert participant.pending == {}
         assert replies == [(UNABLE_TO_SELECT, {"reason": "unwilling"})]
 
     def test_malformed_call_declines(self):
-        registry, model, table = _participant_world()
+        rt, _ = participant_bus()
         # no protocol named, and a protocol the agent's registry lacks
         for content in ({"task": "t1"}, {"protocol": "mystery", "task": "t1"}):
-            _, replies = participant_meta_step(
-                (),
-                _msg(CALL_FOR_COLLABORATION, content),
-                registry,
-                willing=True,
-                offer=_offers(registry, model, table),
-            )
+            replies = deliver(rt, CALL_FOR_COLLABORATION, content)
             assert replies == [(UNABLE_TO_SELECT, {"reason": "malformed-call"})]
 
     def test_assignment_must_match_an_offer(self):
-        registry, model, table = _participant_world()
-        state, _ = participant_meta_step(
-            (),
-            _msg(CALL_FOR_COLLABORATION, {"protocol": "ips", "task": "t1"}),
-            registry,
-            willing=True,
-            offer=_offers(registry, model, table),
-        )
-        state, replies = participant_meta_step(
-            state,
-            _msg(NOTIFY_ASSIGNMENT, {"role": "ips:replier"}),
-            registry,
-            willing=True,
-            offer=_offers(registry, model, table),
-        )
-        assert replies == []
-        assert state == ()  # the accepted assignment ends the offer
+        rt, participant = participant_bus()
+        deliver(rt, CALL_FOR_COLLABORATION, CALL_IPS)
+        assert deliver(rt, NOTIFY_ASSIGNMENT, {"role": "ips:replier"}) == []
+        assert participant.pending == {}  # the accepted assignment ends the offer
         with pytest.raises(ProtocolViolationError):  # and a second one has none
-            participant_meta_step(
-                state,
-                _msg(NOTIFY_ASSIGNMENT, {"role": "ips:replier"}),
-                registry,
-                willing=True,
-                offer=_offers(registry, model, table),
-            )
+            deliver(rt, NOTIFY_ASSIGNMENT, {"role": "ips:replier"})
 
     def test_unoffered_assignment_rejected(self):
-        registry, model, table = _participant_world()
-        state, _ = participant_meta_step(
-            (),
-            _msg(CALL_FOR_COLLABORATION, {"protocol": "request", "task": "t1"}),
-            registry,
-            willing=True,
-            offer=_offers(registry, model, table),
-        )
+        rt, _ = participant_bus()
+        deliver(rt, CALL_FOR_COLLABORATION, {"protocol": "request", "task": "t1"})
         with pytest.raises(ProtocolViolationError):
-            participant_meta_step(
-                state,
-                _msg(NOTIFY_ASSIGNMENT, {"role": "ips:replier"}),
-                registry,
-                willing=True,
-                offer=_offers(registry, model, table),
-            )
+            deliver(rt, NOTIFY_ASSIGNMENT, {"role": "ips:replier"})
 
     def test_stop_resets_the_thread(self):
-        registry, model, table = _participant_world()
-        state, _ = participant_meta_step(
-            (),
-            _msg(CALL_FOR_COLLABORATION, {"protocol": "ips", "task": "t1"}),
-            registry,
-            willing=True,
-            offer=_offers(registry, model, table),
-        )
-        state, replies = participant_meta_step(
-            state,
-            _msg(STOP_SELECTION, {}),
-            registry,
-            True,
-            _offers(registry, model, table),
-        )
-        assert state == ()
+        rt, participant = participant_bus()
+        deliver(rt, CALL_FOR_COLLABORATION, CALL_IPS)
+        replies = deliver(rt, STOP_SELECTION, {})
+        assert participant.pending == {}
         assert replies == []
+
+
+    @pytest.mark.parametrize("performative", [READY_TO_SELECT, UNABLE_TO_SELECT])
+    def test_a_reply_performative_is_a_violation(self, performative):
+        rt, _ = participant_bus()
+        with pytest.raises(ProtocolViolationError):
+            deliver(rt, performative, {"roles": []})
+
+    def test_other_messages_are_not_for_the_participant(self):
+        rt, participant = participant_bus()
+        deliver(rt, CALL_FOR_COLLABORATION, CALL_IPS)
+        for performative in (WAKE, "ask-one"):
+            assert deliver(rt, performative, {"q": "x"}) == []
+        assert list(participant.pending) == ["t1/d1"]
+
+
+@pytest.mark.parametrize("family", ["bundled", "joint"])
+def test_no_offer_is_left_pending_after_a_joint_run(family):
+    """Every offer ends in an assignment or a stop, and an ended offer
+    leaves nothing behind."""
+    scenarios = [s for s in sample_scenarios(family) if s.selection_mode == "joint"]
+    assert scenarios
+    for scenario in scenarios:
+        rt = build_runtime(scenario)
+        rt.run_until_quiescent()
+        participants = [a for a in rt.agents.values() if isinstance(a, SelectionParticipant)]
+        assert participants and all(p.pending == {} for p in participants)
 
 
 # ---------------------------------------------------------------------------
@@ -874,11 +822,6 @@ class TestMalformedOffer:
             ("d2", NOTIFY_ASSIGNMENT),
         ]
         assert [note["agent"] for note in malformed_notes(rt)] == ["d1"]
-
-
-def test_offered_roles_unknown_protocol_is_empty():
-    registry, model, table = _participant_world()
-    assert offered_roles("mystery", model, table, registry) == ()
 
 
 def test_an_initiator_role_is_never_offered():

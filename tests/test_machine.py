@@ -6,13 +6,7 @@ from random import Random
 
 import pytest
 
-from parley.journal import (
-    DataChange,
-    Journal,
-    JournalRecord,
-    MessageEmission,
-    MessageReception,
-)
+from parley.journal import DataChange, Journal, JournalRecord
 from parley.machine import (
     MachineDriver,
     enabled_for_message,
@@ -78,8 +72,8 @@ def _asker_records():
     reply = _msg("tell", {"a": "tall"}, sender="d1", receiver="q1")
     return [
         # method names intentionally off: replay matches on events only
-        JournalRecord("whatever-1", DataChange("task", "t"), (MessageEmission(ask),)),
-        JournalRecord("whatever-2", MessageReception(reply), ()),
+        JournalRecord("whatever-1", DataChange("task", "t"), ask),
+        JournalRecord("whatever-2", reply),
     ]
 
 
@@ -108,8 +102,20 @@ def test_replay_rejects_impossible_histories():
 
 def test_replay_send_must_match_schema_content():
     bad_ask = _msg("ask-one", {"q": 99}, sender="q1", receiver="d1")
-    records = [JournalRecord("m", DataChange("task", "t"), (MessageEmission(bad_ask),))]
+    records = [JournalRecord("m", DataChange("task", "t"), bad_ask)]
     assert replay_states(ASKER, PROTOCOL, records) == frozenset()
+
+
+def test_replay_matches_what_the_action_made():
+    """A record's output must be what its transition's action makes: the
+    message for a send, nothing for no action."""
+    sent, received = _asker_records()
+    for records in (
+        [sent._replace(output=None)],
+        [sent._replace(output=DataChange("task", "t"))],
+        [sent, received._replace(output=sent.output)],
+    ):
+        assert replay_states(ASKER, PROTOCOL, records) == frozenset()
 
 
 def test_replay_data_change_must_write_the_named_variable():
@@ -117,7 +123,7 @@ def test_replay_data_change_must_write_the_named_variable():
     server = protocol.roles["server"]
     ask = _msg("ask-one", {"q": "height"})
     for variable, replayed in (("q", {"p1"}), ("r", set())):
-        records = [JournalRecord("take", MessageReception(ask), (DataChange(variable, "h"),))]
+        records = [JournalRecord("take", ask, DataChange(variable, "h"))]
         assert replay_states(server, protocol, records) == frozenset(replayed)
 
 
@@ -152,8 +158,8 @@ def _forked_machine():
 def test_replay_state_recovers_from_greedy_dead_end():
     machine, protocol = _forked_machine()
     records = [
-        JournalRecord("x", MessageReception(_msg("inform", {"v": "1"})), ()),
-        JournalRecord("y", MessageReception(_msg("inform", {"w": "2"})), ()),
+        JournalRecord("x", _msg("inform", {"v": "1"})),
+        JournalRecord("y", _msg("inform", {"w": "2"})),
     ]
     # a greedy first match would go to "a" and starve; replay follows
     # every branch, so the b -> c path is found
@@ -231,14 +237,14 @@ def test_the_driver_and_a_zone_fire_one_cascade_rule(seed):
     assert select_outgoing(zone, Random(seed)) == sent
 
     def journaled(journal):
-        return [(r.method, r.input_event, r.output_events) for r in journal.records]
+        return [(r.method, r.input_event, r.output) for r in journal.records]
 
     assert journaled(driver.journal) == journaled(zone.journal)
     q, r = DataChange("q", ask.content), DataChange("r", ask.content)
     assert journaled(driver.journal) == [
-        ("take", MessageReception(ask), (q,)),
-        ("note", q, (r,)),
-        ("answer", r, (MessageEmission(sent),)),
+        ("take", ask, q),
+        ("note", q, r),
+        ("answer", r, sent),
     ]
     assert driver.state == zone.instances[ref].state == "p3"
 
@@ -247,10 +253,8 @@ class TestJournal:
     def test_records_and_tags(self):
         journal = Journal("t/d1", "d1", "q1")
         r1 = JournalRecord("m1", DataChange("task", "t"))
-        r2 = JournalRecord("m2", MessageReception(_msg("tell", {"a": "x"})))
+        r2 = JournalRecord("m2", _msg("tell", {"a": "x"}))
         journal.records += [r1, r2]
-        assert not r1.input_is_message()
-        assert r2.input_is_message()
         assert len(journal) == 2
         assert [journal.tag(), journal.tag()] == ["d1.1", "d1.2"]
         journal.keep_first(0)
@@ -265,10 +269,3 @@ class TestJournal:
             journal.keep_first(3)
         journal.keep_first(0)
         assert len(journal) == 0
-
-    def test_emissions_collects_messages_only(self):
-        sent = _msg("tell", {"a": "x"}, reply_with="q1.3")
-        record = JournalRecord(
-            "m", DataChange("task", "t"), (MessageEmission(sent), DataChange("n", 2))
-        )
-        assert record.emissions() == (sent,)

@@ -22,7 +22,7 @@ from parley.individual import (
     WRONG_STRUCTURE,
     receiving_roles,
 )
-from parley.journal import DataChange, Journal, JournalRecord, MessageEmission, MessageReception
+from parley.journal import DataChange, Journal, JournalRecord
 from parley.mixed import (
     ACTIVE,
     DEACTIVATED,
@@ -178,7 +178,7 @@ class TestSelectOutgoing:
         select_outgoing(cz, rng)
         methods = [r.method for r in cz.journal.records]
         assert methods in (["ap-take", "ap-answer"], ["aq-take", "aq-answer"])
-        assert cz.journal.records[0].input_event == MessageReception(ASK)
+        assert cz.journal.records[0].input_event == ASK
 
     def test_initial_selection_burns_no_stamp(self, registry):
         cz, rng = fresh_zone(registry, GOLDEN_SEED)
@@ -413,6 +413,16 @@ class TestHandleErrorMixed:
         assert [e.ref.protocol for e in cz.outbox] == ["attr_lookup"]
         assert cz.last_sent.message == replacement
 
+    def test_a_substitute_is_journaled_as_the_message_sent(self, registry):
+        cz, rng = fresh_zone(registry, GOLDEN_SEED)
+        select_outgoing(cz, rng)
+        replacement = handle_error_mixed(cz, WRONG_CONTENT, rng)
+        take, measure = cz.journal.records
+        # the cascade's changes stand; only its send carries the new tag
+        assert take.output == DataChange("q", ASK.content)
+        assert measure.output is replacement
+        assert [isinstance(r.output, Message) for r in cz.last_sent.records] == [False, True]
+
     def test_structure_complaint_also_voids_same_shaped_alternates(self, registry):
         cz, rng = fresh_zone(registry, GOLDEN_SEED)
         select_outgoing(cz, rng)
@@ -462,7 +472,7 @@ class TestReactivate:
         assert plan.restart
         assert not plan.weak_guard
         assert len(cz.journal) == 0
-        assert plan.refire == MessageReception(ASK)
+        assert plan.refire == ASK
         assert feed(cz, plan.refire, rng)
         assert len(cz.outbox) == 1 and cz.outbox[0].ref == server("attr_lookup")
 
@@ -479,7 +489,7 @@ class TestReactivate:
         assert plan.refs == (server("attr_digest"), server("attr_probe"))
         assert cz.instances[server("attr_lookup")].activation == DEACTIVATED
         assert cz.instances[stopped_ref].activation == STOPPED
-        assert plan.refire == MessageReception(ASK)
+        assert plan.refire == ASK
 
     def test_nothing_parked_means_the_interaction_fails(self, registry):
         cz, rng = fresh_zone(registry, GOLDEN_SEED)
@@ -493,8 +503,8 @@ class TestReactivate:
         cz = ControlZone(Journal("t2/c1", "c1", "q2"))
         bye = msg("sorry", {}, sender="c1", receiver="q2", reply_with="c1.1")
         cz.journal.records += [
-            JournalRecord("fading-take", MessageReception(ASK), (DataChange("q", ASK.content),)),
-            JournalRecord("fading-bye", DataChange("q", ASK.content), (MessageEmission(bye),)),
+            JournalRecord("fading-take", ASK, DataChange("q", ASK.content)),
+            JournalRecord("fading-bye", DataChange("q", ASK.content), bye),
         ]
         ref = server("fading")
         instance = cz.instances[ref] = RoleInstance(ref, registry, cz.journal)
@@ -541,7 +551,7 @@ class TestRecoveryBound:
 
     def test_one_message_reaches_the_counterpart_per_step(self, registry):
         def sent(cz):
-            return sum(len(record.emissions()) for record in cz.journal.records)
+            return sum(isinstance(record.output, Message) for record in cz.journal.records)
 
         for seed in range(25):
             cz, rng = fresh_zone(registry, seed)

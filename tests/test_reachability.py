@@ -19,6 +19,9 @@ the class of the value it is loaded from, with that class's bases and
 subclasses, wherever :class:`_Scope` can tell the class; elsewhere it
 counts for every class with a member of that name.  So a dead member
 that shares its name with a live one of another class is flagged.
+
+A module of the package loads every name it imports: an import left
+behind by a deletion is flagged where it stands.
 """
 
 from __future__ import annotations
@@ -415,6 +418,38 @@ def _loads(tree: ast.Module) -> set[str]:
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             loads.add(node.value)
     return loads
+
+
+def _dead_imports(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of each name an import binds that the module never
+    loads bare; ``from __future__`` imports bind no name."""
+    loaded = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        (alias.asname or alias.name.partition(".")[0], node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        if (alias.asname or alias.name.partition(".")[0]) not in loaded
+    ]
+
+
+def test_an_import_never_loaded_is_flagged():
+    tree = ast.parse("import os.path\nfrom x import a, b as c\nprint(a)\n")
+    assert _dead_imports(tree) == [("os", 1), ("c", 2)]
+
+
+def test_every_import_is_loaded_where_it_is_imported():
+    dead = [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for name, line in _dead_imports(_parse(path))
+    ]
+    assert dead == [], "imported but never loaded:\n" + "\n".join(dead)
 
 
 def test_every_definition_is_reached_from_the_program():

@@ -18,8 +18,8 @@ from pathlib import Path
 import pytest
 
 from parley.individual import InteractionError, MethodGraph
-from parley.joint import CandidateMatrix, OneNSolution
-from parley.journal import DataChange, JournalRecord, MessageEmission, MessageReception
+from parley.joint import CandidateMatrix
+from parley.journal import DataChange, JournalRecord
 from parley.mixed import OutboxEntry, ReactivationPlan
 from parley.model import (
     Action,
@@ -57,12 +57,9 @@ RECORDS = (
     Protocol,
     Violation,
     TaskDescription,
-    MessageReception,
-    MessageEmission,
     DataChange,
     JournalRecord,
     CandidateMatrix,
-    OneNSolution,
     InteractionError,
     MethodGraph,
     AgentSpec,
