@@ -11,11 +11,12 @@ the individual initiator and the sequential responder hold one each,
 and every instance of a mixed responder's :mod:`mixed` zone is one.
 
 The two responders share one base class.  It keeps a thread per
-conversation, drops what is not for a responder, runs the termination
-handshake and rejects an opening that no role takes; each responder
-adds only how it opens a thread, takes a later domain message and
-recovers from an error notice.  Every agent traces the end of its part
-of a conversation through one ``termination`` note, each family writes
+conversation, holding that conversation's one journal, drops what is
+not for a responder, runs the termination handshake and rejects an
+opening that no role takes; each responder adds only how it opens a
+thread, takes a later domain message and recovers from an error notice.
+Every agent traces the end of its part of a conversation through
+``_note_termination``, each family writes
 the envelope of its other notes in one place, and each initiator sets
 its task's (outcome, detail) once, where it decides it.
 """
@@ -39,7 +40,6 @@ from .journal import DataChange, Journal
 from .joint import (
     PROTOCOL_ORIENTED,
     CandidateMatrix,
-    acceptable_role,
     assign_roles_1_n,
     build_candidate_matrix,
     next_vector,
@@ -267,11 +267,11 @@ class JointInitiator(AgentBase):
         round_ = self.round
         # drop the replies; a broadcast's close uses up a number (the wakes carry them)
         self.round = _Round(round_.number + round_.broadcast)
-        identified = frozenset(self.matrix.protocols)
+        usable = self.matrix.roles
         notices: dict[str, dict] = {}
         if not round_.broadcast:
             (agent,) = round_.agents
-            ref = acceptable_role(round_.replies.get(agent, ()), identified, self.registry)
+            ref = next((r for r in round_.replies.get(agent, ()) if r in usable), None)
             if ref is not None:
                 notices[agent] = {"role": str(ref)}
                 kind, protocol_id = "one-one", ref.protocol
@@ -281,7 +281,9 @@ class JointInitiator(AgentBase):
             replies = round_.replies
             protocol = self.registry[round_.protocol]
             if classify_protocol(protocol) is ProtocolCategory.ONE_ONE_N:
-                picked = select_largest_set(replies, identified)
+                # every replier still counts, backing only the usable roles
+                backed = {a: [r for r in roles if r in usable] for a, roles in replies.items()}
+                picked = select_largest_set(backed, self.matrix.protocols)
                 if picked is not None:
                     role, agents = picked
                     notice = {"role": str(role)}
@@ -346,71 +348,71 @@ class JointInitiator(AgentBase):
 # ---------------------------------------------------------------------------
 
 
-#: reason -> the one unable-to-select content sent for it; message
-#: contents are never changed, so every refusal for a reason shares it
-_UNABLE = {reason: {"reason": reason} for reason in ("malformed-call", "unwilling", "no-role")}
+#: reason -> the one unable-to-select answer given for it: no role on
+#: offer, and one content, since message contents are never changed
+_UNABLE = {
+    reason: ((), UNABLE_TO_SELECT, {"reason": reason})
+    for reason in ("malformed-call", "unwilling", "no-role")
+}
+
+
+def answer_table(
+    model: InteractionModel,
+    willing: bool,
+    table: frozenset[tuple[RoleRef, RoleRef]],
+    registry: ProtocolRegistry,
+    contents: dict[tuple[RoleRef, ...], dict],
+) -> dict[str, tuple[tuple[RoleRef, ...], str, dict]]:
+    """Protocol id -> (roles offered, reply performative, reply content)
+    for a call naming it, for every protocol of ``registry``.
+
+    An unwilling agent refuses every call, and an agent with no role to
+    offer refuses the call for it.  ``contents`` maps each offer to the
+    one ready-to-select content listing it, and is shared by every
+    participant of a runtime, whatever its model.
+    """
+    if not willing:
+        return dict.fromkeys(registry, _UNABLE["unwilling"])
+    answers = {}
+    for protocol_id, roles in offered_roles(model, table, registry).items():
+        if not roles:
+            answers[protocol_id] = _UNABLE["no-role"]
+            continue
+        ready = contents.get(roles)
+        if ready is None:
+            ready = contents[roles] = {"roles": [str(r) for r in roles]}
+        answers[protocol_id] = roles, READY_TO_SELECT, ready
+    return answers
 
 
 class SelectionParticipant(AgentBase):
     """Answers calls for collaboration with the roles it can commit to.
 
-    A malformed call and an unwilling agent both answer
-    unable-to-select, as does an agent with no role to offer.  An
-    assignment of a role that is not on offer is a protocol violation,
-    and so is a reply performative sent to a participant; an accepted
-    assignment and a stop both end the offer.
+    Each call is answered from ``answers``, an :func:`answer_table`
+    built when the runtime is wired; a call naming no protocol of the
+    table is malformed.  An assignment of a role that is not on offer is
+    a protocol violation, and so is a reply performative sent to a
+    participant; an accepted assignment and a stop both end the offer.
     """
 
     def __init__(
-        self,
-        name: str,
-        model: InteractionModel,
-        registry: ProtocolRegistry,
-        table: frozenset[tuple[RoleRef, RoleRef]],
-        willing: bool,
-        offers: dict[str, tuple[tuple[RoleRef, ...], dict]],
-        contents: dict[tuple[RoleRef, ...], dict],
+        self, name: str, answers: dict[str, tuple[tuple[RoleRef, ...], str, dict]]
     ) -> None:
         super().__init__(name)
-        self.model = model
-        self.registry = registry
-        self.table = table
-        self.willing = willing
+        self.answers = answers
         #: conversation id -> the roles on offer, while an offer is pending
         self.pending: dict[str, tuple[RoleRef, ...]] = {}
-        #: protocol id -> the roles offered for it and the ready-to-select
-        #: content listing them.  Every input of an offer but the model is
-        #: fixed per runtime, so the participants of one runtime with one
-        #: model share this dict.
-        self.offers = offers
-        #: offered roles -> the one ready-to-select content listing them,
-        #: shared by every participant of the runtime, whatever its model
-        self.contents = contents
 
     def on_message(self, rt: SimRuntime, msg: Message) -> None:
         performative, conversation = msg.performative, msg.conversation_id
         if performative == CALL_FOR_COLLABORATION:
             content = msg.content if isinstance(msg.content, dict) else {}
             protocol_id = content.get("protocol")
-            if not isinstance(protocol_id, str) or protocol_id not in self.registry:
-                reply = UNABLE_TO_SELECT, _UNABLE["malformed-call"]
-            elif not self.willing:
-                reply = UNABLE_TO_SELECT, _UNABLE["unwilling"]
-            else:
-                offer = self.offers.get(protocol_id)
-                if offer is None:
-                    roles = offered_roles(protocol_id, self.model, self.table, self.registry)
-                    ready = self.contents.get(roles)
-                    if ready is None:
-                        ready = self.contents[roles] = {"roles": [str(r) for r in roles]}
-                    offer = self.offers[protocol_id] = (roles, ready)
-                roles, ready = offer
-                if roles:
-                    self.pending[conversation] = roles
-                    reply = READY_TO_SELECT, ready
-                else:
-                    reply = UNABLE_TO_SELECT, _UNABLE["no-role"]
-            rt.schedule_send(_message(*reply, self.name, msg.sender, conversation))
+            answer = self.answers.get(protocol_id) if isinstance(protocol_id, str) else None
+            roles, reply, reply_content = answer or _UNABLE["malformed-call"]
+            if roles:
+                self.pending[conversation] = roles
+            rt.schedule_send(_message(reply, reply_content, self.name, msg.sender, conversation))
         elif performative == NOTIFY_ASSIGNMENT:
             offered = self.pending.get(conversation)
             if offered is None:
@@ -426,10 +428,6 @@ class SelectionParticipant(AgentBase):
             self.pending.pop(conversation, None)
         elif performative in SELECTION_PERFORMATIVES:
             raise ProtocolViolationError(f"unexpected {performative} in selection thread")
-
-
-class SilentAgent(AgentBase):
-    """Registered but never answers; exists to exercise deadlines."""
 
 
 # ---------------------------------------------------------------------------
@@ -459,20 +457,16 @@ class IndividualInitiator(AgentBase):
         self.model = model
         self.registry = registry
         #: individual selection talks to the task's one identified participant
-        self.participant = next(a for agents in task.participants.values() for a in agents)
-        self.conversation = f"{task.task_id}/{self.participant}"
-        self.journal = Journal(self.conversation, self.name, self.participant)
-        self.driver: MachineDriver | None = None
+        participant = next(a for agents in task.participants.values() for a in agents)
+        self.conversation = f"{task.task_id}/{participant}"
+        self.journal = Journal(self.conversation, self.name, participant)
         #: (summary outcome, detail) once the task is over
         self.outcome: tuple[str, dict] | None = None
         self.awaiting_notice = False
 
     def on_start(self, rt: SimRuntime) -> None:
-        matched = match_task_to_protocols(self.task, self.model, self.registry)
-        if not matched:
-            self._conclude(rt, "failed", {}, reason="no-protocol")
-            return
-        protocol, role_id = matched[0]
+        # the scenario reader refuses a task its initiator initiates no protocol for
+        protocol, role_id = match_task_to_protocols(self.task, self.model, self.registry)[0]
         overrides = self.task.constraints.get("contents", {})
         ref = RoleRef(protocol.protocol_id, role_id)
         self.driver = MachineDriver(ref, self.registry, self.journal, content_overrides=overrides)
@@ -480,7 +474,7 @@ class IndividualInitiator(AgentBase):
 
     def _send(self, rt: SimRuntime, performative: str, content: dict) -> None:
         rt.schedule_send(
-            _message(performative, content, self.name, self.participant, self.conversation)
+            _message(performative, content, self.name, self.journal.peer, self.conversation)
         )
 
     def _conclude(self, rt: SimRuntime, status: str, detail: dict, **extra) -> None:
@@ -488,7 +482,7 @@ class IndividualInitiator(AgentBase):
         _note_termination(rt, self.conversation, self.name, status, **extra)
 
     def on_message(self, rt: SimRuntime, msg: Message) -> None:
-        if self.outcome is not None or self.driver is None:
+        if self.outcome is not None:
             return
         performative = msg.performative
         if performative == ERROR_NOTIFY:
@@ -513,7 +507,7 @@ class IndividualInitiator(AgentBase):
             return
         if performative == WAKE:
             return
-        enabled = self.driver.accepting(msg)
+        enabled = self.driver.enabled_for(msg)
         if not enabled:
             verdict = rejection_kind((self.driver,), msg)
             self._send(rt, ERROR_NOTIFY, _error_notice(verdict, msg, INITIATOR_DETECTED))
@@ -532,11 +526,12 @@ class IndividualInitiator(AgentBase):
 class _Thread:
     """One conversation a responder serves."""
 
-    __slots__ = ("peer", "conversation", "opening", "closed")
+    __slots__ = ("journal", "opening", "closed")
 
-    def __init__(self, peer: str, conversation: str) -> None:
-        self.peer = peer
-        self.conversation = conversation
+    def __init__(self, journal: Journal) -> None:
+        #: this side of the conversation: its route addresses every reply,
+        #: and every role enacted in it records here
+        self.journal = journal
         #: the opening message, once a role took it
         self.opening: Message | None = None
         self.closed = False
@@ -545,7 +540,8 @@ class _Thread:
 class _Responder(AgentBase):
     """The scaffolding of a responder that picks its roles individually.
 
-    It keeps one thread per conversation.  Wakes, selection
+    It keeps one thread per conversation, made with the conversation's
+    one journal on this side.  Wakes, selection
     performatives, termination warnings and recover-at points are not
     for it and are dropped; a termination notice is acknowledged and
     closes the thread, and a closed thread ignores everything.  An
@@ -567,16 +563,19 @@ class _Responder(AgentBase):
         self.threads: dict[str, _Thread] = {}
 
     def _reply(self, rt, thread, performative, content) -> None:
+        journal = thread.journal
         rt.schedule_send(
-            _message(performative, content, self.name, thread.peer, thread.conversation)
+            _message(performative, content, self.name, journal.peer, journal.conversation_id)
         )
 
     def _note(self, rt: SimRuntime, event: str, thread: _Thread, **fields) -> None:
-        rt.note(event, {"conversation": thread.conversation, "agent": self.name, **fields})
+        rt.note(
+            event, {"conversation": thread.journal.conversation_id, "agent": self.name, **fields}
+        )
 
     def _fail(self, rt: SimRuntime, thread: _Thread, reason: str) -> None:
         self._reply(rt, thread, TERMINATION_WARNING, {"reason": reason})
-        self._note(rt, "termination", thread, status="failed", reason=reason)
+        _note_termination(rt, thread.journal.conversation_id, self.name, "failed", reason=reason)
         thread.closed = True
 
     def _reject(self, rt: SimRuntime, thread: _Thread, msg: Message, kind: str) -> None:
@@ -592,14 +591,15 @@ class _Responder(AgentBase):
         if performative == WAKE or performative in SELECTION_PERFORMATIVES:
             return
         if thread is None:
-            thread = self.threads[conversation] = self.thread_type(msg.sender, conversation)
+            journal = Journal(conversation, self.name, msg.sender)
+            thread = self.threads[conversation] = self.thread_type(journal)
         if performative == ERROR_NOTIFY:
             if thread.opening is not None:
                 self._on_error_notice(rt, thread, msg)
             return
         if performative == TERMINATION_NOTICE:
             self._reply(rt, thread, TERMINATION_NOTICE, {"state": "acknowledged"})
-            self._note(rt, "termination", thread, status="concluded")
+            _note_termination(rt, conversation, self.name, "concluded")
             thread.closed = True
             return
         if performative in (TERMINATION_WARNING, RECOVER_AT):
@@ -611,8 +611,7 @@ class _Responder(AgentBase):
         takers = receiving_roles(base, self.registry, msg)
         if not takers:
             # content or structure complaint, judged at every initial state
-            journal = Journal(conversation, self.name, thread.peer)
-            fresh = [MachineDriver(ref, self.registry, journal) for ref in sorted(base)]
+            fresh = [MachineDriver(ref, self.registry, thread.journal) for ref in sorted(base)]
             self._reject(rt, thread, msg, rejection_kind(fresh, msg))
             self._fail(rt, thread, "no-viable-role")
             return
@@ -628,8 +627,8 @@ class _Responder(AgentBase):
 class _SequentialThread(_Thread):
     __slots__ = ("collection", "driver")
 
-    def __init__(self, peer: str, conversation: str) -> None:
-        super().__init__(peer, conversation)
+    def __init__(self, journal: Journal) -> None:
+        super().__init__(journal)
         #: the roles that took the opening and are still available; the
         #: enacted role is out
         self.collection: set[RoleRef] = set()
@@ -651,23 +650,17 @@ class SequentialResponder(_Responder):
     on_message = _Responder.on_message
 
     def _recover(self, rt: SimRuntime, thread: _SequentialThread, error: InteractionError) -> None:
-        driver = thread.driver
-        records = driver.journal.records
-        replayed: dict[RoleRef, frozenset[str]] = {}  # each prefix replayed once
-        purged = purge_collection(
-            thread.collection, self.registry, records, error, replayed=replayed
-        )
+        journal = thread.journal
+        purged, kept = purge_collection(thread.collection, self.registry, journal.records, error)
         try:
-            replacement = select_replacement_role(
-                thread.collection, self.registry, records, error, rt.rng, replayed=replayed
-            )
+            replacement = select_replacement_role(kept, self.registry, error, rt.rng)
         except NoViableRoleError:
             self._fail(rt, thread, "exhausted")
             return
-        thread.collection.discard(replacement)
-        thread.driver = MachineDriver(replacement, self.registry, driver.journal)
+        thread.collection = kept.keys() - {replacement}
+        thread.driver = MachineDriver(replacement, self.registry, journal)
         counterpart_point, own_point, refire = rewind(
-            driver.journal,
+            journal,
             [thread.driver.machine],
             error.location,
             error.offending if error.detected_by == PARTICIPANT_DETECTED else None,
@@ -689,8 +682,7 @@ class SequentialResponder(_Responder):
     def _open(self, rt, thread: _SequentialThread, msg: Message, takers) -> None:
         chosen = pick(list(takers), rt.rng)
         thread.collection = set(takers) - {chosen}
-        journal = Journal(thread.conversation, self.name, thread.peer)
-        thread.driver = MachineDriver(chosen, self.registry, journal)
+        thread.driver = MachineDriver(chosen, self.registry, thread.journal)
         self._note(
             rt,
             "selection",
@@ -702,12 +694,12 @@ class SequentialResponder(_Responder):
         _schedule(rt, thread.driver.receive(msg, takers[chosen], rt.rng))
 
     def _on_domain(self, rt, thread: _SequentialThread, msg: Message) -> None:
-        enabled = thread.driver.accepting(msg)
+        enabled = thread.driver.enabled_for(msg)
         if enabled:
             _schedule(rt, thread.driver.receive(msg, enabled, rt.rng))
             return
         verdict = rejection_kind((thread.driver,), msg)
-        location = len(thread.driver.journal) + 1
+        location = len(thread.journal) + 1
         self._reject(rt, thread, msg, verdict)
         error = InteractionError(
             kind=verdict,
@@ -720,7 +712,7 @@ class SequentialResponder(_Responder):
     def _on_error_notice(self, rt, thread: _SequentialThread, msg: Message) -> None:
         kind = msg.content.get("kind", WRONG_STRUCTURE)
         tag = msg.content.get("tag", "")
-        records = thread.driver.journal.records
+        records = thread.journal.records
         location = locate_emission(records, tag)
         if location == 0:
             return  # notice about a message this journal never sent
@@ -741,8 +733,8 @@ class SequentialResponder(_Responder):
 class _MixedThread(_Thread):
     __slots__ = ("zone",)
 
-    def __init__(self, peer: str, conversation: str) -> None:
-        super().__init__(peer, conversation)
+    def __init__(self, journal: Journal) -> None:
+        super().__init__(journal)
         self.zone: ControlZone | None = None
 
 
@@ -802,7 +794,7 @@ class MixedResponder(_Responder):
             offending = None
 
     def _open(self, rt, thread: _MixedThread, msg: Message, takers) -> None:
-        thread.zone = instantiate_all(takers, self.registry, msg, rt.rng)
+        thread.zone = instantiate_all(takers, self.registry, thread.journal, msg, rt.rng)
         self._note(
             rt,
             "selection",

@@ -93,17 +93,6 @@ def receiving_roles(
 # ---------------------------------------------------------------------------
 
 
-def _replayed_states(
-    ref: RoleRef, machine, protocol: Protocol, prefix, replayed: dict
-) -> frozenset[str]:
-    """The states the role can be in after the prefix, replayed once:
-    ``replayed`` keeps the answer per role for the rest of the recovery."""
-    states = replayed.get(ref)
-    if states is None:
-        states = replayed[ref] = replay_states(machine, protocol, prefix)
-    return states
-
-
 def _generates_same_structure(
     machine, protocol: Protocol, states, input_event, offending: Message
 ) -> bool:
@@ -124,18 +113,18 @@ def purge_collection(
     registry: ProtocolRegistry,
     records,
     error: InteractionError,
-    *,
-    replayed: dict[RoleRef, frozenset[str]],
-) -> list[RoleRef]:
-    """Drop every candidate role that would repeat the failure.
+) -> tuple[list[RoleRef], dict[RoleRef, frozenset[str]]]:
+    """Split the candidate roles into those that would repeat the failure
+    and those kept: (roles dropped, kept role -> the states it replays
+    the prefix to), both in role order.
 
     ``records`` is the journal as it stood when the error was found.
     The prefix is its records before ``error.location``; for an error
     the counterpart detected (an own emission gone wrong), the record
     at the location is the culprit, whose method and input event the
-    rules below read.  Each candidate replays the prefix once; pass the
-    same ``replayed`` dict to :func:`select_replacement_role` to reuse
-    those replays there.
+    rules below read.  Each candidate replays the prefix once, and
+    :func:`select_replacement_role` ranks the kept roles by the states
+    they replayed it to.
 
     All candidates must be able to replay the prefix.  On top of that:
 
@@ -151,10 +140,11 @@ def purge_collection(
     prefix = records[: error.location - 1]
     culprit = records[error.location - 1] if error.detected_by == INITIATOR_DETECTED else None
     removed: list[RoleRef] = []
+    kept: dict[RoleRef, frozenset[str]] = {}
     for ref in sorted(collection):
         protocol = registry[ref.protocol]
         machine = protocol.roles[ref.role]
-        states = _replayed_states(ref, machine, protocol, prefix, replayed)
+        states = replay_states(machine, protocol, prefix)
         drop = False
         if not states:
             drop = True
@@ -173,9 +163,10 @@ def purge_collection(
                 for state in states
             )
         if drop:
-            collection.discard(ref)
             removed.append(ref)
-    return removed
+        else:
+            kept[ref] = states
+    return removed, kept
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +187,14 @@ def _schemas_at_point(machine, starts) -> frozenset[str]:
 
 
 def select_replacement_role(
-    collection: set[RoleRef],
+    kept: dict[RoleRef, frozenset[str]],
     registry: ProtocolRegistry,
-    records,
     error: InteractionError,
     rng: Random,
-    replayed: dict[RoleRef, frozenset[str]],
 ) -> RoleRef:
-    """Choose the next role to enact after a purge.
+    """Choose the next role to enact among the roles a purge kept, each
+    with the states it replayed the prefix to (see
+    :func:`purge_collection`), in role order.
 
     After a content error the candidates are ranked by how many of
     their still-pending messages are weak - messages whose handling can
@@ -211,24 +202,18 @@ def select_replacement_role(
     aside.  A role rich in ways out is the conservative pick: if it is
     wrong too, it fails cheaply.  Ties (and structure errors, where the
     journal says nothing about content habits) fall to a seeded draw.
-    ``records`` and ``replayed`` are those :func:`purge_collection` was
-    given, so the prefix replays it made are reused.
     """
-    candidates = sorted(collection)
+    candidates = list(kept)
     if not candidates:
         raise NoViableRoleError("the role collection is exhausted")
     if error.kind == WRONG_CONTENT:
-        prefix = records[: error.location - 1]
         scores: dict[RoleRef, int] = {}
-        for ref in candidates:
+        for ref, states in kept.items():
             protocol = registry[ref.protocol]
             machine = protocol.roles[ref.role]
-            pending = _schemas_at_point(
-                machine, _replayed_states(ref, machine, protocol, prefix, replayed)
-            )
             pending = frozenset(
                 s
-                for s in pending
+                for s in _schemas_at_point(machine, states)
                 if not protocol.schemas[s].structure_matches(error.offending)
             )
             scores[ref] = len(pending & weak_schema_ids(machine))

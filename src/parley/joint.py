@@ -16,16 +16,17 @@ protocols allocate one agent per role along the protocol's father
 forest.
 
 This module holds the pure parts: the matrix and its exploration
-order, the roles a participant offers and the three arbitration rules.
-The exchange itself runs on the bus, one-to-one and broadcast alike,
-between :class:`parley.agents.JointInitiator` and
+order, the roles a participant offers and the two broadcast arbitration
+rules.  The exchange itself runs on the bus, one-to-one and broadcast
+alike, between :class:`parley.agents.JointInitiator`, which takes the
+first usable role of a one-to-one offer itself, and
 :class:`parley.agents.SelectionParticipant`.
 """
 
 from __future__ import annotations
 
 from random import Random
-from typing import Iterable, NamedTuple
+from typing import Collection, Container, NamedTuple
 
 from .model import (
     InteractionModel,
@@ -59,10 +60,13 @@ class CandidateMatrix(NamedTuple):
     rows: dict[str, tuple[str, ...]]
     #: agent id -> the protocols of its column, in protocol order
     columns: dict[str, tuple[str, ...]]
+    #: the participant roles of its protocols: the only roles a selection
+    #: assigns, whatever the offers list
+    roles: frozenset[RoleRef]
 
 
 def build_candidate_matrix(
-    task: TaskDescription, candidates: Iterable[tuple[Protocol, str]]
+    task: TaskDescription, candidates: Collection[tuple[Protocol, str]]
 ) -> CandidateMatrix:
     """Cross the matched protocols with the agents identified for each.
 
@@ -81,6 +85,9 @@ def build_candidate_matrix(
         agents=tuple(sorted(columns)),
         rows=rows,
         columns={agent: tuple(protocols) for agent, protocols in columns.items()},
+        roles=frozenset(
+            RoleRef(p.protocol_id, m.role_id) for p, _ in candidates for m in p.participant_roles()
+        ),
     )
 
 
@@ -122,27 +129,28 @@ def next_vector(
 
 
 def offered_roles(
-    protocol_id: str,
     model: InteractionModel,
     table: frozenset[tuple[RoleRef, RoleRef]],
     registry: ProtocolRegistry,
-) -> tuple[RoleRef, ...]:
-    """Participant roles the agent can commit to for a call naming
-    ``protocol_id``: its roles of that protocol plus every enacted role
-    that ``table`` pairs with the caller's initiator role, as
-    ``(initiator role, participant role)``.  Roles of the called
-    protocol come first, then the rest, each in role order.  The call
-    names a protocol of ``registry``: a participant refuses any other
-    before asking."""
-    initiator_ref = RoleRef(protocol_id, registry[protocol_id].initiator_role().role_id)
-    usable: list[RoleRef] = []
-    for ref in model.role_refs():
-        if registry[ref.protocol].roles[ref.role].kind is not RoleKind.PARTICIPANT:
-            continue
-        if ref.protocol == protocol_id or (initiator_ref, ref) in table:
-            usable.append(ref)
-    usable.sort(key=lambda r: (r.protocol != protocol_id, r))
-    return tuple(usable)
+) -> dict[str, tuple[RoleRef, ...]]:
+    """Protocol id -> the participant roles the agent can commit to for
+    a call naming it, for every protocol of ``registry``: its roles of
+    that protocol plus every enacted role that ``table`` pairs with the
+    protocol's initiator role, as ``(initiator role, participant
+    role)``.  Roles of the called protocol come first, then the rest,
+    each in role order."""
+    mine = [
+        ref
+        for ref in model.role_refs()
+        if registry[ref.protocol].roles[ref.role].kind is RoleKind.PARTICIPANT
+    ]
+    offers: dict[str, tuple[RoleRef, ...]] = {}
+    for protocol_id, protocol in registry.items():
+        caller = RoleRef(protocol_id, protocol.initiator_role().role_id)
+        own = [r for r in mine if r.protocol == protocol_id]
+        other = [r for r in mine if r.protocol != protocol_id and (caller, r) in table]
+        offers[protocol_id] = (*own, *other)
+    return offers
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +159,8 @@ def offered_roles(
 
 
 def select_largest_set(
-    replies: dict[str, tuple[RoleRef, ...]],
-    identified_protocols: frozenset[str] | set[str],
+    replies: dict[str, tuple[RoleRef, ...] | list[RoleRef]],
+    identified_protocols: Container[str],
 ) -> tuple[RoleRef, frozenset[str]] | None:
     """Pick the role backed by the largest candidate set.
 
@@ -346,24 +354,3 @@ def assign_roles_1_n(
                 candidates[other].discard(agent)
         _strip_singletons(candidates, pending)
     return assignment
-
-
-# ---------------------------------------------------------------------------
-# Arbitration: first acceptable role (one-to-one)
-# ---------------------------------------------------------------------------
-
-
-def acceptable_role(
-    payload_roles: Iterable[RoleRef],
-    identified_protocols: frozenset[str] | set[str],
-    registry: ProtocolRegistry,
-) -> RoleRef | None:
-    """First preferred role that is a participant role of any protocol
-    the initiator identified for the task."""
-    for ref in payload_roles:
-        if ref.protocol not in identified_protocols:
-            continue
-        protocol = registry[ref.protocol]
-        if ref.role in protocol.roles and protocol.roles[ref.role].kind is RoleKind.PARTICIPANT:
-            return ref
-    return None

@@ -94,8 +94,8 @@ def rejection_kind(drivers, msg: Message) -> str:
     expected shape in some driver's current state can be blamed on its
     values.
     """
-    for driver in drivers:
-        if driver.accepting(msg, structural_only=True):
+    for d in drivers:
+        if enabled_for_message(d.machine, d.protocol, d.state, msg, structural_only=True):
             return WRONG_CONTENT
     return WRONG_STRUCTURE
 
@@ -172,7 +172,7 @@ class MachineDriver:
     Each input - a reception, or a data change that starts or resumes
     the role - fires one cascade (:meth:`fire`).  The driver never
     judges an incoming message - callers match it first
-    (:meth:`accepting`) and hand the transitions that take it to
+    (:meth:`enabled_for`) and hand the transitions that take it to
     :meth:`receive`, so nothing invalid is ever journaled and nothing is
     matched twice.
     """
@@ -213,11 +213,6 @@ class MachineDriver:
             conversation_id=journal.conversation_id,
             reply_with=journal.tag() if tag is None else tag,
         )
-
-    def accepting(self, msg: Message, structural_only: bool = False) -> list[Transition]:
-        """The receive transitions of the current state that take ``msg``
-        (or, with ``structural_only``, take its structure)."""
-        return enabled_for_message(self.machine, self.protocol, self.state, msg, structural_only)
 
     def enabled_for(self, event) -> list[Transition]:
         """Transitions from the current state that an input event fires."""

@@ -147,20 +147,21 @@ def _step(
 def instantiate_all(
     takers: dict[RoleRef, list[Transition]],
     registry: ProtocolRegistry,
+    journal: Journal,
     m0: Message,
     rng: Random,
 ) -> ControlZone:
     """Spin up every role that takes the opening message.
 
     ``takers`` maps each such role to its transitions that take m0, as
-    :func:`receiving_roles` matched them.  The zone's journal runs
-    between m0's receiver and its sender, in m0's conversation.  Each
+    :func:`receiving_roles` matched them.  ``journal`` is the serving
+    side of m0's conversation, empty, and becomes the zone's.  Each
     instance handles m0 and deposits its reply in the outbox; a role
     with no answer to m0 is stopped on the spot.  All survivors are
     then parked as one batch, waiting for the reply selection to wake
     the winners.
     """
-    cz = ControlZone(Journal(m0.conversation_id, m0.receiver, m0.sender))
+    cz = ControlZone(journal)
     tag = cz.journal.tag()
     for ref in sorted(takers):
         instance = cz.instances[ref] = RoleInstance(ref, registry, cz.journal)

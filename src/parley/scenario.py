@@ -11,10 +11,11 @@ In an open system many agents enact the same roles, so the work that
 depends only on an agent's ``enacts`` is done once per distinct value:
 agents whose ``enacts`` objects are equal share one checked
 :class:`InteractionModel` (see ``_interaction_model`` for what counts
-as equal), ``_resolve`` checks each model once, in agent order, and
-the participants of one model share one offers table.  Every
-participant of a runtime sends one ready-to-select content per
-distinct list of offered roles.
+as equal), and ``_resolve`` checks each model once, in agent order.
+``build_runtime`` builds one answer table per distinct (model,
+willingness), and every joint participant of that pair answers its
+calls from it with one lookup; every participant of a runtime sends one
+ready-to-select content per distinct list of offered roles.
 
 Each document is read with one ``open`` and checked in one walk.  The
 readers of agents and tasks, like the protocol reader's helpers, first
@@ -43,12 +44,13 @@ from .agents import (
     MixedResponder,
     SelectionParticipant,
     SequentialResponder,
-    SilentAgent,
+    answer_table,
 )
 from .errors import ParseError, UnresolvedReferenceError
 from .joint import AGENT_ORIENTED, PROTOCOL_ORIENTED
 from .model import (
     InteractionModel,
+    Protocol,
     ProtocolRegistry,
     RoleRef,
     TaskDescription,
@@ -63,7 +65,7 @@ from .model import (
     read_document,
 )
 from .patterns import content_matches
-from .runtime import STRUCTURE_FIELDS, FaultSpec, SimRuntime, TraceEvent, collector_paused
+from .runtime import STRUCTURE_FIELDS, AgentBase, FaultSpec, SimRuntime, TraceEvent, collector_paused
 
 JOINT = "joint"
 SEQUENTIAL = "individual_sequential"
@@ -346,8 +348,6 @@ def _resolve(scenario: Scenario) -> None:
                 raise UnresolvedReferenceError(
                     f"agent {spec.agent_id}: no role {protocol_id}:{min(unknown)}"
                 )
-    # (initiator's model, capabilities) -> the schemas a task's contents may name
-    usable: dict[tuple, dict] = {}
     for task in scenario.tasks:
         if task.initiator not in specs:
             raise UnresolvedReferenceError(
@@ -367,24 +367,6 @@ def _resolve(scenario: Scenario) -> None:
                 if agent not in specs:
                     raise UnresolvedReferenceError(
                         f"task {task.task_id}: unknown participant {agent!r}"
-                    )
-        contents = task.constraints.get("contents")
-        if contents and scenario.selection_mode != JOINT:
-            key = (specs[task.initiator].model, task.required_capabilities)
-            schemas = usable.get(key)
-            if schemas is None:  # an individual initiator runs the first protocol matched
-                matched = match_task_to_protocols(task, key[0], registry)
-                schemas = usable[key] = matched[0][0].schemas if matched else {}
-            for schema_id, content in contents.items():
-                if schema_id not in schemas:
-                    raise UnresolvedReferenceError(
-                        f"task {task.task_id}: contents: {task.initiator} initiates no "
-                        f"protocol with a schema {schema_id!r}"
-                    )
-                if not content_matches(schemas[schema_id].content_pattern, content):
-                    raise ParseError(
-                        f"task {task.task_id}: contents: {schema_id}: {content!r:.40} "
-                        f"does not match its pattern"
                     )
     require_mode_fits(scenario)
     for pair in sorted(scenario.compatibility):
@@ -416,19 +398,47 @@ def require_own_initiators(scenario: Scenario) -> None:
 
 
 def require_mode_fits(scenario: Scenario) -> None:
-    """Joint selection sends no task contents, and individual selection
-    talks to one identified participant per task."""
-    for task in scenario.tasks:
-        if scenario.selection_mode == JOINT:
+    """Joint selection sends no task contents.  Individual selection
+    talks to one identified participant per task, and runs the first
+    protocol matched to the task (:func:`model.match_task_to_protocols`):
+    there must be one, and the task's contents must each name a schema
+    of it and fit its pattern."""
+    if scenario.selection_mode == JOINT:
+        for task in scenario.tasks:
             if task.constraints.get("contents"):
                 raise ParseError(f"task {task.task_id}: {JOINT} selection sends no contents")
-            continue
+        return
+    models = {spec.agent_id: spec.model for spec in scenario.agents}
+    # (initiator's model, capabilities) -> the protocol such a task runs
+    runs: dict[tuple, Protocol | None] = {}
+    for task in scenario.tasks:
         named = {a for agents in task.participants.values() for a in agents}
         if len(named) != 1:
             raise UnresolvedReferenceError(
                 f"task {task.task_id}: {scenario.selection_mode} selection with "
                 f"{len(named)} named participants {sorted(named)} (need exactly one)"
             )
+        key = (models[task.initiator], task.required_capabilities)
+        if key not in runs:
+            matched = match_task_to_protocols(task, key[0], scenario.registry)
+            runs[key] = matched[0][0] if matched else None
+        protocol = runs[key]
+        if protocol is None:
+            raise UnresolvedReferenceError(
+                f"task {task.task_id}: {task.initiator} initiates no protocol with the "
+                f"capabilities {sorted(task.required_capabilities)}"
+            )
+        for schema_id, content in task.constraints.get("contents", {}).items():
+            if schema_id not in protocol.schemas:
+                raise UnresolvedReferenceError(
+                    f"task {task.task_id}: contents: {task.initiator} initiates no "
+                    f"protocol with a schema {schema_id!r}"
+                )
+            if not content_matches(protocol.schemas[schema_id].content_pattern, content):
+                raise ParseError(
+                    f"task {task.task_id}: contents: {schema_id}: {content!r:.40} "
+                    f"does not match its pattern"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -446,13 +456,13 @@ def build_runtime(scenario: Scenario) -> SimRuntime:
             runtime.inject_fault(fault)
         initiators = {task.initiator: task for task in scenario.tasks}
         # participants with one interaction model (agents with equal enacts
-        # share one) offer the same roles, so they share one offers table;
-        # equal role lists, whatever the model, are sent in one content
-        offers: dict[InteractionModel, dict[str, tuple[tuple[RoleRef, ...], dict]]] = {}
+        # share one) and one willingness answer from one table; equal role
+        # lists, whatever the model, are sent in one content
+        answers: dict[tuple[InteractionModel, bool], dict] = {}
         contents: dict[tuple[RoleRef, ...], dict] = {}
         for spec in scenario.agents:
             if spec.behavior == SILENT:
-                runtime.register(SilentAgent(spec.agent_id))
+                runtime.register(AgentBase(spec.agent_id))  # never answers
                 continue
             model = spec.model
             task = initiators.get(spec.agent_id)
@@ -472,12 +482,10 @@ def build_runtime(scenario: Scenario) -> SimRuntime:
                     runtime.register(IndividualInitiator(spec.agent_id, task, model, registry))
                 continue
             if scenario.selection_mode == JOINT:
-                shared = offers.setdefault(model, {})
-                runtime.register(
-                    SelectionParticipant(
-                        spec.agent_id, model, registry, table, spec.willing, shared, contents
-                    )
-                )
+                key = (model, spec.willing)
+                if key not in answers:
+                    answers[key] = answer_table(model, spec.willing, table, registry, contents)
+                runtime.register(SelectionParticipant(spec.agent_id, answers[key]))
             elif scenario.selection_mode == SEQUENTIAL:
                 runtime.register(SequentialResponder(spec.agent_id, model, registry))
             else:

@@ -470,7 +470,8 @@ def record_offer_reads(monkeypatch) -> tuple[list[tuple[str, str, int]], Callabl
     parsed a role (``RoleRef.parse`` as the initiators look it up) is one
     read; an offer of no role parses nothing and is not recorded.  Each
     role parsed is a ``RoleRef`` subclass, equal to the ``RoleRef`` it
-    stands for, that counts itself out when it is freed.
+    stands for, that counts itself out when it is freed; a role the
+    initiators build rather than parse counts neither way.
     """
     reads: list[tuple[str, str, int]] = []
     made, freed = [0], [0]
@@ -479,10 +480,12 @@ def record_offer_reads(monkeypatch) -> tuple[list[tuple[str, str, int]], Callabl
         @classmethod
         def parse(cls, text: str) -> RoleRef:
             made[0] += 1
-            return cls(*RoleRef.parse(text))
+            ref = cls(*RoleRef.parse(text))
+            ref.parsed = True
+            return ref
 
         def __del__(self) -> None:
-            freed[0] += 1
+            freed[0] += self.__dict__.get("parsed", False)
 
     handle = parley.agents.JointInitiator.on_message
 

@@ -21,7 +21,7 @@ from random import Random
 
 import pytest
 
-from parley.agents import SelectionParticipant
+from parley.agents import SelectionParticipant, answer_table
 from parley.model import (
     CALL_FOR_COLLABORATION,
     UNABLE_TO_SELECT,
@@ -110,7 +110,8 @@ def test_a_refusal_sends_one_content_per_reason(content, willing, enacts, reason
     rt = SimRuntime(seed=0)
     rt.register(AgentBase("q1"))
     for agent in ("d1", "d2"):
-        rt.register(SelectionParticipant(agent, model, registry, frozenset(), willing, {}, {}))
+        answers = answer_table(model, willing, frozenset(), registry, {})
+        rt.register(SelectionParticipant(agent, answers))
         call = Message(CALL_FOR_COLLABORATION, dict(content), "kv", "core", "q1", agent, "t1!select")
         rt.schedule_send(call)
     start = len(rt.trace)

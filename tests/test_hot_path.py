@@ -3,12 +3,13 @@
 Counted, not timed: the matcher is wrapped and every call recorded, so
 a handler that matches the same delivery against the same role twice
 shows up as a repeated call.  The same holds for the joint side: a
-scenario's ``enacts`` objects are read once per distinct value, a
-participant's offer is computed once per interaction model and
-protocol and sent in one content per distinct role list, an initiator parses each distinct offer content once, the
-name comparisons that admit a reply do not grow with the size of the
-call, and a role allocation runs a bounded number of matchings
-whatever the size of the pool.  The lifetime checks drop a finished run
+scenario's ``enacts`` objects are read once per distinct value, the
+roles a participant offers are computed once per interaction model,
+participants with equal (model, willingness) answer from one table and
+equal role lists are sent in one content, an initiator parses each
+distinct offer content once, the name comparisons that admit a reply
+do not grow with the size of the call, and a role allocation runs a
+bounded number of matchings whatever the size of the pool.  The lifetime checks drop a finished run
 and require its machines and agents to be collected, which rules out
 any cache that holds on to them from module level, and require that
 the run left no reference cycle behind for the collector to find.
@@ -153,13 +154,13 @@ def test_an_opening_is_matched_once_per_candidate_role(mode, monkeypatch):
         assert len(machines) == len(servers)
 
 
-def test_an_offer_is_computed_once_per_model_and_protocol(monkeypatch):
+def test_offered_roles_are_computed_once_per_model(monkeypatch):
     original = parley.agents.offered_roles
     calls: Counter = Counter()
 
-    def counted(protocol_id, model, table, registry):
-        calls[frozenset(model.entries.items()), protocol_id] += 1
-        return original(protocol_id, model, table, registry)
+    def counted(model, table, registry):
+        calls[frozenset(model.entries.items())] += 1
+        return original(model, table, registry)
 
     monkeypatch.setattr(parley.agents, "offered_roles", counted)
     scenario = scenario_from_dict(joint_fanout_scenario(Random(7), 9, 60, 30))
@@ -184,8 +185,9 @@ def test_equal_offers_are_one_content_whatever_the_model():
         e.payload.message for e in trace
         if e.kind == "send" and e.payload["performative"] == READY_TO_SELECT
     ]
+    model_of = {spec.agent_id: spec.model for spec in scenario.agents}
     role_lists = {tuple(m.content["roles"]) for m in offers}
-    models = {(id(runtime.agents[m.sender].model), tuple(m.content["roles"])) for m in offers}
+    models = {(id(model_of[m.sender]), tuple(m.content["roles"])) for m in offers}
     # several models offer some of the same lists, and each list is one object
     assert len(offers) > 50 * len(role_lists)
     assert len(models) > len(role_lists)
@@ -194,7 +196,8 @@ def test_equal_offers_are_one_content_whatever_the_model():
 
 def test_each_distinct_enacts_is_read_and_wired_once(monkeypatch):
     """Agents with equal ``enacts`` share one checked model, and the
-    participants of one model share one offers table."""
+    participants of one model and one willingness share one answer
+    table."""
     original = parley.scenario._names_by_key
     read: Counter = Counter()
 
@@ -210,8 +213,14 @@ def test_each_distinct_enacts_is_read_and_wired_once(monkeypatch):
     assert read["enacts"] == len(distinct)
     assert len({id(spec.model) for spec in scenario.agents}) == len(distinct)
     runtime = build_runtime(scenario)
-    participants = [a for a in runtime.agents.values() if isinstance(a, SelectionParticipant)]
-    assert len({id(a.offers) for a in participants}) == len({id(a.model) for a in participants})
+    specs = {spec.agent_id: spec for spec in scenario.agents}
+    tables: dict[tuple[int, bool], set[int]] = {}
+    for agent in runtime.agents.values():
+        if isinstance(agent, SelectionParticipant):
+            spec = specs[agent.name]
+            tables.setdefault((id(spec.model), spec.willing), set()).add(id(agent.answers))
+    assert len(tables) > 1 and all(len(ids) == 1 for ids in tables.values())
+    assert len(set().union(*tables.values())) == len(tables)
 
 
 def test_an_initiator_parses_each_distinct_offer_content_once(monkeypatch):
@@ -314,7 +323,7 @@ def _run_and_drop(doc: dict, agent_id: str, protocol_id: str, role_id: str):
     summarize(scenario, runtime, trace)
     render_trace(trace)
     agent = runtime.agents[agent_id]
-    machine = agent.registry[protocol_id].roles[role_id]
+    machine = scenario.registry[protocol_id].roles[role_id]
     machine.transitions_from(machine.initial_state)
     method_graph(machine)
     weak_schema_ids(machine)

@@ -37,7 +37,7 @@ from parley.individual import (
     truncate_own,
 )
 from parley.journal import DataChange, Journal, JournalRecord
-from parley.machine import MachineDriver, rejection_kind
+from parley.machine import MachineDriver, rejection_kind, replay_states
 from parley.model import (
     RESERVED_PERFORMATIVES,
     Action,
@@ -129,7 +129,7 @@ class TestCheckIncoming:
 
     def verdict(self, registry, state, message):
         driver = self.querier(registry, state)
-        if driver.accepting(message):
+        if driver.enabled_for(message):
             return None
         return rejection_kind((driver,), message)
 
@@ -239,25 +239,21 @@ class TestInitiatorDetectedPurge:
     def test_content_error_drops_wrong_shape_and_culprit_sharers(self, registry):
         collection = server_collection()
         error = content_error_from_initiator()
-        removed = purge_collection(
-            collection, registry, server_journal().records, error, replayed={}
-        )
+        removed, kept = purge_collection(collection, registry, server_journal().records, error)
         # attr_lookup only answers with inserts and sorries, so it could
         # never have produced the rejected tell: useless here.  The
         # attr_query server recomputes the tell with the method that
         # already failed once.  Both go.
         assert removed == [server("attr_lookup"), server("attr_query")]
-        assert sorted(collection) == [server("attr_digest"), server("attr_probe")]
+        assert list(kept) == [server("attr_digest"), server("attr_probe")]
 
     def test_active_role_is_handled_by_the_caller_not_the_purge(self, registry):
         collection = server_collection()
         collection.discard(server("attr_query"))
         error = content_error_from_initiator()
-        removed = purge_collection(
-            collection, registry, server_journal().records, error, replayed={}
-        )
+        removed, kept = purge_collection(collection, registry, server_journal().records, error)
         assert removed == [server("attr_lookup")]
-        assert sorted(collection) == [server("attr_digest"), server("attr_probe")]
+        assert list(kept) == [server("attr_digest"), server("attr_probe")]
 
     def test_structure_error_drops_roles_able_to_repeat_it(self, registry):
         # The counterpart could not even place an insert message.  Any
@@ -270,11 +266,9 @@ class TestInitiatorDetectedPurge:
             detected_by=INITIATOR_DETECTED,
         )
         collection = server_collection()
-        removed = purge_collection(
-            collection, registry, server_journal().records, error, replayed={}
-        )
+        removed, kept = purge_collection(collection, registry, server_journal().records, error)
         assert removed == [server("attr_digest"), server("attr_lookup")]
-        assert sorted(collection) == [server("attr_probe"), server("attr_query")]
+        assert list(kept) == [server("attr_probe"), server("attr_query")]
 
 
 class TestParticipantDetectedPurge:
@@ -290,8 +284,7 @@ class TestParticipantDetectedPurge:
             offending=msg("ask-one", {"attribute": 7, "document": "d4"}, sender="q2"),
             detected_by=PARTICIPANT_DETECTED,
         )
-        replayed: dict = {}
-        removed = purge_collection(collection, registry, prefix, error, replayed=replayed)
+        removed, kept = purge_collection(collection, registry, prefix, error)
         # attr_lookup and attr_digest cannot replay the recorded tell at
         # all; attr_probe replays but chokes on the same broken ask.
         assert removed == [
@@ -299,9 +292,27 @@ class TestParticipantDetectedPurge:
             server("attr_lookup"),
             server("attr_probe"),
         ]
-        assert collection == set()
+        assert kept == {}
         with pytest.raises(NoViableRoleError):
-            select_replacement_role(collection, registry, prefix, error, Random(1), replayed)
+            select_replacement_role(kept, registry, error, Random(1))
+
+    def test_a_kept_role_comes_with_the_states_it_replayed(self, registry):
+        # after the ask and its tell, both tell-speaking servers are back
+        # in p0, ready for a follow-up ask; the other two cannot replay
+        # the tell and are dropped
+        error = InteractionError(
+            kind=WRONG_CONTENT,
+            location=3,
+            offending=msg("ask-one", {"attribute": "size", "document": "d4"}, sender="q2"),
+            detected_by=PARTICIPANT_DETECTED,
+        )
+        records = server_journal().records
+        removed, kept = purge_collection(server_collection(), registry, records, error)
+        assert removed == [server("attr_digest"), server("attr_lookup")]
+        assert kept == {
+            server("attr_probe"): frozenset({"p0"}),
+            server("attr_query"): frozenset({"p0"}),
+        }
 
 
 def _optional_nudge_protocol(protocol_id: str, hears_nudges: bool) -> Protocol:
@@ -368,36 +379,46 @@ class TestParticipantPurgeDiscriminates:
             "keen": _optional_nudge_protocol("keen", hears_nudges=True),
         }
 
-    def purge(self, kind: str, offending: Message) -> tuple[set[RoleRef], list[RoleRef]]:
+    def purge(self, kind: str, offending: Message) -> tuple[list[RoleRef], list[RoleRef]]:
         collection = {server("deaf"), server("keen")}
         error = InteractionError(
             kind=kind, location=1, offending=offending, detected_by=PARTICIPANT_DETECTED
         )
-        removed = purge_collection(collection, self.registry, [], error, replayed={})
-        return collection, removed
+        removed, kept = purge_collection(collection, self.registry, [], error)
+        assert set(kept.values()) <= {frozenset({"p0"})}  # the empty prefix leaves p0
+        return list(kept), removed
 
     def test_structure_error_keeps_structural_receivers(self):
         nudge = msg("request", {"note": 7}, sender="q2")
-        collection, removed = self.purge(WRONG_STRUCTURE, nudge)
+        kept, removed = self.purge(WRONG_STRUCTURE, nudge)
         assert removed == [server("deaf")]
-        assert sorted(collection) == [server("keen")]
+        assert kept == [server("keen")]
 
     def test_content_error_demands_full_reception(self):
         nudge = msg("request", {"note": 7}, sender="q2")
-        collection, removed = self.purge(WRONG_CONTENT, nudge)
+        kept, removed = self.purge(WRONG_CONTENT, nudge)
         assert removed == [server("deaf"), server("keen")]
-        assert collection == set()
+        assert kept == []
 
     def test_content_error_keeps_roles_that_swallow_the_message(self):
         nudge = msg("request", {"note": "go on"}, sender="q2")
-        collection, removed = self.purge(WRONG_CONTENT, nudge)
+        kept, removed = self.purge(WRONG_CONTENT, nudge)
         assert removed == [server("deaf")]
-        assert sorted(collection) == [server("keen")]
+        assert kept == [server("keen")]
 
 
 # ---------------------------------------------------------------------------
 # Replacement choice
 # ---------------------------------------------------------------------------
+
+
+def replayed(collection: set[RoleRef], registry, prefix) -> dict[RoleRef, frozenset[str]]:
+    """Each role of ``collection``, in role order, with the states it
+    replays ``prefix`` to: what a purge that kept them all hands on."""
+    return {
+        ref: replay_states(registry[ref.protocol].roles[ref.role], registry[ref.protocol], prefix)
+        for ref in sorted(collection)
+    }
 
 
 class TestReplacementChoice:
@@ -411,23 +432,20 @@ class TestReplacementChoice:
         # attr_probe still has its give-up message pending (weak: it can
         # only end the interaction); attr_digest loops forever and has
         # none.  The probe wins on count 1 against 0, whatever the seed.
-        prefix = server_journal().records[:1]
+        kept = replayed(self.survivors(), registry, server_journal().records[:1])
         error = content_error_from_initiator()
         for seed in range(25):
-            picked = select_replacement_role(
-                self.survivors(), registry, prefix, error, Random(seed), {}
-            )
+            picked = select_replacement_role(kept, registry, error, Random(seed))
             assert picked == server("attr_probe")
 
     def test_equal_counts_fall_to_the_seeded_draw(self, registry):
         collection = server_collection()
         collection.discard(server("attr_digest"))
         collection.discard(server("attr_query"))
-        prefix = server_journal().records[:1]
+        kept = replayed(collection, registry, server_journal().records[:1])
         error = content_error_from_initiator()
         picks = {
-            select_replacement_role(collection, registry, prefix, error, Random(seed), {})
-            for seed in range(30)
+            select_replacement_role(kept, registry, error, Random(seed)) for seed in range(30)
         }
         assert picks == {server("attr_lookup"), server("attr_probe")}
 
@@ -438,21 +456,15 @@ class TestReplacementChoice:
             offending=msg("scream", {"value": "x"}),
             detected_by=INITIATOR_DETECTED,
         )
-        prefix = server_journal().records[:1]
+        kept = replayed(self.survivors(), registry, server_journal().records[:1])
         picks = {
-            select_replacement_role(
-                self.survivors(), registry, prefix, error, Random(seed), {}
-            )
-            for seed in range(30)
+            select_replacement_role(kept, registry, error, Random(seed)) for seed in range(30)
         }
         assert picks == {server("attr_digest"), server("attr_probe")}
 
     def test_exhausted_collection_raises(self, registry):
-        collection = set()
         with pytest.raises(NoViableRoleError):
-            select_replacement_role(
-                collection, registry, [], content_error_from_initiator(), Random(0), {}
-            )
+            select_replacement_role({}, registry, content_error_from_initiator(), Random(0))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parley.agents import JointInitiator, SelectionParticipant
+from parley.agents import JointInitiator, SelectionParticipant, answer_table
 from parley.errors import CyclicFatherRelationError, ProtocolViolationError
 from parley.joint import (
     AGENT_ORIENTED,
@@ -393,7 +393,7 @@ def participant_bus(willing: bool = True) -> tuple[SimRuntime, SelectionParticip
     registry, model, table = _participant_world()
     rt = SimRuntime(seed=0)
     rt.register(AgentBase("q1"))
-    participant = SelectionParticipant("d1", model, registry, table, willing, {}, {})
+    participant = SelectionParticipant("d1", answer_table(model, willing, table, registry, {}))
     rt.register(participant)
     return rt, participant
 
@@ -737,6 +737,34 @@ class TestRunJointBroadcast:
         ]
 
 
+@pytest.mark.parametrize("role", ["bid:asker", "bid:nosuchrole"])
+def test_a_broadcast_backs_no_role_that_is_not_a_participant_role(role):
+    """The initiator role, or no role of the protocol at all, is never
+    assigned, as in a pairwise round: the round closes with nothing
+    picked and stops its repliers."""
+    unusable = (READY_TO_SELECT, {"roles": [role]}, 0)
+    initiator, rt, _ = run_joint(
+        {"bid": ["d1", "d2"]}, {"d1": [unusable], "d2": [unusable]}, registry=TENDERS
+    )
+    assert initiator.outcome == EXHAUSTED
+    assert sent_at(rt, NOTIFY_ASSIGNMENT) == []
+    assert sent_at(rt, STOP_SELECTION) == [(0, "d1"), (0, "d2")]
+
+
+def test_a_replier_offering_only_unusable_roles_still_counts():
+    """d2 backs nothing, yet it is one of the three repliers: bid:bidder,
+    backed by two of them, wins without being listed by all."""
+    both = (READY_TO_SELECT, {"roles": ["bid:asker", "bid:bidder"]}, 0)
+    asker = (READY_TO_SELECT, {"roles": ["bid:asker"]}, 0)
+    initiator, rt, _ = run_joint(
+        {"bid": ["d1", "d2", "d3"]},
+        {"d1": [both], "d2": [asker], "d3": [offer("bid")]},
+        registry=TENDERS,
+    )
+    assert initiator.outcome == largest_set("d1", "d3")
+    assert sent_at(rt, STOP_SELECTION) == [(0, "d2")]
+
+
 def test_a_late_offer_during_a_broadcast_round_is_stopped():
     """An offer from outside the open round is stopped, whatever the round kind."""
     # bid closes at its deadline (tick 3) with nothing picked; d1's
@@ -833,6 +861,6 @@ def test_an_initiator_role_is_never_offered():
         {"ips": frozenset({"asker", "replier"}), "request": frozenset({"asker"})}
     )
     replier = RoleRef("ips", "replier")
-    assert offered_roles("ips", model, frozenset(), registry) == (replier,)
+    assert offered_roles(model, frozenset(), registry)["ips"] == (replier,)
     table = frozenset({(RoleRef("ips", "asker"), RoleRef("request", "asker"))})
-    assert offered_roles("ips", model, table, registry) == (replier,)
+    assert offered_roles(model, table, registry)["ips"] == (replier,)

@@ -231,9 +231,9 @@ def test_the_driver_and_a_zone_fire_one_cascade_rule(seed):
     ask = _msg("ask-one", {"q": "height"})
 
     driver = MachineDriver(ref, registry, Journal("t/x", "d1", "q1"))
-    sent = driver.receive(ask, driver.accepting(ask), Random(seed))
+    sent = driver.receive(ask, driver.enabled_for(ask), Random(seed))
     takers = {ref: enabled_for_message(protocol.roles["server"], protocol, "p0", ask)}
-    zone = instantiate_all(takers, registry, ask, Random(seed))
+    zone = instantiate_all(takers, registry, Journal("t/x", "d1", "q1"), ask, Random(seed))
     assert select_outgoing(zone, Random(seed)) == sent
 
     def journaled(journal):

@@ -91,7 +91,7 @@ def registry():
 def instantiate(collection, registry, rng):
     """Open a zone on ASK, matched once as the responder matches it."""
     takers = receiving_roles(collection, registry, ASK)
-    return instantiate_all(takers, registry, ASK, rng)
+    return instantiate_all(takers, registry, Journal("t2/c1", "c1", "q2"), ASK, rng)
 
 
 def fresh_zone(registry, seed: int):

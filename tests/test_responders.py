@@ -7,10 +7,13 @@ exchange, so the responder has a single candidate role: the replier.
 
 from __future__ import annotations
 
+from random import Random
+
 import pytest
 
 from parley.agents import MixedResponder, SequentialResponder
 from parley.individual import WRONG_CONTENT, WRONG_STRUCTURE
+from parley.machine import MachineDriver
 from parley.model import (
     CALL_FOR_COLLABORATION,
     NOTIFY_ASSIGNMENT,
@@ -24,8 +27,9 @@ from parley.model import (
     Message,
 )
 from parley.runtime import WAKE, AgentBase, SimRuntime
+from parley.scenario import MIXED, SEQUENTIAL, build_runtime, scenario_from_dict
 
-from .helpers import one_one_protocol
+from .helpers import individual_scenario, one_one_protocol
 
 RESPONDERS = pytest.mark.parametrize("responder", [SequentialResponder, MixedResponder])
 
@@ -111,3 +115,36 @@ def test_wakes_selection_and_control_chatter_produce_nothing(responder, opened):
         RECOVER_AT,
     ):
         assert deliver(rt, "t1/d1", performative, {"reason": "exhausted", "point": 1}) == []
+
+
+@pytest.mark.parametrize(
+    "mode, actions",
+    [(SEQUENTIAL, {"replacement"}), (MIXED, {"replacement", "reactivation"})],
+    ids=["sequential", "mixed"],
+)
+def test_every_role_of_a_conversation_records_into_its_thread_journal(
+    mode, actions, monkeypatch
+):
+    """Every role a responder enacts in a conversation - the role it
+    picks, each replacement, every instance of a mixed zone, and the
+    roles that judge an opening nobody takes - is a driver over the one
+    journal the conversation's thread holds."""
+    made: list[MachineDriver] = []
+    init = MachineDriver.__init__
+
+    def recording(driver, *args, **kwargs) -> None:
+        init(driver, *args, **kwargs)
+        made.append(driver)
+
+    monkeypatch.setattr(MachineDriver, "__init__", recording)
+    runtime = build_runtime(scenario_from_dict(individual_scenario(Random(1), mode, 30)))
+    trace = runtime.run_until_quiescent()
+    assert {e.payload["action"] for e in trace if e.kind == "recovery"} == actions
+    reasons = {e.payload.get("reason") for e in trace if e.kind == "termination"}
+    assert "no-viable-role" in reasons  # an opening nobody takes was judged
+    responders = (SequentialResponder, MixedResponder)
+    enacted = [d for d in made if isinstance(runtime.agents[d.journal.me], responders)]
+    assert len(enacted) > len(made) / 2
+    for driver in enacted:
+        thread = runtime.agents[driver.journal.me].threads[driver.journal.conversation_id]
+        assert driver.journal is thread.journal

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -384,6 +385,31 @@ class TestResolution:
         raw["tasks"][0]["participants"]["ips"] = ["helper", "extra"]
         with pytest.raises(UnresolvedReferenceError):
             parse_scenario(self._write(tmp_path, raw))
+
+    NO_PROTOCOL = "task job: boss initiates no protocol with the capabilities ['document-query']"
+
+    @pytest.mark.parametrize("mode", [SEQUENTIAL, MIXED])
+    def test_an_individual_task_with_no_protocol_is_refused(self, mode, tmp_path, capsys):
+        raw = minimal_raw(selection_mode=mode)
+        raw["agents"][0]["enacts"] = {"ips": ["replier"]}  # boss initiates nothing
+        path = self._write(tmp_path, raw)
+        with pytest.raises(UnresolvedReferenceError, match=rf"^{re.escape(self.NO_PROTOCOL)}$"):
+            parse_scenario(path)
+        for command in ("validate", "run"):
+            assert cli_main([command, str(path)]) == 2
+            assert capsys.readouterr() == ("", f"error: {self.NO_PROTOCOL}\n")
+
+    @pytest.mark.parametrize("mode", ["seq", "mixed"])
+    def test_a_joint_task_with_no_protocol_is_refused_in_an_individual_mode(
+        self, mode, tmp_path, capsys
+    ):
+        raw = minimal_raw()
+        raw["agents"][0]["enacts"] = {"ips": ["replier"]}
+        path = self._write(tmp_path, raw)
+        assert cli_main(["run", str(path)]) == 1  # joint selection finds nothing to call
+        capsys.readouterr()
+        assert cli_main(["run", str(path), "--mode", mode]) == 2
+        assert capsys.readouterr() == ("", f"error: {self.NO_PROTOCOL}\n")
 
     def test_bad_compatibility_reference(self, tmp_path):
         raw = minimal_raw(compatibility=[["ips:asker", "ips:phantom"]])
