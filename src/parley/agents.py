@@ -9,6 +9,9 @@ control zone (mixed).  Every role they enact is a
 :class:`machine.MachineDriver`, stepped by its one transition cascade:
 the individual initiator and the sequential responder hold one each,
 and every instance of a mixed responder's :mod:`mixed` zone is one.
+No agent holds an interaction model: the wiring hands a joint
+initiator its task's matched protocols, an individual initiator its
+role, a participant its answer table and a responder its roles.
 
 The two responders share one base class.  It keeps a thread per
 conversation, holding that conversation's one journal, drops what is
@@ -28,7 +31,6 @@ from .individual import (
     INITIATOR_DETECTED,
     PARTICIPANT_DETECTED,
     InteractionError,
-    build_collection,
     locate_emission,
     purge_collection,
     receiving_roles,
@@ -73,14 +75,13 @@ from .model import (
     TERMINATION_NOTICE,
     TERMINATION_WARNING,
     UNABLE_TO_SELECT,
-    InteractionModel,
     Message,
+    Protocol,
     ProtocolCategory,
     ProtocolRegistry,
     RoleRef,
     TaskDescription,
     classify_protocol,
-    match_task_to_protocols,
 )
 from .runtime import WAKE, AgentBase, SimRuntime
 
@@ -164,14 +165,14 @@ class JointInitiator(AgentBase):
         self,
         name: str,
         task: TaskDescription,
-        model: InteractionModel,
+        candidates: list[tuple[Protocol, str]],
         registry: ProtocolRegistry,
         mode: str,
         reply_deadline: int,
     ) -> None:
         super().__init__(name)
         self.task = task
-        self.model = model
+        self.candidates = candidates
         self.registry = registry
         self.mode = mode
         self.reply_deadline = reply_deadline
@@ -217,8 +218,7 @@ class JointInitiator(AgentBase):
     # -- lifecycle ---------------------------------------------------------
 
     def on_start(self, rt: SimRuntime) -> None:
-        candidates = match_task_to_protocols(self.task, self.model, self.registry)
-        self.matrix = build_candidate_matrix(self.task, candidates)
+        self.matrix = build_candidate_matrix(self.task, self.candidates)
         self._note(
             rt,
             "matrix",
@@ -357,14 +357,15 @@ _UNABLE = {
 
 
 def answer_table(
-    model: InteractionModel,
+    mine: tuple[RoleRef, ...],
     willing: bool,
     table: frozenset[tuple[RoleRef, RoleRef]],
     registry: ProtocolRegistry,
     contents: dict[tuple[RoleRef, ...], dict],
 ) -> dict[str, tuple[tuple[RoleRef, ...], str, dict]]:
     """Protocol id -> (roles offered, reply performative, reply content)
-    for a call naming it, for every protocol of ``registry``.
+    for a call naming it, for every protocol of ``registry``, of an agent
+    enacting the participant roles ``mine``.
 
     An unwilling agent refuses every call, and an agent with no role to
     offer refuses the call for it.  ``contents`` maps each offer to the
@@ -374,7 +375,7 @@ def answer_table(
     if not willing:
         return dict.fromkeys(registry, _UNABLE["unwilling"])
     answers = {}
-    for protocol_id, roles in offered_roles(model, table, registry).items():
+    for protocol_id, roles in offered_roles(mine, table, registry).items():
         if not roles:
             answers[protocol_id] = _UNABLE["no-role"]
             continue
@@ -449,12 +450,13 @@ class IndividualInitiator(AgentBase):
         self,
         name: str,
         task: TaskDescription,
-        model: InteractionModel,
+        ref: RoleRef,
         registry: ProtocolRegistry,
     ) -> None:
         super().__init__(name)
         self.task = task
-        self.model = model
+        #: the initiator role of the first protocol matched to the task
+        self.ref = ref
         self.registry = registry
         #: individual selection talks to the task's one identified participant
         participant = next(a for agents in task.participants.values() for a in agents)
@@ -465,11 +467,7 @@ class IndividualInitiator(AgentBase):
         self.awaiting_notice = False
 
     def on_start(self, rt: SimRuntime) -> None:
-        # the scenario reader refuses a task its initiator initiates no protocol for
-        protocol, role_id = match_task_to_protocols(self.task, self.model, self.registry)[0]
-        overrides = self.task.constraints.get("contents", {})
-        ref = RoleRef(protocol.protocol_id, role_id)
-        self.driver = MachineDriver(ref, self.registry, self.journal, content_overrides=overrides)
+        self.driver = MachineDriver(self.ref, self.registry, self.journal, self.task.contents)
         _schedule(rt, self.driver.resume(DataChange("task", self.task.task_id), rt.rng))
 
     def _send(self, rt: SimRuntime, performative: str, content: dict) -> None:
@@ -556,9 +554,10 @@ class _Responder(AgentBase):
 
     thread_type = _Thread
 
-    def __init__(self, name: str, model: InteractionModel, registry: ProtocolRegistry) -> None:
+    def __init__(self, name: str, roles: tuple[RoleRef, ...], registry: ProtocolRegistry) -> None:
         super().__init__(name)
-        self.model = model
+        #: the participant roles it enacts, in role order
+        self.roles = roles
         self.registry = registry
         self.threads: dict[str, _Thread] = {}
 
@@ -607,11 +606,10 @@ class _Responder(AgentBase):
         if thread.opening is not None:
             self._on_domain(rt, thread, msg)
             return
-        base = build_collection(self.model, self.registry)
-        takers = receiving_roles(base, self.registry, msg)
+        takers = receiving_roles(self.roles, self.registry, msg)
         if not takers:
             # content or structure complaint, judged at every initial state
-            fresh = [MachineDriver(ref, self.registry, thread.journal) for ref in sorted(base)]
+            fresh = [MachineDriver(ref, self.registry, thread.journal) for ref in self.roles]
             self._reject(rt, thread, msg, rejection_kind(fresh, msg))
             self._fail(rt, thread, "no-viable-role")
             return

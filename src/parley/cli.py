@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from .errors import ParleyError, ParseError, UnresolvedReferenceError
 from .model import Protocol, load_protocol, require_valid
-from .runtime import write_trace
+from .runtime import render_trace
 from .scenario import (
     JOINT,
     MIXED,
@@ -51,10 +52,16 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
 
 
 def cmd_run(args) -> int:
-    scenario = parse_scenario(args.scenario)
-    trace, summary = run_scenario(_apply_overrides(scenario, args))
-    if args.trace:
-        write_trace(trace, args.trace)
+    scenario = _apply_overrides(parse_scenario(args.scenario), args)
+    require_own_initiators(scenario)  # a refused scenario leaves the trace file as it was
+    try:  # opened before the run, so a path it cannot write runs nothing
+        out = open(args.trace, "w", encoding="utf-8") if args.trace else nullcontext()
+    except OSError as exc:
+        raise ParseError(f"--trace {args.trace}: cannot write the trace ({exc.strerror})") from exc
+    with out:
+        trace, summary = run_scenario(scenario)
+        if args.trace:
+            out.write(render_trace(trace))
     print(f"{summary.scenario_id}: mode={summary.selection_mode} "
           f"seed={summary.seed} ticks={summary.ticks} events={len(trace)}")
     for task in summary.tasks:

@@ -32,7 +32,7 @@ from .machine import (
     replay_states,
     weak_schema_ids,
 )
-from .model import Message, Protocol, ProtocolRegistry, RoleKind, RoleRef, Transition
+from .model import Message, Protocol, ProtocolRegistry, RoleRef, Transition
 
 INITIATOR_DETECTED = "initiator"
 PARTICIPANT_DETECTED = "participant"
@@ -58,28 +58,17 @@ def locate_emission(records, reply_with: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Role collections: the set of roles still available, walked in sorted order
+# Role collections: the roles an agent enacts, and those still available
 # ---------------------------------------------------------------------------
 
 
-def build_collection(model, registry: ProtocolRegistry) -> set[RoleRef]:
-    """All participant roles the agent enacts, per its interaction model."""
-    return {
-        ref
-        for ref in model.role_refs()
-        if ref.protocol in registry
-        and ref.role in registry[ref.protocol].roles
-        and registry[ref.protocol].roles[ref.role].kind is RoleKind.PARTICIPANT
-    }
-
-
 def receiving_roles(
-    collection: set[RoleRef], registry: ProtocolRegistry, msg: Message
+    roles: tuple[RoleRef, ...], registry: ProtocolRegistry, msg: Message
 ) -> dict[RoleRef, list[Transition]]:
-    """Available roles whose machine accepts ``msg`` in its initial
-    state, in sorted order, each with the transitions that take it."""
+    """The roles of ``roles`` whose machine accepts ``msg`` in its
+    initial state, in order, each with the transitions that take it."""
     hits = {}
-    for ref in sorted(collection):
+    for ref in roles:
         protocol = registry[ref.protocol]
         machine = protocol.roles[ref.role]
         enabled = enabled_for_message(machine, protocol, machine.initial_state, msg)

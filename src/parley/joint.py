@@ -29,10 +29,8 @@ from random import Random
 from typing import Collection, Container, NamedTuple
 
 from .model import (
-    InteractionModel,
     Protocol,
     ProtocolRegistry,
-    RoleKind,
     RoleRef,
     TaskDescription,
     father_order,
@@ -129,21 +127,16 @@ def next_vector(
 
 
 def offered_roles(
-    model: InteractionModel,
+    mine: tuple[RoleRef, ...],
     table: frozenset[tuple[RoleRef, RoleRef]],
     registry: ProtocolRegistry,
 ) -> dict[str, tuple[RoleRef, ...]]:
     """Protocol id -> the participant roles the agent can commit to for
     a call naming it, for every protocol of ``registry``: its roles of
-    that protocol plus every enacted role that ``table`` pairs with the
-    protocol's initiator role, as ``(initiator role, participant
-    role)``.  Roles of the called protocol come first, then the rest,
-    each in role order."""
-    mine = [
-        ref
-        for ref in model.role_refs()
-        if registry[ref.protocol].roles[ref.role].kind is RoleKind.PARTICIPANT
-    ]
+    that protocol plus every role of ``mine`` (the participant roles it
+    enacts, in role order) that ``table`` pairs with the protocol's
+    initiator role, as ``(initiator role, participant role)``.  Roles of
+    the called protocol come first, then the rest, each in role order."""
     offers: dict[str, tuple[RoleRef, ...]] = {}
     for protocol_id, protocol in registry.items():
         caller = RoleRef(protocol_id, protocol.initiator_role().role_id)

@@ -501,13 +501,14 @@ class InteractionModel:
     def __init__(self, entries: dict[str, frozenset[str]]) -> None:
         self.entries = entries
 
-    def role_refs(self) -> list[RoleRef]:
-        refs = [
+    def participant_refs(self, registry: ProtocolRegistry) -> tuple[RoleRef, ...]:
+        """The participant roles of ``registry`` it enacts, in role order."""
+        return tuple(sorted(
             RoleRef(pid, rid)
             for pid, rids in self.entries.items()
             for rid in rids
-        ]
-        return sorted(refs)
+            if registry[pid].roles[rid].kind is RoleKind.PARTICIPANT
+        ))
 
 
 class TaskDescription(NamedTuple):
@@ -517,8 +518,8 @@ class TaskDescription(NamedTuple):
     initiator: str
     required_capabilities: frozenset[str]
     participants: dict[str, tuple[str, ...]]
-    #: read only, so the shared default is never changed
-    constraints: dict[str, Any] = {}
+    #: schema id -> the content sent for it; read only, as the default is shared
+    contents: dict[str, Any] = {}
 
 
 def match_task_to_protocols(

@@ -262,11 +262,6 @@ def render_trace(trace: list[TraceEvent]) -> str:
     return "".join(lines)
 
 
-def write_trace(trace: list[TraceEvent], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_trace(trace))
-
-
 # ---------------------------------------------------------------------------
 # Fault injection
 # ---------------------------------------------------------------------------

@@ -10,12 +10,12 @@ silently empty run, and a parsed scenario runs from any directory.
 In an open system many agents enact the same roles, so the work that
 depends only on an agent's ``enacts`` is done once per distinct value:
 agents whose ``enacts`` objects are equal share one checked
-:class:`InteractionModel` (see ``_interaction_model`` for what counts
-as equal), and ``_resolve`` checks each model once, in agent order.
-``build_runtime`` builds one answer table per distinct (model,
-willingness), and every joint participant of that pair answers its
-calls from it with one lookup; every participant of a runtime sends one
-ready-to-select content per distinct list of offered roles.
+:class:`InteractionModel` (see ``_interaction_model``), which
+``_resolve`` checks once; ``task_matches`` matches tasks once per
+distinct (initiator model, capabilities), and ``build_runtime`` lists
+a model's participant roles once and builds one answer table per
+distinct (model, willingness).  No agent holds a model, and the
+participants send one ready-to-select content per distinct offer.
 
 Each document is read with one ``open`` and checked in one walk.  The
 readers of agents and tasks, like the protocol reader's helpers, first
@@ -206,14 +206,14 @@ def _task(entry: dict, where: str) -> TaskDescription:
                 initiator,
                 frozenset(capabilities),
                 {protocol: tuple(agents) for protocol, agents in participants.items()},
-                dict(constraints),
+                constraints.get("contents", {}),
             ))
     task_id = _require(entry, "id", f"{where}: task", str)
     at = f"{where}: task {task_id}"
     _known(entry, _TASK_KEYS, at)
     constraints = _known(entry.get("constraints", {}), _CONSTRAINT_KEYS, f"{at}: constraints")
     # the contents a run sends instead of filled patterns, by schema id
-    _typed(constraints.get("contents", {}), dict, f"{at}: constraints: contents")
+    contents = _typed(constraints.get("contents", {}), dict, f"{at}: constraints: contents")
     return TaskDescription(
         task_id=task_id,
         initiator=_require(entry, "initiator", at, str),
@@ -221,7 +221,7 @@ def _task(entry: dict, where: str) -> TaskDescription:
             _names(entry.get("capabilities", []), at, "capabilities")
         ),
         participants=_names_by_key(entry, "participants", at),
-        constraints=dict(constraints),
+        contents=contents,
     )
 
 
@@ -376,10 +376,12 @@ def _resolve(scenario: Scenario) -> None:
 
 
 def require_own_initiators(scenario: Scenario) -> None:
-    """Each task needs its own id and its own initiator: the runtime
-    hosts one initiator behaviour per agent, so a second task on the
-    same initiator would never run.  ``run_scenario`` and the CLI check
-    this; ``parse_scenario`` does not yet."""
+    """Each task needs its own id and its own initiator, which no task
+    names as a participant: the runtime hosts one behaviour per agent, so
+    a second task on an initiator would never run, and an initiator takes
+    an opening or a call meant for a participant as its own task's.
+    ``run_scenario`` and the CLI check this; ``parse_scenario`` does not
+    yet."""
     by_id: dict[str, int] = {}
     by_initiator: dict[str, str] = {}
     for index, task in enumerate(scenario.tasks):
@@ -395,40 +397,52 @@ def require_own_initiators(scenario: Scenario) -> None:
             )
         by_id[task.task_id] = index
         by_initiator[task.initiator] = task.task_id
+    for task in scenario.tasks:
+        for agent in (a for agents in task.participants.values() for a in agents):
+            if agent in by_initiator:
+                raise ParseError(
+                    f"{scenario.scenario_id}: task {task.task_id!r} names {agent!r} as a "
+                    f"participant, but {agent!r} initiates task {by_initiator[agent]!r}"
+                )
+
+
+def task_matches(scenario: Scenario) -> list[list[tuple[Protocol, str]]]:
+    """Per task, in task order, what :func:`model.match_task_to_protocols`
+    matches to it: one match per distinct (initiator's model, capabilities)."""
+    models = {spec.agent_id: spec.model for spec in scenario.agents}
+    keys = [(models[task.initiator], task.required_capabilities) for task in scenario.tasks]
+    found: dict[tuple[InteractionModel, frozenset[str]], list[tuple[Protocol, str]]] = {}
+    for task, key in zip(scenario.tasks, keys):
+        if key not in found:
+            found[key] = match_task_to_protocols(task, key[0], scenario.registry)
+    return [found[key] for key in keys]
 
 
 def require_mode_fits(scenario: Scenario) -> None:
     """Joint selection sends no task contents.  Individual selection
     talks to one identified participant per task, and runs the first
-    protocol matched to the task (:func:`model.match_task_to_protocols`):
-    there must be one, and the task's contents must each name a schema
-    of it and fit its pattern."""
+    protocol matched to the task (:func:`task_matches`): there must be
+    one, and the task's contents must each name a schema of it and fit
+    its pattern."""
     if scenario.selection_mode == JOINT:
         for task in scenario.tasks:
-            if task.constraints.get("contents"):
+            if task.contents:
                 raise ParseError(f"task {task.task_id}: {JOINT} selection sends no contents")
         return
-    models = {spec.agent_id: spec.model for spec in scenario.agents}
-    # (initiator's model, capabilities) -> the protocol such a task runs
-    runs: dict[tuple, Protocol | None] = {}
-    for task in scenario.tasks:
+    for task, matched in zip(scenario.tasks, task_matches(scenario)):
         named = {a for agents in task.participants.values() for a in agents}
         if len(named) != 1:
             raise UnresolvedReferenceError(
                 f"task {task.task_id}: {scenario.selection_mode} selection with "
                 f"{len(named)} named participants {sorted(named)} (need exactly one)"
             )
-        key = (models[task.initiator], task.required_capabilities)
-        if key not in runs:
-            matched = match_task_to_protocols(task, key[0], scenario.registry)
-            runs[key] = matched[0][0] if matched else None
-        protocol = runs[key]
-        if protocol is None:
+        if not matched:
             raise UnresolvedReferenceError(
                 f"task {task.task_id}: {task.initiator} initiates no protocol with the "
                 f"capabilities {sorted(task.required_capabilities)}"
             )
-        for schema_id, content in task.constraints.get("contents", {}).items():
+        protocol = matched[0][0]
+        for schema_id, content in task.contents.items():
             if schema_id not in protocol.schemas:
                 raise UnresolvedReferenceError(
                     f"task {task.task_id}: contents: {task.initiator} initiates no "
@@ -454,42 +468,48 @@ def build_runtime(scenario: Scenario) -> SimRuntime:
         runtime = SimRuntime(seed=scenario.seed, max_ticks=scenario.max_ticks)
         for fault in scenario.faults:
             runtime.inject_fault(fault)
-        initiators = {task.initiator: task for task in scenario.tasks}
-        # participants with one interaction model (agents with equal enacts
-        # share one) and one willingness answer from one table; equal role
-        # lists, whatever the model, are sent in one content
+        matches = zip(scenario.tasks, task_matches(scenario))
+        initiators = {task.initiator: (task, matched) for task, matched in matches}
+        # agents with equal enacts share one model, whose participant roles
+        # are listed once; with one willingness they answer from one table,
+        # and equal role lists, whatever the model, are sent in one content
+        roles: dict[InteractionModel, tuple[RoleRef, ...]] = {}
         answers: dict[tuple[InteractionModel, bool], dict] = {}
         contents: dict[tuple[RoleRef, ...], dict] = {}
         for spec in scenario.agents:
             if spec.behavior == SILENT:
                 runtime.register(AgentBase(spec.agent_id))  # never answers
                 continue
-            model = spec.model
-            task = initiators.get(spec.agent_id)
-            if task is not None:
+            if spec.agent_id in initiators:
+                task, matched = initiators[spec.agent_id]
                 if scenario.selection_mode == JOINT:
                     runtime.register(
                         JointInitiator(
                             spec.agent_id,
                             task,
-                            model,
+                            matched,
                             registry,
                             mode=scenario.exploration,
                             reply_deadline=scenario.reply_deadline,
                         )
                     )
-                else:
-                    runtime.register(IndividualInitiator(spec.agent_id, task, model, registry))
+                else:  # the reader refuses an individual task with no match
+                    protocol, role_id = matched[0]
+                    ref = RoleRef(protocol.protocol_id, role_id)
+                    runtime.register(IndividualInitiator(spec.agent_id, task, ref, registry))
                 continue
+            mine = roles.get(spec.model)
+            if mine is None:
+                mine = roles[spec.model] = spec.model.participant_refs(registry)
             if scenario.selection_mode == JOINT:
-                key = (model, spec.willing)
+                key = (spec.model, spec.willing)
                 if key not in answers:
-                    answers[key] = answer_table(model, spec.willing, table, registry, contents)
+                    answers[key] = answer_table(mine, spec.willing, table, registry, contents)
                 runtime.register(SelectionParticipant(spec.agent_id, answers[key]))
             elif scenario.selection_mode == SEQUENTIAL:
-                runtime.register(SequentialResponder(spec.agent_id, model, registry))
+                runtime.register(SequentialResponder(spec.agent_id, mine, registry))
             else:
-                runtime.register(MixedResponder(spec.agent_id, model, registry))
+                runtime.register(MixedResponder(spec.agent_id, mine, registry))
         return runtime
 
 

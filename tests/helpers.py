@@ -301,11 +301,9 @@ def rewind_runtime(seed: int) -> SimRuntime:
     )
     rt = SimRuntime(seed=seed)
     rt.inject_fault(FaultSpec(conversation="t/*", ordinal=2, op="corrupt_structure"))
-    rt.register(
-        IndividualInitiator("q", task, InteractionModel({"rw_a": frozenset({"asker"})}), registry)
-    )
+    rt.register(IndividualInitiator("q", task, RoleRef("rw_a", "asker"), registry))
     servers = InteractionModel({protocol_id: frozenset({"server"}) for protocol_id in registry})
-    rt.register(SequentialResponder("c", servers, registry))
+    rt.register(SequentialResponder("c", servers.participant_refs(registry), registry))
     return rt
 
 

@@ -110,7 +110,7 @@ def test_a_refusal_sends_one_content_per_reason(content, willing, enacts, reason
     rt = SimRuntime(seed=0)
     rt.register(AgentBase("q1"))
     for agent in ("d1", "d2"):
-        answers = answer_table(model, willing, frozenset(), registry, {})
+        answers = answer_table(model.participant_refs(registry), willing, frozenset(), registry, {})
         rt.register(SelectionParticipant(agent, answers))
         call = Message(CALL_FOR_COLLABORATION, dict(content), "kv", "core", "q1", agent, "t1!select")
         rt.schedule_send(call)

@@ -30,6 +30,7 @@ import parley.individual
 import parley.joint
 import parley.machine
 import parley.mixed
+import parley.model
 import parley.runtime
 import parley.scenario
 from parley.agents import SelectionParticipant
@@ -154,13 +155,57 @@ def test_an_opening_is_matched_once_per_candidate_role(mode, monkeypatch):
         assert len(machines) == len(servers)
 
 
+@pytest.mark.parametrize("mode", [SEQUENTIAL, MIXED])
+def test_an_agent_is_wired_with_what_it_enacts(mode, monkeypatch):
+    """Twelve tasks on few distinct (initiator model, capabilities): the
+    task matcher runs once per distinct pair when the scenario is read
+    and once when it is wired, and never while it runs; the participant
+    roles of each distinct model are listed once, at wiring."""
+    match = parley.model.match_task_to_protocols
+    matched: Counter = Counter()
+
+    def counted_match(task, model, registry):
+        matched[id(model), task.required_capabilities] += 1
+        return match(task, model, registry)
+
+    for module in (parley.model, parley.scenario, parley.agents):
+        if getattr(module, "match_task_to_protocols", None) is match:
+            monkeypatch.setattr(module, "match_task_to_protocols", counted_match)
+    refs = parley.model.InteractionModel.participant_refs
+    listed: Counter = Counter()
+
+    def counted_refs(model, registry):
+        listed[id(model)] += 1
+        return refs(model, registry)
+
+    monkeypatch.setattr(parley.model.InteractionModel, "participant_refs", counted_refs)
+    scenario = fault_free(mode)
+    models = {spec.agent_id: spec.model for spec in scenario.agents}
+    keys = {(id(models[t.initiator]), t.required_capabilities) for t in scenario.tasks}
+    assert len(scenario.tasks) == 12 and len(keys) < 12
+    assert matched == Counter(dict.fromkeys(keys, 1)) and not listed
+    runtime = build_runtime(scenario)
+    assert matched == Counter(dict.fromkeys(keys, 2))
+    initiators = {t.initiator for t in scenario.tasks}
+    participants = [
+        spec for spec in scenario.agents
+        if spec.agent_id not in initiators and spec.behavior != "silent"
+    ]
+    distinct = {id(spec.model) for spec in participants}
+    assert len(participants) > len(distinct)
+    assert listed == Counter(dict.fromkeys(distinct, 1))
+    trace = runtime.run_until_quiescent()
+    assert {t.outcome for t in summarize(scenario, runtime, trace).tasks} == {"concluded"}
+    assert matched == Counter(dict.fromkeys(keys, 2)) and sum(listed.values()) == len(distinct)
+
+
 def test_offered_roles_are_computed_once_per_model(monkeypatch):
     original = parley.agents.offered_roles
     calls: Counter = Counter()
 
-    def counted(model, table, registry):
-        calls[frozenset(model.entries.items())] += 1
-        return original(model, table, registry)
+    def counted(mine, table, registry):
+        calls[mine] += 1
+        return original(mine, table, registry)
 
     monkeypatch.setattr(parley.agents, "offered_roles", counted)
     scenario = scenario_from_dict(joint_fanout_scenario(Random(7), 9, 60, 30))

@@ -24,7 +24,6 @@ from parley.individual import (
     WRONG_STRUCTURE,
     InteractionError,
     MethodGraph,
-    build_collection,
     clamped_recovery_points,
     compute_recovery_points,
     locate_emission,
@@ -178,25 +177,18 @@ class TestLocateEmission:
 # ---------------------------------------------------------------------------
 
 
-class TestBuildCollection:
+class TestParticipantRefs:
     def test_keeps_only_roles_of_the_requested_kind(self, registry):
         model = InteractionModel(
             {"attr_query": frozenset({"querier", "server"}), "attr_probe": frozenset({"server"})}
         )
-        collection = build_collection(model, registry)
-        assert sorted(collection) == [server("attr_probe"), server("attr_query")]
-
-    def test_unknown_protocols_are_skipped(self, registry):
-        model = InteractionModel(
-            {"attr_query": frozenset({"server"}), "ghost": frozenset({"spirit"})}
-        )
-        collection = build_collection(model, registry)
-        assert sorted(collection) == [server("attr_query")]
+        collection = model.participant_refs(registry)
+        assert collection == (server("attr_probe"), server("attr_query"))
 
 
 class TestReceivingRoles:
     def test_every_server_takes_a_clean_opening_ask(self, registry):
-        hits = receiving_roles(server_collection(), registry, ASK)
+        hits = receiving_roles(tuple(sorted(server_collection())), registry, ASK)
         assert list(hits) == [server(pid) for pid in SERVER_PROTOCOLS]
         for ref, enabled in hits.items():
             machine = registry[ref.protocol].roles[ref.role]
@@ -207,13 +199,13 @@ class TestReceivingRoles:
 
     def test_corrupted_opening_ask_finds_no_takers(self, registry):
         broken = msg("ask-one", {"attribute": 9, "document": "d4"}, sender="q2")
-        assert receiving_roles(server_collection(), registry, broken) == {}
+        assert receiving_roles(tuple(sorted(server_collection())), registry, broken) == {}
 
     def test_only_surviving_roles_answer(self, registry):
         collection = server_collection()
         collection.discard(server("attr_digest"))
         collection.discard(server("attr_lookup"))
-        hits = receiving_roles(collection, registry, ASK)
+        hits = receiving_roles(tuple(sorted(collection)), registry, ASK)
         assert list(hits) == [server("attr_probe"), server("attr_query")]
 
 

@@ -33,6 +33,7 @@ from parley.model import (
     TaskDescription,
     father_order,
     load_protocol,
+    match_task_to_protocols,
 )
 from parley.runtime import WAKE, AgentBase, SimRuntime
 from parley.scenario import build_runtime
@@ -393,7 +394,8 @@ def participant_bus(willing: bool = True) -> tuple[SimRuntime, SelectionParticip
     registry, model, table = _participant_world()
     rt = SimRuntime(seed=0)
     rt.register(AgentBase("q1"))
-    participant = SelectionParticipant("d1", answer_table(model, willing, table, registry, {}))
+    answers = answer_table(model.participant_refs(registry), willing, table, registry, {})
+    participant = SelectionParticipant("d1", answers)
     rt.register(participant)
     return rt, participant
 
@@ -541,7 +543,8 @@ def run_joint(
     model = InteractionModel({protocol_id: frozenset({"asker"}) for protocol_id in registry})
     rt = SimRuntime(seed=0)
     task = TASK._replace(participants={p: tuple(agents) for p, agents in identified.items()})
-    initiator = JointInitiator("q1", task, model, registry, PROTOCOL_ORIENTED, reply_deadline)
+    candidates = match_task_to_protocols(task, model, registry)
+    initiator = JointInitiator("q1", task, candidates, registry, PROTOCOL_ORIENTED, reply_deadline)
     rt.register(initiator)
     log: list = []
     for agent, replies in script.items():
@@ -861,6 +864,7 @@ def test_an_initiator_role_is_never_offered():
         {"ips": frozenset({"asker", "replier"}), "request": frozenset({"asker"})}
     )
     replier = RoleRef("ips", "replier")
-    assert offered_roles(model, frozenset(), registry)["ips"] == (replier,)
+    mine = model.participant_refs(registry)
+    assert offered_roles(mine, frozenset(), registry)["ips"] == (replier,)
     table = frozenset({(RoleRef("ips", "asker"), RoleRef("request", "asker"))})
-    assert offered_roles(model, table, registry)["ips"] == (replier,)
+    assert offered_roles(mine, table, registry)["ips"] == (replier,)

@@ -90,7 +90,7 @@ def registry():
 
 def instantiate(collection, registry, rng):
     """Open a zone on ASK, matched once as the responder matches it."""
-    takers = receiving_roles(collection, registry, ASK)
+    takers = receiving_roles(tuple(sorted(collection)), registry, ASK)
     return instantiate_all(takers, registry, Journal("t2/c1", "c1", "q2"), ASK, rng)
 
 

@@ -314,9 +314,15 @@ def test_task_matching_filters_and_sorts():
     ]
 
 
-def test_interaction_model_role_refs_are_sorted():
-    model = InteractionModel({"ips": frozenset({"replier", "asker"})})
-    assert model.role_refs() == [RoleRef("ips", "asker"), RoleRef("ips", "replier")]
+def test_interaction_model_participant_refs_are_sorted():
+    registry = {"ips": one_one_protocol("ips"), "request": one_one_protocol("request")}
+    model = InteractionModel(
+        {"request": frozenset({"replier"}), "ips": frozenset({"replier", "asker"})}
+    )
+    assert model.participant_refs(registry) == (
+        RoleRef("ips", "replier"),
+        RoleRef("request", "replier"),
+    )
 
 
 #: ``one_one_protocol("p1")`` of ``tests/helpers.py`` as a document; one

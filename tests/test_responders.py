@@ -39,7 +39,7 @@ def bus(responder) -> SimRuntime:
     model = InteractionModel({"ips": frozenset({"replier"})})
     rt = SimRuntime(seed=0)
     rt.register(AgentBase("q1"))
-    rt.register(responder("d1", model, registry))
+    rt.register(responder("d1", model.participant_refs(registry), registry))
     return rt
 
 

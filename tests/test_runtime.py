@@ -32,7 +32,6 @@ from parley.runtime import (
     corrupt_content,
     corrupt_structure,
     render_trace,
-    write_trace,
 )
 from parley.scenario import (
     MIXED,
@@ -1027,16 +1026,6 @@ class TestTraceShape:
                     assert list(event.payload.keys()) == list(fields)
                     checked += 1
         assert checked > 100
-
-    def test_write_trace_round_trips_bytes(self, tmp_path):
-        rt = SimRuntime(seed=0)
-        rt.register(Recorder("sink"))
-        rt.register(AgentBase("src"))
-        rt.schedule_send(msg("src", "sink"))
-        rt.run_until_quiescent()
-        out = tmp_path / "t.jsonl"
-        write_trace(rt.trace, out)
-        assert out.read_text(encoding="utf-8") == render_trace(rt.trace)
 
 
 # ---------------------------------------------------------------------------

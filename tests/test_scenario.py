@@ -14,6 +14,7 @@ from random import Random
 
 import pytest
 
+import parley.cli
 import parley.model
 import parley.runtime
 import parley.scenario
@@ -837,9 +838,29 @@ def t1_joint_with_a_copy(**changes) -> dict:
     return raw
 
 
+def crossed_initiators(mode: str) -> dict:
+    """Two tasks, each naming the other's initiator as its participant:
+    q2 runs t2 with c1, and c1 runs t3 with q2 (q1 runs t1 with d4 among
+    others, and d4 runs t1b with q1, in joint mode)."""
+    if mode == JOINT:
+        raw = t1_joint_with_a_copy(initiator="d4", participants={"ips": ["q1"]})
+        raw["agents"][0]["enacts"]["ips"] = ["asker", "replier"]
+        raw["agents"][4]["enacts"]["ips"] = ["asker", "replier"]
+        return raw
+    raw = _bundled_raw("t2_sequential_fault")
+    raw["selection_mode"] = mode
+    raw["agents"][1]["enacts"]["attr_query"] = ["querier", "server"]
+    raw["tasks"].append(
+        {**raw["tasks"][0], "id": "t3", "initiator": "c1", "participants": {"attr_query": ["q2"]}}
+    )
+    return raw
+
+
 class TestTaskIdentity:
-    """A task needs its own id and its own initiator; otherwise one of
-    two tasks would never run and be reported with the other's outcome."""
+    """A task needs its own id and its own initiator, and names no
+    initiator as a participant; otherwise one of two tasks would never
+    run and be reported with the other's outcome, or an initiator would
+    take a call or an opening meant for a participant as its own."""
 
     def test_a_shared_initiator_is_rejected_naming_both_tasks(self):
         scenario = scenario_from_dict(t1_joint_with_a_copy())
@@ -871,6 +892,35 @@ class TestTaskIdentity:
         assert cli_main([command, str(path)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "'t1' and 't1b'" in err
+
+    @pytest.mark.parametrize("mode", [JOINT, SEQUENTIAL, MIXED])
+    def test_an_initiator_named_as_a_participant_is_rejected(self, mode, tmp_path, capsys):
+        raw = crossed_initiators(mode)
+        task, agent, other = ("t1", "d4", "t1b") if mode == JOINT else ("t2", "c1", "t3")
+        message = (
+            f"task {task!r} names {agent!r} as a participant, "
+            f"but {agent!r} initiates task {other!r}"
+        )
+        scenario = scenario_from_dict(raw)
+        with pytest.raises(ParseError, match=re.escape(message)):
+            require_own_initiators(scenario)
+        with pytest.raises(ParseError, match=re.escape(message)):
+            run_scenario(scenario)
+        path = tmp_path / "crossed.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        trace = tmp_path / "kept.jsonl"
+        trace.write_text("kept\n", encoding="utf-8")
+        for command in (["validate", str(path)], ["run", str(path), "--trace", str(trace)]):
+            assert cli_main(command) == 2
+            assert capsys.readouterr() == ("", f"error: {raw['scenario_id']}: {message}\n")
+        assert trace.read_text(encoding="utf-8") == "kept\n"
+
+    def test_an_initiator_named_as_its_own_participant_is_rejected(self):
+        raw = _bundled_raw("t1_joint")
+        raw["tasks"][0]["participants"]["ips"].append("q1")
+        message = "task 't1' names 'q1' as a participant, but 'q1' initiates task 't1'"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            run_scenario(scenario_from_dict(raw))
 
     def test_bundled_scenarios_have_their_own_initiators(self):
         for name in BUNDLED:
@@ -1046,6 +1096,19 @@ class TestCli:
         capsys.readouterr()
         frozen = (DATA / "t2_mixed_fault.trace.jsonl").read_text(encoding="utf-8")
         assert out.read_text(encoding="utf-8") == frozen
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_run_refuses_a_trace_path_it_cannot_write_before_running(
+        self, where, tmp_path, capsys, monkeypatch
+    ):
+        path = tmp_path / "no" / "run.jsonl" if where == "missing-directory" else tmp_path
+        reason = "No such file or directory" if where == "missing-directory" else "Is a directory"
+        ran = []
+        monkeypatch.setattr(parley.cli, "run_scenario", ran.append)
+        assert cli_main(["run", "t1_joint", "--trace", str(path)]) == 2
+        error = f"error: --trace {path}: cannot write the trace ({reason})\n"
+        assert capsys.readouterr() == ("", error)
+        assert ran == []
 
     def test_run_seed_override(self, capsys):
         assert cli_main(["run", "t1_joint", "--seed", "99"]) == 0
