@@ -174,8 +174,10 @@ def first_difference(path: Path, fresh: str) -> str | None:
     )
 
 
-def dumps_per_event(events) -> str:
-    return "".join(json.dumps({"tick": t, "kind": k, **p}) + "\n" for t, k, p in events)
+def dumps_per_event(trace) -> str:
+    return "".join(
+        json.dumps({"tick": e.tick, "kind": e.kind, **e.payload}) + "\n" for e in trace
+    )
 
 
 def render_without_c_encoder(trace) -> str:
@@ -199,50 +201,54 @@ def render_problems() -> list[str]:
             "performative": "inform", "tag": "m.1", "content": {"x": [1, 0.5]}}
     deliver = {k: send[k] for k in ("seq", "from", "to", "conversation", "performative")}
 
-    def sent(**change):
-        return Sent(4, message._replace(**change))
+    def sent(tick=3, **change):
+        return Sent(tick, 4, message._replace(**change))
 
-    def delivered(**change):
-        return Delivered(4, message._replace(**change))
+    def delivered(tick=3, **change):
+        return Delivered(tick, 4, message._replace(**change))
 
     cases = {
-        "send record": [(3, "send", sent())],
-        "send record without tag": [(3, "send", sent(reply_with=None))],
+        "send record": [sent()],
+        "send record without tag": [sent(reply_with=None)],
         "send record with non-ASCII ids and tag": [
-            (3, "send", sent(receiver="\u4e2d", reply_with="\u00e9\U0001f600"))
+            sent(receiver="\u4e2d", reply_with="\u00e9\U0001f600")
         ],
         "send record with NaN and infinities": [
-            (3, "send", sent(content=[float("nan"), float("inf"), -float("inf")]))
+            sent(content=[float("nan"), float("inf"), -float("inf")])
         ],
-        "deliver record": [(3, "deliver", delivered())],
+        "deliver record": [delivered()],
         "record with unserialisable content": [
-            (1, "deliver", delivered()), (3, "send", sent(content={"deep": [{1, 2}]}))
+            delivered(1), sent(content={"deep": [{1, 2}]})
         ],
-        "record with circular content": [(3, "send", sent(content=loop))],
-        "send dict": [(3, "send", send)],
-        "send dict without tag": [(3, "send", {**send, "tag": None})],
-        "send dict with non-ASCII ids": [(3, "send", {**send, "to": "\u4e2d", "tag": "\u00e9\U0001f600"})],
+        "record with circular content": [sent(content=loop)],
+        "send dict": [TraceEvent(3, "send", send)],
+        "send dict without tag": [TraceEvent(3, "send", {**send, "tag": None})],
+        "send dict with non-ASCII ids": [
+            TraceEvent(3, "send", {**send, "to": "\u4e2d", "tag": "\u00e9\U0001f600"})
+        ],
         "send dict with NaN and infinities": [
-            (3, "send", {**send, "content": [float("nan"), float("inf"), -float("inf")]})
+            TraceEvent(3, "send", {**send, "content": [float("nan"), float("inf"), -float("inf")]})
         ],
-        "send dict with bool seq": [(3, "send", {**send, "seq": True})],
-        "send dict with int sender": [(3, "send", {**send, "from": 7})],
-        "send dict with int tag": [(3, "send", {**send, "tag": 7})],
-        "send dict with bool tick": [(True, "send", send)],
-        "deliver dict": [(3, "deliver", deliver)],
-        "deliver dict with None receiver": [(3, "deliver", {**deliver, "to": None})],
-        "spliced payload": [(5, "recovery", {"conversation": "c", "points": [1, None]})],
-        "empty payload": [(5, "selection", {})],
-        "payload with its own kind": [(5, "recovery", {"action": "replacement", "kind": "content"})],
+        "send dict with bool seq": [TraceEvent(3, "send", {**send, "seq": True})],
+        "send dict with int sender": [TraceEvent(3, "send", {**send, "from": 7})],
+        "send dict with int tag": [TraceEvent(3, "send", {**send, "tag": 7})],
+        "send dict with bool tick": [TraceEvent(True, "send", send)],
+        "deliver dict": [TraceEvent(3, "deliver", deliver)],
+        "deliver dict with None receiver": [TraceEvent(3, "deliver", {**deliver, "to": None})],
+        "spliced payload": [TraceEvent(5, "recovery", {"conversation": "c", "points": [1, None]})],
+        "empty payload": [TraceEvent(5, "selection", {})],
+        "payload with its own kind": [
+            TraceEvent(5, "recovery", {"action": "replacement", "kind": "content"})
+        ],
         "unserialisable content": [
-            (1, "deliver", deliver), (3, "send", {**send, "content": {"deep": [{1, 2}]}})
+            TraceEvent(1, "deliver", deliver),
+            TraceEvent(3, "send", {**send, "content": {"deep": [{1, 2}]}}),
         ],
-        "circular content": [(3, "send", {**send, "content": loop})],
-        "unserialisable payload": [(5, "recovery", {"x": b"bytes"})],
+        "circular content": [TraceEvent(3, "send", {**send, "content": loop})],
+        "unserialisable payload": [TraceEvent(5, "recovery", {"x": b"bytes"})],
     }
     problems = []
-    for name, events in cases.items():
-        trace = [TraceEvent(*e) for e in events]
+    for name, trace in cases.items():
         outcomes = {}
         for path, render in (
             ("json.dumps", dumps_per_event),

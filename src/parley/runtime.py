@@ -17,12 +17,15 @@ send made while a tick is drained lands behind everything queued for
 that tick: the (tick, sequence) order of a heap, at the cost of an
 append and a pop.
 
-The bus records each message once: a send event's payload is a
-``Sent(seq, message)`` record and a deliver event's a
-``Delivered(seq, message)``, each holding the ``Message`` itself (for a
-delivery, the message after any fault).  A record reads like the dict
-of its trace fields, and ``render_trace`` writes its line straight off
-the message.  Agents' notes and fault events are dicts.
+The bus records each message once on each side, as one tuple per
+event: a send is a ``Sent(tick, seq, message)`` record and a delivery
+a ``Delivered(tick, seq, message)``, each holding the ``Message``
+itself (for a delivery, the message after any fault).  A record is its
+own payload, which reads like the dict of its trace fields, and
+``render_trace`` writes its line straight off the message.  Agents'
+notes and fault events are ``TraceEvent(tick, kind, dict)`` tuples.
+As it records them, the bus counts what a run's summary needs: each
+conversation's sends between two agents and its recovery notes.
 
 Timers are plain self-addressed messages: an agent that wants to hear
 back in N ticks schedules a wake to itself with delay N.  Self-sends
@@ -100,20 +103,21 @@ collector_paused = _CollectorPause()
 
 
 class TraceEvent(NamedTuple):
-    """One trace event: a ``(tick, kind, payload)`` tuple.
+    """A note: an agent's (selection, recovery or termination) or a
+    fault's, as a ``(tick, kind, payload)`` tuple.
 
-    ``tick`` is the bus's ``int`` tick and ``kind`` one of send, deliver,
-    fault, recovery, selection or termination.  The payload of a send or
-    deliver event is a :class:`Sent` or :class:`Delivered` record, which
-    holds the message itself and reads like the dict of its trace
-    fields; every other payload is a dict, rendered whole through
-    :meth:`as_dict`.  A payload is stored as the bus or the agent passed
-    it, not copied, so it must not change once noted.
+    ``tick`` is the bus's ``int`` tick, ``kind`` the note's kind, and the
+    payload a dict, rendered whole through :meth:`as_dict`.  A payload is
+    stored as the bus or the agent passed it, not copied, so it must not
+    change once noted.  The bus's send and deliver events are
+    :class:`Sent` and :class:`Delivered` records, which read the same
+    ``tick``, ``kind`` and ``payload``; the fields of a trace event are
+    read by name, because the records' tuples have another layout.
     """
 
     tick: int
     kind: str
-    payload: dict | Sent | Delivered
+    payload: dict
 
     def as_dict(self) -> dict:
         return {"tick": self.tick, "kind": self.kind, **self.payload}
@@ -123,29 +127,31 @@ class TraceEvent(NamedTuple):
 _AT = Message._fields.index
 
 
-class _BusRecord(tuple):
-    """A ``(seq, message)`` tuple with a read-only view of the dict of its
-    trace fields: ``record["from"]``, ``get``, ``keys()``, ``in``,
-    ``dict(record)`` and ``{**record}`` see the fields of ``_FIELDS``, in
-    line order, with the message's values.  It copies nothing, so it is
-    as immutable as its message.  Iterating it, as for any tuple, gives
-    its seq and message."""
+class _BusRecord(NamedTuple):
+    """A bus event that is its own payload: a ``(tick, seq, message)``
+    tuple whose class names its ``kind``.
 
-    __slots__ = ()
+    ``payload`` is the record itself, a read-only view of the dict of its
+    trace fields: ``payload["from"]``, ``get``, ``keys()``, ``in``,
+    ``dict(payload)`` and ``{**payload}`` see the fields of ``_FIELDS``,
+    in line order, with the message's values.  It copies nothing, so it
+    is as immutable as its message.
+    """
+
+    tick: int
+    seq: int
+    message: Message
+
     #: trace field -> the index of its value in the message, None for the
     #: seq; in the order a trace line writes the fields
-    _FIELDS: dict[str, int | None] = {}
-
-    def __new__(cls, seq: int, message: Message):
-        return tuple.__new__(cls, (seq, message))
+    _FIELDS = {}
 
     @property
-    def seq(self) -> int:
-        return tuple.__getitem__(self, 0)
+    def payload(self) -> _BusRecord:
+        return self
 
-    @property
-    def message(self) -> Message:
-        return tuple.__getitem__(self, 1)
+    def as_dict(self) -> dict:
+        return {"tick": self.tick, "kind": self.kind, **self}
 
     def keys(self):
         return self._FIELDS.keys()
@@ -155,18 +161,18 @@ class _BusRecord(tuple):
 
     def __getitem__(self, key):
         index = self._FIELDS[key]
-        seq, message = self
-        return seq if index is None else message[index]
+        return self.seq if index is None else self.message[index]
 
     def get(self, key, default=None):
         return self[key] if key in self._FIELDS else default
 
 
 class Sent(_BusRecord):
-    """A send event's payload: the sequence number and the message as
-    it was scheduled."""
+    """A send event: the tick it was sent at, its sequence number and the
+    message as it was scheduled."""
 
     __slots__ = ()
+    kind = "send"
     _FIELDS = {
         "seq": None,
         "from": _AT("sender"),
@@ -179,31 +185,37 @@ class Sent(_BusRecord):
 
 
 class Delivered(_BusRecord):
-    """A deliver event's payload: the sequence number and the message as
-    it was handed to its receiver, after any fault."""
+    """A deliver event: the tick it was delivered at, the sequence number
+    of its send and the message as it was handed to its receiver, after
+    any fault."""
 
     __slots__ = ()
+    kind = "deliver"
     _FIELDS = {
         field: Sent._FIELDS[field] for field in ("seq", "from", "to", "conversation", "performative")
     }
 
 
-def render_trace(trace: list[TraceEvent]) -> str:
+#: a run's events in the order they happened: notes and bus records
+Trace = list[TraceEvent | Sent | Delivered]
+
+
+def render_trace(trace: Trace) -> str:
     """One JSON object per line, fields in insertion order.
 
     Each line is what ``json.dumps`` writes for ``event.as_dict()`` with
-    its defaults.  A :class:`Sent` or :class:`Delivered` payload is
-    written from a template, read straight off its message, which holds
-    for the values the bus writes: ``int`` ticks and seqs, ``str`` kinds
-    and ids, a ``str`` or ``None`` tag; an id, performative or tag of
-    another type raises ``TypeError`` from the quoting.  Ints are written as
-    ``int.__repr__`` and strings through the ``encode_basestring_ascii``
-    of ``json.dumps``; a send's ``content`` goes through the C encoder,
-    once per call for each distinct content object (a content is never
-    changed once sent, and a broadcast call or equal offers share one).
-    Every other event (an agent's note, a fault) is encoded whole through
-    ``event.as_dict()``.  One C encoder, with the ``json.dumps``
-    defaults, serves the whole call.
+    its defaults.  A :class:`Sent` or :class:`Delivered` record is
+    written from a template, read straight off its tuple and its
+    message, which holds for the values the bus writes: ``int`` ticks
+    and seqs, ``str`` ids and a ``str`` or ``None`` tag; an id,
+    performative or tag of another type raises ``TypeError`` from the
+    quoting.  Ints are written as ``int.__repr__`` and strings through
+    the ``encode_basestring_ascii`` of ``json.dumps``; a send's
+    ``content`` goes through the C encoder, once per call for each
+    distinct content object (a content is never changed once sent, and a
+    broadcast call or equal offers share one).  Every note is encoded
+    whole through ``event.as_dict()``.  One C encoder, with the
+    ``json.dumps`` defaults, serves the whole call.
     """
     if c_make_encoder is None:
         return "".join(json.dumps(event.as_dict()) + "\n" for event in trace)
@@ -220,11 +232,12 @@ def render_trace(trace: list[TraceEvent]) -> str:
     texts: dict[int, str] = {}
     lines: list[str] = []
     for event in trace:
-        tick, kind, payload = event
-        record = type(payload)
+        record = type(event)
         try:
+            # a record's tuple is (tick, seq, message), unpacked once its
+            # class is known
             if record is Sent:
-                seq, (performative, content, _, _, sender, receiver, conversation, tag) = payload
+                tick, seq, (performative, content, _, _, sender, receiver, conversation, tag) = event
                 text = texts.get(id(content))
                 if text is None:
                     text = "".join(encode(content, 0))
@@ -235,7 +248,7 @@ def render_trace(trace: list[TraceEvent]) -> str:
                     if getrefcount(content) > 3:
                         texts[id(content)] = text
                 lines.append(
-                    f'{{"tick": {tick}, "kind": {quote(kind)}, "seq": {seq}, '
+                    f'{{"tick": {tick}, "kind": "send", "seq": {seq}, '
                     f'"from": {quote(sender)}, "to": {quote(receiver)}, '
                     f'"conversation": {quote(conversation)}, '
                     f'"performative": {quote(performative)}, '
@@ -243,9 +256,9 @@ def render_trace(trace: list[TraceEvent]) -> str:
                     f'"content": {text}}}\n'
                 )
             elif record is Delivered:
-                seq, (performative, _, _, _, sender, receiver, conversation, _) = payload
+                tick, seq, (performative, _, _, _, sender, receiver, conversation, _) = event
                 lines.append(
-                    f'{{"tick": {tick}, "kind": {quote(kind)}, "seq": {seq}, '
+                    f'{{"tick": {tick}, "kind": "deliver", "seq": {seq}, '
                     f'"from": {quote(sender)}, "to": {quote(receiver)}, '
                     f'"conversation": {quote(conversation)}, '
                     f'"performative": {quote(performative)}}}\n'
@@ -364,7 +377,11 @@ class SimRuntime:
         self.rng = Random(seed)
         self.max_ticks = max_ticks
         self.agents: dict[str, AgentBase] = {}
-        self.trace: list[TraceEvent] = []
+        self.trace: Trace = []
+        #: conversation id -> its sends between two agents, counted as sent
+        self.messages: dict[str, int] = {}
+        #: conversation id -> its recovery notes, counted as noted
+        self.recoveries: dict[str, int] = {}
         #: tick -> its pending (seq, message, zero-delay hops), in seq order
         self._queues: dict[int, deque[tuple[int, Message, int]]] = {}
         self._seq = 0
@@ -395,8 +412,11 @@ class SimRuntime:
     # -- event log ---------------------------------------------------------
 
     def note(self, kind: str, payload: dict) -> None:
-        """Append an event with a dict payload: an agent's note or a fault."""
+        """Append a note with a dict payload: an agent's or a fault's."""
         self.trace.append(_new_tuple(TraceEvent, (self.tick, kind, payload)))
+        if kind == "recovery":
+            conversation = payload.get("conversation")
+            self.recoveries[conversation] = self.recoveries.get(conversation, 0) + 1
 
     # -- sending -----------------------------------------------------------
 
@@ -411,11 +431,12 @@ class SimRuntime:
         if queue is None:
             queue = self._queues[tick] = deque()
         queue.append((self._seq, msg, 0 if delay else self._hops + 1))
-        # every send and delivery is recorded: build both tuples with the
+        # every send and delivery is recorded: build the record with the
         # tuple constructor, not through a Python-level __new__
-        self.trace.append(
-            _new_tuple(TraceEvent, (self.tick, "send", _new_tuple(Sent, (self._seq, msg))))
-        )
+        self.trace.append(_new_tuple(Sent, (self.tick, self._seq, msg)))
+        if msg.sender != msg.receiver:
+            messages = self.messages
+            messages[msg.conversation_id] = messages.get(msg.conversation_id, 0) + 1
 
     def wake_self(self, agent: str, conversation: str, content: dict, delay: int) -> None:
         """Schedule a timer: a wake message from the agent to itself."""
@@ -483,12 +504,10 @@ class SimRuntime:
     def _deliver(self, seq: int, msg: Message) -> None:
         if self._faults:
             msg = self._apply_faults(seq, msg)
-        self.trace.append(
-            _new_tuple(TraceEvent, (self.tick, "deliver", _new_tuple(Delivered, (seq, msg))))
-        )
+        self.trace.append(_new_tuple(Delivered, (self.tick, seq, msg)))
         self.agents[msg.receiver].on_message(self, msg)
 
-    def run_until_quiescent(self) -> list[TraceEvent]:
+    def run_until_quiescent(self) -> Trace:
         """Deliver until nothing is pending; return the trace.
 
         Automatic garbage collection is paused for the run (see the

@@ -34,7 +34,6 @@ looked at once, by the first collection after it.
 
 from __future__ import annotations
 
-from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -65,7 +64,7 @@ from .model import (
     read_document,
 )
 from .patterns import content_matches
-from .runtime import STRUCTURE_FIELDS, AgentBase, FaultSpec, SimRuntime, TraceEvent, collector_paused
+from .runtime import STRUCTURE_FIELDS, AgentBase, FaultSpec, SimRuntime, Trace, collector_paused
 
 JOINT = "joint"
 SEQUENTIAL = "individual_sequential"
@@ -539,18 +538,17 @@ class RunSummary(NamedTuple):
         return all(task.terminated for task in self.tasks)
 
 
-def summarize(scenario: Scenario, runtime: SimRuntime, trace: list[TraceEvent]) -> RunSummary:
-    # one pass over the trace: per conversation, recoveries and non-self
-    # sends, each send read off the message its Sent record holds
-    recoveries: Counter[str] = Counter()
-    messages: Counter[str] = Counter()
-    for _, kind, payload in trace:
-        if kind == "send":
-            _, msg = payload
-            if msg.sender != msg.receiver:
-                messages[msg.conversation_id] += 1
-        elif kind == "recovery":
-            recoveries[payload.get("conversation")] += 1
+def summarize(scenario: Scenario, runtime: SimRuntime, trace: Trace) -> RunSummary:
+    """Each task's outcome and counts, read off its initiator and the bus.
+
+    A task's ``messages`` are its conversation's sends between two
+    agents and its ``recoveries`` the conversation's recovery notes, both
+    counted by the bus as it recorded them, so the summary costs
+    O(tasks).  ``trace`` is not read; the benchmark harness still
+    passes it.
+    """
+    recoveries = runtime.recoveries
+    messages = runtime.messages
     tasks = []
     for task in scenario.tasks:
         agent = runtime.agents[task.initiator]
@@ -560,8 +558,8 @@ def summarize(scenario: Scenario, runtime: SimRuntime, trace: list[TraceEvent]) 
                 task_id=task.task_id,
                 outcome=outcome,
                 detail=detail,
-                recoveries=recoveries[agent.conversation],
-                messages=messages[agent.conversation],
+                recoveries=recoveries.get(agent.conversation, 0),
+                messages=messages.get(agent.conversation, 0),
                 terminated=outcome in ("selected", "concluded"),
             )
         )
@@ -574,7 +572,7 @@ def summarize(scenario: Scenario, runtime: SimRuntime, trace: list[TraceEvent]) 
     )
 
 
-def run_scenario(scenario: Scenario) -> tuple[list[TraceEvent], RunSummary]:
+def run_scenario(scenario: Scenario) -> tuple[Trace, RunSummary]:
     require_own_initiators(scenario)
     runtime = build_runtime(scenario)
     trace = runtime.run_until_quiescent()

@@ -277,27 +277,26 @@ def oracle_delivery_order(runs: list[list[tuple[int, tuple]]]) -> list[tuple[int
 # Run summary counts
 # ---------------------------------------------------------------------------
 
-def oracle_summary_counts(
-    events: list[tuple[str, dict]], conversations: dict[str, set[str]]
-) -> dict[str, tuple[int, int]]:
+def oracle_summary_counts(trace, conversations: dict[str, set[str]]) -> dict[str, tuple[int, int]]:
     """task id -> (messages, recoveries), rescanning the trace per task.
 
-    events: (kind, payload) per trace event, in trace order.
-    conversations: task id -> the conversation ids of the task.
+    trace: a run's events, of which only ``kind`` and ``payload`` are
+    read.  conversations: task id -> the conversation ids of the task.
     Messages are the task's sends between two different agents, so
     self-addressed wakes do not count; recoveries are its recovery
-    events.
+    events.  It reads the trace, where ``summarize`` reads the counts
+    the bus keeps as it records.
     """
     counts = {}
     for task, convs in conversations.items():
         messages = sum(
-            1 for kind, p in events
-            if kind == "send" and p.get("conversation") in convs
-            and p.get("from") != p.get("to")
+            1 for e in trace
+            if e.kind == "send" and e.payload.get("conversation") in convs
+            and e.payload.get("from") != e.payload.get("to")
         )
         recoveries = sum(
-            1 for kind, p in events
-            if kind == "recovery" and p.get("conversation") in convs
+            1 for e in trace
+            if e.kind == "recovery" and e.payload.get("conversation") in convs
         )
         counts[task] = (messages, recoveries)
     return counts
@@ -405,14 +404,15 @@ def oracle_zone_coherent(zone) -> bool:
     return all(oracle_same_signature(generated[0], m) for m in generated[1:])
 
 
-def oracle_render(events: list[tuple[object, str, dict]]) -> str:
+def oracle_render(events) -> str:
     """The JSON Lines trace, one ``json.dumps`` per event.
 
-    events: (tick, kind, payload) per event.  A line holds the tick, the
-    kind, then the payload's fields; a payload field named ``tick`` or
-    ``kind`` overwrites that value in place.
+    events: trace events, of which only ``tick``, ``kind`` and
+    ``payload`` are read.  A line holds the tick, the kind, then the
+    payload's fields; a payload field named ``tick`` or ``kind``
+    overwrites that value in place.
     """
     return "".join(
-        json.dumps({"tick": tick, "kind": kind, **payload}) + "\n"
-        for tick, kind, payload in events
+        json.dumps({"tick": event.tick, "kind": event.kind, **event.payload}) + "\n"
+        for event in events
     )

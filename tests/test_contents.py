@@ -116,7 +116,7 @@ def test_a_refusal_sends_one_content_per_reason(content, willing, enacts, reason
         rt.schedule_send(call)
     start = len(rt.trace)
     rt.run_until_quiescent()
-    sent = [p for _, kind, p in rt.trace[start:] if kind == "send"]
+    sent = [e.payload for e in rt.trace[start:] if e.kind == "send"]
     assert [(p["from"], p["performative"], p["content"]) for p in sent] == [
         (agent, UNABLE_TO_SELECT, {"reason": reason}) for agent in ("d1", "d2")
     ]

@@ -12,7 +12,9 @@ do not grow with the size of the call, and a role allocation runs a
 bounded number of matchings whatever the size of the pool.  The lifetime checks drop a finished run
 and require its machines and agents to be collected, which rules out
 any cache that holds on to them from module level, and require that
-the run left no reference cycle behind for the collector to find.
+the run left no reference cycle behind for the collector to find.  A
+run keeps one object per trace event: a send or deliver is its own
+record, with no wrapper around it.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from parley.model import (
     father_order,
     load_protocol,
 )
-from parley.runtime import WAKE, render_trace
+from parley.runtime import WAKE, Delivered, Sent, TraceEvent, render_trace
 from parley.scenario import (
     MIXED,
     SEQUENTIAL,
@@ -425,6 +427,46 @@ def test_a_run_leaves_no_cyclic_garbage(doc, tmp_path):
             assert any(e.kind == "fault" for e in trace)
         del scenario, runtime, trace
         assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _live_events() -> int:
+    """The trace events alive in the process, of every event class."""
+    classes = (TraceEvent, Sent, Delivered)
+    return sum(1 for o in gc.get_objects() if type(o) in classes)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        joint_fanout_scenario(Random(7), 6, 40, 20),
+        individual_scenario(Random(4), SEQUENTIAL, 8, max_faults=3),
+        individual_scenario(Random(4), MIXED, 8, max_faults=3),
+    ],
+    ids=["joint_fanout", "sequential", "mixed"],
+)
+def test_a_run_keeps_one_object_per_event(doc):
+    """Every send and deliver event is a bus record that is its own
+    payload, so the event objects a run leaves alive are exactly its
+    trace: no wrapper beside a record."""
+    enabled = gc.isenabled()
+    # a collection may stop tracking a tuple, which hides it from the count
+    gc.disable()
+    try:
+        gc.collect()
+        before = _live_events()
+        trace = build_runtime(scenario_from_dict(doc)).run_until_quiescent()
+        after = _live_events()
+        bus = [e for e in trace if e.kind in ("send", "deliver")]
+        assert bus and all(type(e) is {"send": Sent, "deliver": Delivered}[e.kind] for e in bus)
+        assert all(e.payload is e for e in bus)
+        assert all(type(e) is TraceEvent for e in trace if e.kind not in ("send", "deliver"))
+        if doc.get("faults"):
+            assert any(e.kind == "fault" for e in trace)
+            assert any(e.kind == "recovery" for e in trace)
+        assert after - before == len(trace)
     finally:
         if enabled:
             gc.enable()

@@ -406,7 +406,9 @@ def deliver(rt: SimRuntime, performative: str, content: dict) -> list[tuple[str,
     start = len(rt.trace)
     rt.run_until_quiescent()
     return [
-        (p["performative"], p["content"]) for _, kind, p in rt.trace[start:] if kind == "send"
+        (e.payload["performative"], e.payload["content"])
+        for e in rt.trace[start:]
+        if e.kind == "send"
     ]
 
 
@@ -557,9 +559,9 @@ def sent_by(rt: SimRuntime, sender: str) -> list[tuple[str, str]]:
     """(receiver, performative) of every message ``sender`` sent to
     another agent, in send order."""
     return [
-        (p["to"], p["performative"])
-        for _, kind, p in rt.trace
-        if kind == "send" and p["from"] == sender and p["to"] != sender
+        (e.payload["to"], e.payload["performative"])
+        for e in rt.trace
+        if e.kind == "send" and e.payload["from"] == sender and e.payload["to"] != sender
     ]
 
 
@@ -630,7 +632,7 @@ class TestRunJoint11:
         initiator, rt, _ = run_joint(INCIDENCES, {a: [UNABLE, UNABLE] for a in agents})
         matrix = initiator.matrix
         messages = sum(
-            1 for _, kind, p in rt.trace if kind == "send" and p["from"] != p["to"]
+            1 for e in rt.trace if e.kind == "send" and e.payload["from"] != e.payload["to"]
         )
         assert messages <= 3 * len(matrix.protocols) * len(matrix.agents)
 
@@ -665,8 +667,8 @@ def largest_set(*agents: str, protocol_id: str = "bid") -> tuple[str, dict]:
 def sent_at(rt: SimRuntime, performative: str, field: str = "to") -> list[tuple[int, object]]:
     """(tick, ``field``) of every ``performative`` message sent, in send order."""
     return [
-        (tick, p[field]) for tick, kind, p in rt.trace
-        if kind == "send" and p["performative"] == performative
+        (e.tick, e.payload[field]) for e in rt.trace
+        if e.kind == "send" and e.payload["performative"] == performative
     ]
 
 
@@ -806,7 +808,10 @@ def malformed(kind: str, protocol_id: str, role_id: str) -> tuple[str, dict, int
 
 
 def malformed_notes(rt: SimRuntime) -> list[dict]:
-    return [p for _, kind, p in rt.trace if kind == "selection" and p["step"] == "malformed-offer"]
+    return [
+        e.payload for e in rt.trace
+        if e.kind == "selection" and e.payload["step"] == "malformed-offer"
+    ]
 
 
 @pytest.mark.parametrize("kind", sorted(MALFORMED))

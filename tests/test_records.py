@@ -48,7 +48,8 @@ def test_the_cli_imports_without_dataclasses_or_inspect():
 
 
 #: every immutable record that is a NamedTuple (``Message``, ``RoleRef``
-#: and ``TraceEvent`` have tests of their own)
+#: and the trace events ``TraceEvent``, ``Sent`` and ``Delivered`` have
+#: tests of their own)
 RECORDS = (
     MessageSchema,
     Trigger,

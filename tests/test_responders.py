@@ -51,7 +51,7 @@ def deliver(rt: SimRuntime, conversation: str, performative: str, content, tag=N
     )
     start = len(rt.trace)
     rt.run_until_quiescent()
-    return [(kind, payload) for _, kind, payload in rt.trace[start:] if kind != "deliver"]
+    return [(e.kind, e.payload) for e in rt.trace[start:] if e.kind != "deliver"]
 
 
 def sends(events) -> list[tuple[str, dict]]:

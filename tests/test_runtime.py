@@ -936,14 +936,17 @@ class TestTraceShape:
         rt.schedule_send(sent)
         rt.run_until_quiescent()
         send, deliver = rt.trace
-        assert (type(send.payload), type(deliver.payload)) == (Sent, Delivered)
-        assert send.payload.message is sent and deliver.payload.message is sent
-        assert send.payload.seq == deliver.payload.seq == 1
+        assert (type(send), type(deliver)) == (Sent, Delivered)
+        assert (send.kind, deliver.kind) == ("send", "deliver")
+        assert send.payload is send and deliver.payload is deliver
+        assert send.message is sent and deliver.message is sent
+        assert send.seq == deliver.seq == 1
+        assert send.tick == deliver.tick == 0
         assert tuple(send.payload.keys()) == _SEND_FIELDS
         assert tuple(deliver.payload.keys()) == _DELIVER_FIELDS
 
     def test_a_bus_record_reads_like_the_dict_of_its_fields(self):
-        record = Sent(4, msg("src", "sink", tag="m.1"))
+        record = Sent(2, 4, msg("src", "sink", tag="m.1"))
         fields = {
             "seq": 4, "from": "src", "to": "sink", "conversation": "c",
             "performative": "inform", "tag": "m.1", "content": {"x": "hello"},
@@ -955,24 +958,25 @@ class TestTraceShape:
         assert "content" in record and "message" not in record
         with pytest.raises(KeyError):
             record["message"]
-        seq, message = record
-        assert (seq, message) == (record.seq, record.message)
-        deliver = Delivered(4, msg("src", "sink", tag="m.1"))
+        assert tuple(record) == (record.tick, record.seq, record.message) == (2, 4, record.message)
+        assert record.payload is record and record.kind == "send"
+        deliver = Delivered(2, 4, msg("src", "sink", tag="m.1"))
         assert dict(deliver) == {k: fields[k] for k in _DELIVER_FIELDS}
         assert "tag" not in deliver and deliver.get("content") is None
         with pytest.raises(KeyError):
             deliver["content"]
-        event = TraceEvent(2, "send", record)
-        assert event.as_dict() == {"tick": 2, "kind": "send", **fields}
-        assert json.dumps(event.as_dict()) == json.dumps({"tick": 2, "kind": "send", **fields})
+        assert record.as_dict() == {"tick": 2, "kind": "send", **fields}
+        assert json.dumps(record.as_dict()) == json.dumps({"tick": 2, "kind": "send", **fields})
+        assert deliver.as_dict() == {"tick": 2, "kind": "deliver", **dict(deliver)}
 
     def test_an_event_is_a_tuple_holding_the_payload_it_was_given(self):
         rt = SimRuntime(seed=0)
         payload = {"conversation": "c"}
         rt.note("selection", payload)
-        tick, kind, held = rt.trace[0]
-        assert (tick, kind) == (0, "selection")
-        assert held is payload
+        (event,) = rt.trace
+        assert type(event) is TraceEvent and event == (0, "selection", payload)
+        assert (event.tick, event.kind) == (0, "selection")
+        assert event.payload is payload
         assert rt.trace[0].as_dict() == {"tick": 0, "kind": "selection", "conversation": "c"}
 
     @pytest.mark.parametrize("family", ["bundled", "joint", SEQUENTIAL, MIXED])
@@ -1002,18 +1006,19 @@ class TestTraceShape:
 
                 agent.on_message = handing
             trace = rt.run_until_quiescent()
-            sends = [e.payload for e in trace if e.kind == "send"]
-            delivers = [e.payload for e in trace if e.kind == "deliver"]
+            sends = [e for e in trace if e.kind == "send"]
+            delivers = [e for e in trace if e.kind == "deliver"]
             assert len(sends) == len(scheduled) and len(delivers) == len(handed)
             assert all(type(p) is Sent for p in sends)
             assert all(type(p) is Delivered for p in delivers)
             assert all(p.message is m for p, m in zip(sends, scheduled))
             assert all(p.message is m for p, m in zip(delivers, handed))
-            for tick, kind, payload in trace:
-                assert type(tick) is int and type(kind) is str
-                if type(payload) in (Sent, Delivered):
-                    seq, message = payload
-                    assert type(seq) is int
+            assert all(e.payload is e for e in sends + delivers)
+            for event in trace:
+                assert type(event.tick) is int and type(event.kind) is str
+                if type(event) in (Sent, Delivered):
+                    message = event.message
+                    assert type(event.seq) is int
                     assert {type(message.sender), type(message.receiver)} == {str}
                     assert type(message.conversation_id) is str
                     assert type(message.performative) is str
@@ -1072,12 +1077,13 @@ def _spoil(values: tuple, at: int, value) -> tuple:
     return values[:at] + (value,) + values[at + 1:]
 
 
-def _record(values: tuple) -> Sent | Delivered:
-    """The bus record whose trace fields are ``values``, in line order."""
+def _record(tick: int, values: tuple) -> Sent | Delivered:
+    """The bus record at ``tick`` whose trace fields are ``values``, in
+    line order."""
     seq, sender, receiver, conversation, performative, *rest = values
     tag, content = rest or (None, None)
     message = Message(performative, content, "kv", "core", sender, receiver, conversation, tag)
-    return Sent(seq, message) if rest else Delivered(seq, message)
+    return Sent(tick, seq, message) if rest else Delivered(tick, seq, message)
 
 
 #: the fields of a dict send or deliver: plain, or with one field of another type
@@ -1087,19 +1093,19 @@ _DICT_DELIVER = _PLAIN_DELIVER | st.builds(_spoil, _PLAIN_DELIVER, st.integers(0
 
 def _events():
     """Events as the bus writes them (a send or deliver record, with the
-    field types of the bus, at an int tick), and events with a dict
-    payload of any values at any tick, the fields of a send or deliver
-    among them."""
+    field types of the bus, at an int tick), and notes with a dict
+    payload of any values at any tick, of any kind, the fields of a send
+    or deliver among them."""
     kinds = st.sampled_from(("send", "deliver", "recovery", "\u00e9v\u00e9nement"))
     ticks = st.integers(min_value=0, max_value=300)
-    records = _PLAIN_SEND.map(_record) | _PLAIN_DELIVER.map(_record)
+    records = st.builds(_record, ticks, _PLAIN_SEND | _PLAIN_DELIVER)
     dicts = (
         st.dictionaries(_PAYLOAD_KEYS, content_trees(_RENDER_LEAVES), max_size=5)
         | _DICT_SEND.map(lambda v: dict(zip(_SEND_FIELDS, v)))
         | _DICT_DELIVER.map(lambda v: dict(zip(_DELIVER_FIELDS, v)))
     )
-    event = st.tuples(ticks, kinds, records) | st.tuples(ticks | st.just(True), kinds, dicts)
-    return st.lists(event, max_size=8)
+    notes = st.builds(TraceEvent, ticks | st.just(True), kinds, dicts)
+    return st.lists(records | notes, max_size=8)
 
 
 def _self_loop() -> list:
@@ -1122,8 +1128,8 @@ _SHARED_CONTENT = (
 def _shared_content_events(draw):
     """Traces whose sends reuse a few content objects, as a broadcast
     call or equal offers do, among other events.  A send is a record as
-    the bus writes it, or a dict of any values, and each carries one of
-    the shared objects."""
+    the bus writes it, or a note with a dict of any values, and each
+    carries one of the shared objects."""
     pool = draw(st.lists(_SHARED_CONTENT, min_size=1, max_size=3))
     others = draw(_events())
     ticks = st.integers(min_value=0, max_value=300)
@@ -1135,7 +1141,8 @@ def _shared_content_events(draw):
         max_size=8,
     ))
     events = [
-        (tick, "send", _record(fields) if record else dict(zip(_SEND_FIELDS, fields)))
+        _record(tick, fields) if record
+        else TraceEvent(tick, "send", dict(zip(_SEND_FIELDS, fields)))
         for tick, values, content, record in sends
         for fields in [values[:-1] + (content,)]
     ]
@@ -1145,8 +1152,7 @@ def _shared_content_events(draw):
 
 
 def _render_both(events):
-    trace = [TraceEvent(tick, kind, payload) for tick, kind, payload in events]
-    return render_trace(trace), oracle_render(events)
+    return render_trace(events), oracle_render(events)
 
 
 def _assert_renders_as_json_dumps(events):
@@ -1155,14 +1161,14 @@ def _assert_renders_as_json_dumps(events):
         expected = oracle_render(events)
     except (TypeError, ValueError) as exc:
         with pytest.raises(type(exc)) as got:
-            render_trace([TraceEvent(t, k, p) for t, k, p in events])
+            render_trace(events)
         assert str(got.value) == str(exc)
         return
-    assert render_trace([TraceEvent(t, k, p) for t, k, p in events]) == expected
+    assert render_trace(events) == expected
 
 
-def _send(seq, content, sender="src", receiver="sink", tag="m.1") -> Sent:
-    return Sent(seq, msg(sender, receiver, content=content, tag=tag))
+def _send(tick, seq, content, sender="src", receiver="sink", tag="m.1") -> Sent:
+    return Sent(tick, seq, msg(sender, receiver, content=content, tag=tag))
 
 
 class TestRender:
@@ -1187,13 +1193,13 @@ class TestRender:
         ids=["plain", "set", "circular", "self-loop"],
     )
     def test_one_content_in_several_sends_renders_each_as_json_dumps_does(self, shared):
-        send = _send(4, shared)
+        send = _send(0, 4, shared)
         events = [
-            (0, "send", send),
-            (1, "deliver", Delivered(*send)),
-            (1, "send", _send(5, shared, receiver="other")),
-            (1, "send", dict(send)),  # encoded whole
-            (2, "send", send),
+            send,
+            Delivered(1, send.seq, send.message),
+            _send(1, 5, shared, receiver="other"),
+            TraceEvent(1, "send", dict(send)),  # encoded whole
+            send._replace(tick=2),
         ]
         _assert_renders_as_json_dumps(events)
 
@@ -1212,12 +1218,8 @@ class TestRender:
 
         monkeypatch.setattr(parley.runtime, "c_make_encoder", counting)
         shared = {"protocol": "cnp", "task": "t1"}
-        trace = [
-            TraceEvent(0, "send", Sent(n, msg("i", f"p{n}", "call", shared)))
-            for n in range(5)
-        ] + [
-            TraceEvent(0, "send", Sent(n, msg("p", "i", "ready", {"n": n})))
-            for n in range(3)
+        trace = [Sent(0, n, msg("i", f"p{n}", "call", shared)) for n in range(5)] + [
+            Sent(0, n, msg("p", "i", "ready", {"n": n})) for n in range(3)
         ]
         assert render_trace(trace) == oracle_render(trace)
         assert encoded == [shared, {"n": 0}, {"n": 1}, {"n": 2}]
@@ -1226,7 +1228,7 @@ class TestRender:
         # each content is freed with its trace, so the next call's new
         # content may get its id; it must still be encoded afresh
         for n in range(50):
-            _assert_renders_as_json_dumps([(0, "send", _send(n, {"n": n}))])
+            _assert_renders_as_json_dumps([_send(0, n, {"n": n})])
 
     @pytest.mark.parametrize(
         "change",
@@ -1249,7 +1251,7 @@ class TestRender:
         send = dict(zip(_SEND_FIELDS, (4, "src", "sink", "c", "inform", "m.1", {"x": 1})))
         deliver = dict(zip(_DELIVER_FIELDS, (4, "src", "sink", "c", "inform")))
         deliver.update((k, v) for k, v in change.items() if k in deliver)
-        events = [(2, "deliver", deliver), (3, "send", {**send, **change})]
+        events = [TraceEvent(2, "deliver", deliver), TraceEvent(3, "send", {**send, **change})]
         _assert_renders_as_json_dumps(events)
 
     @pytest.mark.parametrize("c_encoder", [True, False], ids=["c-encoder", "pure-python"])
@@ -1270,7 +1272,7 @@ class TestRender:
         if not c_encoder:
             monkeypatch.setattr(parley.runtime, "c_make_encoder", None)
         message = msg("src", "sink", content={"x": 1}, tag="m.1")._replace(**change)
-        events = [(2, "deliver", Delivered(4, message)), (3, "send", Sent(4, message))]
+        events = [Delivered(2, 4, message), Sent(3, 4, message)]
         _assert_renders_as_json_dumps(events)
 
     @pytest.mark.parametrize(
@@ -1285,16 +1287,16 @@ class TestRender:
         which carries no tag, ignores its message's tag."""
         message = msg("src", "sink", content={"x": 1}, tag="m.1")._replace(**change)
         with pytest.raises(TypeError):
-            render_trace([TraceEvent(3, "send", Sent(4, message))])
-        deliver = [(2, "deliver", Delivered(4, message))]
+            render_trace([Sent(3, 4, message)])
+        deliver = [Delivered(2, 4, message)]
         if "reply_with" in change:
             _assert_renders_as_json_dumps(deliver)
         else:
             with pytest.raises(TypeError):
-                render_trace([TraceEvent(*event) for event in deliver])
+                render_trace(deliver)
 
     def test_a_payload_kind_field_overwrites_the_event_kind_in_place(self):
-        events = [(3, "recovery", {"action": "replacement", "kind": "content"})]
+        events = [TraceEvent(3, "recovery", {"action": "replacement", "kind": "content"})]
         got, expected = _render_both(events)
         assert got == expected
         assert got == '{"tick": 3, "kind": "content", "action": "replacement"}\n'
@@ -1306,18 +1308,21 @@ class TestRender:
             "none": None,
             "nest": [[1, [2, {"a": [3]}]], []],
         }
-        events = [(0, "send", payload), (1, "deliver", {})]
+        events = [TraceEvent(0, "send", payload), TraceEvent(1, "deliver", {})]
         got, expected = _render_both(events)
         assert got == expected
         assert "\\u00e9\\u4e2d\\ud83d\\ude00" in got  # ASCII escaping, as json.dumps does
 
     @pytest.mark.parametrize("bad", [{1, 2}, object(), b"bytes"])
     def test_an_unserialisable_value_raises_the_same_type_error(self, bad):
-        events = [(0, "send", {"ok": 1}), (1, "send", {"content": {"deep": [bad]}})]
+        events = [
+            TraceEvent(0, "send", {"ok": 1}),
+            TraceEvent(1, "send", {"content": {"deep": [bad]}}),
+        ]
         with pytest.raises(TypeError) as expected:
             oracle_render(events)
         with pytest.raises(TypeError) as got:
-            render_trace([TraceEvent(t, k, p) for t, k, p in events])
+            render_trace(events)
         assert str(got.value) == str(expected.value)
         notes = getattr(expected.value, "__notes__", None)
         assert getattr(got.value, "__notes__", None) == notes
