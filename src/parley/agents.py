@@ -148,13 +148,15 @@ class _Round:
 class JointInitiator(AgentBase):
     """Runs the selection meta protocol for one task.
 
-    Vectors come from the candidate matrix, least sparse first.  A
-    one-to-one protocol is negotiated agent by agent: the first
-    acceptable role wins.  Many-instance and multi-role protocols
-    broadcast the call to the whole vector and arbitrate the replies
-    (largest backing set, or an allocation along the father forest).
-    Either way a round closes once everyone called answered or the
-    reply deadline hit.
+    Vectors come from the candidate matrix, least sparse first, and
+    each yields (protocol, agents) cells: a row is one cell, a column
+    one cell per protocol.  A one-to-one protocol is negotiated agent
+    by agent: the first acceptable role wins.  Many-instance and
+    multi-role protocols broadcast the call to the agents of the cell
+    and arbitrate the replies (largest backing set, or an allocation
+    along the father forest), in either orientation.  Either way a
+    round closes once everyone called answered or the reply deadline
+    hit.
 
     The work per reply does not grow with the fan-out: a reply is
     admitted by one set lookup, and repliers with equal models send one
@@ -238,12 +240,16 @@ class JointInitiator(AgentBase):
             return
         self.explored.add(vector)
         self._note(rt, "explore", vector=vector)
-        if self.mode != PROTOCOL_ORIENTED:
-            self.pending = [(p, (vector,), False) for p in self.matrix.columns[vector]]
-        elif classify_protocol(self.registry[vector]) is ProtocolCategory.ONE_ONE:
-            self.pending = [(vector, (agent,), False) for agent in self.matrix.rows[vector]]
+        if self.mode == PROTOCOL_ORIENTED:
+            cells = [(vector, self.matrix.rows[vector])]
         else:
-            self.pending = [(vector, self.matrix.rows[vector], True)]
+            cells = [(p, (vector,)) for p in self.matrix.columns[vector]]
+        self.pending = []
+        for protocol_id, agents in cells:
+            if classify_protocol(self.registry[protocol_id]) is ProtocolCategory.ONE_ONE:
+                self.pending += [(protocol_id, (agent,), False) for agent in agents]
+            else:
+                self.pending.append((protocol_id, agents, True))
         self._call_next(rt)
 
     def _call_next(self, rt: SimRuntime) -> None:

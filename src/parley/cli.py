@@ -47,7 +47,8 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     if not changes:
         return scenario
     scenario = scenario._replace(**changes)
-    require_mode_fits(scenario)
+    if args.mode is not None:  # the reader fitted the mode it read
+        require_mode_fits(scenario)
     return scenario
 
 

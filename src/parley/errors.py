@@ -7,20 +7,8 @@ class ParleyError(Exception):
     """Base class for every error raised by this package."""
 
 
-class CompositeProtocolError(ParleyError):
-    """A protocol mixes category traits and cannot be classified."""
-
-
-class UnknownRoleError(ParleyError):
-    """A role reference does not resolve against the known protocols."""
-
-
 class ProtocolViolationError(ParleyError):
     """A meta-protocol message arrived that the current state forbids."""
-
-
-class CyclicFatherRelationError(ParleyError):
-    """The declared father relation of a protocol is not a forest."""
 
 
 class PointOutOfRangeError(ParleyError):

@@ -222,8 +222,9 @@ class MethodGraph(NamedTuple):
 
     Method b follows method a when some transition running b starts in
     the state some transition running a ends in.  The initial method is
-    the one fired from the machine's initial state; roles are written
-    so that this method is unique.
+    the one fired from the machine's initial state, unique in a role
+    that passed :func:`parley.model.validate_protocol` (its
+    ``initial-method`` check).
     """
 
     initial: str
@@ -236,12 +237,6 @@ def method_graph(machine) -> MethodGraph:
 
 
 def _method_graph(machine) -> MethodGraph:
-    firsts = {t.method for t in machine.transitions_from(machine.initial_state)}
-    if len(firsts) != 1:
-        raise ValueError(
-            f"role {machine.role_id} needs exactly one initial method, found "
-            f"{sorted(firsts) or 'none'}"
-        )
     enders: dict[str, set[str]] = {}
     for t in machine.transitions:
         enders.setdefault(t.to_state, set()).add(t.method)
@@ -250,7 +245,7 @@ def _method_graph(machine) -> MethodGraph:
         for method in enders.get(t.from_state, ()):  # whatever lands here
             follow[method].add(t.method)
     return MethodGraph(
-        initial=next(iter(firsts)),
+        initial=machine.transitions_from(machine.initial_state)[0].method,
         follow={m: frozenset(s) for m, s in follow.items()},
     )
 

@@ -3,17 +3,20 @@
 An initiator holding a task first builds a candidate matrix: one row
 per protocol able to carry the task, one column per agent known to
 enact a role of that protocol.  Exploration then walks the matrix one
-vector at a time, always starting from the vector with the most cells,
-and runs a five-performative exchange with the candidates:
+vector at a time (rows or columns, as the scenario's exploration says),
+always starting from the vector with the most cells, and runs a
+five-performative exchange with the candidates:
 
     call-for-collaboration ->  ready-to-select | unable-to-select
     then                       notify-assignment | stop-selection
 
-Arbitration depends on the protocol category: one-to-one interactions
-accept the first agreeable agent, single-role many-instance protocols
-pick the role backed by the largest candidate set, and multi-role
-protocols allocate one agent per role along the protocol's father
-forest.
+A vector yields (protocol, agents) cells, a row one cell and a column
+one per protocol, and arbitration depends on the category of the cell's
+protocol: one-to-one interactions accept the first agreeable agent,
+called one by one, while over one broadcast to the cell single-role
+many-instance protocols pick the role backed by the largest candidate
+set, and multi-role protocols allocate one agent per role along the
+protocol's father forest (a loaded protocol has a forest).
 
 This module holds the pure parts: the matrix and its exploration
 order, the roles a participant offers and the two broadcast arbitration

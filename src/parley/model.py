@@ -11,7 +11,10 @@ the selection engine:
 * more than two roles, each multiplicity 1   -> one interaction with
   several distinct participant roles (auction style)
 
-Anything else mixes traits of different categories and is rejected.
+Anything else mixes traits of different categories.  Only
+:func:`validate_protocol` judges a protocol's shape, when it loads: what
+a run derives from a loaded protocol reads one that passed, and raises
+nothing.
 
 Records are ``typing.NamedTuple`` classes when immutable, and plain
 classes with ``__slots__`` and an explicit ``__init__`` otherwise; none
@@ -33,13 +36,7 @@ from os.path import basename
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, TypeVar
 
-from .errors import (
-    CompositeProtocolError,
-    CyclicFatherRelationError,
-    ParseError,
-    UnknownRoleError,
-    UnresolvedReferenceError,
-)
+from .errors import ParseError, UnresolvedReferenceError
 from .fixtures import ROOT
 from .patterns import content_matches, shape_matches, validate_pattern
 
@@ -329,10 +326,7 @@ class Protocol(NamedTuple):
     omega: Any = None
 
     def initiator_role(self) -> RoleStateMachine:
-        for machine in self.roles.values():
-            if machine.kind is RoleKind.INITIATOR:
-                return machine
-        raise UnknownRoleError(f"protocol {self.protocol_id} has no initiator role")
+        return next(m for m in self.roles.values() if m.kind is RoleKind.INITIATOR)
 
     def participant_roles(self) -> list[RoleStateMachine]:
         return [m for m in self.roles.values() if m.kind is RoleKind.PARTICIPANT]
@@ -342,38 +336,26 @@ class Protocol(NamedTuple):
 ProtocolRegistry = dict[str, Protocol]
 
 
-def classify_protocol(protocol: Protocol) -> ProtocolCategory:
-    """Assign the selection category; composite protocols are an error."""
+def classify_protocol(protocol: Protocol) -> ProtocolCategory | None:
+    """The selection category, or None when the participant roles mix
+    category traits (:func:`validate_protocol` reports it)."""
     participants = protocol.participant_roles()
-    initiators = [m for m in protocol.roles.values() if m.kind is RoleKind.INITIATOR]
-    if len(initiators) != 1 or not participants:
-        raise CompositeProtocolError(
-            f"{protocol.protocol_id}: needs exactly one initiator and at least "
-            f"one participant role"
-        )
-    if any(m.multiplicity != 1 for m in initiators):
-        raise CompositeProtocolError(
-            f"{protocol.protocol_id}: initiator multiplicity must be 1"
-        )
-    if len(protocol.roles) == 2:
-        mult = participants[0].multiplicity
-        if mult == 1:
+    if len(participants) == 1:
+        if participants[0].multiplicity == 1:
             return ProtocolCategory.ONE_ONE
         return ProtocolCategory.ONE_ONE_N
     if all(m.multiplicity == 1 for m in participants):
         return ProtocolCategory.ONE_N
-    raise CompositeProtocolError(
-        f"{protocol.protocol_id}: several participant roles with non-unit "
-        f"multiplicity mix category traits"
-    )
+    return None
 
 
-def father_order(protocol: Protocol) -> list[str]:
-    """Participant roles in breadth-first father order.
+def father_order(protocol: Protocol) -> list[str] | None:
+    """Participant roles in breadth-first father order, or None when
+    the father relation is not a forest over them (:func:`validate_protocol`
+    reports it).
 
     A role's father is the role sending its first message; roles fed
-    directly by the initiator sit at the top level.  The declared
-    relation must be a forest over the participant roles.
+    directly by the initiator sit at the top level.
     """
     participants = {m.role_id for m in protocol.participant_roles()}
     initiator_id = protocol.initiator_role().role_id
@@ -381,26 +363,16 @@ def father_order(protocol: Protocol) -> list[str]:
     for role_id in sorted(participants):
         father = protocol.roles[role_id].father
         if father == initiator_id or father is None:
-            children.setdefault(None, []).append(role_id)
-        elif father in participants:
-            children.setdefault(father, []).append(role_id)
-        else:
-            raise CyclicFatherRelationError(
-                f"{protocol.protocol_id}: father of {role_id} is unknown"
-            )
+            father = None
+        elif father not in participants:
+            return None
+        children.setdefault(father, []).append(role_id)
     order: list[str] = []
     frontier = children.get(None, [])
     while frontier:
         order.extend(frontier)
-        nxt: list[str] = []
-        for role_id in frontier:
-            nxt.extend(children.get(role_id, []))
-        frontier = nxt
-    if len(order) != len(participants):
-        raise CyclicFatherRelationError(
-            f"{protocol.protocol_id}: father relation is not a forest"
-        )
-    return order
+        frontier = [child for role_id in frontier for child in children.get(role_id, ())]
+    return order if len(order) == len(participants) else None
 
 
 class Violation(NamedTuple):
@@ -413,21 +385,24 @@ class Violation(NamedTuple):
 
 
 def validate_protocol(protocol: Protocol) -> list[Violation]:
-    """Static checks; an empty report means the protocol is usable."""
+    """Static checks, each fault reported once; an empty report means
+    the protocol is usable, and the derivations a run reads assume it."""
     report: list[Violation] = []
 
     def bad(code: str, subject: str, detail: str) -> None:
-        report.append(Violation(code, subject, detail))
+        violation = Violation(code, subject, detail)
+        if violation not in report:  # one fault met twice is still one fault
+            report.append(violation)
 
     initiators = [m for m in protocol.roles.values() if m.kind is RoleKind.INITIATOR]
     if len(initiators) != 1:
         bad("initiator-count", protocol.protocol_id, f"found {len(initiators)} initiator roles")
-    else:
-        try:
-            classify_protocol(protocol)
-        except CompositeProtocolError as exc:
-            detail = str(exc).removeprefix(f"{protocol.protocol_id}: ")
-            bad("composite", protocol.protocol_id, detail)
+    elif not protocol.participant_roles():
+        detail = "needs exactly one initiator and at least one participant role"
+        bad("composite", protocol.protocol_id, detail)
+    elif classify_protocol(protocol) is None:
+        detail = "several participant roles with non-unit multiplicity mix category traits"
+        bad("composite", protocol.protocol_id, detail)
     for schema in protocol.schemas.values():
         for problem in validate_pattern(schema.content_pattern):
             bad("bad-pattern", f"{protocol.protocol_id}/{schema.schema_id}", problem)
@@ -443,12 +418,13 @@ def validate_protocol(protocol: Protocol) -> list[Violation]:
             bad("bad-initial", subject, f"initial state {machine.initial_state!r} undeclared")
         if not machine.terminal_states <= machine.states:
             bad("bad-terminals", subject, "terminal states must be declared states")
-        if machine.multiplicity != MANY and (
+        if machine.kind is RoleKind.INITIATOR:
+            if machine.multiplicity != 1:
+                bad("bad-multiplicity", subject, "initiator roles have multiplicity 1")
+        elif machine.multiplicity != MANY and (
             not isinstance(machine.multiplicity, int) or machine.multiplicity < 1
         ):
             bad("bad-multiplicity", subject, f"{machine.multiplicity!r}")
-        if machine.kind is RoleKind.INITIATOR and machine.multiplicity != 1:
-            bad("bad-multiplicity", subject, "initiator roles have multiplicity 1")
         if machine.father is not None and machine.father not in protocol.roles:
             bad("bad-father", subject, f"father {machine.father!r} is not a role")
         for t in machine.transitions:
@@ -479,12 +455,12 @@ def validate_protocol(protocol: Protocol) -> list[Violation]:
                 if t.action.kind != "send":
                     bad("bad-first-action", subject, "initiator roles start by sending")
     # the forest check, once every father names a role
-    if len(initiators) == 1 and not any(v.code == "bad-father" for v in report):
-        try:
-            father_order(protocol)
-        except CyclicFatherRelationError as exc:
-            detail = str(exc).removeprefix(f"{protocol.protocol_id}: ")
-            bad("bad-father", protocol.protocol_id, detail)
+    if (
+        len(initiators) == 1
+        and not any(v.code == "bad-father" for v in report)
+        and father_order(protocol) is None
+    ):
+        bad("bad-father", protocol.protocol_id, "father relation is not a forest")
     return report
 
 

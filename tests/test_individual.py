@@ -484,34 +484,6 @@ class TestMethodGraph:
         assert graph.follow["aq-answer"] == frozenset({"aq-take"})
         assert graph.follow["aq-bail"] == frozenset()
 
-    def test_ambiguous_first_step_is_rejected(self):
-        machine = RoleStateMachine(
-            role_id="twins",
-            kind=RoleKind.PARTICIPANT,
-            multiplicity=1,
-            states=frozenset({"s0", "s1"}),
-            initial_state="s0",
-            terminal_states=frozenset({"s1"}),
-            transitions=(
-                Transition(
-                    "s0",
-                    Trigger(kind="internal", variable="a"),
-                    Action(kind="none"),
-                    "s1",
-                    "left",
-                ),
-                Transition(
-                    "s0",
-                    Trigger(kind="internal", variable="b"),
-                    Action(kind="none"),
-                    "s1",
-                    "right",
-                ),
-            ),
-        )
-        with pytest.raises(ValueError):
-            method_graph(machine)
-
 
 # ---------------------------------------------------------------------------
 # Recovery points

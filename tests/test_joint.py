@@ -3,6 +3,7 @@ broadcast rounds on the bus."""
 
 from __future__ import annotations
 
+import json
 from random import Random
 
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parley.agents import JointInitiator, SelectionParticipant, answer_table
-from parley.errors import CyclicFatherRelationError, ProtocolViolationError
+from parley.errors import ProtocolViolationError
+from parley.fixtures import ROOT as FIXTURES
 from parley.joint import (
     AGENT_ORIENTED,
     PROTOCOL_ORIENTED,
@@ -29,14 +31,18 @@ from parley.model import (
     UNABLE_TO_SELECT,
     InteractionModel,
     Message,
+    ProtocolCategory,
     RoleRef,
     TaskDescription,
+    Violation,
+    classify_protocol,
     father_order,
     load_protocol,
     match_task_to_protocols,
+    validate_protocol,
 )
 from parley.runtime import WAKE, AgentBase, SimRuntime
-from parley.scenario import build_runtime
+from parley.scenario import build_runtime, run_scenario, scenario_from_dict
 
 from .generators import AGENT_POOL, forest_instances, largest_set_instances
 from .helpers import one_n_protocol, one_one_n_protocol, one_one_protocol, sample_scenarios
@@ -236,15 +242,42 @@ class TestFatherOrder:
         protocol = one_n_protocol("cer", {"x": "chair", "y": "x"})
         assert father_order(protocol) == ["x", "y"]
 
-    def test_cycle_rejected(self):
+    def test_cycle_has_no_order_and_is_reported_once(self):
         protocol = one_n_protocol("cer", {"x": "y", "y": "x"})
-        with pytest.raises(CyclicFatherRelationError):
-            father_order(protocol)
+        assert father_order(protocol) is None
+        assert validate_protocol(protocol) == [
+            Violation("bad-father", "cer", "father relation is not a forest")
+        ]
 
-    def test_unknown_father_rejected(self):
+    def test_unknown_father_has_no_order_and_is_reported_once(self):
         protocol = one_n_protocol("cer", {"x": "nobody"})
-        with pytest.raises(CyclicFatherRelationError):
-            father_order(protocol)
+        assert father_order(protocol) is None
+        assert validate_protocol(protocol) == [
+            Violation("bad-father", "cer:x", "father 'nobody' is not a role")
+        ]
+
+    @given(forest_instances(), st.data())
+    def test_order_exists_exactly_when_the_judge_passes_the_fathers(self, instance, data):
+        # rewire some fathers of a forest to any role, the initiator or
+        # no role at all: cycles and dangling fathers both occur
+        fathers, _ = instance
+        roles = sorted(fathers)
+        rewired = data.draw(
+            st.dictionaries(
+                st.sampled_from(roles), st.sampled_from([None, "chair", "ghost", *roles])
+            )
+        )
+        protocol = one_n_protocol("cer", {**fathers, **rewired})
+        report = validate_protocol(protocol)
+        order = father_order(protocol)
+        assert (order is None) == any(v.code == "bad-father" for v in report)
+        assert len({(v.code, v.subject) for v in report}) == len(report)
+        if order is not None:
+            assert sorted(order) == roles
+            for role in roles:
+                father = protocol.roles[role].father
+                if father in fathers:
+                    assert order.index(father) < order.index(role)
 
 
 class TestAssignRoles:
@@ -873,3 +906,86 @@ def test_an_initiator_role_is_never_offered():
     assert offered_roles(mine, frozenset(), registry)["ips"] == (replier,)
     table = frozenset({(RoleRef("ips", "asker"), RoleRef("request", "asker"))})
     assert offered_roles(mine, table, registry)["ips"] == (replier,)
+
+
+# ---------------------------------------------------------------------------
+# Exploration by agent: a column's cells are called by their category
+# ---------------------------------------------------------------------------
+
+
+def _bundled_agent_oriented(name: str):
+    doc = json.loads((FIXTURES / "scenarios" / f"{name}.json").read_text(encoding="utf-8"))
+    return scenario_from_dict({**doc, "exploration": AGENT_ORIENTED})
+
+
+class TestAgentOrientedExploration:
+    """A column yields one (protocol, agents) cell per protocol, and each
+    is called as a row's cell would be: a one-to-one protocol agent by
+    agent, any other as one broadcast to the agents of the cell."""
+
+    def test_a_multi_role_protocol_is_allocated_not_taken_pairwise(self):
+        # no agent of auction_tree enacts every auction role by itself
+        _, summary = run_scenario(_bundled_agent_oriented("auction_tree"))
+        (task,) = summary.tasks
+        assert (task.outcome, task.detail) == ("failure", {"reason": "exhausted"})
+
+    def test_a_many_instance_protocol_takes_the_largest_set(self):
+        _, summary = run_scenario(_bundled_agent_oriented("cnp_largest_set"))
+        (task,) = summary.tasks
+        assert (task.outcome, task.detail) == (
+            "selected", {"agents": ["a3"], "protocol": "cnp", "role": "cnp:contractor"}
+        )
+
+
+AUCTION_ROLES = ("buyer", "manager", "seller")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([PROTOCOL_ORIENTED, AGENT_ORIENTED]))
+def test_a_selected_outcome_follows_its_protocols_category(data, exploration):
+    """In both orientations: a multi-role selection assigns every
+    participant role of its protocol, a many-instance one names its
+    backing agents and a one-to-one one names its agent."""
+    n_agents = data.draw(st.integers(min_value=1, max_value=4))
+    bidders = [f"b{i}" for i in range(n_agents)]
+    cases = [("brokering", "auction", "opener"), ("contracting", "cnp", "manager"),
+             ("document-query", "ips", "asker")]
+    agents = [{"id": f"o{k}", "enacts": {p: [role]}} for k, (_, p, role) in enumerate(cases)]
+    for bidder in bidders:
+        enacts = {
+            "auction": data.draw(st.lists(st.sampled_from(AUCTION_ROLES), unique=True)),
+            "cnp": ["contractor"] * data.draw(st.booleans()),
+            "ips": ["replier"] * data.draw(st.booleans()),
+        }
+        agents.append({"id": bidder, "enacts": {p: sorted(r) for p, r in enacts.items() if r}})
+    doc = {
+        "scenario_id": "cells",
+        "seed": data.draw(st.integers(min_value=0, max_value=999)),
+        "selection_mode": "joint",
+        "exploration": exploration,
+        "protocols": ["auction", "cnp", "ips"],
+        "agents": agents,
+        "tasks": [
+            {
+                "id": f"t{k}",
+                "initiator": f"o{k}",
+                "capabilities": [capability],
+                "participants": {protocol: bidders},
+            }
+            for k, (capability, protocol, _) in enumerate(cases)
+        ],
+    }
+    scenario = scenario_from_dict(doc)
+    _, summary = run_scenario(scenario)
+    for task in summary.tasks:
+        if task.outcome != "selected":
+            continue
+        protocol = scenario.registry[task.detail["protocol"]]
+        category = classify_protocol(protocol)
+        if category is ProtocolCategory.ONE_N:
+            roles = {f"{protocol.protocol_id}:{m.role_id}" for m in protocol.participant_roles()}
+            assert set(task.detail["assignment"]) == roles
+        elif category is ProtocolCategory.ONE_ONE_N:
+            assert task.detail["agents"]
+        else:
+            assert task.detail["agent"] in bidders

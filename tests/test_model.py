@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parley.cli import main as cli_main
-from parley.errors import CompositeProtocolError, ParseError
+from parley.errors import ParseError
 from parley.model import (
     CONTROL_PERFORMATIVES,
     MANY,
@@ -36,6 +36,7 @@ from parley.model import (
 )
 
 from parley.fixtures import ROOT as FIXTURES
+from parley.individual import method_graph
 from parley.machine import weak_schema_ids
 from parley.scenario import load_registry
 
@@ -88,8 +89,9 @@ class TestClassification:
                 ),
             },
         )
-        with pytest.raises(CompositeProtocolError):
-            classify_protocol(mixed)
+        assert classify_protocol(mixed) is None
+        detail = "several participant roles with non-unit multiplicity mix category traits"
+        assert validate_protocol(mixed) == [Violation("composite", "p", detail)]
 
     def test_missing_initiator_rejected(self):
         base = one_one_protocol("p")
@@ -99,8 +101,25 @@ class TestClassification:
             schemas=base.schemas,
             roles={"replier": base.roles["replier"]},
         )
-        with pytest.raises(CompositeProtocolError):
-            classify_protocol(only_participant)
+        assert validate_protocol(only_participant) == [
+            Violation("initiator-count", "p", "found 0 initiator roles")
+        ]
+
+    def test_missing_participant_rejected(self):
+        base = one_one_protocol("p")
+        only_initiator = base._replace(roles={"asker": base.roles["asker"]})
+        detail = "needs exactly one initiator and at least one participant role"
+        assert validate_protocol(only_initiator) == [Violation("composite", "p", detail)]
+
+    @pytest.mark.parametrize("multiplicity", [0, 2, "N"])
+    def test_initiator_multiplicity_reported_once(self, multiplicity):
+        doc = json.loads((FIXTURES / "protocols" / "ips.json").read_text(encoding="utf-8"))
+        for role in doc["roles"]:
+            if role["kind"] == "initiator":
+                role["multiplicity"] = multiplicity
+        assert validate_protocol(protocol_from_dict(doc)) == [
+            Violation("bad-multiplicity", "ips:asker", "initiator roles have multiplicity 1")
+        ]
 
 
 class TestValidation:
@@ -237,12 +256,14 @@ class TestValidation:
         ]
 
     def test_a_role_starting_with_two_methods_is_refused_when_it_loads(self, tmp_path, capsys):
-        # a recovery retraces a journal from the role's one initial method,
-        # so a run would fail at its first recovery
+        # a recovery retraces a journal from the role's one initial method:
+        # method_graph reads it, and this check, not method_graph, refuses
+        # a role with two
         doc = json.loads((FIXTURES / "protocols" / "attr_lookup.json").read_text(encoding="utf-8"))
         (server,) = [role for role in doc["roles"] if role["role_id"] == "server"]
         take = server["transitions"][0]
         assert take["from"] == server["initial"]
+        assert method_graph(protocol_from_dict(doc).roles["server"]).initial == "al-take"
         server["transitions"].append({**take, "method": "al-take-again"})
         detail = "initial state runs 2 methods: al-take, al-take-again"
         assert validate_protocol(protocol_from_dict(doc)) == [
@@ -263,6 +284,27 @@ class TestValidation:
                 f"error: {tmp_path / 'attr_lookup.json'}: invalid protocol: "
                 f"initial-method [attr_lookup:server]: {detail}\n"
             )
+
+    def test_a_fault_two_transitions_repeat_is_reported_once(self):
+        # both first transitions of the twins fire on no message: one
+        # bad-first-trigger, however many transitions repeat it
+        base = one_one_protocol("p")
+        twins = RoleStateMachine(
+            role_id="replier",
+            kind=RoleKind.PARTICIPANT,
+            multiplicity=1,
+            states=frozenset({"s0", "s1"}),
+            initial_state="s0",
+            terminal_states=frozenset({"s1"}),
+            transitions=tuple(
+                Transition("s0", Trigger(kind="internal", variable=v), Action(kind="none"), "s1", m)
+                for v, m in (("a", "left"), ("b", "right"))
+            ),
+        )
+        assert validate_protocol(base._replace(roles={**base.roles, "replier": twins})) == [
+            Violation("initial-method", "p:replier", "initial state runs 2 methods: left, right"),
+            Violation("bad-first-trigger", "p:replier", "participant roles start by receiving"),
+        ]
 
 
 def test_schema_structure_vs_content():

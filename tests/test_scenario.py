@@ -340,6 +340,22 @@ class TestParsing:
         assert cli_main(["run", "t1_joint", "--max-ticks", "0"]) == 2
         assert "--max-ticks must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "options, calls",
+        [(["--seed", "3"], 2), (["--max-ticks", "50"], 2), (["--mode", "mixed"], 3)],
+    )
+    def test_only_a_new_mode_is_fitted_again(self, options, calls, monkeypatch, capsys):
+        # one match for the reader's fit and one for the wiring; a seed or
+        # a tick budget leaves the checked mode as it was
+        matches = []
+        task_matches = parley.scenario.task_matches
+        monkeypatch.setattr(
+            parley.scenario, "task_matches",
+            lambda scenario: matches.append(1) or task_matches(scenario),
+        )
+        assert cli_main(["run", "t2_sequential_fault", *options]) == 0
+        assert len(matches) == calls
+
 
 class TestResolution:
     def _write(self, tmp_path, raw):
