@@ -343,8 +343,6 @@ class JointInitiator(AgentBase):
                 round_.replies[msg.sender] = offer
         elif performative == UNABLE_TO_SELECT:
             round_.refused.add(msg.sender)
-        else:
-            return
         if len(round_.replies) + len(round_.refused) >= len(round_.agents):
             self._close(rt)
 
@@ -508,8 +506,6 @@ class IndividualInitiator(AgentBase):
                 self.awaiting_notice = False
                 detail = {"final_state": self.driver.state}
                 self._conclude(rt, "concluded", detail, **detail)
-            return
-        if performative == WAKE:
             return
         enabled = self.driver.enabled_for(msg)
         if not enabled:
@@ -765,13 +761,19 @@ class MixedResponder(_Responder):
         location: int,
         offending: Message | None,
     ) -> None:
-        """Reactivate cohorts until one takes the re-fired input."""
+        """Reactivate cohorts until one replies to the re-fired input.
+
+        A pass fails when its cohort does not take the input, or takes it
+        and sends nothing, as a role that may decline silently does (see
+        ``TestResponderReactivationLoop`` in ``tests/test_mixed.py``); the
+        next pass wakes the next parked cohort.  Each failed pass stops
+        its cohort for good, so the parked roles run out and
+        ``reactivate`` raises before this loops forever.
+        """
         cz = thread.zone
-        # each failed pass stops its cohort for good, so the parked
-        # roles run out and reactivate raises before this loops forever
         while True:
             if offending is None and len(cz.journal) == 0:
-                # nothing left to retrace: re-fire the opening itself
+                # a failed pass cut the journal to nothing: re-fire the opening
                 offending = thread.opening
             try:
                 plan = reactivate(cz, location, offending)

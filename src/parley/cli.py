@@ -146,7 +146,3 @@ def main(argv: list[str] | None = None) -> int:
     except ParleyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (ParseError, UnresolvedReferenceError)) else 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

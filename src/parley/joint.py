@@ -218,9 +218,7 @@ def select_largest_set(
         if saved is None:  # remember only the highest undecided group
             saved = [(r, frozenset(backing[r])) for r in group]
 
-    if chosen is None:
-        if saved is None:
-            return None
+    if chosen is None:  # some group had a role, so the highest undecided one is saved
         return min(saved, key=lambda item: item[0])
     if saved is not None:
         return min(saved, key=lambda item: (-len(item[1] & chosen[1]), item[0]))

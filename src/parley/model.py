@@ -384,6 +384,12 @@ class Violation(NamedTuple):
         return f"{self.code} [{self.subject}]: {self.detail}"
 
 
+def _counted(machine: RoleStateMachine) -> bool:
+    """Whether a participant role's multiplicity is MANY or a positive integer."""
+    multiplicity = machine.multiplicity
+    return multiplicity == MANY or (isinstance(multiplicity, int) and multiplicity >= 1)
+
+
 def validate_protocol(protocol: Protocol) -> list[Violation]:
     """Static checks, each fault reported once; an empty report means
     the protocol is usable, and the derivations a run reads assume it."""
@@ -395,12 +401,14 @@ def validate_protocol(protocol: Protocol) -> list[Violation]:
             report.append(violation)
 
     initiators = [m for m in protocol.roles.values() if m.kind is RoleKind.INITIATOR]
+    participants = protocol.participant_roles()
     if len(initiators) != 1:
         bad("initiator-count", protocol.protocol_id, f"found {len(initiators)} initiator roles")
-    elif not protocol.participant_roles():
+    elif not participants:
         detail = "needs exactly one initiator and at least one participant role"
         bad("composite", protocol.protocol_id, detail)
-    elif classify_protocol(protocol) is None:
+    elif all(map(_counted, participants)) and classify_protocol(protocol) is None:
+        # only multiplicities that pass are classified: a bad one is reported below
         detail = "several participant roles with non-unit multiplicity mix category traits"
         bad("composite", protocol.protocol_id, detail)
     for schema in protocol.schemas.values():
@@ -421,9 +429,7 @@ def validate_protocol(protocol: Protocol) -> list[Violation]:
         if machine.kind is RoleKind.INITIATOR:
             if machine.multiplicity != 1:
                 bad("bad-multiplicity", subject, "initiator roles have multiplicity 1")
-        elif machine.multiplicity != MANY and (
-            not isinstance(machine.multiplicity, int) or machine.multiplicity < 1
-        ):
+        elif not _counted(machine):
             bad("bad-multiplicity", subject, f"{machine.multiplicity!r}")
         if machine.father is not None and machine.father not in protocol.roles:
             bad("bad-father", subject, f"father {machine.father!r} is not a role")
@@ -525,10 +531,13 @@ def match_task_to_protocols(
 # sits.  A location is text (the scenario reader's ``"file: agent a1"``) or
 # a tuple of the keys and indexes leading to a value (the protocol
 # reader's ``roles[1].transitions[0]``).  Its text is built only when an
-# error is raised, so a good document pays for none.  Each helper first
-# tries a fast exit (an exact-type test, ``keys.issuperset(raw)`` or one
-# dict lookup) and returns as soon as it passes; otherwise it falls
-# through to the located checks, the one path that raises each refusal.
+# error is raised, so a good document pays for none.  A value of exactly
+# the type a JSON decoder builds is taken, and any other is refused.  Each
+# reader first tries a fast exit (an exact-type test, ``keys.issuperset(raw)``
+# or one dict lookup), which builds the record as soon as it passes;
+# otherwise it falls through to the located checks.  They only refuse:
+# whatever fails the fast exit fails one of them, so each record is built
+# in one place, and each refusal is raised in one.
 # ---------------------------------------------------------------------------
 
 
@@ -545,9 +554,10 @@ def _refuse_constant(name: str):
 _LITERAL = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|-?([0-9]+)((?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)')
 
 
-def _long_integer(text: str) -> str | None:
+def _long_integer(text: str) -> str:
     """Where the first integer literal of ``text`` with more digits than
-    ``int`` reads stands, and its length; None when there is none."""
+    ``int`` reads stands, and its length: the decoder raises a plain
+    ``ValueError`` for no other fault, so there is one."""
     limit = sys.get_int_max_str_digits()
     for literal in _LITERAL.finditer(text):
         digits, tail = literal.groups()
@@ -557,7 +567,6 @@ def _long_integer(text: str) -> str | None:
                 f"an integer of {len(digits)} digits at line {at.lineno} column {at.colno}, "
                 f"over the limit of {limit}"
             )
-    return None
 
 
 #: the directory of the bundled documents, as text: a bundled name is
@@ -620,15 +629,12 @@ def _located(where: str | tuple, key: str | None = None) -> str:
 
 
 def _typed(value, kind: type, where: str | tuple, key: str | None = None):
-    """``value``, checked to be a ``kind`` (a JSON ``true`` is no integer);
-    an error names ``key`` within ``where``."""
-    if type(value) is kind:  # what a JSON document holds
+    """``value``, checked to be exactly a ``kind``, as a JSON decoder
+    builds it (a JSON ``true`` is no integer); an error names ``key``
+    within ``where``."""
+    if type(value) is kind:
         return value
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ParseError(
-            f"{_located(where, key)}: expected {_KIND_NAMES[kind]}, got {value!r:.40}"
-        )
-    return value
+    raise ParseError(f"{_located(where, key)}: expected {_KIND_NAMES[kind]}, got {value!r:.40}")
 
 
 def _require(raw: dict, key: str, where: str | tuple, kind: type = object):
@@ -637,11 +643,9 @@ def _require(raw: dict, key: str, where: str | tuple, kind: type = object):
         value = raw[key]
         if kind is object or type(value) is kind:
             return value
-    if not isinstance(raw, dict) or key not in raw:
-        _typed(raw, dict, where)  # raises the located error for a non-object
-        raise ParseError(f"{_located(where)}: missing {key!r}")
-    value = raw[key]
-    return value if kind is object else _typed(value, kind, where, key)
+        _typed(value, kind, where, key)  # raises
+    _typed(raw, dict, where)  # raises for a non-object
+    raise ParseError(f"{_located(where)}: missing {key!r}")
 
 
 #: the type of every element of a good array of names
@@ -658,11 +662,8 @@ def _names(value, where: str | tuple, key: str | None = None) -> tuple[str, ...]
     """A JSON array of strings; an error names the bad element."""
     if _is_names(value):
         return tuple(value)
-    names = tuple(_typed(value, list, where, key))
-    for i, name in enumerate(names):
-        if not isinstance(name, str):
-            _typed(name, str, f"{_located(where, key)}[{i}]")  # raises the located error
-    return names
+    for i, name in enumerate(_typed(value, list, where, key)):
+        _typed(name, str, f"{_located(where, key)}[{i}]")  # raises at the first non-string
 
 
 def _known(raw, keys: frozenset[str] | set[str], where: str | tuple) -> dict:
@@ -670,10 +671,8 @@ def _known(raw, keys: frozenset[str] | set[str], where: str | tuple) -> dict:
     misspelt optional field would otherwise take its default."""
     if type(raw) is dict and keys.issuperset(raw):
         return raw
-    for key in _typed(raw, dict, where):
-        if key not in keys:
-            raise ParseError(f"{_located(where)}: unknown key {key!r:.40}")
-    return raw
+    unknown = next(key for key in _typed(raw, dict, where) if key not in keys)
+    raise ParseError(f"{_located(where)}: unknown key {unknown!r:.40}")
 
 
 _ROLE_KINDS = {kind.value: kind for kind in RoleKind}
@@ -705,14 +704,11 @@ def _end_from_dict(raw: dict, where: tuple, end: str, record: type, kinds: dict)
             return _new_tuple(record, (kind, raw.get("schema"), raw.get("variable")))
     where = (*where, end)
     kind = _require(raw, "kind", where)
-    if not isinstance(kind, str) or kind not in kinds:
+    if type(kind) is not str or kind not in kinds:
         raise ParseError(f"{_located(where, 'kind')}: unknown {end} kind {kind!r:.40}")
     key = kinds[kind]
     _known(raw, {"kind", key} if key else {"kind"}, where)
-    if key is None:
-        return _NO_ACTION
-    _require(raw, key, where, str)
-    return _new_tuple(record, (kind, raw.get("schema"), raw.get("variable")))
+    _require(raw, key, where, str)  # the fast exit took every good end: one of these raises
 
 
 def _transition_from_dict(raw: dict, where: tuple) -> Transition:
@@ -727,14 +723,13 @@ def _transition_from_dict(raw: dict, where: tuple) -> Transition:
                 to_state,
                 method,
             ))
+    # the fast exit took every good transition: one of these raises
     _known(raw, _TRANSITION_KEYS, where)
-    return _new_tuple(Transition, (
-        _require(raw, "from", where, str),
-        _end_from_dict(_require(raw, "trigger", where), where, "trigger", Trigger, _TRIGGER_KINDS),
-        _end_from_dict(_require(raw, "action", where), where, "action", Action, _ACTION_KINDS),
-        _require(raw, "to", where, str),
-        _require(raw, "method", where, str),
-    ))
+    _require(raw, "from", where, str)
+    _end_from_dict(_require(raw, "trigger", where), where, "trigger", Trigger, _TRIGGER_KINDS)
+    _end_from_dict(_require(raw, "action", where), where, "action", Action, _ACTION_KINDS)
+    _require(raw, "to", where, str)
+    _require(raw, "method", where, str)
 
 
 def protocol_from_dict(raw: dict) -> Protocol:

@@ -19,9 +19,10 @@ participants send one ready-to-select content per distinct offer.
 
 Each document is read with one ``open`` and checked in one walk.  The
 readers of agents and tasks, like the protocol reader's helpers, first
-try a fast exit that takes a well-typed entry as it is, and fall
-through to the located checks, which raise every refusal, only when an
-exact-type or key test fails.
+try a fast exit that takes a well-typed entry and builds its record,
+the one place it is built.  Only an entry that fails an exact-type or
+key test falls through to the located checks, which only refuse: one of
+them raises for every entry the fast exit did not take.
 
 Parsing and wiring build many small objects (the JSON document, the
 protocols, the records, the agents) and no reference cycles, so every
@@ -169,18 +170,15 @@ def _agent(entry: dict, where: str, models: dict[tuple, InteractionModel]) -> Ag
         if type(agent_id) is str and behavior in BEHAVIORS and type(willing) is bool:
             model = _interaction_model(entry, where, models)
             return _new_tuple(AgentSpec, (agent_id, model, willing, behavior))
+    # the fast exit took every good agent: one of these raises
     agent_id = _require(entry, "id", f"{where}: agent", str)
     behavior = entry.get("behavior", "auto")
     if behavior not in BEHAVIORS:
         raise ParseError(f"{where}: agent {agent_id}: unknown behavior {behavior!r}")
     at = f"{where}: agent {agent_id}"
     _known(entry, _AGENT_KEYS, at)
-    return AgentSpec(
-        agent_id=agent_id,
-        model=_interaction_model(entry, where, models),
-        willing=_typed(entry.get("willing", True), bool, at, "willing"),
-        behavior=behavior,
-    )
+    _interaction_model(entry, where, models)
+    _typed(entry.get("willing", True), bool, at, "willing")
 
 
 def _task(entry: dict, where: str) -> TaskDescription:
@@ -205,23 +203,18 @@ def _task(entry: dict, where: str) -> TaskDescription:
                 initiator,
                 frozenset(capabilities),
                 {protocol: tuple(agents) for protocol, agents in participants.items()},
+                # the contents a run sends instead of filled patterns, by schema id
                 constraints.get("contents", {}),
             ))
+    # the fast exit took every good task: one of these raises
     task_id = _require(entry, "id", f"{where}: task", str)
     at = f"{where}: task {task_id}"
     _known(entry, _TASK_KEYS, at)
     constraints = _known(entry.get("constraints", {}), _CONSTRAINT_KEYS, f"{at}: constraints")
-    # the contents a run sends instead of filled patterns, by schema id
-    contents = _typed(constraints.get("contents", {}), dict, f"{at}: constraints: contents")
-    return TaskDescription(
-        task_id=task_id,
-        initiator=_require(entry, "initiator", at, str),
-        required_capabilities=frozenset(
-            _names(entry.get("capabilities", []), at, "capabilities")
-        ),
-        participants=_names_by_key(entry, "participants", at),
-        contents=contents,
-    )
+    _typed(constraints.get("contents", {}), dict, f"{at}: constraints: contents")
+    _require(entry, "initiator", at, str)
+    _names(entry.get("capabilities", []), at, "capabilities")
+    _names_by_key(entry, "participants", at)
 
 
 def _integer(raw: dict, key: str, default: int, where: str, least: int | None = None) -> int:

@@ -16,6 +16,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings
 
+from parley.agents import IndividualInitiator, SequentialResponder
 from parley.errors import NoViableRoleError, PointOutOfRangeError
 from parley.individual import (
     INITIATOR_DETECTED,
@@ -38,7 +39,9 @@ from parley.individual import (
 from parley.journal import DataChange, Journal, JournalRecord
 from parley.machine import MachineDriver, rejection_kind, replay_states
 from parley.model import (
+    ERROR_NOTIFY,
     RESERVED_PERFORMATIVES,
+    TERMINATION_WARNING,
     Action,
     InteractionModel,
     RECOVER_AT,
@@ -48,15 +51,16 @@ from parley.model import (
     RoleKind,
     RoleRef,
     RoleStateMachine,
+    TaskDescription,
     Transition,
     Trigger,
 )
 
-from parley.runtime import WAKE
+from parley.runtime import WAKE, AgentBase, SimRuntime
 from parley.scenario import MIXED, SEQUENTIAL, build_runtime, load_registry, scenario_from_dict
 
 from .generators import journal_graph_instances
-from .helpers import individual_scenario, rewind_runtime
+from .helpers import individual_scenario, one_one_protocol, rewind_registry, rewind_runtime
 from .oracles import oracle_recovery_points
 
 CONV = "t2/c1"
@@ -261,6 +265,56 @@ class TestInitiatorDetectedPurge:
         removed, kept = purge_collection(collection, registry, server_journal().records, error)
         assert removed == [server("attr_digest"), server("attr_lookup")]
         assert list(kept) == [server("attr_probe"), server("attr_query")]
+
+
+def _choosy_protocol(protocol_id: str, answer: str) -> Protocol:
+    """A server that, in p0, may skip an ask (no action) or answer it
+    at once with an ``answer`` message."""
+    machine = RoleStateMachine(
+        role_id="server",
+        kind=RoleKind.PARTICIPANT,
+        multiplicity=1,
+        states=frozenset({"p0", "done"}),
+        initial_state="p0",
+        terminal_states=frozenset({"done"}),
+        transitions=(
+            Transition(
+                "p0", Trigger(kind="receive", schema_id="ask"), Action(kind="none"), "p0", "skip"
+            ),
+            Transition(
+                "p0",
+                Trigger(kind="receive", schema_id="ask"),
+                Action(kind="send", schema_id="reply"),
+                "done",
+                "answer",
+            ),
+        ),
+    )
+    return Protocol(
+        protocol_id=protocol_id,
+        capability_tags=frozenset({"query"}),
+        schemas={
+            "ask": MessageSchema(
+                "ask", "ask-one", {"attribute": "?string", "document": "?string"}
+            ),
+            "reply": MessageSchema("reply", answer, {"value": "?string"}),
+        },
+        roles={"server": machine},
+    )
+
+
+def test_a_purge_reads_only_the_sends_the_culprit_input_enables():
+    # the rejected tell answered the ask at once; both candidates may
+    # also skip the ask, which sends nothing, and only the one whose
+    # answer is a tell could repeat the fault
+    registry = {"t": _choosy_protocol("t", "tell"), "i": _choosy_protocol("i", "inform")}
+    records = [JournalRecord("answer", ASK, GOOD_TELL)]
+    error = InteractionError(
+        kind=WRONG_STRUCTURE, location=1, offending=GOOD_TELL, detected_by=INITIATOR_DETECTED
+    )
+    removed, kept = purge_collection({server("t"), server("i")}, registry, records, error)
+    assert removed == [server("t")]
+    assert kept == {server("i"): frozenset({"p0"})}
 
 
 class TestParticipantDetectedPurge:
@@ -686,6 +740,59 @@ class TestSequentialRewind:
             replacements.add(recovery["role"])
         # the two seeds start from different servers
         assert replacements == {"rw_a:server", "rw_b:server"}
+
+
+    def test_a_notice_about_a_message_no_record_sent_is_dropped(self):
+        """A second notice about the answer the rewind withdrew crosses
+        the rewind: no record of the journal sent it any more, so the
+        responder drops it, as it drops a notice about a tag it never
+        used."""
+        registry = rewind_registry()
+        servers = InteractionModel({protocol_id: frozenset({"server"}) for protocol_id in registry})
+        rt = SimRuntime(seed=0)
+        rt.register(AgentBase("q"))
+        rt.register(SequentialResponder("c", servers.participant_refs(registry), registry))
+
+        def deliver(performative: str, content: dict, tag: str | None = None) -> list[str]:
+            rt.schedule_send(Message(performative, content, "kv", "core", "q", "c", "t/c", tag))
+            start = len(rt.trace)
+            rt.run_until_quiescent()
+            return [e.kind for e in rt.trace[start:] if e.kind != "deliver"]
+
+        def notice(tag: str) -> dict:
+            return {"kind": WRONG_STRUCTURE, "tag": tag, "detected-by": INITIATOR_DETECTED}
+
+        assert deliver("ask-one", {"q": "x"}, "q.1") == ["selection", "send"]
+        assert deliver(ERROR_NOTIFY, notice("c.1")) == ["recovery", "send", "send"]
+        journal = rt.agents["c"].threads["t/c"].journal
+        before = list(journal.records)
+        assert [r.method for r in before] == ["take", "answer"]
+        assert before[1].output.reply_with == "c.2"
+        assert deliver(ERROR_NOTIFY, notice("c.1")) == []
+        assert deliver(ERROR_NOTIFY, notice("c.9")) == []
+        assert journal.records == before
+
+
+def test_an_initiator_drops_what_comes_after_its_outcome():
+    # once a fatal warning failed the task, a late answer neither moves
+    # the role nor draws an error notice or a termination notice
+    registry = {"ips": one_one_protocol("ips")}
+    task = TaskDescription("t1", "q1", frozenset({"query"}), {"ips": ("d1",)})
+    rt = SimRuntime(seed=0)
+    initiator = IndividualInitiator("q1", task, RoleRef("ips", "asker"), registry)
+    rt.register(initiator)
+    rt.register(AgentBase("d1"))
+    rt.run_until_quiescent()  # the ask goes out
+    for performative, content in (
+        (TERMINATION_WARNING, {"reason": "exhausted"}),
+        ("tell", {"a": "late"}),
+    ):
+        rt.schedule_send(Message(performative, content, "kv", "core", "d1", "q1", "t1/d1", "d1.1"))
+        rt.run_until_quiescent()
+    assert initiator.outcome == ("failed", {})
+    assert initiator.driver.state == "s1"
+    sent = [e.payload["performative"] for e in rt.trace if e.kind == "send"]
+    assert sent == ["ask-one", TERMINATION_WARNING, "tell"]
 
 
 #: performatives of the sends that are no domain message

@@ -7,7 +7,7 @@ import json
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parley.agents import JointInitiator, SelectionParticipant, answer_table
@@ -210,6 +210,10 @@ class TestLargestSet:
 
     @settings(max_examples=300)
     @given(largest_set_instances())
+    # every size group undecided: the highest one's smallest label wins
+    @example(({"a1": ["many:rA"], "a2": ["many:rB"]}, {"many"}))
+    @example(({"a1": ["many:rA", "many:rB"], "a2": ["many:rB", "many:rC"],
+               "a3": ["many:rC", "many:rA"], "a4": ["many:rD"], "a5": ["many:rE"]}, {"many"}))
     def test_agrees_with_oracle(self, instance):
         plain_replies, identified = instance
         replies = {a: payload(*labels) for a, labels in plain_replies.items()}
@@ -832,12 +836,14 @@ def test_a_late_offer_during_a_broadcast_round_is_stopped():
 MALFORMED = {
     "duplicate": (["{p}:{r}", "{p}:{r}"], "duplicate roles in ready-to-select payload"),
     "no-colon": (["nocolon"], "bad role reference 'nocolon', expected 'protocol:role'"),
+    "not-strings": ([1], "roles must be a list of 'protocol:role' strings, not [1]"),
 }
 
 
 def malformed(kind: str, protocol_id: str, role_id: str) -> tuple[str, dict, int]:
     roles, _ = MALFORMED[kind]
-    return READY_TO_SELECT, {"roles": [r.format(p=protocol_id, r=role_id) for r in roles]}, 0
+    roles = [r.format(p=protocol_id, r=role_id) if isinstance(r, str) else r for r in roles]
+    return READY_TO_SELECT, {"roles": roles}, 0
 
 
 def malformed_notes(rt: SimRuntime) -> list[dict]:

@@ -10,6 +10,7 @@ they should.
 
 from __future__ import annotations
 
+import json
 from random import Random
 
 import pytest
@@ -50,7 +51,7 @@ from parley.model import (
     Trigger,
 )
 from parley.patterns import fill_pattern
-from parley.scenario import load_registry
+from parley.scenario import build_runtime, load_registry, parse_scenario
 
 from .generators import message_pairs
 from .oracles import oracle_same_signature, oracle_shape_key, oracle_zone_coherent
@@ -217,9 +218,10 @@ class TestSelectOutgoing:
         assert paired
 
 
-def _twin_protocol(protocol_id: str, pokeable: bool = False) -> Protocol:
-    """Servers that answer any ask with the same textual tell; the
-    pokeable variant also accepts a poke where its twin cannot."""
+def _twin_protocol(protocol_id: str, pokeable: bool = False, answer: str = "tell") -> Protocol:
+    """Servers that answer any ask with the same textual tell (or
+    another ``answer`` performative); the pokeable variant also accepts
+    a poke where its twin cannot."""
     schemas = {
         "ask": MessageSchema(
             schema_id="ask",
@@ -227,7 +229,7 @@ def _twin_protocol(protocol_id: str, pokeable: bool = False) -> Protocol:
             content_pattern={"attribute": "?string", "document": "?string"},
         ),
         "reply": MessageSchema(
-            schema_id="reply", performative="tell", content_pattern={"value": "?string"}
+            schema_id="reply", performative=answer, content_pattern={"value": "?string"}
         ),
     }
     transitions = [
@@ -440,6 +442,25 @@ class TestHandleErrorMixed:
         assert [r.method for r in cz.journal.records] == ["al-take", "al-share"]
         assert cz.outbox == []
 
+    def test_content_complaint_voids_alternates_of_the_same_pattern(self):
+        # a tell and an inform of one content pattern: different messages,
+        # so the loser stays as an alternate, but the same content, which
+        # the counterpart just refused
+        registry = {
+            "twin_a": _twin_protocol("twin_a"),
+            "twin_b": _twin_protocol("twin_b", answer="inform"),
+        }
+        for seed in range(4):
+            rng = Random(seed)
+            cz = instantiate({server("twin_a"), server("twin_b")}, registry, rng)
+            sent = select_outgoing(cz, rng)
+            assert [e.message.performative for e in cz.outbox] == [
+                {"tell": "inform", "inform": "tell"}[sent.performative]
+            ]
+            assert handle_error_mixed(cz, WRONG_CONTENT, rng) is None
+            assert cz.outbox == []
+            assert statuses(cz) == {"twin_a": STOPPED, "twin_b": STOPPED}
+
     def test_exhausted_step_returns_nothing(self, registry):
         cz, rng = fresh_zone(registry, GOLDEN_SEED)
         select_outgoing(cz, rng)
@@ -517,6 +538,164 @@ class TestReactivate:
         assert plan.refire == DataChange("q", ASK.content)
         assert feed(cz, plan.refire, Random(0))
         assert [e.message.performative for e in cz.outbox] == ["sorry"]
+
+
+# ---------------------------------------------------------------------------
+# The responder's reactivation loop, from a protocol document
+# ---------------------------------------------------------------------------
+
+
+def _t(start: str, trigger: tuple[str, str], send: str | None, end: str, method: str) -> dict:
+    kind, name = trigger
+    return {
+        "from": start,
+        "trigger": {"kind": kind, "schema" if kind == "receive" else "variable": name},
+        "action": {"kind": "send", "schema": send} if send else {"kind": "none"},
+        "to": end,
+        "method": method,
+    }
+
+
+def _role_doc(role_id: str, kind: str, transitions: list[dict]) -> dict:
+    states = sorted({t["from"] for t in transitions} | {t["to"] for t in transitions})
+    return {
+        "role_id": role_id,
+        "kind": kind,
+        "multiplicity": 1,
+        "states": states,
+        "initial": transitions[0]["from"],
+        "terminals": ["done"],
+        "transitions": transitions,
+    }
+
+
+#: The asker presses a tell with ``more`` and settles for a closing
+#: inform, and it has no transition for a report.  Of the servers, ``x``
+#: tells and then reports.  ``w`` tells the same tell, or declines the
+#: ask silently (one method, two transitions: a seeded draw picks), and
+#: takes ``more`` without a word.  ``s`` closes at once; its inform is
+#: weak, since it ends the interaction.  ``mute`` takes the ask and sends
+#: nothing.
+HESITANT = {
+    "protocol_id": "hesitant",
+    "capability_tags": ["hesitating"],
+    "schemas": [
+        {"schema_id": "ask", "performative": "ask-one", "content_pattern": {"q": "?string"}},
+        {"schema_id": "tell", "performative": "tell", "content_pattern": {"a": "?string"}},
+        {"schema_id": "more", "performative": "request", "content_pattern": {"m": "?string"}},
+        {"schema_id": "report", "performative": "report", "content_pattern": {"r": "?string"}},
+        {"schema_id": "close", "performative": "inform", "content_pattern": {"c": "?string"}},
+    ],
+    "roles": [
+        _role_doc("asker", "initiator", [
+            _t("s0", ("internal", "task"), "ask", "s1", "ask"),
+            _t("s1", ("receive", "tell"), "more", "s2", "press"),
+            _t("s1", ("receive", "close"), None, "done", "settle"),
+        ]),
+        _role_doc("x", "participant", [
+            _t("p0", ("receive", "ask"), "tell", "p1", "x-take"),
+            _t("p1", ("receive", "more"), "report", "done", "x-report"),
+        ]),
+        _role_doc("w", "participant", [
+            _t("p0", ("receive", "ask"), "tell", "p1", "w-take"),
+            _t("p0", ("receive", "ask"), None, "done", "w-take"),
+            _t("p1", ("receive", "more"), None, "done", "w-note"),
+        ]),
+        _role_doc("s", "participant", [_t("p0", ("receive", "ask"), "close", "done", "s-close")]),
+        _role_doc("mute", "participant", [_t("p0", ("receive", "ask"), None, "done", "mute")]),
+    ],
+}
+
+
+def run_hesitant(tmp_path, roles: list[str], seed: int):
+    """Asker ``q`` against a mixed responder ``c`` enacting ``roles`` of
+    HESITANT, read from documents: the runtime and every event but the
+    deliveries, as dicts."""
+    (tmp_path / "hesitant.json").write_text(json.dumps(HESITANT), encoding="utf-8")
+    scenario = {
+        "scenario_id": "hesitant",
+        "seed": seed,
+        "selection_mode": "individual_mixed",
+        "protocols": ["hesitant.json"],
+        "agents": [
+            {"id": "q", "enacts": {"hesitant": ["asker"]}},
+            {"id": "c", "enacts": {"hesitant": roles}},
+        ],
+        "tasks": [
+            {"id": "t", "initiator": "q", "capabilities": ["hesitating"],
+             "participants": {"hesitant": ["c"]}}
+        ],
+    }
+    (tmp_path / "hesitant_run.json").write_text(json.dumps(scenario), encoding="utf-8")
+    runtime = build_runtime(parse_scenario(tmp_path / "hesitant_run.json"))
+    events = [e.as_dict() for e in runtime.run_until_quiescent() if e.kind != "deliver"]
+    return runtime, events
+
+
+def _story(events: list[dict]) -> list[tuple]:
+    """Each event as (kind, the fields that tell it apart)."""
+    told = []
+    for e in events:
+        if e["kind"] == "send":
+            told.append(("send", e["from"], e["performative"], e["content"]))
+        elif e["kind"] == "recovery":
+            told.append(("recovery", e["roles"], e["points"], e["restart"]))
+        elif e["kind"] == "selection":
+            told.append(("selection", e["collection"], e["candidates"]))
+        else:
+            told.append((e["kind"], e["agent"], e["status"]))
+    return told
+
+
+class TestResponderReactivationLoop:
+    def test_a_cohort_that_takes_the_refire_silently_passes_to_the_next(self, tmp_path):
+        """At seed 1, ``w`` answers the opening with the same tell as
+        ``x``, so both stay active and ``s`` is parked (stamp 1).  ``x``
+        reports on ``more`` and ``w`` takes it silently, so ``w`` is parked
+        (stamp 2).  The asker refuses the report, and no alternate is
+        left: the first pass wakes ``w``, whose journal path breaks after
+        the opening, so the journal is cut to nothing and the opening is
+        re-fired.  This time ``w`` declines it silently, so nothing is
+        sent and ``w`` is stopped.  The second pass finds the journal
+        empty and re-fires the opening itself for ``s``, whose only reply
+        is weak: a ``weak-cohort`` warning goes before its inform, which
+        the asker settles for."""
+        runtime, events = run_hesitant(tmp_path, ["s", "w", "x"], seed=1)
+        assert _story(events) == [
+            ("send", "q", "ask-one", {"q": "text"}),
+            ("selection", ["hesitant:s", "hesitant:w", "hesitant:x"], 3),
+            ("send", "c", "tell", {"a": "text"}),
+            ("send", "q", "request", {"m": "text"}),
+            ("send", "c", "report", {"r": "text"}),
+            ("send", "q", "error-notify",
+             {"kind": "wrong-structure", "tag": "c.2", "detected-by": "initiator"}),
+            ("recovery", ["hesitant:w"], [1, 1], True),
+            ("send", "c", "recover-at", {"point": 1}),
+            ("recovery", ["hesitant:s"], [1, 1], True),
+            ("send", "c", "recover-at", {"point": 1}),
+            ("send", "c", "termination-warning", {"reason": "weak-cohort"}),
+            ("send", "c", "inform", {"c": "text"}),
+            ("send", "q", "termination-notice", {"state": "done"}),
+            ("send", "c", "termination-notice", {"state": "acknowledged"}),
+            ("termination", "c", "concluded"),
+            ("termination", "q", "concluded"),
+        ]
+        # the silent pass drew a tag and sent nothing with it
+        assert [e["tag"] for e in events if e.get("performative") == "inform"] == ["c.4"]
+        zone = runtime.agents["c"].threads["t/c"].zone
+        activations = {ref.role: instance.activation for ref, instance in zone.instances.items()}
+        assert activations == {"s": ACTIVE, "w": STOPPED, "x": STOPPED}
+        assert [r.method for r in zone.journal.records] == ["s-close"]
+
+    def test_an_opening_its_takers_answer_with_nothing_fails_the_thread(self, tmp_path):
+        _, events = run_hesitant(tmp_path, ["mute"], seed=0)
+        assert _story(events) == [
+            ("send", "q", "ask-one", {"q": "text"}),
+            ("selection", ["hesitant:mute"], 0),
+            ("send", "c", "termination-warning", {"reason": "no-viable-role"}),
+            ("termination", "c", "failed"),
+            ("termination", "q", "failed"),
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from unittest.mock import ANY
 
 import pytest
 from hypothesis import given, settings
@@ -119,6 +120,17 @@ class TestClassification:
                 role["multiplicity"] = multiplicity
         assert validate_protocol(protocol_from_dict(doc)) == [
             Violation("bad-multiplicity", "ips:asker", "initiator roles have multiplicity 1")
+        ]
+
+    @pytest.mark.parametrize("multiplicity", [0, -1])
+    def test_participant_multiplicity_below_one_reported_once(self, multiplicity):
+        # a bad multiplicity is not also read as a mix of category traits
+        doc = json.loads((FIXTURES / "protocols" / "auction.json").read_text(encoding="utf-8"))
+        for role in doc["roles"]:
+            if role["role_id"] == "buyer":
+                role["multiplicity"] = multiplicity
+        assert validate_protocol(protocol_from_dict(doc)) == [
+            Violation("bad-multiplicity", "auction:buyer", repr(multiplicity))
         ]
 
 
@@ -455,6 +467,30 @@ class TestSerde:
         with pytest.raises(ParseError):
             load_protocol(bad)
 
+    @pytest.mark.parametrize(
+        "end, kind",
+        [("trigger", "internal"), ("trigger", "receive"), ("action", "send"), ("action", "none")],
+    )
+    def test_an_end_kind_that_is_no_exact_string_is_refused_where_it_sits(self, end, kind):
+        # only a Python caller can pass a str subclass; a JSON decoder
+        # builds none, and the located checks refuse it as the fast exit does
+        class Text(str):
+            pass
+
+        raw = json.loads(ONE_ONE_DOC)
+        r, t, transition = next(
+            (r, t, transition)
+            for r, role in enumerate(raw["roles"])
+            for t, transition in enumerate(role["transitions"])
+            if transition[end]["kind"] == kind
+        )
+        transition[end]["kind"] = Text(kind)
+        with pytest.raises(ParseError) as caught:
+            protocol_from_dict(raw)
+        assert str(caught.value) == (
+            f"roles[{r}].transitions[{t}].{end}.kind: unknown {end} kind {kind!r}"
+        )
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "disk.json"
         path.write_text(ONE_ONE_DOC, encoding="utf-8")
@@ -525,6 +561,11 @@ def test_index_and_derived_data_leave_equality_and_hash_alone():
     assert used == fresh
     assert hash(used) == hash(fresh)
     assert repr(used) == repr(fresh)
+    # a machine is unequal to anything else, its declared fields too,
+    # and leaves the answer to an operand that knows better
+    assert used != used._declared()
+    assert used != "replier"
+    assert used == ANY
 
 
 def test_derived_data_is_built_once_per_machine():

@@ -178,6 +178,10 @@ class TestParsing:
                 "compatibility: bad role reference 'replier'",
             ),
             (
+                lambda raw: raw.update(compatibility=[["ips:asker", "ips:replier", "ips:asker"]]),
+                "compatibility: expected a pair, got ['ips:asker', 'ips:replier', 'ips",
+            ),
+            (
                 lambda raw: raw["agents"][1].update(willing="false"),
                 "agent helper: willing: expected a JSON boolean",
             ),
@@ -256,6 +260,7 @@ class TestParsing:
             "list-task-id",
             "number-fault-conversation",
             "unqualified-compatibility-role",
+            "compatibility-triple",
             "text-willing",
             "number-contents",
             "number-scenario-id",
@@ -1223,6 +1228,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "role querier" in out
         assert "aq-bail" in out
+        # each role head names its father, if it has one
+        assert cli_main(["dump-protocol", "auction"]) == 0
+        heads = [line for line in capsys.readouterr().out.splitlines() if "  role " in line]
+        assert heads == [
+            "  role buyer [participant x1]",
+            "  role manager [participant x1] father=buyer",
+            "  role opener [initiator x1]",
+            "  role seller [participant x1] father=manager",
+        ]
 
     def test_dump_protocol_validates_the_file(self, tmp_path, capsys):
         doc = json.loads(protocol_path("ips").read_text(encoding="utf-8"))
