@@ -24,10 +24,12 @@ from typing import NamedTuple
 from .errors import NoViableRoleError, PointOutOfRangeError
 from .journal import Journal
 from .machine import (
+    CASCADE_LIMIT,
     WRONG_CONTENT,
     WRONG_STRUCTURE,
     enabled_for,
     enabled_for_message,
+    enabled_for_variable,
     pick,
     replay_states,
     weak_schema_ids,
@@ -87,13 +89,19 @@ def _generates_same_structure(
 ) -> bool:
     """Could this role, standing in ``states`` after the prefix, emit a
     message of the offending message's structure when fed the same
-    input?"""
-    for state in states:
-        for t in enabled_for(machine, protocol, state, input_event):
-            if t.action.kind != "send":
-                continue
-            if protocol.schemas[t.action.schema_id].structure_matches(offending):
-                return True
+    input?  The input's cascade is followed by the rule of
+    :mod:`parley.machine`: a data change fires the internal transitions
+    on the variable it wrote, up to ``CASCADE_LIMIT`` transitions."""
+    enabled = {t for state in states for t in enabled_for(machine, protocol, state, input_event)}
+    for _ in range(CASCADE_LIMIT):
+        following = set()
+        for t in enabled:
+            if t.action.kind == "send":
+                if protocol.schemas[t.action.schema_id].structure_matches(offending):
+                    return True
+            elif t.action.kind == "data_change":
+                following.update(enabled_for_variable(machine, t.to_state, t.action.variable))
+        enabled = following
     return False
 
 

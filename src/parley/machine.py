@@ -36,7 +36,7 @@ from .model import (
 from .patterns import fill_pattern
 
 #: bound on the cascade of internal transitions one input sets off
-_CASCADE_LIMIT = 8
+CASCADE_LIMIT = 8
 
 WRONG_STRUCTURE = "wrong-structure"
 WRONG_CONTENT = "wrong-content"
@@ -236,7 +236,7 @@ class MachineDriver:
         value = event.content if isinstance(event, Message) else event.value
         records: list[JournalRecord] = []
         sent = None
-        for _ in range(_CASCADE_LIMIT):
+        for _ in range(CASCADE_LIMIT):
             t = pick(enabled, rng)
             kind = t.action.kind
             if kind == "send":

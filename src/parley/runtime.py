@@ -20,8 +20,8 @@ append and a pop.
 The bus records each message once on each side, as one tuple per
 event: a send is a ``Sent(tick, seq, message)`` record and a delivery
 a ``Delivered(tick, seq, message)``, each holding the ``Message``
-itself (for a delivery, the message after any fault).  A record is its
-own payload, which reads like the dict of its trace fields, and
+itself (for a delivery, the message after any fault).  A record's
+``payload`` is a dict of its trace fields built when it is read, and
 ``render_trace`` writes its line straight off the message.  Agents'
 notes and fault events are ``TraceEvent(tick, kind, dict)`` tuples.
 As it records them, the bus counts what a run's summary needs: each
@@ -102,69 +102,42 @@ class _CollectorPause:
 collector_paused = _CollectorPause()
 
 
+def _as_dict(event) -> dict:
+    """The event's trace line as a dict: tick, kind, then the payload's fields."""
+    return {"tick": event.tick, "kind": event.kind, **event.payload}
+
+
 class TraceEvent(NamedTuple):
     """A note: an agent's (selection, recovery or termination) or a
     fault's, as a ``(tick, kind, payload)`` tuple.
 
     ``tick`` is the bus's ``int`` tick, ``kind`` the note's kind, and the
-    payload a dict, rendered whole through :meth:`as_dict`.  A payload is
-    stored as the bus or the agent passed it, not copied, so it must not
-    change once noted.  The bus's send and deliver events are
+    payload a dict, rendered whole through :meth:`as_dict`.  A note holds
+    the payload as the bus or the agent passed it, not a copy, so it must
+    not change once noted.  The bus's send and deliver events are
     :class:`Sent` and :class:`Delivered` records, which read the same
-    ``tick``, ``kind`` and ``payload``; the fields of a trace event are
-    read by name, because the records' tuples have another layout.
+    ``tick``, ``kind``, ``payload`` and ``as_dict``; the fields of a trace
+    event are read by name, because the records' tuples have another
+    layout.
     """
 
     tick: int
     kind: str
     payload: dict
 
-    def as_dict(self) -> dict:
-        return {"tick": self.tick, "kind": self.kind, **self.payload}
-
-
-#: the index of a ``Message`` field in the tuple
-_AT = Message._fields.index
+    as_dict = _as_dict
 
 
 class _BusRecord(NamedTuple):
-    """A bus event that is its own payload: a ``(tick, seq, message)``
-    tuple whose class names its ``kind``.
-
-    ``payload`` is the record itself, a read-only view of the dict of its
-    trace fields: ``payload["from"]``, ``get``, ``keys()``, ``in``,
-    ``dict(payload)`` and ``{**payload}`` see the fields of ``_FIELDS``,
-    in line order, with the message's values.  It copies nothing, so it
-    is as immutable as its message.
-    """
+    """A bus event: a ``(tick, seq, message)`` tuple whose class names
+    its ``kind``.  Its ``payload`` is a fresh dict of its trace fields, in
+    line order, built on each read; the record keeps nothing else."""
 
     tick: int
     seq: int
     message: Message
 
-    #: trace field -> the index of its value in the message, None for the
-    #: seq; in the order a trace line writes the fields
-    _FIELDS = {}
-
-    @property
-    def payload(self) -> _BusRecord:
-        return self
-
-    def as_dict(self) -> dict:
-        return {"tick": self.tick, "kind": self.kind, **self}
-
-    def keys(self):
-        return self._FIELDS.keys()
-
-    def __contains__(self, key) -> bool:
-        return key in self._FIELDS
-
-    def __getitem__(self, key):
-        index = self._FIELDS[key]
-        return self.seq if index is None else self.message[index]
-
-    def get(self, key, default=None):
-        return self[key] if key in self._FIELDS else default
+    as_dict = _as_dict
 
 
 class Sent(_BusRecord):
@@ -173,15 +146,15 @@ class Sent(_BusRecord):
 
     __slots__ = ()
     kind = "send"
-    _FIELDS = {
-        "seq": None,
-        "from": _AT("sender"),
-        "to": _AT("receiver"),
-        "conversation": _AT("conversation_id"),
-        "performative": _AT("performative"),
-        "tag": _AT("reply_with"),
-        "content": _AT("content"),
-    }
+
+    @property
+    def payload(self) -> dict:
+        msg = self.message
+        return {
+            "seq": self.seq, "from": msg.sender, "to": msg.receiver,
+            "conversation": msg.conversation_id, "performative": msg.performative,
+            "tag": msg.reply_with, "content": msg.content,
+        }
 
 
 class Delivered(_BusRecord):
@@ -191,9 +164,14 @@ class Delivered(_BusRecord):
 
     __slots__ = ()
     kind = "deliver"
-    _FIELDS = {
-        field: Sent._FIELDS[field] for field in ("seq", "from", "to", "conversation", "performative")
-    }
+
+    @property
+    def payload(self) -> dict:
+        msg = self.message
+        return {
+            "seq": self.seq, "from": msg.sender, "to": msg.receiver,
+            "conversation": msg.conversation_id, "performative": msg.performative,
+        }
 
 
 #: a run's events in the order they happened: notes and bus records
@@ -215,7 +193,8 @@ def render_trace(trace: Trace) -> str:
     distinct content object (a content is never changed once sent, and a
     broadcast call or equal offers share one).  Every note is encoded
     whole through ``event.as_dict()``.  One C encoder, with the
-    ``json.dumps`` defaults, serves the whole call.
+    ``json.dumps`` defaults, serves the whole call, so a content or note
+    it cannot write raises what ``json.dumps`` raises for it.
     """
     if c_make_encoder is None:
         return "".join(json.dumps(event.as_dict()) + "\n" for event in trace)
@@ -233,45 +212,37 @@ def render_trace(trace: Trace) -> str:
     lines: list[str] = []
     for event in trace:
         record = type(event)
-        try:
-            # a record's tuple is (tick, seq, message), unpacked once its
-            # class is known
-            if record is Sent:
-                tick, seq, (performative, content, _, _, sender, receiver, conversation, tag) = event
-                text = texts.get(id(content))
-                if text is None:
-                    text = "".join(encode(content, 0))
-                    # keep the text only of a content held beyond its
-                    # message (which, the local and the call make 3
-                    # references): only such a content can recur, and
-                    # most are one message's alone
-                    if getrefcount(content) > 3:
-                        texts[id(content)] = text
-                lines.append(
-                    f'{{"tick": {tick}, "kind": "send", "seq": {seq}, '
-                    f'"from": {quote(sender)}, "to": {quote(receiver)}, '
-                    f'"conversation": {quote(conversation)}, '
-                    f'"performative": {quote(performative)}, '
-                    f'"tag": {"null" if tag is None else quote(tag)}, '
-                    f'"content": {text}}}\n'
-                )
-            elif record is Delivered:
-                tick, seq, (performative, _, _, _, sender, receiver, conversation, _) = event
-                lines.append(
-                    f'{{"tick": {tick}, "kind": "deliver", "seq": {seq}, '
-                    f'"from": {quote(sender)}, "to": {quote(receiver)}, '
-                    f'"conversation": {quote(conversation)}, '
-                    f'"performative": {quote(performative)}}}\n'
-                )
-            else:
-                lines.append("".join(encode(event.as_dict(), 0)) + "\n")
-        except (TypeError, ValueError):
-            # raise what json.dumps raises for the whole event, from a fresh
-            # encoder: the shared one may have failed on a part of the event
-            # only, and is never retried, because a failed encode leaves its
-            # ids in the shared circular-check markers
-            json.dumps(event.as_dict())
-            raise
+        # a record's tuple is (tick, seq, message), unpacked once its
+        # class is known
+        if record is Sent:
+            tick, seq, (performative, content, _, _, sender, receiver, conversation, tag) = event
+            text = texts.get(id(content))
+            if text is None:
+                text = "".join(encode(content, 0))
+                # keep the text only of a content held beyond its
+                # message (which, the local and the call make 3
+                # references): only such a content can recur, and
+                # most are one message's alone
+                if getrefcount(content) > 3:
+                    texts[id(content)] = text
+            lines.append(
+                f'{{"tick": {tick}, "kind": "send", "seq": {seq}, '
+                f'"from": {quote(sender)}, "to": {quote(receiver)}, '
+                f'"conversation": {quote(conversation)}, '
+                f'"performative": {quote(performative)}, '
+                f'"tag": {"null" if tag is None else quote(tag)}, '
+                f'"content": {text}}}\n'
+            )
+        elif record is Delivered:
+            tick, seq, (performative, _, _, _, sender, receiver, conversation, _) = event
+            lines.append(
+                f'{{"tick": {tick}, "kind": "deliver", "seq": {seq}, '
+                f'"from": {quote(sender)}, "to": {quote(receiver)}, '
+                f'"conversation": {quote(conversation)}, '
+                f'"performative": {quote(performative)}}}\n'
+            )
+        else:
+            lines.append("".join(encode(event.as_dict(), 0)) + "\n")
     return "".join(lines)
 
 

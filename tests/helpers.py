@@ -199,6 +199,66 @@ def one_n_protocol(
     )
 
 
+def twin_protocol(protocol_id: str, pokeable: bool = False, answer: str = "tell") -> Protocol:
+    """Servers that answer any ask with the same textual tell (or
+    another ``answer`` performative); the pokeable variant also accepts
+    a poke where its twin cannot."""
+    schemas = {
+        "ask": MessageSchema(
+            schema_id="ask",
+            performative="ask-one",
+            content_pattern={"attribute": "?string", "document": "?string"},
+        ),
+        "reply": MessageSchema(
+            schema_id="reply", performative=answer, content_pattern={"value": "?string"}
+        ),
+    }
+    transitions = [
+        Transition(
+            "p0",
+            Trigger(kind="receive", schema_id="ask"),
+            Action(kind="data_change", variable="q"),
+            "p1",
+            f"{protocol_id}-take",
+        ),
+        Transition(
+            "p1",
+            Trigger(kind="internal", variable="q"),
+            Action(kind="send", schema_id="reply"),
+            "p0",
+            f"{protocol_id}-answer",
+        ),
+    ]
+    if pokeable:
+        schemas["poke"] = MessageSchema(
+            schema_id="poke", performative="request", content_pattern={"note": "?string"}
+        )
+        transitions.append(
+            Transition(
+                "p0",
+                Trigger(kind="receive", schema_id="poke"),
+                Action(kind="data_change", variable="q"),
+                "p1",
+                f"{protocol_id}-poked",
+            )
+        )
+    machine = RoleStateMachine(
+        role_id="server",
+        kind=RoleKind.PARTICIPANT,
+        multiplicity=1,
+        states=frozenset({"p0", "p1"}),
+        initial_state="p0",
+        terminal_states=frozenset(),
+        transitions=tuple(transitions),
+    )
+    return Protocol(
+        protocol_id=protocol_id,
+        capability_tags=frozenset({"twinning"}),
+        schemas=schemas,
+        roles={"server": machine},
+    )
+
+
 def _role(role_id: str, kind: RoleKind, transitions: tuple[Transition, ...]) -> RoleStateMachine:
     """A unit-multiplicity role whose states are those its transitions
     name; the first transition starts it and ``done`` ends it."""

@@ -77,8 +77,7 @@ REASONS = {
     "option": "a command-line option the program paths do not pass",
     "omega": "a protocol annotation block, which no bundled protocol has",
     "equality": "machine equality, hashing and repr, which only tests compare",
-    "view": "the mapping view of a bus record that only tests read",
-    "encoding": "trace rendering without the C encoder, or of an unencodable event",
+    "encoding": "trace rendering without the C encoder",
     "bench": "kept for bench/tracing.py, which patches it by name",
 }
 

@@ -229,8 +229,8 @@ def test_equal_offers_are_one_content_whatever_the_model():
     trace = runtime.run_until_quiescent()
     assert {t.outcome for t in summarize(scenario, runtime, trace).tasks} == {"selected"}
     offers = [
-        e.payload.message for e in trace
-        if e.kind == "send" and e.payload["performative"] == READY_TO_SELECT
+        e.message for e in trace
+        if e.kind == "send" and e.message.performative == READY_TO_SELECT
     ]
     model_of = {spec.agent_id: spec.model for spec in scenario.agents}
     role_lists = {tuple(m.content["roles"]) for m in offers}
@@ -448,9 +448,10 @@ def _live_events() -> int:
     ids=["joint_fanout", "sequential", "mixed"],
 )
 def test_a_run_keeps_one_object_per_event(doc):
-    """Every send and deliver event is a bus record that is its own
-    payload, so the event objects a run leaves alive are exactly its
-    trace: no wrapper beside a record."""
+    """Every send and deliver event is a bus record that builds its
+    payload dict when it is read, so the event objects a run leaves alive
+    are exactly its trace: no wrapper beside a record, and no payload
+    kept by a read."""
     enabled = gc.isenabled()
     # a collection may stop tracking a tuple, which hides it from the count
     gc.disable()
@@ -461,7 +462,9 @@ def test_a_run_keeps_one_object_per_event(doc):
         after = _live_events()
         bus = [e for e in trace if e.kind in ("send", "deliver")]
         assert bus and all(type(e) is {"send": Sent, "deliver": Delivered}[e.kind] for e in bus)
-        assert all(e.payload is e for e in bus)
+        for event in bus:
+            first, second = event.payload, event.payload
+            assert first == second and first is not second
         assert all(type(e) is TraceEvent for e in trace if e.kind not in ("send", "deliver"))
         if doc.get("faults"):
             assert any(e.kind == "fault" for e in trace)

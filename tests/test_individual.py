@@ -60,7 +60,13 @@ from parley.runtime import WAKE, AgentBase, SimRuntime
 from parley.scenario import MIXED, SEQUENTIAL, build_runtime, load_registry, scenario_from_dict
 
 from .generators import journal_graph_instances
-from .helpers import individual_scenario, one_one_protocol, rewind_registry, rewind_runtime
+from .helpers import (
+    individual_scenario,
+    one_one_protocol,
+    rewind_registry,
+    rewind_runtime,
+    twin_protocol,
+)
 from .oracles import oracle_recovery_points
 
 CONV = "t2/c1"
@@ -315,6 +321,21 @@ def test_a_purge_reads_only_the_sends_the_culprit_input_enables():
     removed, kept = purge_collection({server("t"), server("i")}, registry, records, error)
     assert removed == [server("t")]
     assert kept == {server("i"): frozenset({"p0"})}
+
+
+def test_a_purge_follows_the_cascade_the_culprit_input_sets_off():
+    # the twin takes an ask with a data change and answers it with a
+    # tell from the internal transition that change fires, so it can
+    # produce the rejected tell's structure from the same input
+    registry = {"twin_a": twin_protocol("twin_a")}
+    records = [JournalRecord("direct-answer", ASK, GOOD_TELL)]
+    for kind, dropped in ((WRONG_STRUCTURE, True), (WRONG_CONTENT, False)):
+        error = InteractionError(
+            kind=kind, location=1, offending=GOOD_TELL, detected_by=INITIATOR_DETECTED
+        )
+        removed, kept = purge_collection({server("twin_a")}, registry, records, error)
+        assert removed == ([server("twin_a")] if dropped else []), kind
+        assert kept == ({} if dropped else {server("twin_a"): frozenset({"p0"})}), kind
 
 
 class TestParticipantDetectedPurge:

@@ -54,6 +54,7 @@ from parley.patterns import fill_pattern
 from parley.scenario import build_runtime, load_registry, parse_scenario
 
 from .generators import message_pairs
+from .helpers import twin_protocol
 from .oracles import oracle_same_signature, oracle_shape_key, oracle_zone_coherent
 
 GOLDEN_SEED = 51
@@ -218,66 +219,6 @@ class TestSelectOutgoing:
         assert paired
 
 
-def _twin_protocol(protocol_id: str, pokeable: bool = False, answer: str = "tell") -> Protocol:
-    """Servers that answer any ask with the same textual tell (or
-    another ``answer`` performative); the pokeable variant also accepts
-    a poke where its twin cannot."""
-    schemas = {
-        "ask": MessageSchema(
-            schema_id="ask",
-            performative="ask-one",
-            content_pattern={"attribute": "?string", "document": "?string"},
-        ),
-        "reply": MessageSchema(
-            schema_id="reply", performative=answer, content_pattern={"value": "?string"}
-        ),
-    }
-    transitions = [
-        Transition(
-            "p0",
-            Trigger(kind="receive", schema_id="ask"),
-            Action(kind="data_change", variable="q"),
-            "p1",
-            f"{protocol_id}-take",
-        ),
-        Transition(
-            "p1",
-            Trigger(kind="internal", variable="q"),
-            Action(kind="send", schema_id="reply"),
-            "p0",
-            f"{protocol_id}-answer",
-        ),
-    ]
-    if pokeable:
-        schemas["poke"] = MessageSchema(
-            schema_id="poke", performative="request", content_pattern={"note": "?string"}
-        )
-        transitions.append(
-            Transition(
-                "p0",
-                Trigger(kind="receive", schema_id="poke"),
-                Action(kind="data_change", variable="q"),
-                "p1",
-                f"{protocol_id}-poked",
-            )
-        )
-    machine = RoleStateMachine(
-        role_id="server",
-        kind=RoleKind.PARTICIPANT,
-        multiplicity=1,
-        states=frozenset({"p0", "p1"}),
-        initial_state="p0",
-        terminal_states=frozenset(),
-        transitions=tuple(transitions),
-    )
-    return Protocol(
-        protocol_id=protocol_id,
-        capability_tags=frozenset({"twinning"}),
-        schemas=schemas,
-        roles={"server": machine},
-    )
-
-
 def _one_shot_protocol(protocol_id: str) -> Protocol:
     """A server that answers once with a weak goodbye and is done."""
     schemas = {
@@ -323,8 +264,8 @@ def _one_shot_protocol(protocol_id: str) -> Protocol:
 class TestReconcile:
     def twin_zone(self, pokeable_twin: bool = False):
         registry = {
-            "twin_a": _twin_protocol("twin_a"),
-            "twin_b": _twin_protocol("twin_b", pokeable=pokeable_twin),
+            "twin_a": twin_protocol("twin_a"),
+            "twin_b": twin_protocol("twin_b", pokeable=pokeable_twin),
         }
         rng = Random(3)
         collection = {server("twin_a"), server("twin_b")}
@@ -376,8 +317,8 @@ class TestHandleIncoming:
 
     def test_the_real_message_stops_roles_it_proves_wrong(self):
         registry = {
-            "twin_a": _twin_protocol("twin_a"),
-            "twin_b": _twin_protocol("twin_b", pokeable=True),
+            "twin_a": twin_protocol("twin_a"),
+            "twin_b": twin_protocol("twin_b", pokeable=True),
         }
         rng = Random(3)
         collection = {server("twin_a"), server("twin_b")}
@@ -447,8 +388,8 @@ class TestHandleErrorMixed:
         # so the loser stays as an alternate, but the same content, which
         # the counterpart just refused
         registry = {
-            "twin_a": _twin_protocol("twin_a"),
-            "twin_b": _twin_protocol("twin_b", answer="inform"),
+            "twin_a": twin_protocol("twin_a"),
+            "twin_b": twin_protocol("twin_b", answer="inform"),
         }
         for seed in range(4):
             rng = Random(seed)

@@ -850,8 +850,8 @@ class TestTaskContents:
 
     def test_the_given_contents_are_sent(self):
         trace, _ = run_scenario(parse_scenario("t2_sequential_fault"))
-        asks = [p.message.content for kind, p in ((e.kind, e.payload) for e in trace)
-                if kind == "send" and p.message.performative == "ask-one"]
+        asks = [e.message.content for e in trace
+                if e.kind == "send" and e.message.performative == "ask-one"]
         assert asks and all(c == {"attribute": "modified", "document": "d4"} for c in asks)
 
 
@@ -1093,8 +1093,8 @@ class TestValidScenarioFuzz:
                 trace, summary = run_scenario(scenario_from_dict(doc))
                 assert [t.task_id for t in summary.tasks] == [t["id"] for t in doc["tasks"]]
                 assert all(t.outcome != "unresolved" for t in summary.tasks), where
-                sent = Counter(e.payload.seq for e in trace if e.kind == "send")
-                delivered = Counter(e.payload.seq for e in trace if e.kind == "deliver")
+                sent = Counter(e.seq for e in trace if e.kind == "send")
+                delivered = Counter(e.seq for e in trace if e.kind == "deliver")
                 assert sent == delivered, where
                 runs += 1
         assert runs == 2800
