@@ -26,7 +26,7 @@ its task's (outcome, detail) once, where it decides it.
 
 from __future__ import annotations
 
-from .errors import NoViableRoleError, ParseError, ProtocolViolationError
+from .errors import ParseError, ProtocolViolationError
 from .individual import (
     INITIATOR_DETECTED,
     PARTICIPANT_DETECTED,
@@ -652,9 +652,8 @@ class SequentialResponder(_Responder):
     def _recover(self, rt: SimRuntime, thread: _SequentialThread, error: InteractionError) -> None:
         journal = thread.journal
         purged, kept = purge_collection(thread.collection, self.registry, journal.records, error)
-        try:
-            replacement = select_replacement_role(kept, self.registry, error, rt.rng)
-        except NoViableRoleError:
+        replacement = select_replacement_role(kept, self.registry, error, rt.rng)
+        if replacement is None:
             self._fail(rt, thread, "exhausted")
             return
         thread.collection = kept.keys() - {replacement}
@@ -768,16 +767,15 @@ class MixedResponder(_Responder):
         ``TestResponderReactivationLoop`` in ``tests/test_mixed.py``); the
         next pass wakes the next parked cohort.  Each failed pass stops
         its cohort for good, so the parked roles run out and
-        ``reactivate`` raises before this loops forever.
+        ``reactivate`` finds none before this loops forever.
         """
         cz = thread.zone
         while True:
             if offending is None and len(cz.journal) == 0:
                 # a failed pass cut the journal to nothing: re-fire the opening
                 offending = thread.opening
-            try:
-                plan = reactivate(cz, location, offending)
-            except NoViableRoleError:
+            plan = reactivate(cz, location, offending)
+            if plan is None:
                 self._fail(rt, thread, "exhausted")
                 return
             self._note(
@@ -787,7 +785,7 @@ class MixedResponder(_Responder):
                 action="reactivation",
                 roles=[str(r) for r in plan.refs],
                 points=[plan.counterpart_point, plan.own_point],
-                restart=plan.restart,
+                restart=plan.own_point == 1,
             )
             self._reply(rt, thread, RECOVER_AT, {"point": plan.counterpart_point})
             if plan.weak_guard:

@@ -15,10 +15,6 @@ class PointOutOfRangeError(ParleyError):
     """A recovery point does not fit the journal it is applied to."""
 
 
-class NoViableRoleError(ParleyError):
-    """Every role of a collection has been removed."""
-
-
 class UnknownReceiverError(ParleyError):
     """A message was scheduled for an agent id nobody registered."""
 

@@ -21,20 +21,19 @@ from __future__ import annotations
 from random import Random
 from typing import NamedTuple
 
-from .errors import NoViableRoleError, PointOutOfRangeError
+from .errors import PointOutOfRangeError
 from .journal import Journal
 from .machine import (
-    CASCADE_LIMIT,
     WRONG_CONTENT,
     WRONG_STRUCTURE,
     enabled_for,
     enabled_for_message,
-    enabled_for_variable,
     pick,
     replay_states,
+    sends_set_off,
     weak_schema_ids,
 )
-from .model import Message, Protocol, ProtocolRegistry, RoleRef, Transition
+from .model import Message, ProtocolRegistry, RoleRef, Transition
 
 INITIATOR_DETECTED = "initiator"
 PARTICIPANT_DETECTED = "participant"
@@ -84,27 +83,6 @@ def receiving_roles(
 # ---------------------------------------------------------------------------
 
 
-def _generates_same_structure(
-    machine, protocol: Protocol, states, input_event, offending: Message
-) -> bool:
-    """Could this role, standing in ``states`` after the prefix, emit a
-    message of the offending message's structure when fed the same
-    input?  The input's cascade is followed by the rule of
-    :mod:`parley.machine`: a data change fires the internal transitions
-    on the variable it wrote, up to ``CASCADE_LIMIT`` transitions."""
-    enabled = {t for state in states for t in enabled_for(machine, protocol, state, input_event)}
-    for _ in range(CASCADE_LIMIT):
-        following = set()
-        for t in enabled:
-            if t.action.kind == "send":
-                if protocol.schemas[t.action.schema_id].structure_matches(offending):
-                    return True
-            elif t.action.kind == "data_change":
-                following.update(enabled_for_variable(machine, t.to_state, t.action.variable))
-        enabled = following
-    return False
-
-
 def purge_collection(
     collection: set[RoleRef],
     registry: ProtocolRegistry,
@@ -146,8 +124,13 @@ def purge_collection(
         if not states:
             drop = True
         elif error.detected_by == INITIATOR_DETECTED:
-            same = _generates_same_structure(
-                machine, protocol, states, culprit.input_event, error.offending
+            enabled = [
+                t for state in states
+                for t in enabled_for(machine, protocol, state, culprit.input_event)
+            ]
+            same = any(
+                protocol.schemas[t.action.schema_id].structure_matches(error.offending)
+                for t in sends_set_off(machine, enabled)
             )
             if error.kind == WRONG_STRUCTURE:
                 drop = same
@@ -188,10 +171,11 @@ def select_replacement_role(
     registry: ProtocolRegistry,
     error: InteractionError,
     rng: Random,
-) -> RoleRef:
+) -> RoleRef | None:
     """Choose the next role to enact among the roles a purge kept, each
     with the states it replayed the prefix to (see
-    :func:`purge_collection`), in role order.
+    :func:`purge_collection`), in role order; None when the purge kept
+    none.
 
     After a content error the candidates are ranked by how many of
     their still-pending messages are weak - messages whose handling can
@@ -202,7 +186,7 @@ def select_replacement_role(
     """
     candidates = list(kept)
     if not candidates:
-        raise NoViableRoleError("the role collection is exhausted")
+        return None
     if error.kind == WRONG_CONTENT:
         scores: dict[RoleRef, int] = {}
         for ref, states in kept.items():
@@ -289,14 +273,6 @@ def clamped_recovery_points(records, graph: MethodGraph, location: int) -> tuple
     return i, j
 
 
-def truncate_own(journal: Journal, point: int) -> None:
-    """Keep the records before the recovery point; the record at the
-    point itself is re-fired, everything after it never happened."""
-    if point < 1 or point > len(journal) + 1:
-        raise PointOutOfRangeError(f"point {point} outside journal of {len(journal)}")
-    journal.keep_first(point - 1)
-
-
 def truncate_counterpart(journal: Journal, point: int) -> None:
     """Keep the records up to and including the ``point``-th own
     emission; later records are rolled back."""
@@ -328,10 +304,12 @@ def rewind(journal: Journal, machines, location: int, offending: Message | None)
     """Cut ``journal`` back to the earliest recovery points of the role
     ``machines`` about to take over, capped at the failure ``location``.
     Returns (counterpart point, own point, input to re-fire): the input
-    recorded at the own point, or ``offending`` one past the history."""
+    recorded at the own point, or ``offending`` one past the history.
+    The records before the own point are kept; the one at the point is
+    re-fired, and everything after it never happened."""
     records = journal.records
     points = [clamped_recovery_points(records, method_graph(m), location) for m in machines]
     own_point = min(p[1] for p in points)
     refire = refire_input(records, own_point, offending)
-    truncate_own(journal, own_point)
+    journal.keep_first(own_point - 1)
     return min(p[0] for p in points), own_point, refire

@@ -16,7 +16,9 @@ input event fires one of the transitions it enables, and an internal
 transition then fires on a change of the named agent variable - the
 change the transition just fired wrote, and no other.  A send or an
 action of kind ``none`` writes nothing, so the cascade stops there; it
-stops too where the written variable enables nothing.
+stops too where the written variable enables nothing.  Recovery asks
+what a role could send next by the same rule: :func:`sends_set_off`
+walks every branch of the cascade that ``fire`` draws one branch of.
 """
 
 from __future__ import annotations
@@ -74,6 +76,23 @@ def enabled_for_variable(machine: RoleStateMachine, state: str, variable: str) -
         for t in machine.transitions_from(state)
         if t.trigger.kind == "internal" and t.trigger.variable == variable
     ]
+
+
+def sends_set_off(machine: RoleStateMachine, enabled) -> set[Transition]:
+    """The send transitions that firing any of ``enabled`` can reach:
+    each data change fires the internal transitions on its variable in
+    the state it reaches, as in :meth:`MachineDriver.fire`, up to
+    ``CASCADE_LIMIT`` transitions deep."""
+    sends: set[Transition] = set()
+    for _ in range(CASCADE_LIMIT):
+        following: set[Transition] = set()
+        for t in enabled:
+            if t.action.kind == "send":
+                sends.add(t)
+            elif t.action.kind == "data_change":
+                following.update(enabled_for_variable(machine, t.to_state, t.action.variable))
+        enabled = following
+    return sends
 
 
 def enabled_for(

@@ -27,10 +27,16 @@ from __future__ import annotations
 from random import Random
 from typing import NamedTuple
 
-from .errors import NoViableRoleError
 from .individual import rewind
 from .journal import Journal, JournalRecord
-from .machine import WRONG_STRUCTURE, MachineDriver, pick, rejection_kind, weak_schema_ids
+from .machine import (
+    WRONG_STRUCTURE,
+    MachineDriver,
+    pick,
+    rejection_kind,
+    sends_set_off,
+    weak_schema_ids,
+)
 from .model import Message, ProtocolRegistry, RoleRef, Transition
 
 ACTIVE = "active"
@@ -314,12 +320,16 @@ class ReactivationPlan(NamedTuple):
     counterpart_point: int
     own_point: int
     refire: object  # input event to feed the woken instances
-    weak_guard: bool  # every possible next reply would end the interaction
-    restart: bool  # the shared journal gave nothing to keep
+    #: every reply the cohort can send next would end the interaction;
+    #: the guard follows the cascade (:func:`machine.sends_set_off`)
+    weak_guard: bool
 
 
-def reactivate(cz: ControlZone, location: int, offending: Message | None) -> ReactivationPlan:
-    """Wake every instance sharing the highest parking stamp.
+def reactivate(
+    cz: ControlZone, location: int, offending: Message | None
+) -> ReactivationPlan | None:
+    """Wake every instance sharing the highest parking stamp; None when
+    no instance is parked.
 
     The shared journal is rewound (:func:`individual.rewind`) for the
     woken roles, and the instances replay the kept prefix.  The returned
@@ -328,33 +338,27 @@ def reactivate(cz: ControlZone, location: int, offending: Message | None) -> Rea
     """
     pool = cz.with_activation(DEACTIVATED)
     if not pool:
-        raise NoViableRoleError("every parked role is used up")
+        return None
     top = max(instance.stamp for instance in pool)
     cohort = [instance for instance in pool if instance.stamp == top]
     counterpart_point, own_point, refire = rewind(
         cz.journal, [i.machine for i in cohort], location, offending
     )
-    weak_guard = True
-    any_send = False
+    weak_sends: list[bool] = []  # per send the cohort can reach: is it weak
     for instance in cohort:
         machine = instance.machine
         instance.activation = ACTIVE
         instance.last_message = None
         instance.replay()
-        sends = {
-            t.action.schema_id
-            for t in machine.transitions_from(instance.state)
-            if t.action.kind == "send"
-        }
-        if sends:
-            any_send = True
-            if sends - weak_schema_ids(machine):
-                weak_guard = False
+        weak = weak_schema_ids(machine)
+        weak_sends += (
+            t.action.schema_id in weak
+            for t in sends_set_off(machine, machine.transitions_from(instance.state))
+        )
     return ReactivationPlan(
         refs=tuple(instance.ref for instance in cohort),
         counterpart_point=counterpart_point,
         own_point=own_point,
         refire=refire,
-        weak_guard=weak_guard and any_send,
-        restart=own_point == 1,
+        weak_guard=bool(weak_sends) and all(weak_sends),
     )

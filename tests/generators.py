@@ -88,6 +88,51 @@ def journal_graph_instances(
     return records, initial, follow
 
 
+#: variables a cascade writes and reads: few, so a change often enables
+CASCADE_VARIABLES = ("q", "r")
+CASCADE_SCHEMAS = ("tell", "sorry")
+
+
+@st.composite
+def cascade_machines(draw) -> tuple[list[tuple], str]:
+    """(transitions, variable) of a participant machine that steps from
+    ``s0`` on a change of ``variable``.
+
+    transition: (from state, trigger variable, (action kind, its schema
+    or variable, or None), to state, method).  Every trigger is
+    internal, so each data change may set off more.  About half the
+    instances are one chain of 6 to 10 data changes from ``s0`` ended by
+    a send, so cascades run up to the cascade bound and past it.
+    """
+    if draw(st.booleans()):
+        links = draw(st.integers(min_value=6, max_value=10))
+        transitions = [
+            (f"s{i}", "q", ("data_change", "q"), f"s{i + 1}", f"m{i}") for i in range(links - 1)
+        ]
+        transitions.append((f"s{links - 1}", "q", ("send", "tell"), f"s{links}", "end"))
+        return transitions, "q"
+    states = [f"s{i}" for i in range(draw(st.integers(min_value=1, max_value=5)))]
+    actions = (
+        st.tuples(st.just("send"), st.sampled_from(CASCADE_SCHEMAS))
+        | st.tuples(st.just("data_change"), st.sampled_from(CASCADE_VARIABLES))
+        | st.just(("none", None))
+    )
+    drawn = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(states),
+                st.sampled_from(CASCADE_VARIABLES),
+                actions,
+                st.sampled_from(states),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    transitions = [(*t, f"m{i}") for i, t in enumerate(drawn)]
+    return transitions, draw(st.sampled_from(CASCADE_VARIABLES))
+
+
 #: conversation ids of the fault streams; "t1/c1" and "t12/c1" share a
 #: literal prefix, "ab"/"ax" differ in their last character
 STREAM_CONVERSATIONS = ("t1/c1", "t1/c2", "t2/c1", "t12/c1", "ab", "ax", "b")

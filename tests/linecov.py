@@ -67,7 +67,6 @@ REASONS = {
     "late": "drops a message that arrives after what it answers is gone",
     "item-6": "recovers past point 1, which no bundled protocol reaches (ROADMAP item 6)",
     "recovery": "a mixed recovery branch that only a crafted protocol reaches",
-    "purge": "a purge rule case that only a crafted protocol reaches",
     "shape": "a role shape no bundled protocol has (a reception with no reply)",
     "pattern": "a pattern feature no bundled protocol uses (arrays, ?any, literals)",
     "tie-break": "largest-set arbitration beyond a unanimous or equal backing",

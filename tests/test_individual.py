@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 
 from parley.agents import IndividualInitiator, SequentialResponder
-from parley.errors import NoViableRoleError, PointOutOfRangeError
+from parley.errors import PointOutOfRangeError
 from parley.individual import (
     INITIATOR_DETECTED,
     PARTICIPANT_DETECTED,
@@ -32,9 +32,9 @@ from parley.individual import (
     purge_collection,
     receiving_roles,
     refire_input,
+    rewind,
     select_replacement_role,
     truncate_counterpart,
-    truncate_own,
 )
 from parley.journal import DataChange, Journal, JournalRecord
 from parley.machine import MachineDriver, rejection_kind, replay_states
@@ -360,8 +360,7 @@ class TestParticipantDetectedPurge:
             server("attr_probe"),
         ]
         assert kept == {}
-        with pytest.raises(NoViableRoleError):
-            select_replacement_role(kept, registry, error, Random(1))
+        assert select_replacement_role(kept, registry, error, Random(1)) is None
 
     def test_a_kept_role_comes_with_the_states_it_replayed(self, registry):
         # after the ask and its tell, both tell-speaking servers are back
@@ -529,9 +528,9 @@ class TestReplacementChoice:
         }
         assert picks == {server("attr_digest"), server("attr_probe")}
 
-    def test_exhausted_collection_raises(self, registry):
-        with pytest.raises(NoViableRoleError):
-            select_replacement_role({}, registry, content_error_from_initiator(), Random(0))
+    def test_exhausted_collection_yields_none(self, registry):
+        error = content_error_from_initiator()
+        assert select_replacement_role({}, registry, error, Random(0)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -641,27 +640,37 @@ class TestRecoveryPoints:
 
 
 class TestTruncation:
-    def test_own_journal_keeps_records_before_the_point(self):
+    """The own side is cut by :func:`rewind` through ``Journal.keep_first``,
+    which keeps the records before the own point; the counterpart by
+    :func:`truncate_counterpart`."""
+
+    @staticmethod
+    def query_server(registry):
+        return registry["attr_query"].roles["server"]
+
+    def test_own_journal_keeps_records_before_the_point(self, registry):
         journal = server_journal()
-        truncate_own(journal, 2)
+        points = rewind(journal, [self.query_server(registry)], 2, None)
+        assert points == (1, 2, DataChange("q", ASK.content))
         assert [r.method for r in journal.records] == ["aq-take"]
 
-    def test_point_one_wipes_everything(self):
+    def test_point_one_wipes_everything(self, registry):
         journal = server_journal()
-        truncate_own(journal, 1)
+        assert rewind(journal, [self.query_server(registry)], 1, None) == (1, 1, ASK)
         assert len(journal) == 0
 
     def test_point_past_the_end_keeps_everything(self):
         journal = server_journal()
-        truncate_own(journal, 3)
+        journal.keep_first(2)
         assert len(journal) == 2
 
     def test_own_point_out_of_range(self):
         journal = server_journal()
-        with pytest.raises(PointOutOfRangeError):
-            truncate_own(journal, 0)
-        with pytest.raises(PointOutOfRangeError):
-            truncate_own(journal, 4)
+        with pytest.raises(ValueError):
+            journal.keep_first(-1)
+        with pytest.raises(ValueError):
+            journal.keep_first(3)
+        assert len(journal) == 2
 
     def emitting_journal(self) -> Journal:
         journal = Journal(CONV, "q2", "c1")

@@ -5,6 +5,7 @@ from __future__ import annotations
 from random import Random
 
 import pytest
+from hypothesis import given, settings
 
 from parley.journal import DataChange, Journal, JournalRecord
 from parley.machine import (
@@ -12,6 +13,7 @@ from parley.machine import (
     enabled_for_message,
     enabled_for_variable,
     replay_states,
+    sends_set_off,
     weak_schema_ids,
 )
 from parley.mixed import instantiate_all, select_outgoing
@@ -27,6 +29,7 @@ from parley.model import (
     Trigger,
 )
 
+from .generators import CASCADE_SCHEMAS, cascade_machines
 from .helpers import one_one_protocol
 
 
@@ -247,6 +250,68 @@ def test_the_driver_and_a_zone_fire_one_cascade_rule(seed):
         ("answer", r, sent),
     ]
     assert driver.state == zone.instances[ref].state == "p3"
+
+
+def _cascade_protocol(transitions) -> Protocol:
+    """A protocol whose one role ``r`` runs the plain transitions that
+    :func:`cascade_machines` draws."""
+    built = tuple(
+        Transition(
+            source,
+            Trigger("internal", variable=variable),
+            Action(kind) if kind == "none" else
+            Action(kind, **{"schema_id" if kind == "send" else "variable": arg}),
+            target,
+            method,
+        )
+        for source, variable, (kind, arg), target, method in transitions
+    )
+    states = frozenset({t.from_state for t in built} | {t.to_state for t in built})
+    role = RoleStateMachine(
+        role_id="r",
+        kind=RoleKind.PARTICIPANT,
+        multiplicity=1,
+        states=states | {"s0"},
+        initial_state="s0",
+        terminal_states=frozenset(),
+        transitions=built,
+    )
+    return Protocol(
+        protocol_id="cascade",
+        capability_tags=frozenset(),
+        schemas={s: MessageSchema(s, s, {"v": "?string"}) for s in CASCADE_SCHEMAS},
+        roles={"r": role},
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(cascade_machines())
+def test_every_send_fire_makes_is_one_the_walk_finds(instance):
+    """``fire`` draws one branch of the cascade an input sets off and
+    :func:`sends_set_off` walks them all, by one rule: over several
+    seeds, each message fired is sent by a transition the walk returns.
+    Where no state has two transitions on one variable, the cascade has
+    one branch, and the walk finds exactly its send, or none."""
+    transitions, variable = instance
+    registry = {"cascade": _cascade_protocol(transitions)}
+    driver = MachineDriver(RoleRef("cascade", "r"), registry, Journal("t/x", "d1", "q1"))
+    change = DataChange(variable, "v")
+    enabled = driver.enabled_for(change)
+    walked = sends_set_off(driver.machine, enabled)
+    triggers = [(t[0], t[1]) for t in transitions]
+    one_branch = len(set(triggers)) == len(triggers)
+    for seed in range(6):
+        if not enabled:
+            break
+        driver.state = "s0"
+        last, records, sent = driver.fire(enabled, change, Random(seed))
+        if sent is None:
+            assert last.action.kind != "send"
+            assert not one_branch or walked == set()
+        else:
+            assert last in walked and records[-1].output == sent
+            assert sent.performative == last.action.schema_id
+            assert not one_branch or walked == {last}
 
 
 class TestJournal:

@@ -16,7 +16,6 @@ from random import Random
 import pytest
 from hypothesis import given, settings
 
-from parley.errors import NoViableRoleError
 from parley.fixtures import ROOT as FIXTURES
 from parley.individual import (
     WRONG_CONTENT,
@@ -431,7 +430,6 @@ class TestReactivate:
         plan = reactivate(cz, location=2, offending=None)
         assert plan.refs == (server("attr_lookup"),)
         assert (plan.counterpart_point, plan.own_point) == (1, 1)
-        assert plan.restart
         assert not plan.weak_guard
         assert len(cz.journal) == 0
         assert plan.refire == ASK
@@ -457,8 +455,7 @@ class TestReactivate:
         cz, rng = fresh_zone(registry, GOLDEN_SEED)
         for instance in cz.instances.values():
             instance.activation = STOPPED
-        with pytest.raises(NoViableRoleError):
-            reactivate(cz, location=1, offending=ASK)
+        assert reactivate(cz, location=1, offending=ASK) is None
 
     def test_waking_into_a_goodbye_raises_the_guard(self):
         registry = {"fading": _one_shot_protocol("fading")}
@@ -474,9 +471,24 @@ class TestReactivate:
         plan = reactivate(cz, location=2, offending=None)
         assert (plan.counterpart_point, plan.own_point) == (1, 2)
         assert plan.weak_guard  # the only pending reply ends the interaction
-        assert not plan.restart
         assert cz.instances[ref].state == "p1"
         assert plan.refire == DataChange("q", ASK.content)
+        assert feed(cz, plan.refire, Random(0))
+        assert [e.message.performative for e in cz.outbox] == ["sorry"]
+
+    def test_the_guard_follows_the_cascade_the_refire_sets_off(self):
+        """Woken at ``p0`` with nothing kept, the one-shot server sends
+        nothing directly: its goodbye comes from the internal transition
+        the re-fired ask's data change sets off, and the guard sees it."""
+        registry = {"fading": _one_shot_protocol("fading")}
+        cz = ControlZone(Journal("t2/c1", "c1", "q2"))
+        ref = server("fading")
+        instance = cz.instances[ref] = RoleInstance(ref, registry, cz.journal)
+        instance.activation, instance.stamp = DEACTIVATED, 1
+        plan = reactivate(cz, location=1, offending=ASK)
+        assert (plan.counterpart_point, plan.own_point, plan.refire) == (1, 1, ASK)
+        assert cz.instances[ref].state == "p0"
+        assert plan.weak_guard
         assert feed(cz, plan.refire, Random(0))
         assert [e.message.performative for e in cz.outbox] == ["sorry"]
 
@@ -515,7 +527,9 @@ def _role_doc(role_id: str, kind: str, transitions: list[dict]) -> dict:
 #: tells and then reports.  ``w`` tells the same tell, or declines the
 #: ask silently (one method, two transitions: a seeded draw picks), and
 #: takes ``more`` without a word.  ``s`` closes at once; its inform is
-#: weak, since it ends the interaction.  ``mute`` takes the ask and sends
+#: weak, since it ends the interaction.  ``o`` closes too, one transition
+#: later: it takes the ask into a variable, and an internal transition on
+#: that variable sends the inform.  ``mute`` takes the ask and sends
 #: nothing.
 HESITANT = {
     "protocol_id": "hesitant",
@@ -543,6 +557,11 @@ HESITANT = {
             _t("p1", ("receive", "more"), None, "done", "w-note"),
         ]),
         _role_doc("s", "participant", [_t("p0", ("receive", "ask"), "close", "done", "s-close")]),
+        _role_doc("o", "participant", [
+            {**_t("p0", ("receive", "ask"), None, "p1", "o-take"),
+             "action": {"kind": "data_change", "variable": "q"}},
+            _t("p1", ("internal", "q"), "close", "done", "o-close"),
+        ]),
         _role_doc("mute", "participant", [_t("p0", ("receive", "ask"), None, "done", "mute")]),
     ],
 }
@@ -628,6 +647,32 @@ class TestResponderReactivationLoop:
         assert activations == {"s": ACTIVE, "w": STOPPED, "x": STOPPED}
         assert [r.method for r in zone.journal.records] == ["s-close"]
 
+    def test_a_cohort_whose_reply_comes_from_its_cascade_warns(self, tmp_path):
+        """``o``'s inform is weak, so ``x``'s tell wins the opening and
+        ``o`` is parked.  The asker refuses ``x``'s report, and no
+        alternate is left, so ``o`` wakes with the journal cut to nothing.
+        In ``p0`` it sends nothing directly; the re-fired ask's data
+        change sets off its inform, so a ``weak-cohort`` warning goes
+        before it."""
+        _, events = run_hesitant(tmp_path, ["o", "x"], seed=0)
+        assert _story(events) == [
+            ("send", "q", "ask-one", {"q": "text"}),
+            ("selection", ["hesitant:o", "hesitant:x"], 2),
+            ("send", "c", "tell", {"a": "text"}),
+            ("send", "q", "request", {"m": "text"}),
+            ("send", "c", "report", {"r": "text"}),
+            ("send", "q", "error-notify",
+             {"kind": "wrong-structure", "tag": "c.2", "detected-by": "initiator"}),
+            ("recovery", ["hesitant:o"], [1, 1], True),
+            ("send", "c", "recover-at", {"point": 1}),
+            ("send", "c", "termination-warning", {"reason": "weak-cohort"}),
+            ("send", "c", "inform", {"c": "text"}),
+            ("send", "q", "termination-notice", {"state": "done"}),
+            ("send", "c", "termination-notice", {"state": "acknowledged"}),
+            ("termination", "c", "concluded"),
+            ("termination", "q", "concluded"),
+        ]
+
     def test_an_opening_its_takers_answer_with_nothing_fails_the_thread(self, tmp_path):
         _, events = run_hesitant(tmp_path, ["mute"], seed=0)
         assert _story(events) == [
@@ -659,9 +704,8 @@ class TestRecoveryBound:
                 assert recoveries <= bound
                 if handle_error_mixed(cz, WRONG_CONTENT, rng) is not None:
                     continue
-                try:
-                    plan = reactivate(cz, location=max(len(cz.journal), 1), offending=ASK)
-                except NoViableRoleError:
+                plan = reactivate(cz, location=max(len(cz.journal), 1), offending=ASK)
+                if plan is None:
                     break
                 if feed(cz, plan.refire, rng) and cz.outbox:
                     select_outgoing(cz, rng)
